@@ -20,7 +20,7 @@ from .conformality import (
     weak_conformality,
     weak_conformality_sampled,
 )
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, NonFiniteError
 from .isoperimetry import (
     CONDUCTANCE_CAP,
     DEFAULT_EPSILON_SCHEDULE,
@@ -97,7 +97,11 @@ def _parse_schedule(text: str):
 
 
 def _load_spd(path) -> SpdMatrix:
-    return SpdMatrix(load_matrix(path))
+    entries = load_matrix(path)
+    try:
+        return SpdMatrix(entries)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{path}: {exc}") from None
 
 
 def _classical_pair(kind: str, g: Graph):
@@ -146,9 +150,9 @@ def _cmd_conformality(args) -> int:
         raise UsageError("give the matrix either positionally or via --matrix, not both")
     m = _load_spd(matrix_path)
     cap = args.weak_cap
-    res = weak_conformality(m, cap=cap, force=args.force, threads=args.threads)
+    res = weak_conformality(m, cap=cap, force=args.force)
     out = res.to_dict()
-    flags = {"weak_cap": cap, "force": args.force, "threads": args.threads}
+    flags = {"weak_cap": cap, "force": args.force}
     if args.sampled is not None:
         if args.seed is None:
             raise UsageError("--sampled requires --seed")
@@ -357,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"ipl {__version__} (report format {FORMAT_VERSION})"
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for subset enumeration (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conformality", help="strong and weak conformality of an SPD matrix")

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class NonFiniteError(ValueError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class NotSymmetricError(ValueError):
     """Input matrix is not square or not symmetric within tolerance."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NotPositiveDefiniteError, NotSymmetricError
+from .errors import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError
 
 # Relative tolerance for accepting an input matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -68,9 +68,10 @@ def _is_exactly_diagonal(a: np.ndarray) -> bool:
 class SpdMatrix:
     """A symmetric positive definite matrix with cached spectral data.
 
-    Construction symmetrizes via (A + A^T)/2, rejects inputs that are
-    asymmetric beyond ``SYMMETRY_RTOL`` or whose smallest eigenvalue falls
-    below ``dim * PD_RTOL * lambda_max``. The eigendecomposition, the
+    Construction rejects NaN and infinite entries, symmetrizes via
+    (A + A^T)/2, and rejects inputs that are asymmetric beyond
+    ``SYMMETRY_RTOL`` or whose smallest eigenvalue falls below
+    ``dim * PD_RTOL * lambda_max``. The eigendecomposition, the
     symmetric square root and its inverse are computed once and shared;
     instances are immutable and safe to use from multiple threads.
 
@@ -83,9 +84,15 @@ class SpdMatrix:
         a = _as_square(entries)
         if a.shape[0] == 0:
             raise ValueError("SpdMatrix requires dimension >= 1")
+        if not np.isfinite(a).all():
+            bad = np.argwhere(~np.isfinite(a))[0]
+            raise NonFiniteError(
+                f"matrix has a non-finite entry: {a[tuple(bad)]} at row {bad[0]}, column {bad[1]}"
+            )
         _check_symmetric(a)
         a = 0.5 * (a + a.T)
-        if _is_exactly_diagonal(a):
+        self._is_diagonal = _is_exactly_diagonal(a)
+        if self._is_diagonal:
             d = np.diagonal(a).copy()
             order = np.argsort(d, kind="stable")
             vals = d[order]
@@ -138,7 +145,7 @@ class SpdMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        return _is_exactly_diagonal(self._entries)
+        return self._is_diagonal
 
     def _spectral_apply(self, f) -> np.ndarray:
         v = self._eigenvectors

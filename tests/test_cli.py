@@ -179,6 +179,17 @@ def test_missing_file_exit_two(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_exit_two(tmp_path, capsys, bad):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(f'{{"rows": [[1.0, 0.0], [0.0, {bad}]]}}')
+    code, out, err = run_cli(["conformality", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and "non-finite" in err
+
+
 def test_cap_exceeded_exit_two(tmp_path, capsys):
     big = SpdMatrix(np.eye(8) + 0.05 * np.ones((8, 8)))
     path = write(tmp_path, "big.json", matrix_to_dict(big.entries))
@@ -195,13 +206,12 @@ def test_unknown_flag_rejected(files):
     assert exc.value.code == 2
 
 
-def test_threads_flag_matches_serial(files, capsys):
+def test_conformality_cli_matches_library(files, capsys):
     gadget = SpdMatrix(np.outer(np.sqrt([1, 2, 3, 4, 5, 6, 7]), np.sqrt([1, 2, 3, 4, 5, 6, 7])) + np.eye(7))
     path = write_matrix(files, gadget)
-    code1, out1, _ = run_cli(["conformality", path], capsys)
-    code2, out2, _ = run_cli(["--threads", "3", "conformality", path], capsys)
-    assert code1 == code2 == 0
-    assert json.loads(out1)["result"] == json.loads(out2)["result"]
+    code, out, _ = run_cli(["conformality", path], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == weak_conformality(gadget).to_dict()
 
 
 def write_matrix(files, m):

@@ -13,6 +13,9 @@ from ipl import (
     weak_conformality_sampled,
 )
 
+from ipl import conformality
+from ipl.conformality import _scan_masks, _witness_pair
+
 from conftest import random_orthogonal, random_spd
 
 
@@ -98,12 +101,64 @@ def test_weak_cap_and_force():
     assert res.rho_weak > 0
 
 
-def test_weak_threads_match_serial(rng):
-    m = random_spd(rng, 8)
-    serial = weak_conformality(m)
-    threaded = weak_conformality(m, threads=3)
-    assert serial.rho_weak == threaded.rho_weak
-    assert serial.witness_partition == threaded.witness_partition
+def reference_weak(m):
+    # The exhaustive one-by-one scan over every partition mask.
+    k = m.dim
+    _, subset = _scan_masks(m.entries, range((1 << (k - 1)) - 1), k)
+    s_idx = np.array(subset)
+    rho, x, y = _witness_pair(m, s_idx, np.setdiff1d(np.arange(k), s_idx))
+    return rho, subset, x, y
+
+
+def assert_matches_reference(m, label=""):
+    res = weak_conformality(m)
+    rho, subset, x, y = reference_weak(m)
+    assert res.rho_weak == rho, label
+    assert res.witness_partition == subset, label
+    assert np.array_equal(res.witness_x, x), label
+    assert np.array_equal(res.witness_y, y), label
+
+
+def test_weak_batched_matches_reference(rng):
+    assert_matches_reference(random_spd(rng, 8))
+
+
+def fuzz_entries(rng, k):
+    # Entries are symmetric up to rounding, which SpdMatrix symmetrizes.
+    q = random_orthogonal(rng, k)
+    yield "dense", (q * rng.uniform(0.5, 3.0, k)) @ q.T
+    ev = np.geomspace(1e-2, 1e2, k)
+    q = random_orthogonal(rng, k)
+    yield "ill-conditioned", (q * rng.permutation(ev)) @ q.T
+    g = rng.standard_normal((k, k))
+    yield "near-diagonal", np.diag(rng.uniform(1.0, 2.0, k)) + 0.5e-3 * (g + g.T)
+    half = [int(v) for v in rng.integers(1, 5, (k + 1) // 2)]
+    values = (half + half)[:k]
+    x = np.sqrt(np.asarray(values, dtype=float))
+    yield "gadget", np.outer(x, x) + np.eye(k)
+    yield "diagonal", np.diag(rng.uniform(0.5, 4.0, k))
+    block = np.zeros((k, k))
+    cuts = [0, *sorted(rng.choice(np.arange(1, k), size=min(2, k - 1), replace=False)), k]
+    for lo, hi in zip(cuts, cuts[1:]):
+        q = random_orthogonal(rng, hi - lo)
+        block[lo:hi, lo:hi] = (q * rng.uniform(0.5, 3.0, hi - lo)) @ q.T
+    yield "block-diagonal", block
+    p = rng.permutation(k)
+    yield "permuted block-diagonal", block[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_weak_fuzz_matches_reference(k):
+    rng = np.random.default_rng(1000 + k)
+    for kind, entries in fuzz_entries(rng, k):
+        assert_matches_reference(SpdMatrix(entries), kind)
+
+
+def test_weak_chunked_matches_reference(monkeypatch):
+    monkeypatch.setattr(conformality, "BATCH_CHUNK", 100)
+    rng = np.random.default_rng(77)
+    for kind, entries in fuzz_entries(rng, 10):
+        assert_matches_reference(SpdMatrix(entries), kind)
 
 
 def test_weak_invariant_under_diagonal_congruence(rng):
@@ -280,11 +335,11 @@ def test_inverse_check_examples(rng):
     assert rep.passed
 
 
-def test_weak_threads_deterministic_with_ties():
+def test_weak_identity_ties_resolve_to_singleton():
     # All-ties input: every partition scores exactly zero, so the witness
-    # must come from the lexicographic rule regardless of thread count.
+    # comes from the lexicographic rule.
     m = SpdMatrix(np.eye(8))
-    serial = weak_conformality(m)
-    threaded = weak_conformality(m, threads=4)
-    assert serial.witness_partition == threaded.witness_partition == (0,)
-    assert serial.rho_weak == threaded.rho_weak == 0.0
+    res = weak_conformality(m)
+    assert res.witness_partition == (0,)
+    assert res.rho_weak == 0.0
+    assert reference_weak(m)[:2] == (0.0, (0,))

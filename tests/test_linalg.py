@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipl import NotPositiveDefiniteError, NotSymmetricError, SpdMatrix, gen_eig, spd_solve, spd_sqrt, sym_eig
+from ipl import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError, SpdMatrix, gen_eig, spd_solve, spd_sqrt, sym_eig
 
 from conftest import random_spd
 
@@ -73,6 +73,19 @@ def test_spd_rejects_indefinite_and_near_singular():
         SpdMatrix(np.diag([1.0, 1e-13]))
     # Just above the threshold is accepted.
     SpdMatrix(np.diag([1.0, 1e-10]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        SpdMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(NonFiniteError, match="row 0, column 1"):
+        SpdMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def test_spd_is_diagonal_flag():
+    assert SpdMatrix(np.diag([1.0, 2.0, 3.0])).is_diagonal
+    assert not SpdMatrix(np.array([[2.0, 1e-300], [1e-300, 2.0]])).is_diagonal
 
 
 def test_spd_condition_number():
