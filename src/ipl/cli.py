@@ -20,7 +20,7 @@ from .conformality import (
     weak_conformality,
     weak_conformality_sampled,
 )
-from .errors import EnumerationCapError, NonFiniteError
+from .errors import EnumerationCapError
 from .isoperimetry import (
     CONDUCTANCE_CAP,
     DEFAULT_EPSILON_SCHEDULE,
@@ -96,14 +96,6 @@ def _parse_schedule(text: str):
     return [float(t) for t in text.split(",")]
 
 
-def _load_spd(path) -> SpdMatrix:
-    entries = load_matrix(path)
-    try:
-        return SpdMatrix(entries)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"{path}: {exc}") from None
-
-
 def _classical_pair(kind: str, g: Graph):
     if kind == "normalized":
         return normalized_inner_products(g)
@@ -119,7 +111,7 @@ def _graph_with_inner_products(args) -> tuple[Graph, SpdMatrix, SpdMatrix]:
     if getattr(args, "mv", None) or getattr(args, "me", None):
         if not (args.mv and args.me):
             raise UsageError("--mv and --me must be given together")
-        m_v, m_e = _load_spd(args.mv), _load_spd(args.me)
+        m_v, m_e = SpdMatrix(load_matrix(args.mv)), SpdMatrix(load_matrix(args.me))
     else:
         m_v, m_e = _classical_pair(getattr(args, "kind", None) or "normalized", g)
     return g, m_v, m_e
@@ -148,7 +140,7 @@ def _cmd_conformality(args) -> int:
         raise UsageError("a matrix file is required (positional or --matrix)")
     if args.matrix_pos and args.matrix:
         raise UsageError("give the matrix either positionally or via --matrix, not both")
-    m = _load_spd(matrix_path)
+    m = SpdMatrix(load_matrix(matrix_path))
     cap = args.weak_cap
     res = weak_conformality(m, cap=cap, force=args.force)
     out = res.to_dict()
@@ -166,7 +158,7 @@ def _cmd_spectrum(args) -> int:
     g = load_graph(args.graph)
     if args.orientation:
         g = g.with_orientation(_parse_orientation(args.orientation, g.m))
-    m_v, m_e = _load_spd(args.mv), _load_spd(args.me)
+    m_v, m_e = SpdMatrix(load_matrix(args.mv)), SpdMatrix(load_matrix(args.me))
     setup = IplSetup.from_graph(g, m_v, m_e, target_dim=args.dim)
     if args.coboundary:
         setup = setup.with_inverted_inner_products()

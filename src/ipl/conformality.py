@@ -19,10 +19,10 @@ this form on the smaller side of every partition, stacked by side size into
 one batched Cholesky and eigenvalue call per group. That batch only ranks
 the partitions: 1 - 1/mu loses digits, and partitions that tie
 mathematically differ only by rounding. Every partition within a rounding
-bound of the batch maximum is scored again with the per-partition
-generalized eigenproblem, and the winner among those, under the
-lexicographic tie-break, gives the reported value and witness pair. The
-result is the same as scoring every partition that way.
+bound of the batch maximum is scored again by ``_partition_value``, the one
+per-partition routine, which also yields the reported value and witness
+pair; the winner among those is taken under the lexicographic tie-break.
+The result is the same as scoring every partition that way.
 
 For an exactly diagonal M every cross block M_ST is zero, so every
 partition scores exactly 0 and the tie-break selects S = (0,) without a
@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh as scipy_eigh
 
 from .errors import EnumerationCapError
-from .linalg import SpdMatrix, gen_eig
+from .linalg import SpdMatrix
 from .report import VerificationReport
 
 DEFAULT_SUBSET_CAP = 20
@@ -90,19 +89,25 @@ def _mask_to_subset(mask: int, k: int) -> tuple[int, ...]:
     return (0,) + tuple(i + 1 for i in range(k - 1) if (mask >> i) & 1)
 
 
-def _subset_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray) -> float:
-    m_ss = entries[np.ix_(s_idx, s_idx)]
+def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
+    """value(S), its top generalized eigenvector v on S, and Z = M_TT^-1 M_TS.
+
+    With M_SS = L L^T, value(S)^2 is the top eigenvalue of the symmetrized
+    L^-1 (M_ST Z) L^-T, and v = L^-T u for its unit eigenvector u, so
+    v^T M_SS v = 1.
+    """
     m_st = entries[np.ix_(s_idx, t_idx)]
-    m_tt = entries[np.ix_(t_idx, t_idx)]
-    factor = cho_factor(m_tt, lower=True)
-    a = m_st @ cho_solve(factor, m_st.T)
-    a = 0.5 * (a + a.T)
-    vals = scipy_eigh(a, m_ss, eigvals_only=True)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    z = np.linalg.solve(entries[np.ix_(t_idx, t_idx)], m_st.T)
+    chol = np.linalg.cholesky(entries[np.ix_(s_idx, s_idx)])
+    half = np.linalg.solve(chol, m_st @ z)
+    c = np.linalg.solve(chol, half.T)
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    value = float(np.sqrt(max(float(vals[-1]), 0.0)))
+    return value, np.linalg.solve(chol.T, vecs[:, -1]), z
 
 
 def _scan_masks(entries: np.ndarray, masks, k: int):
-    """Score each mask with ``_subset_value``; keep the best, ties to the smaller subset."""
+    """Score each mask with ``_partition_value``; keep the best, ties to the smaller subset."""
     all_idx = np.arange(k)
     best_val = -1.0
     best_subset: tuple[int, ...] | None = None
@@ -110,7 +115,7 @@ def _scan_masks(entries: np.ndarray, masks, k: int):
         subset = _mask_to_subset(mask, k)
         s_idx = np.array(subset)
         t_idx = np.setdiff1d(all_idx, s_idx, assume_unique=True)
-        val = _subset_value(entries, s_idx, t_idx)
+        val = _partition_value(entries, s_idx, t_idx)[0]
         if val > best_val or (val == best_val and subset < best_subset):
             best_val, best_subset = val, subset
     return best_val, best_subset
@@ -163,23 +168,25 @@ def weak_conformality(
     k = m.dim
     if k < 2:
         raise ValueError("weak conformality requires dimension >= 2")
-    if k > cap and not force:
+    if m.is_diagonal:
+        # Every M_ST is zero, so every partition scores exactly 0; no scan,
+        # so no enumeration cap either.
+        best_subset = (0,)
+    elif k > cap and not force:
         raise EnumerationCapError(
             f"dimension {k} exceeds the enumeration cap {cap}: exact weak "
             f"conformality solves 2^(k-1)-1 = {2 ** (k - 1) - 1} generalized "
             "eigenproblems; pass force=True (CLI: --force) to run anyway"
         )
-    if m.is_diagonal:
-        # Every M_ST is zero, so every partition scores exactly 0.
-        best_subset = (0,)
     else:
         # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
         # whose condition numbers are at most cond(M), put both the batched
         # value^2 and the one-by-one value^2 within a small multiple of
-        # k * eps * cond(M) of the exact value (measured: at most 1.2 times
-        # it on dense, ill-conditioned, near-diagonal and gadget inputs with
-        # k <= 12). Any partition the one-by-one scan could rank first then
-        # lies within delta of the batched maximum.
+        # k * eps * cond(M) of the exact value (measured: they differ by at
+        # most 0.9 times it on dense, ill-conditioned, near-diagonal, gadget
+        # and block-diagonal inputs with k <= 12). Any partition the
+        # one-by-one scan could rank first then lies within delta of the
+        # batched maximum.
         rho_sq = _batched_rho_sq(m)
         delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
         near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
@@ -198,23 +205,19 @@ def weak_conformality(
 
 
 def _witness_pair(m: SpdMatrix, s_idx: np.ndarray, t_idx: np.ndarray):
-    """Maximizing pair for a fixed support partition.
+    """Value and maximizing pair for a fixed support partition.
 
-    x is the top generalized eigenvector on S; the optimal partner on the
-    complement is y = M_SbarSbar^-1 M_SSbar^T x. Both are returned with
-    unit M-norm and a sign making the correlation nonnegative.
+    x is the top generalized eigenvector v on S, with its largest-magnitude
+    entry positive; the optimal partner on the complement is y = Z v with
+    Z = M_TT^-1 M_TS. Both are returned with unit M-norm and a sign making
+    the correlation nonnegative. The value is the one ``_partition_value``
+    scores the partition with.
     """
     entries = m.entries
-    m_ss = entries[np.ix_(s_idx, s_idx)]
-    m_st = entries[np.ix_(s_idx, t_idx)]
-    m_tt = entries[np.ix_(t_idx, t_idx)]
-    factor = cho_factor(m_tt, lower=True)
-    a = m_st @ cho_solve(factor, m_st.T)
-    a = 0.5 * (a + a.T)
-    vals, vecs = gen_eig(a, SpdMatrix(m_ss))
-    rho = float(np.sqrt(max(float(vals[-1]), 0.0)))
-    v = vecs[:, -1]
-    y_t = cho_solve(factor, m_st.T @ v)
+    rho, v, z = _partition_value(entries, s_idx, t_idx)
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    y_t = z @ v
     if np.abs(y_t).max(initial=0.0) < 1e-300:
         # Decoupled blocks (rho = 0): any vector on the complement works.
         y_t = np.zeros(len(t_idx))

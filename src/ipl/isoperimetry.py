@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .complexes import Graph, graph_incidence
 from .conformality import DEFAULT_SUBSET_CAP, weak_conformality_value
@@ -583,7 +582,8 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     a_tilde = a * scale[:, None] * scale[None, :]
     constraint = np.sqrt(deg_s)
     constraint = constraint / np.linalg.norm(constraint)
-    basis = null_space(constraint[None, :])
+    # The right singular vectors past the first span the complement of c.
+    basis = np.linalg.svd(constraint[None, :])[2][1:].T
     reduced = basis.T @ a_tilde @ basis
     vals, vecs = sym_eig(reduced)
     lam = max(float(vals[0]), 0.0)

@@ -5,6 +5,7 @@ Graphs:   {"vertices": [...], "edges": [["a","b"], ...], "orientation": [1, -1, 
 Complexes: {"facets": [["a","b","c"], ...]}.
 Hypergraphs: {"vertices": [...], "hyperedges": [[...], ...], "weights": [1.0, ...]}.
 Vectors: either a bare JSON array or {"values": [...]}.
+The load_* readers refuse NaN and infinities, naming the file and entry.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, build_complex
+from .linalg import check_finite
 
 
 def load_json(path) -> object:
@@ -92,11 +94,11 @@ def hypergraph_to_dict(hg: Hypergraph, weights=None) -> dict:
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(load_json(path))
+    return check_finite(matrix_from_dict(load_json(path)), f"{path}: matrix")
 
 
 def load_vector(path) -> np.ndarray:
-    return vector_from_dict(load_json(path))
+    return check_finite(vector_from_dict(load_json(path)), f"{path}: vector")
 
 
 def load_graph(path) -> Graph:
@@ -108,4 +110,8 @@ def load_complex(path) -> SimplicialComplex:
 
 
 def load_hypergraph(path) -> tuple[Hypergraph, np.ndarray]:
-    return hypergraph_from_dict(load_json(path))
+    d = load_json(path)
+    if isinstance(d, dict) and d.get("weights") is not None:
+        # Checked in file order, before the weights are sorted with the hyperedges.
+        check_finite(np.asarray(d["weights"], dtype=float), f"{path}: weights")
+    return hypergraph_from_dict(d)

@@ -3,13 +3,14 @@
 Everything downstream funnels through four operations: symmetric
 eigendecomposition with a deterministic sign convention, SPD square roots,
 SPD solves, and generalized symmetric eigenproblems with an SPD right-hand
-matrix. All arithmetic is 64-bit floating point.
+matrix. All arithmetic is 64-bit floating point in numpy. ``SpdMatrix``
+caches M = V diag(lambda) V^T; its square roots, inverse and solves all work
+in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError
 
@@ -61,6 +62,15 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return vals, _fix_signs(vecs)
 
 
+def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Return ``a``, or raise NonFiniteError naming its first NaN or infinite entry."""
+    bad = np.argwhere(~np.isfinite(a))[:1]
+    if len(bad):
+        where = "row {}, column {}".format(*bad[0]) if a.ndim == 2 else f"index {bad[0][0]}"
+        raise NonFiniteError(f"{what} has a non-finite entry: {a[tuple(bad[0])]} at {where}")
+    return a
+
+
 def _is_exactly_diagonal(a: np.ndarray) -> bool:
     return bool(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0)
 
@@ -84,11 +94,7 @@ class SpdMatrix:
         a = _as_square(entries)
         if a.shape[0] == 0:
             raise ValueError("SpdMatrix requires dimension >= 1")
-        if not np.isfinite(a).all():
-            bad = np.argwhere(~np.isfinite(a))[0]
-            raise NonFiniteError(
-                f"matrix has a non-finite entry: {a[tuple(bad)]} at row {bad[0]}, column {bad[1]}"
-            )
+        check_finite(a)
         _check_symmetric(a)
         a = 0.5 * (a + a.T)
         self._is_diagonal = _is_exactly_diagonal(a)
@@ -113,7 +119,6 @@ class SpdMatrix:
             )
         self._sqrt: np.ndarray | None = None
         self._inv_sqrt: np.ndarray | None = None
-        self._cho = None
 
     @classmethod
     def from_diagonal(cls, diag) -> "SpdMatrix":
@@ -179,19 +184,16 @@ class SpdMatrix:
         return SpdMatrix(self.sqrt_entries)
 
     def solve(self, b) -> np.ndarray:
-        """Solve M x = b via Cholesky with one step of iterative refinement."""
+        """Solve M x = b in the cached eigenbasis, with one step of iterative refinement."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: M is {self.dim}x{self.dim}, b has leading size {b.shape[0]}")
         if self.is_diagonal:
             d = np.diagonal(self._entries)
             return (b.T / d).T
-        if self._cho is None:
-            self._cho = cho_factor(self._entries, lower=True)
-        x = cho_solve(self._cho, b)
-        resid = b - self._entries @ x
-        x = x + cho_solve(self._cho, resid)
-        return x
+        v, lam = self._eigenvectors, self._eigenvalues
+        x = v @ ((v.T @ b).T / lam).T
+        return x + v @ ((v.T @ (b - self._entries @ x)).T / lam).T
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse, for callers that genuinely need the matrix."""
@@ -208,15 +210,6 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim}, condition={self.condition:.3e})"
 
 
-def spd_sqrt(m: SpdMatrix) -> SpdMatrix:
-    """Symmetric positive definite square root of ``m``."""
-    return m.sqrt()
-
-
-def spd_solve(m: SpdMatrix, b) -> np.ndarray:
-    return m.solve(b)
-
-
 def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Solve A v = lambda B v for symmetric PSD ``a`` and SPD ``b``.
 
@@ -229,7 +222,9 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension mismatch: A is {a.shape[0]}x{a.shape[0]}, B is {b.dim}x{b.dim}")
     w = b.inv_sqrt_entries
     s = w @ a @ w
-    vals, vecs = sym_eig(s)
+    # The product is symmetric only up to rounding, which can exceed the
+    # input tolerance at high cond(B); symmetrize before the check.
+    vals, vecs = sym_eig(0.5 * (s + s.T))
     if vals[0] < -1e-9 * max(1.0, abs(float(vals[-1]))):
         raise ValueError(f"left-hand matrix has negative eigenvalue {vals[0]:.3e}")
     return vals, w @ vecs

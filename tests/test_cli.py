@@ -94,6 +94,24 @@ def test_verify_cheeger_exit_zero(files, capsys):
     assert result["values"]["upper_margin"] == 0
 
 
+def test_verify_cheeger_past_the_weak_cap(tmp_path, capsys):
+    # 21 edges exceed the default enumeration cap of 20, but the default
+    # normalized M_E is diagonal and needs no partition scan.
+    labels = [f"v{i}" for i in range(12)]
+    edges = [[labels[i], labels[(i + 1) % 12]] for i in range(12)]
+    edges += [[labels[i], labels[i + 2]] for i in range(9)]
+    graph = write(tmp_path, "g12.json", {"vertices": labels, "edges": edges})
+    code, out, err = run_cli(["verify", "cheeger", "--graph", graph], capsys)
+    assert code == 0, err
+    assert json.loads(out)["result"]["passed"] is True
+
+
+def test_import_loads_no_scipy():
+    probe = "import sys, ipl; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_verify_eml_pair_and_batch(files, capsys):
     code, out, _ = run_cli(
         ["verify", "eml", "--graph", files["k2"], "--x", "v1", "--y", "v2"], capsys
@@ -180,14 +198,29 @@ def test_missing_file_exit_two(capsys):
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_matrix_exit_two(tmp_path, capsys, bad):
-    path = tmp_path / "nonfinite.json"
-    path.write_text(f'{{"rows": [[1.0, 0.0], [0.0, {bad}]]}}')
-    code, out, err = run_cli(["conformality", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith(f"error: {path}: ") and "non-finite" in err
+def test_non_finite_matrix_exit_two(tmp_path, files, capsys, bad):
+    # Every loaded array is refused where its file is read, before any
+    # computation runs on it.
+    matrix = tmp_path / "nonfinite.json"
+    matrix.write_text(f'{{"rows": [[1.0, 0.0], [0.0, {bad}]]}}')
+    transition = tmp_path / "transition.json"
+    transition.write_text(f'{{"rows": [[0.5, 0.5], [{bad}, 0.5]]}}')
+    weights = tmp_path / "weights.json"
+    weights.write_text(f"[1.0, {bad}]")
+    hypergraph = tmp_path / "hypergraph.json"
+    hypergraph.write_text(f'{{"vertices": ["1", "2", "3"], "hyperedges": [["1", "2"], ["2", "3"]], "weights": [1.0, {bad}]}}')
+    for path, where, argv in (
+        (matrix, "row 1, column 1", ["conformality", str(matrix)]),
+        (transition, "row 1, column 0", ["digraph", "--transition", str(transition)]),
+        (weights, "index 1", ["recover", "--kind", "combinatorial", "--graph", files["p3"], "--weights", str(weights)]),
+        (hypergraph, "index 1", ["hypergraph-to-ipl", "--hypergraph", str(hypergraph)]),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and "non-finite" in err
+        assert err.rstrip().endswith(f"at {where}")
 
 
 def test_cap_exceeded_exit_two(tmp_path, capsys):

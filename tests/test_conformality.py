@@ -93,6 +93,13 @@ def test_weak_witness_invariants(rng):
         assert res.rho_weak <= res.rho_strong + 1e-10
 
 
+def test_weak_diagonal_needs_no_cap():
+    # The diagonal identity answers without a scan, so the cap does not apply.
+    res = weak_conformality(SpdMatrix.identity(25))
+    assert res.rho_weak == 0.0
+    assert res.witness_partition == (0,)
+
+
 def test_weak_cap_and_force():
     m = SpdMatrix(np.eye(6) + 0.1 * np.ones((6, 6)))
     with pytest.raises(EnumerationCapError):
@@ -104,9 +111,11 @@ def test_weak_cap_and_force():
 def reference_weak(m):
     # The exhaustive one-by-one scan over every partition mask.
     k = m.dim
-    _, subset = _scan_masks(m.entries, range((1 << (k - 1)) - 1), k)
+    score, subset = _scan_masks(m.entries, range((1 << (k - 1)) - 1), k)
     s_idx = np.array(subset)
     rho, x, y = _witness_pair(m, s_idx, np.setdiff1d(np.arange(k), s_idx))
+    # One routine scores the partitions and reports the value.
+    assert rho == score
     return rho, subset, x, y
 
 

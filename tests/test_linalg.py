@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipl import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError, SpdMatrix, gen_eig, spd_solve, spd_sqrt, sym_eig
+from ipl import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError, SpdMatrix, gen_eig, sym_eig, weak_conformality
 
 from conftest import random_spd
 
@@ -94,12 +94,12 @@ def test_spd_condition_number():
 
 
 def test_spd_sqrt_examples():
-    np.testing.assert_allclose(spd_sqrt(SpdMatrix(np.eye(3))).entries, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(SpdMatrix(np.eye(3)).sqrt().entries, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(
-        spd_sqrt(SpdMatrix(np.diag([4.0, 9.0]))).entries, np.diag([2.0, 3.0]), atol=1e-12
+        SpdMatrix(np.diag([4.0, 9.0])).sqrt().entries, np.diag([2.0, 3.0]), atol=1e-12
     )
     m = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    q = spd_sqrt(m)
+    q = m.sqrt()
     np.testing.assert_allclose(q.entries @ q.entries, m.entries, atol=1e-10)
     np.testing.assert_allclose(q.eigenvalues, [1.0, np.sqrt(3.0)], atol=1e-12)
 
@@ -111,16 +111,16 @@ def test_spd_sqrt_reconstruction_and_idempotence(rng):
         q = m.sqrt_entries
         rel = np.linalg.norm(q @ q - m.entries) / np.linalg.norm(m.entries)
         assert rel <= 1e-10
-        again = spd_sqrt(SpdMatrix(q @ q))
+        again = SpdMatrix(q @ q).sqrt()
         np.testing.assert_allclose(again.eigenvalues, SpdMatrix(q).eigenvalues, atol=1e-9)
 
 
 def test_spd_solve_examples():
-    np.testing.assert_allclose(spd_solve(SpdMatrix(np.eye(3)), np.array([1.0, 2, 3])), [1, 2, 3])
+    np.testing.assert_allclose(SpdMatrix(np.eye(3)).solve(np.array([1.0, 2, 3])), [1, 2, 3])
     np.testing.assert_allclose(
-        spd_solve(SpdMatrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0])), [1.0, 1.0]
+        SpdMatrix(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0])), [1.0, 1.0]
     )
-    x = spd_solve(SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([1.0, 0.0]))
+    x = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])).solve(np.array([1.0, 0.0]))
     np.testing.assert_allclose(x, [2 / 3, -1 / 3], atol=1e-12)
 
 
@@ -165,6 +165,21 @@ def test_gen_eig_b_orthonormal_and_matches_whitened(rng):
 def test_gen_eig_rejects_negative_lhs():
     with pytest.raises(ValueError):
         gen_eig(np.diag([1.0, -1.0]), SpdMatrix(np.eye(2)))
+
+
+def test_gen_eig_accepts_rounding_skew_of_whitened_pencil():
+    # At cond(B) near 1e8 the product B^-1/2 A B^-1/2 is asymmetric by about
+    # 1e-11 from rounding alone, above the input tolerance of sym_eig.
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    m = SpdMatrix((q * np.geomspace(1e-4, 1e4, 6)) @ q.T)
+    e = m.entries
+    s, t = np.arange(4), np.array([4, 5])
+    a = e[np.ix_(s, t)] @ np.linalg.solve(e[np.ix_(t, t)], e[np.ix_(t, s)])
+    vals, _ = gen_eig(0.5 * (a + a.T), SpdMatrix(e[np.ix_(s, s)]))
+    res = weak_conformality(m)
+    assert res.witness_partition == (0, 1, 2, 3)
+    assert np.sqrt(vals[-1]) == pytest.approx(res.rho_weak, rel=1e-9)
 
 
 def test_inverse_matches_solve(rng):
