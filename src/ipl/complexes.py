@@ -9,6 +9,7 @@ boundary column (-1 at the smaller endpoint, +1 at the larger).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +103,14 @@ def boundary_matrix(k: SimplicialComplex, i: int) -> np.ndarray:
     return b
 
 
+def _label_indices(index: dict, labels) -> list[int]:
+    """Vertex indices of an edge's labels; an unknown label is a ValueError naming it."""
+    try:
+        return [index[lab] for lab in labels]
+    except KeyError as exc:
+        raise ValueError(f"an edge names the unknown vertex {exc.args[0]!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with per-edge orientation signs."""
@@ -136,7 +145,7 @@ class Graph:
         index = {lab: i for i, lab in enumerate(labels)}
         pairs = []
         for u, v in edge_pairs:
-            iu, iv = index[u], index[v]
+            iu, iv = _label_indices(index, (u, v))
             pairs.append((min(iu, iv), max(iu, iv)))
         if orientation is None:
             orientation = (1,) * len(pairs)
@@ -158,17 +167,20 @@ class Graph:
     def with_orientation(self, orientation) -> "Graph":
         return Graph(self.labels, self.edges, tuple(int(s) for s in orientation))
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Read-only 2 x m array of edge endpoints: ``u, v = g.ends`` with u < v."""
+        uv = np.array(self.edges, dtype=np.intp).reshape(self.m, 2).T
+        uv.setflags(write=False)
+        return uv
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.ends.ravel(), minlength=self.n)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1
+        u, v = self.ends
+        a[u, v] = a[v, u] = 1
         return a
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -208,9 +220,11 @@ def graph_incidence(g: Graph) -> np.ndarray:
     """Signed vertex-edge incidence: column e = (u, v) holds -sigma_e at u,
     +sigma_e at v. Columns sum to zero."""
     b = np.zeros((g.n, g.m), dtype=np.int64)
-    for e, (u, v) in enumerate(g.edges):
-        b[u, e] = -g.orientation[e]
-        b[v, e] = g.orientation[e]
+    u, v = g.ends
+    sigma = np.array(g.orientation, dtype=np.int64)
+    cols = np.arange(g.m)
+    b[u, cols] = -sigma
+    b[v, cols] = sigma
     return b
 
 
@@ -239,7 +253,7 @@ class Hypergraph:
     def from_edge_labels(cls, labels, hyperedges) -> "Hypergraph":
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        hs = sorted(tuple(sorted(index[lab] for lab in h)) for h in hyperedges)
+        hs = sorted(tuple(sorted(_label_indices(index, h))) for h in hyperedges)
         return cls(labels=labels, hyperedges=tuple(hs))
 
     @property

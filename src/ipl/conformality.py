@@ -66,16 +66,6 @@ class ConformalityResult:
             "witness_y": [float(v) for v in self.witness_y],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConformalityResult":
-        return cls(
-            rho_strong=float(d["rho_strong"]),
-            rho_weak=float(d["rho_weak"]),
-            witness_partition=tuple(int(i) for i in d["witness_S"]),
-            witness_x=np.asarray(d["witness_x"], dtype=float),
-            witness_y=np.asarray(d["witness_y"], dtype=float),
-        )
-
 
 def strong_conformality(m: SpdMatrix) -> float:
     """Closed form (lambda_max - lambda_min)/(lambda_max + lambda_min)."""
@@ -266,9 +256,8 @@ def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:
     mask = ranks < sizes[:, None]
     x = rng.standard_normal((trials, k)) * mask
     y = rng.standard_normal((trials, k)) * ~mask
-    mx = x @ m.entries
-    num = np.abs(np.einsum("ti,ti->t", mx, y))
-    den = np.sqrt(np.einsum("ti,ti->t", mx, x) * np.einsum("ti,ij,tj->t", y, m.entries, y))
+    num = np.abs(np.einsum("ti,ti->t", x @ m.entries, y))
+    den = np.sqrt(m.quad(x) * m.quad(y))
     return float((num / den).max())
 
 

@@ -14,16 +14,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Graph, graph_incidence
+from .complexes import Graph, unsigned_incidence
 from .conformality import DEFAULT_SUBSET_CAP, weak_conformality_value
 from .errors import EnumerationCapError, NotPositiveDefiniteError
-from .laplacian import IplSetup, SpectrumResult, compatibility, inner_product_laplacian
-from .linalg import SpdMatrix, sym_eig
+from .laplacian import (
+    IplSetup,
+    SpectrumResult,
+    check_graph_inner_products,
+    compatibility,
+    inner_product_laplacian,
+)
+from .linalg import SpdMatrix, gen_eig, sym_eig
 from .report import VerificationReport
 
 CONDUCTANCE_CAP = 24
 S_LOCAL_CAP = 20
 EML_BATCH_CAP = 10
+# Cuts per chunk of the conductance enumeration; bounds its chunk x m temporaries.
+CUT_CHUNK = 1 << 14
 DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 
 
@@ -43,8 +51,7 @@ def _indicator(n: int, subset) -> np.ndarray:
 
 def _edge_mask(g: Graph, in_x: np.ndarray, in_y: np.ndarray) -> np.ndarray:
     """0/1 vector of edges with one endpoint in X and the other in Y."""
-    u = np.array([e[0] for e in g.edges], dtype=int)
-    v = np.array([e[1] for e in g.edges], dtype=int)
+    u, v = g.ends
     xu, xv = in_x[u] > 0, in_x[v] > 0
     yu, yv = in_y[u] > 0, in_y[v] > 0
     return ((xu & yv) | (xv & yu)).astype(float)
@@ -72,16 +79,9 @@ class CutStats:
         d["boundary_edges"] = [[int(u), int(v)] for u, v in self.boundary_edges]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CutStats":
-        kwargs = {k: float(d[k]) for k in (
-            "vol_x", "vol_y", "vol_x_comp", "vol_y_comp", "vol_xy",
-            "cor_xy", "cor_x", "cor_y", "e_xy", "e_x", "e_y")}
-        kwargs["boundary_edges"] = tuple((int(u), int(v)) for u, v in d["boundary_edges"])
-        return cls(**kwargs)
-
 
 def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStats:
+    check_graph_inner_products(g, m_v, m_e)
     n = g.n
     mv = m_v.entries
     x = _indicator(n, x_set)
@@ -97,10 +97,6 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
     mask_xy = _edge_mask(g, x, y)
     mask_xx = _edge_mask(g, x, x)
     mask_yy = _edge_mask(g, y, y)
-
-    def emass(mask):
-        return float(mask @ m_e.entries @ mask)
-
     boundary = tuple(g.edges[i] for i in np.flatnonzero(mask_xy))
     return CutStats(
         vol_x=vol(x, x),
@@ -111,9 +107,9 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
         cor_xy=cor(x, y),
         cor_x=cor(x, x),
         cor_y=cor(y, y),
-        e_xy=emass(mask_xy),
-        e_x=emass(mask_xx),
-        e_y=emass(mask_yy),
+        e_xy=m_e.quad(mask_xy),
+        e_x=m_e.quad(mask_xx),
+        e_y=m_e.quad(mask_yy),
         boundary_edges=boundary,
     )
 
@@ -142,6 +138,7 @@ def conductance(
         dv, de = normalized_inner_products(g)
         m_v = m_v if m_v is not None else dv
         m_e = m_e if m_e is not None else de
+    check_graph_inner_products(g, m_v, m_e)
     n = g.n
     if n < 2:
         raise ValueError("conductance needs at least two vertices")
@@ -155,29 +152,25 @@ def conductance(
         return 0.0, tuple(comp), [] if include_table else None
 
     mv = m_v.entries
-    me = m_e.entries
-    u = np.array([e[0] for e in g.edges], dtype=int)
-    v = np.array([e[1] for e in g.edges], dtype=int)
+    u, v = g.ends
     total = float(np.sum(mv))
     best_phi = np.inf
     best_witness: tuple[int, ...] | None = None
     table: list = []
 
     n_masks = 1 << (n - 1)
-    chunk = 1 << 16
-    for start in range(0, n_masks - 1, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks - 1), dtype=np.int64)
+    for start in range(0, n_masks - 1, CUT_CHUNK):
+        masks = np.arange(start, min(start + CUT_CHUNK, n_masks - 1), dtype=np.int64)
         # Vertex 0 is pinned into S so each unordered cut appears once; the
         # all-vertices mask (n_masks - 1) is excluded above.
         bits = np.concatenate(
             [np.ones((len(masks), 1), dtype=bool), _subset_bits(n - 1, masks)], axis=1
         )
         s_float = bits.astype(float)
-        vol_s = np.einsum("si,ij,sj->s", s_float, mv, s_float)
+        vol_s = m_v.quad(s_float)
         row = s_float @ mv @ np.ones(n)
         vol_c = total - 2.0 * row + vol_s
-        cross = (bits[:, u] != bits[:, v]).astype(float)
-        e_cut = np.einsum("se,ef,sf->s", cross, me, cross)
+        e_cut = m_e.quad(bits[:, u] != bits[:, v])
         phi = e_cut / np.minimum(vol_s, vol_c)
         if include_table:
             for i, mask_phi in enumerate(phi):
@@ -246,17 +239,6 @@ def verify_cheeger(
     )
 
 
-def _vertex_edge_mass(g: Graph, m_e: SpdMatrix) -> np.ndarray:
-    """d_a = e({a}, complement) for each vertex: the inner product mass of
-    the edges incident to a."""
-    out = np.zeros(g.n)
-    b = np.abs(graph_incidence(g)).astype(float)
-    for a in range(g.n):
-        mask = b[a]
-        out[a] = float(mask @ m_e.entries @ mask)
-    return out
-
-
 def verify_eml(
     g: Graph,
     m_v: SpdMatrix,
@@ -294,7 +276,8 @@ def verify_eml(
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
     inter = sorted(set(x_set) & set(y_set))
     e_inter = cut_stats(g, m_v, m_e, inter, inter).e_x if inter else 0.0
-    point_mass = float(np.sum(_vertex_edge_mass(g, m_e)[inter])) if inter else 0.0
+    # e({a}, ac) for each vertex a: the mass of the edges incident to a.
+    point_mass = float(np.sum(m_e.quad(unsigned_incidence(g))[inter])) if inter else 0.0
     sqrt_cor = float(np.sqrt(max(stats.cor_x, 0.0) * max(stats.cor_y, 0.0)))
     trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
 
@@ -359,12 +342,9 @@ def verify_eml_batch(
     tau = 0.5 * (lam_n + lam2)
     gap = 0.5 * (lam_n - lam2)
     mv = m_v.entries
-    me = m_e.entries
-    me_diag = np.diagonal(me).copy()
-    diagonal_me = m_e.is_diagonal
     vol_g = float(np.sum(mv))
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(me))
-    d_mass = _vertex_edge_mass(g, m_e)
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
+    d_mass = m_e.quad(unsigned_incidence(g))
 
     count = 1 << n
     bits = _subset_bits(n, np.arange(count, dtype=np.int64))
@@ -377,8 +357,7 @@ def verify_eml_batch(
     cor_diag = np.clip(np.diagonal(cor), 0.0, None)
     sqrt_cor = np.sqrt(cor_diag[:, None] * cor_diag[None, :])
 
-    u = np.array([e[0] for e in g.edges], dtype=int)
-    v = np.array([e[1] for e in g.edges], dtype=int)
+    u, v = g.ends
     bu, bv = bits[:, u], bits[:, v]
 
     worst = {"margin": np.inf}
@@ -386,15 +365,8 @@ def verify_eml_batch(
         au, av = bu[i], bv[i]
         mask_xy = (au[None, :] & bv) | (av[None, :] & bu)
         cu, cv = au[None, :] & bu, av[None, :] & bv
-        mask_inner = cu & cv
-        if diagonal_me:
-            e_xy = mask_xy @ me_diag
-            e_inner = mask_inner @ me_diag
-        else:
-            mf = mask_xy.astype(float)
-            e_xy = np.einsum("je,ef,jf->j", mf, me, mf)
-            mi = mask_inner.astype(float)
-            e_inner = np.einsum("je,ef,jf->j", mi, me, mi)
+        e_xy = m_e.quad(mask_xy)
+        e_inner = m_e.quad(cu & cv)
         point = (bits[i] & bits).astype(float) @ d_mass
         lhs = np.abs(e_xy + e_inner - point + tau * cor[i] / vol_g)
         rhs = gap * sqrt_cor[i] / vol_g + trace_term
@@ -425,12 +397,11 @@ def verify_eml_batch(
     )
 
 
-def _vertex_boundary(g: Graph, s: set) -> list[int]:
-    out = set()
-    for u, w in g.edges:
-        if (u in s) != (w in s):
-            out.add(w if u in s else u)
-    return sorted(out)
+def _vertex_boundary(g: Graph, s) -> list[int]:
+    """Sorted vertices outside s with a neighbor in s."""
+    in_s = _indicator(g.n, s) > 0
+    u, v = g.ends
+    return np.unique(np.concatenate([v[in_s[u] & ~in_s[v]], u[in_s[v] & ~in_s[u]]])).tolist()
 
 
 def dirichlet_eigenvalues(g: Graph, subset) -> np.ndarray:
@@ -448,30 +419,14 @@ def dirichlet_eigenvalues(g: Graph, subset) -> np.ndarray:
         raise ValueError("subset contains out-of-range vertices")
     # Every component of G[S] must see the boundary; a swallowed component
     # would contribute a zero eigenvalue, which the boundary condition forbids.
-    sub_edges = [(u, v) for u, v in g.edges if u in s_set and v in s_set]
-    parent = {v: v for v in s_list}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in sub_edges:
-        parent[find(u)] = find(v)
-    has_exit = {find(v): False for v in s_list}
-    for u, v in g.edges:
-        if (u in s_set) != (v in s_set):
-            has_exit[find(u if u in s_set else v)] = True
-    if not all(has_exit.values()):
+    # A component of G[S] without an edge leaving S is a whole component of G.
+    if any(s_set.issuperset(comp) for comp in g.components()):
         raise ValueError("every component of the induced subgraph needs a nonempty vertex boundary")
 
     deg = g.degrees().astype(float)
     lap = np.diag(deg) - g.adjacency().astype(float)
     idx = np.array(s_list)
     l_ss = lap[np.ix_(idx, idx)]
-    from .linalg import gen_eig
-
     vals, _ = gen_eig(l_ss, SpdMatrix.from_diagonal(deg[idx]))
     return vals
 
@@ -519,20 +474,6 @@ class NeumannResult:
             "vector_gap": self.vector_gap,
             "failures": list(self.failures),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeumannResult":
-        return cls(
-            lambda_s=float(d["lambda_s"]),
-            subset=tuple(int(v) for v in d["subset"]),
-            boundary=tuple(int(v) for v in d["boundary"]),
-            values=np.asarray(d["values"], dtype=float),
-            epsilon_trace=[dict(r) for r in d["epsilon_trace"]],
-            converged=d["converged"],
-            lambda_gap=d["lambda_gap"],
-            vector_gap=d["vector_gap"],
-            failures=list(d["failures"]),
-        )
 
     def to_rows(self):
         rows = [
@@ -603,10 +544,6 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     )
 
 
-def _edges_incident(g: Graph, s_set: set) -> np.ndarray:
-    return np.array([(u in s_set) or (v in s_set) for u, v in g.edges], dtype=bool)
-
-
 def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> NeumannResult:
     """Recover lambda_S as the small-epsilon limit of weighted Laplacians.
 
@@ -627,12 +564,12 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("epsilon schedule must be strictly decreasing")
 
-    s_set = set(direct.subset)
     verts = list(direct.vertices)
     deg = g.degrees().astype(float)
-    incident = _edges_incident(g, s_set)
-    b_abs = np.abs(graph_incidence(g)).astype(float)
-    in_s = np.array([v in s_set for v in range(g.n)])
+    in_s = _indicator(g.n, direct.subset) > 0
+    u, v = g.ends
+    incident = in_s[u] | in_s[v]
+    b_abs = unsigned_incidence(g).astype(float)
 
     trace: list = []
     failures: list = []
@@ -719,8 +656,7 @@ def s_local_conductance(
     ns = len(s_list)
     masks = np.arange(1, (1 << ns) - 1, dtype=np.int64)
     bits = _subset_bits(ns, masks)
-    u = np.array([e[0] for e in g.edges], dtype=int)
-    v = np.array([e[1] for e in g.edges], dtype=int)
+    u, v = g.ends
     pos = {w: i for i, w in enumerate(s_list)}
     in_s_u = np.array([pos.get(w, -1) for w in u])
     in_s_v = np.array([pos.get(w, -1) for w in v])

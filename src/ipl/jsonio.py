@@ -86,13 +86,6 @@ def hypergraph_from_dict(d) -> tuple[Hypergraph, np.ndarray]:
     return hg, w
 
 
-def hypergraph_to_dict(hg: Hypergraph, weights=None) -> dict:
-    d = hg.to_dict()
-    if weights is not None:
-        d["weights"] = [float(w) for w in weights]
-    return d
-
-
 def load_matrix(path) -> np.ndarray:
     return check_finite(matrix_from_dict(load_json(path)), f"{path}: matrix")
 
@@ -103,10 +96,6 @@ def load_vector(path) -> np.ndarray:
 
 def load_graph(path) -> Graph:
     return graph_from_dict(load_json(path))
-
-
-def load_complex(path) -> SimplicialComplex:
-    return complex_from_dict(load_json(path))
 
 
 def load_hypergraph(path) -> tuple[Hypergraph, np.ndarray]:

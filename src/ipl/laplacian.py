@@ -25,6 +25,8 @@ from .report import VerificationReport
 
 # Eigenvalues at or below ZERO_RTOL * max(lambda_max, 1) count as kernel.
 ZERO_RTOL = 1e-9
+# Stationary entries at or below this count as vanishing (a non-ergodic chain).
+STATIONARY_FLOOR = 1e-11
 
 
 @dataclass
@@ -44,16 +46,6 @@ class SpectrumResult:
             "zero_multiplicity": self.zero_multiplicity,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectrumResult":
-        return cls(
-            matrix=np.asarray(d["matrix"], dtype=float),
-            eigenvalues=np.asarray(d["eigenvalues"], dtype=float),
-            eigenvectors=np.asarray(d["eigenvectors"], dtype=float),
-            harmonic_eigenvectors=np.asarray(d["harmonic_eigenvectors"], dtype=float),
-            zero_multiplicity=int(d["zero_multiplicity"]),
-        )
-
     def to_rows(self):
         return ["index", "eigenvalue"], [[i, float(v)] for i, v in enumerate(self.eigenvalues)]
 
@@ -67,9 +59,14 @@ class Compatibility:
     def to_dict(self) -> dict:
         return {"omega": self.omega, "perfect": self.perfect, "per_vertex": [float(v) for v in self.per_vertex]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Compatibility":
-        return cls(omega=float(d["omega"]), perfect=bool(d["perfect"]), per_vertex=[float(v) for v in d["per_vertex"]])
+
+def check_graph_inner_products(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> None:
+    """Raise ValueError unless M_V is n x n and M_E is m x m for the graph g."""
+    if m_v.dim != g.n or m_e.dim != g.m:
+        raise ValueError(
+            f"inner product dimensions must match vertex and edge counts: M_V is {m_v.dim}x{m_v.dim} "
+            f"and M_E is {m_e.dim}x{m_e.dim}, the graph has {g.n} vertices and {g.m} edges"
+        )
 
 
 class IplSetup:
@@ -107,8 +104,7 @@ class IplSetup:
 
     @classmethod
     def from_graph(cls, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, target_dim: int = 0) -> "IplSetup":
-        if m_v.dim != g.n or m_e.dim != g.m:
-            raise ValueError("inner product dimensions must match vertex and edge counts")
+        check_graph_inner_products(g, m_v, m_e)
         b1 = graph_incidence(g).astype(float)
         return cls([np.zeros((0, g.n)), b1], [m_v, m_e], target_dim)
 
@@ -155,12 +151,13 @@ def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
     return _spectrum(q_inv @ b @ m_e.entries @ b.T @ q_inv, q_inv)
 
 
-def _incidence_of(obj) -> np.ndarray:
-    if isinstance(obj, Graph):
-        return unsigned_incidence(obj)
-    if isinstance(obj, Hypergraph):
-        return obj.incidence()
-    return np.abs(np.asarray(obj, dtype=float))
+def _incidence_of(carrier) -> np.ndarray:
+    """Vertex-by-edge incidence of a Graph (signed), a Hypergraph, or an explicit matrix."""
+    if isinstance(carrier, Graph):
+        carrier = graph_incidence(carrier)
+    elif isinstance(carrier, Hypergraph):
+        carrier = carrier.incidence()
+    return np.asarray(carrier, dtype=float)
 
 
 def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
@@ -168,12 +165,7 @@ def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
     h = _incidence_of(carrier)
     if h.shape != (m_v.dim, m_e.dim):
         raise ValueError("incidence shape does not match inner products")
-    ratios = []
-    for v in range(h.shape[0]):
-        mask = (h[v] != 0).astype(float)
-        d_v = float(mask @ m_e.entries @ mask)
-        w_v = float(m_v.entries[v, v])
-        ratios.append(d_v / w_v)
+    ratios = (m_e.quad(h != 0) / np.diagonal(m_v.entries)).tolist()
     omega = max(ratios)
     perfect = all(abs(r - omega) <= 1e-9 * abs(omega) for r in ratios)
     return Compatibility(omega=float(omega), perfect=bool(perfect), per_vertex=ratios)
@@ -187,12 +179,7 @@ def verify_radius_bound(
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
     with r the largest hyperedge size and omega the compatibility constant.
     """
-    if isinstance(carrier, Graph):
-        b = graph_incidence(carrier).astype(float)
-    elif isinstance(carrier, Hypergraph):
-        b = carrier.incidence().astype(float)
-    else:
-        b = np.asarray(carrier, dtype=float)
+    b = _incidence_of(carrier)
     spec = semi_hodge(b, m_v, m_e)
     lam_max = float(spec.eigenvalues[-1])
     rho_v = weak_conformality_value(m_v, cap=cap, force=force)
@@ -349,29 +336,24 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     return graph, m_v, m_e, report
 
 
-def stationary_distribution(p: np.ndarray, *, max_iter: int = 100000, tol: float = 1e-12) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration.
+def stationary_distribution(p: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix.
 
-    Starts uniform and iterates x <- P^T x with l1 normalization; raises if
-    the chain fails to settle, which covers non-ergodic inputs.
+    Solves [(I - P)^T; 1^T] pi = [0; 1] by least squares, which needs no
+    aperiodicity; raises if an entry of pi is at or below
+    ``STATIONARY_FLOOR``, as for chains with transient states.
     """
     n = p.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = p.T @ x
-        nxt = nxt / nxt.sum()
-        if float(np.abs(nxt - x).sum()) <= tol:
-            x = nxt
-            break
-        x = nxt
-    else:
-        raise RuntimeError(f"power iteration did not converge in {max_iter} steps; chain may not be ergodic")
-    if np.any(x <= 10.0 * tol):
+    a = np.vstack([np.eye(n) - p.T, np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.any(pi <= STATIONARY_FLOOR):
         raise RuntimeError("stationary distribution has a vanishing entry; chain is not ergodic")
-    return x
+    return pi
 
 
-def digraph_laplacian(p, *, max_iter: int = 100000, tol: float = 1e-12):
+def digraph_laplacian(p):
     """Symmetrized digraph Laplacians of an ergodic chain, as IPLs.
 
     Returns (L, normalized_L, pi, report) with
@@ -389,7 +371,7 @@ def digraph_laplacian(p, *, max_iter: int = 100000, tol: float = 1e-12):
     if row_err > 1e-10:
         raise ValueError(f"rows must sum to 1 within 1e-10 (max error {row_err:.3e})")
     n = p.shape[0]
-    pi = stationary_distribution(p, max_iter=max_iter, tol=tol)
+    pi = stationary_distribution(p)
     stat_resid = float(np.abs(pi @ p - pi).max())
 
     lap = np.diag(pi) - 0.5 * (pi[:, None] * p + p.T * pi[None, :])

@@ -6,6 +6,9 @@ SPD solves, and generalized symmetric eigenproblems with an SPD right-hand
 matrix. All arithmetic is 64-bit floating point in numpy. ``SpdMatrix``
 caches M = V diag(lambda) V^T; its square roots, inverse and solves all work
 in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
+``SpdMatrix.quad`` is the one routine for quadratic forms x^T M x: it takes a
+vector or a stack of rows (one value per row), and for a diagonal M it uses
+(x * x) @ diag(M).
 """
 
 from __future__ import annotations
@@ -201,10 +204,20 @@ class SpdMatrix:
             return np.diag(1.0 / np.diagonal(self._entries))
         return self._spectral_apply(lambda w: 1.0 / w)
 
-    def quad(self, x) -> float:
-        """The quadratic form x^T M x."""
+    def quad(self, x):
+        """The quadratic form x^T M x of a vector (a float) or of each row of a stack.
+
+        A stack is evaluated as ((x @ M) * x) summed per row; a diagonal M
+        takes (x * x) @ diag(M) instead and never forms the product with M.
+        """
         x = np.asarray(x, dtype=float)
-        return float(x @ self._entries @ x)
+        if self.is_diagonal:
+            q = (x * x) @ np.diagonal(self._entries)
+        else:
+            q = x @ self._entries
+            q *= x
+            q = q.sum(axis=-1)
+        return float(q) if x.ndim == 1 else q
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, condition={self.condition:.3e})"

@@ -29,10 +29,6 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {"check": self.check, "passed": self.passed, "values": to_plain(self.values)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(check=d["check"], passed=bool(d["passed"]), values=dict(d["values"]))
-
 
 def to_plain(obj):
     """Recursively convert numpy scalars/arrays into plain Python types."""
@@ -105,20 +101,3 @@ def csv_table(header: list, rows: list) -> str:
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report, fmt: str = "json") -> str:
-    """Render a report object (dataclass with to_dict, or plain dict).
-
-    ``fmt="csv"`` requires the object to expose ``to_rows()`` returning
-    (header, rows); reports without a tabular trace reject it.
-    """
-    if fmt == "json":
-        d = report.to_dict() if hasattr(report, "to_dict") else report
-        return stable_json(d)
-    if fmt == "csv":
-        if not hasattr(report, "to_rows"):
-            raise ValueError(f"{type(report).__name__} has no CSV form")
-        header, rows = report.to_rows()
-        return csv_table(header, rows)
-    raise ValueError(f"unknown format {fmt!r}")

@@ -6,10 +6,12 @@ import pytest
 from ipl import (
     EnumerationCapError,
     Graph,
+    IplSetup,
     SpdMatrix,
     conductance,
     cut_stats,
     dirichlet_eigenvalues,
+    inner_product_laplacian,
     neumann_eigenvalue,
     neumann_limit_experiment,
     normalized_inner_products,
@@ -103,6 +105,29 @@ def test_conductance_matches_textbook_oracle(rng):
                 best = min(best, cut / min(vol, deg.sum() - vol))
         phi, _, _ = conductance(g)
         assert phi == pytest.approx(best, abs=1e-12)
+    # Dense and non-integer diagonal inner products, against a loop over
+    # cut_stats: the witness must attain the minimum.
+    for trial in range(8):
+        g = random_connected_graph(rng, int(rng.integers(3, 8)))
+        if trial % 2:
+            m_v, m_e = random_spd(rng, g.n), random_spd(rng, g.m)
+        else:
+            m_v = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.n))
+            m_e = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.m))
+
+        def phi_of(subset):
+            comp = [w for w in range(g.n) if w not in subset]
+            st = cut_stats(g, m_v, m_e, subset, comp)
+            return st.e_xy / min(st.vol_x, st.vol_y)
+
+        best = min(
+            phi_of(subset)
+            for size in range(1, g.n)
+            for subset in itertools.combinations(range(g.n), size)
+        )
+        phi, witness, _ = conductance(g, m_v, m_e)
+        assert phi == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert phi_of(witness) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
 def test_conductance_table_and_complement_symmetry(rng):
@@ -214,13 +239,26 @@ def test_eml_full_vertex_set(rng):
 
 
 def test_eml_batch_matches_single(rng):
-    g = random_connected_graph(rng, 5, max_edges=7)
-    m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
-    m_e = random_spd(rng, g.m)
-    batch = verify_eml_batch(g, m_v, m_e)
-    assert batch.passed
-    worst = verify_eml(g, m_v, m_e, batch.values["worst_x"], batch.values["worst_y"])
-    assert worst.values["margin"] == pytest.approx(batch.values["min_margin"], abs=1e-9)
+    # The sweep's minimum margin is the least single-pair margin over every
+    # (X, Y), and its worst pair attains it, for dense and diagonal M_E.
+    for n, dense in ((5, True), (4, True), (4, False), (5, False)):
+        g = random_connected_graph(rng, n, max_edges=7)
+        m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
+        m_e = random_spd(rng, g.m) if dense else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))
+        batch = verify_eml_batch(g, m_v, m_e)
+        assert batch.passed
+        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
+
+        def margin(x, y):
+            rep = verify_eml(g, m_v, m_e, x, y, rho_e=batch.values["rho_e"], spectrum=spectrum)
+            return rep.values["margin"]
+
+        worst = margin(batch.values["worst_x"], batch.values["worst_y"])
+        assert worst == pytest.approx(batch.values["min_margin"], abs=1e-9)
+        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+        margins = [margin(x, y) for x in subsets for y in subsets]
+        assert batch.values["pairs_checked"] == len(margins)
+        assert batch.values["min_margin"] == pytest.approx(min(margins), abs=1e-9)
 
 
 def test_eml_mixing_example_needs_conformality_term():

@@ -185,3 +185,17 @@ def test_gen_eig_accepts_rounding_skew_of_whitened_pencil():
 def test_inverse_matches_solve(rng):
     m = random_spd(rng, 6)
     np.testing.assert_allclose(m.inverse() @ m.entries, np.eye(6), atol=1e-9)
+
+
+def test_quad_on_stacks_matches_per_row_form(rng):
+    for m in (random_spd(rng, 7), SpdMatrix.from_diagonal(rng.uniform(0.3, 4.0, 7))):
+        x = rng.standard_normal((9, 7))
+        x[0] = 0.0
+        x[1] = rng.integers(0, 2, 7)
+        want = np.array([row @ m.entries @ row for row in x])
+        got = m.quad(x)
+        assert got.shape == (9,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        single = m.quad(x[2])
+        assert type(single) is float
+        assert single == pytest.approx(want[2], rel=1e-13)
