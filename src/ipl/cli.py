@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conformality", help="strong and weak conformality of an SPD matrix")
     p.add_argument("matrix_pos", nargs="?", metavar="matrix.json", help="SPD matrix file")
     p.add_argument("--matrix", help="SPD matrix file (alternative to the positional form)")
-    p.add_argument("--weak-cap", type=int, default=DEFAULT_SUBSET_CAP, help=f"enumeration cap on the dimension (default: {DEFAULT_SUBSET_CAP})")
+    p.add_argument("--weak-cap", type=int, default=DEFAULT_SUBSET_CAP, help=f"enumeration cap on the largest block of the nonzero pattern (default: {DEFAULT_SUBSET_CAP})")
     p.add_argument("--force", action="store_true", help="run past the enumeration cap")
     p.add_argument("--sampled", type=int, help="also report a sampled lower bound with this many trials")
     p.add_argument("--seed", type=int, help="seed for --sampled")

@@ -149,6 +149,8 @@ class Graph:
             pairs.append((min(iu, iv), max(iu, iv)))
         if orientation is None:
             orientation = (1,) * len(pairs)
+        if len(orientation) != len(pairs):
+            raise ValueError(f"orientation has {len(orientation)} entries for {len(pairs)} edges")
         order = sorted(range(len(pairs)), key=lambda e: pairs[e])
         return cls(
             labels=labels,

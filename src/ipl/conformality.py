@@ -24,9 +24,20 @@ per-partition routine, which also yields the reported value and witness
 pair; the winner among those is taken under the lexicographic tie-break.
 The result is the same as scoring every partition that way.
 
-For an exactly diagonal M every cross block M_ST is zero, so every
-partition scores exactly 0 and the tie-break selects S = (0,) without a
-scan.
+A block-diagonal M is scored block by block, the blocks being the
+connected components C of its nonzero pattern. For disjointly supported x
+and y, x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC) |x|_M |y|_M by
+Cauchy-Schwarz, and the best block's witness attains it, so
+rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so an exactly
+diagonal M scores 0 with witness S = (0,) and no scan. Each block of size
+>= 2 is scanned on its own principal submatrix, with cond(M_CC) in its tie
+window, and the enumeration cap applies to the largest block; a connected
+M is one block. Among the blocks whose value equals the maximum exactly,
+each block's partition S_C (it holds min(C)) is lifted to
+S_C | {i not in C : i < max(S_C)}, the lexicographically smallest full
+partition that restricts to S_C. The smallest lift is the witness
+partition, that block's witness pair (zero elsewhere) is the witness pair,
+and its scan score is the reported value.
 
 Exact computation is exponential by nature (the decision problem encodes
 integer Partition instances), so enumeration is capped by default.
@@ -142,6 +153,43 @@ def _batched_rho_sq(m: SpdMatrix) -> np.ndarray:
     return out
 
 
+def _components(entries: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern, by smallest index."""
+    linked = entries != 0.0
+    unseen = np.ones(len(entries), dtype=bool)
+    blocks = []
+    while unseen.any():
+        reach = np.zeros_like(unseen)
+        reach[np.argmax(unseen)] = True
+        while True:
+            # The diagonal of an SPD matrix is nonzero, so reach only grows.
+            grown = linked[reach].any(axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        unseen &= ~reach
+        blocks.append(np.flatnonzero(reach))
+    return blocks
+
+
+def _scan(m: SpdMatrix):
+    """(value, x, y, witness partition) of one connected block, by rank-then-recheck."""
+    k = m.dim
+    # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
+    # whose condition numbers are at most cond(M), put both the batched
+    # value^2 and the one-by-one value^2 within a small multiple of
+    # k * eps * cond(M) of the exact value (measured: they differ by at
+    # most 0.9 times it on dense, ill-conditioned, near-diagonal, gadget
+    # and block-diagonal inputs with k <= 12). Any partition the
+    # one-by-one scan could rank first then lies within delta of the
+    # batched maximum.
+    rho_sq = _batched_rho_sq(m)
+    delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
+    near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
+    _, subset = _scan_masks(m.entries, near_ties.tolist(), k)
+    return (*_witness_pair(m, np.array(subset)), subset)
+
+
 def weak_conformality(
     m: SpdMatrix,
     *,
@@ -150,10 +198,13 @@ def weak_conformality(
 ) -> ConformalityResult:
     """Exact weak conformality over all support partitions.
 
-    The batched Schur-complement scan ranks the partitions; the near-ties
-    of its maximum are scored again one by one, and ties between those
-    resolve to the lexicographically smallest subset containing index 0.
-    The witness is the one an exhaustive one-by-one scan selects.
+    Each block of the nonzero pattern is scanned on its own: the batched
+    Schur-complement scan ranks its partitions, the near-ties of its
+    maximum are scored again one by one, and ties between those resolve
+    to the lexicographically smallest subset containing the block's first
+    index. The best block gives the result, under the witness rule of the
+    module docstring; a connected M is one block, whose witness is the one
+    an exhaustive one-by-one scan selects.
     """
     k = m.dim
     if k < 2:
@@ -161,41 +212,50 @@ def weak_conformality(
     if m.is_diagonal:
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
-        best_subset = (0,)
-    elif k > cap and not force:
-        raise EnumerationCapError(
-            f"dimension {k} exceeds the enumeration cap {cap}: exact weak "
-            f"conformality solves 2^(k-1)-1 = {2 ** (k - 1) - 1} generalized "
-            "eigenproblems; pass force=True (CLI: --force) to run anyway"
-        )
+        subset = (0,)
+        rho, x, y = _witness_pair(m, np.array(subset))
     else:
-        # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
-        # whose condition numbers are at most cond(M), put both the batched
-        # value^2 and the one-by-one value^2 within a small multiple of
-        # k * eps * cond(M) of the exact value (measured: they differ by at
-        # most 0.9 times it on dense, ill-conditioned, near-diagonal, gadget
-        # and block-diagonal inputs with k <= 12). Any partition the
-        # one-by-one scan could rank first then lies within delta of the
-        # batched maximum.
-        rho_sq = _batched_rho_sq(m)
-        delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
-        _, best_subset = _scan_masks(m.entries, near_ties.tolist(), k)
-
-    s_idx = np.array(best_subset)
-    t_idx = np.setdiff1d(np.arange(k), s_idx, assume_unique=True)
-    rho, x, y = _witness_pair(m, s_idx, t_idx)
+        blocks = [c for c in _components(m.entries) if len(c) > 1]
+        largest = max(len(c) for c in blocks)
+        if largest > cap and not force:
+            raise EnumerationCapError(
+                f"a block of dimension {largest} exceeds the enumeration cap {cap}: "
+                f"exact weak conformality of that block of the nonzero pattern solves "
+                f"2^({largest}-1)-1 = {2 ** (largest - 1) - 1} generalized eigenproblems; "
+                "pass force=True (CLI: --force) to run anyway"
+            )
+        if largest == k:
+            rho, x, y, subset = _scan(m)
+        else:
+            rho, x, y, subset = _best_block(m, blocks)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,
-        witness_partition=best_subset,
+        witness_partition=subset,
         witness_x=x,
         witness_y=y,
     )
 
 
-def _witness_pair(m: SpdMatrix, s_idx: np.ndarray, t_idx: np.ndarray):
-    """Value and maximizing pair for a fixed support partition.
+def _best_block(m: SpdMatrix, blocks: list[np.ndarray]):
+    """The block-split result: best block value, smallest lift among exact ties."""
+    best = None
+    for c in blocks:
+        rho, x_c, y_c, s_c = _scan(SpdMatrix(m.entries[np.ix_(c, c)]))
+        s = c[list(s_c)]
+        lift = tuple(np.union1d(s, np.setdiff1d(np.arange(s[-1]), c)).tolist())
+        if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
+            best = rho, lift, c, x_c, y_c
+    rho, lift, c, x_c, y_c = best
+    x = np.zeros(m.dim)
+    x[c] = x_c
+    y = np.zeros(m.dim)
+    y[c] = y_c
+    return rho, x, y, lift
+
+
+def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
+    """Value and maximizing pair for the support partition (S, complement of S).
 
     x is the top generalized eigenvector v on S, with its largest-magnitude
     entry positive; the optimal partner on the complement is y = Z v with
@@ -204,6 +264,7 @@ def _witness_pair(m: SpdMatrix, s_idx: np.ndarray, t_idx: np.ndarray):
     scores the partition with.
     """
     entries = m.entries
+    t_idx = np.setdiff1d(np.arange(m.dim), s_idx, assume_unique=True)
     rho, v, z = _partition_value(entries, s_idx, t_idx)
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
@@ -261,9 +322,7 @@ def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:
     return float((num / den).max())
 
 
-def make_conformality_pair(
-    rho_w: float, rho_s: float, k: int, *, cap: int = DEFAULT_SUBSET_CAP
-) -> SpdMatrix:
+def make_conformality_pair(rho_w: float, rho_s: float, k: int) -> SpdMatrix:
     """Build a k x k SPD matrix with weak conformality rho_w and strong rho_s.
 
     The 2x2 block [[a, rho_w], [rho_w, 1/a]] has weak conformality rho_w for
@@ -307,10 +366,7 @@ def make_conformality_pair(
     measured_s = strong_conformality(m)
     if abs(measured_s - rho_s) > 1e-8:
         raise RuntimeError(f"constructed matrix has strong conformality {measured_s}, wanted {rho_s}")
-    # Adjoining a diagonal block preserves weak conformality, so for large k
-    # it suffices to verify the 2x2 block.
-    check = m if k <= cap else SpdMatrix(block)
-    measured_w = weak_conformality(check, cap=cap).rho_weak
+    measured_w = weak_conformality(m).rho_weak
     if abs(measured_w - rho_w) > 1e-8:
         raise RuntimeError(f"constructed matrix has weak conformality {measured_w}, wanted {rho_w}")
     return m

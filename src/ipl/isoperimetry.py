@@ -154,6 +154,7 @@ def conductance(
     mv = m_v.entries
     u, v = g.ends
     total = float(np.sum(mv))
+    row_sums = mv.sum(axis=1)
     best_phi = np.inf
     best_witness: tuple[int, ...] | None = None
     table: list = []
@@ -168,7 +169,7 @@ def conductance(
         )
         s_float = bits.astype(float)
         vol_s = m_v.quad(s_float)
-        row = s_float @ mv @ np.ones(n)
+        row = s_float @ row_sums
         vol_c = total - 2.0 * row + vol_s
         e_cut = m_e.quad(bits[:, u] != bits[:, v])
         phi = e_cut / np.minimum(vol_s, vol_c)

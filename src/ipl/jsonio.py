@@ -52,9 +52,18 @@ def vector_from_dict(d) -> np.ndarray:
 def graph_from_dict(d) -> Graph:
     if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
         raise ValueError('graph JSON must contain "vertices" and "edges"')
+    if not isinstance(d["vertices"], list):
+        raise ValueError('graph JSON "vertices" must be a list of labels')
+    if not isinstance(d["edges"], list):
+        raise ValueError('graph JSON "edges" must be a list of vertex pairs')
+    for e in d["edges"]:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise ValueError(f"graph JSON edge {json.dumps(e)} is not a pair of vertex labels")
+    orientation = d.get("orientation")
+    if orientation is not None and not isinstance(orientation, list):
+        raise ValueError('graph JSON "orientation" must be a list of signs')
     labels = [str(v) for v in d["vertices"]]
     edges = [(str(u), str(v)) for u, v in d["edges"]]
-    orientation = d.get("orientation")
     return Graph.from_edge_labels(labels, edges, orientation)
 
 

@@ -347,6 +347,45 @@ def test_unknown_vertex_label_exit_two(tmp_path, capsys):
         assert label in err
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], "orientation": [1]}, "orientation has 1 entries for 2 edges"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"]], "orientation": [1, 1]}, "orientation has 2 entries for 1 edges"),
+        ({"vertices": 5, "edges": []}, '"vertices" must be a list'),
+        ({"vertices": ["a", "b"], "edges": [5]}, "edge 5 is not a pair"),
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, 'edge ["a", "b", "c"] is not a pair'),
+    ],
+    ids=["short-orientation", "long-orientation", "vertices-not-list", "edge-not-list", "edge-triple"],
+)
+def test_malformed_graph_exit_two(tmp_path, capsys, graph, message):
+    path = write(tmp_path, "g.json", graph)
+    code, out, err = run_cli(["conductance", "--graph", path], capsys)
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+def test_verify_cheeger_block_me_past_the_weak_cap(tmp_path, capsys):
+    # 21 edges exceed the default enumeration cap of 20; the block-diagonal
+    # M_E has blocks of at most 5 edges, each scanned on its own.
+    labels = [f"v{i}" for i in range(12)]
+    edges = [[labels[i], labels[(i + 1) % 12]] for i in range(12)]
+    edges += [[labels[i], labels[i + 2]] for i in range(9)]
+    graph = write(tmp_path, "g12.json", {"vertices": labels, "edges": edges})
+    rng = np.random.default_rng(5)
+    m_e = np.zeros((21, 21))
+    for lo, hi in ((0, 5), (5, 10), (10, 14), (14, 18), (18, 21)):
+        g = rng.standard_normal((hi - lo, hi - lo))
+        m_e[lo:hi, lo:hi] = g @ g.T + (hi - lo) * np.eye(hi - lo)
+    mv = write(tmp_path, "mv.json", matrix_to_dict(np.eye(12)))
+    me = write(tmp_path, "me.json", matrix_to_dict(m_e))
+    code, out, err = run_cli(["verify", "cheeger", "--graph", graph, "--mv", mv, "--me", me], capsys)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["passed"] is True
+    assert result["values"]["rho_e"] > 0
+
+
 def test_inner_product_dimension_mismatch_exit_two(files, capsys):
     for command in (["conductance"], ["verify", "cheeger"]):
         argv = command + ["--graph", files["p3"], "--mv", files["ipj"], "--me", files["ipj"]]

@@ -14,7 +14,7 @@ from ipl import (
 )
 
 from ipl import conformality
-from ipl.conformality import _scan_masks, _witness_pair
+from ipl.conformality import _partition_value, _scan_masks, _witness_pair
 
 from conftest import random_orthogonal, random_spd
 
@@ -108,24 +108,106 @@ def test_weak_cap_and_force():
     assert res.rho_weak > 0
 
 
+def block_diagonal(rng, sizes):
+    entries = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for size in sizes:
+        entries[at : at + size, at : at + size] = random_spd(rng, size).entries
+        at += size
+    return entries
+
+
+def test_weak_blocks_past_the_cap(rng):
+    # 24 > cap, but the largest block of the nonzero pattern has 6 indices.
+    entries = block_diagonal(rng, [6, 5, 4, 6, 3])
+    p = rng.permutation(24)
+    m = SpdMatrix(entries[np.ix_(p, p)])
+    res = weak_conformality(m)
+    rho, subset, x, y = reference_block_weak(m)
+    assert res.rho_weak == rho
+    assert res.witness_partition == subset
+    assert np.array_equal(res.witness_x, x)
+    assert np.array_equal(res.witness_y, y)
+
+
+def test_weak_exact_block_tie_takes_the_smallest_lift():
+    # Blocks {1, 3} and {2, 4} are equal, so their values tie exactly; their
+    # lifts are (0, 1) and (0, 1, 2). Block {0, 5} scores lower.
+    entries = np.diag([2.0] * 6)
+    for i, j, c in ((0, 5, 0.5), (1, 3, 1.0), (2, 4, 1.0)):
+        entries[i, j] = entries[j, i] = c
+    m = SpdMatrix(entries)
+    res = weak_conformality(m)
+    assert res.witness_partition == (0, 1)
+    assert res.rho_weak == pytest.approx(0.5, abs=1e-15)
+    assert np.flatnonzero(res.witness_x).tolist() == [1]
+    assert np.flatnonzero(res.witness_y).tolist() == [3]
+    assert reference_block_weak(m)[:2] == (res.rho_weak, (0, 1))
+
+
+def test_weak_cap_applies_to_the_largest_block(rng):
+    entries = block_diagonal(rng, [6, 1, 1, 1])
+    with pytest.raises(EnumerationCapError, match="block of dimension 6 exceeds the enumeration cap 5"):
+        weak_conformality(SpdMatrix(entries), cap=5)
+    assert weak_conformality(SpdMatrix(entries), cap=6).rho_weak > 0
+
+
 def reference_weak(m):
     # The exhaustive one-by-one scan over every partition mask.
     k = m.dim
     score, subset = _scan_masks(m.entries, range((1 << (k - 1)) - 1), k)
-    s_idx = np.array(subset)
-    rho, x, y = _witness_pair(m, s_idx, np.setdiff1d(np.arange(k), s_idx))
+    rho, x, y = _witness_pair(m, np.array(subset))
     # One routine scores the partitions and reports the value.
     assert rho == score
     return rho, subset, x, y
 
 
+def pattern_components(entries):
+    # Transitive closure of the nonzero pattern by repeated squaring.
+    reach = (entries != 0).astype(int)
+    for _ in range(len(entries).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def reference_block_weak(m):
+    # The exhaustive one-by-one scan on each block of size >= 2; among the
+    # blocks whose value is the maximum exactly, the smallest lift
+    # S_C | {i not in C : i < max(S_C)} is the witness partition.
+    best = None
+    for comp in pattern_components(m.entries):
+        if len(comp) < 2:
+            continue
+        idx = np.array(comp)
+        rho, subset, x_c, y_c = reference_weak(SpdMatrix(m.entries[np.ix_(idx, idx)]))
+        s = [comp[i] for i in subset]
+        lift = tuple(sorted(set(s) | {i for i in range(max(s)) if i not in comp}))
+        if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
+            best = rho, lift, idx, x_c, y_c
+    if best is None:
+        return reference_weak(m)
+    rho, lift, idx, x_c, y_c = best
+    x, y = np.zeros(m.dim), np.zeros(m.dim)
+    x[idx], y[idx] = x_c, y_c
+    return rho, lift, x, y
+
+
 def assert_matches_reference(m, label=""):
     res = weak_conformality(m)
-    rho, subset, x, y = reference_weak(m)
+    blocks = "block-diagonal" in label
+    rho, subset, x, y = (reference_block_weak if blocks else reference_weak)(m)
     assert res.rho_weak == rho, label
     assert res.witness_partition == subset, label
     assert np.array_equal(res.witness_x, x), label
     assert np.array_equal(res.witness_y, y), label
+    if blocks:
+        # The block witness is a maximizer of the full matrix up to rounding.
+        full = reference_weak(m)[0]
+        tol = m.dim * np.finfo(float).eps * m.condition
+        s_idx = np.array(subset)
+        t_idx = np.setdiff1d(np.arange(m.dim), s_idx)
+        assert abs(res.rho_weak - full) <= tol, label
+        assert abs(_partition_value(m.entries, s_idx, t_idx)[0] - full) <= tol, label
 
 
 def test_weak_batched_matches_reference(rng):
@@ -234,6 +316,13 @@ def test_make_pair_identity():
 def test_make_pair_hits_both_targets():
     m = make_conformality_pair(0.2, 0.6, 4)
     assert strong_conformality(m) == pytest.approx(0.6, abs=1e-8)
+    assert weak_conformality(m).rho_weak == pytest.approx(0.2, abs=1e-8)
+
+
+def test_make_pair_past_the_cap():
+    # The 2 x 2 block is the only block of size >= 2, so k = 30 needs no force.
+    m = make_conformality_pair(0.2, 0.6, 30)
+    assert m.dim == 30
     assert weak_conformality(m).rho_weak == pytest.approx(0.2, abs=1e-8)
 
 
