@@ -243,11 +243,13 @@ def _cmd_digraph(args) -> int:
 
 def _cmd_conductance(args) -> int:
     g, m_v, m_e = _graph_with_inner_products(args)
+    if args.csv and not args.table:
+        raise UsageError("--csv for conductance requires --table")
     phi, witness, table = conductance(
         g, m_v, m_e, force=args.force, include_table=args.table
     )
     result = {"phi": float(phi), "witness_S": [g.labels[i] for i in witness]}
-    if table is not None:
+    if table is not None and not args.csv:
         result["table"] = [
             {**row, "subset": [g.labels[i] for i in row["subset"]]} for row in table
         ]
@@ -257,8 +259,6 @@ def _cmd_conductance(args) -> int:
         {"kind": args.kind, "mv": args.mv, "me": args.me, "table": args.table, "force": args.force},
     )
     if args.csv:
-        if table is None:
-            raise UsageError("--csv for conductance requires --table")
         rows = [
             [";".join(g.labels[i] for i in r["subset"]), r["e_cut"], r["vol"], r["vol_comp"], r["phi"]]
             for r in table

@@ -86,8 +86,18 @@ def strong_conformality(m: SpdMatrix) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _mask_to_subset(mask: int, k: int) -> tuple[int, ...]:
-    return (0,) + tuple(i + 1 for i in range(k - 1) if (mask >> i) & 1)
+def _subset_rows(masks: np.ndarray, n: int, cols=None) -> np.ndarray:
+    """Membership rows of n columns, one per subset mask.
+
+    Column cols[i] (default i) holds bit i of the mask and every other column
+    is False. An unordered bipartition with index 0 on the first side is the
+    odd mask 2p + 1 of its partition number p.
+    """
+    if cols is None:
+        return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    rows = np.zeros((len(masks), n), dtype=bool)
+    rows[:, cols] = (masks[:, None] >> np.arange(len(cols))) & 1
+    return rows
 
 
 def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
@@ -108,15 +118,13 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
 
 
 def _scan_masks(entries: np.ndarray, masks, k: int):
-    """Score each mask with ``_partition_value``; keep the best, ties to the smaller subset."""
-    all_idx = np.arange(k)
+    """Score each partition mask with ``_partition_value``; keep the best, ties to the smaller subset."""
     best_val = -1.0
     best_subset: tuple[int, ...] | None = None
-    for mask in masks:
-        subset = _mask_to_subset(mask, k)
-        s_idx = np.array(subset)
-        t_idx = np.setdiff1d(all_idx, s_idx, assume_unique=True)
-        val = _partition_value(entries, s_idx, t_idx)[0]
+    for row in _subset_rows(2 * np.asarray(masks) + 1, k):
+        s_idx = np.flatnonzero(row)
+        subset = tuple(s_idx.tolist())
+        val = _partition_value(entries, s_idx, np.flatnonzero(~row))[0]
         if val > best_val or (val == best_val and subset < best_subset):
             best_val, best_subset = val, subset
     return best_val, best_subset
@@ -125,18 +133,15 @@ def _scan_masks(entries: np.ndarray, masks, k: int):
 def _batched_rho_sq(m: SpdMatrix) -> np.ndarray:
     """value(S)^2 for every partition mask, by the Schur identity, indexed by mask.
 
-    Mask bit i puts index i + 1 on the side of index 0; the all-in mask
-    2^(k-1) - 1 is not a partition and is left out.
+    Partition mask p is the subset mask 2p + 1 (see ``_subset_rows``); the
+    all-in mask 2^(k-1) - 1 is not a partition and is left out.
     """
     k = m.dim
     entries, inverse = m.entries, m.inverse()
     count = (1 << (k - 1)) - 1
     out = np.empty(count)
-    shifts = np.arange(k - 1)
     for lo in range(0, count, BATCH_CHUNK):
-        masks = np.arange(lo, min(lo + BATCH_CHUNK, count))
-        members = np.ones((len(masks), k), dtype=bool)
-        members[:, 1:] = (masks[:, None] >> shifts) & 1
+        members = _subset_rows(2 * np.arange(lo, min(lo + BATCH_CHUNK, count)) + 1, k)
         size = members.sum(axis=1)
         flip = size > k - size
         members[flip] = ~members[flip]
@@ -186,7 +191,7 @@ def _scan(m: SpdMatrix):
     rho_sq = _batched_rho_sq(m)
     delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
     near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
-    _, subset = _scan_masks(m.entries, near_ties.tolist(), k)
+    _, subset = _scan_masks(m.entries, near_ties, k)
     return (*_witness_pair(m, np.array(subset)), subset)
 
 
@@ -327,37 +332,18 @@ def make_conformality_pair(rho_w: float, rho_s: float, k: int) -> SpdMatrix:
 
     The 2x2 block [[a, rho_w], [rho_w, 1/a]] has weak conformality rho_w for
     every a >= 1 (there is a single support partition), while its strong
-    conformality sqrt((a - 1/a)^2 + 4 rho_w^2)/(a + 1/a) sweeps [rho_w, 1);
-    a is found by bisection and an identity block pads to dimension k.
+    conformality sqrt((a - 1/a)^2 + 4 rho_w^2)/(a + 1/a) sweeps [rho_w, 1).
+    Its square is 1 - 4(1 - rho_w^2)/(a + 1/a)^2, so the target is met by
+    a + 1/a = t = 2 sqrt((1 - rho_w^2)/(1 - rho_s^2)) >= 2, that is
+    a = (t + sqrt(t^2 - 4))/2; an identity block pads to dimension k.
     """
     if not (0.0 <= rho_w <= rho_s < 1.0):
         raise ValueError("need 0 <= rho_w <= rho_s < 1")
     if k < 2:
         raise ValueError("need dimension k >= 2")
 
-    def strong_of(alpha: float) -> float:
-        return float(np.sqrt((alpha - 1.0 / alpha) ** 2 + 4.0 * rho_w**2) / (alpha + 1.0 / alpha))
-
-    if rho_s <= rho_w:
-        alpha = 1.0
-    else:
-        lo, hi = 1.0, 1e8
-        if strong_of(hi) < rho_s:
-            raise RuntimeError(f"bisection bracket [1, 1e8] cannot reach rho_s = {rho_s}")
-        alpha = None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f = strong_of(mid)
-            if abs(f - rho_s) <= 1e-10:
-                alpha = mid
-                break
-            if f < rho_s:
-                lo = mid
-            else:
-                hi = mid
-        if alpha is None:
-            raise RuntimeError("bisection for the strong-conformality target did not converge")
-
+    t = 2.0 * np.sqrt((1.0 - rho_w**2) / (1.0 - rho_s**2))
+    alpha = 0.5 * (t + np.sqrt(t * t - 4.0))
     block = np.array([[alpha, rho_w], [rho_w, 1.0 / alpha]])
     entries = np.eye(k)
     entries[:2, :2] = block

@@ -6,6 +6,14 @@ E(X, Y) is the plain set of edges with one endpoint in X and the other in
 Y (edges inside X intersect Y count once). The correlation
 Cor(X, Y) = Vol(X,Y) Vol(Xc,Yc) - Vol(X,Yc) Vol(Xc,Y) replaces the product
 Vol(X) Vol(Xc) once the vertex inner product has off-diagonal mass.
+
+Conductance and S-local conductance share one exhaustive scan,
+``_cut_scan``. It walks a range of subset masks CUT_CHUNK at a time, turns
+each chunk into membership rows with ``conformality._subset_rows`` and
+scores the chunk with the caller's ratio. Among the masks attaining the
+minimum exactly, the witness is the lexicographically smallest vertex set.
+Memory stays at a few chunk x n and chunk x m arrays whatever the number of
+cuts; only the optional conductance table grows with it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import Graph, unsigned_incidence
-from .conformality import DEFAULT_SUBSET_CAP, weak_conformality_value
+from .conformality import DEFAULT_SUBSET_CAP, _subset_rows, weak_conformality_value
 from .errors import EnumerationCapError, NotPositiveDefiniteError
 from .laplacian import (
     IplSetup,
@@ -30,7 +38,7 @@ from .report import VerificationReport
 CONDUCTANCE_CAP = 24
 S_LOCAL_CAP = 20
 EML_BATCH_CAP = 10
-# Cuts per chunk of the conductance enumeration; bounds its chunk x m temporaries.
+# Cuts per chunk of a cut scan; bounds its chunk x n and chunk x m temporaries.
 CUT_CHUNK = 1 << 14
 DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 
@@ -114,8 +122,28 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
     )
 
 
-def _subset_bits(n: int, masks: np.ndarray) -> np.ndarray:
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+def _cut_scan(n: int, cols, stop: int, step: int, ratio):
+    """Minimum of ``ratio`` over the subset masks range(1, stop, step).
+
+    Masks become membership rows by ``_subset_rows(masks, n, cols)``,
+    CUT_CHUNK masks per chunk, and ``ratio`` maps a chunk of rows to one
+    value per row. Returns (minimum, witness), the witness being the
+    lexicographically smallest vertex set among the rows attaining the
+    minimum exactly.
+    """
+    best = np.inf
+    witness: tuple[int, ...] | None = None
+    for lo in range(1, stop, step * CUT_CHUNK):
+        rows = _subset_rows(np.arange(lo, min(lo + step * CUT_CHUNK, stop), step), n, cols)
+        phi = ratio(rows)
+        low = phi.min()
+        if low > best:
+            continue
+        for i in np.flatnonzero(phi == low):
+            subset = tuple(np.flatnonzero(rows[i]).tolist())
+            if low < best or subset < witness:
+                best, witness = low, subset
+    return float(best), witness
 
 
 def conductance(
@@ -123,7 +151,6 @@ def conductance(
     m_v: SpdMatrix | None = None,
     m_e: SpdMatrix | None = None,
     *,
-    cap: int = CONDUCTANCE_CAP,
     force: bool = False,
     include_table: bool = False,
 ):
@@ -142,59 +169,37 @@ def conductance(
     n = g.n
     if n < 2:
         raise ValueError("conductance needs at least two vertices")
-    if n > cap and not force:
+    if n > CONDUCTANCE_CAP and not force:
         raise EnumerationCapError(
-            f"{n} vertices exceed the conductance enumeration cap {cap} "
+            f"{n} vertices exceed the conductance enumeration cap {CONDUCTANCE_CAP} "
             f"(2^(n-1)-1 = {2 ** (n - 1) - 1} cuts); pass force=True (CLI: --force)"
         )
     if not g.is_connected():
         comp = g.components()[0]
         return 0.0, tuple(comp), [] if include_table else None
 
-    mv = m_v.entries
     u, v = g.ends
-    total = float(np.sum(mv))
-    row_sums = mv.sum(axis=1)
-    best_phi = np.inf
-    best_witness: tuple[int, ...] | None = None
+    total = float(np.sum(m_v.entries))
+    row_sums = m_v.entries.sum(axis=1)
     table: list = []
 
-    n_masks = 1 << (n - 1)
-    for start in range(0, n_masks - 1, CUT_CHUNK):
-        masks = np.arange(start, min(start + CUT_CHUNK, n_masks - 1), dtype=np.int64)
-        # Vertex 0 is pinned into S so each unordered cut appears once; the
-        # all-vertices mask (n_masks - 1) is excluded above.
-        bits = np.concatenate(
-            [np.ones((len(masks), 1), dtype=bool), _subset_bits(n - 1, masks)], axis=1
-        )
-        s_float = bits.astype(float)
+    def ratio(rows):
+        s_float = rows.astype(float)
         vol_s = m_v.quad(s_float)
-        row = s_float @ row_sums
-        vol_c = total - 2.0 * row + vol_s
-        e_cut = m_e.quad(bits[:, u] != bits[:, v])
+        vol_c = total - 2.0 * (s_float @ row_sums) + vol_s
+        e_cut = m_e.quad(rows[:, u] != rows[:, v])
         phi = e_cut / np.minimum(vol_s, vol_c)
         if include_table:
-            for i, mask_phi in enumerate(phi):
-                subset = tuple(np.flatnonzero(bits[i]))
-                table.append(
-                    {
-                        "subset": [int(s) for s in subset],
-                        "e_cut": float(e_cut[i]),
-                        "vol": float(vol_s[i]),
-                        "vol_comp": float(vol_c[i]),
-                        "phi": float(mask_phi),
-                    }
-                )
-        chunk_min = float(phi.min())
-        if chunk_min > best_phi:
-            continue
-        for i in np.flatnonzero(phi == phi.min()):
-            subset = tuple(int(s) for s in np.flatnonzero(bits[i]))
-            comp = tuple(int(s) for s in np.flatnonzero(~bits[i]))
-            witness = min(subset, comp)
-            if chunk_min < best_phi or (chunk_min == best_phi and witness < best_witness):
-                best_phi, best_witness = chunk_min, witness
-    return best_phi, best_witness, (table if include_table else None)
+            table.extend(
+                {"subset": np.flatnonzero(row).tolist(), "e_cut": e, "vol": vs, "vol_comp": vc, "phi": p}
+                for row, e, vs, vc, p in zip(rows, e_cut.tolist(), vol_s.tolist(), vol_c.tolist(), phi.tolist())
+            )
+        return phi
+
+    # Odd masks pin vertex 0 into S, so each unordered cut appears once; the
+    # all-vertices mask 2^n - 1 is left out.
+    phi, witness = _cut_scan(n, None, (1 << n) - 1, 2, ratio)
+    return phi, witness, (table if include_table else None)
 
 
 def verify_cheeger(
@@ -203,7 +208,6 @@ def verify_cheeger(
     m_e: SpdMatrix,
     *,
     cap: int = DEFAULT_SUBSET_CAP,
-    conductance_cap: int = CONDUCTANCE_CAP,
     force: bool = False,
 ) -> VerificationReport:
     """Two-sided Cheeger bound for the inner product Laplacian.
@@ -213,7 +217,7 @@ def verify_cheeger(
     """
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
-    phi, witness, _ = conductance(g, m_v, m_e, cap=conductance_cap, force=force)
+    phi, witness, _ = conductance(g, m_v, m_e, force=force)
     spec = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
     lam2 = float(spec.eigenvalues[1])
     rho_v = weak_conformality_value(m_v, cap=cap, force=force)
@@ -324,14 +328,13 @@ def verify_eml_batch(
     m_e: SpdMatrix,
     *,
     cap: int = DEFAULT_SUBSET_CAP,
-    batch_cap: int = EML_BATCH_CAP,
     force: bool = False,
 ) -> VerificationReport:
     """Sweep the mixing inequality over every ordered pair (X, Y) of vertex sets."""
     n = g.n
-    if n > batch_cap and not force:
+    if n > EML_BATCH_CAP and not force:
         raise EnumerationCapError(
-            f"{n} vertices exceed the pair-sweep cap {batch_cap} "
+            f"{n} vertices exceed the pair-sweep cap {EML_BATCH_CAP} "
             f"(4^n = {4 ** n} pairs); pass force=True (CLI: --force)"
         )
     if not g.is_connected():
@@ -348,7 +351,7 @@ def verify_eml_batch(
     d_mass = m_e.quad(unsigned_incidence(g))
 
     count = 1 << n
-    bits = _subset_bits(n, np.arange(count, dtype=np.int64))
+    bits = _subset_rows(np.arange(count, dtype=np.int64), n)
     s_float = bits.astype(float)
     vol_xy = s_float @ mv @ s_float.T
     row = s_float @ mv @ np.ones(n)
@@ -636,9 +639,7 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     )
 
 
-def s_local_conductance(
-    g: Graph, subset, *, cap: int = S_LOCAL_CAP, force: bool = False
-):
+def s_local_conductance(g: Graph, subset, *, force: bool = False):
     """Local conductance Phi_S = min_T e(T, Tc)/min(Vol(T), Vol(S-T)) and the
     bound lambda_S <= 2 Phi_S.
 
@@ -648,43 +649,31 @@ def s_local_conductance(
     s_list = sorted(set(subset))
     if len(s_list) < 2:
         raise ValueError("the subset needs at least two vertices")
-    if len(s_list) > cap and not force:
+    if len(s_list) > S_LOCAL_CAP and not force:
         raise EnumerationCapError(
-            f"|S| = {len(s_list)} exceeds the local-conductance cap {cap}; "
+            f"|S| = {len(s_list)} exceeds the local-conductance cap {S_LOCAL_CAP}; "
             "pass force=True (CLI: --force)"
         )
-    deg = g.degrees().astype(float)
-    ns = len(s_list)
-    masks = np.arange(1, (1 << ns) - 1, dtype=np.int64)
-    bits = _subset_bits(ns, masks)
-    u, v = g.ends
-    pos = {w: i for i, w in enumerate(s_list)}
-    in_s_u = np.array([pos.get(w, -1) for w in u])
-    in_s_v = np.array([pos.get(w, -1) for w in v])
-
-    def membership(endpoint_pos):
-        out = np.zeros((len(masks), len(endpoint_pos)), dtype=bool)
-        inside = endpoint_pos >= 0
-        out[:, inside] = bits[:, endpoint_pos[inside]]
-        return out
-
-    t_u = membership(in_s_u)
-    t_v = membership(in_s_v)
-    e_cut = (t_u != t_v).sum(axis=1).astype(float)
-    deg_s = deg[s_list]
-    vol_t = bits @ deg_s
-    vol_rest = deg_s.sum() - vol_t
-    phi = e_cut / np.minimum(vol_t, vol_rest)
-    best = float(phi.min())
-    ties = np.flatnonzero(phi == phi.min())
-    witness = min(tuple(int(s_list[j]) for j in np.flatnonzero(bits[i])) for i in ties)
+    # Checks that g is connected, so every degree below is positive.
     direct = neumann_eigenvalue(g, s_list)
+    deg = g.degrees().astype(float)
+    vol_s = deg[s_list].sum()
+    u, v = g.ends
+
+    def ratio(rows):
+        # Vertices outside S have all-False columns, so an edge leaving S is
+        # cut exactly when its endpoint in S lies in T.
+        e_cut = (rows[:, u] != rows[:, v]).sum(axis=1).astype(float)
+        vol_t = rows @ deg
+        return e_cut / np.minimum(vol_t, vol_s - vol_t)
+
+    best, witness = _cut_scan(g.n, s_list, (1 << len(s_list)) - 1, 1, ratio)
     report = VerificationReport(
         check="s-local-conductance",
         passed=bool(direct.lambda_s <= 2.0 * best + 1e-9),
         values={
             "phi_s": best,
-            "witness_T": [int(t) for t in witness],
+            "witness_T": list(witness),
             "lambda_s": direct.lambda_s,
             "bound": 2.0 * best,
             "margin": 2.0 * best - direct.lambda_s,

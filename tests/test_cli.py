@@ -147,6 +147,17 @@ def test_conductance_command(files, capsys):
     assert result["witness_S"] == ["v1"]
 
 
+def test_conductance_csv_needs_table_before_the_scan(files, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("conductance ran")
+
+    monkeypatch.setattr("ipl.cli.conductance", no_scan)
+    code, out, err = run_cli(["conductance", "--graph", files["p3"], "--csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --csv for conductance requires --table\n"
+
+
 def test_neumann_and_dirichlet(files, capsys):
     code, out, _ = run_cli(
         ["neumann", "--graph", files["p4"], "--subset", "v2,v3", "--schedule", "1e-1:1e-6"], capsys

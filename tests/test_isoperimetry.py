@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import ipl.isoperimetry
 from ipl import (
     EnumerationCapError,
     Graph,
@@ -148,15 +149,53 @@ def test_conductance_table_and_complement_symmetry(rng):
         assert phi_s == pytest.approx(phi_c, abs=1e-12)
 
 
-def test_conductance_disconnected_and_cap():
+def test_conductance_disconnected_and_cap(monkeypatch):
     g = Graph.from_edge_labels(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     phi, witness, _ = conductance(g)
     assert phi == 0.0
     assert witness == (0, 1)
+    monkeypatch.setattr(ipl.isoperimetry, "CONDUCTANCE_CAP", 5)
     with pytest.raises(EnumerationCapError):
-        conductance(path_graph(6), cap=5)
-    phi, _, _ = conductance(path_graph(6), cap=5, force=True)
+        conductance(path_graph(6))
+    phi, _, _ = conductance(path_graph(6), force=True)
     assert phi > 0
+
+
+def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
+    # Both scans give the same values, witnesses and table whether a chunk
+    # holds every cut or 7 of them; tied cuts on cycles and complete graphs
+    # then fall into different chunks. The inner products are integer-valued,
+    # so every volume and edge mass is exact: BLAS rounds a row's sum
+    # differently by its position in a chunk, which on other data moves
+    # values by an ulp.
+    graphs = [cycle_graph(8), complete_graph(6)] + [
+        random_connected_graph(rng, int(rng.integers(4, 9))) for _ in range(7)
+    ]
+
+    def integer_spd(dim):
+        b = rng.integers(-2, 3, (dim, dim))
+        return SpdMatrix(np.diag(np.full(dim, 4 * dim)) + b + b.T)
+
+    cases = []
+    for i, g in enumerate(graphs):
+        if i % 3 == 0:
+            m_v, m_e = normalized_inner_products(g)
+        elif i % 3 == 1:
+            m_v = SpdMatrix.from_diagonal(rng.integers(1, 5, g.n))
+            m_e = SpdMatrix.from_diagonal(rng.integers(1, 5, g.m))
+        else:
+            m_v, m_e = integer_spd(g.n), integer_spd(g.m)
+        cases.append((g, m_v, m_e, list(range(1, g.n))))
+
+    def run():
+        return [
+            (conductance(g, m_v, m_e, include_table=True), s_local_conductance(g, s)[1].to_dict())
+            for g, m_v, m_e, s in cases
+        ]
+
+    whole = run()
+    monkeypatch.setattr(ipl.isoperimetry, "CUT_CHUNK", 7)
+    assert run() == whole
 
 
 def test_conductance_inner_product_weighting():
@@ -433,7 +472,35 @@ def test_s_local_examples():
     phi_s, rep = s_local_conductance(star_graph(4), [0, 1, 2, 3])
     assert rep.passed
 
+    # Refused before the scan, which would divide by the zero volume of {3}.
+    g = Graph(labels=("a", "b", "c", "d"), edges=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="connected"):
+        s_local_conductance(g, [2, 3])
 
-def test_s_local_cap():
+
+def test_s_local_cap(monkeypatch):
+    monkeypatch.setattr(ipl.isoperimetry, "S_LOCAL_CAP", 5)
     with pytest.raises(EnumerationCapError):
-        s_local_conductance(cycle_graph(8), range(7), cap=5)
+        s_local_conductance(cycle_graph(8), range(7))
+
+
+def test_s_local_matches_brute_force(rng):
+    # Plain-Python oracle: every nonempty proper T of S, edge counts over
+    # degree sums, ties to the lexicographically smallest T.
+    graphs = [cycle_graph(n) for n in (4, 7, 10)] + [complete_graph(n) for n in (4, 6)]
+    graphs += [random_connected_graph(rng, int(rng.integers(4, 11))) for _ in range(12)]
+    for g in graphs:
+        deg = [int(d) for d in g.degrees()]
+        size = int(rng.integers(2, g.n))
+        s = sorted(int(w) for w in rng.choice(g.n, size, replace=False))
+        vol_s = sum(deg[w] for w in s)
+        best = None
+        for k in range(1, len(s)):
+            for t in itertools.combinations(s, k):
+                in_t = set(t)
+                cut = sum(1 for u, v in g.edges if (u in in_t) != (v in in_t))
+                vol_t = sum(deg[w] for w in t)
+                best = min(best or (np.inf, ()), (cut / min(vol_t, vol_s - vol_t), t))
+        phi_s, report = s_local_conductance(g, s)
+        assert phi_s == report.values["phi_s"] == best[0]
+        assert report.values["witness_T"] == list(best[1])
