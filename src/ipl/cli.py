@@ -15,12 +15,7 @@ import numpy as np
 
 from . import __version__
 from .complexes import Graph
-from .conformality import (
-    DEFAULT_SUBSET_CAP,
-    weak_conformality,
-    weak_conformality_sampled,
-)
-from .errors import EnumerationCapError
+from .conformality import WEAK_CAP, weak_conformality, weak_conformality_sampled
 from .isoperimetry import (
     CONDUCTANCE_CAP,
     DEFAULT_EPSILON_SCHEDULE,
@@ -135,22 +130,15 @@ def _emit(config: dict, result: dict, csv: str | None = None) -> None:
 
 
 def _cmd_conformality(args) -> int:
-    matrix_path = args.matrix_pos or args.matrix
-    if not matrix_path:
-        raise UsageError("a matrix file is required (positional or --matrix)")
-    if args.matrix_pos and args.matrix:
-        raise UsageError("give the matrix either positionally or via --matrix, not both")
-    m = SpdMatrix(load_matrix(matrix_path))
-    cap = args.weak_cap
-    res = weak_conformality(m, cap=cap, force=args.force)
-    out = res.to_dict()
-    flags = {"weak_cap": cap, "force": args.force}
+    m = SpdMatrix(load_matrix(args.matrix))
+    out = weak_conformality(m, force=args.force).to_dict()
+    flags = {"force": args.force}
     if args.sampled is not None:
         if args.seed is None:
             raise UsageError("--sampled requires --seed")
         out["sampled"] = weak_conformality_sampled(m, args.sampled, args.seed)
         flags.update({"sampled": args.sampled, "seed": args.seed})
-    _emit(_config(args, {"matrix": str(matrix_path)}, flags), out)
+    _emit(_config(args, {"matrix": args.matrix}, flags), out)
     return 0
 
 
@@ -276,23 +264,22 @@ def _cmd_verify(args) -> int:
         "mv": args.mv,
         "me": args.me,
         "orientation": args.orientation,
-        "weak_cap": args.weak_cap,
         "force": args.force,
     }
     if args.subverb == "cheeger":
-        report = verify_cheeger(g, m_v, m_e, cap=args.weak_cap, force=args.force)
+        report = verify_cheeger(g, m_v, m_e, force=args.force)
     elif args.subverb == "radius":
-        report = verify_radius_bound(g, m_v, m_e, cap=args.weak_cap, force=args.force)
+        report = verify_radius_bound(g, m_v, m_e, force=args.force)
     elif args.subverb == "eml":
         if args.batch:
-            report = verify_eml_batch(g, m_v, m_e, cap=args.weak_cap, force=args.force)
+            report = verify_eml_batch(g, m_v, m_e, force=args.force)
             flags["batch"] = True
         else:
             if args.x is None or args.y is None:
                 raise UsageError("verify eml needs --x and --y (or --batch)")
             x = _parse_subset(args.x, g)
             y = _parse_subset(args.y, g)
-            report = verify_eml(g, m_v, m_e, x, y, cap=args.weak_cap, force=args.force)
+            report = verify_eml(g, m_v, m_e, x, y, force=args.force)
             flags.update({"x": args.x, "y": args.y})
     else:
         raise UsageError(f"unknown verification {args.subverb!r}")
@@ -356,10 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conformality", help="strong and weak conformality of an SPD matrix")
-    p.add_argument("matrix_pos", nargs="?", metavar="matrix.json", help="SPD matrix file")
-    p.add_argument("--matrix", help="SPD matrix file (alternative to the positional form)")
-    p.add_argument("--weak-cap", type=int, default=DEFAULT_SUBSET_CAP, help=f"enumeration cap on the largest block of the nonzero pattern (default: {DEFAULT_SUBSET_CAP})")
-    p.add_argument("--force", action="store_true", help="run past the enumeration cap")
+    p.add_argument("matrix", metavar="matrix.json", help="SPD matrix file")
+    p.add_argument("--force", action="store_true", help=f"scan a block of the nonzero pattern larger than {WEAK_CAP}")
     p.add_argument("--sampled", type=int, help="also report a sampled lower bound with this many trials")
     p.add_argument("--seed", type=int, help="seed for --sampled")
     p.set_defaults(handler=_cmd_conformality)
@@ -396,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=("normalized", "combinatorial"), help="classical inner products (default: normalized)")
         p.add_argument("--mv", help="vertex inner product matrix file")
         p.add_argument("--me", help="edge inner product matrix file")
-        p.add_argument("--orientation", help="per-edge signs, e.g. +,-")
-        p.add_argument("--weak-cap", type=int, default=DEFAULT_SUBSET_CAP, help=f"conformality enumeration cap (default: {DEFAULT_SUBSET_CAP})")
         p.add_argument("--force", action="store_true", help="run past enumeration caps")
 
     p = sub.add_parser("conductance", help=f"exact inner product conductance (cap {CONDUCTANCE_CAP} vertices)")
@@ -413,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         q = vsub.add_parser(name)
         q.add_argument("--graph", required=True)
         add_inner_product_options(q)
+        # The spectrum depends on the orientation when M_E has off-diagonal mass.
+        q.add_argument("--orientation", help="per-edge signs, e.g. +,-")
         for flag in extra:
             q.add_argument(flag, help="comma-separated vertex labels")
         if name == "eml":
@@ -448,10 +433,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: file not found", file=sys.stderr)
         return 2
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,8 @@ partition, that block's witness pair (zero elsewhere) is the witness pair,
 and its scan score is the reported value.
 
 Exact computation is exponential by nature (the decision problem encodes
-integer Partition instances), so enumeration is capped by default.
+integer Partition instances), so a block larger than ``WEAK_CAP`` is
+refused unless the caller passes ``force=True``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .errors import EnumerationCapError
 from .linalg import SpdMatrix
 from .report import VerificationReport
 
-DEFAULT_SUBSET_CAP = 20
+# Largest block of the nonzero pattern scanned without force=True.
+WEAK_CAP = 20
 # Partitions per batched call; bounds the stacked blocks at large k.
 BATCH_CHUNK = 1 << 12
 # Multiple of k * eps * cond(M) that separates a near-tie from a loser.
@@ -195,12 +197,7 @@ def _scan(m: SpdMatrix):
     return (*_witness_pair(m, np.array(subset)), subset)
 
 
-def weak_conformality(
-    m: SpdMatrix,
-    *,
-    cap: int = DEFAULT_SUBSET_CAP,
-    force: bool = False,
-) -> ConformalityResult:
+def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
     """Exact weak conformality over all support partitions.
 
     Each block of the nonzero pattern is scanned on its own: the batched
@@ -210,6 +207,9 @@ def weak_conformality(
     index. The best block gives the result, under the witness rule of the
     module docstring; a connected M is one block, whose witness is the one
     an exhaustive one-by-one scan selects.
+
+    A block larger than ``WEAK_CAP`` raises ``EnumerationCapError`` unless
+    ``force`` is set; a diagonal M needs no scan and is never refused.
     """
     k = m.dim
     if k < 2:
@@ -222,9 +222,9 @@ def weak_conformality(
     else:
         blocks = [c for c in _components(m.entries) if len(c) > 1]
         largest = max(len(c) for c in blocks)
-        if largest > cap and not force:
+        if largest > WEAK_CAP and not force:
             raise EnumerationCapError(
-                f"a block of dimension {largest} exceeds the enumeration cap {cap}: "
+                f"a block of dimension {largest} exceeds the enumeration cap {WEAK_CAP}: "
                 f"exact weak conformality of that block of the nonzero pattern solves "
                 f"2^({largest}-1)-1 = {2 ** (largest - 1) - 1} generalized eigenproblems; "
                 "pass force=True (CLI: --force) to run anyway"
@@ -290,9 +290,7 @@ def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
     return rho, x, y
 
 
-def weak_conformality_value(
-    m: SpdMatrix, *, cap: int = DEFAULT_SUBSET_CAP, force: bool = False
-) -> float:
+def weak_conformality_value(m: SpdMatrix, *, force: bool = False) -> float:
     """Weak conformality as a bare number, with the vacuous 1-d case as 0.
 
     A one-dimensional space admits no disjoint-support pair, so the least
@@ -301,7 +299,7 @@ def weak_conformality_value(
     """
     if m.dim < 2:
         return 0.0
-    return weak_conformality(m, cap=cap, force=force).rho_weak
+    return weak_conformality(m, force=force).rho_weak
 
 
 def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:
@@ -390,9 +388,7 @@ def partition_gadget(instance) -> PartitionGadget:
     )
 
 
-def verify_conformality_bounds(
-    m: SpdMatrix, x, *, cap: int = DEFAULT_SUBSET_CAP, force: bool = False
-) -> VerificationReport:
+def verify_conformality_bounds(m: SpdMatrix, x, *, force: bool = False) -> VerificationReport:
     """Check the sign and trace sandwiches around x^T M x.
 
     With rho the exact weak conformality, both
@@ -402,7 +398,7 @@ def verify_conformality_bounds(
     x = np.asarray(x, dtype=float)
     if x.shape != (m.dim,):
         raise ValueError(f"dimension mismatch: matrix is {m.dim}-dimensional, x has shape {x.shape}")
-    rho = weak_conformality(m, cap=cap, force=force).rho_weak
+    rho = weak_conformality(m, force=force).rho_weak
     lo_factor = (1.0 - rho) / (1.0 + rho)
     hi_factor = (1.0 + rho) / (1.0 - rho)
     quad = m.quad(x)
@@ -427,17 +423,15 @@ def verify_conformality_bounds(
     )
 
 
-def inverse_conformality_check(
-    m: SpdMatrix, *, cap: int = DEFAULT_SUBSET_CAP, force: bool = False
-) -> VerificationReport:
+def inverse_conformality_check(m: SpdMatrix, *, force: bool = False) -> VerificationReport:
     """Both conformalities must be invariant under matrix inversion."""
     if m.dim < 2:
         raise ValueError("conformality requires dimension >= 2")
     inv = SpdMatrix(m.inverse())
     rho_s = strong_conformality(m)
     rho_s_inv = strong_conformality(inv)
-    rho_w = weak_conformality(m, cap=cap, force=force).rho_weak
-    rho_w_inv = weak_conformality(inv, cap=cap, force=force).rho_weak
+    rho_w = weak_conformality(m, force=force).rho_weak
+    rho_w_inv = weak_conformality(inv, force=force).rho_weak
     tol = 1e-8
     return VerificationReport(
         check="inverse-conformality",

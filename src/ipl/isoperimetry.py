@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import Graph, unsigned_incidence
-from .conformality import DEFAULT_SUBSET_CAP, _subset_rows, weak_conformality_value
+from .conformality import _subset_rows, weak_conformality_value
 from .errors import EnumerationCapError, NotPositiveDefiniteError
 from .laplacian import (
     IplSetup,
@@ -207,7 +207,6 @@ def verify_cheeger(
     m_v: SpdMatrix,
     m_e: SpdMatrix,
     *,
-    cap: int = DEFAULT_SUBSET_CAP,
     force: bool = False,
 ) -> VerificationReport:
     """Two-sided Cheeger bound for the inner product Laplacian.
@@ -220,8 +219,8 @@ def verify_cheeger(
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
     spec = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
     lam2 = float(spec.eigenvalues[1])
-    rho_v = weak_conformality_value(m_v, cap=cap, force=force)
-    rho_e = weak_conformality_value(m_e, cap=cap, force=force)
+    rho_v = weak_conformality_value(m_v, force=force)
+    rho_e = weak_conformality_value(m_e, force=force)
     omega = compatibility(g, m_v, m_e).omega
     lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
     upper = 2.0 / (1 - rho_v) * (1 + rho_e) / (1 - rho_e) * phi
@@ -251,7 +250,6 @@ def verify_eml(
     x_set,
     y_set,
     *,
-    cap: int = DEFAULT_SUBSET_CAP,
     force: bool = False,
     rho_e: float | None = None,
     spectrum: SpectrumResult | None = None,
@@ -273,7 +271,7 @@ def verify_eml(
     if spectrum is None:
         spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
     if rho_e is None:
-        rho_e = weak_conformality_value(m_e, cap=cap, force=force)
+        rho_e = weak_conformality_value(m_e, force=force)
     lam1 = float(spectrum.eigenvalues[0])
     lam2 = float(spectrum.eigenvalues[1])
     lam_n = float(spectrum.eigenvalues[-1])
@@ -327,7 +325,6 @@ def verify_eml_batch(
     m_v: SpdMatrix,
     m_e: SpdMatrix,
     *,
-    cap: int = DEFAULT_SUBSET_CAP,
     force: bool = False,
 ) -> VerificationReport:
     """Sweep the mixing inequality over every ordered pair (X, Y) of vertex sets."""
@@ -340,7 +337,7 @@ def verify_eml_batch(
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
     spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-    rho_e = weak_conformality_value(m_e, cap=cap, force=force)
+    rho_e = weak_conformality_value(m_e, force=force)
     lam2 = float(spectrum.eigenvalues[1])
     lam_n = float(spectrum.eigenvalues[-1])
     tau = 0.5 * (lam_n + lam2)
@@ -491,8 +488,10 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     """Direct minimization of the constrained Rayleigh quotient.
 
     Boundary values are eliminated first: at the optimum each boundary
-    vertex carries the mean of its neighbors inside the subset, leaving a
-    reduced quadratic form on the subset whose smallest generalized
+    vertex carries the mean of its neighbors inside the subset,
+    f_B = D_B^-1 A_BS f_S with D_B = diag(A_BS 1). That leaves the Schur
+    complement a = L_SS - A_SB D_B^-1 A_BS of the graph Laplacian as the
+    reduced quadratic form on the subset, whose smallest generalized
     eigenvalue under the degree-weighted mean-zero constraint is lambda_S.
     """
     s_list = sorted(set(subset))
@@ -500,29 +499,14 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
         raise ValueError("the subset needs at least two vertices")
     if not g.is_connected():
         raise ValueError("defined for connected graphs")
-    s_set = set(s_list)
-    boundary = _vertex_boundary(g, s_set)
+    boundary = _vertex_boundary(g, s_list)
     if not boundary:
         raise ValueError("the subset has an empty vertex boundary")
-    pos = {v: i for i, v in enumerate(s_list)}
-    ns = len(s_list)
-    a = np.zeros((ns, ns))
-    for u, v in g.edges:
-        if u in s_set and v in s_set:
-            pu, pv = pos[u], pos[v]
-            a[pu, pu] += 1.0
-            a[pv, pv] += 1.0
-            a[pu, pv] -= 1.0
-            a[pv, pu] -= 1.0
-    inner_neighbors = {}
-    for b in boundary:
-        nb = [pos[w] for w in g.neighbors(b) if w in s_set]
-        inner_neighbors[b] = nb
-        block = np.eye(len(nb)) - np.full((len(nb), len(nb)), 1.0 / len(nb))
-        a[np.ix_(nb, nb)] += block
-
-    deg = g.degrees().astype(float)
-    deg_s = deg[s_list]
+    adj = g.adjacency().astype(float)
+    deg_s = g.degrees()[s_list].astype(float)
+    a_bs = adj[np.ix_(boundary, s_list)]
+    mean_b = a_bs / a_bs.sum(axis=1)[:, None]
+    a = np.diag(deg_s) - adj[np.ix_(s_list, s_list)] - a_bs.T @ mean_b
     scale = 1.0 / np.sqrt(deg_s)
     a_tilde = a * scale[:, None] * scale[None, :]
     constraint = np.sqrt(deg_s)
@@ -533,7 +517,7 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     vals, vecs = sym_eig(reduced)
     lam = max(float(vals[0]), 0.0)
     f_s = (basis @ vecs[:, 0]) * scale
-    f_b = np.array([f_s[inner_neighbors[b]].mean() for b in boundary])
+    f_b = mean_b @ f_s
     values = np.concatenate([f_s, f_b])
     # Unit degree-weighted norm on S is inherited from the substitution;
     # fix the overall sign deterministically.

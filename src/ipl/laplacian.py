@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, clique_expansion, graph_incidence, unsigned_incidence
-from .conformality import DEFAULT_SUBSET_CAP, weak_conformality_value
+from .conformality import weak_conformality_value
 from .linalg import SpdMatrix, sym_eig
 from .report import VerificationReport
 
@@ -171,9 +171,7 @@ def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
     return Compatibility(omega=float(omega), perfect=bool(perfect), per_vertex=ratios)
 
 
-def verify_radius_bound(
-    carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, cap: int = DEFAULT_SUBSET_CAP, force: bool = False
-) -> VerificationReport:
+def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool = False) -> VerificationReport:
     """Spectral radius of the semi-Hodge Laplacian against its conformality bound.
 
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
@@ -182,8 +180,8 @@ def verify_radius_bound(
     b = _incidence_of(carrier)
     spec = semi_hodge(b, m_v, m_e)
     lam_max = float(spec.eigenvalues[-1])
-    rho_v = weak_conformality_value(m_v, cap=cap, force=force)
-    rho_e = weak_conformality_value(m_e, cap=cap, force=force)
+    rho_v = weak_conformality_value(m_v, force=force)
+    rho_e = weak_conformality_value(m_e, force=force)
     rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
     omega = compatibility(b, m_v, m_e).omega
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
@@ -340,7 +338,7 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic matrix.
 
     Solves [(I - P)^T; 1^T] pi = [0; 1] by least squares, which needs no
-    aperiodicity; raises if an entry of pi is at or below
+    aperiodicity; raises ValueError if an entry of pi is at or below
     ``STATIONARY_FLOOR``, as for chains with transient states.
     """
     n = p.shape[0]
@@ -349,7 +347,7 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     pi = np.linalg.lstsq(a, b, rcond=None)[0]
     if np.any(pi <= STATIONARY_FLOOR):
-        raise RuntimeError("stationary distribution has a vanishing entry; chain is not ergodic")
+        raise ValueError("stationary distribution has a vanishing entry; chain is not ergodic")
     return pi
 
 

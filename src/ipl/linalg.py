@@ -90,7 +90,9 @@ class SpdMatrix:
 
     Exactly diagonal inputs take an exact fast path (sorted entries, axis
     eigenvectors), which keeps extreme diagonal conditioning, as in the
-    epsilon-sweep constructions, from accumulating eigensolver noise.
+    epsilon-sweep constructions, from accumulating eigensolver noise. The
+    eigenvectors are then a permutation matrix, so the square roots and
+    the inverse, computed in that basis, are exactly diagonal as well.
     """
 
     def __init__(self, entries):
@@ -164,10 +166,7 @@ class SpdMatrix:
     def sqrt_entries(self) -> np.ndarray:
         """The symmetric Q with Q @ Q = M."""
         if self._sqrt is None:
-            if self.is_diagonal:
-                q = np.diag(np.sqrt(np.diagonal(self._entries)))
-            else:
-                q = self._spectral_apply(np.sqrt)
+            q = self._spectral_apply(np.sqrt)
             q.setflags(write=False)
             self._sqrt = q
         return self._sqrt
@@ -175,10 +174,7 @@ class SpdMatrix:
     @property
     def inv_sqrt_entries(self) -> np.ndarray:
         if self._inv_sqrt is None:
-            if self.is_diagonal:
-                q = np.diag(1.0 / np.sqrt(np.diagonal(self._entries)))
-            else:
-                q = self._spectral_apply(lambda w: 1.0 / np.sqrt(w))
+            q = self._spectral_apply(lambda w: 1.0 / np.sqrt(w))
             q.setflags(write=False)
             self._inv_sqrt = q
         return self._inv_sqrt
@@ -200,8 +196,6 @@ class SpdMatrix:
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse, for callers that genuinely need the matrix."""
-        if self.is_diagonal:
-            return np.diag(1.0 / np.diagonal(self._entries))
         return self._spectral_apply(lambda w: 1.0 / w)
 
     def quad(self, x):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ipl import SpdMatrix, stable_json, weak_conformality
+from ipl import SpdMatrix, conformality, stable_json, weak_conformality
 from ipl.cli import main
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, matrix_from_dict, matrix_to_dict
 
@@ -57,9 +57,6 @@ def test_conformality_output_schema(files, capsys):
     assert result["rho_weak"] == 0
     assert result["witness_S"] == [0]
     assert len(result["witness_x"]) == 4
-    code2, out2, _ = run_cli(["conformality", "--matrix", files["id4"]], capsys)
-    assert code2 == 0
-    assert json.loads(out2)["result"]["rho_weak"] == 0
 
 
 def test_conformality_sampled_requires_seed(files, capsys):
@@ -221,14 +218,49 @@ def test_non_finite_matrix_exit_two(tmp_path, files, capsys, bad):
         assert err.rstrip().endswith(f"at {where}")
 
 
-def test_cap_exceeded_exit_two(tmp_path, capsys):
+def test_cap_exceeded_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(conformality, "WEAK_CAP", 4)
     big = SpdMatrix(np.eye(8) + 0.05 * np.ones((8, 8)))
     path = write(tmp_path, "big.json", matrix_to_dict(big.entries))
-    code, _, err = run_cli(["conformality", path, "--weak-cap", "4"], capsys)
+    code, _, err = run_cli(["conformality", path], capsys)
     assert code == 2
     assert "cap" in err
-    code, out, _ = run_cli(["conformality", path, "--weak-cap", "4", "--force"], capsys)
+    code, out, _ = run_cli(["conformality", path, "--force"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conformality", "{id4}", "--weak-cap", "4"],
+        ["conductance", "--graph", "{p3}", "--weak-cap", "4"],
+        ["verify", "cheeger", "--graph", "{p3}", "--weak-cap", "4"],
+        ["conductance", "--graph", "{p3}", "--orientation", "+,-"],
+        ["conformality", "--matrix", "{id4}"],
+    ],
+    ids=["conformality-weak-cap", "conductance-weak-cap", "cheeger-weak-cap", "conductance-orientation", "conformality-matrix"],
+)
+def test_removed_flags_exit_two(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_reports_have_no_weak_cap_flag(files, capsys):
+    for argv in (
+        ["conformality", files["ipj"]],
+        ["conductance", "--graph", files["p3"]],
+        ["verify", "cheeger", "--graph", files["p3"]],
+        ["verify", "eml", "--graph", files["p3"], "--x", "v1", "--y", "v2,v3"],
+        ["verify", "eml", "--graph", files["p3"], "--batch"],
+        ["verify", "radius", "--graph", files["p3"]],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert "weak_cap" not in json.loads(out)["config"]["flags"]
 
 
 def test_unknown_flag_rejected(files):

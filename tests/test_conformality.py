@@ -100,11 +100,12 @@ def test_weak_diagonal_needs_no_cap():
     assert res.witness_partition == (0,)
 
 
-def test_weak_cap_and_force():
+def test_weak_cap_and_force(monkeypatch):
+    monkeypatch.setattr(conformality, "WEAK_CAP", 5)
     m = SpdMatrix(np.eye(6) + 0.1 * np.ones((6, 6)))
     with pytest.raises(EnumerationCapError):
-        weak_conformality(m, cap=5)
-    res = weak_conformality(m, cap=5, force=True)
+        weak_conformality(m)
+    res = weak_conformality(m, force=True)
     assert res.rho_weak > 0
 
 
@@ -145,11 +146,13 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
     assert reference_block_weak(m)[:2] == (res.rho_weak, (0, 1))
 
 
-def test_weak_cap_applies_to_the_largest_block(rng):
+def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
     entries = block_diagonal(rng, [6, 1, 1, 1])
+    monkeypatch.setattr(conformality, "WEAK_CAP", 5)
     with pytest.raises(EnumerationCapError, match="block of dimension 6 exceeds the enumeration cap 5"):
-        weak_conformality(SpdMatrix(entries), cap=5)
-    assert weak_conformality(SpdMatrix(entries), cap=6).rho_weak > 0
+        weak_conformality(SpdMatrix(entries))
+    monkeypatch.setattr(conformality, "WEAK_CAP", 6)
+    assert weak_conformality(SpdMatrix(entries)).rho_weak > 0
 
 
 def reference_weak(m):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import ipl.isoperimetry
+from ipl.isoperimetry import _vertex_boundary
+from ipl.linalg import sym_eig
 from ipl import (
     EnumerationCapError,
     Graph,
@@ -366,6 +368,55 @@ def test_neumann_rayleigh_consistency(rng):
         deg = g.degrees()
         constraint = sum(v * deg[s] for v, s in zip(res.values, res.subset))
         assert constraint == pytest.approx(0.0, abs=1e-9)
+
+
+def loop_neumann(g, subset):
+    # The reduced form built edge by edge and boundary vertex by boundary
+    # vertex: each boundary vertex b holds the mean of its neighbors in S,
+    # which adds I - J/|N(b) & S| on those neighbors.
+    s_list = sorted(subset)
+    s_set = set(s_list)
+    pos = {v: i for i, v in enumerate(s_list)}
+    a = np.zeros((len(s_list), len(s_list)))
+    for u, v in g.edges:
+        if u in s_set and v in s_set:
+            a[pos[u], pos[u]] += 1.0
+            a[pos[v], pos[v]] += 1.0
+            a[pos[u], pos[v]] -= 1.0
+            a[pos[v], pos[u]] -= 1.0
+    inner = {}
+    for b in _vertex_boundary(g, s_set):
+        inner[b] = [pos[w] for w in g.neighbors(b) if w in s_set]
+        a[np.ix_(inner[b], inner[b])] += np.eye(len(inner[b])) - 1.0 / len(inner[b])
+    deg_s = g.degrees().astype(float)[s_list]
+    scale = 1.0 / np.sqrt(deg_s)
+    constraint = np.sqrt(deg_s) / np.linalg.norm(np.sqrt(deg_s))
+    basis = np.linalg.svd(constraint[None, :])[2][1:].T
+    vals, vecs = sym_eig(basis.T @ (a * scale[:, None] * scale[None, :]) @ basis)
+    f_s = (basis @ vecs[:, 0]) * scale
+    f_b = [f_s[inner[b]].mean() for b in sorted(inner)]
+    return max(float(vals[0]), 0.0), np.concatenate([f_s, f_b]), float(np.diff(vals[:2]).min(initial=np.inf))
+
+
+def test_neumann_schur_matches_loop_reference(rng):
+    checked = simple = 0
+    while checked < 40:
+        g = random_connected_graph(rng, int(rng.integers(5, 12)))
+        subset = sorted(rng.choice(g.n, size=int(rng.integers(2, g.n)), replace=False).tolist())
+        if not _vertex_boundary(g, subset):
+            continue
+        res = neumann_eigenvalue(g, subset)
+        lam, values, gap = loop_neumann(g, subset)
+        assert res.lambda_s == pytest.approx(lam, rel=1e-12, abs=1e-12)
+        assert rayleigh_quotient(g, res) == pytest.approx(lam, abs=1e-9)
+        if gap > 1e-6:
+            # A simple eigenvalue fixes the vector up to its sign, which
+            # follows the largest entry; an exact tie in magnitude can
+            # resolve either way under rounding.
+            assert min(np.abs(res.values - values).max(), np.abs(res.values + values).max()) <= 1e-12
+            simple += 1
+        checked += 1
+    assert simple >= 30
 
 
 def test_neumann_sampled_oracle_c4():

@@ -391,7 +391,7 @@ def test_digraph_lazy_walk_support_is_clique_expansion():
 def test_digraph_rejects_bad_chains():
     with pytest.raises(ValueError):
         digraph_laplacian([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="not ergodic"):
         # State 1 is transient: the stationary weight of state 0 vanishes.
         digraph_laplacian([[0.5, 0.5], [0.0, 1.0]])
 

@@ -182,6 +182,25 @@ def test_gen_eig_accepts_rounding_skew_of_whitened_pencil():
     assert np.sqrt(vals[-1]) == pytest.approx(res.rho_weak, rel=1e-9)
 
 
+def test_diagonal_functions_are_exactly_diagonal(rng):
+    # The eigenvectors of a diagonal SpdMatrix are a permutation matrix, so
+    # the square roots and the inverse computed in that basis are exact.
+    for d in (
+        np.array([3.0]),
+        rng.integers(1, 1000, 9).astype(float),
+        np.exp(rng.uniform(0.0, np.log(1e8), 17)),
+        rng.uniform(0.1, 10.0, 39),
+    ):
+        m = SpdMatrix.from_diagonal(d)
+        for got, want in (
+            (m.sqrt_entries, np.diag(np.sqrt(d))),
+            (m.inv_sqrt_entries, np.diag(1.0 / np.sqrt(d))),
+            (m.inverse(), np.diag(1.0 / d)),
+        ):
+            assert np.array_equal(got, want)
+            assert not np.signbit(got).any()
+
+
 def test_inverse_matches_solve(rng):
     m = random_spd(rng, 6)
     np.testing.assert_allclose(m.inverse() @ m.entries, np.eye(6), atol=1e-9)
