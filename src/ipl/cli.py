@@ -2,7 +2,7 @@
 
 One binary with verb/subverb commands, JSON files in, a deterministic JSON
 (or CSV) report on stdout. Exit codes: 0 computed and passed, 1 computed
-but a verification failed, 2 input or usage error.
+but a verification failed, 2 input or usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -436,6 +436,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a defect of ipl, not of the input: exit 3, never
+        # the "verification failed" code 1 that an uncaught exception gives.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

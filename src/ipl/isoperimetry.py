@@ -14,16 +14,28 @@ scores the chunk with the caller's ratio. Among the masks attaining the
 minimum exactly, the witness is the lexicographically smallest vertex set.
 Memory stays at a few chunk x n and chunk x m arrays whatever the number of
 cuts; only the optional conductance table grows with it.
+
+The expander-mixing pair sweep ``verify_eml_batch`` scores CUT_CHUNK
+ordered pairs (X, Y) at a time from tables over subset masks, by three
+identities: the correlation is bilinear,
+Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y); an edge with no
+off-diagonal M_E entry adds w_e (X_u Y_v + X_v Y_u), its cut bit plus its
+inner bit; and the point mass is diag(d). Edges that M_E couples are added
+from code-word tables. Cor(X, X) on the right-hand side is the Gram
+determinant Vol(X) Vol(Xc) - Vol(X, Xc)^2. Both correlations are exactly 0
+when a set is {} or V. The witness is the first pair in (X mask, Y mask)
+order whose margin equals the minimum.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import Graph, unsigned_incidence
-from .conformality import _subset_rows, weak_conformality_value
+from .conformality import _components, _subset_rows, weak_conformality_value
 from .errors import EnumerationCapError, NotPositiveDefiniteError
 from .laplacian import (
     IplSetup,
@@ -320,6 +332,82 @@ def verify_eml(
     )
 
 
+def _subset_sums(a: np.ndarray) -> np.ndarray:
+    """out[..., mask] = the sum of a[..., j] over the set bits j of mask, for
+    every mask below 2^(last dimension of a), added in increasing j."""
+    out = np.zeros(a.shape[:-1] + (1 << a.shape[-1],))
+    for j in range(a.shape[-1]):
+        np.add(out[..., : 1 << j], a[..., j : j + 1], out=out[..., 1 << j : 2 << j])
+    return out
+
+
+def _pair_tables(a: np.ndarray):
+    """Tables (high, low) with 1_X^T a 1_Y = high[X, Y >> h] + low[X, Y mod 2^h],
+    h = n // 2, for every pair of subset masks of the n x n matrix a.
+
+    A pair's value is that one addition wherever ``_pair_rows`` reads it, so
+    it does not depend on how the pairs are chunked.
+    """
+    x_form = _subset_sums(a.T).T
+    h = len(a) // 2
+    return _subset_sums(x_form[:, h:]), _subset_sums(x_form[:, :h])
+
+
+def _pair_rows(tables, xs) -> np.ndarray:
+    """1_X^T a 1_Y for the masks X in the slice xs (rows) and every mask Y."""
+    high, low = tables
+    return (high[xs, :, None] + low[xs, None, :]).reshape(-1, high.shape[1] * low.shape[1])
+
+
+def _edge_word_tables(me: np.ndarray, coupled: np.ndarray, bits: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Code tables for the edge mass of the ``coupled`` edges.
+
+    The edges are cut into words of at most 8. Returns (ends, lookups):
+    ends[w] = (U_w, V_w) holds uint8 codes per subset mask, bit j of U_w[X]
+    set when the u endpoint of edge j of word w lies in X (V_w likewise).
+    ``_edge_mass(lookups, codes)`` then turns one code array per word,
+    together naming a set of coupled edges with indicator c, into
+
+        c^T M_E c = sum_w D_w[c_w] + sum_{w<x} C_wx[c_w, c_x],
+
+    D_w[c] = bits(c)^T M_ww bits(c), C_wx[c, c'] = 2 bits(c)^T M_wx bits(c').
+    A lookup is (w, x, |x|, C_wx + folded D tables) indexed by
+    (c_w << |x|) | c_x, or (w, None, 0, D_w). C_wx is built only when M_wx
+    is nonzero, and each D_w is added into the first C_wx that has w.
+    """
+    words = [coupled[i : i + 8] for i in range(0, len(coupled), 8)]
+    code_bits = [_subset_rows(np.arange(1 << len(w)), len(w)).astype(float) for w in words]
+    ends = [
+        tuple((bits[:, side[w]] @ (1 << np.arange(len(w)))).astype(np.uint8) for side in (u, v))
+        for w in words
+    ]
+    diag = [((cb @ me[np.ix_(w, w)]) * cb).sum(axis=1) for cb, w in zip(code_bits, words)]
+    lookups = []
+    unfolded = set(range(len(words)))
+    for w, x in itertools.combinations(range(len(words)), 2):
+        block = me[np.ix_(words[w], words[x])]
+        if np.any(block):
+            table = 2.0 * (code_bits[w] @ block @ code_bits[x].T)
+            for k, axis in ((w, 1), (x, 0)):
+                if k in unfolded:
+                    unfolded.remove(k)
+                    table += np.expand_dims(diag[k], axis)
+            lookups.append((w, x, len(words[x]), table.ravel()))
+    lookups += [(w, None, 0, diag[w]) for w in sorted(unfolded)]
+    return ends, lookups
+
+
+def _edge_mass(lookups, codes):
+    """Sum of the ``_edge_word_tables`` lookups at one code array per word."""
+    total = 0.0
+    for w, x, shift, table in lookups:
+        index = codes[w].astype(np.intp)
+        if x is not None:
+            index = (index << shift) | codes[x]
+        total = total + table.take(index)
+    return total
+
+
 def verify_eml_batch(
     g: Graph,
     m_v: SpdMatrix,
@@ -327,7 +415,31 @@ def verify_eml_batch(
     *,
     force: bool = False,
 ) -> VerificationReport:
-    """Sweep the mixing inequality over every ordered pair (X, Y) of vertex sets."""
+    """Sweep the mixing inequality over every ordered pair (X, Y) of vertex sets.
+
+    Inside its absolute value the left-hand side is
+    1_X^T K 1_Y + tau Cor(X, Y)/Vol(G) plus the mass of the edges that M_E
+    couples, by three identities (d_a = e({a}, ac)):
+
+    - Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y), the squares of
+      Vol(Xc, Yc) = Vol(V, V) - Vol(X, V) - Vol(V, Y) + Vol(X, Y) cancelling.
+      Every volume comes from the same ``_pair_tables`` of M_V, so Cor is
+      exactly 0 when X or Y is {} or V;
+    - for an isolated edge (no off-diagonal M_E entry in its row), cut bit
+      plus inner bit is X_u Y_v + X_v Y_u, so its mass is
+      w_e (E_uv + E_vu) in K;
+    - sum_{a in X cap Y} d_a is diag(d) in K.
+
+    The coupled edges go through ``_edge_word_tables`` and ``_edge_mass``:
+    a pair's cut code is (U_w[X] & V_w[Y]) | (V_w[X] & U_w[Y]) per word, and
+    the inner mass depends on X & Y only, so it is one table over subset
+    masks. The right-hand side uses Cor(X, X) as the Gram determinant
+    Vol(X) Vol(Xc) - Vol(X, Xc)^2, which is exactly 0 at X = {} and X = V.
+    Pairs are scored CUT_CHUNK at a time, so memory does not grow with 4^n,
+    and a pair's margin does not depend on the chunk it falls in. The
+    witness is the first pair in (X mask, Y mask) order whose margin equals
+    the minimum.
+    """
     n = g.n
     if n > EML_BATCH_CAP and not force:
         raise EnumerationCapError(
@@ -342,55 +454,73 @@ def verify_eml_batch(
     lam_n = float(spectrum.eigenvalues[-1])
     tau = 0.5 * (lam_n + lam2)
     gap = 0.5 * (lam_n - lam2)
-    mv = m_v.entries
+    mv, me = m_v.entries, m_e.entries
     vol_g = float(np.sum(mv))
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
-    d_mass = m_e.quad(unsigned_incidence(g))
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(me))
 
     count = 1 << n
-    bits = _subset_rows(np.arange(count, dtype=np.int64), n)
+    masks = np.arange(count)
+    bits = _subset_rows(masks, n)
     s_float = bits.astype(float)
-    vol_xy = s_float @ mv @ s_float.T
-    row = s_float @ mv @ np.ones(n)
-    cor = vol_xy * (vol_g - row[:, None] - row[None, :] + vol_xy) - (
-        (row[:, None] - vol_xy) * (row[None, :] - vol_xy)
-    )
-    cor_diag = np.clip(np.diagonal(cor), 0.0, None)
-    sqrt_cor = np.sqrt(cor_diag[:, None] * cor_diag[None, :])
+    c_float = 1.0 - s_float
+    cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
+    sqrt_cor = np.sqrt(np.clip(cor_x, 0.0, None))
+    rhs_x = gap * sqrt_cor / vol_g
 
     u, v = g.ends
-    bu, bv = bits[:, u], bits[:, v]
+    edge_form = -np.diag(m_e.quad(unsigned_incidence(g)))
+    blocks = _components(me)
+    isolated = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
+    coupled = np.array([e for b in blocks if len(b) > 1 for e in b], dtype=np.intp)
+    w = np.diagonal(me)[isolated]
+    np.add.at(edge_form, (u[isolated], v[isolated]), w)
+    np.add.at(edge_form, (v[isolated], u[isolated]), w)
+    edge_tables = _pair_tables(edge_form)
+    ends, lookups = _edge_word_tables(me, coupled, bits, u, v)
+    inner_mass = _edge_mass(lookups, [uw & vw for uw, vw in ends]) if ends else None
+    # Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y), every volume read
+    # from the same tables, so it is exactly 0 when X or Y is {} or V.
+    vol_tables = _pair_tables(mv)
+    vol_x_v = vol_tables[0][:, -1] + vol_tables[1][:, -1]
+    vol_v_y = _pair_rows(vol_tables, slice(count - 1, None))[0]
+    vol_v = vol_x_v[-1]
+    cor_scale = tau / vol_g
 
-    worst = {"margin": np.inf}
-    for i in range(count):
-        au, av = bu[i], bv[i]
-        mask_xy = (au[None, :] & bv) | (av[None, :] & bu)
-        cu, cv = au[None, :] & bu, av[None, :] & bv
-        e_xy = m_e.quad(mask_xy)
-        e_inner = m_e.quad(cu & cv)
-        point = (bits[i] & bits).astype(float) @ d_mass
-        lhs = np.abs(e_xy + e_inner - point + tau * cor[i] / vol_g)
-        rhs = gap * sqrt_cor[i] / vol_g + trace_term
-        margins = rhs - lhs
-        j = int(np.argmin(margins))
-        if margins[j] < worst["margin"]:
-            worst = {
-                "margin": float(margins[j]),
-                "x": [int(t) for t in np.flatnonzero(bits[i])],
-                "y": [int(t) for t in np.flatnonzero(bits[j])],
-                "lhs": float(lhs[j]),
-                "rhs": float(rhs[j]),
-            }
+    rows = max(1, CUT_CHUNK >> n)
+    cols = min(count, CUT_CHUNK)
+    best = np.inf
+    worst = None
+    for x0 in range(0, count, rows):
+        xs = slice(x0, x0 + rows)
+        edge_rows, vol_rows = _pair_rows(edge_tables, xs), _pair_rows(vol_tables, xs)
+        for y0 in range(0, count, cols):
+            ys = slice(y0, y0 + cols)
+            cor = vol_v * vol_rows[:, ys]
+            cor -= vol_x_v[xs, None] * vol_v_y[ys]
+            lhs = edge_rows[:, ys] + cor_scale * cor
+            if ends:
+                cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]
+                lhs += _edge_mass(lookups, cut) + inner_mass.take(masks[xs, None] & masks[ys])
+            lhs = np.abs(lhs)
+            margins = rhs_x[xs, None] * sqrt_cor[ys]
+            margins += trace_term
+            margins -= lhs
+            i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+            if margins[i, j] < best:
+                best = float(margins[i, j])
+                x, y = x0 + i, y0 + j
+                worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
+    x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",
-        passed=bool(worst["margin"] >= -1e-9),
+        passed=bool(best >= -1e-9),
         values={
             "pairs_checked": count * count,
-            "min_margin": worst["margin"],
-            "worst_x": worst.get("x", []),
-            "worst_y": worst.get("y", []),
-            "worst_lhs": worst.get("lhs", 0.0),
-            "worst_rhs": worst.get("rhs", 0.0),
+            "min_margin": best,
+            "worst_x": np.flatnonzero(bits[x]).tolist(),
+            "worst_y": np.flatnonzero(bits[y]).tolist(),
+            "worst_lhs": lhs_w,
+            "worst_rhs": rhs_w,
             "lambda_2": lam2,
             "lambda_n": lam_n,
             "rho_e": rho_e,

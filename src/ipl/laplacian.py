@@ -25,8 +25,6 @@ from .report import VerificationReport
 
 # Eigenvalues at or below ZERO_RTOL * max(lambda_max, 1) count as kernel.
 ZERO_RTOL = 1e-9
-# Stationary entries at or below this count as vanishing (a non-ergodic chain).
-STATIONARY_FLOOR = 1e-11
 
 
 @dataclass
@@ -335,19 +333,36 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix.
+    """Stationary distribution of an irreducible row-stochastic matrix.
 
-    Solves [(I - P)^T; 1^T] pi = [0; 1] by least squares, which needs no
-    aperiodicity; raises ValueError if an entry of pi is at or below
-    ``STATIONARY_FLOOR``, as for chains with transient states.
+    The chain is irreducible when the support of P is strongly connected;
+    otherwise ValueError names its closed classes (states v1, v2, ... as in
+    ``digraph_laplacian``), each of which carries a stationary vector of its
+    own. For an irreducible chain pi is unique and positive, and solves
+    [(I - P)^T; 1^T] pi = [0; 1] by least squares, which needs no
+    aperiodicity.
     """
     n = p.shape[0]
+    reach = ((p > 0) | np.eye(n, dtype=bool)).astype(float)
+    while True:
+        grown = ((reach @ reach) > 0).astype(float)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    if not reach.all():
+        reach = reach > 0
+        closed = [i for i in range(n) if np.all(reach[:, i] >= reach[i])]
+        classes = sorted({tuple(np.flatnonzero(reach[i]).tolist()) for i in closed})
+        transient = [i for i in range(n) if i not in closed]
+        names = ", ".join("{" + ", ".join(f"v{i + 1}" for i in c) + "}" for c in classes)
+        detail = f"; transient states {{{', '.join(f'v{i + 1}' for i in transient)}}}" if transient else ""
+        raise ValueError(f"chain is not ergodic: its support is not strongly connected (closed classes {names}{detail})")
     a = np.vstack([np.eye(n) - p.T, np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi = np.linalg.lstsq(a, b, rcond=None)[0]
-    if np.any(pi <= STATIONARY_FLOOR):
-        raise ValueError("stationary distribution has a vanishing entry; chain is not ergodic")
+    if np.any(pi <= 0.0):
+        raise ValueError("stationary distribution is not numerically positive; chain is too close to reducible")
     return pi
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import ipl.cli
 from ipl import SpdMatrix, conformality, stable_json, weak_conformality
 from ipl.cli import main
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, matrix_from_dict, matrix_to_dict
@@ -134,6 +135,32 @@ def test_digraph_command(files, tmp_path, capsys):
         code, out, _ = run_cli(["digraph", "--transition", path], capsys)
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["result"]["pi"], pi, rtol=0, atol=1e-15)
+
+
+def test_reducible_chain_exit_two(tmp_path, capsys):
+    # Two closed 2-cycles: every mixture of their stationary vectors is
+    # stationary, so no single pi exists to report.
+    two_cycles = write(
+        tmp_path,
+        "two_cycles.json",
+        {"rows": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]},
+    )
+    code, out, err = run_cli(["digraph", "--transition", two_cycles], capsys)
+    assert code == 2
+    assert out == ""
+    assert "closed classes {v1, v2}, {v3, v4}" in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_three(files, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ipl.cli, "_cmd_conductance", broken)
+    code, out, err = run_cli(["conductance", "--graph", files["p3"]], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_conductance_command(files, capsys):
@@ -301,6 +328,23 @@ def test_cli_byte_determinism_subprocess(files):
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode
+
+
+def test_eml_batch_n10_dense_subprocess(tmp_path):
+    # The largest sweep the cap allows, with every edge coupled in M_E.
+    rng = np.random.default_rng(7)
+    g = path_graph(10)
+    edges = [[g.labels[a], g.labels[b]] for a, b in g.edges] + [["v1", "v5"], ["v3", "v8"], ["v2", "v10"]]
+    graph = write(tmp_path, "g10.json", {"vertices": list(g.labels), "edges": edges})
+    m = len(edges)
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    m_e = write(tmp_path, "me.json", matrix_to_dict((q * rng.uniform(0.5, 3.0, m)) @ q.T))
+    m_v = write(tmp_path, "mv.json", matrix_to_dict(np.diag(rng.uniform(0.5, 2.0, 10))))
+    argv = ["verify", "eml", "--graph", graph, "--mv", m_v, "--me", m_e, "--batch"]
+    runs = [subprocess.run([sys.executable, "-m", "ipl", *argv], capture_output=True, check=False) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["result"]["values"]["pairs_checked"] == 4**10
 
 
 def test_stable_json_formatting():

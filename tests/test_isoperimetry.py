@@ -302,6 +302,132 @@ def test_eml_batch_matches_single(rng):
         assert batch.values["min_margin"] == pytest.approx(min(margins), abs=1e-9)
 
 
+def _eml_scale(g, m_v, m_e, values):
+    # Both computations round relative to the magnitudes they add up: up to
+    # tau Vol(G) in the correlation term and sum |M_E| in the edge masses.
+    # On the exact ties (X or Y in {}, V with rho_E = 0) the margin itself is
+    # 0, so |lhs| + |rhs| alone would leave no room for that rounding.
+    tau = 0.5 * (values["lambda_n"] + values["lambda_2"])
+    return (
+        abs(values["worst_lhs"])
+        + abs(values["worst_rhs"])
+        + tau * float(np.sum(m_v.entries))
+        + float(np.sum(np.abs(m_e.entries)))
+    )
+
+
+def _permuted_blocks(rng, sizes):
+    entries = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for size in sizes:
+        entries[start : start + size, start : start + size] = random_spd(rng, size).entries
+        start += size
+    perm = rng.permutation(len(entries))
+    return SpdMatrix(entries[np.ix_(perm, perm)])
+
+
+def test_eml_batch_matches_exhaustive_fuzz():
+    # Every M_E kind the sweep splits differently: all edges isolated
+    # (diagonal, integer diagonal), all coupled (dense), and a permuted mix of
+    # 1 x 1 and larger blocks; M_V is dense on every third input. Inputs 5
+    # and 6 have their worst pair at Y = V, where a min_margin computed with
+    # Cor(V) as a difference of volume products is off by about 1e-9.
+    rng = np.random.default_rng(15)
+    for trial, n in enumerate((2, 3, 3, 4, 4, 5, 5, 6)):
+        g = random_connected_graph(rng, n)
+        g = g.with_orientation([int(s) for s in rng.choice([-1, 1], g.m)])
+        m_v = random_spd(rng, n) if trial % 3 == 0 else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, n))
+        kind = trial % 4
+        if kind == 0:
+            m_e = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))
+        elif kind == 1:
+            m_e = random_spd(rng, g.m)
+        elif kind == 2:
+            sizes = []
+            while sum(sizes) < g.m:
+                sizes.append(min(1 + len(sizes) % 3, g.m - sum(sizes)))
+            m_e = _permuted_blocks(rng, sizes)
+        else:
+            m_e = SpdMatrix.from_diagonal(rng.integers(1, 4, g.m).astype(float))
+        batch = verify_eml_batch(g, m_v, m_e)
+        v = batch.values
+        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
+        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+        margins = {
+            (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values["margin"]
+            for x in subsets
+            for y in subsets
+        }
+        lowest = min(margins.values())
+        bound = 1e-12 * _eml_scale(g, m_v, m_e, v)
+        assert v["pairs_checked"] == len(margins)
+        assert abs(v["min_margin"] - lowest) <= bound
+        assert abs(margins[tuple(v["worst_x"]), tuple(v["worst_y"])] - lowest) <= bound
+        assert batch.passed == (lowest >= -1e-9)
+
+
+def test_eml_batch_min_margin_at_pairs_with_full_set():
+    # Cor(V, V) = 0 exactly; computed as a difference of volume products it
+    # kept rounding noise, which sqrt(Cor(X) Cor(V)) blew up to about 1e-9
+    # relative error in min_margin whenever the worst pair had X or Y = V.
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        g = random_connected_graph(rng, 6)
+        m_v = random_spd(rng, g.n) if trial % 3 == 0 else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
+        m_e = random_spd(rng, g.m)
+        v = verify_eml_batch(g, m_v, m_e).values
+        single = verify_eml(g, m_v, m_e, v["worst_x"], v["worst_y"], rho_e=v["rho_e"])
+        assert abs(v["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, v)
+
+
+def test_eml_batch_code_words_and_cross_tables():
+    # K7 with M_E blocks of 8, 9, 1 and 3 edges: 20 coupled edges make three
+    # words (8 | 8 | 1 + 3). Only the split 9-block couples two words, so the
+    # zero blocks M_01 and M_02 get no table and word 0 keeps its own.
+    rng = np.random.default_rng(3)
+    g = complete_graph(7)
+    entries = np.zeros((g.m, g.m))
+    start = 0
+    for size in (8, 9, 1, 3):
+        entries[start : start + size, start : start + size] = random_spd(rng, size).entries
+        start += size
+    m_e = SpdMatrix(entries)
+    coupled = np.array([e for e in range(g.m) if e != 17])
+    masks = np.arange(1 << g.n)
+    bits = ipl.isoperimetry._subset_rows(masks, g.n)
+    u, v = g.ends
+    ends, lookups = ipl.isoperimetry._edge_word_tables(entries, coupled, bits, u, v)
+    assert len(ends) == 3
+    assert [(w, x) for w, x, _, _ in lookups] == [(1, 2), (0, None)]
+    # Every pair's cut mass from the tables against the quadratic form.
+    x, y = np.repeat(masks, len(masks)), np.tile(masks, len(masks))
+    codes = [(uw[x] & vw[y]) | (vw[x] & uw[y]) for uw, vw in ends]
+    cut = ((bits[x][:, u] & bits[y][:, v]) | (bits[x][:, v] & bits[y][:, u])).astype(float)
+    cut[:, 17] = 0.0
+    np.testing.assert_allclose(
+        ipl.isoperimetry._edge_mass(lookups, codes), m_e.quad(cut), rtol=0, atol=1e-12 * np.abs(entries).sum()
+    )
+    m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
+    values = verify_eml_batch(g, m_v, m_e).values
+    single = verify_eml(g, m_v, m_e, values["worst_x"], values["worst_y"], rho_e=values["rho_e"])
+    assert abs(values["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, values)
+
+
+def test_eml_batch_chunking_is_invisible(rng, monkeypatch):
+    # A chunk of 24 pairs splits each 64-pair row in three; 200 takes three
+    # rows at a time. Values and the witness must not move by a bit.
+    cases = []
+    for trial in range(4):
+        g = random_connected_graph(rng, 6)
+        m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
+        m_e = random_spd(rng, g.m) if trial % 2 else _permuted_blocks(rng, [1, 2] * (g.m // 3) + [1] * (g.m % 3))
+        cases.append((g, m_v, m_e))
+    whole = [verify_eml_batch(*case).values for case in cases]
+    for chunk in (24, 200):
+        monkeypatch.setattr(ipl.isoperimetry, "CUT_CHUNK", chunk)
+        assert [verify_eml_batch(*case).values for case in cases] == whole
+
+
 def test_eml_mixing_example_needs_conformality_term():
     g, m_v, m_e, a_idx, b_idx = mixing_example_graph(2)
     with_term = verify_eml(g, m_v, m_e, a_idx, b_idx)
