@@ -7,13 +7,45 @@ Y (edges inside X intersect Y count once). The correlation
 Cor(X, Y) = Vol(X,Y) Vol(Xc,Yc) - Vol(X,Yc) Vol(Xc,Y) replaces the product
 Vol(X) Vol(Xc) once the vertex inner product has off-diagonal mass.
 
-Conductance and S-local conductance share one exhaustive scan,
-``_cut_scan``. It walks a range of subset masks CUT_CHUNK at a time, turns
-each chunk into membership rows with ``conformality._subset_rows`` and
-scores the chunk with the caller's ratio. Among the masks attaining the
-minimum exactly, the witness is the lexicographically smallest vertex set.
-Memory stays at a few chunk x n and chunk x m arrays whatever the number of
-cuts; only the optional conductance table grows with it.
+Conductance and S-local conductance share one exhaustive scan, ``_cut_scan``,
+over the vertex sets X inside a column set C (for conductance C = V with
+vertex 0 pinned into X). Each cut has three masses: e(X, Xc), Vol(X), and
+Vol(C - X) = total - 2 1_X^T r + Vol(X). The scan keeps the minimum of
+e / min(Vol(X), Vol(C - X)), and its witness is the lexicographically
+smallest vertex set attaining the minimum exactly.
+
+Split identity. The columns split into a low half L, which holds the pinned
+column, and a high half H, so a membership vector is x = x_L + x_H. Let the
+0/1 indicator of some items be c = p(x_H) + q(x_H) * lam(x_L). Then
+c^T M c = p^T M p + 2 (q * M p)^T lam + sum_{e,f} q_e q_f M_ef lam_e lam_f.
+- For the volume the items are vertices: in H, p = x_h and q = 0; in L,
+  p = 0, q = 1 and lam = x_l.
+- For the edge mass the items are edges: an HH edge has p = its cut bit and
+  q = 0; an LL edge has p = 0, q = 1 and lam = its cut bit; a crossing
+  edge (h, l) has p = x_h, q = 1 - 2 x_h and lam = x_l.
+q_e q_f depends on x_H only through the signs 1 - 2 x_h of the edges' high
+ends. Grouping the edges by high end therefore leaves at most
+1 + |H| + |H|(|H| - 1)/2 features, and pairs of groups that M does not
+couple add none, so a diagonal M_E adds none at all. Each mass is then
+table[x_L] + F[x_H] @ G[:, x_L] (``_split_features``, ``_split_forms``):
+a tile of at most CUT_CHUNK cuts, high masks by low masks, costs three GEMMs.
+
+Recheck rule. GEMM rounding depends on a cut's place in its tile and on how
+BLAS splits the work. So every cut whose split value lies within the
+``_widening`` factor of the running minimum is re-scored by ``_cut_masses``.
+That factor is a rounding bound built from sum|M|, lambda_min(M) and the
+length of each evaluation's chains of additions. ``_cut_masses`` sums each
+row's terms left to right, whatever the rows beside it, and the minimum and
+the witness come from its values alone. Below SPLIT_MIN_BITS free columns H
+is empty, and the scan is one batch of ``_low_masses`` over every cut; its
+layout depends on |C| alone.
+
+Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
+feature per low vertex, per LL edge and per coupled pair of edge groups at
+most. The three tile arrays hold CUT_CHUNK values and
+are reused from tile to tile. Memory thus grows with the square root of the
+number of cuts; only the optional conductance table grows with the number
+itself.
 
 The expander-mixing pair sweep ``verify_eml_batch`` scores CUT_CHUNK
 ordered pairs (X, Y) at a time from tables over subset masks, by three
@@ -38,6 +70,7 @@ from .complexes import Graph, unsigned_incidence
 from .conformality import _components, _subset_rows, weak_conformality_value
 from .errors import EnumerationCapError, NotPositiveDefiniteError
 from .laplacian import (
+    ZERO_RTOL,
     IplSetup,
     SpectrumResult,
     check_graph_inner_products,
@@ -50,8 +83,13 @@ from .report import VerificationReport
 CONDUCTANCE_CAP = 24
 S_LOCAL_CAP = 20
 EML_BATCH_CAP = 10
-# Cuts per chunk of a cut scan; bounds its chunk x n and chunk x m temporaries.
+# Cuts per tile of a cut scan, and pairs per chunk of the pair sweep; bounds
+# their temporaries.
 CUT_CHUNK = 1 << 14
+# Free membership bits from which a cut scan splits its columns into two
+# halves of balanced size; below it the split costs more than it saves
+# (measured crossover: n = 12 to 13 for conductance).
+SPLIT_MIN_BITS = 12
 DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 
 
@@ -134,28 +172,226 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
     )
 
 
-def _cut_scan(n: int, cols, stop: int, step: int, ratio):
-    """Minimum of ``ratio`` over the subset masks range(1, stop, step).
+def _split_features(a: np.ndarray, p: np.ndarray, lam: np.ndarray, grp: np.ndarray, sigma: np.ndarray):
+    """Features (F, G) with c^T a c - c_0^T a c_0 = F[x_H] @ G[:, x_L].
 
-    Masks become membership rows by ``_subset_rows(masks, n, cols)``,
-    CUT_CHUNK masks per chunk, and ``ratio`` maps a chunk of rows to one
-    value per row. Returns (minimum, witness), the witness being the
-    lexicographically smallest vertex set among the rows attaining the
-    minimum exactly.
+    Item e's indicator is c_e = p_e(x_H) + q_e(x_H) lam_e(x_L), and c_0 is
+    its value at x_H = 0. q_e is 0 when grp[e] < 0 and sigma[:, grp[e]]
+    otherwise, sigma's column 0 being 1 and every other column a sign
+    1 - 2 x_h. Then c^T a c = p^T a p + 2 (q * a p)^T lam
+    + sum_{g, g'} sigma_g sigma_g' W_gg'(x_L), with W_gg' the form of lam on
+    the items of groups g and g'. All of it but the sum at x_H = 0 vanishes
+    at x_H = 0, and sigma_g^2 = 1, so the last sum contributes
+    (sigma_g sigma_g' - 1) 2 W_gg' for g < g' only, and only where a
+    couples the two groups. Items sharing lam share one feature.
     """
-    best = np.inf
-    witness: tuple[int, ...] | None = None
-    for lo in range(1, stop, step * CUT_CHUNK):
-        rows = _subset_rows(np.arange(lo, min(lo + step * CUT_CHUNK, stop), step), n, cols)
-        phi = ratio(rows)
-        low = phi.min()
-        if low > best:
-            continue
-        for i in np.flatnonzero(phi == low):
-            subset = tuple(np.flatnonzero(rows[i]).tolist())
-            if low < best or subset < witness:
-                best, witness = low, subset
-    return float(best), witness
+    ap = p @ a
+    lin = grp >= 0
+    f = np.column_stack([(ap * p).sum(axis=1), 2.0 * sigma[:, grp[lin]] * ap[:, lin]])
+    g = np.vstack([np.ones(len(lam)), lam[:, lin].T])
+    # g's rows are 0/1; equal rows (crossing edges at one low vertex, the
+    # pinned vertex and the constant) become one feature.
+    packed = np.packbits(g > 0, axis=1)
+    _, first, merge = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True
+    )
+    f, g = f @ (merge.reshape(-1, 1) == np.arange(len(first))), g[first]
+    member = grp[:, None] == np.arange(sigma.shape[1])
+    i, j = np.nonzero(np.triu(member.T.astype(float) @ (a != 0) @ member, 1))
+    if len(i):
+        w = np.stack([((lam[:, items] @ a[items]) * lam) @ member for items in member.T], axis=1)
+        f = np.column_stack([f, sigma[:, i] * sigma[:, j] - 1.0])
+        g = np.vstack([g, 2.0 * w[:, i, j].T])
+    keep = f.any(axis=0) & g.any(axis=1)
+    return f[:, keep], g[keep]
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    return np.cumsum(a, axis=1, out=a)[:, -1]
+
+
+def _complement_terms(mv: np.ndarray, cols) -> tuple[float, np.ndarray]:
+    """total = 1_C^T M_V 1_C and r = M_V 1_C over the scanned columns C (all
+    vertices for None), so that Vol(C - X) = total - 2 1_X^T r + Vol(X) for
+    X inside C."""
+    sel = slice(None) if cols is None else cols
+    by_col = mv[:, sel]
+    return float(np.sum(by_col[sel])), by_col.sum(axis=1)
+
+
+def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, total: float, r: np.ndarray) -> np.ndarray:
+    """The reference (e_cut, vol, vol_comp) of each membership row, shape 3 x rows.
+
+    vol = 1_X^T M_V 1_X, vol_comp = total - 2 1_X^T r + vol with the
+    ``_complement_terms``, and e_cut = c^T M_E c for the cut indicator c.
+    Each row's sums run left to right over the nonzero entries in row-major
+    order (a cumulative sum: numpy's ``sum`` picks its order by the array's
+    shape), so a row's values do not depend on the rows beside it.
+    """
+    u, v = g.ends
+    iv, jv = np.nonzero(mv)
+    ie, je = np.nonzero(me)
+    # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
+    step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
+    out = np.empty((3, len(rows)))
+    for lo in range(0, len(rows), step):
+        x = rows[lo : lo + step]
+        c = x[:, u] != x[:, v]
+        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv[iv, jv], 0.0))
+        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me[ie, je], 0.0))
+        out[1, lo : lo + step] = vol
+        out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
+    return out
+
+
+def _first_set(rows: np.ndarray) -> int:
+    """Index of the lexicographically smallest vertex set among membership rows."""
+    if len(rows) == 1:
+        return 0
+    n = rows.shape[1]
+    seq = np.sort(np.where(rows, np.arange(n), n), axis=1)
+    seq[seq == n] = -1  # a proper prefix sorts first
+    return int(np.lexsort(seq.T[::-1])[0])
+
+
+def _low_masses(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, total: float, r: np.ndarray):
+    """(e_cut, vol, vol_comp) of every membership row of ``low`` in one
+    batch: the reference formulas of ``_cut_masses`` as BLAS products."""
+    u, v = g.ends
+    x = low.astype(float)
+    vol = m_v.quad(x)
+    return m_e.quad(low[:, u] != low[:, v]), vol, total - 2.0 * (x @ r) + vol
+
+
+def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high: np.ndarray, tables, r):
+    """Pairs (F, G) for e_cut, vol and vol_comp: F[i] @ G[:, j] is the mass
+    of the cut whose membership row is high[i] | low[j].
+
+    The rows low hold the low half L, the rows high the high half H, with
+    high[0] empty; ``tables`` are the masses of the low rows, folded in as a
+    feature. ``_split_features`` adds the rest, and vol_comp also takes
+    -2 1_X^T r on H.
+    """
+    u, v = g.ends
+    in_low, h_cols = low.any(axis=0), np.flatnonzero(high.any(axis=0))
+    h_index = np.full(g.n, -1)
+    h_index[h_cols] = np.arange(1, len(h_cols) + 1)
+    # Edge groups: -1 with no low end (q = 0), 0 with no high end (q = 1),
+    # else 1 + the index of its high end (q = sigma of that end).
+    edge_grp = np.where(in_low[u] | in_low[v], np.maximum(h_index[u], h_index[v]).clip(0), -1)
+    sigma = np.column_stack([np.ones(len(high)), 1.0 - 2.0 * high[:, h_cols]])
+    p_v = high.astype(float)
+    f_e, g_e = _split_features(
+        m_e.entries, (high[:, u] != high[:, v]).astype(float), (low[:, u] != low[:, v]).astype(float), edge_grp, sigma
+    )
+    f_v, g_v = _split_features(m_v.entries, p_v, low.astype(float), np.where(in_low, 0, -1), sigma)
+    one_h, one_l = np.ones((len(high), 1)), np.ones((1, len(low)))
+    return [
+        (np.hstack([f_e, one_h]), np.vstack([g_e, tables[0]])),
+        (np.hstack([f_v, one_h]), np.vstack([g_v, tables[1]])),
+        (np.hstack([f_v, -2.0 * (p_v @ r)[:, None], one_h]), np.vstack([g_v, one_l, tables[2]])),
+    ]
+
+
+def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
+    """Rounding window of a split scan with k_e and k_v features, as a factor
+    on the least split value.
+
+    Each value of a mass, split or reference, adds signed multiples of the
+    entries of M (at most 9 of each, counted over all the terms) in chains of
+    at most N = K + nnz + 3 dim additions, so it is off by at most
+    6 N eps sum|M|. A cut has e >= lambda_min(M_E) and
+    min(vol, vol_comp) >= lambda_min(M_V), so both of its values lie within
+    [lo, hi] times its exact ratio, and a cut whose reference value is least
+    has a split value within (hi/lo)^2 of the least split value.
+    """
+    eps = np.finfo(float).eps
+    rel = []
+    for m, k in ((m_e, k_e), (m_v, k_v)):
+        chain = k + np.count_nonzero(m.entries) + 3 * m.dim
+        lam_lo = m.eigenvalues[0] - m.dim * eps * m.eigenvalues[-1]
+        rel.append(6.0 * eps * chain * float(np.abs(m.entries).sum()) / lam_lo)
+    if max(rel) >= 1.0:  # no bound: every cut is a candidate
+        return np.inf
+    hi = (1.0 + rel[0]) * (1.0 + eps) / (1.0 - rel[1])
+    lo = (1.0 - rel[0]) * (1.0 - eps) / (1.0 + rel[1])
+    return (hi / lo) ** 2
+
+
+def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.ndarray, pinned: bool) -> np.ndarray:
+    """Masks of every cut whose split value lies within the factor ``widen``
+    of the least one, scored in tiles of at most CUT_CHUNK cuts (high masks x
+    low masks) by three GEMMs over the ``_split_forms``."""
+    # Square tiles, so the slice of G a tile reads stays in cache: at n = 24
+    # with a dense M_E, tiles one low table wide took 1.8x as long.
+    cols_t = min(len(lo_masks), 1 << (CUT_CHUNK.bit_length() // 2))
+    rows_t = max(1, CUT_CHUNK // cols_t)
+    buf = np.empty((3, rows_t * cols_t))
+    best, limit = np.inf, np.inf
+    found, values = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0 in range(0, len(hi_masks), rows_t):
+            for c0 in range(0, len(lo_masks), cols_t):
+                rs, cs = slice(r0, r0 + rows_t), slice(c0, c0 + cols_t)
+                shape = (len(hi_masks[rs]), len(lo_masks[cs]))
+                e, vol, comp = (
+                    np.matmul(f[rs], gl[:, cs], out=out[: shape[0] * shape[1]].reshape(shape))
+                    for (f, gl), out in zip(forms, buf)
+                )
+                phi = np.divide(e, np.minimum(vol, comp, out=vol), out=e)
+                # The empty set (unpinned scans) and C itself are no cuts.
+                if not pinned and r0 == c0 == 0:
+                    phi[0, 0] = np.inf
+                if r0 + shape[0] == len(hi_masks) and c0 + shape[1] == len(lo_masks):
+                    phi[-1, -1] = np.inf
+                low_phi = phi.min()
+                if low_phi > limit:
+                    continue
+                best = min(best, low_phi)
+                # An unbounded window takes every cut (C itself excluded).
+                limit = best * widen if widen < np.inf else np.finfo(float).max
+                i, j = np.nonzero(phi <= limit)
+                found.append(hi_masks[r0 + i] | lo_masks[c0 + j])
+                values.append(phi[i, j])
+    return np.concatenate(found)[np.concatenate(values) <= limit]
+
+
+def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
+    """Minimum of e(X, Xc) / min(Vol(X), Vol(C - X)) over the vertex sets X
+    with 0 < X < C, C the columns ``cols`` (all vertices for None); with
+    ``pinned`` only the sets holding the first column.
+
+    Returns (minimum, witness), the witness being the lexicographically
+    smallest vertex set attaining the minimum exactly. The first columns
+    form the low half L and the rest the high half H, which is empty below
+    SPLIT_MIN_BITS free columns. Without a high half every cut is one row
+    of ``_low_masses``, one batch whose layout depends on len(cols) alone.
+    Otherwise ``_split_candidates`` picks the cuts near the minimum and
+    ``_cut_masses`` re-scores them, so the result depends neither on the
+    tiles nor on how BLAS splits its work.
+    """
+    n = g.n
+    k = n if cols is None else len(cols)
+    free = k - pinned
+    b = k - (free // 2 if free >= SPLIT_MIN_BITS else 0)
+    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
+    low = _subset_rows(lo_masks, n, cols)
+    total, r = _complement_terms(m_v.entries, cols)
+    tables = _low_masses(g, m_v, m_e, low, total, r)
+    if b < k:
+        hi_masks = np.arange(1 << (k - b)) << b
+        forms = _split_forms(g, m_v, m_e, low, _subset_rows(hi_masks, n, cols), tables, r)
+        widen = _widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
+        rows = _subset_rows(_split_candidates(forms, widen, lo_masks, hi_masks, pinned), n, cols)
+        tables = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+    else:
+        # The empty set (unpinned scans) and C itself are no cuts.
+        rows = low[1 - pinned : -1]
+        tables = [t[1 - pinned : -1] for t in tables]
+    phi = tables[0] / np.minimum(tables[1], tables[2])
+    best = phi.min()
+    ties = rows[phi == best]
+    return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
 def conductance(
@@ -171,7 +407,8 @@ def conductance(
     Returns (phi, witness, table); the witness is the lexicographically
     smallest vertex set achieving the minimum of
     e(S, Sc) / min(Vol(S), Vol(Sc)). A disconnected graph has phi = 0 with
-    its first component as witness.
+    its first component as witness. The table lists every cut holding
+    vertex 0 in mask order, with its ``_cut_masses`` values.
     """
     if m_v is None or m_e is None:
         dv, de = normalized_inner_products(g)
@@ -190,28 +427,22 @@ def conductance(
         comp = g.components()[0]
         return 0.0, tuple(comp), [] if include_table else None
 
-    u, v = g.ends
-    total = float(np.sum(m_v.entries))
-    row_sums = m_v.entries.sum(axis=1)
+    phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
+    if not include_table:
+        return phi, witness, None
+    total, r = _complement_terms(m_v.entries, None)
     table: list = []
-
-    def ratio(rows):
-        s_float = rows.astype(float)
-        vol_s = m_v.quad(s_float)
-        vol_c = total - 2.0 * (s_float @ row_sums) + vol_s
-        e_cut = m_e.quad(rows[:, u] != rows[:, v])
-        phi = e_cut / np.minimum(vol_s, vol_c)
-        if include_table:
-            table.extend(
-                {"subset": np.flatnonzero(row).tolist(), "e_cut": e, "vol": vs, "vol_comp": vc, "phi": p}
-                for row, e, vs, vc, p in zip(rows, e_cut.tolist(), vol_s.tolist(), vol_c.tolist(), phi.tolist())
+    # Odd masks pin vertex 0 into S; the all-vertices mask 2^n - 1 is left out.
+    for lo in range(1, (1 << n) - 1, 2 * CUT_CHUNK):
+        rows = _subset_rows(np.arange(lo, min(lo + 2 * CUT_CHUNK, (1 << n) - 1), 2), n)
+        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        table.extend(
+            {"subset": np.flatnonzero(row).tolist(), "e_cut": ec, "vol": vs, "vol_comp": vc, "phi": p}
+            for row, ec, vs, vc, p in zip(
+                rows, e.tolist(), vol.tolist(), comp.tolist(), (e / np.minimum(vol, comp)).tolist()
             )
-        return phi
-
-    # Odd masks pin vertex 0 into S, so each unordered cut appears once; the
-    # all-vertices mask 2^n - 1 is left out.
-    phi, witness = _cut_scan(n, None, (1 << n) - 1, 2, ratio)
-    return phi, witness, (table if include_table else None)
+        )
+    return phi, witness, table
 
 
 def verify_cheeger(
@@ -566,15 +797,20 @@ def dirichlet_eigenvalues(g: Graph, subset) -> np.ndarray:
 class NeumannResult:
     """Smallest zero-boundary-derivative eigenvalue of an induced subgraph.
 
-    ``values`` is the minimizing function on ``subset + boundary`` (unit
+    ``values`` is a minimizing function on ``subset + boundary`` (unit
     degree-weighted norm on the subset, degree-weighted mean zero there).
-    ``epsilon_trace`` holds the weighted-Laplacian sweep when one was run.
+    When lambda_S has ``multiplicity`` above 1 it is one vector of the
+    eigenspace, whose orthonormal basis (in the same coordinates and norm)
+    is the columns of ``eigenspace``. ``epsilon_trace`` holds the
+    weighted-Laplacian sweep when one was run.
     """
 
     lambda_s: float
     subset: tuple[int, ...]
     boundary: tuple[int, ...]
     values: np.ndarray
+    multiplicity: int = 1
+    eigenspace: np.ndarray | None = field(default=None, repr=False)
     epsilon_trace: list = field(default_factory=list)
     converged: bool | None = None
     lambda_gap: float | None = None
@@ -591,6 +827,7 @@ class NeumannResult:
             "subset": [int(v) for v in self.subset],
             "boundary": [int(v) for v in self.boundary],
             "values": [float(v) for v in self.values],
+            "multiplicity": self.multiplicity,
             "epsilon_trace": [
                 {
                     "epsilon": float(r["epsilon"]),
@@ -623,6 +860,8 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     complement a = L_SS - A_SB D_B^-1 A_BS of the graph Laplacian as the
     reduced quadratic form on the subset, whose smallest generalized
     eigenvalue under the degree-weighted mean-zero constraint is lambda_S.
+    Reduced eigenvalues within ZERO_RTOL * max(lambda_max, 1) of it count
+    toward its multiplicity.
     """
     s_list = sorted(set(subset))
     if len(s_list) < 2:
@@ -646,19 +885,21 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     reduced = basis.T @ a_tilde @ basis
     vals, vecs = sym_eig(reduced)
     lam = max(float(vals[0]), 0.0)
-    f_s = (basis @ vecs[:, 0]) * scale
-    f_b = mean_b @ f_s
-    values = np.concatenate([f_s, f_b])
-    # Unit degree-weighted norm on S is inherited from the substitution;
-    # fix the overall sign deterministically.
-    top = int(np.argmax(np.abs(values)))
-    if values[top] < 0:
+    multiplicity = int(np.sum(vals <= vals[0] + ZERO_RTOL * max(float(vals[-1]), 1.0)))
+    # Unit degree-weighted norm on S is inherited from the substitution.
+    f_s = (basis @ vecs[:, :multiplicity]) * scale[:, None]
+    space = np.vstack([f_s, mean_b @ f_s])
+    # Fix the overall sign of the reported vector deterministically.
+    values = space[:, 0]
+    if values[int(np.argmax(np.abs(values)))] < 0:
         values = -values
     return NeumannResult(
         lambda_s=lam,
         subset=tuple(s_list),
         boundary=tuple(boundary),
         values=values,
+        multiplicity=multiplicity,
+        eigenspace=space,
     )
 
 
@@ -671,7 +912,9 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     eigenvalue and the harmonic eigenvector restricted to subset+boundary,
     sign-aligned step to step, and stops early if the shrinking weights
     fall below the positive-definiteness threshold or the kernel stops
-    being one-dimensional.
+    being one-dimensional. ``vector_gap`` is the largest entry of the last
+    vector's residual after projection onto the lambda_S eigenspace, in the
+    degree-weighted inner product on the subset.
     """
     direct = neumann_eigenvalue(g, subset)
     if epsilon_schedule is None:
@@ -736,15 +979,18 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
         final = trace[-1]
         lambda_gap = abs(float(final["lambda_2"]) - direct.lambda_s)
         f = np.asarray(final["values"], dtype=float)
-        if float(f @ direct.values) < 0:
-            f = -f
-        vector_gap = float(np.abs(f - direct.values).max())
+        space = direct.eigenspace
+        weight = deg[list(direct.subset)]
+        coef = (weight * f[: len(weight)]) @ space[: len(weight)]
+        vector_gap = float(np.abs(f - space @ coef).max())
         converged = lambda_gap <= 1e-4 and vector_gap <= 1e-3
     return NeumannResult(
         lambda_s=direct.lambda_s,
         subset=direct.subset,
         boundary=direct.boundary,
         values=direct.values,
+        multiplicity=direct.multiplicity,
+        eigenspace=direct.eigenspace,
         epsilon_trace=trace,
         converged=converged,
         lambda_gap=lambda_gap,
@@ -770,18 +1016,10 @@ def s_local_conductance(g: Graph, subset, *, force: bool = False):
         )
     # Checks that g is connected, so every degree below is positive.
     direct = neumann_eigenvalue(g, s_list)
+    # The conductance scan over the columns S: with M_V = diag(deg), the
+    # complement volume Vol(S) - Vol(T) is its vol_comp.
     deg = g.degrees().astype(float)
-    vol_s = deg[s_list].sum()
-    u, v = g.ends
-
-    def ratio(rows):
-        # Vertices outside S have all-False columns, so an edge leaving S is
-        # cut exactly when its endpoint in S lies in T.
-        e_cut = (rows[:, u] != rows[:, v]).sum(axis=1).astype(float)
-        vol_t = rows @ deg
-        return e_cut / np.minimum(vol_t, vol_s - vol_t)
-
-    best, witness = _cut_scan(g.n, s_list, (1 << len(s_list)) - 1, 1, ratio)
+    best, witness = _cut_scan(g, SpdMatrix.from_diagonal(deg), SpdMatrix.identity(g.m), s_list, pinned=False)
     report = VerificationReport(
         check="s-local-conductance",
         passed=bool(direct.lambda_s <= 2.0 * best + 1e-9),

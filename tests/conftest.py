@@ -25,6 +25,13 @@ def complete_graph(n):
     )
 
 
+def hypercube_graph(dim):
+    labels = [f"q{i}" for i in range(1 << dim)]
+    return Graph.from_edge_labels(
+        labels, [(labels[i], labels[i | 1 << b]) for i in range(1 << dim) for b in range(dim) if not i >> b & 1]
+    )
+
+
 def star_graph(leaves):
     return Graph.from_edge_labels(
         ["c"] + [f"l{i + 1}" for i in range(leaves)],

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -345,6 +346,31 @@ def test_eml_batch_n10_dense_subprocess(tmp_path):
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["result"]["values"]["pairs_checked"] == 4**10
+
+
+def test_conductance_same_bytes_for_any_blas_thread_count(tmp_path):
+    # A dense, non-integer n = 16 input, so the scan splits its vertices and
+    # its tile GEMMs are large enough for BLAS to thread them.
+    rng = np.random.default_rng(16)
+    labels = [f"v{i + 1}" for i in range(16)]
+    edges = {(i, i + 1) for i in range(15)}
+    while len(edges) < 36:
+        a, b = sorted(rng.choice(16, 2, replace=False).tolist())
+        edges.add((a, b))
+    graph = write(tmp_path, "g16.json", {"vertices": labels, "edges": [[labels[a], labels[b]] for a, b in sorted(edges)]})
+
+    def spd(dim):
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        return matrix_to_dict((q * rng.uniform(0.5, 3.0, dim)) @ q.T)
+
+    m_v, m_e = write(tmp_path, "mv.json", spd(16)), write(tmp_path, "me.json", spd(36))
+    argv = [sys.executable, "-m", "ipl", "conductance", "--graph", graph, "--mv", m_v, "--me", m_e]
+    runs = [
+        subprocess.run(argv, capture_output=True, check=False, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_stable_json_formatting():
