@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One binary with verb/subverb commands, JSON files in, a deterministic JSON
-(or CSV) report on stdout. Exit codes: 0 computed and passed, 1 computed
-but a verification failed, 2 input or usage error, 3 internal error.
+(or CSV) report on stdout. Every handler writes its report through one call
+to ``_emit``: the CSV table under ``--csv``, otherwise the JSON config and
+result, whose numpy values ``report.to_plain`` converts. Exit codes: 0
+computed and passed, 1 computed but a verification failed, 2 input or usage
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .isoperimetry import (
     dirichlet_eigenvalues,
     neumann_eigenvalue,
     neumann_limit_experiment,
-    normalized_inner_products,
     s_local_conductance,
     verify_cheeger,
     verify_eml,
@@ -32,6 +34,7 @@ from .isoperimetry import (
 from .jsonio import load_graph, load_hypergraph, load_matrix, load_vector
 from .laplacian import (
     IplSetup,
+    _classical_inner_products,
     digraph_laplacian,
     hypergraph_to_ipl,
     inner_product_laplacian,
@@ -91,42 +94,44 @@ def _parse_schedule(text: str):
     return [float(t) for t in text.split(",")]
 
 
-def _classical_pair(kind: str, g: Graph):
-    if kind == "normalized":
-        return normalized_inner_products(g)
-    if kind == "combinatorial":
-        return SpdMatrix.identity(g.n), SpdMatrix.identity(g.m)
-    raise UsageError(f"--kind must be normalized or combinatorial for inner products, got {kind!r}")
-
-
 def _graph_with_inner_products(args) -> tuple[Graph, SpdMatrix, SpdMatrix]:
     g = load_graph(args.graph)
     if getattr(args, "orientation", None):
         g = g.with_orientation(_parse_orientation(args.orientation, g.m))
-    if getattr(args, "mv", None) or getattr(args, "me", None):
+    if args.mv or args.me:
         if not (args.mv and args.me):
             raise UsageError("--mv and --me must be given together")
         m_v, m_e = SpdMatrix(load_matrix(args.mv)), SpdMatrix(load_matrix(args.me))
     else:
-        m_v, m_e = _classical_pair(getattr(args, "kind", None) or "normalized", g)
+        m_v, m_e = _classical_inner_products(args.kind or "normalized", g)
     return g, m_v, m_e
 
 
-def _config(args, inputs: dict, flags: dict) -> dict:
-    return {
+def _emit(args, inputs: dict, flags: dict, result: dict, rows=None) -> None:
+    """Write the report: the CSV table ``rows`` = (header, body) under
+    --csv, otherwise the JSON config and ``result``."""
+    if getattr(args, "csv", False):
+        sys.stdout.write(csv_table(*rows))
+        return
+    config = {
         "command": args.command if not getattr(args, "subverb", None) else f"{args.command} {args.subverb}",
         "inputs": inputs,
         "flags": flags,
         "version": __version__,
         "format_version": FORMAT_VERSION,
     }
+    sys.stdout.write(stable_json({"config": config, "result": result}))
 
 
-def _emit(config: dict, result: dict, csv: str | None = None) -> None:
-    if csv is not None:
-        sys.stdout.write(csv)
-    else:
-        sys.stdout.write(stable_json({"config": config, "result": result}))
+def _eigenvalue_rows(vals):
+    return ["index", "eigenvalue"], enumerate(vals)
+
+
+def _trace_rows(res):
+    """The epsilon trace of a Neumann sweep, with each step's gap to lambda_S."""
+    return ["epsilon", "lambda_2", "gap"], (
+        [r["epsilon"], r["lambda_2"], abs(r["lambda_2"] - res.lambda_s)] for r in res.epsilon_trace
+    )
 
 
 def _cmd_conformality(args) -> int:
@@ -138,7 +143,7 @@ def _cmd_conformality(args) -> int:
             raise UsageError("--sampled requires --seed")
         out["sampled"] = weak_conformality_sampled(m, args.sampled, args.seed)
         flags.update({"sampled": args.sampled, "seed": args.seed})
-    _emit(_config(args, {"matrix": args.matrix}, flags), out)
+    _emit(args, {"matrix": args.matrix}, flags, out)
     return 0
 
 
@@ -152,20 +157,14 @@ def _cmd_spectrum(args) -> int:
         setup = setup.with_inverted_inner_products()
     spec = inner_product_laplacian(setup)
     result = spec.to_dict()
-    result["verification"] = {
-        "min_eigenvalue": float(spec.eigenvalues[0]),
-        "zero_multiplicity": spec.zero_multiplicity,
-    }
-    config = _config(
+    result["verification"] = {"min_eigenvalue": spec.eigenvalues[0], "zero_multiplicity": spec.zero_multiplicity}
+    _emit(
         args,
         {"graph": args.graph, "mv": args.mv, "me": args.me},
         {"dim": args.dim, "orientation": args.orientation, "coboundary": args.coboundary},
+        result,
+        _eigenvalue_rows(spec.eigenvalues),
     )
-    if args.csv:
-        header, rows = spec.to_rows()
-        _emit(config, result, csv=csv_table(header, rows))
-    else:
-        _emit(config, result)
     return 0
 
 
@@ -173,21 +172,13 @@ def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
     weights = load_vector(args.weights) if args.weights else None
     m_v, m_e, spec = recover_classical(args.kind, g, weights)
-    result = {
-        "m_v": [[float(v) for v in row] for row in m_v.entries],
-        "m_e": [[float(v) for v in row] for row in m_e.entries],
-        "spectrum": spec.to_dict(),
-    }
-    config = _config(
+    _emit(
         args,
         {"graph": args.graph, **({"weights": args.weights} if args.weights else {})},
         {"kind": args.kind},
+        {"m_v": m_v.entries, "m_e": m_e.entries, "spectrum": spec.to_dict()},
+        _eigenvalue_rows(spec.eigenvalues),
     )
-    if args.csv:
-        header, rows = spec.to_rows()
-        _emit(config, result, csv=csv_table(header, rows))
-    else:
-        _emit(config, result)
     return 0
 
 
@@ -202,30 +193,19 @@ def _cmd_hypergraph_to_ipl(args) -> int:
         # Kernel-consistent default: D pi = Dt H W H^T Dt pi entrywise.
         d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
     graph, m_v, m_e, report = hypergraph_to_ipl(hg, d, dt, w, pi)
-    result = {
-        "graph": graph.to_dict(),
-        "m_v": [[float(v) for v in row] for row in m_v.entries],
-        "m_e": [[float(v) for v in row] for row in m_e.entries],
-        "report": report.to_dict(),
-    }
     inputs = {"hypergraph": args.hypergraph}
     for name in ("pi", "d", "dt"):
         if getattr(args, name):
             inputs[name] = getattr(args, name)
-    _emit(_config(args, inputs, {}), result)
+    result = {"graph": graph.to_dict(), "m_v": m_v.entries, "m_e": m_e.entries, "report": report.to_dict()}
+    _emit(args, inputs, {}, result)
     return 0 if report.passed else 1
 
 
 def _cmd_digraph(args) -> int:
-    p = load_matrix(args.transition)
-    lap, norm_lap, pi, report = digraph_laplacian(p)
-    result = {
-        "l": [[float(v) for v in row] for row in lap],
-        "normalized_l": [[float(v) for v in row] for row in norm_lap],
-        "pi": [float(v) for v in pi],
-        "report": report.to_dict(),
-    }
-    _emit(_config(args, {"transition": args.transition}, {}), result)
+    lap, norm_lap, pi, report = digraph_laplacian(load_matrix(args.transition))
+    result = {"l": lap, "normalized_l": norm_lap, "pi": pi, "report": report.to_dict()}
+    _emit(args, {"transition": args.transition}, {}, result)
     return 0 if report.passed else 1
 
 
@@ -233,27 +213,22 @@ def _cmd_conductance(args) -> int:
     g, m_v, m_e = _graph_with_inner_products(args)
     if args.csv and not args.table:
         raise UsageError("--csv for conductance requires --table")
-    phi, witness, table = conductance(
-        g, m_v, m_e, force=args.force, include_table=args.table
-    )
-    result = {"phi": float(phi), "witness_S": [g.labels[i] for i in witness]}
-    if table is not None and not args.csv:
-        result["table"] = [
-            {**row, "subset": [g.labels[i] for i in row["subset"]]} for row in table
-        ]
-    config = _config(
+    phi, witness, table = conductance(g, m_v, m_e, force=args.force, include_table=args.table)
+    result = {"phi": phi, "witness_S": [g.labels[i] for i in witness]}
+    rows = None
+    if args.table:
+        # Both layouts are generators, so only the one written is built.
+        result["table"] = ({**r, "subset": [g.labels[i] for i in r["subset"]]} for r in table)
+        rows = ["subset", "e_cut", "vol", "vol_comp", "phi"], (
+            [";".join(g.labels[i] for i in r["subset"]), r["e_cut"], r["vol"], r["vol_comp"], r["phi"]] for r in table
+        )
+    _emit(
         args,
         {"graph": args.graph},
         {"kind": args.kind, "mv": args.mv, "me": args.me, "table": args.table, "force": args.force},
+        result,
+        rows,
     )
-    if args.csv:
-        rows = [
-            [";".join(g.labels[i] for i in r["subset"]), r["e_cut"], r["vol"], r["vol_comp"], r["phi"]]
-            for r in table
-        ]
-        _emit(config, result, csv=csv_table(["subset", "e_cut", "vol", "vol_comp", "phi"], rows))
-    else:
-        _emit(config, result)
     return 0
 
 
@@ -283,7 +258,7 @@ def _cmd_verify(args) -> int:
             flags.update({"x": args.x, "y": args.y})
     else:
         raise UsageError(f"unknown verification {args.subverb!r}")
-    _emit(_config(args, {"graph": args.graph}, flags), report.to_dict())
+    _emit(args, {"graph": args.graph}, flags, report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -300,16 +275,13 @@ def _cmd_neumann(args) -> int:
     result["subset_labels"] = [g.labels[i] for i in res.subset]
     result["boundary_labels"] = [g.labels[i] for i in res.boundary]
     result["s_local"] = local_report.to_dict()
-    config = _config(
+    _emit(
         args,
         {"graph": args.graph},
         {"subset": args.subset, "schedule": args.schedule, "direct_only": args.direct_only, "force": args.force},
+        result,
+        _trace_rows(res),
     )
-    if args.csv:
-        header, rows = res.to_rows()
-        _emit(config, result, csv=csv_table(header, rows))
-    else:
-        _emit(config, result)
     if args.direct_only:
         return 0 if local_report.passed else 1
     return 0 if (res.converged and local_report.passed) else 1
@@ -319,16 +291,8 @@ def _cmd_dirichlet(args) -> int:
     g = load_graph(args.graph)
     subset = _parse_subset(args.subset, g)
     vals = dirichlet_eigenvalues(g, subset)
-    result = {
-        "eigenvalues": [float(v) for v in vals],
-        "subset_labels": [g.labels[i] for i in sorted(set(subset))],
-    }
-    config = _config(args, {"graph": args.graph}, {"subset": args.subset})
-    if args.csv:
-        rows = [[i, float(v)] for i, v in enumerate(vals)]
-        _emit(config, result, csv=csv_table(["index", "eigenvalue"], rows))
-    else:
-        _emit(config, result)
+    result = {"eigenvalues": vals, "subset_labels": [g.labels[i] for i in sorted(set(subset))]}
+    _emit(args, {"graph": args.graph}, {"subset": args.subset}, result, _eigenvalue_rows(vals))
     return 0
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .linalg import SpdMatrix
-from .report import VerificationReport
+from .report import VerificationReport, to_plain
 
 # Largest block of the nonzero pattern scanned without force=True.
 WEAK_CAP = 20
@@ -71,13 +71,15 @@ class ConformalityResult:
     witness_y: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "rho_strong": self.rho_strong,
-            "rho_weak": self.rho_weak,
-            "witness_S": list(self.witness_partition),
-            "witness_x": [float(v) for v in self.witness_x],
-            "witness_y": [float(v) for v in self.witness_y],
-        }
+        return to_plain(
+            {
+                "rho_strong": self.rho_strong,
+                "rho_weak": self.rho_weak,
+                "witness_S": self.witness_partition,
+                "witness_x": self.witness_x,
+                "witness_y": self.witness_y,
+            }
+        )
 
 
 def strong_conformality(m: SpdMatrix) -> float:

@@ -37,8 +37,11 @@ That factor is a rounding bound built from sum|M|, lambda_min(M) and the
 length of each evaluation's chains of additions. ``_cut_masses`` sums each
 row's terms left to right, whatever the rows beside it, and the minimum and
 the witness come from its values alone. Below SPLIT_MIN_BITS free columns H
-is empty, and the scan is one batch of ``_low_masses`` over every cut; its
-layout depends on |C| alone.
+is empty, and the scan is one batch of ``_low_masses`` over every cut. Unless
+both inner products are integral (``SpdMatrix.is_integral``), when every mass
+is exact, the batch's cuts within the ``_widening`` factor of its minimum are
+re-scored by ``_cut_masses`` as well, so ``phi`` and the witness agree with
+the conductance table at every size.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
@@ -62,23 +65,25 @@ order whose margin equals the minimum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .complexes import Graph, unsigned_incidence
+from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _components, _subset_rows, weak_conformality_value
-from .errors import EnumerationCapError, NotPositiveDefiniteError
+from .errors import EnumerationCapError
 from .laplacian import (
     ZERO_RTOL,
     IplSetup,
     SpectrumResult,
+    _classical_inner_products,
+    _spectrum,
     check_graph_inner_products,
     compatibility,
     inner_product_laplacian,
 )
 from .linalg import SpdMatrix, gen_eig, sym_eig
-from .report import VerificationReport
+from .report import VerificationReport, to_plain
 
 CONDUCTANCE_CAP = 24
 S_LOCAL_CAP = 20
@@ -95,7 +100,7 @@ DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 
 def normalized_inner_products(g: Graph) -> tuple[SpdMatrix, SpdMatrix]:
     """Degree diagonal on vertices, identity on edges (the default pair)."""
-    return SpdMatrix.from_diagonal(g.degrees().astype(float)), SpdMatrix.identity(g.m)
+    return _classical_inner_products("normalized", g)
 
 
 def _indicator(n: int, subset) -> np.ndarray:
@@ -131,11 +136,7 @@ class CutStats:
     boundary_edges: tuple
 
     def to_dict(self) -> dict:
-        d = {k: float(getattr(self, k)) for k in (
-            "vol_x", "vol_y", "vol_x_comp", "vol_y_comp", "vol_xy",
-            "cor_xy", "cor_x", "cor_y", "e_xy", "e_x", "e_y")}
-        d["boundary_edges"] = [[int(u), int(v)] for u, v in self.boundary_edges]
-        return d
+        return to_plain(asdict(self))
 
 
 def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStats:
@@ -365,10 +366,11 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     smallest vertex set attaining the minimum exactly. The first columns
     form the low half L and the rest the high half H, which is empty below
     SPLIT_MIN_BITS free columns. Without a high half every cut is one row
-    of ``_low_masses``, one batch whose layout depends on len(cols) alone.
-    Otherwise ``_split_candidates`` picks the cuts near the minimum and
-    ``_cut_masses`` re-scores them, so the result depends neither on the
-    tiles nor on how BLAS splits its work.
+    of ``_low_masses``, one batch; otherwise ``_split_candidates`` picks the
+    cuts near the minimum. Either way ``_cut_masses`` re-scores the cuts
+    near the minimum (a batch of integral inner products is exact already),
+    so the result depends neither on the tiles nor on how BLAS splits its
+    work, and equals the minimum of the conductance table.
     """
     n = g.n
     k = n if cols is None else len(cols)
@@ -388,6 +390,11 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
         # The empty set (unpinned scans) and C itself are no cuts.
         rows = low[1 - pinned : -1]
         tables = [t[1 - pinned : -1] for t in tables]
+        # Integral inner products make every batch value exact.
+        if not (m_v.is_integral and m_e.is_integral):
+            phi = tables[0] / np.minimum(tables[1], tables[2])
+            rows = rows[phi <= phi.min() * _widening(m_e, m_v, 0, 0)]
+            tables = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
     phi = tables[0] / np.minimum(tables[1], tables[2])
     best = phi.min()
     ties = rows[phi == best]
@@ -423,11 +430,10 @@ def conductance(
             f"{n} vertices exceed the conductance enumeration cap {CONDUCTANCE_CAP} "
             f"(2^(n-1)-1 = {2 ** (n - 1) - 1} cuts); pass force=True (CLI: --force)"
         )
-    if not g.is_connected():
-        comp = g.components()[0]
-        return 0.0, tuple(comp), [] if include_table else None
-
-    phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
+    if g.is_connected():
+        phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
+    else:
+        phi, witness = 0.0, tuple(g.components()[0])
     if not include_table:
         return phi, witness, None
     total, r = _complement_terms(m_v.entries, None)
@@ -822,33 +828,10 @@ class NeumannResult:
         return self.subset + self.boundary
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_s": self.lambda_s,
-            "subset": [int(v) for v in self.subset],
-            "boundary": [int(v) for v in self.boundary],
-            "values": [float(v) for v in self.values],
-            "multiplicity": self.multiplicity,
-            "epsilon_trace": [
-                {
-                    "epsilon": float(r["epsilon"]),
-                    "lambda_2": float(r["lambda_2"]),
-                    "zero_multiplicity": int(r["zero_multiplicity"]),
-                    "values": [float(t) for t in r["values"]],
-                }
-                for r in self.epsilon_trace
-            ],
-            "converged": self.converged,
-            "lambda_gap": self.lambda_gap,
-            "vector_gap": self.vector_gap,
-            "failures": list(self.failures),
-        }
-
-    def to_rows(self):
-        rows = [
-            [float(r["epsilon"]), float(r["lambda_2"]), abs(float(r["lambda_2"]) - self.lambda_s)]
-            for r in self.epsilon_trace
-        ]
-        return ["epsilon", "lambda_2", "gap"], rows
+        """Every field but ``eigenspace``, as plain Python types."""
+        d = asdict(self)
+        del d["eigenspace"]
+        return to_plain(d)
 
 
 def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
@@ -910,9 +893,12 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     epsilon elsewhere; the vertex inner product is the weighted degree on
     the subset and epsilon times it outside. The sweep records the second
     eigenvalue and the harmonic eigenvector restricted to subset+boundary,
-    sign-aligned step to step, and stops early if the shrinking weights
-    fall below the positive-definiteness threshold or the kernel stops
-    being one-dimensional. ``vector_gap`` is the largest entry of the last
+    sign-aligned step to step, and stops early if the kernel stops being
+    one-dimensional. Both inner products are diagonal, so each step forms
+    the product of ``inner_product_laplacian``, Q^-1 B diag(w) B^T Q^-1 with
+    Q^-1 = diag(M_V)^(-1/2), straight from them and without an
+    ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
+    subset need no positive-definiteness check. ``vector_gap`` is the largest entry of the last
     vector's residual after projection onto the lambda_S eigenspace, in the
     degree-weighted inner product on the subset.
     """
@@ -931,6 +917,7 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     u, v = g.ends
     incident = in_s[u] | in_s[v]
     b_abs = unsigned_incidence(g).astype(float)
+    b = graph_incidence(g).astype(float)
 
     trace: list = []
     failures: list = []
@@ -938,14 +925,8 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     for eps in schedule:
         w = np.where(incident, 1.0, eps)
         deg_eps = b_abs @ w
-        mv_diag = np.where(in_s, deg_eps, eps * deg_eps)
-        try:
-            m_v = SpdMatrix.from_diagonal(mv_diag)
-            m_e = SpdMatrix.from_diagonal(w)
-            spec = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-        except NotPositiveDefiniteError as exc:
-            failures.append(f"epsilon={eps:g}: {exc}")
-            break
+        q_inv = np.diag(1.0 / np.sqrt(np.where(in_s, deg_eps, eps * deg_eps)))
+        spec = _spectrum(q_inv @ b @ np.diag(w) @ b.T @ q_inv, q_inv)
         if spec.zero_multiplicity != 1:
             failures.append(
                 f"epsilon={eps:g}: kernel dimension {spec.zero_multiplicity} != 1"

@@ -35,7 +35,7 @@ def matrix_from_dict(d) -> np.ndarray:
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:
-    return {"rows": [[float(v) for v in row] for row in np.asarray(a, dtype=float)]}
+    return {"rows": np.asarray(a, dtype=float).tolist()}
 
 
 def vector_from_dict(d) -> np.ndarray:

@@ -14,14 +14,14 @@ normalized, and signless Laplacians exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
 from .linalg import SpdMatrix, sym_eig
-from .report import VerificationReport
+from .report import VerificationReport, to_plain
 
 # Eigenvalues at or below ZERO_RTOL * max(lambda_max, 1) count as kernel.
 ZERO_RTOL = 1e-9
@@ -36,16 +36,7 @@ class SpectrumResult:
     zero_multiplicity: int
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "eigenvectors": [[float(v) for v in row] for row in self.eigenvectors],
-            "harmonic_eigenvectors": [[float(v) for v in row] for row in self.harmonic_eigenvectors],
-            "zero_multiplicity": self.zero_multiplicity,
-        }
-
-    def to_rows(self):
-        return ["index", "eigenvalue"], [[i, float(v)] for i, v in enumerate(self.eigenvalues)]
+        return to_plain(asdict(self))
 
 
 @dataclass
@@ -55,7 +46,7 @@ class Compatibility:
     per_vertex: list
 
     def to_dict(self) -> dict:
-        return {"omega": self.omega, "perfect": self.perfect, "per_vertex": [float(v) for v in self.per_vertex]}
+        return to_plain(asdict(self))
 
 
 def check_graph_inner_products(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> None:
@@ -253,13 +244,23 @@ def hodge_decomposition(setup: IplSetup):
 CLASSICAL_KINDS = ("combinatorial", "normalized", "signless", "normalized-signless")
 
 
+def _classical_inner_products(kind: str, g: Graph, edge_weights=None) -> tuple[SpdMatrix, SpdMatrix]:
+    """(M_V, M_E) of a textbook Laplacian: M_E the diagonal of the edge
+    weights (default all ones), M_V the identity for the combinatorial and
+    signless kinds and the weighted degree diagonal for the normalized ones."""
+    w = np.ones(g.m) if edge_weights is None else edge_weights
+    m_e = SpdMatrix.from_diagonal(w)
+    if kind in ("combinatorial", "signless"):
+        return SpdMatrix.identity(g.n), m_e
+    return SpdMatrix.from_diagonal(np.abs(graph_incidence(g)).astype(float) @ w), m_e
+
+
 def recover_classical(kind: str, g: Graph, edge_weights=None):
     """Vertex/edge inner products that reproduce a textbook Laplacian.
 
-    Returns (M_V, M_E, SpectrumResult). The edge inner product is the
-    diagonal of edge weights; the vertex inner product is the identity for
-    the combinatorial variants and the weighted degree diagonal for the
-    normalized ones. Signless variants route through the unsigned incidence.
+    Returns (M_V, M_E, SpectrumResult), the inner products being the
+    ``_classical_inner_products`` of ``kind``. Signless variants route
+    through the unsigned incidence.
     """
     if kind not in CLASSICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {CLASSICAL_KINDS}")
@@ -270,12 +271,7 @@ def recover_classical(kind: str, g: Graph, edge_weights=None):
         raise ValueError("need one weight per edge")
     if np.any(w <= 0):
         raise ValueError("edge weights must be positive")
-    m_e = SpdMatrix.from_diagonal(w)
-    if kind in ("combinatorial", "signless"):
-        m_v = SpdMatrix.identity(g.n)
-    else:
-        weighted_deg = np.abs(graph_incidence(g)).astype(float) @ w
-        m_v = SpdMatrix.from_diagonal(weighted_deg)
+    m_v, m_e = _classical_inner_products(kind, g, w)
     b = graph_incidence(g) if kind in ("combinatorial", "normalized") else unsigned_incidence(g)
     return m_v, m_e, semi_hodge(b.astype(float), m_v, m_e)
 

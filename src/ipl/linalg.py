@@ -89,8 +89,8 @@ class SpdMatrix:
     instances are immutable and safe to use from multiple threads.
 
     Exactly diagonal inputs take an exact fast path (sorted entries, axis
-    eigenvectors), which keeps extreme diagonal conditioning, as in the
-    epsilon-sweep constructions, from accumulating eigensolver noise. The
+    eigenvectors), which keeps extreme diagonal conditioning from
+    accumulating eigensolver noise. The
     eigenvectors are then a permutation matrix, so the square roots and
     the inverse, computed in that basis, are exactly diagonal as well.
     """
@@ -103,6 +103,7 @@ class SpdMatrix:
         _check_symmetric(a)
         a = 0.5 * (a + a.T)
         self._is_diagonal = _is_exactly_diagonal(a)
+        self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**50)
         if self._is_diagonal:
             d = np.diagonal(a).copy()
             order = np.argsort(d, kind="stable")
@@ -156,6 +157,13 @@ class SpdMatrix:
     @property
     def is_diagonal(self) -> bool:
         return self._is_diagonal
+
+    @property
+    def is_integral(self) -> bool:
+        """Every entry is an integer and sum|M| < 2^50. Then any sum of
+        entries, and any signed combination of a few such sums, is an integer
+        below 2^53 and exact whatever the order of its additions."""
+        return self._is_integral
 
     def _spectral_apply(self, f) -> np.ndarray:
         v = self._eigenvectors

@@ -8,6 +8,7 @@ into one row per entry under a header.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,11 @@ class VerificationReport:
 
 
 def to_plain(obj):
-    """Recursively convert numpy scalars/arrays into plain Python types."""
+    """Recursively convert numpy scalars and arrays, tuples and iterators
+    (read once) into plain Python types."""
     if isinstance(obj, dict):
         return {str(k): to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Iterator)):
         return [to_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [to_plain(v) for v in obj.tolist()]

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,9 +8,20 @@ import numpy as np
 import pytest
 
 import ipl.cli
-from ipl import SpdMatrix, conformality, stable_json, weak_conformality
+from ipl import (
+    IplSetup,
+    SpdMatrix,
+    conductance,
+    conformality,
+    dirichlet_eigenvalues,
+    inner_product_laplacian,
+    neumann_limit_experiment,
+    recover_classical,
+    stable_json,
+    weak_conformality,
+)
 from ipl.cli import main
-from ipl.jsonio import graph_from_dict, hypergraph_from_dict, matrix_from_dict, matrix_to_dict
+from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, matrix_from_dict, matrix_to_dict
 
 from conftest import path_graph
 
@@ -113,12 +125,38 @@ def test_verify_radius(files, capsys):
     assert values["bound"] == pytest.approx(4.0)
 
 
+def csv_cells(out):
+    """Header and rows of a CSV report, every cell but a subset read back as
+    a float (17 significant digits round-trip exactly)."""
+    header, *lines = out.splitlines()
+    names = header.split(",")
+    return names, [[c if h == "subset" else float(c) for h, c in zip(names, line.split(","))] for line in lines]
+
+
 def test_recover_and_csv(files, capsys):
     code, out, _ = run_cli(["recover", "--kind", "normalized", "--graph", files["p3"], "--csv"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 4
+    # Every CSV report carries exactly the values of its library call.
+    p3, p4 = load_graph(files["p3"]), load_graph(files["p4"])
+    spec = inner_product_laplacian(IplSetup.from_graph(p3, SpdMatrix(np.eye(3)), SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))))
+    sweep = neumann_limit_experiment(p4, [1, 2], [1e-1, 1e-2, 1e-3, 1e-4])
+    for argv, header, rows in (
+        (["recover", "--kind", "normalized", "--graph", files["p3"]], ["index", "eigenvalue"],
+         list(enumerate(recover_classical("normalized", p3)[2].eigenvalues))),
+        (["spectrum", "--graph", files["p3"], "--mv", files["id3"], "--me", files["ipj"]], ["index", "eigenvalue"],
+         list(enumerate(spec.eigenvalues))),
+        (["dirichlet", "--graph", files["p4"], "--subset", "v2,v3"], ["index", "eigenvalue"],
+         list(enumerate(dirichlet_eigenvalues(p4, [1, 2])))),
+        (["neumann", "--graph", files["p4"], "--subset", "v2,v3", "--schedule", "1e-1:1e-4"], ["epsilon", "lambda_2", "gap"],
+         [(r["epsilon"], r["lambda_2"], abs(r["lambda_2"] - sweep.lambda_s)) for r in sweep.epsilon_trace]),
+    ):
+        code, out, err = run_cli(argv + ["--csv"], capsys)
+        assert code == 0, err
+        assert csv_cells(out) == (header, [list(r) for r in rows]), argv
+    assert len(sweep.epsilon_trace) == 4
 
 
 def test_hypergraph_to_ipl_defaults(files, capsys):
@@ -170,6 +208,25 @@ def test_conductance_command(files, capsys):
     result = json.loads(out)["result"]
     assert result["phi"] == 1
     assert result["witness_S"] == ["v1"]
+    # --table carries the library's table, relabelled, in JSON and in CSV.
+    g = load_graph(files["p4"])
+    m_v, m_e = SpdMatrix(np.diag([1.5, 0.7, 2.25, 1.1])), SpdMatrix(np.diag([0.3, 1.7, 0.9]))
+    mv = write(pathlib.Path(files["p4"]).parent, "mv4.json", {"rows": m_v.entries.tolist()})
+    me = write(pathlib.Path(files["p4"]).parent, "me3.json", {"rows": m_e.entries.tolist()})
+    phi, _, table = conductance(g, m_v, m_e, include_table=True)
+    argv = ["conductance", "--graph", files["p4"], "--mv", mv, "--me", me, "--table"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["phi"] == phi
+    assert result["table"] == [{**r, "subset": [g.labels[i] for i in r["subset"]]} for r in table]
+    code, out, _ = run_cli(argv + ["--csv"], capsys)
+    assert code == 0
+    assert csv_cells(out) == (
+        ["subset", "e_cut", "vol", "vol_comp", "phi"],
+        [[";".join(g.labels[i] for i in r["subset"]), r["e_cut"], r["vol"], r["vol_comp"], r["phi"]] for r in table],
+    )
+    assert len(table) == 7
 
 
 def test_conductance_csv_needs_table_before_the_scan(files, capsys, monkeypatch):
@@ -306,8 +363,6 @@ def test_conformality_cli_matches_library(files, capsys):
 
 
 def write_matrix(files, m):
-    import pathlib
-
     base = pathlib.Path(files["id4"]).parent
     path = base / "gadget7.json"
     path.write_text(json.dumps(matrix_to_dict(m.entries)))

@@ -180,6 +180,10 @@ def test_conductance_disconnected_and_cap(monkeypatch):
     phi, witness, _ = conductance(g)
     assert phi == 0.0
     assert witness == (0, 1)
+    # The table still lists every cut holding vertex 0.
+    _, _, table = conductance(g, include_table=True)
+    assert [r["subset"] for r in table] == [[0], [0, 1], [0, 2], [0, 1, 2], [0, 3], [0, 1, 3], [0, 2, 3]]
+    assert [r["phi"] == 0.0 for r in table] == [False, True, False, False, False, False, False]
     monkeypatch.setattr(ipl.isoperimetry, "CONDUCTANCE_CAP", 5)
     with pytest.raises(EnumerationCapError):
         conductance(path_graph(6))
@@ -238,6 +242,31 @@ def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
         whole = run()
         monkeypatch.setattr(ipl.isoperimetry, "CUT_CHUNK", 7)
         assert run() == whole
+
+
+def test_conductance_agrees_with_its_table(rng):
+    # phi is the least phi of the table and the witness its lexicographically
+    # first minimizer, also below the split point with non-integer inner
+    # products, where the one-batch scan and the table round differently.
+    cases = []
+    for trial in range(24):
+        g = random_connected_graph(rng, int(rng.integers(4, 10)))
+        if trial % 3 == 0:
+            m_v = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.n))
+            m_e = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.m))
+        elif trial % 3 == 1:
+            m_v, m_e = random_spd(rng, g.n), random_spd(rng, g.m)
+        else:
+            m_v = SpdMatrix.from_diagonal(0.7 * g.degrees())
+            m_e = SpdMatrix.from_diagonal(np.full(g.m, 0.3))
+        cases.append((g, m_v, m_e))
+    k7 = complete_graph(7)
+    cases.append((k7, SpdMatrix.from_diagonal(0.7 * k7.degrees()), SpdMatrix.from_diagonal(np.full(k7.m, 0.3))))
+    for g, m_v, m_e in cases:
+        phi, witness, table = conductance(g, m_v, m_e, include_table=True)
+        best = min(r["phi"] for r in table)
+        assert phi == best
+        assert list(witness) == min((r["subset"] for r in table if r["phi"] == best), key=tuple)
 
 
 def test_conductance_inner_product_weighting():
@@ -678,6 +707,21 @@ def test_neumann_sweep_on_a_repeated_eigenvalue():
     assert res.lambda_gap <= 1e-4
     assert res.vector_gap <= 1e-3
     assert res.converged
+
+
+def test_neumann_sweep_past_epsilon_squared_masses():
+    # v1 is two steps from the ball, so its vertex mass is epsilon^2: the
+    # family's vertex matrix is exactly diagonal but fails the SPD
+    # threshold from epsilon = 1e-6 on. The sweep still runs to 1e-8.
+    labels = [f"v{i}" for i in range(8)]
+    edges = [(0, 2), (0, 3), (0, 4), (1, 6), (2, 3), (2, 5), (3, 4), (3, 6), (3, 7)]
+    g = Graph.from_edge_labels(labels, [(labels[a], labels[b]) for a, b in edges])
+    res = neumann_limit_experiment(g, [0, 2, 3, 4])
+    assert res.failures == []
+    assert [r["epsilon"] for r in res.epsilon_trace] == [10.0**-k for k in range(1, 9)]
+    assert all(r["zero_multiplicity"] == 1 for r in res.epsilon_trace)
+    assert res.converged
+    assert res.lambda_gap <= 1e-6
 
 
 def test_neumann_schedule_validation():
