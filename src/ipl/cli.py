@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .complexes import Graph
-from .conformality import WEAK_CAP, weak_conformality, weak_conformality_sampled
+from .conformality import weak_conformality, weak_conformality_sampled
+from .errors import CAPS
 from .isoperimetry import (
-    CONDUCTANCE_CAP,
     DEFAULT_EPSILON_SCHEDULE,
     conductance,
     dirichlet_eigenvalues,
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conformality", help="strong and weak conformality of an SPD matrix")
     p.add_argument("matrix", metavar="matrix.json", help="SPD matrix file")
-    p.add_argument("--force", action="store_true", help=f"scan a block of the nonzero pattern larger than {WEAK_CAP}")
+    p.add_argument("--force", action="store_true", help=f"scan a block past the cap of {CAPS['partitions']} partitions")
     p.add_argument("--sampled", type=int, help="also report a sampled lower bound with this many trials")
     p.add_argument("--seed", type=int, help="seed for --sampled")
     p.set_defaults(handler=_cmd_conformality)
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--me", help="edge inner product matrix file")
         p.add_argument("--force", action="store_true", help="run past enumeration caps")
 
-    p = sub.add_parser("conductance", help=f"exact inner product conductance (cap {CONDUCTANCE_CAP} vertices)")
+    p = sub.add_parser("conductance", help=f"exact inner product conductance over 2^(n-1) - 1 cuts (cap {CAPS['cuts']})")
     p.add_argument("--graph", required=True)
     add_inner_product_options(p)
     p.add_argument("--table", action="store_true", help="include every cut in the report")
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="comma-separated vertex labels")
     p.add_argument("--schedule", help="epsilon schedule, e.g. 1e-1:1e-8 or 0.5,0.1")
     p.add_argument("--direct-only", action="store_true", help="skip the epsilon sweep")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", help=f"scan the 2^|S| - 2 cuts of S past the cap of {CAPS['cuts']}")
     p.add_argument("--csv", action="store_true", help="emit the epsilon trace as CSV")
     p.set_defaults(handler=_cmd_neumann)
 

@@ -40,8 +40,8 @@ partition, that block's witness pair (zero elsewhere) is the witness pair,
 and its scan score is the reported value.
 
 Exact computation is exponential by nature (the decision problem encodes
-integer Partition instances), so a block larger than ``WEAK_CAP`` is
-refused unless the caller passes ``force=True``.
+integer Partition instances), so a block past the ``partitions`` cap of
+``errors.CAPS`` is refused unless the caller passes ``force=True``.
 """
 
 from __future__ import annotations
@@ -50,12 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError
+from .errors import check_cap
 from .linalg import SpdMatrix
 from .report import VerificationReport, to_plain
 
-# Largest block of the nonzero pattern scanned without force=True.
-WEAK_CAP = 20
 # Partitions per batched call; bounds the stacked blocks at large k.
 BATCH_CHUNK = 1 << 12
 # Multiple of k * eps * cond(M) that separates a near-tie from a loser.
@@ -210,7 +208,7 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     module docstring; a connected M is one block, whose witness is the one
     an exhaustive one-by-one scan selects.
 
-    A block larger than ``WEAK_CAP`` raises ``EnumerationCapError`` unless
+    A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
     """
     k = m.dim
@@ -224,13 +222,7 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     else:
         blocks = [c for c in _components(m.entries) if len(c) > 1]
         largest = max(len(c) for c in blocks)
-        if largest > WEAK_CAP and not force:
-            raise EnumerationCapError(
-                f"a block of dimension {largest} exceeds the enumeration cap {WEAK_CAP}: "
-                f"exact weak conformality of that block of the nonzero pattern solves "
-                f"2^({largest}-1)-1 = {2 ** (largest - 1) - 1} generalized eigenproblems; "
-                "pass force=True (CLI: --force) to run anyway"
-            )
+        check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
         if largest == k:
             rho, x, y, subset = _scan(m)
         else:

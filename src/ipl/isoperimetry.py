@@ -71,7 +71,7 @@ import numpy as np
 
 from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _components, _subset_rows, weak_conformality_value
-from .errors import EnumerationCapError
+from .errors import check_cap
 from .laplacian import (
     ZERO_RTOL,
     IplSetup,
@@ -85,9 +85,6 @@ from .laplacian import (
 from .linalg import SpdMatrix, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
-CONDUCTANCE_CAP = 24
-S_LOCAL_CAP = 20
-EML_BATCH_CAP = 10
 # Cuts per tile of a cut scan, and pairs per chunk of the pair sweep; bounds
 # their temporaries.
 CUT_CHUNK = 1 << 14
@@ -401,6 +398,23 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
+def _first_union(components) -> tuple[int, ...]:
+    """The lexicographically smallest proper union of ``components`` (sorted
+    by first vertex) that holds vertex 0.
+
+    While the union holds a vertex above the next component's first vertex,
+    taking that component in puts its first vertex ahead of the larger one,
+    so it sorts first; the last component is never taken, as the union would
+    be V. Once the union ends below the next first vertex, it sorts first as
+    a proper prefix of every larger union."""
+    union = set(components[0])
+    for comp in components[1:-1]:
+        if comp[0] > max(union):
+            break
+        union.update(comp)
+    return tuple(sorted(union))
+
+
 def conductance(
     g: Graph,
     m_v: SpdMatrix | None = None,
@@ -413,9 +427,10 @@ def conductance(
 
     Returns (phi, witness, table); the witness is the lexicographically
     smallest vertex set achieving the minimum of
-    e(S, Sc) / min(Vol(S), Vol(Sc)). A disconnected graph has phi = 0 with
-    its first component as witness. The table lists every cut holding
-    vertex 0 in mask order, with its ``_cut_masses`` values.
+    e(S, Sc) / min(Vol(S), Vol(Sc)). A disconnected graph has phi = 0, and
+    its zero cuts are the proper unions of components holding vertex 0, so
+    the witness follows from the components without a scan. The table lists
+    every cut holding vertex 0 in mask order, with its ``_cut_masses`` values.
     """
     if m_v is None or m_e is None:
         dv, de = normalized_inner_products(g)
@@ -425,15 +440,12 @@ def conductance(
     n = g.n
     if n < 2:
         raise ValueError("conductance needs at least two vertices")
-    if n > CONDUCTANCE_CAP and not force:
-        raise EnumerationCapError(
-            f"{n} vertices exceed the conductance enumeration cap {CONDUCTANCE_CAP} "
-            f"(2^(n-1)-1 = {2 ** (n - 1) - 1} cuts); pass force=True (CLI: --force)"
-        )
-    if g.is_connected():
+    check_cap("cuts", 2 ** (n - 1) - 1, f"conductance of {n} vertices", force)
+    components = g.components()
+    if len(components) == 1:
         phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
     else:
-        phi, witness = 0.0, tuple(g.components()[0])
+        phi, witness = 0.0, _first_union(components)
     if not include_table:
         return phi, witness, None
     total, r = _complement_terms(m_v.entries, None)
@@ -678,11 +690,7 @@ def verify_eml_batch(
     the minimum.
     """
     n = g.n
-    if n > EML_BATCH_CAP and not force:
-        raise EnumerationCapError(
-            f"{n} vertices exceed the pair-sweep cap {EML_BATCH_CAP} "
-            f"(4^n = {4 ** n} pairs); pass force=True (CLI: --force)"
-        )
+    check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
     spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
@@ -990,11 +998,7 @@ def s_local_conductance(g: Graph, subset, *, force: bool = False):
     s_list = sorted(set(subset))
     if len(s_list) < 2:
         raise ValueError("the subset needs at least two vertices")
-    if len(s_list) > S_LOCAL_CAP and not force:
-        raise EnumerationCapError(
-            f"|S| = {len(s_list)} exceeds the local-conductance cap {S_LOCAL_CAP}; "
-            "pass force=True (CLI: --force)"
-        )
+    check_cap("cuts", 2 ** len(s_list) - 2, f"local conductance of |S| = {len(s_list)}", force)
     # Checks that g is connected, so every degree below is positive.
     direct = neumann_eigenvalue(g, s_list)
     # The conductance scan over the columns S: with M_V = diag(deg), the

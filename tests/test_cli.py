@@ -9,21 +9,27 @@ import pytest
 
 import ipl.cli
 from ipl import (
+    EnumerationCapError,
     IplSetup,
     SpdMatrix,
     conductance,
-    conformality,
     dirichlet_eigenvalues,
     inner_product_laplacian,
+    neumann_eigenvalue,
     neumann_limit_experiment,
+    normalized_inner_products,
     recover_classical,
+    s_local_conductance,
     stable_json,
+    verify_cheeger,
+    verify_eml_batch,
     weak_conformality,
 )
 from ipl.cli import main
-from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, matrix_from_dict, matrix_to_dict
+from ipl.errors import CAPS
+from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, load_matrix, matrix_from_dict, matrix_to_dict
 
-from conftest import path_graph
+from conftest import cycle_graph, path_graph
 
 
 def write(tmp_path, name, obj):
@@ -304,7 +310,7 @@ def test_non_finite_matrix_exit_two(tmp_path, files, capsys, bad):
 
 
 def test_cap_exceeded_exit_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(conformality, "WEAK_CAP", 4)
+    monkeypatch.setitem(CAPS, "partitions", 2**3 - 1)  # a block of 4
     big = SpdMatrix(np.eye(8) + 0.05 * np.ones((8, 8)))
     path = write(tmp_path, "big.json", matrix_to_dict(big.entries))
     code, _, err = run_cli(["conformality", path], capsys)
@@ -561,3 +567,106 @@ def test_inner_product_dimension_mismatch_exit_two(files, capsys):
         assert_one_error_line(code, out, err)
         assert "inner product dimensions" in err
 
+
+
+def test_verify_cheeger_orientation_matches_library(files, capsys):
+    argv = ["verify", "cheeger", "--graph", files["p3"], "--mv", files["id3"], "--me", files["ipj"]]
+    code, out, err = run_cli(argv + ["--orientation", "+,-"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    g = load_graph(files["p3"]).with_orientation((1, -1))
+    m_v, m_e = SpdMatrix(load_matrix(files["id3"])), SpdMatrix(load_matrix(files["ipj"]))
+    assert report["result"] == verify_cheeger(g, m_v, m_e).to_dict()
+    assert report["config"]["flags"]["orientation"] == "+,-"
+
+
+def test_spectrum_coboundary_matches_library(files, capsys):
+    argv = ["spectrum", "--graph", files["p3"], "--mv", files["id3"], "--me", files["ipj"], "--coboundary"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    m_v, m_e = SpdMatrix(load_matrix(files["id3"])), SpdMatrix(load_matrix(files["ipj"]))
+    spec = inner_product_laplacian(IplSetup.from_graph(load_graph(files["p3"]), m_v, m_e).with_inverted_inner_products())
+    result = json.loads(out)["result"]
+    assert result.pop("verification") == {
+        "min_eigenvalue": float(spec.eigenvalues[0]),
+        "zero_multiplicity": spec.zero_multiplicity,
+    }
+    assert result == spec.to_dict()
+
+
+def test_neumann_direct_only_matches_library(files, capsys):
+    code, out, _ = run_cli(["neumann", "--graph", files["p4"], "--subset", "v2,v3", "--direct-only"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    g = load_graph(files["p4"])
+    assert result.pop("s_local") == s_local_conductance(g, [1, 2])[1].to_dict()
+    assert result.pop("subset_labels") == ["v2", "v3"]
+    assert result.pop("boundary_labels") == ["v1", "v4"]
+    assert result == neumann_eigenvalue(g, [1, 2]).to_dict()
+    assert result["epsilon_trace"] == []
+
+
+def dense_matrix(k):
+    return SpdMatrix(np.eye(k) + 0.1 * np.ones((k, k)))
+
+
+def graph_file(tmp_path, g):
+    return write(tmp_path, "g.json", g.to_dict())
+
+
+def neumann_argv(tmp_path, g, s):
+    return ["neumann", "--graph", graph_file(tmp_path, g), "--subset", ",".join(g.labels[:s]), "--direct-only"]
+
+
+# Each call site of the enumeration guard, by the start of its message: the
+# cap's unit, the largest size it admits at the patched cap, the count at a
+# size, the library call and the CLI command.
+GUARD_SITES = {
+    "weak conformality of a block of dimension {}": (
+        "partitions",
+        5,
+        lambda k: 2 ** (k - 1) - 1,
+        lambda k, force: weak_conformality(dense_matrix(k), force=force),
+        lambda tmp_path, k: ["conformality", write(tmp_path, "m.json", matrix_to_dict(dense_matrix(k).entries))],
+    ),
+    "conductance of {} vertices": (
+        "cuts",
+        5,
+        lambda n: 2 ** (n - 1) - 1,
+        lambda n, force: conductance(path_graph(n), force=force),
+        lambda tmp_path, n: ["conductance", "--graph", graph_file(tmp_path, path_graph(n))],
+    ),
+    "the pair sweep of {} vertices": (
+        "pairs",
+        4,
+        lambda n: 4**n,
+        lambda n, force: verify_eml_batch(path_graph(n), *normalized_inner_products(path_graph(n)), force=force),
+        lambda tmp_path, n: ["verify", "eml", "--batch", "--graph", graph_file(tmp_path, path_graph(n))],
+    ),
+    "local conductance of |S| = {}": (
+        "cuts",
+        4,
+        lambda s: 2**s - 2,
+        lambda s, force: s_local_conductance(cycle_graph(8), range(s), force=force),
+        lambda tmp_path, s: neumann_argv(tmp_path, cycle_graph(8), s),
+    ),
+}
+
+
+@pytest.mark.parametrize("what", list(GUARD_SITES))
+def test_enumeration_guard_at_every_site(what, tmp_path, capsys, monkeypatch):
+    unit, size, count, call, argv = GUARD_SITES[what]
+    monkeypatch.setitem(CAPS, unit, count(size))
+    call(size, False)
+    with pytest.raises(EnumerationCapError) as refused:
+        call(size + 1, False)
+    message = f"{what.format(size + 1)}: {count(size + 1)} {unit} exceed the cap of {count(size)}; "
+    assert str(refused.value) == message + "pass force=True (CLI: --force)"
+    call(size + 1, True)
+    code, out, err = run_cli(argv(tmp_path, size), capsys)
+    assert code == 0, err
+    code, out, err = run_cli(argv(tmp_path, size + 1), capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {refused.value}\n"
+    code, out, err = run_cli(argv(tmp_path, size + 1) + ["--force"], capsys)
+    assert code == 0, err

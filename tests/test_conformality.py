@@ -15,6 +15,7 @@ from ipl import (
 
 from ipl import conformality
 from ipl.conformality import _partition_value, _scan_masks, _witness_pair
+from ipl.errors import CAPS
 
 from conftest import random_orthogonal, random_spd
 
@@ -101,7 +102,7 @@ def test_weak_diagonal_needs_no_cap():
 
 
 def test_weak_cap_and_force(monkeypatch):
-    monkeypatch.setattr(conformality, "WEAK_CAP", 5)
+    monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
     m = SpdMatrix(np.eye(6) + 0.1 * np.ones((6, 6)))
     with pytest.raises(EnumerationCapError):
         weak_conformality(m)
@@ -148,10 +149,10 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
 
 def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
     entries = block_diagonal(rng, [6, 1, 1, 1])
-    monkeypatch.setattr(conformality, "WEAK_CAP", 5)
-    with pytest.raises(EnumerationCapError, match="block of dimension 6 exceeds the enumeration cap 5"):
+    monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
+    with pytest.raises(EnumerationCapError, match="block of dimension 6: 31 partitions exceed the cap of 15;"):
         weak_conformality(SpdMatrix(entries))
-    monkeypatch.setattr(conformality, "WEAK_CAP", 6)
+    monkeypatch.setitem(CAPS, "partitions", 2**5 - 1)
     assert weak_conformality(SpdMatrix(entries)).rho_weak > 0
 
 

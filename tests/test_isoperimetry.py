@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ipl.isoperimetry
+from ipl.errors import CAPS
 from ipl.isoperimetry import _vertex_boundary
 from ipl.linalg import sym_eig
 from ipl import (
@@ -184,11 +185,39 @@ def test_conductance_disconnected_and_cap(monkeypatch):
     _, _, table = conductance(g, include_table=True)
     assert [r["subset"] for r in table] == [[0], [0, 1], [0, 2], [0, 1, 2], [0, 3], [0, 1, 3], [0, 2, 3]]
     assert [r["phi"] == 0.0 for r in table] == [False, True, False, False, False, False, False]
-    monkeypatch.setattr(ipl.isoperimetry, "CONDUCTANCE_CAP", 5)
+    monkeypatch.setitem(CAPS, "cuts", 2**4 - 1)  # 5 vertices
     with pytest.raises(EnumerationCapError):
         conductance(path_graph(6))
     phi, _, _ = conductance(path_graph(6), force=True)
     assert phi > 0
+
+
+def test_conductance_disconnected_witness_is_the_first_zero_row(rng):
+    # Edges a-f, b-c, d-e: the first union of components {0, 5} and {1, 2}
+    # sorts before the first component alone.
+    g = Graph.from_edge_labels(list("abcdef"), [("a", "f"), ("b", "c"), ("d", "e")])
+    assert conductance(g)[:2] == (0.0, (0, 1, 2, 5))
+    for trial in range(60):
+        n = int(rng.integers(3, 11))
+        comps = int(rng.integers(2, min(4, n - 1) + 1))
+        # Every component gets a vertex, and one of them an edge.
+        labels = np.concatenate([np.arange(comps), [0], rng.integers(0, comps, n - comps - 1)])
+        labels = labels[rng.permutation(n)]
+        edges = set()
+        for c in range(comps):
+            members = [int(v) for v in np.flatnonzero(labels == c)]
+            for i in range(1, len(members)):
+                edges.add((members[int(rng.integers(0, i))], members[i]))
+            edges.update((u, v) for u in members for v in members if u < v and rng.random() < 0.3)
+        g = Graph(labels=tuple(f"v{i}" for i in range(n)), edges=tuple(sorted(edges)))
+        assert len(g.components()) == comps
+        if trial % 2:
+            m_v, m_e = random_spd(rng, n), random_spd(rng, g.m)
+        else:
+            m_v, m_e = (SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, k)) for k in (n, g.m))
+        phi, witness, table = conductance(g, m_v, m_e, include_table=True)
+        assert phi == 0.0
+        assert list(witness) == min(r["subset"] for r in table if r["phi"] == 0.0)
 
 
 def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
@@ -755,7 +784,7 @@ def test_s_local_examples():
 
 
 def test_s_local_cap(monkeypatch):
-    monkeypatch.setattr(ipl.isoperimetry, "S_LOCAL_CAP", 5)
+    monkeypatch.setitem(CAPS, "cuts", 2**5 - 2)  # |S| = 5
     with pytest.raises(EnumerationCapError):
         s_local_conductance(cycle_graph(8), range(7))
 
