@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conductance", help=f"exact inner product conductance over 2^(n-1) - 1 cuts (cap {CAPS['cuts']})")
     p.add_argument("--graph", required=True)
     add_inner_product_options(p)
-    p.add_argument("--table", action="store_true", help="include every cut in the report")
+    p.add_argument("--table", action="store_true", help=f"include every cut in the report (cap {CAPS['rows']} rows)")
     p.add_argument("--csv", action="store_true", help="emit the cut table as CSV (requires --table)")
     p.set_defaults(handler=_cmd_conductance)
 

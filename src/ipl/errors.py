@@ -24,8 +24,10 @@ class EnumerationCapError(ValueError):
 # Most work an exhaustive scan enumerates without force=True: partitions of
 # the largest weak-conformality block (2^(k-1) - 1, so k <= 20), cuts of
 # conductance (2^(n-1) - 1, n <= 28) and S-local conductance (2^|S| - 2,
-# |S| <= 27), and the 4^n pairs of the mixing sweep (n <= 12).
-CAPS = {"partitions": 1 << 19, "cuts": 1 << 27, "pairs": 4**12}
+# |S| <= 27), and the 4^n pairs of the mixing sweep (n <= 12). The
+# conductance table holds one dict per cut in memory (about 400 MB at
+# n = 20), so its rows keep a cap of their own (n <= 24).
+CAPS = {"partitions": 1 << 19, "cuts": 1 << 27, "pairs": 4**12, "rows": 1 << 23}
 
 
 def check_cap(unit: str, count: int, what: str, force: bool) -> None:

@@ -441,6 +441,8 @@ def conductance(
     if n < 2:
         raise ValueError("conductance needs at least two vertices")
     check_cap("cuts", 2 ** (n - 1) - 1, f"conductance of {n} vertices", force)
+    if include_table:
+        check_cap("rows", 2 ** (n - 1) - 1, f"the conductance table of {n} vertices", force)
     components = g.components()
     if len(components) == 1:
         phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)

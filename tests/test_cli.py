@@ -636,6 +636,13 @@ GUARD_SITES = {
         lambda n, force: conductance(path_graph(n), force=force),
         lambda tmp_path, n: ["conductance", "--graph", graph_file(tmp_path, path_graph(n))],
     ),
+    "the conductance table of {} vertices": (
+        "rows",
+        5,
+        lambda n: 2 ** (n - 1) - 1,
+        lambda n, force: conductance(path_graph(n), force=force, include_table=True),
+        lambda tmp_path, n: ["conductance", "--graph", graph_file(tmp_path, path_graph(n)), "--table"],
+    ),
     "the pair sweep of {} vertices": (
         "pairs",
         4,
