@@ -20,9 +20,12 @@ one batched Cholesky and eigenvalue call per group. That batch only ranks
 the partitions: 1 - 1/mu loses digits, and partitions that tie
 mathematically differ only by rounding. Every partition within a rounding
 bound of the batch maximum is scored again by ``_partition_value``, the one
-per-partition routine, which also yields the reported value and witness
-pair; the winner among those is taken under the lexicographic tie-break.
-The result is the same as scoring every partition that way.
+per-partition routine; the winner among those is taken under the
+lexicographic tie-break, and its score is the reported value. The result is
+the same as scoring every partition that way. The theorem verifiers take
+rho from that score alone. Only ``weak_conformality`` (so ``ipl
+conformality``) builds a witness pair, once, on the winning block, with the
+same ``_partition_value`` call, so the pair attains the reported value.
 
 A block-diagonal M is scored block by block, the blocks being the
 connected components C of its nonzero pattern. For disjointly supported x
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_cap
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
 
 # Partitions per batched call; bounds the stacked blocks at large k.
@@ -102,6 +105,16 @@ def _subset_rows(masks: np.ndarray, n: int, cols=None) -> np.ndarray:
     return rows
 
 
+def _first_set(rows: np.ndarray) -> int:
+    """Index of the lexicographically smallest index set among membership rows."""
+    if len(rows) == 1:
+        return 0
+    n = rows.shape[1]
+    seq = np.sort(np.where(rows, np.arange(n), n), axis=1)
+    seq[seq == n] = -1  # a proper prefix sorts first
+    return int(np.lexsort(seq.T[::-1])[0])
+
+
 def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     """value(S), its top generalized eigenvector v on S, and Z = M_TT^-1 M_TS.
 
@@ -120,16 +133,13 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
 
 
 def _scan_masks(entries: np.ndarray, masks, k: int):
-    """Score each partition mask with ``_partition_value``; keep the best, ties to the smaller subset."""
-    best_val = -1.0
-    best_subset: tuple[int, ...] | None = None
-    for row in _subset_rows(2 * np.asarray(masks) + 1, k):
-        s_idx = np.flatnonzero(row)
-        subset = tuple(s_idx.tolist())
-        val = _partition_value(entries, s_idx, np.flatnonzero(~row))[0]
-        if val > best_val or (val == best_val and subset < best_subset):
-            best_val, best_subset = val, subset
-    return best_val, best_subset
+    """Score each partition mask with ``_partition_value``: the best value
+    and its subset, ties to the lexicographically first subset."""
+    rows = _subset_rows(2 * np.asarray(masks) + 1, k)
+    values = np.array([_partition_value(entries, np.flatnonzero(row), np.flatnonzero(~row))[0] for row in rows])
+    best = values.max()
+    ties = rows[values == best]
+    return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
 def _batched_rho_sq(m: SpdMatrix) -> np.ndarray:
@@ -180,7 +190,7 @@ def _components(entries: np.ndarray) -> list[np.ndarray]:
 
 
 def _scan(m: SpdMatrix):
-    """(value, x, y, witness partition) of one connected block, by rank-then-recheck."""
+    """(value, witness partition) of one connected block, by rank-then-recheck."""
     k = m.dim
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
     # whose condition numbers are at most cond(M), put both the batched
@@ -193,8 +203,37 @@ def _scan(m: SpdMatrix):
     rho_sq = _batched_rho_sq(m)
     delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
     near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
-    _, subset = _scan_masks(m.entries, near_ties, k)
-    return (*_witness_pair(m, np.array(subset)), subset)
+    return _scan_masks(m.entries, near_ties, k)
+
+
+def _exact_weak(m: SpdMatrix, force: bool):
+    """(rho, witness partition, (C, M_CC, S_C)) of exact weak conformality.
+
+    C is the winning block's index array, M_CC its matrix and S_C the
+    block's own witness partition, under the block rule of the module
+    docstring; a connected or diagonal M is the single block C = all
+    indices, M_CC = M. A block past the ``partitions`` cap raises
+    ``EnumerationCapError`` unless ``force`` is set.
+    """
+    k = m.dim
+    if k < 2:
+        raise ValueError("weak conformality requires dimension >= 2")
+    if m.is_diagonal:
+        # Every M_ST is zero, so every partition scores exactly 0; no scan,
+        # so no enumeration cap either.
+        return 0.0, (0,), (np.arange(k), m, (0,))
+    blocks = [c for c in _components(m.entries) if len(c) > 1]
+    largest = max(len(c) for c in blocks)
+    check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
+    best = None
+    for c in blocks:
+        whole = len(c) == k
+        m_cc = m if whole else SpdMatrix(m.entries[np.ix_(c, c)])
+        rho, s_c = _scan(m_cc)
+        lift = s_c if whole else tuple(np.union1d(c[list(s_c)], np.setdiff1d(np.arange(c[s_c[-1]]), c)).tolist())
+        if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
+            best = rho, lift, (c, m_cc, s_c)
+    return best
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
@@ -206,27 +245,15 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     to the lexicographically smallest subset containing the block's first
     index. The best block gives the result, under the witness rule of the
     module docstring; a connected M is one block, whose witness is the one
-    an exhaustive one-by-one scan selects.
+    an exhaustive one-by-one scan selects. The witness pair is built once,
+    on the winning block, and is zero outside it.
 
     A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
     """
-    k = m.dim
-    if k < 2:
-        raise ValueError("weak conformality requires dimension >= 2")
-    if m.is_diagonal:
-        # Every M_ST is zero, so every partition scores exactly 0; no scan,
-        # so no enumeration cap either.
-        subset = (0,)
-        rho, x, y = _witness_pair(m, np.array(subset))
-    else:
-        blocks = [c for c in _components(m.entries) if len(c) > 1]
-        largest = max(len(c) for c in blocks)
-        check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
-        if largest == k:
-            rho, x, y, subset = _scan(m)
-        else:
-            rho, x, y, subset = _best_block(m, blocks)
+    rho, subset, (c, m_cc, s_c) = _exact_weak(m, force)
+    x, y = np.zeros(m.dim), np.zeros(m.dim)
+    x[c], y[c] = _witness_pair(m_cc, np.array(s_c))[1:]
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,
@@ -234,23 +261,6 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
         witness_x=x,
         witness_y=y,
     )
-
-
-def _best_block(m: SpdMatrix, blocks: list[np.ndarray]):
-    """The block-split result: best block value, smallest lift among exact ties."""
-    best = None
-    for c in blocks:
-        rho, x_c, y_c, s_c = _scan(SpdMatrix(m.entries[np.ix_(c, c)]))
-        s = c[list(s_c)]
-        lift = tuple(np.union1d(s, np.setdiff1d(np.arange(s[-1]), c)).tolist())
-        if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
-            best = rho, lift, c, x_c, y_c
-    rho, lift, c, x_c, y_c = best
-    x = np.zeros(m.dim)
-    x[c] = x_c
-    y = np.zeros(m.dim)
-    y[c] = y_c
-    return rho, x, y, lift
 
 
 def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
@@ -265,8 +275,7 @@ def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
     entries = m.entries
     t_idx = np.setdiff1d(np.arange(m.dim), s_idx, assume_unique=True)
     rho, v, z = _partition_value(entries, s_idx, t_idx)
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
+    v = _fix_signs(v)
     y_t = z @ v
     if np.abs(y_t).max(initial=0.0) < 1e-300:
         # Decoupled blocks (rho = 0): any vector on the complement works.
@@ -289,11 +298,12 @@ def weak_conformality_value(m: SpdMatrix, *, force: bool = False) -> float:
 
     A one-dimensional space admits no disjoint-support pair, so the least
     valid rho is 0; theorem verifiers use this form for their correction
-    factors.
+    factors. The value is the winning scan score, equal to
+    ``weak_conformality(m).rho_weak``; no witness pair is built.
     """
     if m.dim < 2:
         return 0.0
-    return weak_conformality(m, force=force).rho_weak
+    return _exact_weak(m, force)[0]
 
 
 def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:
@@ -344,7 +354,7 @@ def make_conformality_pair(rho_w: float, rho_s: float, k: int) -> SpdMatrix:
     measured_s = strong_conformality(m)
     if abs(measured_s - rho_s) > 1e-8:
         raise RuntimeError(f"constructed matrix has strong conformality {measured_s}, wanted {rho_s}")
-    measured_w = weak_conformality(m).rho_weak
+    measured_w = _exact_weak(m, False)[0]
     if abs(measured_w - rho_w) > 1e-8:
         raise RuntimeError(f"constructed matrix has weak conformality {measured_w}, wanted {rho_w}")
     return m
@@ -392,7 +402,7 @@ def verify_conformality_bounds(m: SpdMatrix, x, *, force: bool = False) -> Verif
     x = np.asarray(x, dtype=float)
     if x.shape != (m.dim,):
         raise ValueError(f"dimension mismatch: matrix is {m.dim}-dimensional, x has shape {x.shape}")
-    rho = weak_conformality(m, force=force).rho_weak
+    rho = _exact_weak(m, force)[0]
     lo_factor = (1.0 - rho) / (1.0 + rho)
     hi_factor = (1.0 + rho) / (1.0 - rho)
     quad = m.quad(x)
@@ -424,8 +434,8 @@ def inverse_conformality_check(m: SpdMatrix, *, force: bool = False) -> Verifica
     inv = SpdMatrix(m.inverse())
     rho_s = strong_conformality(m)
     rho_s_inv = strong_conformality(inv)
-    rho_w = weak_conformality(m, force=force).rho_weak
-    rho_w_inv = weak_conformality(inv, force=force).rho_weak
+    rho_w = _exact_weak(m, force)[0]
+    rho_w_inv = _exact_weak(inv, force)[0]
     tol = 1e-8
     return VerificationReport(
         check="inverse-conformality",

@@ -65,12 +65,12 @@ order whose margin equals the minimum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .complexes import Graph, graph_incidence, unsigned_incidence
-from .conformality import _components, _subset_rows, weak_conformality_value
+from .conformality import _components, _first_set, _subset_rows, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
     ZERO_RTOL,
@@ -82,7 +82,7 @@ from .laplacian import (
     compatibility,
     inner_product_laplacian,
 )
-from .linalg import SpdMatrix, gen_eig, sym_eig
+from .linalg import SpdMatrix, _fix_signs, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per chunk of the pair sweep; bounds
@@ -240,16 +240,6 @@ def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, tota
         out[1, lo : lo + step] = vol
         out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
     return out
-
-
-def _first_set(rows: np.ndarray) -> int:
-    """Index of the lexicographically smallest vertex set among membership rows."""
-    if len(rows) == 1:
-        return 0
-    n = rows.shape[1]
-    seq = np.sort(np.where(rows, np.arange(n), n), axis=1)
-    seq[seq == n] = -1  # a proper prefix sorts first
-    return int(np.lexsort(seq.T[::-1])[0])
 
 
 def _low_masses(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, total: float, r: np.ndarray):
@@ -883,9 +873,7 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     f_s = (basis @ vecs[:, :multiplicity]) * scale[:, None]
     space = np.vstack([f_s, mean_b @ f_s])
     # Fix the overall sign of the reported vector deterministically.
-    values = space[:, 0]
-    if values[int(np.argmax(np.abs(values)))] < 0:
-        values = -values
+    values = _fix_signs(space[:, 0])
     return NeumannResult(
         lambda_s=lam,
         subset=tuple(s_list),
@@ -947,12 +935,10 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
         norm = np.sqrt(float(np.sum(deg[list(direct.subset)] * f[: len(direct.subset)] ** 2)))
         if norm > 0:
             f = f / norm
-        if prev is not None and float(f @ prev) < 0:
+        if prev is None:
+            f = _fix_signs(f)
+        elif float(f @ prev) < 0:
             f = -f
-        elif prev is None:
-            top = int(np.argmax(np.abs(f)))
-            if f[top] < 0:
-                f = -f
         prev = f
         trace.append(
             {
@@ -975,13 +961,8 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
         coef = (weight * f[: len(weight)]) @ space[: len(weight)]
         vector_gap = float(np.abs(f - space @ coef).max())
         converged = lambda_gap <= 1e-4 and vector_gap <= 1e-3
-    return NeumannResult(
-        lambda_s=direct.lambda_s,
-        subset=direct.subset,
-        boundary=direct.boundary,
-        values=direct.values,
-        multiplicity=direct.multiplicity,
-        eigenspace=direct.eigenspace,
+    return replace(
+        direct,
         epsilon_trace=trace,
         converged=converged,
         lambda_gap=lambda_gap,
@@ -1005,8 +986,7 @@ def s_local_conductance(g: Graph, subset, *, force: bool = False):
     direct = neumann_eigenvalue(g, s_list)
     # The conductance scan over the columns S: with M_V = diag(deg), the
     # complement volume Vol(S) - Vol(T) is its vol_comp.
-    deg = g.degrees().astype(float)
-    best, witness = _cut_scan(g, SpdMatrix.from_diagonal(deg), SpdMatrix.identity(g.m), s_list, pinned=False)
+    best, witness = _cut_scan(g, *normalized_inner_products(g), s_list, pinned=False)
     report = VerificationReport(
         check="s-local-conductance",
         passed=bool(direct.lambda_s <= 2.0 * best + 1e-9),

@@ -236,8 +236,7 @@ def hodge_decomposition(setup: IplSetup):
     }
     if 1 <= i <= setup.dim - 1:
         zeta_i = setup.inner[i - 1].inv_sqrt_entries @ setup.boundaries[i] @ m_i.sqrt_entries
-        zeta_next = m_i.inv_sqrt_entries @ setup.boundaries[i + 1] @ setup.inner[i + 1].sqrt_entries
-        residuals["zeta_composition"] = float(np.linalg.norm(zeta_i @ zeta_next))
+        residuals["zeta_composition"] = float(np.linalg.norm(zeta_i @ from_above))
     return basis_up, basis_harmonic, basis_down, residuals
 
 

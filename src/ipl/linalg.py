@@ -41,15 +41,16 @@ def _check_symmetric(a: np.ndarray) -> None:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the largest-magnitude component is positive.
+    """Flip one vector, or each column of a matrix, so that its
+    largest-magnitude component is positive.
 
     Ties in magnitude resolve to the lowest index (np.argmax convention),
-    which keeps repeated runs bit-identical.
+    which keeps repeated runs bit-identical; a flip multiplies by -1.0, so
+    it is exact.
     """
     idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return vecs * signs
+    top = vecs[idx, np.arange(vecs.shape[1])] if vecs.ndim == 2 else vecs[idx]
+    return vecs * np.where(top < 0.0, -1.0, 1.0)
 
 
 def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:

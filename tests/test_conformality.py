@@ -8,16 +8,20 @@ from ipl import (
     make_conformality_pair,
     partition_gadget,
     strong_conformality,
+    verify_cheeger,
     verify_conformality_bounds,
+    verify_eml_batch,
+    verify_radius_bound,
     weak_conformality,
     weak_conformality_sampled,
+    weak_conformality_value,
 )
 
 from ipl import conformality
 from ipl.conformality import _partition_value, _scan_masks, _witness_pair
 from ipl.errors import CAPS
 
-from conftest import random_orthogonal, random_spd
+from conftest import cycle_graph, random_orthogonal, random_spd
 
 
 def family_matrix(k, alpha):
@@ -145,6 +149,35 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
     assert np.flatnonzero(res.witness_x).tolist() == [1]
     assert np.flatnonzero(res.witness_y).tolist() == [3]
     assert reference_block_weak(m)[:2] == (res.rho_weak, (0, 1))
+    assert weak_conformality_value(m) == res.rho_weak
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
+def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
+    # Only weak_conformality reports a witness pair; the verifiers and the
+    # bounds check take rho from the scan alone.
+    def no_pair(*args):
+        raise AssertionError("a witness pair was built")
+
+    monkeypatch.setattr(conformality, "_witness_pair", no_pair)
+    rng = np.random.default_rng(12)
+    g = cycle_graph(5)
+
+    def inner(k):
+        if kind == "diagonal":
+            return SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, k))
+        if kind == "block":
+            return SpdMatrix(block_diagonal(rng, [2, k - 2]))
+        return random_spd(rng, k)
+
+    m_v, m_e = inner(g.n), inner(g.m)
+    with pytest.raises(AssertionError, match="a witness pair was built"):
+        weak_conformality(m_e)
+    assert weak_conformality_value(m_e) >= 0.0
+    assert verify_cheeger(g, m_v, m_e).check
+    assert verify_radius_bound(g, m_v, m_e).check
+    assert verify_eml_batch(g, m_v, m_e).check
+    assert verify_conformality_bounds(m_v, np.ones(g.n)).check
 
 
 def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
@@ -201,6 +234,7 @@ def assert_matches_reference(m, label=""):
     blocks = "block-diagonal" in label
     rho, subset, x, y = (reference_block_weak if blocks else reference_weak)(m)
     assert res.rho_weak == rho, label
+    assert weak_conformality_value(m) == res.rho_weak, label
     assert res.witness_partition == subset, label
     assert np.array_equal(res.witness_x, x), label
     assert np.array_equal(res.witness_y, y), label
@@ -240,6 +274,11 @@ def fuzz_entries(rng, k):
     yield "block-diagonal", block
     p = rng.permutation(k)
     yield "permuted block-diagonal", block[np.ix_(p, p)]
+    # Equal 2 x 2 blocks, whose values tie exactly.
+    tied = np.diag([2.0] * k)
+    for i in range(0, k - 1, 2):
+        tied[i, i + 1] = tied[i + 1, i] = 1.0
+    yield "tied block-diagonal", tied[np.ix_(p, p)]
 
 
 @pytest.mark.parametrize("k", range(2, 11))
