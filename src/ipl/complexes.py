@@ -189,7 +189,9 @@ class Graph:
         out = [b if a == v else a for a, b in self.edges if v in (a, b)]
         return tuple(sorted(out))
 
-    def components(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as sorted vertex tuples, in sorted order (one union-find, cached)."""
         parent = list(range(self.n))
 
         def find(a):
@@ -205,10 +207,10 @@ class Graph:
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
             groups.setdefault(find(v), []).append(v)
-        return sorted(tuple(sorted(g)) for g in groups.values())
+        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(self.components) == 1
 
     def to_dict(self) -> dict:
         return {

@@ -16,16 +16,26 @@ the Schur complement ((M^-1)_SS)^-1, it also equals
 
 which needs only the S-blocks of M and of one shared inverse. The scan uses
 this form on the smaller side of every partition, stacked by side size into
-one batched Cholesky and eigenvalue call per group. That batch only ranks
-the partitions: 1 - 1/mu loses digits, and partitions that tie
-mathematically differ only by rounding. Every partition within a rounding
-bound of the batch maximum is scored again by ``_partition_value``, the one
-per-partition routine; the winner among those is taken under the
-lexicographic tie-break, and its score is the reported value. The result is
-the same as scoring every partition that way. The theorem verifiers take
-rho from that score alone. Only ``weak_conformality`` (so ``ipl
-conformality``) builds a witness pair, once, on the winning block, with the
-same ``_partition_value`` call, so the pair attains the reported value.
+one batched Cholesky per group. With M_SS = L L^T, the eigenvalues of
+B = L^T (M^-1)_SS L are those of M_SS (M^-1)_SS, all >= 1, and E = B - I
+gives
+
+    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8),
+
+with tr(E^8) the squared Frobenius norm of E^4. From |S| = 3 on, only a
+partition whose upper bound reaches the best value met so far, less four
+times the tie window below, gets an eigenvalue call; the others keep their
+upper bound, which cannot reach the window, so the ranking below is
+unchanged. That batch only ranks the partitions: 1 - 1/mu loses digits, and partitions that
+tie mathematically differ only by rounding. Every partition within a
+rounding bound (the tie window) of the batch maximum is scored again by
+``_partition_value``, the one per-partition routine, in stacks of equal
+side sizes; the winner among those is taken under the lexicographic
+tie-break, and its score is the reported value. The result is the same as
+scoring every partition that way. The theorem verifiers take rho from that
+score alone. Only ``weak_conformality`` (so ``ipl conformality``) builds a
+witness pair, once, on the winning block, with a ``_partition_value`` call
+on that one partition, so the pair attains the reported value.
 
 A block-diagonal M is scored block by block, the blocks being the
 connected components C of its nonzero pattern. For disjointly supported x
@@ -116,42 +126,73 @@ def _first_set(rows: np.ndarray) -> int:
 
 
 def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
-    """value(S), its top generalized eigenvector v on S, and Z = M_TT^-1 M_TS.
+    """value(S), the top generalized eigenvector v on S and Z = M_TT^-1 M_TS,
+    for a stack of partitions: row i of s_idx and of t_idx holds the two
+    sides of partition i, and every row has the same side sizes.
 
     With M_SS = L L^T, value(S)^2 is the top eigenvalue of the symmetrized
     L^-1 (M_ST Z) L^-T, and v = L^-T u for its unit eigenvector u, so
-    v^T M_SS v = 1.
+    v^T M_SS v = 1. Each stacked solve, Cholesky, product and ``eigh``
+    treats its matrices one at a time, so a partition scores the same bits
+    in any stack, a stack of one included.
     """
-    m_st = entries[np.ix_(s_idx, t_idx)]
-    z = np.linalg.solve(entries[np.ix_(t_idx, t_idx)], m_st.T)
-    chol = np.linalg.cholesky(entries[np.ix_(s_idx, s_idx)])
+    m_st = entries[s_idx[:, :, None], t_idx[:, None, :]]
+    z = np.linalg.solve(entries[t_idx[:, :, None], t_idx[:, None, :]], np.swapaxes(m_st, 1, 2))
+    chol = np.linalg.cholesky(entries[s_idx[:, :, None], s_idx[:, None, :]])
     half = np.linalg.solve(chol, m_st @ z)
-    c = np.linalg.solve(chol, half.T)
-    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
-    value = float(np.sqrt(max(float(vals[-1]), 0.0)))
-    return value, np.linalg.solve(chol.T, vecs[:, -1]), z
+    c = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
+    vals, vecs = np.linalg.eigh(0.5 * (c + np.swapaxes(c, 1, 2)))
+    values = np.sqrt(np.maximum(vals[:, -1], 0.0))
+    return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
 
 
 def _scan_masks(entries: np.ndarray, masks, k: int):
     """Score each partition mask with ``_partition_value``: the best value
-    and its subset, ties to the lexicographically first subset."""
+    and its subset, ties to the lexicographically first subset.
+
+    The masks are scored ``BATCH_CHUNK`` at a time, one stack per size of
+    the side that holds index 0.
+    """
     rows = _subset_rows(2 * np.asarray(masks) + 1, k)
-    values = np.array([_partition_value(entries, np.flatnonzero(row), np.flatnonzero(~row))[0] for row in rows])
+    values = np.empty(len(rows))
+    for lo in range(0, len(rows), BATCH_CHUNK):
+        chunk = rows[lo : lo + BATCH_CHUNK]
+        size = chunk.sum(axis=1)
+        for s in sorted(set(size.tolist())):
+            at = np.flatnonzero(size == s)
+            s_idx = np.nonzero(chunk[at])[1].reshape(-1, s)
+            t_idx = np.nonzero(~chunk[at])[1].reshape(-1, k - s)
+            values[lo + at] = _partition_value(entries, s_idx, t_idx)[0]
     best = values.max()
     ties = rows[values == best]
     return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
-def _batched_rho_sq(m: SpdMatrix) -> np.ndarray:
-    """value(S)^2 for every partition mask, by the Schur identity, indexed by mask.
+def _batched_rho_sq(m: SpdMatrix, delta: float) -> np.ndarray:
+    """value(S)^2 for every partition mask, by the Schur identity, indexed by
+    mask; a partition that cannot reach the tie window delta of the maximum
+    holds an upper bound on its value^2 instead.
 
     Partition mask p is the subset mask 2p + 1 (see ``_subset_rows``); the
     all-in mask 2^(k-1) - 1 is not a partition and is left out.
+
+    For the smaller side S, with M_SS = L L^T, B = L^T (M^-1)_SS L has the
+    eigenvalues of M_SS (M^-1)_SS, and E = B - I bounds mu_max = lambda_max(B)
+    on both sides through tr(E^8) = |E^4|_F^2 (module docstring). A running
+    best, across chunks, keeps the largest lower bound and exact value met so
+    far; from s = 3 on, the batched ``eigvalsh`` runs only where the upper
+    bound reaches best - 4 delta. Every other partition lies more than 3 delta below the
+    maximum, and so does the upper bound that fills its slot: rounding moves
+    the bounds by far less than delta (measured: at most 0.5 k eps cond(M)).
+    So the maximum and the slots within delta of it are those of
+    eigensolving every partition, bit for bit; delta = inf eigensolves them
+    all. B is held for one chunk at a time.
     """
     k = m.dim
     entries, inverse = m.entries, m.inverse()
     count = (1 << (k - 1)) - 1
     out = np.empty(count)
+    best = -np.inf
     for lo in range(0, count, BATCH_CHUNK):
         members = _subset_rows(2 * np.arange(lo, min(lo + BATCH_CHUNK, count)) + 1, k)
         size = members.sum(axis=1)
@@ -163,10 +204,26 @@ def _batched_rho_sq(m: SpdMatrix) -> np.ndarray:
             if len(rows) == 0:
                 continue
             idx = np.nonzero(members[rows])[1].reshape(-1, s)
-            block = (idx[:, :, None], idx[:, None, :])
-            chol = np.linalg.cholesky(entries[block])
-            mu = np.linalg.eigvalsh(np.swapaxes(chol, 1, 2) @ inverse[block] @ chol)[:, -1]
+            flat = idx[:, :, None] * k + idx[:, None, :]
+            chol = np.linalg.cholesky(entries.take(flat))
+            b = np.swapaxes(chol, 1, 2) @ inverse.take(flat) @ chol
+            if s > 2:
+                # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
+                # does, so those groups are solved whole.
+                e = b - np.eye(s)
+                e = e @ e
+                e = e @ e
+                root = np.einsum("nij,nij->n", e, e) ** 0.125  # tr(E^8)^(1/8)
+                best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
+                bound = 1.0 - 1.0 / (1.0 + root)
+                out[lo + rows] = bound
+                live = bound >= best - 4.0 * delta
+                if not live.any():
+                    continue
+                rows, b = rows[live], b[live]
+            mu = np.linalg.eigvalsh(b)[:, -1]
             out[lo + rows] = 1.0 - 1.0 / mu
+            best = max(best, 1.0 - 1.0 / float(mu.max()))
     return out
 
 
@@ -190,7 +247,12 @@ def _components(entries: np.ndarray) -> list[np.ndarray]:
 
 
 def _scan(m: SpdMatrix):
-    """(value, witness partition) of one connected block, by rank-then-recheck."""
+    """(value, witness partition) of one connected block, by rank-then-recheck.
+
+    The batched ranking eigensolves only the partitions whose bound can
+    reach the tie window (see ``_batched_rho_sq``); the near-ties are those
+    of scoring every partition, so the rechecked winner is unchanged.
+    """
     k = m.dim
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
     # whose condition numbers are at most cond(M), put both the batched
@@ -200,8 +262,8 @@ def _scan(m: SpdMatrix):
     # and block-diagonal inputs with k <= 12). Any partition the
     # one-by-one scan could rank first then lies within delta of the
     # batched maximum.
-    rho_sq = _batched_rho_sq(m)
     delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
+    rho_sq = _batched_rho_sq(m, delta)
     near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
     return _scan_masks(m.entries, near_ties, k)
 
@@ -274,8 +336,8 @@ def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
     """
     entries = m.entries
     t_idx = np.setdiff1d(np.arange(m.dim), s_idx, assume_unique=True)
-    rho, v, z = _partition_value(entries, s_idx, t_idx)
-    v = _fix_signs(v)
+    values, v, z = _partition_value(entries, s_idx[None], t_idx[None])
+    rho, v, z = float(values[0]), _fix_signs(v[0]), z[0]
     y_t = z @ v
     if np.abs(y_t).max(initial=0.0) < 1e-300:
         # Decoupled blocks (rho = 0): any vector on the complement works.

@@ -433,7 +433,7 @@ def conductance(
     check_cap("cuts", 2 ** (n - 1) - 1, f"conductance of {n} vertices", force)
     if include_table:
         check_cap("rows", 2 ** (n - 1) - 1, f"the conductance table of {n} vertices", force)
-    components = g.components()
+    components = g.components
     if len(components) == 1:
         phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
     else:
@@ -788,7 +788,7 @@ def dirichlet_eigenvalues(g: Graph, subset) -> np.ndarray:
     # Every component of G[S] must see the boundary; a swallowed component
     # would contribute a zero eigenvalue, which the boundary condition forbids.
     # A component of G[S] without an edge leaving S is a whole component of G.
-    if any(s_set.issuperset(comp) for comp in g.components()):
+    if any(s_set.issuperset(comp) for comp in g.components):
         raise ValueError("every component of the induced subgraph needs a nonempty vertex boundary")
 
     deg = g.degrees().astype(float)

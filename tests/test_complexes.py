@@ -124,7 +124,8 @@ def test_graph_validation():
 
 def test_graph_components():
     g = Graph.from_edge_labels(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert g.components() == [(0, 1), (2, 3)]
+    assert g.components == ((0, 1), (2, 3))
+    assert g.components is g.components  # one union-find per graph
     assert not g.is_connected()
 
 

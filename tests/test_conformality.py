@@ -18,7 +18,7 @@ from ipl import (
 )
 
 from ipl import conformality
-from ipl.conformality import _partition_value, _scan_masks, _witness_pair
+from ipl.conformality import _batched_rho_sq, _partition_value, _witness_pair
 from ipl.errors import CAPS
 
 from conftest import cycle_graph, random_orthogonal, random_spd
@@ -190,9 +190,17 @@ def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
 
 
 def reference_weak(m):
-    # The exhaustive one-by-one scan over every partition mask.
+    # The exhaustive scan, one partition at a time over every mask; ties go
+    # to the lexicographically first subset.
     k = m.dim
-    score, subset = _scan_masks(m.entries, range((1 << (k - 1)) - 1), k)
+    best = None
+    for p in range((1 << (k - 1)) - 1):
+        subset = tuple(i for i in range(k) if (2 * p + 1) >> i & 1)
+        rest = tuple(i for i in range(k) if i not in subset)
+        value = float(_partition_value(m.entries, np.array([subset]), np.array([rest]))[0][0])
+        if best is None or value > best[0] or (value == best[0] and subset < best[1]):
+            best = value, subset
+    score, subset = best
     rho, x, y = _witness_pair(m, np.array(subset))
     # One routine scores the partitions and reports the value.
     assert rho == score
@@ -245,7 +253,7 @@ def assert_matches_reference(m, label=""):
         s_idx = np.array(subset)
         t_idx = np.setdiff1d(np.arange(m.dim), s_idx)
         assert abs(res.rho_weak - full) <= tol, label
-        assert abs(_partition_value(m.entries, s_idx, t_idx)[0] - full) <= tol, label
+        assert abs(_partition_value(m.entries, s_idx[None], t_idx[None])[0][0] - full) <= tol, label
 
 
 def test_weak_batched_matches_reference(rng):
@@ -279,6 +287,9 @@ def fuzz_entries(rng, k):
     for i in range(0, k - 1, 2):
         tied[i, i + 1] = tied[i + 1, i] = 1.0
     yield "tied block-diagonal", tied[np.ix_(p, p)]
+    # Every value^2 lies within the tie window, so every partition is rescored.
+    g = rng.standard_normal((k, k))
+    yield "near-diagonal 1e-7", np.diag(rng.uniform(1.0, 2.0, k)) + 0.5e-7 * (g + g.T)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -293,6 +304,56 @@ def test_weak_chunked_matches_reference(monkeypatch):
     rng = np.random.default_rng(77)
     for kind, entries in fuzz_entries(rng, 10):
         assert_matches_reference(SpdMatrix(entries), kind)
+
+
+def test_stacked_scores_match_one_partition_calls():
+    # Each stacked LAPACK call treats its matrices one at a time, so a
+    # stack scores every partition with the bits of a stack of one.
+    rng = np.random.default_rng(31)
+    k = 8
+    for kind, entries in fuzz_entries(rng, k):
+        entries = SpdMatrix(entries).entries
+        rows = conformality._subset_rows(2 * np.arange((1 << (k - 1)) - 1) + 1, k)
+        for s in range(1, k):
+            at = rows[rows.sum(axis=1) == s]
+            s_idx = np.nonzero(at)[1].reshape(-1, s)
+            t_idx = np.nonzero(~at)[1].reshape(-1, k - s)
+            values, v, z = _partition_value(entries, s_idx, t_idx)
+            for i in range(len(at)):
+                one = _partition_value(entries, s_idx[i : i + 1], t_idx[i : i + 1])
+                assert values[i] == one[0][0], kind
+                assert np.array_equal(v[i], one[1][0]), kind
+                assert np.array_equal(z[i], one[2][0]), kind
+
+
+def assert_pruning_sound(m, label):
+    k = m.dim
+    delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+    exact = _batched_rho_sq(m, np.inf)  # best - 4 * inf prunes no partition
+    # best + 4 > 1 >= value^2: every partition whose smaller side has 3 or
+    # more indices is pruned, and its slot holds its bound.
+    bounds = _batched_rho_sq(m, -1.0)
+    pruned = _batched_rho_sq(m, delta)
+    # The bound holds up to rounding of the size k * eps * cond(M) that
+    # delta is a multiple of.
+    assert (bounds >= exact - delta / conformality.TIE_SAFETY).all(), label
+    assert np.all((pruned == exact) | (pruned == bounds)), label
+    assert pruned.max() == exact.max(), label
+    near_ties = [np.flatnonzero(r >= r.max() - delta) for r in (pruned, exact)]
+    assert np.array_equal(*near_ties), label
+    return int((pruned != exact).sum())
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_pruned_scan_keeps_the_near_ties(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    skipped = 0
+    for k in (7, 10, 11):
+        rng = np.random.default_rng(500 + k)
+        for kind, entries in fuzz_entries(rng, k):
+            skipped += assert_pruning_sound(SpdMatrix(entries), f"{kind} k={k}")
+    assert skipped > 0  # the bound did skip eigensolves
 
 
 def test_weak_invariant_under_diagonal_congruence(rng):

@@ -210,7 +210,7 @@ def test_conductance_disconnected_witness_is_the_first_zero_row(rng):
                 edges.add((members[int(rng.integers(0, i))], members[i]))
             edges.update((u, v) for u in members for v in members if u < v and rng.random() < 0.3)
         g = Graph(labels=tuple(f"v{i}" for i in range(n)), edges=tuple(sorted(edges)))
-        assert len(g.components()) == comps
+        assert len(g.components) == comps
         if trial % 2:
             m_v, m_e = random_spd(rng, n), random_spd(rng, g.m)
         else:
