@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -82,14 +83,15 @@ def _parse_subset(text: str, g: Graph):
 def _parse_schedule(text: str):
     if ":" in text:
         lo, hi = text.split(":", 1)
-        start, stop = float(lo), float(hi)
-        if not (0 < stop <= start < 1):
+        if not (0 < float(hi) <= float(lo) < 1):
             raise UsageError("schedule endpoints must satisfy 0 < end <= start < 1")
+        # Decimal steps are exact and each decade is rounded once, so
+        # 1e-1:1e-8 gives exactly DEFAULT_EPSILON_SCHEDULE.
+        eps, stop = Decimal(lo), Decimal(hi)
         out = []
-        eps = start
-        while eps >= stop * (1 - 1e-12):
-            out.append(eps)
-            eps /= 10.0
+        while eps >= stop:
+            out.append(float(eps))
+            eps /= 10
         return out
     return [float(t) for t in text.split(",")]
 
@@ -135,12 +137,14 @@ def _trace_rows(res):
 
 
 def _cmd_conformality(args) -> int:
+    if args.sampled is not None and args.seed is None:
+        raise UsageError("--sampled requires --seed")
+    if args.seed is not None and args.sampled is None:
+        raise UsageError("--seed requires --sampled")
     m = SpdMatrix(load_matrix(args.matrix))
     out = weak_conformality(m, force=args.force).to_dict()
     flags = {"force": args.force}
     if args.sampled is not None:
-        if args.seed is None:
-            raise UsageError("--sampled requires --seed")
         out["sampled"] = weak_conformality_sampled(m, args.sampled, args.seed)
         flags.update({"sampled": args.sampled, "seed": args.seed})
     _emit(args, {"matrix": args.matrix}, flags, out)

@@ -50,16 +50,16 @@ are reused from tile to tile. Memory thus grows with the square root of the
 number of cuts; only the optional conductance table grows with the number
 itself.
 
-The expander-mixing pair sweep ``verify_eml_batch`` scores CUT_CHUNK
-ordered pairs (X, Y) at a time from tables over subset masks, by three
-identities: the correlation is bilinear,
-Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y); an edge with no
-off-diagonal M_E entry adds w_e (X_u Y_v + X_v Y_u), its cut bit plus its
-inner bit; and the point mass is diag(d). Edges that M_E couples are added
-from code-word tables. Cor(X, X) on the right-hand side is the Gram
-determinant Vol(X) Vol(Xc) - Vol(X, Xc)^2. Both correlations are exactly 0
-when a set is {} or V. The witness is the first pair in (X mask, Y mask)
-order whose margin equals the minimum.
+The expander-mixing pair sweep ``verify_eml_batch`` reads the linear part
+of each pair's left-hand side from one vertex form over subset masks, by
+three identities: tau Cor(X, Y)/Vol(G) is bilinear, with form
+tau (M_V - r r^T/Vol(G)) for r = M_V 1; an edge with no off-diagonal M_E
+entry adds w_e (X_u Y_v + X_v Y_u), its cut bit plus its inner bit; and
+the point mass is -diag(d). Edges that M_E couples are added from
+code-word tables. Pairs with X or Y equal to {} or V pass by identity and
+are not swept; the others are scored a chunk of X masks against every Y
+at a time, and the witness is the first of them in (X mask, Y mask) order
+whose margin equals the minimum.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ from .laplacian import (
 from .linalg import SpdMatrix, _fix_signs, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
-# Cuts per tile of a cut scan, and pairs per chunk of the pair sweep; bounds
-# their temporaries.
+# Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
+# least one full row); bounds their temporaries.
 CUT_CHUNK = 1 << 14
 # Free membership bits from which a cut scan splits its columns into two
 # halves of balanced size; below it the split costs more than it saves
@@ -658,25 +658,30 @@ def verify_eml_batch(
 ) -> VerificationReport:
     """Sweep the mixing inequality over every ordered pair (X, Y) of vertex sets.
 
-    Inside its absolute value the left-hand side is
-    1_X^T K 1_Y + tau Cor(X, Y)/Vol(G) plus the mass of the edges that M_E
-    couples, by three identities (d_a = e({a}, ac)):
+    Inside its absolute value the left-hand side is 1_X^T F 1_Y plus the
+    mass of the edges that M_E couples. The vertex form F folds in three
+    identities (d_a = e({a}, ac), r = M_V 1):
 
-    - Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y), the squares of
-      Vol(Xc, Yc) = Vol(V, V) - Vol(X, V) - Vol(V, Y) + Vol(X, Y) cancelling.
-      Every volume comes from the same ``_pair_tables`` of M_V, so Cor is
-      exactly 0 when X or Y is {} or V;
+    - Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y)
+      = 1_X^T (Vol(G) M_V - r r^T) 1_Y, so tau Cor(X, Y)/Vol(G) is
+      tau (M_V - r r^T / Vol(G)) in F;
     - for an isolated edge (no off-diagonal M_E entry in its row), cut bit
       plus inner bit is X_u Y_v + X_v Y_u, so its mass is
-      w_e (E_uv + E_vu) in K;
-    - sum_{a in X cap Y} d_a is diag(d) in K.
+      w_e (E_uv + E_vu) in F;
+    - sum_{a in X cap Y} d_a is -diag(d) in F.
 
     The coupled edges go through ``_edge_word_tables`` and ``_edge_mass``:
     a pair's cut code is (U_w[X] & V_w[Y]) | (V_w[X] & U_w[Y]) per word, and
     the inner mass depends on X & Y only, so it is one table over subset
     masks. The right-hand side uses Cor(X, X) as the Gram determinant
-    Vol(X) Vol(Xc) - Vol(X, Xc)^2, which is exactly 0 at X = {} and X = V.
-    Pairs are scored CUT_CHUNK at a time, so memory does not grow with 4^n,
+    Vol(X) Vol(Xc) - Vol(X, Xc)^2.
+
+    When X or Y is {} or V, the edge terms cancel and both correlations are
+    0, so the margin is the trace term, which is never negative: those pairs
+    pass by identity and are not swept. ``pairs_checked`` still counts all
+    4^n pairs, while ``min_margin`` and the witness range over the
+    (2^n - 2)^2 pairs of nonempty proper subsets. Each chunk of
+    CUT_CHUNK >> n X masks (at least one) is scored against every Y at once,
     and a pair's margin does not depend on the chunk it falls in. The
     witness is the first pair in (X mask, Y mask) order whose margin equals
     the minimum.
@@ -705,48 +710,40 @@ def verify_eml_batch(
     rhs_x = gap * sqrt_cor / vol_g
 
     u, v = g.ends
-    edge_form = -np.diag(m_e.quad(unsigned_incidence(g)))
+    form = -np.diag(m_e.quad(unsigned_incidence(g)))
     blocks = _components(me)
     isolated = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
     coupled = np.array([e for b in blocks if len(b) > 1 for e in b], dtype=np.intp)
     w = np.diagonal(me)[isolated]
-    np.add.at(edge_form, (u[isolated], v[isolated]), w)
-    np.add.at(edge_form, (v[isolated], u[isolated]), w)
-    edge_tables = _pair_tables(edge_form)
+    np.add.at(form, (u[isolated], v[isolated]), w)
+    np.add.at(form, (v[isolated], u[isolated]), w)
+    r = mv.sum(axis=1)
+    form += tau * (mv - np.outer(r, r) / vol_g)
+    tables = _pair_tables(form)
     ends, lookups = _edge_word_tables(me, coupled, bits, u, v)
     inner_mass = _edge_mass(lookups, [uw & vw for uw, vw in ends]) if ends else None
-    # Cor(X, Y) = Vol(V, V) Vol(X, Y) - Vol(X, V) Vol(V, Y), every volume read
-    # from the same tables, so it is exactly 0 when X or Y is {} or V.
-    vol_tables = _pair_tables(mv)
-    vol_x_v = vol_tables[0][:, -1] + vol_tables[1][:, -1]
-    vol_v_y = _pair_rows(vol_tables, slice(count - 1, None))[0]
-    vol_v = vol_x_v[-1]
-    cor_scale = tau / vol_g
 
+    # X or Y in {}, V: the margin is trace_term >= 0 by identity, so only
+    # the masks 1 .. 2^n - 2 of nonempty proper subsets are swept.
+    ys = slice(1, count - 1)
     rows = max(1, CUT_CHUNK >> n)
-    cols = min(count, CUT_CHUNK)
     best = np.inf
     worst = None
-    for x0 in range(0, count, rows):
-        xs = slice(x0, x0 + rows)
-        edge_rows, vol_rows = _pair_rows(edge_tables, xs), _pair_rows(vol_tables, xs)
-        for y0 in range(0, count, cols):
-            ys = slice(y0, y0 + cols)
-            cor = vol_v * vol_rows[:, ys]
-            cor -= vol_x_v[xs, None] * vol_v_y[ys]
-            lhs = edge_rows[:, ys] + cor_scale * cor
-            if ends:
-                cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]
-                lhs += _edge_mass(lookups, cut) + inner_mass.take(masks[xs, None] & masks[ys])
-            lhs = np.abs(lhs)
-            margins = rhs_x[xs, None] * sqrt_cor[ys]
-            margins += trace_term
-            margins -= lhs
-            i, j = divmod(int(np.argmin(margins)), margins.shape[1])
-            if margins[i, j] < best:
-                best = float(margins[i, j])
-                x, y = x0 + i, y0 + j
-                worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
+    for x0 in range(1, count - 1, rows):
+        xs = slice(x0, min(x0 + rows, count - 1))
+        lhs = _pair_rows(tables, xs)[:, ys]
+        if ends:
+            cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]
+            lhs += _edge_mass(lookups, cut) + inner_mass.take(masks[xs, None] & masks[ys])
+        lhs = np.abs(lhs)
+        margins = rhs_x[xs, None] * sqrt_cor[ys]
+        margins += trace_term
+        margins -= lhs
+        i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+        if margins[i, j] < best:
+            best = float(margins[i, j])
+            x, y = x0 + i, 1 + j
+            worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
     x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",

@@ -76,10 +76,19 @@ def complex_from_dict(d) -> SimplicialComplex:
 def hypergraph_from_dict(d) -> tuple[Hypergraph, np.ndarray]:
     if not isinstance(d, dict) or "vertices" not in d or "hyperedges" not in d:
         raise ValueError('hypergraph JSON must contain "vertices" and "hyperedges"')
+    if not isinstance(d["vertices"], list):
+        raise ValueError('hypergraph JSON "vertices" must be a list of labels')
+    if not isinstance(d["hyperedges"], list):
+        raise ValueError('hypergraph JSON "hyperedges" must be a list of vertex lists')
+    for h in d["hyperedges"]:
+        if not isinstance(h, list):
+            raise ValueError(f"hypergraph JSON hyperedge {json.dumps(h)} is not a list of vertex labels")
+    weights = d.get("weights")
+    if weights is not None and not (isinstance(weights, list) and np.asarray(weights, dtype=float).ndim == 1):
+        raise ValueError('hypergraph JSON "weights" must be a list of numbers')
     labels = [str(v) for v in d["vertices"]]
     raw_edges = [[str(v) for v in h] for h in d["hyperedges"]]
     hg = Hypergraph.from_edge_labels(labels, raw_edges)
-    weights = d.get("weights")
     if weights is None:
         w = np.ones(hg.m)
     else:

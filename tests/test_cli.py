@@ -27,6 +27,7 @@ from ipl import (
 )
 from ipl.cli import main
 from ipl.errors import CAPS
+from ipl.isoperimetry import DEFAULT_EPSILON_SCHEDULE
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, load_matrix, matrix_from_dict, matrix_to_dict
 
 from conftest import cycle_graph, path_graph
@@ -86,6 +87,22 @@ def test_conformality_sampled_requires_seed(files, capsys):
     code, out, _ = run_cli(["conformality", files["ipj"], "--sampled", "100", "--seed", "5"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["sampled"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--sampled", "100"], "--sampled requires --seed"), (["--seed", "5"], "--seed requires --sampled")],
+    ids=["sampled-without-seed", "seed-without-sampled"],
+)
+def test_conformality_sampled_flags_checked_before_the_scan(files, capsys, monkeypatch, flags, message):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("weak_conformality ran")
+
+    monkeypatch.setattr("ipl.cli.weak_conformality", no_scan)
+    code, out, err = run_cli(["conformality", files["ipj"], *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_cheeger_exit_zero(files, capsys):
@@ -259,6 +276,18 @@ def test_neumann_and_dirichlet(files, capsys):
     code, out, _ = run_cli(["dirichlet", "--graph", files["p4"], "--subset", "v2,v3"], capsys)
     assert code == 0
     np.testing.assert_allclose(json.loads(out)["result"]["eigenvalues"], [0.5, 1.5], atol=1e-9)
+
+
+def test_schedule_range_is_decimal_exact(files, capsys):
+    # Each decade is rounded once from its decimal value, so the README's
+    # range reproduces the default schedule bit for bit.
+    assert ipl.cli._parse_schedule("1e-1:1e-8") == list(DEFAULT_EPSILON_SCHEDULE)
+    runs = [
+        run_cli(["neumann", "--graph", files["p4"], "--subset", "v2,v3", *extra], capsys)
+        for extra in ([], ["--schedule", "1e-1:1e-8"])
+    ]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert json.loads(runs[0][1])["result"] == json.loads(runs[1][1])["result"]
 
 
 def test_neumann_failed_convergence_exits_one(files, capsys):
@@ -535,6 +564,23 @@ def test_unknown_vertex_label_exit_two(tmp_path, capsys):
 def test_malformed_graph_exit_two(tmp_path, capsys, graph, message):
     path = write(tmp_path, "g.json", graph)
     code, out, err = run_cli(["conductance", "--graph", path], capsys)
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "hypergraph, message",
+    [
+        ({"vertices": ["a", "b"], "hyperedges": [["a", "b"]], "weights": 5}, '"weights" must be a list'),
+        ({"vertices": ["a", "b"], "hyperedges": 5}, '"hyperedges" must be a list'),
+        ({"vertices": 5, "hyperedges": [["a", "b"]]}, '"vertices" must be a list'),
+        ({"vertices": ["a", "b"], "hyperedges": [["a", "b"], 5]}, "hyperedge 5 is not a list"),
+    ],
+    ids=["weights-not-list", "hyperedges-not-list", "vertices-not-list", "hyperedge-not-list"],
+)
+def test_malformed_hypergraph_exit_two(tmp_path, capsys, hypergraph, message):
+    path = write(tmp_path, "h.json", hypergraph)
+    code, out, err = run_cli(["hypergraph-to-ipl", "--hypergraph", path], capsys)
     assert_one_error_line(code, out, err)
     assert message in err
 

@@ -377,9 +377,15 @@ def test_eml_full_vertex_set(rng):
     assert rep.values["cor_xy"] == pytest.approx(0.0, abs=1e-9)
 
 
+def _proper_subsets(n):
+    """Every nonempty proper subset of range(n): the sets the sweep scores."""
+    return [s for size in range(1, n) for s in itertools.combinations(range(n), size)]
+
+
 def test_eml_batch_matches_single(rng):
-    # The sweep's minimum margin is the least single-pair margin over every
-    # (X, Y), and its worst pair attains it, for dense and diagonal M_E.
+    # The sweep's minimum margin is the least single-pair margin over the
+    # pairs of nonempty proper subsets, and its worst pair attains it, for
+    # dense and diagonal M_E; it still counts all 4^n pairs as checked.
     for n, dense in ((5, True), (4, True), (4, False), (5, False)):
         g = random_connected_graph(rng, n, max_edges=7)
         m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
@@ -394,17 +400,17 @@ def test_eml_batch_matches_single(rng):
 
         worst = margin(batch.values["worst_x"], batch.values["worst_y"])
         assert worst == pytest.approx(batch.values["min_margin"], abs=1e-9)
-        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+        subsets = _proper_subsets(n)
         margins = [margin(x, y) for x in subsets for y in subsets]
-        assert batch.values["pairs_checked"] == len(margins)
+        assert batch.values["pairs_checked"] == 4**n
         assert batch.values["min_margin"] == pytest.approx(min(margins), abs=1e-9)
 
 
 def _eml_scale(g, m_v, m_e, values):
     # Both computations round relative to the magnitudes they add up: up to
     # tau Vol(G) in the correlation term and sum |M_E| in the edge masses.
-    # On the exact ties (X or Y in {}, V with rho_E = 0) the margin itself is
-    # 0, so |lhs| + |rhs| alone would leave no room for that rounding.
+    # Where the margin itself is near 0, |lhs| + |rhs| alone would leave no
+    # room for that rounding.
     tau = 0.5 * (values["lambda_n"] + values["lambda_2"])
     return (
         abs(values["worst_lhs"])
@@ -427,9 +433,9 @@ def _permuted_blocks(rng, sizes):
 def test_eml_batch_matches_exhaustive_fuzz():
     # Every M_E kind the sweep splits differently: all edges isolated
     # (diagonal, integer diagonal), all coupled (dense), and a permuted mix of
-    # 1 x 1 and larger blocks; M_V is dense on every third input. Inputs 5
-    # and 6 have their worst pair at Y = V, where a min_margin computed with
-    # Cor(V) as a difference of volume products is off by about 1e-9.
+    # 1 x 1 and larger blocks; M_V is dense on every third input. The
+    # reference is the least single-pair margin over nonempty proper subsets
+    # (pairs with X or Y in {}, V pass by identity and are not swept).
     rng = np.random.default_rng(15)
     for trial, n in enumerate((2, 3, 3, 4, 4, 5, 5, 6)):
         g = random_connected_graph(rng, n)
@@ -450,7 +456,7 @@ def test_eml_batch_matches_exhaustive_fuzz():
         batch = verify_eml_batch(g, m_v, m_e)
         v = batch.values
         spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+        subsets = _proper_subsets(n)
         margins = {
             (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values["margin"]
             for x in subsets
@@ -458,16 +464,17 @@ def test_eml_batch_matches_exhaustive_fuzz():
         }
         lowest = min(margins.values())
         bound = 1e-12 * _eml_scale(g, m_v, m_e, v)
-        assert v["pairs_checked"] == len(margins)
+        assert v["pairs_checked"] == 4**n
         assert abs(v["min_margin"] - lowest) <= bound
         assert abs(margins[tuple(v["worst_x"]), tuple(v["worst_y"])] - lowest) <= bound
         assert batch.passed == (lowest >= -1e-9)
 
 
 def test_eml_batch_min_margin_at_pairs_with_full_set():
-    # Cor(V, V) = 0 exactly; computed as a difference of volume products it
-    # kept rounding noise, which sqrt(Cor(X) Cor(V)) blew up to about 1e-9
-    # relative error in min_margin whenever the worst pair had X or Y = V.
+    # Over all pairs, 21 of these 24 inputs are least at X or Y in {}, V,
+    # where rounding in Cor(V) can reach about 1e-9 relative error. Such
+    # pairs pass by identity, and the nontrivial witness must attain
+    # min_margin as a single pair.
     rng = np.random.default_rng(11)
     for trial in range(24):
         g = random_connected_graph(rng, 6)
@@ -476,6 +483,35 @@ def test_eml_batch_min_margin_at_pairs_with_full_set():
         v = verify_eml_batch(g, m_v, m_e).values
         single = verify_eml(g, m_v, m_e, v["worst_x"], v["worst_y"], rho_e=v["rho_e"])
         assert abs(v["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, v)
+
+
+def test_eml_batch_witness_is_never_a_trivial_pair():
+    # With rho_E = 0 every pair with X or Y in {}, V has margin exactly 0,
+    # and rounding can put it just below 0, where it would win the witness
+    # race. Such pairs pass by identity, so the witness is the least margin
+    # over nonempty proper subsets.
+    rng = np.random.default_rng(41)
+    for trial, n in enumerate((4, 5, 6, 4, 5, 5)):
+        g = random_connected_graph(rng, n)
+        m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, n))
+        kind = trial % 3
+        if kind == 0:
+            m_e = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))
+        elif kind == 1:
+            m_e = SpdMatrix.from_diagonal(rng.integers(1, 4, g.m).astype(float))
+        else:
+            m_e = random_spd(rng, g.m)
+        v = verify_eml_batch(g, m_v, m_e).values
+        for side in (v["worst_x"], v["worst_y"]):
+            assert 0 < len(side) < n, v
+        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
+        subsets = _proper_subsets(n)
+        lowest = min(
+            verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values["margin"]
+            for x in subsets
+            for y in subsets
+        )
+        assert abs(v["min_margin"] - lowest) <= 1e-12 * _eml_scale(g, m_v, m_e, v)
 
 
 def test_eml_batch_code_words_and_cross_tables():
