@@ -56,9 +56,9 @@ three identities: tau Cor(X, Y)/Vol(G) is bilinear, with form
 tau (M_V - r r^T/Vol(G)) for r = M_V 1; an edge with no off-diagonal M_E
 entry adds w_e (X_u Y_v + X_v Y_u), its cut bit plus its inner bit; and
 the point mass is -diag(d). Edges that M_E couples are added from
-code-word tables. Pairs with X or Y equal to {} or V pass by identity and
-are not swept; the others are scored a chunk of X masks against every Y
-at a time, and the witness is the first of them in (X mask, Y mask) order
+code-word tables. Pairs with X or Y = {}, or = V for a diagonal M_E, pass
+by identity; the others are scored a chunk of X masks against every Y at
+a time, and the witness is the first of them in (X mask, Y mask) order
 whose margin equals the minimum.
 """
 
@@ -676,11 +676,13 @@ def verify_eml_batch(
     masks. The right-hand side uses Cor(X, X) as the Gram determinant
     Vol(X) Vol(Xc) - Vol(X, Xc)^2.
 
-    When X or Y is {} or V, the edge terms cancel and both correlations are
-    0, so the margin is the trace term, which is never negative: those pairs
-    pass by identity and are not swept. ``pairs_checked`` still counts all
-    4^n pairs, while ``min_margin`` and the witness range over the
-    (2^n - 2)^2 pairs of nonempty proper subsets. Each chunk of
+    When X or Y is {}, the edge terms and both correlations are 0, so the
+    margin is the trace term, never negative: such pairs pass by identity
+    and are not swept. At X = V the correlations are 0 and the edge terms
+    e(V, Y) + e(Y) - sum_{a in Y} d_a keep only the off-diagonal M_E entries
+    between edges touching Y; so for a diagonal M_E pairs with X or Y = V
+    pass by identity too. ``pairs_checked`` counts all 4^n pairs, while
+    ``min_margin`` and the witness range over the swept ones. Each chunk of
     CUT_CHUNK >> n X masks (at least one) is scored against every Y at once,
     and a pair's margin does not depend on the chunk it falls in. The
     witness is the first pair in (X mask, Y mask) order whose margin equals
@@ -723,14 +725,14 @@ def verify_eml_batch(
     ends, lookups = _edge_word_tables(me, coupled, bits, u, v)
     inner_mass = _edge_mass(lookups, [uw & vw for uw, vw in ends]) if ends else None
 
-    # X or Y in {}, V: the margin is trace_term >= 0 by identity, so only
-    # the masks 1 .. 2^n - 2 of nonempty proper subsets are swept.
-    ys = slice(1, count - 1)
+    # Mask 0 ({}) passes by identity, and so does V when no edge is coupled.
+    stop = count if ends else count - 1
+    ys = slice(1, stop)
     rows = max(1, CUT_CHUNK >> n)
     best = np.inf
     worst = None
-    for x0 in range(1, count - 1, rows):
-        xs = slice(x0, min(x0 + rows, count - 1))
+    for x0 in range(1, stop, rows):
+        xs = slice(x0, min(x0 + rows, stop))
         lhs = _pair_rows(tables, xs)[:, ys]
         if ends:
             cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]

@@ -377,15 +377,18 @@ def test_eml_full_vertex_set(rng):
     assert rep.values["cor_xy"] == pytest.approx(0.0, abs=1e-9)
 
 
-def _proper_subsets(n):
-    """Every nonempty proper subset of range(n): the sets the sweep scores."""
-    return [s for size in range(1, n) for s in itertools.combinations(range(n), size)]
+def _swept_subsets(n, m_e):
+    """The sets the sweep scores: every nonempty one, but V only when M_E has
+    an off-diagonal entry (pairs with X or Y = {}, and with X or Y = V for a
+    diagonal M_E, pass by identity)."""
+    diagonal = np.array_equal(m_e.entries, np.diag(np.diagonal(m_e.entries)))
+    return [s for size in range(1, n if diagonal else n + 1) for s in itertools.combinations(range(n), size)]
 
 
 def test_eml_batch_matches_single(rng):
     # The sweep's minimum margin is the least single-pair margin over the
-    # pairs of nonempty proper subsets, and its worst pair attains it, for
-    # dense and diagonal M_E; it still counts all 4^n pairs as checked.
+    # pairs it scores, and its worst pair attains it, for dense and diagonal
+    # M_E; it still counts all 4^n pairs as checked.
     for n, dense in ((5, True), (4, True), (4, False), (5, False)):
         g = random_connected_graph(rng, n, max_edges=7)
         m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
@@ -400,7 +403,7 @@ def test_eml_batch_matches_single(rng):
 
         worst = margin(batch.values["worst_x"], batch.values["worst_y"])
         assert worst == pytest.approx(batch.values["min_margin"], abs=1e-9)
-        subsets = _proper_subsets(n)
+        subsets = _swept_subsets(n, m_e)
         margins = [margin(x, y) for x in subsets for y in subsets]
         assert batch.values["pairs_checked"] == 4**n
         assert batch.values["min_margin"] == pytest.approx(min(margins), abs=1e-9)
@@ -433,9 +436,11 @@ def _permuted_blocks(rng, sizes):
 def test_eml_batch_matches_exhaustive_fuzz():
     # Every M_E kind the sweep splits differently: all edges isolated
     # (diagonal, integer diagonal), all coupled (dense), and a permuted mix of
-    # 1 x 1 and larger blocks; M_V is dense on every third input. The
-    # reference is the least single-pair margin over nonempty proper subsets
-    # (pairs with X or Y in {}, V pass by identity and are not swept).
+    # 1 x 1 and larger blocks; M_V is dense on every third input. Every pair
+    # is computed on its own: those the sweep settles by identity must have
+    # margin equal to the trace term, and the sweep's minimum and witness
+    # must be those of the others. With rho_E = 0 the settled pairs have
+    # margin 0, which rounding used to push just below the true minimum.
     rng = np.random.default_rng(15)
     for trial, n in enumerate((2, 3, 3, 4, 4, 5, 5, 6)):
         g = random_connected_graph(rng, n)
@@ -456,26 +461,35 @@ def test_eml_batch_matches_exhaustive_fuzz():
         batch = verify_eml_batch(g, m_v, m_e)
         v = batch.values
         spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-        subsets = _proper_subsets(n)
-        margins = {
-            (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values["margin"]
+        subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+        singles = {
+            (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values
             for x in subsets
             for y in subsets
         }
+        swept = set(_swept_subsets(n, m_e))
+        margins = {pair: s["margin"] for pair, s in singles.items() if set(pair) <= swept}
         lowest = min(margins.values())
         bound = 1e-12 * _eml_scale(g, m_v, m_e, v)
+        for pair, s in singles.items():
+            if pair not in margins:
+                assert abs(s["margin"] - s["rhs_conformality"]) <= bound, pair
         assert v["pairs_checked"] == 4**n
         assert abs(v["min_margin"] - lowest) <= bound
-        assert abs(margins[tuple(v["worst_x"]), tuple(v["worst_y"])] - lowest) <= bound
+        witness = tuple(v["worst_x"]), tuple(v["worst_y"])
+        assert witness in margins, witness
+        assert abs(margins[witness] - lowest) <= bound
         assert batch.passed == (lowest >= -1e-9)
 
 
 def test_eml_batch_min_margin_at_pairs_with_full_set():
-    # Over all pairs, 21 of these 24 inputs are least at X or Y in {}, V,
-    # where rounding in Cor(V) can reach about 1e-9 relative error. Such
-    # pairs pass by identity, and the nontrivial witness must attain
-    # min_margin as a single pair.
+    # Cor(V, V) = 0 exactly; computed as a difference of volume products it
+    # kept rounding noise, which sqrt(Cor(X) Cor(V)) blew up to about 1e-9
+    # relative error in min_margin whenever the worst pair had X or Y = V.
+    # With a dense M_E those pairs are swept, and here most witnesses have
+    # X or Y = V.
     rng = np.random.default_rng(11)
+    at_full_set = 0
     for trial in range(24):
         g = random_connected_graph(rng, 6)
         m_v = random_spd(rng, g.n) if trial % 3 == 0 else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
@@ -483,35 +497,8 @@ def test_eml_batch_min_margin_at_pairs_with_full_set():
         v = verify_eml_batch(g, m_v, m_e).values
         single = verify_eml(g, m_v, m_e, v["worst_x"], v["worst_y"], rho_e=v["rho_e"])
         assert abs(v["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, v)
-
-
-def test_eml_batch_witness_is_never_a_trivial_pair():
-    # With rho_E = 0 every pair with X or Y in {}, V has margin exactly 0,
-    # and rounding can put it just below 0, where it would win the witness
-    # race. Such pairs pass by identity, so the witness is the least margin
-    # over nonempty proper subsets.
-    rng = np.random.default_rng(41)
-    for trial, n in enumerate((4, 5, 6, 4, 5, 5)):
-        g = random_connected_graph(rng, n)
-        m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, n))
-        kind = trial % 3
-        if kind == 0:
-            m_e = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))
-        elif kind == 1:
-            m_e = SpdMatrix.from_diagonal(rng.integers(1, 4, g.m).astype(float))
-        else:
-            m_e = random_spd(rng, g.m)
-        v = verify_eml_batch(g, m_v, m_e).values
-        for side in (v["worst_x"], v["worst_y"]):
-            assert 0 < len(side) < n, v
-        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-        subsets = _proper_subsets(n)
-        lowest = min(
-            verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values["margin"]
-            for x in subsets
-            for y in subsets
-        )
-        assert abs(v["min_margin"] - lowest) <= 1e-12 * _eml_scale(g, m_v, m_e, v)
+        at_full_set += len(v["worst_x"]) == 6 or len(v["worst_y"]) == 6
+    assert at_full_set >= 12
 
 
 def test_eml_batch_code_words_and_cross_tables():
