@@ -15,6 +15,31 @@ from itertools import combinations
 import numpy as np
 
 
+def _components(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """Connected components of vertices 0..n-1 joined by the (a, b) pairs, as
+    sorted tuples in sorted order (so by smallest vertex), by union-find."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    joins = 0
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            joins += 1
+            if joins == n - 1:  # one component: the other pairs join nothing
+                return (tuple(range(n)),)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     labels: tuple[str, ...]
@@ -192,22 +217,7 @@ class Graph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, in sorted order (one union-find, cached)."""
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        return _components(self.n, self.edges)
 
     def is_connected(self) -> bool:
         return len(self.components) == 1

@@ -42,11 +42,13 @@ connected components C of its nonzero pattern. For disjointly supported x
 and y, x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC) |x|_M |y|_M by
 Cauchy-Schwarz, and the best block's witness attains it, so
 rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so an exactly
-diagonal M scores 0 with witness S = (0,) and no scan. Each block of size
->= 2 is scanned on its own principal submatrix, with cond(M_CC) in its tie
-window, and the enumeration cap applies to the largest block; a connected
-M is one block. Among the blocks whose value equals the maximum exactly,
-each block's partition S_C (it holds min(C)) is lifted to
+diagonal M scores 0 with witness S = (0,) and no scan. As
+(M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size >= 2.
+One tie window, from k and cond(M), serves them all and is at least each
+block's own; only the partitions within it of the top over all blocks
+are scored again. The enumeration cap applies to the largest block; a
+connected M is one block. Among the blocks whose value equals the
+maximum exactly, each block's partition S_C (it holds min(C)) is lifted to
 S_C | {i not in C : i < max(S_C)}, the lexicographically smallest full
 partition that restricts to S_C. The smallest lift is the witness
 partition, that block's witness pair (zero elsewhere) is the witness pair,
@@ -63,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import _components
 from .errors import check_cap
 from .linalg import SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
@@ -146,13 +149,14 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
 
 
-def _scan_masks(entries: np.ndarray, masks, k: int):
-    """Score each partition mask with ``_partition_value``: the best value
-    and its subset, ties to the lexicographically first subset.
+def _scan_masks(entries: np.ndarray, masks, c: np.ndarray):
+    """Score each partition mask of block c with ``_partition_value``: the
+    best value and its subset of positions in c, ties to the first subset.
 
     The masks are scored ``BATCH_CHUNK`` at a time, one stack per size of
-    the side that holds index 0.
+    the side that holds c[0].
     """
+    k = len(c)
     rows = _subset_rows(2 * np.asarray(masks) + 1, k)
     values = np.empty(len(rows))
     for lo in range(0, len(rows), BATCH_CHUNK):
@@ -160,21 +164,22 @@ def _scan_masks(entries: np.ndarray, masks, k: int):
         size = chunk.sum(axis=1)
         for s in sorted(set(size.tolist())):
             at = np.flatnonzero(size == s)
-            s_idx = np.nonzero(chunk[at])[1].reshape(-1, s)
-            t_idx = np.nonzero(~chunk[at])[1].reshape(-1, k - s)
+            s_idx = c.take(np.nonzero(chunk[at])[1].reshape(-1, s))
+            t_idx = c.take(np.nonzero(~chunk[at])[1].reshape(-1, k - s))
             values[lo + at] = _partition_value(entries, s_idx, t_idx)[0]
     best = values.max()
     ties = rows[values == best]
     return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
-def _batched_rho_sq(m: SpdMatrix, delta: float) -> np.ndarray:
-    """value(S)^2 for every partition mask, by the Schur identity, indexed by
-    mask; a partition that cannot reach the tie window delta of the maximum
-    holds an upper bound on its value^2 instead.
+def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
+    """value(S)^2 for every partition mask of block c, by the Schur identity,
+    indexed by mask; a partition that cannot reach the tie window delta of
+    the block's maximum holds an upper bound on its value^2 instead.
 
-    Partition mask p is the subset mask 2p + 1 (see ``_subset_rows``); the
-    all-in mask 2^(k-1) - 1 is not a partition and is left out.
+    M and M^-1 are read at c's indices, as (M^-1)_CC = (M_CC)^-1. Partition
+    mask p is the subset mask 2p + 1 of positions in c (see ``_subset_rows``);
+    the all-in mask 2^(|c|-1) - 1 is not a partition and is left out.
 
     For the smaller side S, with M_SS = L L^T, B = L^T (M^-1)_SS L has the
     eigenvalues of M_SS (M^-1)_SS, and E = B - I bounds mu_max = lambda_max(B)
@@ -188,8 +193,7 @@ def _batched_rho_sq(m: SpdMatrix, delta: float) -> np.ndarray:
     eigensolving every partition, bit for bit; delta = inf eigensolves them
     all. B is held for one chunk at a time.
     """
-    k = m.dim
-    entries, inverse = m.entries, m.inverse()
+    n, k = len(entries), len(c)
     count = (1 << (k - 1)) - 1
     out = np.empty(count)
     best = -np.inf
@@ -203,8 +207,8 @@ def _batched_rho_sq(m: SpdMatrix, delta: float) -> np.ndarray:
             rows = np.flatnonzero(size == s)
             if len(rows) == 0:
                 continue
-            idx = np.nonzero(members[rows])[1].reshape(-1, s)
-            flat = idx[:, :, None] * k + idx[:, None, :]
+            idx = c.take(np.nonzero(members[rows])[1].reshape(-1, s))
+            flat = idx[:, :, None] * n + idx[:, None, :]
             chol = np.linalg.cholesky(entries.take(flat))
             b = np.swapaxes(chol, 1, 2) @ inverse.take(flat) @ chol
             if s > 2:
@@ -227,54 +231,13 @@ def _batched_rho_sq(m: SpdMatrix, delta: float) -> np.ndarray:
     return out
 
 
-def _components(entries: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern, by smallest index."""
-    linked = entries != 0.0
-    unseen = np.ones(len(entries), dtype=bool)
-    blocks = []
-    while unseen.any():
-        reach = np.zeros_like(unseen)
-        reach[np.argmax(unseen)] = True
-        while True:
-            # The diagonal of an SPD matrix is nonzero, so reach only grows.
-            grown = linked[reach].any(axis=0)
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        unseen &= ~reach
-        blocks.append(np.flatnonzero(reach))
-    return blocks
-
-
-def _scan(m: SpdMatrix):
-    """(value, witness partition) of one connected block, by rank-then-recheck.
-
-    The batched ranking eigensolves only the partitions whose bound can
-    reach the tie window (see ``_batched_rho_sq``); the near-ties are those
-    of scoring every partition, so the rechecked winner is unchanged.
-    """
-    k = m.dim
-    # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
-    # whose condition numbers are at most cond(M), put both the batched
-    # value^2 and the one-by-one value^2 within a small multiple of
-    # k * eps * cond(M) of the exact value (measured: they differ by at
-    # most 0.9 times it on dense, ill-conditioned, near-diagonal, gadget
-    # and block-diagonal inputs with k <= 12). Any partition the
-    # one-by-one scan could rank first then lies within delta of the
-    # batched maximum.
-    delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
-    rho_sq = _batched_rho_sq(m, delta)
-    near_ties = np.flatnonzero(rho_sq >= rho_sq.max() - delta)
-    return _scan_masks(m.entries, near_ties, k)
-
-
 def _exact_weak(m: SpdMatrix, force: bool):
-    """(rho, witness partition, (C, M_CC, S_C)) of exact weak conformality.
+    """(rho, witness partition, (C, S_C)) of exact weak conformality.
 
-    C is the winning block's index array, M_CC its matrix and S_C the
-    block's own witness partition, under the block rule of the module
+    C is the winning block's index array and S_C the block's own witness
+    partition, as positions in C, under the block rule of the module
     docstring; a connected or diagonal M is the single block C = all
-    indices, M_CC = M. A block past the ``partitions`` cap raises
+    indices. A block past the ``partitions`` cap raises
     ``EnumerationCapError`` unless ``force`` is set.
     """
     k = m.dim
@@ -283,37 +246,57 @@ def _exact_weak(m: SpdMatrix, force: bool):
     if m.is_diagonal:
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
-        return 0.0, (0,), (np.arange(k), m, (0,))
-    blocks = [c for c in _components(m.entries) if len(c) > 1]
+        return 0.0, (0,), (np.arange(k), (0,))
+    entries = m.entries
+    rows, cols = np.nonzero(np.triu(entries, 1))
+    blocks = [np.array(c) for c in _components(k, zip(rows.tolist(), cols.tolist())) if len(c) > 1]
     largest = max(len(c) for c in blocks)
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
+    # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
+    # whose condition numbers are at most cond(M), put both the batched
+    # value^2 and the one-by-one value^2 within a small multiple of
+    # k * eps * cond(M) of the exact value (measured: they differ by at
+    # most 0.9 times it on dense, ill-conditioned, near-diagonal, gadget
+    # and block-diagonal inputs with k <= 12). Any partition the
+    # one-by-one scan could rank first then lies within delta of the
+    # batched maximum over all blocks (|C| <= k, cond(M_CC) <= cond(M)).
+    delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
+    inverse = m.inverse()
+    ranked = [_batched_rho_sq(entries, inverse, c, delta) for c in blocks]
+    top = max(rho_sq.max() for rho_sq in ranked)
     best = None
-    for c in blocks:
-        whole = len(c) == k
-        m_cc = m if whole else SpdMatrix(m.entries[np.ix_(c, c)])
-        rho, s_c = _scan(m_cc)
-        lift = s_c if whole else tuple(np.union1d(c[list(s_c)], np.setdiff1d(np.arange(c[s_c[-1]]), c)).tolist())
+    for c, rho_sq in zip(blocks, ranked):
+        near_ties = np.flatnonzero(rho_sq >= top - delta)
+        if len(near_ties) == 0:
+            continue
+        rho, s_c = _scan_masks(entries, near_ties, c)
+        s = c.take(s_c)
+        lift = np.arange(k) < s[-1]
+        lift[c] = False
+        lift[s] = True
+        lift = tuple(np.flatnonzero(lift).tolist())
         if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
-            best = rho, lift, (c, m_cc, s_c)
+            best = rho, lift, (c, s_c)
     return best
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
     """Exact weak conformality over all support partitions.
 
-    Each block of the nonzero pattern is scanned on its own: the batched
-    Schur-complement scan ranks its partitions, the near-ties of its
-    maximum are scored again one by one, and ties between those resolve
-    to the lexicographically smallest subset containing the block's first
-    index. The best block gives the result, under the witness rule of the
-    module docstring; a connected M is one block, whose witness is the one
-    an exhaustive one-by-one scan selects. The witness pair is built once,
-    on the winning block, and is zero outside it.
+    The batched Schur-complement scan ranks the partitions of every block
+    of the nonzero pattern, the near-ties of the top over all blocks are
+    scored again one by one, and ties within a block resolve to the
+    lexicographically smallest subset containing the block's first index.
+    The best block gives the result, under the witness rule of the module
+    docstring; a connected M is one block, whose witness is the one an
+    exhaustive one-by-one scan selects. The witness pair is built once, on
+    the winning block, and is zero outside it.
 
     A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
     """
-    rho, subset, (c, m_cc, s_c) = _exact_weak(m, force)
+    rho, subset, (c, s_c) = _exact_weak(m, force)
+    m_cc = m if len(c) == m.dim else SpdMatrix(m.entries[np.ix_(c, c)])
     x, y = np.zeros(m.dim), np.zeros(m.dim)
     x[c], y[c] = _witness_pair(m_cc, np.array(s_c))[1:]
     return ConformalityResult(

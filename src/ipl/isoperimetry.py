@@ -69,8 +69,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .complexes import Graph, graph_incidence, unsigned_incidence
-from .conformality import _components, _first_set, _subset_rows, weak_conformality_value
+from .complexes import Graph, _components, graph_incidence, unsigned_incidence
+from .conformality import _first_set, _subset_rows, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
     ZERO_RTOL,
@@ -713,7 +713,7 @@ def verify_eml_batch(
 
     u, v = g.ends
     form = -np.diag(m_e.quad(unsigned_incidence(g)))
-    blocks = _components(me)
+    blocks = _components(g.m, np.argwhere(np.triu(me, 1)).tolist())
     isolated = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
     coupled = np.array([e for b in blocks if len(b) > 1 for e in b], dtype=np.intp)
     w = np.diagonal(me)[isolated]

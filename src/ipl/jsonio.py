@@ -5,7 +5,9 @@ Graphs:   {"vertices": [...], "edges": [["a","b"], ...], "orientation": [1, -1, 
 Complexes: {"facets": [["a","b","c"], ...]}.
 Hypergraphs: {"vertices": [...], "hyperedges": [[...], ...], "weights": [1.0, ...]}.
 Vectors: either a bare JSON array or {"values": [...]}.
-The load_* readers refuse NaN and infinities, naming the file and entry.
+The load_* readers refuse NaN and infinities, naming the file and entry,
+and numeric arrays that are ragged, of the wrong depth or hold non-numbers,
+naming the file and key.
 """
 
 from __future__ import annotations
@@ -24,29 +26,34 @@ def load_json(path) -> object:
     return json.loads(text)
 
 
-def matrix_from_dict(d) -> np.ndarray:
+def _numbers(value, ndim: int, what: str) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` dimensions, or a ValueError naming ``what``."""
+    try:
+        a = np.asarray(value, dtype=float)
+        if a.ndim == ndim:
+            return a
+    except (TypeError, ValueError):  # ragged lists, strings, objects
+        pass
+    shape = "a list of numbers" if ndim == 1 else "a list of equal-length lists of numbers"
+    raise ValueError(f"{what} must be {shape}")
+
+
+def matrix_from_dict(d, what: str = "matrix JSON") -> np.ndarray:
     if not isinstance(d, dict) or "rows" not in d:
         raise ValueError('matrix JSON must be an object with a "rows" key')
-    rows = d["rows"]
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("matrix rows must form a rectangular 2-d array")
-    return a
+    return _numbers(d["rows"], 2, f'{what} "rows"')
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:
     return {"rows": np.asarray(a, dtype=float).tolist()}
 
 
-def vector_from_dict(d) -> np.ndarray:
+def vector_from_dict(d, what: str = "vector JSON") -> np.ndarray:
     if isinstance(d, dict):
         if "values" not in d:
             raise ValueError('vector JSON must be an array or an object with a "values" key')
-        d = d["values"]
-    a = np.asarray(d, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("vector JSON must be one-dimensional")
-    return a
+        d, what = d["values"], f'{what} "values"'
+    return _numbers(d, 1, what)
 
 
 def graph_from_dict(d) -> Graph:
@@ -73,7 +80,7 @@ def complex_from_dict(d) -> SimplicialComplex:
     return build_complex([[str(v) for v in f] for f in d["facets"]])
 
 
-def hypergraph_from_dict(d) -> tuple[Hypergraph, np.ndarray]:
+def hypergraph_from_dict(d, what: str = "hypergraph JSON") -> tuple[Hypergraph, np.ndarray]:
     if not isinstance(d, dict) or "vertices" not in d or "hyperedges" not in d:
         raise ValueError('hypergraph JSON must contain "vertices" and "hyperedges"')
     if not isinstance(d["vertices"], list):
@@ -84,8 +91,9 @@ def hypergraph_from_dict(d) -> tuple[Hypergraph, np.ndarray]:
         if not isinstance(h, list):
             raise ValueError(f"hypergraph JSON hyperedge {json.dumps(h)} is not a list of vertex labels")
     weights = d.get("weights")
-    if weights is not None and not (isinstance(weights, list) and np.asarray(weights, dtype=float).ndim == 1):
-        raise ValueError('hypergraph JSON "weights" must be a list of numbers')
+    if weights is not None:
+        # Checked in file order, before the weights are sorted with the hyperedges.
+        weights = check_finite(_numbers(weights, 1, f'{what} "weights"'), f'{what} "weights"')
     labels = [str(v) for v in d["vertices"]]
     raw_edges = [[str(v) for v in h] for h in d["hyperedges"]]
     hg = Hypergraph.from_edge_labels(labels, raw_edges)
@@ -105,11 +113,11 @@ def hypergraph_from_dict(d) -> tuple[Hypergraph, np.ndarray]:
 
 
 def load_matrix(path) -> np.ndarray:
-    return check_finite(matrix_from_dict(load_json(path)), f"{path}: matrix")
+    return check_finite(matrix_from_dict(load_json(path), f"{path}: matrix"), f"{path}: matrix")
 
 
 def load_vector(path) -> np.ndarray:
-    return check_finite(vector_from_dict(load_json(path)), f"{path}: vector")
+    return check_finite(vector_from_dict(load_json(path), f"{path}: vector"), f"{path}: vector")
 
 
 def load_graph(path) -> Graph:
@@ -117,8 +125,4 @@ def load_graph(path) -> Graph:
 
 
 def load_hypergraph(path) -> tuple[Hypergraph, np.ndarray]:
-    d = load_json(path)
-    if isinstance(d, dict) and d.get("weights") is not None:
-        # Checked in file order, before the weights are sorted with the hyperedges.
-        check_finite(np.asarray(d["weights"], dtype=float), f"{path}: weights")
-    return hypergraph_from_dict(d)
+    return hypergraph_from_dict(load_json(path), f"{path}: hypergraph")

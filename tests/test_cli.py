@@ -585,9 +585,27 @@ def test_malformed_hypergraph_exit_two(tmp_path, capsys, hypergraph, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "name, content, argv, key",
+    [
+        ("m.json", {"rows": [[1, [2]], [3, 4]]}, ["conformality", "{}"], 'matrix "rows"'),
+        ("v.json", [1, [2], 3], ["recover", "--kind", "combinatorial", "--graph", "{p3}", "--weights", "{}"], "vector"),
+        ("h.json", {"vertices": ["1", "2"], "hyperedges": [["1"], ["2"]], "weights": [1, [2]]}, ["hypergraph-to-ipl", "--hypergraph", "{}"], 'hypergraph "weights"'),
+        ("h.json", {"vertices": ["1", "2"], "hyperedges": [["1"], ["2"]], "weights": [1, "x"]}, ["hypergraph-to-ipl", "--hypergraph", "{}"], 'hypergraph "weights"'),
+    ],
+    ids=["ragged-matrix", "ragged-vector", "ragged-weights", "string-weight"],
+)
+def test_malformed_numeric_array_names_file_and_key(tmp_path, files, capsys, name, content, argv, key):
+    path = write(tmp_path, name, content)
+    code, out, err = run_cli([a.format(path, p3=files["p3"]) for a in argv], capsys)
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: {path}: {key} must be a list")
+    assert not any(word in err for word in ("sequence", "inhomogeneous", "convert"))
+
+
 def test_verify_cheeger_block_me_past_the_weak_cap(tmp_path, capsys):
     # 21 edges exceed the default enumeration cap of 20; the block-diagonal
-    # M_E has blocks of at most 5 edges, each scanned on its own.
+    # M_E has blocks of at most 5 edges, and the cap applies to the largest.
     labels = [f"v{i}" for i in range(12)]
     edges = [[labels[i], labels[(i + 1) % 12]] for i in range(12)]
     edges += [[labels[i], labels[i + 2]] for i in range(9)]

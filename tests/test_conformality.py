@@ -152,6 +152,34 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
     assert weak_conformality_value(m) == res.rho_weak
 
 
+def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
+    # Three 4 x 4 blocks of distinct values: every block is ranked from M's
+    # own inverse, only the best block is scored again, and only the
+    # witness pair builds a matrix, that block's.
+    rng = np.random.default_rng(21)
+    m = SpdMatrix(block_diagonal(rng, [4, 4, 4]))
+    built, scans = [], []
+    init, scan = SpdMatrix.__init__, conformality._scan_masks
+
+    def counting_init(self, entries):
+        built.append(np.shape(entries))
+        init(self, entries)
+
+    def counting_scan(*args):
+        scans.append(args[2].tolist())
+        return scan(*args)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counting_init)
+    monkeypatch.setattr(conformality, "_scan_masks", counting_scan)
+    rho = weak_conformality_value(m)
+    assert built == []
+    assert len(scans) == 1
+    res = weak_conformality(m)
+    assert built == [(4, 4)]
+    assert res.rho_weak == rho
+    assert np.flatnonzero(res.witness_x + res.witness_y).tolist() == scans[0]
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
 def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
     # Only weak_conformality reports a witness pair; the verifiers and the
@@ -290,6 +318,12 @@ def fuzz_entries(rng, k):
     # Every value^2 lies within the tie window, so every partition is rescored.
     g = rng.standard_normal((k, k))
     yield "near-diagonal 1e-7", np.diag(rng.uniform(1.0, 2.0, k)) + 0.5e-7 * (g + g.T)
+    # Blocks scaled by 10^-4 to 10^4: cond(M) far above every cond(M_CC), so
+    # the shared tie window is much wider than each block's own.
+    scaled = block.copy()
+    for lo, hi in zip(cuts, cuts[1:]):
+        scaled[lo:hi, lo:hi] *= 10.0 ** rng.uniform(-4, 4)
+    yield "scaled block-diagonal", scaled
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -329,11 +363,12 @@ def test_stacked_scores_match_one_partition_calls():
 def assert_pruning_sound(m, label):
     k = m.dim
     delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-    exact = _batched_rho_sq(m, np.inf)  # best - 4 * inf prunes no partition
+    whole = m.entries, m.inverse(), np.arange(k)
+    exact = _batched_rho_sq(*whole, np.inf)  # best - 4 * inf prunes no partition
     # best + 4 > 1 >= value^2: every partition whose smaller side has 3 or
     # more indices is pruned, and its slot holds its bound.
-    bounds = _batched_rho_sq(m, -1.0)
-    pruned = _batched_rho_sq(m, delta)
+    bounds = _batched_rho_sq(*whole, -1.0)
+    pruned = _batched_rho_sq(*whole, delta)
     # The bound holds up to rounding of the size k * eps * cond(M) that
     # delta is a multiple of.
     assert (bounds >= exact - delta / conformality.TIE_SAFETY).all(), label
