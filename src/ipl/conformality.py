@@ -37,13 +37,15 @@ score alone. Only ``weak_conformality`` (so ``ipl conformality``) builds a
 witness pair, once, on the winning block, with a ``_partition_value`` call
 on that one partition, so the pair attains the reported value.
 
-A block-diagonal M is scored block by block, the blocks being the
-connected components C of its nonzero pattern. For disjointly supported x
-and y, x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC) |x|_M |y|_M by
-Cauchy-Schwarz, and the best block's witness attains it, so
+A block-diagonal M is scored block by block, the blocks C being
+``SpdMatrix.blocks``, the connected components of its nonzero pattern. For
+disjointly supported x, y: x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC)
+|x|_M |y|_M by Cauchy-Schwarz, and the best block's witness attains it, so
 rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so an exactly
 diagonal M scores 0 with witness S = (0,) and no scan. As
-(M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size >= 2.
+(M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size >= 2;
+``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M and
+``inverse_conformality_check`` scans the same blocks for both.
 One tie window, from k and cond(M), serves them all and is at least each
 block's own; only the partitions within it of the top over all blocks
 are scored again. The enumeration cap applies to the largest block; a
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _components
 from .errors import check_cap
 from .linalg import SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
@@ -234,10 +235,10 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
 def _exact_weak(m: SpdMatrix, force: bool):
     """(rho, witness partition, (C, S_C)) of exact weak conformality.
 
-    C is the winning block's index array and S_C the block's own witness
-    partition, as positions in C, under the block rule of the module
-    docstring; a connected or diagonal M is the single block C = all
-    indices. A block past the ``partitions`` cap raises
+    C is the winning block's index array, one of ``m.blocks``, and S_C
+    the block's own witness partition, as positions in C, under the block
+    rule of the module docstring; a connected or diagonal M is the single
+    block C = all indices. A block past the ``partitions`` cap raises
     ``EnumerationCapError`` unless ``force`` is set.
     """
     k = m.dim
@@ -247,9 +248,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
         return 0.0, (0,), (np.arange(k), (0,))
-    entries = m.entries
-    rows, cols = np.nonzero(np.triu(entries, 1))
-    blocks = [np.array(c) for c in _components(k, zip(rows.tolist(), cols.tolist())) if len(c) > 1]
+    entries, blocks = m.entries, m.blocks
     largest = max(len(c) for c in blocks)
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,

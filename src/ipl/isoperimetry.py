@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .complexes import Graph, _components, graph_incidence, unsigned_incidence
+from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _first_set, _subset_rows, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
@@ -713,9 +713,8 @@ def verify_eml_batch(
 
     u, v = g.ends
     form = -np.diag(m_e.quad(unsigned_incidence(g)))
-    blocks = _components(g.m, np.argwhere(np.triu(me, 1)).tolist())
-    isolated = np.array([b[0] for b in blocks if len(b) == 1], dtype=np.intp)
-    coupled = np.array([e for b in blocks if len(b) > 1 for e in b], dtype=np.intp)
+    coupled = np.concatenate([np.arange(0), *m_e.blocks])
+    isolated = np.setdiff1d(np.arange(g.m), coupled)
     w = np.diagonal(me)[isolated]
     np.add.at(form, (u[isolated], v[isolated]), w)
     np.add.at(form, (v[isolated], u[isolated]), w)

@@ -6,6 +6,9 @@ SPD solves, and generalized symmetric eigenproblems with an SPD right-hand
 matrix. All arithmetic is 64-bit floating point in numpy. ``SpdMatrix``
 caches M = V diag(lambda) V^T; its square roots, inverse and solves all work
 in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
+Eigenvectors, and so spectral functions, keep the blocks (connected
+components) of a symmetric matrix's nonzero pattern; ``SpdMatrix`` eigensolves
+each block alone, so its roots, inverse and solves are exactly zero off them.
 ``SpdMatrix.quad`` is the one routine for quadratic forms x^T M x: it takes a
 vector or a stack of rows (one value per row), and for a diagonal M it uses
 (x * x) @ diag(M).
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .complexes import _components
 from .errors import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError
 
 # Relative tolerance for accepting an input matrix as symmetric.
@@ -75,10 +79,6 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _is_exactly_diagonal(a: np.ndarray) -> bool:
-    return bool(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0)
-
-
 class SpdMatrix:
     """A symmetric positive definite matrix with cached spectral data.
 
@@ -89,11 +89,12 @@ class SpdMatrix:
     symmetric square root and its inverse are computed once and shared;
     instances are immutable and safe to use from multiple threads.
 
-    Exactly diagonal inputs take an exact fast path (sorted entries, axis
-    eigenvectors), which keeps extreme diagonal conditioning from
-    accumulating eigensolver noise. The
-    eigenvectors are then a permutation matrix, so the square roots and
-    the inverse, computed in that basis, are exactly diagonal as well.
+    Each of ``blocks`` gets its own ``eigh`` (a connected M one ``eigh``
+    of all of it), any other index is a 1 x 1 block with an axis
+    eigenvector, and one stable sort orders the eigenvalues. As every
+    eigenvector lives on one block, every product term between two blocks
+    is an exact zero: the square roots, ``inverse()`` and ``solve`` are
+    exactly zero off the blocks (exactly diagonal for a diagonal M).
     """
 
     def __init__(self, entries):
@@ -103,26 +104,32 @@ class SpdMatrix:
         check_finite(a)
         _check_symmetric(a)
         a = 0.5 * (a + a.T)
-        self._is_diagonal = _is_exactly_diagonal(a)
         self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**50)
-        if self._is_diagonal:
-            d = np.diagonal(a).copy()
-            order = np.argsort(d, kind="stable")
-            vals = d[order]
-            vecs = np.zeros_like(a)
-            vecs[order, np.arange(a.shape[0])] = 1.0
-        else:
+        k = a.shape[0]
+        rows, cols = np.nonzero(np.triu(a, 1))
+        blocks = _components(k, zip(rows.tolist(), cols.tolist())) if len(rows) else ()
+        self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
+        if len(blocks) == 1:
             vals, vecs = np.linalg.eigh(a)
+        else:
+            vals, vecs = np.diagonal(a).copy(), np.eye(k)
+            for size in {len(c) for c in self._blocks}:
+                # Blocks of one size in one stacked eigh: an (n, size) index array.
+                idx = np.array([c for c in self._blocks if len(c) == size])
+                at = idx[:, :, None], idx[:, None, :]
+                vals[idx], vecs[at] = np.linalg.eigh(a[at])
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], vecs.take(order, axis=1)
+        if blocks:
             vecs = _fix_signs(vecs)
         self._entries = a
         self._entries.setflags(write=False)
         self._eigenvalues = vals
         self._eigenvectors = vecs
-        dim = a.shape[0]
-        if vals[0] <= dim * PD_RTOL * vals[-1]:
+        if vals[0] <= k * PD_RTOL * vals[-1]:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min = {vals[0]:.3e} "
-                f"<= {dim} * {PD_RTOL:.0e} * lambda_max = {dim * PD_RTOL * vals[-1]:.3e}"
+                f"<= {k} * {PD_RTOL:.0e} * lambda_max = {k * PD_RTOL * vals[-1]:.3e}"
             )
         self._sqrt: np.ndarray | None = None
         self._inv_sqrt: np.ndarray | None = None
@@ -156,8 +163,13 @@ class SpdMatrix:
         return float(self._eigenvalues[-1] / self._eigenvalues[0])
 
     @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Index arrays of the nonzero pattern's components of size >= 2, by smallest index."""
+        return self._blocks
+
+    @property
     def is_diagonal(self) -> bool:
-        return self._is_diagonal
+        return not self._blocks
 
     @property
     def is_integral(self) -> bool:

@@ -572,6 +572,19 @@ def test_inverse_check_examples(rng):
     assert rep.passed
 
 
+def test_inverse_check_keeps_the_blocks(rng):
+    # (M^-1)_CC = (M_CC)^-1: the inverse has the blocks of M, so at k = 21
+    # each scan covers a block of at most 6 indices and needs no force.
+    for _ in range(5):
+        entries = block_diagonal(rng, [6, 6, 5, 4])
+        p = rng.permutation(21)
+        m = SpdMatrix(entries[np.ix_(p, p)])
+        assert inverse_conformality_check(m).passed
+        blocks = SpdMatrix(m.inverse()).blocks
+        assert [c.tolist() for c in blocks] == [c.tolist() for c in m.blocks]
+        assert sorted(len(c) for c in blocks) == [4, 5, 6, 6]
+
+
 def test_weak_identity_ties_resolve_to_singleton():
     # All-ties input: every partition scores exactly zero, so the witness
     # comes from the lexicographic rule.

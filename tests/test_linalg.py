@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from ipl import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError, SpdMatrix, gen_eig, sym_eig, weak_conformality
+from ipl.complexes import _components
+from ipl.linalg import _fix_signs
 
 from conftest import random_spd
+from test_conformality import fuzz_entries
 
 
 def test_sym_eig_identity():
@@ -83,9 +86,61 @@ def test_spd_rejects_non_finite(bad):
         SpdMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
 
+def spectral_outputs(m, b):
+    return m.eigenvalues, m.eigenvectors, m.sqrt_entries, m.inv_sqrt_entries, m.inverse(), m.solve(b)
+
+
+def reference_outputs(entries, b):
+    # One full eigh with the sign convention for a connected matrix, the
+    # stable sort of the diagonal with axis eigenvectors for a diagonal one.
+    k = len(entries)
+    if np.count_nonzero(entries - np.diag(np.diagonal(entries))):
+        vals, vecs = np.linalg.eigh(entries)
+        vecs = _fix_signs(vecs)
+        x = vecs @ ((vecs.T @ b).T / vals).T
+        x = x + vecs @ ((vecs.T @ (b - entries @ x)).T / vals).T
+    else:
+        d = np.diagonal(entries).copy()
+        order = np.argsort(d, kind="stable")
+        vals, vecs = d[order], np.zeros((k, k))
+        vecs[order, np.arange(k)] = 1.0
+        x = (b.T / d).T
+
+    def spectral(f):
+        q = (vecs * f(vals)) @ vecs.T
+        return 0.5 * (q + q.T)
+
+    return vals, vecs, spectral(np.sqrt), spectral(lambda w: 1.0 / np.sqrt(w)), spectral(lambda w: 1.0 / w), x
+
+
 def test_spd_is_diagonal_flag():
     assert SpdMatrix(np.diag([1.0, 2.0, 3.0])).is_diagonal
     assert not SpdMatrix(np.array([[2.0, 1e-300], [1e-300, 2.0]])).is_diagonal
+    kinds = set()
+    for k in range(2, 12):
+        rng = np.random.default_rng(900 + k)
+        for kind, entries in fuzz_entries(rng, k):
+            m = SpdMatrix(entries)
+            pattern = np.argwhere(m.entries != 0).tolist()
+            assert [tuple(c.tolist()) for c in m.blocks] == [c for c in _components(k, pattern) if len(c) > 1], kind
+            b = rng.standard_normal((k, 3))
+            if m.is_diagonal or len(m.blocks[0]) == k:
+                # Connected or diagonal: the bits of one full eigh, or of the
+                # sorted diagonal with axis eigenvectors.
+                for got, want in zip(spectral_outputs(m, b), reference_outputs(m.entries, b)):
+                    assert np.array_equal(got, want), kind
+                kinds.add("diagonal" if m.is_diagonal else "connected")
+                continue
+            # Every output is exactly zero off the blocks, and so is the
+            # solve of a right-hand side that is zero off them.
+            on = np.eye(k, dtype=bool)
+            for c in m.blocks:
+                on[np.ix_(c, c)] = True
+            b = rng.standard_normal((k, k)) * on
+            for got in spectral_outputs(m, b)[2:]:
+                assert not got[~on].any(), kind
+            kinds.add("blocks")
+    assert kinds == {"diagonal", "connected", "blocks"}
 
 
 def test_spd_condition_number():
