@@ -16,9 +16,15 @@ the Schur complement ((M^-1)_SS)^-1, it also equals
 
 which needs only the S-blocks of M and of one shared inverse. The scan uses
 this form on the smaller side of every partition, stacked by side size into
-one batched Cholesky per group. With M_SS = L L^T, the eigenvalues of
-B = L^T (M^-1)_SS L are those of M_SS (M^-1)_SS, all >= 1, and E = B - I
-gives
+one batched Cholesky per group. Which partitions share a group, and where
+their smaller sides sit, depends on the block size and the chunk size alone,
+never on M: ``_partition_plan`` builds that index plan once per pair and the
+process keeps it. It holds each partition's slot (int32) and smaller-side
+positions (int16), about 11 MB at k = 20, and a scan reads the block of M
+and of M^-1 once and gathers every S-block from those two.
+
+With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
+M_SS (M^-1)_SS, all >= 1, and E = B - I gives
 
     1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8),
 
@@ -64,6 +70,7 @@ integer Partition instances), so a block past the ``partitions`` cap of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,12 +180,42 @@ def _scan_masks(entries: np.ndarray, masks, c: np.ndarray):
     return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
 
 
+@lru_cache(maxsize=None)
+def _partition_plan(k: int, chunk: int) -> tuple:
+    """The index half of ``_batched_rho_sq`` for blocks of size k: per chunk
+    of ``chunk`` partition masks, one (slots, positions) pair per smaller-side
+    size s, slots (int32) the partition numbers and positions (int16, s per
+    row) the smaller side's positions in the block.
+
+    It depends on k and the chunk size alone, so it is built once per pair
+    and kept for the life of the process: about 11 MB at k = 20, and as a
+    plan's size doubles with k, every smaller k together adds less again.
+    """
+    count = (1 << (k - 1)) - 1
+    plan = []
+    for lo in range(0, count, chunk):
+        members = _subset_rows(2 * np.arange(lo, min(lo + chunk, count)) + 1, k)
+        size = members.sum(axis=1)
+        flip = size > k - size
+        members[flip] = ~members[flip]
+        size[flip] = k - size[flip]
+        groups = []
+        for s in range(1, k // 2 + 1):
+            rows = np.flatnonzero(size == s)
+            if len(rows):
+                pos = np.nonzero(members[rows])[1].reshape(-1, s)
+                groups.append(((lo + rows).astype(np.int32), pos.astype(np.int16)))
+        plan.append(tuple(groups))
+    return tuple(plan)
+
+
 def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
     """value(S)^2 for every partition mask of block c, by the Schur identity,
     indexed by mask; a partition that cannot reach the tie window delta of
     the block's maximum holds an upper bound on its value^2 instead.
 
-    M and M^-1 are read at c's indices, as (M^-1)_CC = (M_CC)^-1. Partition
+    M and M^-1 are read once at c's indices, as (M^-1)_CC = (M_CC)^-1, and
+    the cached ``_partition_plan`` of |c| indexes those blocks. Partition
     mask p is the subset mask 2p + 1 of positions in c (see ``_subset_rows``);
     the all-in mask 2^(|c|-1) - 1 is not a partition and is left out.
 
@@ -194,24 +231,16 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     eigensolving every partition, bit for bit; delta = inf eigensolves them
     all. B is held for one chunk at a time.
     """
-    n, k = len(entries), len(c)
-    count = (1 << (k - 1)) - 1
-    out = np.empty(count)
+    k = len(c)
+    a, a_inv = entries[np.ix_(c, c)], inverse[np.ix_(c, c)]
+    out = np.empty((1 << (k - 1)) - 1)
     best = -np.inf
-    for lo in range(0, count, BATCH_CHUNK):
-        members = _subset_rows(2 * np.arange(lo, min(lo + BATCH_CHUNK, count)) + 1, k)
-        size = members.sum(axis=1)
-        flip = size > k - size
-        members[flip] = ~members[flip]
-        size[flip] = k - size[flip]
-        for s in range(1, k // 2 + 1):
-            rows = np.flatnonzero(size == s)
-            if len(rows) == 0:
-                continue
-            idx = c.take(np.nonzero(members[rows])[1].reshape(-1, s))
-            flat = idx[:, :, None] * n + idx[:, None, :]
-            chol = np.linalg.cholesky(entries.take(flat))
-            b = np.swapaxes(chol, 1, 2) @ inverse.take(flat) @ chol
+    for groups in _partition_plan(k, BATCH_CHUNK):
+        for slots, pos in groups:
+            s = pos.shape[1]
+            flat = (pos * k)[:, :, None] + pos[:, None, :]
+            chol = np.linalg.cholesky(a.take(flat))
+            b = np.swapaxes(chol, 1, 2) @ a_inv.take(flat) @ chol
             if s > 2:
                 # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
                 # does, so those groups are solved whole.
@@ -221,13 +250,13 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
                 root = np.einsum("nij,nij->n", e, e) ** 0.125  # tr(E^8)^(1/8)
                 best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
                 bound = 1.0 - 1.0 / (1.0 + root)
-                out[lo + rows] = bound
+                out[slots] = bound
                 live = bound >= best - 4.0 * delta
                 if not live.any():
                     continue
-                rows, b = rows[live], b[live]
+                slots, b = slots[live], b[live]
             mu = np.linalg.eigvalsh(b)[:, -1]
-            out[lo + rows] = 1.0 - 1.0 / mu
+            out[slots] = 1.0 - 1.0 / mu
             best = max(best, 1.0 - 1.0 / float(mu.max()))
     return out
 

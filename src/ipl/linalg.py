@@ -106,8 +106,12 @@ class SpdMatrix:
         a = 0.5 * (a + a.T)
         self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**50)
         k = a.shape[0]
-        rows, cols = np.nonzero(np.triu(a, 1))
-        blocks = _components(k, zip(rows.tolist(), cols.tolist())) if len(rows) else ()
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+            # Exactly diagonal: a count costs far less than the pattern scan.
+            blocks = ()
+        else:
+            rows, cols = np.nonzero(np.triu(a, 1))
+            blocks = _components(k, zip(rows.tolist(), cols.tolist()))
         self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
         if len(blocks) == 1:
             vals, vecs = np.linalg.eigh(a)

@@ -333,11 +333,27 @@ def test_weak_fuzz_matches_reference(k):
         assert_matches_reference(SpdMatrix(entries), kind)
 
 
+def record_chunk_rows(monkeypatch, chunk):
+    # Sets BATCH_CHUNK and returns the row counts of the plan chunks that
+    # the scans then use; a plan cached by k alone would show other counts.
+    monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    rows, plan = [], conformality._partition_plan
+
+    def recording_plan(k, size):
+        groups = plan(k, size)
+        rows.extend(sum(len(slots) for slots, _ in part) for part in groups)
+        return groups
+
+    monkeypatch.setattr(conformality, "_partition_plan", recording_plan)
+    return rows
+
+
 def test_weak_chunked_matches_reference(monkeypatch):
-    monkeypatch.setattr(conformality, "BATCH_CHUNK", 100)
+    chunk_rows = record_chunk_rows(monkeypatch, 100)
     rng = np.random.default_rng(77)
     for kind, entries in fuzz_entries(rng, 10):
         assert_matches_reference(SpdMatrix(entries), kind)
+    assert max(chunk_rows) == 100
 
 
 def test_stacked_scores_match_one_partition_calls():
@@ -381,14 +397,92 @@ def assert_pruning_sound(m, label):
 
 @pytest.mark.parametrize("chunk", [None, 100])
 def test_pruned_scan_keeps_the_near_ties(chunk, monkeypatch):
-    if chunk:
-        monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    chunk_rows = record_chunk_rows(monkeypatch, chunk or conformality.BATCH_CHUNK)
     skipped = 0
     for k in (7, 10, 11):
         rng = np.random.default_rng(500 + k)
         for kind, entries in fuzz_entries(rng, k):
             skipped += assert_pruning_sound(SpdMatrix(entries), f"{kind} k={k}")
     assert skipped > 0  # the bound did skip eigensolves
+    assert max(chunk_rows) == (chunk or 1023)  # k = 11 has 1023 partitions
+
+
+def mask_order_rho_sq(entries, inverse, c, delta):
+    # The scan with its index bookkeeping done inline on every call, chunk
+    # by chunk in mask order, reading M and M^-1 at c's global indices: the
+    # reference that the cached partition plan must match bit for bit.
+    n, k = len(entries), len(c)
+    count = (1 << (k - 1)) - 1
+    out = np.empty(count)
+    best = -np.inf
+    for lo in range(0, count, conformality.BATCH_CHUNK):
+        members = conformality._subset_rows(2 * np.arange(lo, min(lo + conformality.BATCH_CHUNK, count)) + 1, k)
+        size = members.sum(axis=1)
+        flip = size > k - size
+        members[flip] = ~members[flip]
+        size[flip] = k - size[flip]
+        for s in range(1, k // 2 + 1):
+            rows = np.flatnonzero(size == s)
+            if len(rows) == 0:
+                continue
+            idx = c.take(np.nonzero(members[rows])[1].reshape(-1, s))
+            flat = idx[:, :, None] * n + idx[:, None, :]
+            chol = np.linalg.cholesky(entries.take(flat))
+            b = np.swapaxes(chol, 1, 2) @ inverse.take(flat) @ chol
+            if s > 2:
+                e = b - np.eye(s)
+                e = e @ e
+                e = e @ e
+                root = np.einsum("nij,nij->n", e, e) ** 0.125
+                best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
+                bound = 1.0 - 1.0 / (1.0 + root)
+                out[lo + rows] = bound
+                live = bound >= best - 4.0 * delta
+                if not live.any():
+                    continue
+                rows, b = rows[live], b[live]
+            mu = np.linalg.eigvalsh(b)[:, -1]
+            out[lo + rows] = 1.0 - 1.0 / mu
+            best = max(best, 1.0 - 1.0 / float(mu.max()))
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_planned_scan_matches_mask_order_scan(k):
+    # Every fuzz kind, on the whole index set and on each block (not
+    # arange(k) for the permuted and scaled block-diagonal kinds), with no
+    # pruning, all pruning and the real tie window.
+    rng = np.random.default_rng(2000 + k)
+    for kind, entries in fuzz_entries(rng, k):
+        m = SpdMatrix(entries)
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        inverse = m.inverse()
+        for c in (np.arange(k), *m.blocks):
+            for d in (np.inf, -1.0, delta):
+                got = _batched_rho_sq(m.entries, inverse, c, d)
+                assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
+
+
+def test_partition_plan_cold_and_warm_agree():
+    rng = np.random.default_rng(41)
+    for kind, entries in fuzz_entries(rng, 12):
+        m = SpdMatrix(entries)
+        whole = m.entries, m.inverse(), np.arange(12), np.inf
+        conformality._partition_plan.cache_clear()
+        cold_sq, cold = _batched_rho_sq(*whole), weak_conformality(m)
+        warm_sq, warm = _batched_rho_sq(*whole), weak_conformality(m)
+        assert np.array_equal(cold_sq, warm_sq), kind
+        assert (cold.rho_weak, cold.witness_partition) == (warm.rho_weak, warm.witness_partition), kind
+        assert np.array_equal(cold.witness_x, warm.witness_x), kind
+
+
+def test_partition_plan_size_at_k20():
+    # Slots and positions, not flat indices: the plan of the largest block
+    # under the default cap stays near 11 MB, and covers each partition once.
+    plan = conformality._partition_plan(20, conformality.BATCH_CHUNK)
+    assert sum(slots.nbytes + pos.nbytes for chunk in plan for slots, pos in chunk) <= 12e6
+    slots = np.concatenate([slots for chunk in plan for slots, _ in chunk])
+    assert np.array_equal(np.sort(slots), np.arange((1 << 19) - 1))
 
 
 def test_weak_invariant_under_diagonal_congruence(rng):

@@ -119,7 +119,13 @@ def test_spd_is_diagonal_flag():
     kinds = set()
     for k in range(2, 12):
         rng = np.random.default_rng(900 + k)
-        for kind, entries in fuzz_entries(rng, k):
+        # At the edge of zero, for the entry count that skips the pattern
+        # scan on a diagonal M: -0.0 is zero, the smallest subnormal is not.
+        signed = np.diag(np.arange(1.0, k + 1.0))
+        signed[~np.eye(k, dtype=bool)] = -0.0
+        tiny = signed.copy()
+        tiny[0, -1] = tiny[-1, 0] = 5e-324
+        for kind, entries in [*fuzz_entries(rng, k), ("signed zeros", signed), ("subnormal", tiny)]:
             m = SpdMatrix(entries)
             pattern = np.argwhere(m.entries != 0).tolist()
             assert [tuple(c.tolist()) for c in m.blocks] == [c for c in _components(k, pattern) if len(c) > 1], kind
