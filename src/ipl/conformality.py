@@ -19,9 +19,9 @@ this form on the smaller side of every partition, stacked by side size into
 one batched Cholesky per group. Which partitions share a group, and where
 their smaller sides sit, depends on the block size and the chunk size alone,
 never on M: ``_partition_plan`` builds that index plan once per pair and the
-process keeps it. It holds each partition's slot (int32) and smaller-side
-positions (int16), about 11 MB at k = 20, and a scan reads the block of M
-and of M^-1 once and gathers every S-block from those two.
+process keeps it within the cap. It holds each partition's slot (int32) and
+smaller-side positions (int16), about 11 MB at k = 20, and a scan reads the
+block of M and of M^-1 once and gathers every S-block from those two.
 
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
 M_SS (M^-1)_SS, all >= 1, and E = B - I gives
@@ -74,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import check_cap
+from .errors import CAPS, check_cap
 from .linalg import SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
 
@@ -190,6 +190,8 @@ def _partition_plan(k: int, chunk: int) -> tuple:
     It depends on k and the chunk size alone, so it is built once per pair
     and kept for the life of the process: about 11 MB at k = 20, and as a
     plan's size doubles with k, every smaller k together adds less again.
+    A forced scan past the ``partitions`` cap calls ``__wrapped__`` instead,
+    so its plan (about 43 MB at k = 22) is not kept.
     """
     count = (1 << (k - 1)) - 1
     plan = []
@@ -215,7 +217,7 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     the block's maximum holds an upper bound on its value^2 instead.
 
     M and M^-1 are read once at c's indices, as (M^-1)_CC = (M_CC)^-1, and
-    the cached ``_partition_plan`` of |c| indexes those blocks. Partition
+    the ``_partition_plan`` of |c| indexes those blocks. Partition
     mask p is the subset mask 2p + 1 of positions in c (see ``_subset_rows``);
     the all-in mask 2^(|c|-1) - 1 is not a partition and is left out.
 
@@ -235,7 +237,8 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     a, a_inv = entries[np.ix_(c, c)], inverse[np.ix_(c, c)]
     out = np.empty((1 << (k - 1)) - 1)
     best = -np.inf
-    for groups in _partition_plan(k, BATCH_CHUNK):
+    plan = _partition_plan if (1 << (k - 1)) - 1 <= CAPS["partitions"] else _partition_plan.__wrapped__
+    for groups in plan(k, BATCH_CHUNK):
         for slots, pos in groups:
             s = pos.shape[1]
             flat = (pos * k)[:, :, None] + pos[:, None, :]

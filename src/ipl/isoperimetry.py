@@ -57,9 +57,10 @@ tau (M_V - r r^T/Vol(G)) for r = M_V 1; an edge with no off-diagonal M_E
 entry adds w_e (X_u Y_v + X_v Y_u), its cut bit plus its inner bit; and
 the point mass is -diag(d). Edges that M_E couples are added from
 code-word tables. Pairs with X or Y = {}, or = V for a diagonal M_E, pass
-by identity; the others are scored a chunk of X masks against every Y at
-a time, and the witness is the first of them in (X mask, Y mask) order
-whose margin equals the minimum.
+by identity. Each orbit of the margin under swapping X and Y (and, for a
+diagonal M_E, complementing either) is scored once, at its first pair in
+(X mask, Y mask) order, and the witness is the first scored pair whose
+margin equals the minimum.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from .linalg import SpdMatrix, _fix_signs, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
-# least one full row); bounds their temporaries.
+# least one row); bounds their temporaries.
 CUT_CHUNK = 1 << 14
 # Free membership bits from which a cut scan splits its columns into two
 # halves of balanced size; below it the split costs more than it saves
@@ -594,10 +595,13 @@ def _pair_tables(a: np.ndarray):
     return _subset_sums(x_form[:, h:]), _subset_sums(x_form[:, :h])
 
 
-def _pair_rows(tables, xs) -> np.ndarray:
-    """1_X^T a 1_Y for the masks X in the slice xs (rows) and every mask Y."""
+def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
+    """1_X^T a 1_Y for the masks X in the slice xs (rows) and y0 <= Y < stop."""
     high, low = tables
-    return (high[xs, :, None] + low[xs, None, :]).reshape(-1, high.shape[1] * low.shape[1])
+    h = low.shape[1].bit_length() - 1
+    base = (y0 >> h) << h
+    rows = high[xs, y0 >> h : ((stop - 1) >> h) + 1, None] + low[xs, None, :]
+    return rows.reshape(len(rows), -1)[:, y0 - base : stop - base]
 
 
 def _edge_word_tables(me: np.ndarray, coupled: np.ndarray, bits: np.ndarray, u: np.ndarray, v: np.ndarray):
@@ -681,12 +685,17 @@ def verify_eml_batch(
     and are not swept. At X = V the correlations are 0 and the edge terms
     e(V, Y) + e(Y) - sum_{a in Y} d_a keep only the off-diagonal M_E entries
     between edges touching Y; so for a diagonal M_E pairs with X or Y = V
-    pass by identity too. ``pairs_checked`` counts all 4^n pairs, while
-    ``min_margin`` and the witness range over the swept ones. Each chunk of
-    CUT_CHUNK >> n X masks (at least one) is scored against every Y at once,
-    and a pair's margin does not depend on the chunk it falls in. The
-    witness is the first pair in (X mask, Y mask) order whose margin equals
-    the minimum.
+    pass by identity too, and as F 1 = 0 and Cor(V - X) = Cor(X) then,
+    (V - X, Y) has the margin of (X, Y). The margin is symmetric in X and Y
+    (F, the cut code, X & Y and the right-hand side are), so only pairs with
+    X <= Y as masks are swept, and for a diagonal M_E only sets without
+    vertex n - 1, about 2^(2n-3) pairs: each the first of its orbit in
+    (X mask, Y mask) order.
+    ``pairs_checked`` counts all 4^n pairs, while ``min_margin`` and the
+    witness range over the swept ones. A chunk holds CUT_CHUNK pairs at
+    most (one X mask at least), and a pair's margin does not depend on the
+    chunk it falls in. The witness is the first pair in (X mask, Y mask)
+    order whose margin equals the minimum.
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
@@ -724,15 +733,16 @@ def verify_eml_batch(
     ends, lookups = _edge_word_tables(me, coupled, bits, u, v)
     inner_mass = _edge_mass(lookups, [uw & vw for uw, vw in ends]) if ends else None
 
-    # Mask 0 ({}) passes by identity, and so does V when no edge is coupled.
-    stop = count if ends else count - 1
-    ys = slice(1, stop)
-    rows = max(1, CUT_CHUNK >> n)
+    # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
+    # complements share a margin: sweep the sets without vertex n - 1.
+    stop = count if ends else count >> 1
     best = np.inf
     worst = None
-    for x0 in range(1, stop, rows):
-        xs = slice(x0, min(x0 + rows, stop))
-        lhs = _pair_rows(tables, xs)[:, ys]
+    x0 = 1
+    while x0 < stop:
+        x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
+        xs, ys = slice(x0, x1), slice(x0, stop)
+        lhs = _pair_rows(tables, xs, x0, stop)
         if ends:
             cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]
             lhs += _edge_mass(lookups, cut) + inner_mass.take(masks[xs, None] & masks[ys])
@@ -740,11 +750,13 @@ def verify_eml_batch(
         margins = rhs_x[xs, None] * sqrt_cor[ys]
         margins += trace_term
         margins -= lhs
+        margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
         i, j = divmod(int(np.argmin(margins)), margins.shape[1])
         if margins[i, j] < best:
             best = float(margins[i, j])
-            x, y = x0 + i, 1 + j
+            x, y = x0 + i, x0 + j
             worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
+        x0 = x1
     x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",

@@ -476,6 +476,22 @@ def test_partition_plan_cold_and_warm_agree():
         assert np.array_equal(cold.witness_x, warm.witness_x), kind
 
 
+def test_partition_plan_past_the_cap_is_not_kept(monkeypatch):
+    # A forced scan of a block past the cap builds its plan and lets it go;
+    # a block within the cap keeps its plan. Both score the same bits.
+    rng = np.random.default_rng(46)
+    big, small = random_spd(rng, 7), random_spd(rng, 5)
+    kept = weak_conformality(big)
+    monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
+    conformality._partition_plan.cache_clear()
+    forced = weak_conformality(big, force=True)
+    assert conformality._partition_plan.cache_info().currsize == 0
+    weak_conformality(small)
+    assert conformality._partition_plan.cache_info().currsize == 1
+    assert (forced.rho_weak, forced.witness_partition) == (kept.rho_weak, kept.witness_partition)
+    assert np.array_equal(forced.witness_x, kept.witness_x)
+
+
 def test_partition_plan_size_at_k20():
     # Slots and positions, not flat indices: the plan of the largest block
     # under the default cap stays near 11 MB, and covers each partition once.

@@ -474,12 +474,25 @@ def test_eml_batch_matches_exhaustive_fuzz():
         for pair, s in singles.items():
             if pair not in margins:
                 assert abs(s["margin"] - s["rhs_conformality"]) <= bound, pair
+        # The identities the sweep scores each pair orbit by: swapping X and
+        # Y, and for a diagonal M_E replacing X by its complement.
+        diagonal = m_e.is_diagonal
+        for (x, y), s in singles.items():
+            assert abs(s["margin"] - singles[y, x]["margin"]) <= bound, (x, y)
+            if diagonal:
+                xc = tuple(sorted(set(range(n)) - set(x)))
+                assert abs(s["margin"] - singles[xc, y]["margin"]) <= bound, (x, y)
         assert v["pairs_checked"] == 4**n
         assert abs(v["min_margin"] - lowest) <= bound
         witness = tuple(v["worst_x"]), tuple(v["worst_y"])
         assert witness in margins, witness
         assert abs(margins[witness] - lowest) <= bound
         assert batch.passed == (lowest >= -1e-9)
+        # The witness is the first member of its orbit in (X mask, Y mask) order.
+        mask_x, mask_y = (sum(1 << i for i in side) for side in witness)
+        assert mask_x <= mask_y, witness
+        if diagonal:
+            assert n - 1 not in witness[0] + witness[1], witness
 
 
 def test_eml_batch_min_margin_at_pairs_with_full_set():
