@@ -19,7 +19,8 @@ this form on the smaller side of every partition, stacked by side size into
 one batched Cholesky per group. Which partitions share a group, and where
 their smaller sides sit, depends on the block size and the chunk size alone,
 never on M: ``_partition_plan`` builds that index plan once per pair and the
-process keeps it within the cap. It holds each partition's slot (int32) and
+process keeps it within the cap (a forced scan past it builds one chunk at
+a time and keeps none). It holds each partition's slot (int32) and
 smaller-side positions (int16), about 11 MB at k = 20, and a scan reads the
 block of M and of M^-1 once and gathers every S-block from those two.
 
@@ -40,15 +41,16 @@ side sizes; the winner among those is taken under the lexicographic
 tie-break, and its score is the reported value. The result is the same as
 scoring every partition that way. The theorem verifiers take rho from that
 score alone. Only ``weak_conformality`` (so ``ipl conformality``) builds a
-witness pair, once, on the winning block, with a ``_partition_value`` call
-on that one partition, so the pair attains the reported value.
+witness pair, once, on the winning block's entries, from the v and Z of
+the winning stack's own ``_partition_value`` call: each partition is
+scored once, and the pair attains the reported value.
 
 A block-diagonal M is scored block by block, the blocks C being
 ``SpdMatrix.blocks``, the connected components of its nonzero pattern. For
 disjointly supported x, y: x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC)
 |x|_M |y|_M by Cauchy-Schwarz, and the best block's witness attains it, so
 rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so an exactly
-diagonal M scores 0 with witness S = (0,) and no scan. As
+diagonal M scores 0 with witness S = (0,), scored once for its pair. As
 (M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size >= 2;
 ``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M and
 ``inverse_conformality_check`` scans the same blocks for both.
@@ -75,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CAPS, check_cap
-from .linalg import SpdMatrix, _fix_signs
+from .linalg import SpdMatrix, _fix_signs, _quad
 from .report import VerificationReport, to_plain
 
 # Partitions per batched call; bounds the stacked blocks at large k.
@@ -159,42 +161,39 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
 
 def _scan_masks(entries: np.ndarray, masks, c: np.ndarray):
     """Score each partition mask of block c with ``_partition_value``: the
-    best value and its subset of positions in c, ties to the first subset.
+    best value, its membership row over c (ties to the first subset), and
+    its v and Z, kept from the stack that scored it.
 
     The masks are scored ``BATCH_CHUNK`` at a time, one stack per size of
     the side that holds c[0].
     """
     k = len(c)
     rows = _subset_rows(2 * np.asarray(masks) + 1, k)
-    values = np.empty(len(rows))
+    best, ties = -np.inf, []
     for lo in range(0, len(rows), BATCH_CHUNK):
         chunk = rows[lo : lo + BATCH_CHUNK]
         size = chunk.sum(axis=1)
         for s in sorted(set(size.tolist())):
-            at = np.flatnonzero(size == s)
-            s_idx = c.take(np.nonzero(chunk[at])[1].reshape(-1, s))
-            t_idx = c.take(np.nonzero(~chunk[at])[1].reshape(-1, k - s))
-            values[lo + at] = _partition_value(entries, s_idx, t_idx)[0]
-    best = values.max()
-    ties = rows[values == best]
-    return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())
+            at = chunk[size == s]
+            s_idx = c.take(np.nonzero(at)[1].reshape(-1, s))
+            t_idx = c.take(np.nonzero(~at)[1].reshape(-1, k - s))
+            values, v, z = _partition_value(entries, s_idx, t_idx)
+            top = values.max()
+            if top >= best:
+                best, ties = top, ties if top == best else []
+                hit = values == top
+                ties += zip(at[hit], v[hit], z[hit])
+    first = _first_set(np.array([row for row, _, _ in ties]))
+    return float(best), *ties[first]
 
 
-@lru_cache(maxsize=None)
-def _partition_plan(k: int, chunk: int) -> tuple:
-    """The index half of ``_batched_rho_sq`` for blocks of size k: per chunk
-    of ``chunk`` partition masks, one (slots, positions) pair per smaller-side
-    size s, slots (int32) the partition numbers and positions (int16, s per
-    row) the smaller side's positions in the block.
-
-    It depends on k and the chunk size alone, so it is built once per pair
-    and kept for the life of the process: about 11 MB at k = 20, and as a
-    plan's size doubles with k, every smaller k together adds less again.
-    A forced scan past the ``partitions`` cap calls ``__wrapped__`` instead,
-    so its plan (about 43 MB at k = 22) is not kept.
+def _plan_chunks(k: int, chunk: int):
+    """The index half of ``_batched_rho_sq`` for blocks of size k, built one
+    chunk of ``chunk`` partition masks at a time: per chunk, one (slots,
+    positions) pair per smaller-side size s, slots (int32) the partition
+    numbers and positions (int16, s per row) the smaller side's positions.
     """
     count = (1 << (k - 1)) - 1
-    plan = []
     for lo in range(0, count, chunk):
         members = _subset_rows(2 * np.arange(lo, min(lo + chunk, count)) + 1, k)
         size = members.sum(axis=1)
@@ -207,8 +206,17 @@ def _partition_plan(k: int, chunk: int) -> tuple:
             if len(rows):
                 pos = np.nonzero(members[rows])[1].reshape(-1, s)
                 groups.append(((lo + rows).astype(np.int32), pos.astype(np.int16)))
-        plan.append(tuple(groups))
-    return tuple(plan)
+        yield tuple(groups)
+
+
+@lru_cache(maxsize=None)
+def _partition_plan(k: int, chunk: int) -> tuple:
+    """All of ``_plan_chunks``, kept for the life of the process: about 11 MB
+    at k = 20, and every smaller k together adds less again. A forced scan
+    past the ``partitions`` cap reads ``_plan_chunks`` instead, one chunk at
+    a time, and keeps none of its plan (about 43 MB at k = 22).
+    """
+    return tuple(_plan_chunks(k, chunk))
 
 
 def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
@@ -234,10 +242,11 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     all. B is held for one chunk at a time.
     """
     k = len(c)
-    a, a_inv = entries[np.ix_(c, c)], inverse[np.ix_(c, c)]
+    block = c[:, None] * len(entries) + c
+    a, a_inv = entries.take(block), inverse.take(block)
     out = np.empty((1 << (k - 1)) - 1)
     best = -np.inf
-    plan = _partition_plan if (1 << (k - 1)) - 1 <= CAPS["partitions"] else _partition_plan.__wrapped__
+    plan = _partition_plan if len(out) <= CAPS["partitions"] else _plan_chunks
     for groups in plan(k, BATCH_CHUNK):
         for slots, pos in groups:
             s = pos.shape[1]
@@ -265,13 +274,13 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
 
 
 def _exact_weak(m: SpdMatrix, force: bool):
-    """(rho, witness partition, (C, S_C)) of exact weak conformality.
+    """(rho, witness partition, (C, S_C, v, Z)) of exact weak conformality.
 
-    C is the winning block's index array, one of ``m.blocks``, and S_C
-    the block's own witness partition, as positions in C, under the block
-    rule of the module docstring; a connected or diagonal M is the single
-    block C = all indices. A block past the ``partitions`` cap raises
-    ``EnumerationCapError`` unless ``force`` is set.
+    C is the winning block's index array, one of ``m.blocks`` (all indices
+    for a connected M), S_C its own witness partition under the block rule
+    of the module docstring, as a membership row over C, and v, Z its
+    ``_scan_masks`` scores; a diagonal M has no block and gives None. A
+    block past the ``partitions`` cap raises unless ``force`` is set.
     """
     k = m.dim
     if k < 2:
@@ -279,7 +288,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
     if m.is_diagonal:
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
-        return 0.0, (0,), (np.arange(k), (0,))
+        return 0.0, (0,), None
     entries, blocks = m.entries, m.blocks
     largest = max(len(c) for c in blocks)
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
@@ -300,14 +309,14 @@ def _exact_weak(m: SpdMatrix, force: bool):
         near_ties = np.flatnonzero(rho_sq >= top - delta)
         if len(near_ties) == 0:
             continue
-        rho, s_c = _scan_masks(entries, near_ties, c)
-        s = c.take(s_c)
+        rho, s_c, v, z = _scan_masks(entries, near_ties, c)
+        s = c[s_c]
         lift = np.arange(k) < s[-1]
         lift[c] = False
         lift[s] = True
         lift = tuple(np.flatnonzero(lift).tolist())
         if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
-            best = rho, lift, (c, s_c)
+            best = rho, lift, (c, s_c, v, z)
     return best
 
 
@@ -326,10 +335,13 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
     """
-    rho, subset, (c, s_c) = _exact_weak(m, force)
-    m_cc = m if len(c) == m.dim else SpdMatrix(m.entries[np.ix_(c, c)])
+    rho, subset, winner = _exact_weak(m, force)
+    if winner is None:
+        # A diagonal M has no winning block: its pair is that of S = {0}, scored once.
+        winner = np.arange(m.dim), *_scan_masks(m.entries, [0], np.arange(m.dim))[1:]
+    c, s_c, v, z = winner
     x, y = np.zeros(m.dim), np.zeros(m.dim)
-    x[c], y[c] = _witness_pair(m_cc, np.array(s_c))[1:]
+    x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s_c, v, z, m.is_diagonal)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,
@@ -339,34 +351,28 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     )
 
 
-def _witness_pair(m: SpdMatrix, s_idx: np.ndarray):
-    """Value and maximizing pair for the support partition (S, complement of S).
+def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarray, diagonal: bool):
+    """Maximizing pair for the support partition (S, T) of the (diagonal or
+    not) matrix with these entries, S marked by the membership row s, from
+    the v and Z = M_TT^-1 M_TS that ``_partition_value`` scored it with.
 
-    x is the top generalized eigenvector v on S, with its largest-magnitude
-    entry positive; the optimal partner on the complement is y = Z v with
-    Z = M_TT^-1 M_TS. Both are returned with unit M-norm and a sign making
-    the correlation nonnegative. The value is the one ``_partition_value``
-    scores the partition with.
+    x is v on S, with its largest-magnitude entry positive; the optimal
+    partner on T is y = Z v. Both are returned with unit M-norm and a sign
+    making the correlation nonnegative.
     """
-    entries = m.entries
-    t_idx = np.setdiff1d(np.arange(m.dim), s_idx, assume_unique=True)
-    values, v, z = _partition_value(entries, s_idx[None], t_idx[None])
-    rho, v, z = float(values[0]), _fix_signs(v[0]), z[0]
+    v = _fix_signs(v)
     y_t = z @ v
     if np.abs(y_t).max(initial=0.0) < 1e-300:
         # Decoupled blocks (rho = 0): any vector on the complement works.
-        y_t = np.zeros(len(t_idx))
+        y_t = np.zeros(len(y_t))
         y_t[0] = 1.0
-    k = m.dim
-    x = np.zeros(k)
-    x[s_idx] = v
-    y = np.zeros(k)
-    y[t_idx] = y_t
-    x = x / np.sqrt(m.quad(x))
-    y = y / np.sqrt(m.quad(y))
+    x, y = np.zeros(len(s)), np.zeros(len(s))
+    x[s], y[~s] = v, y_t
+    x = x / np.sqrt(_quad(entries, x, diagonal))
+    y = y / np.sqrt(_quad(entries, y, diagonal))
     if float(x @ entries @ y) < 0.0:
         y = -y
-    return rho, x, y
+    return x, y
 
 
 def weak_conformality_value(m: SpdMatrix, *, force: bool = False) -> float:

@@ -9,9 +9,9 @@ in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
 Eigenvectors, and so spectral functions, keep the blocks (connected
 components) of a symmetric matrix's nonzero pattern; ``SpdMatrix`` eigensolves
 each block alone, so its roots, inverse and solves are exactly zero off them.
-``SpdMatrix.quad`` is the one routine for quadratic forms x^T M x: it takes a
-vector or a stack of rows (one value per row), and for a diagonal M it uses
-(x * x) @ diag(M).
+``_quad`` (as ``SpdMatrix.quad``) is the one routine for quadratic forms
+x^T M x: it takes a vector or a stack of rows (one value per row), and for
+a diagonal M it uses (x * x) @ diag(M).
 """
 
 from __future__ import annotations
@@ -77,6 +77,20 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         where = "row {}, column {}".format(*bad[0]) if a.ndim == 2 else f"index {bad[0][0]}"
         raise NonFiniteError(f"{what} has a non-finite entry: {a[tuple(bad[0])]} at {where}")
     return a
+
+
+def _quad(entries: np.ndarray, x, diagonal: bool):
+    """x^T M x from M's entries, of a vector (a float) or of each row of a
+    stack, as ((x @ M) * x) summed per row; a diagonal M takes
+    (x * x) @ diag(M) instead and never forms the product with M."""
+    x = np.asarray(x, dtype=float)
+    if diagonal:
+        q = (x * x) @ np.diagonal(entries)
+    else:
+        q = x @ entries
+        q *= x
+        q = q.sum(axis=-1)
+    return float(q) if x.ndim == 1 else q
 
 
 class SpdMatrix:
@@ -224,19 +238,8 @@ class SpdMatrix:
         return self._spectral_apply(lambda w: 1.0 / w)
 
     def quad(self, x):
-        """The quadratic form x^T M x of a vector (a float) or of each row of a stack.
-
-        A stack is evaluated as ((x @ M) * x) summed per row; a diagonal M
-        takes (x * x) @ diag(M) instead and never forms the product with M.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.is_diagonal:
-            q = (x * x) @ np.diagonal(self._entries)
-        else:
-            q = x @ self._entries
-            q *= x
-            q = q.sum(axis=-1)
-        return float(q) if x.ndim == 1 else q
+        """The quadratic form x^T M x of a vector (a float) or of each row of a stack."""
+        return _quad(self._entries, x, self.is_diagonal)
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, condition={self.condition:.3e})"

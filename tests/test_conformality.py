@@ -18,7 +18,8 @@ from ipl import (
 )
 
 from ipl import conformality
-from ipl.conformality import _batched_rho_sq, _partition_value, _witness_pair
+from ipl.conformality import _batched_rho_sq, _partition_value
+from ipl.linalg import _fix_signs
 from ipl.errors import CAPS
 
 from conftest import cycle_graph, random_orthogonal, random_spd
@@ -154,8 +155,8 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
 
 def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
     # Three 4 x 4 blocks of distinct values: every block is ranked from M's
-    # own inverse, only the best block is scored again, and only the
-    # witness pair builds a matrix, that block's.
+    # own inverse, only the best block is scored again, and the witness
+    # pair is built on that block's entries without a matrix of its own.
     rng = np.random.default_rng(21)
     m = SpdMatrix(block_diagonal(rng, [4, 4, 4]))
     built, scans = [], []
@@ -175,9 +176,43 @@ def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
     assert built == []
     assert len(scans) == 1
     res = weak_conformality(m)
-    assert built == [(4, 4)]
+    assert built == []
+    assert len(scans) == 2
     assert res.rho_weak == rho
     assert np.flatnonzero(res.witness_x + res.witness_y).tolist() == scans[0]
+
+
+def test_witness_pair_reuses_the_winning_score(monkeypatch):
+    # A dense k = 8 input with a single near-tie: the rescoring stack is the
+    # only _partition_value call, and the pair is built from its v and Z
+    # with no index complement, no np.ix_ gather and no new SpdMatrix.
+    m = random_spd(np.random.default_rng(8), 8)
+    expected = weak_conformality(m)
+    calls, masks = [], []
+    score, scan = conformality._partition_value, conformality._scan_masks
+
+    def counting_score(entries, s_idx, t_idx):
+        calls.append(len(s_idx))
+        return score(entries, s_idx, t_idx)
+
+    def recording_scan(entries, near_ties, c):
+        masks.append(len(near_ties))
+        return scan(entries, near_ties, c)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forbidden call")
+
+    monkeypatch.setattr(conformality, "_partition_value", counting_score)
+    monkeypatch.setattr(conformality, "_scan_masks", recording_scan)
+    monkeypatch.setattr(np, "setdiff1d", forbidden)
+    monkeypatch.setattr(np, "ix_", forbidden)
+    monkeypatch.setattr(SpdMatrix, "__init__", forbidden)
+    res = weak_conformality(m)
+    assert masks == [1]
+    assert calls == [1]
+    assert (res.rho_weak, res.witness_partition) == (expected.rho_weak, expected.witness_partition)
+    assert np.array_equal(res.witness_x, expected.witness_x)
+    assert np.array_equal(res.witness_y, expected.witness_y)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
@@ -229,10 +264,24 @@ def reference_weak(m):
         if best is None or value > best[0] or (value == best[0] and subset < best[1]):
             best = value, subset
     score, subset = best
-    rho, x, y = _witness_pair(m, np.array(subset))
+    # The pair, from one more one-by-one call on the winner: x = v with its
+    # largest-magnitude entry positive, y = Z v on the complement (e_0 there
+    # if Z v vanishes), both of unit M-norm, y flipped to x^T M y >= 0.
+    s_idx = np.array(subset)
+    t_idx = np.array([i for i in range(k) if i not in subset])
+    values, v, z = _partition_value(m.entries, s_idx[None], t_idx[None])
     # One routine scores the partitions and reports the value.
-    assert rho == score
-    return rho, subset, x, y
+    assert values[0] == score
+    v = _fix_signs(v[0])
+    y_t = z[0] @ v
+    if np.abs(y_t).max(initial=0.0) < 1e-300:
+        y_t = np.eye(len(t_idx))[0]
+    x, y = np.zeros(k), np.zeros(k)
+    x[s_idx], y[t_idx] = v, y_t
+    x, y = x / np.sqrt(m.quad(x)), y / np.sqrt(m.quad(y))
+    if float(x @ m.entries @ y) < 0.0:
+        y = -y
+    return score, subset, x, y
 
 
 def pattern_components(entries):
@@ -490,6 +539,38 @@ def test_partition_plan_past_the_cap_is_not_kept(monkeypatch):
     assert conformality._partition_plan.cache_info().currsize == 1
     assert (forced.rho_weak, forced.witness_partition) == (kept.rho_weak, kept.witness_partition)
     assert np.array_equal(forced.witness_x, kept.witness_x)
+
+
+def test_forced_scan_builds_its_plan_one_chunk_at_a_time(monkeypatch):
+    # Past the cap the scan reads the plan chunk by chunk: each chunk is
+    # factored before the next one is built, and the result is that of the
+    # kept plan.
+    rng = np.random.default_rng(47)
+    m = random_spd(rng, 7)
+    kept = weak_conformality(m)
+    monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
+    monkeypatch.setattr(conformality, "BATCH_CHUNK", 8)
+    events, chunks, cholesky = [], conformality._plan_chunks, np.linalg.cholesky
+
+    def recording_chunks(k, size):
+        for groups in chunks(k, size):
+            events.append("chunk")
+            yield groups
+
+    def recording_cholesky(a):
+        events.append("factor")
+        return cholesky(a)
+
+    monkeypatch.setattr(conformality, "_plan_chunks", recording_chunks)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    conformality._partition_plan.cache_clear()
+    forced = weak_conformality(m, force=True)
+    assert conformality._partition_plan.cache_info().currsize == 0
+    assert events.count("chunk") == 8  # 63 partitions in chunks of 8
+    assert "chunk chunk" not in " ".join(events)
+    assert (forced.rho_weak, forced.witness_partition) == (kept.rho_weak, kept.witness_partition)
+    assert np.array_equal(forced.witness_x, kept.witness_x)
+    assert np.array_equal(forced.witness_y, kept.witness_y)
 
 
 def test_partition_plan_size_at_k20():

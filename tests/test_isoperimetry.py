@@ -548,8 +548,12 @@ def test_eml_batch_code_words_and_cross_tables():
 
 
 def test_eml_batch_chunking_is_invisible(rng, monkeypatch):
-    # A chunk of 24 pairs splits each 64-pair row in three; 200 takes three
-    # rows at a time. Values and the witness must not move by a bit.
+    # The sweep never splits an X row: a chunk holds one whole row at least,
+    # and more only while they fit. Row X = 1 holds the 63 pairs Y = 1..63
+    # and later rows are shorter, so 1 gives one-row chunks throughout, 24
+    # and 63 give one-row chunks of up to 63 pairs until the rows shorten
+    # below them, and 200 starts with three rows at a time. Values and the
+    # witness must not move by a bit.
     cases = []
     for trial in range(4):
         g = random_connected_graph(rng, 6)
@@ -557,7 +561,7 @@ def test_eml_batch_chunking_is_invisible(rng, monkeypatch):
         m_e = random_spd(rng, g.m) if trial % 2 else _permuted_blocks(rng, [1, 2] * (g.m // 3) + [1] * (g.m % 3))
         cases.append((g, m_v, m_e))
     whole = [verify_eml_batch(*case).values for case in cases]
-    for chunk in (24, 200):
+    for chunk in (1, 24, 63, 200):
         monkeypatch.setattr(ipl.isoperimetry, "CUT_CHUNK", chunk)
         assert [verify_eml_batch(*case).values for case in cases] == whole
 
