@@ -80,10 +80,17 @@ def _parse_subset(text: str, g: Graph):
     return out
 
 
+def _schedule_value(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"--schedule: {exc}") from None
+
+
 def _parse_schedule(text: str):
     if ":" in text:
         lo, hi = text.split(":", 1)
-        if not (0 < float(hi) <= float(lo) < 1):
+        if not (0 < _schedule_value(hi) <= _schedule_value(lo) < 1):
             raise UsageError("schedule endpoints must satisfy 0 < end <= start < 1")
         # Decimal steps are exact and each decade is rounded once, so
         # 1e-1:1e-8 gives exactly DEFAULT_EPSILON_SCHEDULE.
@@ -93,7 +100,7 @@ def _parse_schedule(text: str):
             out.append(float(eps))
             eps /= 10
         return out
-    return [float(t) for t in text.split(",")]
+    return [_schedule_value(t) for t in text.split(",")]
 
 
 def _graph_with_inner_products(args) -> tuple[Graph, SpdMatrix, SpdMatrix]:

@@ -36,33 +36,33 @@ upper bound, which cannot reach the window, so the ranking below is
 unchanged. That batch only ranks the partitions: 1 - 1/mu loses digits, and partitions that
 tie mathematically differ only by rounding. Every partition within a
 rounding bound (the tie window) of the batch maximum is scored again by
-``_partition_value``, the one per-partition routine, in stacks of equal
-side sizes; the winner among those is taken under the lexicographic
-tie-break, and its score is the reported value. The result is the same as
-scoring every partition that way. The theorem verifiers take rho from that
-score alone. Only ``weak_conformality`` (so ``ipl conformality``) builds a
-witness pair, once, on the winning block's entries, from the v and Z of
-the winning stack's own ``_partition_value`` call: each partition is
-scored once, and the pair attains the reported value.
+``_partition_value``, the one per-partition routine, and the best of those
+scores is the reported value. The result is the same as scoring every
+partition that way. The theorem verifiers take rho from that score alone.
+Only ``weak_conformality`` (so ``ipl conformality``) builds a witness pair,
+once, on the winning block's entries, from the v and Z of the winning
+stack's own ``_partition_value`` call: each partition is scored once, and
+the pair attains the reported value.
 
-A block-diagonal M is scored block by block, the blocks C being
-``SpdMatrix.blocks``, the connected components of its nonzero pattern. For
-disjointly supported x, y: x^T M y = sum_C x_C^T M_CC y_C <= max_C rho(M_CC)
-|x|_M |y|_M by Cauchy-Schwarz, and the best block's witness attains it, so
-rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so an exactly
-diagonal M scores 0 with witness S = (0,), scored once for its pair. As
-(M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size >= 2;
-``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M and
-``inverse_conformality_check`` scans the same blocks for both.
-One tie window, from k and cond(M), serves them all and is at least each
-block's own; only the partitions within it of the top over all blocks
-are scored again. The enumeration cap applies to the largest block; a
-connected M is one block. Among the blocks whose value equals the
-maximum exactly, each block's partition S_C (it holds min(C)) is lifted to
-S_C | {i not in C : i < max(S_C)}, the lexicographically smallest full
-partition that restricts to S_C. The smallest lift is the witness
-partition, that block's witness pair (zero elsewhere) is the witness pair,
-and its scan score is the reported value.
+The unit of work is the block C, one of ``SpdMatrix.blocks``, the
+connected components of the nonzero pattern; a connected M is one block.
+For disjointly supported x, y: x^T M y = sum_C x_C^T M_CC y_C <=
+max_C rho(M_CC) |x|_M |y|_M by Cauchy-Schwarz, and the best block's witness
+attains it, so rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so
+an exactly diagonal M scores 0 with witness S = (0,), scored once for its
+pair. As (M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size
+>= 2; ``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M
+and ``inverse_conformality_check`` scans the same blocks for both. One tie
+window, from k and cond(M), serves them all and is at least each block's
+own; the cap applies to the largest block. The near ties of the top over
+all blocks, partitions (S, T) of their block C with min(C) in S, are
+scored again in one pass, stacked by (|S|, |T|) across blocks. Among those
+that score the maximum exactly, the witness partition is the smallest lift
+L(S) = S | {i not in C : i < max(S)}, the lexicographically smallest full
+partition that restricts to S. Within a block the lifts order as the S do
+(where two S first differ, the smaller index is in C and missing from the
+other lift, and the lifts agree below it), so a connected M gets the first
+S, as an exhaustive scan does. The witness pair is zero off the block.
 
 Exact computation is exponential by nature (the decision problem encodes
 integer Partition instances), so a block past the ``partitions`` cap of
@@ -159,32 +159,33 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
 
 
-def _scan_masks(entries: np.ndarray, masks, c: np.ndarray):
-    """Score each partition mask of block c with ``_partition_value``: the
-    best value, its membership row over c (ties to the first subset), and
-    its v and Z, kept from the stack that scored it.
-
-    The masks are scored ``BATCH_CHUNK`` at a time, one stack per size of
-    the side that holds c[0].
+def _rescore(entries: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray):
+    """Score the partitions (S, T), membership rows over all indices, with
+    ``_partition_value``, ``BATCH_CHUNK`` at a time in stacks of equal
+    (|S|, |T|): (rho, witness partition, (S, T, v, Z)) of the best score,
+    the winner having the smallest lift S | {i in neither side : i < max S}.
     """
-    k = len(c)
-    rows = _subset_rows(2 * np.asarray(masks) + 1, k)
+    sizes = s_rows.sum(axis=1) * len(entries) + t_rows.sum(axis=1)  # (|S|, |T|) as one key, |T| < k
     best, ties = -np.inf, []
-    for lo in range(0, len(rows), BATCH_CHUNK):
-        chunk = rows[lo : lo + BATCH_CHUNK]
-        size = chunk.sum(axis=1)
-        for s in sorted(set(size.tolist())):
-            at = chunk[size == s]
-            s_idx = c.take(np.nonzero(at)[1].reshape(-1, s))
-            t_idx = c.take(np.nonzero(~at)[1].reshape(-1, k - s))
+    for size in sorted(set(sizes.tolist())):
+        s, t = divmod(size, len(entries))
+        at = np.flatnonzero(sizes == size)
+        for lo in range(0, len(at), BATCH_CHUNK):
+            rows = at[lo : lo + BATCH_CHUNK]
+            s_idx = np.nonzero(s_rows[rows])[1].reshape(-1, s)
+            t_idx = np.nonzero(t_rows[rows])[1].reshape(-1, t)
             values, v, z = _partition_value(entries, s_idx, t_idx)
             top = values.max()
             if top >= best:
                 best, ties = top, ties if top == best else []
                 hit = values == top
-                ties += zip(at[hit], v[hit], z[hit])
-    first = _first_set(np.array([row for row, _, _ in ties]))
-    return float(best), *ties[first]
+                ties += zip(rows[hit], v[hit], z[hit])
+    won = [row for row, _, _ in ties]
+    s, t = s_rows[won], t_rows[won]
+    # i <= max S and i not in T: S itself and the indices of neither side below max S.
+    lift = np.logical_or.accumulate(s[:, ::-1], axis=1)[:, ::-1] & ~t
+    first = _first_set(lift)
+    return float(best), tuple(np.flatnonzero(lift[first]).tolist()), (s[first], t[first], *ties[first][1:])
 
 
 def _plan_chunks(k: int, chunk: int):
@@ -274,13 +275,11 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
 
 
 def _exact_weak(m: SpdMatrix, force: bool):
-    """(rho, witness partition, (C, S_C, v, Z)) of exact weak conformality.
-
-    C is the winning block's index array, one of ``m.blocks`` (all indices
-    for a connected M), S_C its own witness partition under the block rule
-    of the module docstring, as a membership row over C, and v, Z its
-    ``_scan_masks`` scores; a diagonal M has no block and gives None. A
-    block past the ``partitions`` cap raises unless ``force`` is set.
+    """(rho, witness partition, (S, T, v, Z)) of exact weak conformality,
+    every block's near ties scored again by one ``_rescore`` call; S and T
+    lie in one of ``m.blocks``. A diagonal M has no block and gives None as
+    the last item. A block past the ``partitions`` cap raises unless
+    ``force`` is set.
     """
     k = m.dim
     if k < 2:
@@ -304,33 +303,22 @@ def _exact_weak(m: SpdMatrix, force: bool):
     inverse = m.inverse()
     ranked = [_batched_rho_sq(entries, inverse, c, delta) for c in blocks]
     top = max(rho_sq.max() for rho_sq in ranked)
-    best = None
-    for c, rho_sq in zip(blocks, ranked):
-        near_ties = np.flatnonzero(rho_sq >= top - delta)
-        if len(near_ties) == 0:
-            continue
-        rho, s_c, v, z = _scan_masks(entries, near_ties, c)
-        s = c[s_c]
-        lift = np.arange(k) < s[-1]
-        lift[c] = False
-        lift[s] = True
-        lift = tuple(np.flatnonzero(lift).tolist())
-        if best is None or rho > best[0] or (rho == best[0] and lift < best[1]):
-            best = rho, lift, (c, s_c, v, z)
-    return best
+    masks = [2 * np.flatnonzero(rho_sq >= top - delta) + 1 for rho_sq in ranked]
+    s_rows = np.concatenate([_subset_rows(p, k, c) for p, c in zip(masks, blocks)])
+    t_rows = np.concatenate([_subset_rows(p ^ ((1 << len(c)) - 1), k, c) for p, c in zip(masks, blocks)])
+    return _rescore(entries, s_rows, t_rows)
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
     """Exact weak conformality over all support partitions.
 
     The batched Schur-complement scan ranks the partitions of every block
-    of the nonzero pattern, the near-ties of the top over all blocks are
-    scored again one by one, and ties within a block resolve to the
-    lexicographically smallest subset containing the block's first index.
-    The best block gives the result, under the witness rule of the module
-    docstring; a connected M is one block, whose witness is the one an
-    exhaustive one-by-one scan selects. The witness pair is built once, on
-    the winning block, and is zero outside it.
+    of the nonzero pattern (a connected M is one block), the near-ties of
+    the top over all blocks are scored again in one pass, and the witness
+    is the smallest lift S | {i outside its block : i < max(S)} among the
+    maxima: for a connected M the first S, as an exhaustive scan selects.
+    The witness pair is built once, on the winning block, and is zero
+    outside it.
 
     A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
@@ -338,10 +326,12 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     rho, subset, winner = _exact_weak(m, force)
     if winner is None:
         # A diagonal M has no winning block: its pair is that of S = {0}, scored once.
-        winner = np.arange(m.dim), *_scan_masks(m.entries, [0], np.arange(m.dim))[1:]
-    c, s_c, v, z = winner
+        s = np.arange(m.dim) == 0
+        winner = _rescore(m.entries, s[None], ~s[None])[2]
+    s, t, v, z = winner
+    c = np.flatnonzero(s | t)
     x, y = np.zeros(m.dim), np.zeros(m.dim)
-    x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s_c, v, z, m.is_diagonal)
+    x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s[c], v, z, m.is_diagonal)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,

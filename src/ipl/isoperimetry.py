@@ -901,14 +901,15 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     epsilon elsewhere; the vertex inner product is the weighted degree on
     the subset and epsilon times it outside. The sweep records the second
     eigenvalue and the harmonic eigenvector restricted to subset+boundary,
-    sign-aligned step to step, and stops early if the kernel stops being
-    one-dimensional. Both inner products are diagonal, so each step forms
-    the product of ``inner_product_laplacian``, Q^-1 B diag(w) B^T Q^-1 with
-    Q^-1 = diag(M_V)^(-1/2), straight from them and without an
-    ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
-    subset need no positive-definiteness check. ``vector_gap`` is the largest entry of the last
-    vector's residual after projection onto the lambda_S eigenspace, in the
-    degree-weighted inner product on the subset.
+    sign-aligned step to step, and stops early, as a failure, if a vertex
+    mass underflows to 0 or the kernel stops being one-dimensional. Both
+    inner products are diagonal, so each step forms the product of
+    ``inner_product_laplacian``, Q^-1 B diag(w) B^T Q^-1 with Q^-1 =
+    diag(M_V)^(-1/2), straight from them and without an ``SpdMatrix``:
+    vertex masses of order epsilon^2 two steps from the subset need no
+    positive-definiteness check. ``vector_gap`` is the largest entry of the
+    last vector's residual after projection onto the lambda_S eigenspace,
+    in the degree-weighted inner product on the subset.
     """
     direct = neumann_eigenvalue(g, subset)
     if epsilon_schedule is None:
@@ -933,7 +934,11 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     for eps in schedule:
         w = np.where(incident, 1.0, eps)
         deg_eps = b_abs @ w
-        q_inv = np.diag(1.0 / np.sqrt(np.where(in_s, deg_eps, eps * deg_eps)))
+        mass = np.where(in_s, deg_eps, eps * deg_eps)
+        if not mass.all():
+            failures.append(f"epsilon={eps:g}: a vertex mass underflows to 0")
+            break
+        q_inv = np.diag(1.0 / np.sqrt(mass))
         spec = _spectrum(q_inv @ b @ np.diag(w) @ b.T @ q_inv, q_inv)
         if spec.zero_multiplicity != 1:
             failures.append(

@@ -103,12 +103,12 @@ class SpdMatrix:
     symmetric square root and its inverse are computed once and shared;
     instances are immutable and safe to use from multiple threads.
 
-    Each of ``blocks`` gets its own ``eigh`` (a connected M one ``eigh``
-    of all of it), any other index is a 1 x 1 block with an axis
-    eigenvector, and one stable sort orders the eigenvalues. As every
-    eigenvector lives on one block, every product term between two blocks
-    is an exact zero: the square roots, ``inverse()`` and ``solve`` are
-    exactly zero off the blocks (exactly diagonal for a diagonal M).
+    Each of ``blocks`` gets its own ``eigh`` (a connected M is one block),
+    any other index is a 1 x 1 block with an axis eigenvector, and one
+    stable sort orders the eigenvalues. As every eigenvector lives on one
+    block, every product term between two blocks is an exact zero: the
+    square roots, ``inverse()`` and ``solve`` are exactly zero off the
+    blocks (exactly diagonal for a diagonal M).
     """
 
     def __init__(self, entries):
@@ -127,17 +127,14 @@ class SpdMatrix:
             rows, cols = np.nonzero(np.triu(a, 1))
             blocks = _components(k, zip(rows.tolist(), cols.tolist()))
         self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
-        if len(blocks) == 1:
-            vals, vecs = np.linalg.eigh(a)
-        else:
-            vals, vecs = np.diagonal(a).copy(), np.eye(k)
-            for size in {len(c) for c in self._blocks}:
-                # Blocks of one size in one stacked eigh: an (n, size) index array.
-                idx = np.array([c for c in self._blocks if len(c) == size])
-                at = idx[:, :, None], idx[:, None, :]
-                vals[idx], vecs[at] = np.linalg.eigh(a[at])
-            order = np.argsort(vals, kind="stable")
-            vals, vecs = vals[order], vecs.take(order, axis=1)
+        vals, vecs = np.diagonal(a).copy(), np.eye(k)
+        for size in {len(c) for c in self._blocks}:
+            # Blocks of one size in one stacked eigh: an (n, size) index array.
+            idx = np.array([c for c in self._blocks if len(c) == size])
+            at = idx[:, :, None], idx[:, None, :]
+            vals[idx], vecs[at] = np.linalg.eigh(a[at])
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs.take(order, axis=1)
         if blocks:
             vecs = _fix_signs(vecs)
         self._entries = a

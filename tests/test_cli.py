@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,31 @@ def test_neumann_failed_convergence_exits_one(files, capsys):
     )
     assert code == 1
     assert json.loads(out)["result"]["converged"] is False
+
+
+def test_neumann_mass_underflow_is_a_failure_not_a_warning(files, capsys):
+    # With S = {v1, v2}, every edge of v4 avoids S, so its mass eps^2 deg
+    # is 0 at eps = 1e-200: the sweep stops there, as for a kernel failure.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["neumann", "--graph", files["p4"], "--subset", "v1,v2", "--schedule", "1e-200"], capsys
+        )
+    assert (code, err, caught) == (1, "", [])
+    result = json.loads(out)["result"]
+    assert result["failures"] == ["epsilon=1e-200: a vertex mass underflows to 0"]
+    assert result["epsilon_trace"] == [] and result["converged"] is False
+
+
+@pytest.mark.parametrize("schedule", ["abc", "1e-1:abc"])
+def test_neumann_schedule_not_a_number_names_the_flag(schedule, files, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["neumann", "--graph", files["p4"], "--subset", "v1,v2", "--schedule", schedule], capsys
+        )
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: --schedule: could not convert string to float: 'abc'\n"
 
 
 def test_malformed_json_exit_two(tmp_path, capsys):

@@ -155,26 +155,28 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
 
 def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
     # Three 4 x 4 blocks of distinct values: every block is ranked from M's
-    # own inverse, only the best block is scored again, and the witness
-    # pair is built on that block's entries without a matrix of its own.
+    # own inverse, only the best block's near ties are scored again, in one
+    # rescoring call, and the witness pair is built on that block's entries
+    # without a matrix of its own.
     rng = np.random.default_rng(21)
     m = SpdMatrix(block_diagonal(rng, [4, 4, 4]))
     built, scans = [], []
-    init, scan = SpdMatrix.__init__, conformality._scan_masks
+    init, rescore = SpdMatrix.__init__, conformality._rescore
 
     def counting_init(self, entries):
         built.append(np.shape(entries))
         init(self, entries)
 
-    def counting_scan(*args):
-        scans.append(args[2].tolist())
-        return scan(*args)
+    def counting_rescore(entries, s_rows, t_rows):
+        scans.append(np.flatnonzero((s_rows | t_rows).any(axis=0)).tolist())
+        return rescore(entries, s_rows, t_rows)
 
     monkeypatch.setattr(SpdMatrix, "__init__", counting_init)
-    monkeypatch.setattr(conformality, "_scan_masks", counting_scan)
+    monkeypatch.setattr(conformality, "_rescore", counting_rescore)
     rho = weak_conformality_value(m)
     assert built == []
     assert len(scans) == 1
+    assert len(scans[0]) == 4  # one block's near ties
     res = weak_conformality(m)
     assert built == []
     assert len(scans) == 2
@@ -188,27 +190,27 @@ def test_witness_pair_reuses_the_winning_score(monkeypatch):
     # with no index complement, no np.ix_ gather and no new SpdMatrix.
     m = random_spd(np.random.default_rng(8), 8)
     expected = weak_conformality(m)
-    calls, masks = [], []
-    score, scan = conformality._partition_value, conformality._scan_masks
+    calls, rescored = [], []
+    score, rescore = conformality._partition_value, conformality._rescore
 
     def counting_score(entries, s_idx, t_idx):
         calls.append(len(s_idx))
         return score(entries, s_idx, t_idx)
 
-    def recording_scan(entries, near_ties, c):
-        masks.append(len(near_ties))
-        return scan(entries, near_ties, c)
+    def recording_rescore(entries, s_rows, t_rows):
+        rescored.append(len(s_rows))
+        return rescore(entries, s_rows, t_rows)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("forbidden call")
 
     monkeypatch.setattr(conformality, "_partition_value", counting_score)
-    monkeypatch.setattr(conformality, "_scan_masks", recording_scan)
+    monkeypatch.setattr(conformality, "_rescore", recording_rescore)
     monkeypatch.setattr(np, "setdiff1d", forbidden)
     monkeypatch.setattr(np, "ix_", forbidden)
     monkeypatch.setattr(SpdMatrix, "__init__", forbidden)
     res = weak_conformality(m)
-    assert masks == [1]
+    assert rescored == [1]
     assert calls == [1]
     assert (res.rho_weak, res.witness_partition) == (expected.rho_weak, expected.witness_partition)
     assert np.array_equal(res.witness_x, expected.witness_x)
@@ -380,6 +382,57 @@ def test_weak_fuzz_matches_reference(k):
     rng = np.random.default_rng(1000 + k)
     for kind, entries in fuzz_entries(rng, k):
         assert_matches_reference(SpdMatrix(entries), kind)
+
+
+def brute_force_lift_weak(m):
+    # Every partition of every block scored alone; the witness is the
+    # smallest lift S | {i not in C : i < max(S)} among the exact maxima,
+    # compared over all blocks at once.
+    scored = []
+    for comp in pattern_components(m.entries):
+        for p in range((1 << (len(comp) - 1)) - 1):
+            s = [c for i, c in enumerate(comp) if (2 * p + 1) >> i & 1]
+            t = [c for c in comp if c not in s]
+            value = float(_partition_value(m.entries, np.array([s]), np.array([t]))[0][0])
+            lift = tuple(sorted(set(s) | {i for i in range(max(s)) if i not in comp}))
+            scored.append((value, lift, comp))
+    rho = max(value for value, _, _ in scored)
+    winners = [(lift, comp) for value, lift, comp in scored if value == rho]
+    return rho, min(winners)[0], {comp for _, comp in winners}, len(winners)
+
+
+def test_weak_exact_ties_within_and_across_blocks():
+    # Blocks of size 3-5 whose entries within a block repeat, so partitions
+    # of one block tie exactly, and blocks that are 4^j multiples of one
+    # another (4 keeps every square root exact), so blocks tie exactly too.
+    rng = np.random.default_rng(2020)
+    across = within = 0
+    for _ in range(12):
+        n = int(rng.integers(3, 6))
+        base = np.eye(n) + rng.uniform(0.2, 0.8) * np.ones((n, n))
+        if rng.random() < 0.5:
+            x = np.sqrt(rng.integers(1, 3, n).astype(float))
+            base = np.outer(x, x) + np.eye(n)
+        blocks = [4.0 ** int(j) * base for j in rng.integers(-2, 3, int(rng.integers(2, 4)))]
+        blocks.append(random_spd(rng, int(rng.integers(3, 6)), 0.9, 1.1).entries)
+        k = sum(len(b) for b in blocks)
+        entries, at = np.zeros((k, k)), 0
+        for b in blocks:
+            entries[at : at + len(b), at : at + len(b)] = b
+            at += len(b)
+        p = rng.permutation(k)
+        m = SpdMatrix(entries[np.ix_(p, p)])
+        rho, subset, comps, ties = brute_force_lift_weak(m)
+        across += len(comps) > 1
+        within += ties > len(comps)
+        res = weak_conformality(m)
+        assert (res.rho_weak, res.witness_partition) == (rho, subset)
+        assert weak_conformality_value(m) == rho
+        assert set(np.flatnonzero(res.witness_x)) <= set(subset)
+        assert m.quad(res.witness_x) == pytest.approx(1.0, abs=1e-12)
+        assert m.quad(res.witness_y) == pytest.approx(1.0, abs=1e-12)
+        assert res.witness_x @ m.entries @ res.witness_y == pytest.approx(rho, abs=1e-12)
+    assert across > 0 and within > 0
 
 
 def record_chunk_rows(monkeypatch, chunk):
