@@ -54,15 +54,21 @@ pair. As (M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size
 >= 2; ``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M
 and ``inverse_conformality_check`` scans the same blocks for both. One tie
 window, from k and cond(M), serves them all and is at least each block's
-own; the cap applies to the largest block. The near ties of the top over
-all blocks, partitions (S, T) of their block C with min(C) in S, are
-scored again in one pass, stacked by (|S|, |T|) across blocks. Among those
-that score the maximum exactly, the witness partition is the smallest lift
-L(S) = S | {i not in C : i < max(S)}, the lexicographically smallest full
-partition that restricts to S. Within a block the lifts order as the S do
-(where two S first differ, the smaller index is in C and missing from the
-other lift, and the lifts agree below it), so a connected M gets the first
-S, as an exhaustive scan does. The witness pair is zero off the block.
+own; the cap applies to the largest block. The blocks of one size form
+one size stack (``linalg._stacks``, the stacks ``SpdMatrix`` eigensolves),
+with one ranking call per size stack: ``_batched_rho_sq`` ranks every
+block of the stack in the same batches under one running best, which
+prunes only partitions that cannot reach the window. A stack of b-blocks
+holding more than ``BATCH_CHUNK`` partitions is ranked in slices of
+BATCH_CHUNK >> (b - 1) blocks, one block from b = 13 on. The near ties of
+the top over all blocks, partitions (S, T) of their block C with min(C)
+in S, are scored again in one pass, stacked by (|S|, |T|) across blocks.
+Among those that score the maximum exactly, the witness partition is the
+smallest lift L(S) = S | {i not in C : i < max(S)}, the lexicographically
+smallest full partition that restricts to S. Within a block the lifts
+order as the S do (where two S first differ, the smaller index is in C and
+missing from the other lift, and the lifts agree below it), so a connected
+M gets the first S, as an exhaustive scan does. The witness pair is zero off the block.
 
 Exact computation is exponential by nature (the decision problem encodes
 integer Partition instances), so a block past the ``partitions`` cap of
@@ -77,10 +83,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CAPS, check_cap
-from .linalg import SpdMatrix, _fix_signs, _quad
+from .linalg import SpdMatrix, _fix_signs, _quad, _stacks
 from .report import VerificationReport, to_plain
 
-# Partitions per batched call; bounds the stacked blocks at large k.
+# Partitions per ranking call, over all blocks of its size stack slice;
+# bounds the stacked matrices at large k.
 BATCH_CHUNK = 1 << 12
 # Multiple of k * eps * cond(M) that separates a near-tie from a loser.
 TIE_SAFETY = 256.0
@@ -118,13 +125,14 @@ def _subset_rows(masks: np.ndarray, n: int, cols=None) -> np.ndarray:
     """Membership rows of n columns, one per subset mask.
 
     Column cols[i] (default i) holds bit i of the mask and every other column
-    is False. An unordered bipartition with index 0 on the first side is the
-    odd mask 2p + 1 of its partition number p.
+    is False; cols may also hold one such index row per mask. An unordered
+    bipartition with index 0 on the first side is the odd mask 2p + 1 of its
+    partition number p.
     """
     if cols is None:
         return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     rows = np.zeros((len(masks), n), dtype=bool)
-    rows[:, cols] = (masks[:, None] >> np.arange(len(cols))) & 1
+    rows[np.arange(len(masks))[:, None], cols] = (masks[:, None] >> np.arange(np.shape(cols)[-1])) & 1
     return rows
 
 
@@ -221,39 +229,48 @@ def _partition_plan(k: int, chunk: int) -> tuple:
 
 
 def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
-    """value(S)^2 for every partition mask of block c, by the Schur identity,
-    indexed by mask; a partition that cannot reach the tie window delta of
-    the block's maximum holds an upper bound on its value^2 instead.
+    """value(S)^2 for every partition mask of every block of the size stack
+    c, by the Schur identity: one row per block (row of c), indexed by mask.
+    A partition that cannot reach the tie window delta of the stack's
+    maximum holds an upper bound on its value^2 instead.
 
     M and M^-1 are read once at c's indices, as (M^-1)_CC = (M_CC)^-1, and
-    the ``_partition_plan`` of |c| indexes those blocks. Partition
-    mask p is the subset mask 2p + 1 of positions in c (see ``_subset_rows``);
-    the all-in mask 2^(|c|-1) - 1 is not a partition and is left out.
+    the ``_partition_plan`` of the block size b indexes those blocks, every
+    block of the stack in one batch per smaller-side size. Partition mask p
+    is the subset mask 2p + 1 of positions in a row of c (see
+    ``_subset_rows``); the all-in mask 2^(b-1) - 1 is not a partition and is
+    left out.
 
     For the smaller side S, with M_SS = L L^T, B = L^T (M^-1)_SS L has the
     eigenvalues of M_SS (M^-1)_SS, and E = B - I bounds mu_max = lambda_max(B)
-    on both sides through tr(E^8) = |E^4|_F^2 (module docstring). A running
-    best, across chunks, keeps the largest lower bound and exact value met so
-    far; from s = 3 on, the batched ``eigvalsh`` runs only where the upper
-    bound reaches best - 4 delta. Every other partition lies more than 3 delta below the
+    on both sides through tr(E^8) = |E^4|_F^2 (module docstring). One running
+    best, across chunks and shared by the blocks of the stack, keeps the
+    largest lower bound and exact value met so far; from s = 3 on, the
+    batched ``eigvalsh`` runs only where the upper bound reaches
+    best - 4 delta. Every other partition lies more than 3 delta below the
     maximum, and so does the upper bound that fills its slot: rounding moves
     the bounds by far less than delta (measured: at most 0.5 k eps cond(M)).
     So the maximum and the slots within delta of it are those of
     eigensolving every partition, bit for bit; delta = inf eigensolves them
     all. B is held for one chunk at a time.
     """
-    k = len(c)
-    block = c[:, None] * len(entries) + c
+    n, k = c.shape
+    count = (1 << (k - 1)) - 1
+    block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
     a, a_inv = entries.take(block), inverse.take(block)
-    out = np.empty((1 << (k - 1)) - 1)
+    out = np.empty(n * count)
     best = -np.inf
-    plan = _partition_plan if len(out) <= CAPS["partitions"] else _plan_chunks
+    plan = _partition_plan if count <= CAPS["partitions"] else _plan_chunks
+    # Block j of the stack reads its entries from row j of a and a_inv and
+    # writes its slots at offset j count.
+    offsets = count * np.arange(n)[:, None]
     for groups in plan(k, BATCH_CHUNK):
         for slots, pos in groups:
             s = pos.shape[1]
             flat = (pos * k)[:, :, None] + pos[:, None, :]
-            chol = np.linalg.cholesky(a.take(flat))
-            b = np.swapaxes(chol, 1, 2) @ a_inv.take(flat) @ chol
+            slots = (offsets + slots).ravel()
+            chol = np.linalg.cholesky(a.take(flat, axis=1).reshape(-1, s, s))
+            b = np.swapaxes(chol, 1, 2) @ a_inv.take(flat, axis=1).reshape(-1, s, s) @ chol
             if s > 2:
                 # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
                 # does, so those groups are solved whole.
@@ -271,15 +288,16 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
             mu = np.linalg.eigvalsh(b)[:, -1]
             out[slots] = 1.0 - 1.0 / mu
             best = max(best, 1.0 - 1.0 / float(mu.max()))
-    return out
+    return out.reshape(n, count)
 
 
 def _exact_weak(m: SpdMatrix, force: bool):
-    """(rho, witness partition, (S, T, v, Z)) of exact weak conformality,
-    every block's near ties scored again by one ``_rescore`` call; S and T
-    lie in one of ``m.blocks``. A diagonal M has no block and gives None as
-    the last item. A block past the ``partitions`` cap raises unless
-    ``force`` is set.
+    """(rho, witness partition, (S, T, v, Z)) of exact weak conformality:
+    one ranking call per size stack (or slice of one), then every block's
+    near ties scored again by one ``_rescore`` call; S and T lie in one of
+    ``m.blocks``. A diagonal M has no block and gives None as the last
+    item. A block past the ``partitions`` cap raises unless ``force`` is
+    set.
     """
     k = m.dim
     if k < 2:
@@ -288,8 +306,8 @@ def _exact_weak(m: SpdMatrix, force: bool):
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
         return 0.0, (0,), None
-    entries, blocks = m.entries, m.blocks
-    largest = max(len(c) for c in blocks)
+    entries, stacks = m.entries, _stacks(m.blocks)
+    largest = stacks[-1].shape[1]
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
     # whose condition numbers are at most cond(M), put both the batched
@@ -301,11 +319,15 @@ def _exact_weak(m: SpdMatrix, force: bool):
     # batched maximum over all blocks (|C| <= k, cond(M_CC) <= cond(M)).
     delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
     inverse = m.inverse()
-    ranked = [_batched_rho_sq(entries, inverse, c, delta) for c in blocks]
+    # One ranking call per slice of a size stack: at most BATCH_CHUNK
+    # partitions, as 2^(b-1) - 1 < 2^(b-1), or a single block of size b.
+    cs = [c[lo : lo + n] for c in stacks for n in [max(1, BATCH_CHUNK >> (c.shape[1] - 1))] for lo in range(0, len(c), n)]
+    ranked = [_batched_rho_sq(entries, inverse, c, delta) for c in cs]
     top = max(rho_sq.max() for rho_sq in ranked)
-    masks = [2 * np.flatnonzero(rho_sq >= top - delta) + 1 for rho_sq in ranked]
-    s_rows = np.concatenate([_subset_rows(p, k, c) for p, c in zip(masks, blocks)])
-    t_rows = np.concatenate([_subset_rows(p ^ ((1 << len(c)) - 1), k, c) for p, c in zip(masks, blocks)])
+    # The columns and subset mask of each near tie, partition p of block row i.
+    near = [(c[i], 2 * p + 1) for c, rho_sq in zip(cs, ranked) for i, p in [np.nonzero(rho_sq >= top - delta)]]
+    s_rows = np.concatenate([_subset_rows(q, k, cols) for cols, q in near])
+    t_rows = np.concatenate([_subset_rows(q ^ ((1 << cols.shape[1]) - 1), k, cols) for cols, q in near])
     return _rescore(entries, s_rows, t_rows)
 
 
@@ -313,7 +335,8 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     """Exact weak conformality over all support partitions.
 
     The batched Schur-complement scan ranks the partitions of every block
-    of the nonzero pattern (a connected M is one block), the near-ties of
+    of the nonzero pattern (a connected M is one block), one ranking call
+    per size stack of equal-size blocks, the near-ties of
     the top over all blocks are scored again in one pass, and the witness
     is the smallest lift S | {i outside its block : i < max(S)} among the
     maxima: for a connected M the first S, as an exhaustive scan selects.

@@ -5,7 +5,8 @@ Graphs:   {"vertices": [...], "edges": [["a","b"], ...], "orientation": [1, -1, 
 Complexes: {"facets": [["a","b","c"], ...]}.
 Hypergraphs: {"vertices": [...], "hyperedges": [[...], ...], "weights": [1.0, ...]}.
 Vectors: either a bare JSON array or {"values": [...]}.
-The load_* readers refuse NaN and infinities, naming the file and entry,
+Every reader names the file in its error when the file cannot be read or
+parsed. The load_* readers refuse NaN and infinities, naming the file and entry,
 and numeric arrays that are ragged, of the wrong depth or hold non-numbers,
 naming the file and key.
 """
@@ -22,8 +23,19 @@ from .linalg import check_finite
 
 
 def load_json(path) -> object:
-    text = Path(path).read_text()
-    return json.loads(text)
+    """The parsed JSON file at ``path``. A missing file raises
+    FileNotFoundError; a file that cannot be read, is not UTF-8 or is not
+    JSON raises a ValueError naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _numbers(value, ndim: int, what: str) -> np.ndarray:

@@ -93,6 +93,11 @@ def _quad(entries: np.ndarray, x, diagonal: bool):
     return float(q) if x.ndim == 1 else q
 
 
+def _stacks(blocks) -> list[np.ndarray]:
+    """The blocks of each size as one (n, size) index array, by size."""
+    return [np.array([c for c in blocks if len(c) == size]) for size in sorted({len(c) for c in blocks})]
+
+
 class SpdMatrix:
     """A symmetric positive definite matrix with cached spectral data.
 
@@ -103,8 +108,10 @@ class SpdMatrix:
     symmetric square root and its inverse are computed once and shared;
     instances are immutable and safe to use from multiple threads.
 
-    Each of ``blocks`` gets its own ``eigh`` (a connected M is one block),
-    any other index is a 1 x 1 block with an axis eigenvector, and one
+    The ``blocks`` of one size are one size stack (``_stacks``) with one
+    stacked ``eigh`` call per size stack, which solves each block alone (a
+    connected M is one block); any other index is a 1 x 1 block with an
+    axis eigenvector, and one
     stable sort orders the eigenvalues. As every eigenvector lives on one
     block, every product term between two blocks is an exact zero: the
     square roots, ``inverse()`` and ``solve`` are exactly zero off the
@@ -128,9 +135,7 @@ class SpdMatrix:
             blocks = _components(k, zip(rows.tolist(), cols.tolist()))
         self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
         vals, vecs = np.diagonal(a).copy(), np.eye(k)
-        for size in {len(c) for c in self._blocks}:
-            # Blocks of one size in one stacked eigh: an (n, size) index array.
-            idx = np.array([c for c in self._blocks if len(c) == size])
+        for idx in _stacks(self._blocks):
             at = idx[:, :, None], idx[:, None, :]
             vals[idx], vecs[at] = np.linalg.eigh(a[at])
         order = np.argsort(vals, kind="stable")

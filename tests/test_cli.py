@@ -338,6 +338,36 @@ def test_missing_file_exit_two(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "empty path", "malformed --me", "not UTF-8 --mv"])
+def test_unreadable_input_exit_two_names_the_file(case, files, tmp_path, capsys):
+    # Every input file that cannot be read or parsed is an input error with
+    # one message naming it, so a command reading several files says which.
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"rows": [[1,\n')
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"rows": [[1.0]], "note": "\xe9"}'.encode("latin-1"))
+    path, argv = {
+        "directory": (str(tmp_path), ["conformality", str(tmp_path)]),
+        "empty path": ("", ["conformality", ""]),
+        "malformed --me": (str(malformed), ["spectrum", "--graph", files["p3"], "--mv", files["id3"], "--me", str(malformed)]),
+        "not UTF-8 --mv": (str(latin1), ["verify", "cheeger", "--graph", files["p3"], "--mv", str(latin1), "--me", files["ipj"]]),
+    }[case]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+    if case == "malformed --me":
+        assert "line 2, column 1" in err
+
+
+def test_empty_inner_product_paths_are_read(files, capsys):
+    # An empty --mv/--me is a path like any other: it is read and refused,
+    # not taken for an absent flag that silently selects the normalized pair.
+    for command in (["conductance"], ["verify", "radius"], ["spectrum"]):
+        code, out, err = run_cli([*command, "--graph", files["p3"], "--mv", "", "--me", ""], capsys)
+        assert (code, out) == (2, ""), command
+        assert err.count("\n") == 1 and err.startswith("error: : cannot read: "), command
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_matrix_exit_two(tmp_path, files, capsys, bad):
     # Every loaded array is refused where its file is read, before any

@@ -19,7 +19,7 @@ from ipl import (
 
 from ipl import conformality
 from ipl.conformality import _batched_rho_sq, _partition_value
-from ipl.linalg import _fix_signs
+from ipl.linalg import _fix_signs, _stacks
 from ipl.errors import CAPS
 
 from conftest import cycle_graph, random_orthogonal, random_spd
@@ -108,11 +108,15 @@ def test_weak_diagonal_needs_no_cap():
 
 def test_weak_cap_and_force(monkeypatch):
     monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
-    m = SpdMatrix(np.eye(6) + 0.1 * np.ones((6, 6)))
-    with pytest.raises(EnumerationCapError):
-        weak_conformality(m)
-    res = weak_conformality(m, force=True)
-    assert res.rho_weak > 0
+    # A dense 6 x 6, and a block of 6 ahead of a block of 2: the cap applies
+    # to the largest block, wherever it sits.
+    entries = np.eye(8) + 0.1 * np.ones((8, 8))
+    entries[:6, 6:] = entries[6:, :6] = 0.0
+    for m in (SpdMatrix(np.eye(6) + 0.1 * np.ones((6, 6))), SpdMatrix(entries)):
+        with pytest.raises(EnumerationCapError):
+            weak_conformality(m)
+        res = weak_conformality(m, force=True)
+        assert res.rho_weak > 0
 
 
 def block_diagonal(rng, sizes):
@@ -481,12 +485,12 @@ def test_stacked_scores_match_one_partition_calls():
 def assert_pruning_sound(m, label):
     k = m.dim
     delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-    whole = m.entries, m.inverse(), np.arange(k)
-    exact = _batched_rho_sq(*whole, np.inf)  # best - 4 * inf prunes no partition
+    whole = m.entries, m.inverse(), np.arange(k)[None]  # a stack of one block
+    exact = _batched_rho_sq(*whole, np.inf)[0]  # best - 4 * inf prunes no partition
     # best + 4 > 1 >= value^2: every partition whose smaller side has 3 or
     # more indices is pruned, and its slot holds its bound.
-    bounds = _batched_rho_sq(*whole, -1.0)
-    pruned = _batched_rho_sq(*whole, delta)
+    bounds = _batched_rho_sq(*whole, -1.0)[0]
+    pruned = _batched_rho_sq(*whole, delta)[0]
     # The bound holds up to rounding of the size k * eps * cond(M) that
     # delta is a multiple of.
     assert (bounds >= exact - delta / conformality.TIE_SAFETY).all(), label
@@ -561,15 +565,87 @@ def test_planned_scan_matches_mask_order_scan(k):
         inverse = m.inverse()
         for c in (np.arange(k), *m.blocks):
             for d in (np.inf, -1.0, delta):
-                got = _batched_rho_sq(m.entries, inverse, c, d)
+                got = _batched_rho_sq(m.entries, inverse, c[None], d)[0]
                 assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
+
+
+def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
+    # Equal-size blocks that are 4^j multiples of one block tie exactly
+    # across blocks, plus one weakly coupled block of the same size that the
+    # shared running best prunes; the whole matrix is permuted. The stack's
+    # maximum and its slots within delta of it are those of ranking each
+    # block alone, bit for bit; a pruned slot holds its exact value or its
+    # bound. Pruning starts at smaller sides of 3, so at blocks of 6.
+    rng = np.random.default_rng(2121)
+    shared = 0
+    for b in (4, 6, 7):
+        base = np.eye(b) + rng.uniform(0.2, 0.8) * np.ones((b, b))
+        blocks = [4.0 ** int(j) * base for j in (-1, 0, 2)] + [random_spd(rng, b, 0.9, 1.1).entries]
+        k = len(blocks) * b
+        entries = np.zeros((k, k))
+        for j, block in enumerate(blocks):
+            entries[j * b : (j + 1) * b, j * b : (j + 1) * b] = block
+        p = rng.permutation(k)
+        m = SpdMatrix(entries[np.ix_(p, p)])
+        (c,) = _stacks(m.blocks)
+        assert c.shape == (len(blocks), b)
+        inverse = m.inverse()
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        stack = _batched_rho_sq(m.entries, inverse, c, delta)
+        alone = np.array([_batched_rho_sq(m.entries, inverse, row[None], delta)[0] for row in c])
+        exact = _batched_rho_sq(m.entries, inverse, c, np.inf)
+        bounds = _batched_rho_sq(m.entries, inverse, c, -1.0)
+        top = alone.max()
+        assert stack.max() == top
+        near = stack >= top - delta
+        assert np.array_equal(near, alone >= top - delta)
+        assert np.array_equal(stack[near], alone[near])
+        assert near.any(axis=1).sum() == 3 and (near.sum(axis=1) > 1).any()  # ties across and within blocks
+        assert np.all((stack == exact) | (stack == bounds))
+        # The weak block's partitions pruned by the stack's best, not its own.
+        shared += int((stack != alone)[~near.any(axis=1)].sum())
+        rho, subset, _, _ = brute_force_lift_weak(m)
+        res = weak_conformality(m)
+        assert (res.rho_weak, res.witness_partition) == (rho, subset)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("sizes, chunk", [([12] * 6, None), ([4] * 40, None), ([4] * 40, 100), ([5, 3, 5, 3, 5], 40)])
+def test_size_stacks_are_ranked_in_slices(sizes, chunk, monkeypatch):
+    # One ranking call per slice of a size stack, never one per block of a
+    # multi-block slice, stacks by size, and no call ranks more than
+    # BATCH_CHUNK partitions unless it holds a single block. rho is the best
+    # of the blocks scored as matrices of their own.
+    if chunk:
+        monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    calls, ranked = [], conformality._batched_rho_sq
+
+    def recording(entries, inverse, c, delta):
+        calls.append(c.shape)
+        return ranked(entries, inverse, c, delta)
+
+    monkeypatch.setattr(conformality, "_batched_rho_sq", recording)
+    rng = np.random.default_rng(len(sizes))
+    entries = block_diagonal(rng, sizes)
+    p = rng.permutation(len(entries))
+    m = SpdMatrix(entries[np.ix_(p, p)])
+    rho = weak_conformality_value(m)
+    batch = conformality.BATCH_CHUNK
+    assert all(n * ((1 << (b - 1)) - 1) <= batch or n == 1 for n, b in calls)
+    slices = []
+    for b in set(sizes):
+        step = max(1, batch >> (b - 1))
+        slices += [(min(step, sizes.count(b) - lo), b) for lo in range(0, sizes.count(b), step)]
+    assert sorted(calls) == sorted(slices)
+    assert [b for _, b in calls] == sorted(b for _, b in calls)
+    assert rho == max(weak_conformality_value(SpdMatrix(m.entries[np.ix_(c, c)])) for c in m.blocks)
 
 
 def test_partition_plan_cold_and_warm_agree():
     rng = np.random.default_rng(41)
     for kind, entries in fuzz_entries(rng, 12):
         m = SpdMatrix(entries)
-        whole = m.entries, m.inverse(), np.arange(12), np.inf
+        whole = m.entries, m.inverse(), np.arange(12)[None], np.inf
         conformality._partition_plan.cache_clear()
         cold_sq, cold = _batched_rho_sq(*whole), weak_conformality(m)
         warm_sq, warm = _batched_rho_sq(*whole), weak_conformality(m)
