@@ -30,18 +30,20 @@ couple add none, so a diagonal M_E adds none at all. Each mass is then
 table[x_L] + F[x_H] @ G[:, x_L] (``_split_features``, ``_split_forms``):
 a tile of at most CUT_CHUNK cuts, high masks by low masks, costs three GEMMs.
 
-Recheck rule. GEMM rounding depends on a cut's place in its tile and on how
-BLAS splits the work. So every cut whose split value lies within the
-``_widening`` factor of the running minimum is re-scored by ``_cut_masses``.
-That factor is a rounding bound built from sum|M|, lambda_min(M) and the
-length of each evaluation's chains of additions. ``_cut_masses`` sums each
-row's terms left to right, whatever the rows beside it, and the minimum and
-the witness come from its values alone. Below SPLIT_MIN_BITS free columns H
-is empty, and the scan is one batch of ``_low_masses`` over every cut. Unless
-both inner products are integral (``SpdMatrix.is_integral``), when every mass
-is exact, the batch's cuts within the ``_widening`` factor of its minimum are
-re-scored by ``_cut_masses`` as well, so ``phi`` and the witness agree with
-the conductance table at every size.
+Recheck rule, one for both paths. Below SPLIT_MIN_BITS free columns H is
+empty, and the scan is one batch of ``_low_masses`` over every cut; above
+it the split tiles score the cuts. If both inner products are integral
+(``SpdMatrix.is_integral``), every mass on either path is an exact integer,
+so phi and the witness come straight from the scan's own values, and the
+split path keeps only the cuts at its minimum (window factor 1). Otherwise
+rounding depends on a cut's place in its batch or tile and on how BLAS
+splits the work, so the cuts whose value lies within the ``_widening``
+factor of the minimum are re-scored by ``_cut_masses``. That factor is a
+rounding bound built from sum|M|, lambda_min(M) and the length of each
+evaluation's chains of additions. ``_cut_masses`` sums each row's terms left
+to right, whatever the rows beside it, and the minimum and the witness come
+from its values alone. Either way ``phi`` and the witness agree with the
+conductance table at every size.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
@@ -307,17 +309,17 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
     return (hi / lo) ** 2
 
 
-def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.ndarray, pinned: bool) -> np.ndarray:
-    """Masks of every cut whose split value lies within the factor ``widen``
-    of the least one, scored in tiles of at most CUT_CHUNK cuts (high masks x
-    low masks) by three GEMMs over the ``_split_forms``."""
+def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.ndarray, pinned: bool):
+    """(masks, values) of every cut whose split value lies within the factor
+    ``widen`` of the least one, scored in tiles of at most CUT_CHUNK cuts
+    (high masks x low masks) by three GEMMs over the ``_split_forms``."""
     # Square tiles, so the slice of G a tile reads stays in cache: at n = 24
     # with a dense M_E, tiles one low table wide took 1.8x as long.
     cols_t = min(len(lo_masks), 1 << (CUT_CHUNK.bit_length() // 2))
     rows_t = max(1, CUT_CHUNK // cols_t)
     buf = np.empty((3, rows_t * cols_t))
     best, limit = np.inf, np.inf
-    found, values = [], []
+    found = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for r0 in range(0, len(hi_masks), rows_t):
             for c0 in range(0, len(lo_masks), cols_t):
@@ -340,9 +342,9 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
                 # An unbounded window takes every cut (C itself excluded).
                 limit = best * widen if widen < np.inf else np.finfo(float).max
                 i, j = np.nonzero(phi <= limit)
-                found.append(hi_masks[r0 + i] | lo_masks[c0 + j])
-                values.append(phi[i, j])
-    return np.concatenate(found)[np.concatenate(values) <= limit]
+                found.append((hi_masks[r0 + i] | lo_masks[c0 + j], phi[i, j]))
+    masks, values = (np.concatenate(a) for a in zip(*found))
+    return masks[values <= limit], values[values <= limit]
 
 
 def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
@@ -354,11 +356,14 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     smallest vertex set attaining the minimum exactly. The first columns
     form the low half L and the rest the high half H, which is empty below
     SPLIT_MIN_BITS free columns. Without a high half every cut is one row
-    of ``_low_masses``, one batch; otherwise ``_split_candidates`` picks the
-    cuts near the minimum. Either way ``_cut_masses`` re-scores the cuts
-    near the minimum (a batch of integral inner products is exact already),
-    so the result depends neither on the tiles nor on how BLAS splits its
-    work, and equals the minimum of the conductance table.
+    of ``_low_masses``, one batch; otherwise ``_split_candidates`` scores
+    the cuts in tiles. One rule decides on both paths when a value is
+    final: if both inner products are integral (``SpdMatrix.is_integral``)
+    every value is exact, so the minimum and the witness come from the
+    scan's own values; otherwise ``_cut_masses`` re-scores the cuts within
+    the ``_widening`` factor of the minimum. Either way the result depends
+    neither on the tiles nor on how BLAS splits its work, and equals the
+    minimum of the conductance table.
     """
     n = g.n
     k = n if cols is None else len(cols)
@@ -368,22 +373,22 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     low = _subset_rows(lo_masks, n, cols)
     total, r = _complement_terms(m_v.entries, cols)
     tables = _low_masses(g, m_v, m_e, low, total, r)
+    exact = m_v.is_integral and m_e.is_integral
     if b < k:
         hi_masks = np.arange(1 << (k - b)) << b
         forms = _split_forms(g, m_v, m_e, low, _subset_rows(hi_masks, n, cols), tables, r)
-        widen = _widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
-        rows = _subset_rows(_split_candidates(forms, widen, lo_masks, hi_masks, pinned), n, cols)
-        tables = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        widen = 1.0 if exact else _widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
+        masks, phi = _split_candidates(forms, widen, lo_masks, hi_masks, pinned)
+        rows = _subset_rows(masks, n, cols)
     else:
         # The empty set (unpinned scans) and C itself are no cuts.
         rows = low[1 - pinned : -1]
-        tables = [t[1 - pinned : -1] for t in tables]
-        # Integral inner products make every batch value exact.
-        if not (m_v.is_integral and m_e.is_integral):
-            phi = tables[0] / np.minimum(tables[1], tables[2])
+        phi = tables[0][1 - pinned : -1] / np.minimum(tables[1], tables[2])[1 - pinned : -1]
+        if not exact:
             rows = rows[phi <= phi.min() * _widening(m_e, m_v, 0, 0)]
-            tables = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
-    phi = tables[0] / np.minimum(tables[1], tables[2])
+    if not exact:
+        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        phi = e / np.minimum(vol, comp)
     best = phi.min()
     ties = rows[phi == best]
     return float(best), tuple(np.flatnonzero(ties[_first_set(ties)]).tolist())

@@ -31,7 +31,8 @@ def load_json(path) -> object:
     except FileNotFoundError:
         raise
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
+        # The empty path reads the current directory: name it as '' so it shows.
+        raise ValueError(f"{str(path) or repr('')}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:

@@ -118,12 +118,11 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
 def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
     i = setup.target_dim
     m_i = setup.inner[i]
-    q = m_i.sqrt_entries
     q_inv = m_i.inv_sqrt_entries
     n = m_i.dim
     lap = np.zeros((n, n))
     if i >= 1:
-        b = setup.boundaries[i]
+        b, q = setup.boundaries[i], m_i.sqrt_entries
         lap += q @ b.T @ setup.inner[i - 1].solve(b) @ q
     if i < setup.dim:
         b = setup.boundaries[i + 1]

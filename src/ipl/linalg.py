@@ -125,7 +125,7 @@ class SpdMatrix:
         check_finite(a)
         _check_symmetric(a)
         a = 0.5 * (a + a.T)
-        self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**50)
+        self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**49)
         k = a.shape[0]
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             # Exactly diagonal: a count costs far less than the pattern scan.
@@ -193,9 +193,12 @@ class SpdMatrix:
 
     @property
     def is_integral(self) -> bool:
-        """Every entry is an integer and sum|M| < 2^50. Then any sum of
-        entries, and any signed combination of a few such sums, is an integer
-        below 2^53 and exact whatever the order of its additions."""
+        """Every entry is an integer and sum|M| < 2^49. Every value a cut
+        scan forms from M, split or reference, adds each entry at most 9
+        times, signed (the count in ``isoperimetry._widening``), so its
+        partial sums are integers below 9 * 2^49 < 2^53, exact whatever the
+        order of the additions. A cut scan over two integral inner products
+        therefore takes its own values as final and re-scores none."""
         return self._is_integral
 
     def _spectral_apply(self, f) -> np.ndarray:

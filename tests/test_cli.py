@@ -346,9 +346,10 @@ def test_unreadable_input_exit_two_names_the_file(case, files, tmp_path, capsys)
     malformed.write_text('{"rows": [[1,\n')
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"rows": [[1.0]], "note": "\xe9"}'.encode("latin-1"))
+    # The empty path is named as '', so the message has no bare colon.
     path, argv = {
         "directory": (str(tmp_path), ["conformality", str(tmp_path)]),
-        "empty path": ("", ["conformality", ""]),
+        "empty path": ("''", ["conformality", ""]),
         "malformed --me": (str(malformed), ["spectrum", "--graph", files["p3"], "--mv", files["id3"], "--me", str(malformed)]),
         "not UTF-8 --mv": (str(latin1), ["verify", "cheeger", "--graph", files["p3"], "--mv", str(latin1), "--me", files["ipj"]]),
     }[case]
@@ -365,7 +366,7 @@ def test_empty_inner_product_paths_are_read(files, capsys):
     for command in (["conductance"], ["verify", "radius"], ["spectrum"]):
         code, out, err = run_cli([*command, "--graph", files["p3"], "--mv", "", "--me", ""], capsys)
         assert (code, out) == (2, ""), command
-        assert err.count("\n") == 1 and err.startswith("error: : cannot read: "), command
+        assert err.count("\n") == 1 and err.startswith("error: '': cannot read: "), command
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

@@ -41,6 +41,14 @@ def k2():
     return Graph.from_edge_labels(["v1", "v2"], [("v1", "v2")])
 
 
+def integer_spd(rng, dim, below=None):
+    """A diagonally dominant integer SPD matrix; with ``below``, its largest
+    integer multiple with sum|M| < below."""
+    b = rng.integers(-2, 3, (dim, dim))
+    a = np.diag(np.full(dim, 4 * dim)) + b + b.T
+    return SpdMatrix(a if below is None else a * ((below - 1) // int(np.abs(a).sum())))
+
+
 def test_cut_stats_k2():
     g = k2()
     stats = cut_stats(g, SpdMatrix.identity(2), SpdMatrix.identity(1), [0], [1])
@@ -114,7 +122,8 @@ def cut_oracle(g, phi_of):
 def test_conductance_matches_textbook_oracle(rng, monkeypatch):
     # Independent subset loops against the scan: as configured, with the
     # split point lowered so that every graph has a high half, and with no
-    # rounding bound, so that every cut is re-scored. The witness is the
+    # rounding bound, so that every cut of a non-integer case is re-scored
+    # (integral cases end on the scan's exact values). The witness is the
     # lexicographically smallest minimizer of the loop.
     cases = []
     tie_heavy = [cycle_graph(8), complete_graph(6), hypercube_graph(4)]
@@ -234,10 +243,6 @@ def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
         random_connected_graph(rng, int(rng.integers(4, 9))) for _ in range(13)
     ]
 
-    def integer_spd(dim):
-        b = rng.integers(-2, 3, (dim, dim))
-        return SpdMatrix(np.diag(np.full(dim, 4 * dim)) + b + b.T)
-
     cases = []
     for i, g in enumerate(graphs):
         if i % 5 == 0:
@@ -246,7 +251,7 @@ def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
             m_v = SpdMatrix.from_diagonal(rng.integers(1, 5, g.n))
             m_e = SpdMatrix.from_diagonal(rng.integers(1, 5, g.m))
         elif i % 5 == 2:
-            m_v, m_e = integer_spd(g.n), integer_spd(g.m)
+            m_v, m_e = integer_spd(rng, g.n), integer_spd(rng, g.m)
         elif i % 5 == 3:
             m_v = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.n))
             m_e = SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.m))
@@ -276,7 +281,9 @@ def test_cut_scans_across_chunk_boundaries(rng, monkeypatch):
 def test_conductance_agrees_with_its_table(rng):
     # phi is the least phi of the table and the witness its lexicographically
     # first minimizer, also below the split point with non-integer inner
-    # products, where the one-batch scan and the table round differently.
+    # products, where the one-batch scan and the table round differently,
+    # and at the split point with integral ones, where the scan's own values
+    # are final.
     cases = []
     for trial in range(24):
         g = random_connected_graph(rng, int(rng.integers(4, 10)))
@@ -291,11 +298,67 @@ def test_conductance_agrees_with_its_table(rng):
         cases.append((g, m_v, m_e))
     k7 = complete_graph(7)
     cases.append((k7, SpdMatrix.from_diagonal(0.7 * k7.degrees()), SpdMatrix.from_diagonal(np.full(k7.m, 0.3))))
+    # Integral at the split point: normalized, tie-heavy C14 (7 tied cuts)
+    # and integer dense; then integer dense with sum|M| just below 2^49, the
+    # is_integral bound, on both sides of the split point.
+    for g in (random_connected_graph(rng, 13), random_connected_graph(rng, 14), cycle_graph(14)):
+        cases.append((g, *normalized_inner_products(g)))
+    g = random_connected_graph(rng, 13)
+    cases.append((g, integer_spd(rng, g.n), integer_spd(rng, g.m)))
+    for g in (random_connected_graph(rng, 6), random_connected_graph(rng, 13)):
+        cases.append((g, integer_spd(rng, g.n, 2**49), integer_spd(rng, g.m, 2**49)))
+        assert all(m.is_integral and np.abs(m.entries).sum() >= 2**48 for m in cases[-1][1:])
+    assert not SpdMatrix.from_diagonal([2.0**48, 2.0**48]).is_integral
     for g, m_v, m_e in cases:
         phi, witness, table = conductance(g, m_v, m_e, include_table=True)
         best = min(r["phi"] for r in table)
         assert phi == best
         assert list(witness) == min((r["subset"] for r in table if r["phi"] == best), key=tuple)
+
+
+def test_only_non_integral_scans_are_rescored(rng, monkeypatch):
+    # One exactness rule on both paths: an integral pair of inner products
+    # makes every scan value exact, so its scans call neither _widening nor
+    # _cut_masses; any other pair is re-scored once per scan. Pinned
+    # (conductance) and unpinned (S-local) scans, below and at the split
+    # point, and with it lowered to 2.
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("_cut_masses", "_widening"):
+        monkeypatch.setattr(ipl.isoperimetry, name, counted(getattr(ipl.isoperimetry, name)))
+    graphs = [cycle_graph(14), random_connected_graph(rng, 13)] + [random_connected_graph(rng, 7) for _ in range(3)]
+    cases = []
+    for g in graphs:
+        cases += [
+            (g, *normalized_inner_products(g), True),
+            (g, SpdMatrix.identity(g.n), integer_spd(rng, g.m), True),
+            (g, SpdMatrix.from_diagonal(0.7 * g.degrees()), SpdMatrix.identity(g.m), False),
+            (g, random_spd(rng, g.n), random_spd(rng, g.m), False),
+        ]
+    for split_bits in (ipl.isoperimetry.SPLIT_MIN_BITS, 2):
+        monkeypatch.setattr(ipl.isoperimetry, "SPLIT_MIN_BITS", split_bits)
+        for g, m_v, m_e, integral in cases:
+            s = list(range(1, min(g.n, 13)))
+            expected = [] if integral else ["_widening", "_cut_masses"]
+            for scan in (
+                lambda: conductance(g, m_v, m_e),
+                lambda: ipl.isoperimetry._cut_scan(g, m_v, m_e, s, pinned=False),
+            ):
+                calls.clear()
+                scan()
+                assert calls == expected, (split_bits, g.n, integral)
+        # S-local conductance measures in the (integral) normalized pair.
+        for g in graphs:
+            calls.clear()
+            s_local_conductance(g, list(range(1, min(g.n, 13))))
+            assert calls == []
 
 
 def test_conductance_inner_product_weighting():
