@@ -99,6 +99,37 @@ def test_weak_witness_invariants(rng):
         assert res.rho_weak <= res.rho_strong + 1e-10
 
 
+@pytest.mark.parametrize("k", [5, 70])
+def test_weak_diagonal_pair_bits(k):
+    # The pair of S = {0} against {1}, scored on C = {0, 1}: x = e0 / sqrt(M00)
+    # and y = e1 / sqrt(M11), to the bit. Past k = 64 no k-bit mask can
+    # stand in for S.
+    for diag, x0 in ((1.0 + np.arange(k) % 7, 1.0), (0.3 + 1.7 * (np.arange(k) % 5), float.fromhex("0x1.d363d1848dcbfp+0"))):
+        res = weak_conformality(SpdMatrix.from_diagonal(diag))
+        assert (res.rho_weak, res.witness_partition) == (0.0, (0,))
+        x, y = np.zeros(k), np.zeros(k)
+        x[0], y[1] = x0, float.fromhex("0x1.6a09e667f3bccp-1")
+        assert np.array_equal(res.witness_x, x)
+        assert np.array_equal(res.witness_y, y)
+
+
+def test_rescoring_rows_are_block_wide(monkeypatch):
+    # Ten 4 x 4 blocks: the near ties are scored in block coordinates, so
+    # every membership row weak_conformality forms is 4 wide, not 40.
+    widths, subset_rows = [], conformality._subset_rows
+
+    def recording(masks, n, cols=None):
+        rows = subset_rows(masks, n, cols)
+        widths.append(rows.shape[1])
+        return rows
+
+    monkeypatch.setattr(conformality, "_subset_rows", recording)
+    m = SpdMatrix(block_diagonal(np.random.default_rng(10), [4] * 10))
+    res = weak_conformality(m)
+    assert widths and set(widths) == {4}
+    assert (res.rho_weak, res.witness_partition) == reference_block_weak(m)[:2]
+
+
 def test_weak_diagonal_needs_no_cap():
     # The diagonal identity answers without a scan, so the cap does not apply.
     res = weak_conformality(SpdMatrix.identity(25))
@@ -171,9 +202,10 @@ def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
         built.append(np.shape(entries))
         init(self, entries)
 
-    def counting_rescore(entries, s_rows, t_rows):
-        scans.append(np.flatnonzero((s_rows | t_rows).any(axis=0)).tolist())
-        return rescore(entries, s_rows, t_rows)
+    def counting_rescore(entries, near):
+        # The indices of every block that holds a near tie.
+        scans.append(np.unique(np.concatenate([c[hit.any(axis=1)].ravel() for c, hit in near])).tolist())
+        return rescore(entries, near)
 
     monkeypatch.setattr(SpdMatrix, "__init__", counting_init)
     monkeypatch.setattr(conformality, "_rescore", counting_rescore)
@@ -201,9 +233,9 @@ def test_witness_pair_reuses_the_winning_score(monkeypatch):
         calls.append(len(s_idx))
         return score(entries, s_idx, t_idx)
 
-    def recording_rescore(entries, s_rows, t_rows):
-        rescored.append(len(s_rows))
-        return rescore(entries, s_rows, t_rows)
+    def recording_rescore(entries, near):
+        rescored.append(sum(int(hit.sum()) for _, hit in near))
+        return rescore(entries, near)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("forbidden call")
@@ -871,6 +903,15 @@ def test_bounds_random(rng):
         m = random_spd(rng, int(rng.integers(2, 6)))
         x = rng.standard_normal(m.dim)
         assert verify_conformality_bounds(m, x).passed
+
+
+def test_bounds_one_dimensional_is_vacuous():
+    # No disjoint-support pair exists in one dimension, so rho = 0 and both
+    # sandwiches collapse to x^T M x itself.
+    rep = verify_conformality_bounds(SpdMatrix([[2.0]]), [1.5])
+    assert rep.passed
+    assert rep.values["rho_weak"] == 0.0
+    assert rep.values["quadratic_form"] == rep.values["sign_lower"] == rep.values["trace_upper"] == 4.5
 
 
 def test_bounds_dimension_mismatch():
