@@ -16,7 +16,7 @@ the Schur complement ((M^-1)_SS)^-1, it also equals
 
 which needs only the S-blocks of M and of one shared inverse. The scan uses
 this form on the smaller side of every partition, stacked by side size into
-one batched Cholesky per group. Which partitions share a group, and where
+one batch per group. Which partitions share a group, and where
 their smaller sides sit, depends on the block size and the chunk size alone,
 never on M: ``_partition_plan`` builds that index plan once per pair and the
 process keeps it within the cap (a forced scan past it builds one chunk at
@@ -27,14 +27,16 @@ block of M and of M^-1 once and gathers every S-block from those two.
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
 M_SS (M^-1)_SS, all >= 1, and E = B - I gives
 
-    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8),
+    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8).
 
-with tr(E^8) the squared Frobenius norm of E^4. From |S| = 3 on, only a
-partition whose upper bound reaches the best value met so far, less four
-times the tie window below, gets an eigenvalue call; the others keep their
-upper bound, which cannot reach the window, so the ranking below is
-unchanged. That batch only ranks the partitions: 1 - 1/mu loses digits, and partitions that
-tie mathematically differ only by rounding. Every partition within a
+The bound needs no factor: P = M_SS (M^-1)_SS - I = L E L^-1 is similar
+to E, so tr(P^8) = tr(E^8), from three batched products. From |S| = 3 on,
+only a partition whose upper bound reaches the best value met so far, less
+four times the tie window below, is factored, forms B and gets an
+eigenvalue call; the others keep their upper bound, which cannot reach the
+window, so the ranking below is unchanged. That batch only ranks the
+partitions: 1 - 1/mu loses digits, and partitions that tie mathematically
+differ only by rounding. Every partition within a
 rounding bound (the tie window) of the batch maximum is scored again by
 ``_partition_value``, the one per-partition routine, and the best of those
 scores is the reported value. The result is the same as scoring every
@@ -257,16 +259,22 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
 
     For the smaller side S, with M_SS = L L^T, B = L^T (M^-1)_SS L has the
     eigenvalues of M_SS (M^-1)_SS, and E = B - I bounds mu_max = lambda_max(B)
-    on both sides through tr(E^8) = |E^4|_F^2 (module docstring). One running
-    best, across chunks and shared by the blocks of the stack, keeps the
-    largest lower bound and exact value met so far; from s = 3 on, the
-    batched ``eigvalsh`` runs only where the upper bound reaches
-    best - 4 delta. Every other partition lies more than 3 delta below the
+    on both sides through tr(E^8) (module docstring). From s = 3 on, that
+    trace comes from P = M_SS (M^-1)_SS - I = L E L^-1, as |tr(P^4 P^4)|
+    (its terms are not squares, so rounding can take it below 0), before
+    any factor. One running best, across chunks and shared by the
+    blocks of the stack, keeps the largest lower bound and exact value met
+    so far; only the partitions whose upper bound reaches best - 4 delta
+    are factored, form B and reach the batched ``eigvalsh``, with the s <= 2
+    groups whole. Every other partition lies more than 3 delta below the
     maximum, and so does the upper bound that fills its slot: rounding moves
-    the bounds by far less than delta (measured: at most 0.5 k eps cond(M)).
-    So the maximum and the slots within delta of it are those of
-    eigensolving every partition, bit for bit; delta = inf eigensolves them
-    all. B is held for one chunk at a time.
+    the bounds by far less than delta (measured: at most 0.6 k eps cond(M),
+    on near-diagonal inputs). Each stacked Cholesky, product and
+    ``eigvalsh`` treats its matrices one at a time, so a live partition
+    scores the bits it scores in the whole group. So the maximum and the
+    slots within delta of it are those of eigensolving every partition, bit
+    for bit; delta = inf eigensolves them all. B is held for one chunk at a
+    time.
     """
     n, k = c.shape
     count = (1 << (k - 1)) - 1
@@ -283,22 +291,24 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
             s = pos.shape[1]
             flat = (pos * k)[:, :, None] + pos[:, None, :]
             slots = (offsets + slots).ravel()
-            chol = np.linalg.cholesky(a.take(flat, axis=1).reshape(-1, s, s))
-            b = np.swapaxes(chol, 1, 2) @ a_inv.take(flat, axis=1).reshape(-1, s, s) @ chol
+            m_ss, w_ss = a.take(flat, axis=1).reshape(-1, s, s), a_inv.take(flat, axis=1).reshape(-1, s, s)
             if s > 2:
                 # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
                 # does, so those groups are solved whole.
-                e = b - np.eye(s)
+                e = m_ss @ w_ss
+                e -= np.eye(s)  # P = L E L^-1
                 e = e @ e
                 e = e @ e
-                root = np.einsum("nij,nij->n", e, e) ** 0.125  # tr(E^8)^(1/8)
+                root = np.abs(np.einsum("nij,nji->n", e, e)) ** 0.125  # tr(P^8)^(1/8) = tr(E^8)^(1/8)
                 best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
                 bound = 1.0 - 1.0 / (1.0 + root)
                 out[slots] = bound
                 live = bound >= best - 4.0 * delta
                 if not live.any():
                     continue
-                slots, b = slots[live], b[live]
+                slots, m_ss, w_ss = slots[live], m_ss[live], w_ss[live]
+            chol = np.linalg.cholesky(m_ss)
+            b = np.swapaxes(chol, 1, 2) @ w_ss @ chol
             mu = np.linalg.eigvalsh(b)[:, -1]
             out[slots] = 1.0 - 1.0 / mu
             best = max(best, 1.0 - 1.0 / float(mu.max()))
@@ -308,9 +318,9 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
 def _exact_weak(m: SpdMatrix, force: bool):
     """(rho, witness partition, (C, S, v, Z)) of exact weak conformality:
     one ranking call per size-stack slice, then one ``_rescore`` call on the
-    ranking's own output (each slice's blocks and near-tie marks), which
-    scores every block's near ties again per size-stack slice, stacked by
-    |S|. C is the winning one of ``m.blocks`` and S the winner's membership
+    ranking's own output (the blocks and near-tie marks of each slice that
+    holds a near tie), which scores every block's near ties again per
+    size-stack slice, stacked by |S|. C is the winning one of ``m.blocks`` and S the winner's membership
     row over C. A diagonal M has no block and gives None as the last item.
     A block past the ``partitions`` cap raises unless ``force`` is set.
     """
@@ -339,7 +349,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
     cs = [c[lo : lo + n] for c in stacks for n in [max(1, BATCH_CHUNK >> (c.shape[1] - 1))] for lo in range(0, len(c), n)]
     ranked = [_batched_rho_sq(entries, inverse, c, delta) for c in cs]
     top = max(rho_sq.max() for rho_sq in ranked)
-    return _rescore(entries, [(c, rho_sq >= top - delta) for c, rho_sq in zip(cs, ranked)])
+    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()])
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:

@@ -220,6 +220,39 @@ def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
     assert np.flatnonzero(res.witness_x + res.witness_y).tolist() == scans[0]
 
 
+def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
+    # Blocks of 6, 5, 4 and 3 are four size stacks, one ranking call each.
+    # Only the slice of the best block holds a near tie and reaches
+    # _rescore, which scores what it scores when handed every slice.
+    rng = np.random.default_rng(6543)
+    p = rng.permutation(18)
+    m = SpdMatrix(block_diagonal(rng, [6, 5, 4, 3])[np.ix_(p, p)])
+    ranked, near, rank, rescore = [], [], conformality._batched_rho_sq, conformality._rescore
+
+    def recording_rank(entries, inverse, c, delta):
+        ranked.append((c, rank(entries, inverse, c, delta), delta))
+        return ranked[-1][1]
+
+    def recording_rescore(entries, slices):
+        near.extend(slices)
+        return rescore(entries, slices)
+
+    monkeypatch.setattr(conformality, "_batched_rho_sq", recording_rank)
+    monkeypatch.setattr(conformality, "_rescore", recording_rescore)
+    res = weak_conformality(m)
+    top = max(rho_sq.max() for _, rho_sq, _ in ranked)
+    every = [(c, rho_sq >= top - delta) for c, rho_sq, delta in ranked]
+    assert len(every) == 4 and len(near) == 1
+    assert near[0][0] is every[int(np.argmax([hit.any() for _, hit in every]))][0]
+    assert all(hit.any() for _, hit in near)
+    got, want = rescore(m.entries, near), rescore(m.entries, every)
+    assert got[:2] == want[:2] == (res.rho_weak, res.witness_partition)
+    assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+    rho, subset, x, y = reference_block_weak(m)
+    assert (res.rho_weak, res.witness_partition) == (rho, subset)
+    assert np.array_equal(res.witness_x, x) and np.array_equal(res.witness_y, y)
+
+
 def test_witness_pair_reuses_the_winning_score(monkeypatch):
     # A dense k = 8 input with a single near-tie: the rescoring stack is the
     # only _partition_value call, and the pair is built from its v and Z
@@ -545,6 +578,59 @@ def test_pruned_scan_keeps_the_near_ties(chunk, monkeypatch):
     assert max(chunk_rows) == (chunk or 1023)  # k = 11 has 1023 partitions
 
 
+def non_normal_and_scaled_entries(rng, k):
+    # Random eigenvectors with cond(M) = 1e4 and 1e8 make P = M_SS (M^-1)_SS
+    # - I far from normal; D A D with D^2 from 1e-4 to 1e4 is badly scaled
+    # (a D of 1e-4 to 1e4 puts cond(M) past what SpdMatrix accepts).
+    for cond in (1e4, 1e8):
+        q = random_orthogonal(rng, k)
+        yield f"cond {cond:g}", (q * rng.permutation(np.geomspace(1.0, cond, k))) @ q.T
+    q = random_orthogonal(rng, k)
+    d = rng.permutation(np.geomspace(1e-2, 1e2, k))
+    yield "D A D", d[:, None] * ((q * rng.uniform(0.5, 3.0, k)) @ q.T) * d
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_pruning_is_sound_on_non_normal_and_scaled_inputs(k):
+    rng = np.random.default_rng(800 + k)
+    for kind, entries in non_normal_and_scaled_entries(rng, k):
+        assert_pruning_sound(SpdMatrix(entries), f"{kind} k={k}")
+
+
+def test_pruned_partitions_are_never_factored(monkeypatch):
+    # The bound comes before any Cholesky: the factored matrices are the
+    # M_SS of the s <= 2 groups and of the live partitions, those whose
+    # slot holds the exact value, and each factored stack is eigensolved.
+    k = 11
+    m = random_spd(np.random.default_rng(11), k)
+    delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+    whole = m.entries, m.inverse(), np.arange(k)[None]
+    exact = _batched_rho_sq(*whole, np.inf)[0]
+    factored, solved, cholesky, eigvalsh = [], [], np.linalg.cholesky, np.linalg.eigvalsh
+
+    def recording_cholesky(a):
+        factored.append(a.copy())
+        return cholesky(a)
+
+    def recording_eigvalsh(a):
+        solved.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    pruned = _batched_rho_sq(*whole, delta)[0]
+    monkeypatch.undo()
+    rows = conformality._subset_rows(2 * np.arange(len(exact)) + 1, k)
+    flip = rows.sum(axis=1) > k // 2
+    rows[flip] = ~rows[flip]  # the smaller side S
+    small = rows.sum(axis=1) <= 2
+    live = small | (pruned == exact)
+    assert [len(a) for a in factored] == solved
+    assert live[~small].sum() < (~small).sum()  # the bound pruned
+    expected = sorted(m.entries[np.ix_(s, s)].tobytes() for s in map(np.flatnonzero, rows[live]))
+    assert sorted(a.tobytes() for batch in factored for a in batch) == expected
+
+
 def mask_order_rho_sq(entries, inverse, c, delta):
     # The scan with its index bookkeeping done inline on every call, chunk
     # by chunk in mask order, reading M and M^-1 at c's global indices: the
@@ -565,20 +651,24 @@ def mask_order_rho_sq(entries, inverse, c, delta):
                 continue
             idx = c.take(np.nonzero(members[rows])[1].reshape(-1, s))
             flat = idx[:, :, None] * n + idx[:, None, :]
-            chol = np.linalg.cholesky(entries.take(flat))
-            b = np.swapaxes(chol, 1, 2) @ inverse.take(flat) @ chol
+            m_ss, w_ss = entries.take(flat), inverse.take(flat)
             if s > 2:
-                e = b - np.eye(s)
+                # The bound on the whole group from P = M_SS (M^-1)_SS - I.
+                e = m_ss @ w_ss
+                e -= np.eye(s)
                 e = e @ e
                 e = e @ e
-                root = np.einsum("nij,nij->n", e, e) ** 0.125
+                root = np.abs(np.einsum("nij,nji->n", e, e)) ** 0.125
                 best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
                 bound = 1.0 - 1.0 / (1.0 + root)
                 out[lo + rows] = bound
                 live = bound >= best - 4.0 * delta
                 if not live.any():
                     continue
-                rows, b = rows[live], b[live]
+                rows, m_ss, w_ss = rows[live], m_ss[live], w_ss[live]
+            # Cholesky and B on the live rows only.
+            chol = np.linalg.cholesky(m_ss)
+            b = np.swapaxes(chol, 1, 2) @ w_ss @ chol
             mu = np.linalg.eigvalsh(b)[:, -1]
             out[lo + rows] = 1.0 - 1.0 / mu
             best = max(best, 1.0 - 1.0 / float(mu.max()))
