@@ -57,7 +57,7 @@ pair. As (M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size
 and ``inverse_conformality_check`` scans the same blocks for both. One tie
 window, from k and cond(M), serves them all and is at least each block's
 own; the cap applies to the largest block. The blocks of one size form
-one size stack (``linalg._stacks``, the stacks ``SpdMatrix`` eigensolves),
+one size stack (``SpdMatrix.stacks``, built once, the stacks it eigensolves),
 with one ranking call per size stack: ``_batched_rho_sq`` ranks every
 block of the stack in the same batches under one running best, which
 prunes only partitions that cannot reach the window. A stack of b-blocks
@@ -89,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CAPS, check_cap
-from .linalg import SpdMatrix, _fix_signs, _quad, _stacks
+from .linalg import SpdMatrix, _fix_signs, _quad
 from .report import VerificationReport, to_plain
 
 # Partitions per ranking call, over all blocks of its size stack slice;
@@ -331,7 +331,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
         return 0.0, (0,), None
-    entries, stacks = m.entries, _stacks(m.blocks)
+    entries, stacks = m.entries, m.stacks
     largest = stacks[-1].shape[1]
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
@@ -391,20 +391,23 @@ def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarr
     the v and Z = M_TT^-1 M_TS that ``_partition_value`` scored it with.
 
     x is v on S, with its largest-magnitude entry positive; the optimal
-    partner on T is y = Z v. Both are returned with unit M-norm and a sign
-    making the correlation nonnegative. ``diagonal`` keeps the norms of a
-    diagonal M as (x * x) @ diag(M), the form ``SpdMatrix.quad`` uses: the
-    general ((x @ M) * x) rounds (v M_00) v, not (v v) M_00, and it moved
-    the pair's bits on 53 of 300 random diagonal inputs (k = 2-13).
+    partner on T is y = Z v, or e_0 on T when Z v is exactly zero. Both are
+    returned with unit M-norm and a sign making the correlation
+    nonnegative. ``diagonal`` keeps the norms of a diagonal M as
+    (x * x) @ diag(M), the form ``SpdMatrix.quad`` uses: the general
+    ((x @ M) * x) rounds (v M_00) v, not (v v) M_00, and it moved the
+    pair's bits on 53 of 300 random diagonal inputs (k = 2-13).
     """
     v = _fix_signs(v)
     y_t = z @ v
-    if np.abs(y_t).max(initial=0.0) < 1e-300:
+    top, exp = np.frexp(np.abs(y_t).max(initial=0.0))
+    if top == 0.0:
         # Decoupled blocks (rho = 0): any vector on the complement works.
-        y_t = np.zeros(len(y_t))
-        y_t[0] = 1.0
+        y_t = np.eye(len(y_t))[0]
     x, y = np.zeros(len(s)), np.zeros(len(s))
-    x[s], y[~s] = v, y_t
+    # Scaling by 2^-exp is exact, so the normalized y keeps its bits, and
+    # its M-norm neither under- nor overflows however weak the coupling.
+    x[s], y[~s] = v, np.ldexp(y_t, -exp)
     x = x / np.sqrt(_quad(entries, x, diagonal))
     y = y / np.sqrt(_quad(entries, y, diagonal))
     if float(x @ entries @ y) < 0.0:

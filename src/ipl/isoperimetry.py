@@ -76,7 +76,6 @@ from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _first_set, _subset_rows, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
-    ZERO_RTOL,
     IplSetup,
     SpectrumResult,
     _classical_inner_products,
@@ -85,7 +84,7 @@ from .laplacian import (
     compatibility,
     inner_product_laplacian,
 )
-from .linalg import SpdMatrix, _fix_signs, gen_eig, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
@@ -858,8 +857,8 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     complement a = L_SS - A_SB D_B^-1 A_BS of the graph Laplacian as the
     reduced quadratic form on the subset, whose smallest generalized
     eigenvalue under the degree-weighted mean-zero constraint is lambda_S.
-    Reduced eigenvalues within ZERO_RTOL * max(lambda_max, 1) of it count
-    toward its multiplicity.
+    Reduced eigenvalues within ZERO_RTOL * lambda_max of it count toward
+    its multiplicity.
     """
     s_list = sorted(set(subset))
     if len(s_list) < 2:
@@ -883,7 +882,7 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     reduced = basis.T @ a_tilde @ basis
     vals, vecs = sym_eig(reduced)
     lam = max(float(vals[0]), 0.0)
-    multiplicity = int(np.sum(vals <= vals[0] + ZERO_RTOL * max(float(vals[-1]), 1.0)))
+    multiplicity = int(np.sum(vals <= vals[0] + ZERO_RTOL * vals[-1]))
     # Unit degree-weighted norm on S is inherited from the substitution.
     f_s = (basis @ vecs[:, :multiplicity]) * scale[:, None]
     space = np.vstack([f_s, mean_b @ f_s])

@@ -20,11 +20,8 @@ import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
-from .linalg import SpdMatrix, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, sym_eig
 from .report import VerificationReport, to_plain
-
-# Eigenvalues at or below ZERO_RTOL * max(lambda_max, 1) count as kernel.
-ZERO_RTOL = 1e-9
 
 
 @dataclass
@@ -103,15 +100,17 @@ class IplSetup:
 
 
 def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
+    """Eigendata of a symmetrized Laplacian. Its kernel is the eigenvalues at
+    or below ZERO_RTOL * lambda_max, a rule relative to the Laplacian's own
+    scale, so scaling an inner product does not change the count."""
     matrix = 0.5 * (matrix + matrix.T)
     vals, vecs = sym_eig(matrix)
-    threshold = ZERO_RTOL * max(float(vals[-1]), 1.0) if len(vals) else 0.0
     return SpectrumResult(
         matrix=matrix,
         eigenvalues=vals,
         eigenvectors=vecs,
         harmonic_eigenvectors=q_inv @ vecs,
-        zero_multiplicity=int(np.sum(vals <= threshold)),
+        zero_multiplicity=int(np.sum(vals <= ZERO_RTOL * vals[-1])),
     )
 
 
@@ -281,6 +280,10 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     is the clique expansion with pair weights
     pi_u pi_v dt_u dt_v sum_{e contains u,v} w_e, the vertex inner product
     is diag(pi)^2, and the resulting Laplacian reproduces L entrywise.
+    Each residual is held to 1e-9 times the magnitude it is made of:
+    max|L| max|pi| for L pi, max|L| max|pi|^2 for the conjugated identity
+    and max|L| for the Laplacian, so neither the units of the weights nor
+    the scale of pi change the verdict.
     """
     d = np.asarray(d, dtype=float)
     dt = np.asarray(d_tilde, dtype=float)
@@ -294,12 +297,12 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
             raise ValueError(f"{name} must be strictly positive")
     h = hg.incidence().astype(float)
     lap = np.diag(d) - (dt[:, None] * (h @ np.diag(w) @ h.T) * dt[None, :])
-    scale = max(1.0, float(np.abs(lap).max()) * float(np.abs(pi).max()))
+    lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
     kernel_resid = float(np.abs(lap @ pi).max())
-    if kernel_resid > 1e-9 * scale:
+    if kernel_resid > 1e-9 * lap_max * pi_max:
         raise ValueError(
             f"pi is not in the kernel of L: max |L pi| = {kernel_resid:.3e} "
-            f"(tolerance {1e-9 * scale:.3e})"
+            f"(tolerance {1e-9 * lap_max * pi_max:.3e})"
         )
     graph, base_w = clique_expansion(hg, w)
     pair_w = np.array(
@@ -312,10 +315,9 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     clique_resid = float(np.abs(conjugated - b @ np.diag(pair_w) @ b.T).max())
     ipl = semi_hodge(b, m_v, m_e)
     ipl_resid = float(np.abs(ipl.matrix - lap).max())
-    tol = 1e-9 * scale
     report = VerificationReport(
         check="hypergraph-clique-expansion",
-        passed=bool(clique_resid <= tol and ipl_resid <= tol),
+        passed=bool(clique_resid <= 1e-9 * lap_max * pi_max**2 and ipl_resid <= 1e-9 * lap_max),
         values={
             "kernel_residual": kernel_resid,
             "clique_identity_residual": clique_resid,

@@ -21,10 +21,13 @@ import numpy as np
 from .complexes import _components
 from .errors import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError
 
-# Relative tolerance for accepting an input matrix as symmetric.
+# A matrix is accepted as symmetric when max |A - A^T| <= SYMMETRY_RTOL * max |A|.
 SYMMETRY_RTOL = 1e-12
 # Construction rejects lambda_min <= dim * PD_RTOL * lambda_max.
 PD_RTOL = 1e-12
+# Eigenvalues at or below ZERO_RTOL * lambda_max count as kernel, and gen_eig
+# refuses a left-hand matrix with an eigenvalue below -ZERO_RTOL * lambda_max.
+ZERO_RTOL = 1e-9
 
 
 def _as_square(a) -> np.ndarray:
@@ -35,7 +38,7 @@ def _as_square(a) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    scale = float(np.abs(a).max(initial=0.0))
     skew = float(np.abs(a - a.T).max(initial=0.0))
     if skew > SYMMETRY_RTOL * scale:
         raise NotSymmetricError(
@@ -93,29 +96,25 @@ def _quad(entries: np.ndarray, x, diagonal: bool):
     return float(q) if x.ndim == 1 else q
 
 
-def _stacks(blocks) -> list[np.ndarray]:
-    """The blocks of each size as one (n, size) index array, by size."""
-    return [np.array([c for c in blocks if len(c) == size]) for size in sorted({len(c) for c in blocks})]
-
-
 class SpdMatrix:
     """A symmetric positive definite matrix with cached spectral data.
 
     Construction rejects NaN and infinite entries, symmetrizes via
-    (A + A^T)/2, and rejects inputs that are asymmetric beyond
-    ``SYMMETRY_RTOL`` or whose smallest eigenvalue falls below
-    ``dim * PD_RTOL * lambda_max``. The eigendecomposition, the
-    symmetric square root and its inverse are computed once and shared;
-    instances are immutable and safe to use from multiple threads.
+    (A + A^T)/2, and rejects inputs with max |A - A^T| above
+    ``SYMMETRY_RTOL * max |A|`` or whose smallest eigenvalue falls below
+    ``dim * PD_RTOL * lambda_max``. Both tests are relative, so scaling A
+    by a positive factor, short of over- or underflow, does not change
+    whether it is accepted. The eigendecomposition, the symmetric square
+    root and its inverse are computed once and shared; instances are
+    immutable and safe to use from multiple threads.
 
-    The ``blocks`` of one size are one size stack (``_stacks``) with one
-    stacked ``eigh`` call per size stack, which solves each block alone (a
-    connected M is one block); any other index is a 1 x 1 block with an
-    axis eigenvector, and one
-    stable sort orders the eigenvalues. As every eigenvector lives on one
-    block, every product term between two blocks is an exact zero: the
-    square roots, ``inverse()`` and ``solve`` are exactly zero off the
-    blocks (exactly diagonal for a diagonal M).
+    The ``blocks`` of one size are one size stack (``stacks``, built once)
+    with one stacked ``eigh`` call per size stack, which solves each block
+    alone (a connected M is one block); any other index is a 1 x 1 block
+    with an axis eigenvector, and one stable sort orders the eigenvalues.
+    As every eigenvector lives on one block, every product term between two
+    blocks is an exact zero: the square roots, ``inverse()`` and ``solve``
+    are exactly zero off the blocks (exactly diagonal for a diagonal M).
     """
 
     def __init__(self, entries):
@@ -134,8 +133,9 @@ class SpdMatrix:
             rows, cols = np.nonzero(np.triu(a, 1))
             blocks = _components(k, zip(rows.tolist(), cols.tolist()))
         self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
+        self._stacks = tuple(np.array([c for c in self._blocks if len(c) == b]) for b in sorted({len(c) for c in self._blocks}))
         vals, vecs = np.diagonal(a).copy(), np.eye(k)
-        for idx in _stacks(self._blocks):
+        for idx in self._stacks:
             at = idx[:, :, None], idx[:, None, :]
             vals[idx], vecs[at] = np.linalg.eigh(a[at])
         order = np.argsort(vals, kind="stable")
@@ -186,6 +186,12 @@ class SpdMatrix:
     def blocks(self) -> tuple[np.ndarray, ...]:
         """Index arrays of the nonzero pattern's components of size >= 2, by smallest index."""
         return self._blocks
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The ``blocks`` of each size as one (n, size) index array, by size;
+        built once, for the eigensolve and for every weak-conformality scan."""
+        return self._stacks
 
     @property
     def is_diagonal(self) -> bool:
@@ -265,6 +271,6 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     # The product is symmetric only up to rounding, which can exceed the
     # input tolerance at high cond(B); symmetrize before the check.
     vals, vecs = sym_eig(0.5 * (s + s.T))
-    if vals[0] < -1e-9 * max(1.0, abs(float(vals[-1]))):
+    if vals[0] < -ZERO_RTOL * vals[-1]:
         raise ValueError(f"left-hand matrix has negative eigenvalue {vals[0]:.3e}")
     return vals, w @ vecs

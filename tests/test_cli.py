@@ -106,6 +106,25 @@ def test_conformality_sampled_flags_checked_before_the_scan(files, capsys, monke
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "cheeger", "--graph", "p3", "--orientation", "+"], "--orientation needs 2 comma-separated signs, got 1"),
+        (["verify", "cheeger", "--graph", "p3", "--orientation", "+,x"], "orientation entries must be + or -, got 'x'"),
+        (["dirichlet", "--graph", "p4", "--subset", "v2,v9"], "unknown vertex label 'v9'"),
+        (["neumann", "--graph", "p4", "--subset", "v2,v3", "--schedule", "1e-4:1e-1"], "schedule endpoints must satisfy 0 < end <= start < 1"),
+        (["verify", "radius", "--graph", "p3", "--mv", "id3"], "--mv and --me must be given together"),
+        (["verify", "eml", "--graph", "p3", "--x", "v1"], "verify eml needs --x and --y (or --batch)"),
+    ],
+    ids=["orientation-count", "orientation-sign", "unknown-label", "schedule-order", "mv-without-me", "eml-without-sets"],
+)
+def test_usage_errors_exit_two_with_one_line(argv, message, files, capsys):
+    code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_cheeger_exit_zero(files, capsys):
     code, out, _ = run_cli(["verify", "cheeger", "--graph", files["k2"], "--kind", "normalized"], capsys)
     assert code == 0

@@ -19,7 +19,7 @@ from ipl import (
 
 from ipl import conformality
 from ipl.conformality import _batched_rho_sq, _partition_value
-from ipl.linalg import _fix_signs, _stacks
+from ipl.linalg import _fix_signs
 from ipl.errors import CAPS
 
 from conftest import cycle_graph, random_orthogonal, random_spd
@@ -337,7 +337,8 @@ def reference_weak(m):
     score, subset = best
     # The pair, from one more one-by-one call on the winner: x = v with its
     # largest-magnitude entry positive, y = Z v on the complement (e_0 there
-    # if Z v vanishes), both of unit M-norm, y flipped to x^T M y >= 0.
+    # if Z v is exactly zero), scaled by a power of two to a largest entry in
+    # [0.5, 1), both of unit M-norm, y flipped to x^T M y >= 0.
     s_idx = np.array(subset)
     t_idx = np.array([i for i in range(k) if i not in subset])
     values, v, z = _partition_value(m.entries, s_idx[None], t_idx[None])
@@ -345,10 +346,11 @@ def reference_weak(m):
     assert values[0] == score
     v = _fix_signs(v[0])
     y_t = z[0] @ v
-    if np.abs(y_t).max(initial=0.0) < 1e-300:
+    top, exp = np.frexp(np.abs(y_t).max(initial=0.0))
+    if top == 0.0:
         y_t = np.eye(len(t_idx))[0]
     x, y = np.zeros(k), np.zeros(k)
-    x[s_idx], y[t_idx] = v, y_t
+    x[s_idx], y[t_idx] = v, np.ldexp(y_t, -exp)
     x, y = x / np.sqrt(m.quad(x)), y / np.sqrt(m.quad(y))
     if float(x @ m.entries @ y) < 0.0:
         y = -y
@@ -709,7 +711,7 @@ def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
             entries[j * b : (j + 1) * b, j * b : (j + 1) * b] = block
         p = rng.permutation(k)
         m = SpdMatrix(entries[np.ix_(p, p)])
-        (c,) = _stacks(m.blocks)
+        (c,) = m.stacks
         assert c.shape == (len(blocks), b)
         inverse = m.inverse()
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition

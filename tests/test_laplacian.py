@@ -177,6 +177,25 @@ def test_radius_bound_fuzz(rng):
         assert verify_radius_bound(g, m_v, m_e).passed
 
 
+@pytest.mark.parametrize("dense_e", [False, True], ids=["diagonal-ME", "dense-ME"])
+def test_radius_bound_on_hypergraphs(dense_e):
+    # The hypergraph form of the bound: r is the largest hyperedge, and the
+    # carrier is the Hypergraph itself, whose incidence is unsigned.
+    rng = np.random.default_rng(31 + dense_e)
+    for n in range(3, 8):
+        for _ in range(8):
+            labels = [f"v{i}" for i in range(n)]
+            sizes = rng.integers(1, n + 1, int(rng.integers(1, 9)))
+            hg = Hypergraph.from_edge_labels(labels, [rng.choice(labels, size, replace=False) for size in sizes])
+            m_v = random_spd(rng, n) if rng.random() < 0.5 else SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, n))
+            m_e = random_spd(rng, hg.m) if dense_e else SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, hg.m))
+            rep = verify_radius_bound(hg, m_v, m_e)
+            assert rep.passed, (hg, rep.values)
+            assert rep.values["rank"] == hg.rank
+            spec = semi_hodge(hg.incidence(), m_v, m_e)
+            assert rep.values["lambda_max"] == spec.eigenvalues[-1]
+
+
 def test_hodge_triangle_dims():
     k = build_complex([("a", "b", "c")])
     setup = IplSetup.from_complex(

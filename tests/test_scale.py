@@ -1,0 +1,106 @@
+"""The units of the inner products change no tolerance test.
+
+Symmetry, the kernel of an inner product Laplacian, a kernel vector of a
+hypergraph Laplacian, the sign of a generalized spectrum, Neumann
+multiplicities and Dirichlet spectra are all unchanged when every weight is
+multiplied by one positive factor, so each test is relative to the
+magnitude it tests, at every scale.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from ipl import (
+    Graph,
+    Hypergraph,
+    NotSymmetricError,
+    SpdMatrix,
+    gen_eig,
+    graph_incidence,
+    hypergraph_to_ipl,
+    semi_hodge,
+    weak_conformality,
+)
+from ipl.isoperimetry import dirichlet_eigenvalues, neumann_eigenvalue
+
+from conftest import path_graph, random_connected_graph, random_spd
+
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_asymmetry_refused_at_every_scale(c):
+    with pytest.raises(NotSymmetricError, match="asymmetric"):
+        SpdMatrix(c * np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_connected_graph_kernel_is_one_dimensional_at_every_scale(c):
+    rng = np.random.default_rng(77)
+    g = random_connected_graph(rng, 7)
+    cases = [(path_graph(3), SpdMatrix.identity(3), SpdMatrix.identity(2)), (g, random_spd(rng, g.n), random_spd(rng, g.m))]
+    for graph, m_v, m_e in cases:
+        b = graph_incidence(graph).astype(float)
+        for scaled_v, scaled_e in ((SpdMatrix(c * m_v.entries), m_e), (m_v, SpdMatrix(c * m_e.entries))):
+            assert semi_hodge(b, scaled_v, scaled_e).zero_multiplicity == 1
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_hypergraph_kernel_check_at_every_scale(c):
+    hg = Hypergraph.from_edge_labels(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    h = hg.incidence().astype(float)
+    w, dt = c * np.ones(hg.m), np.ones(hg.n)
+    d = (h @ np.diag(w) @ h.T) @ dt
+    with pytest.raises(ValueError, match="not in the kernel"):
+        hypergraph_to_ipl(hg, d, dt, w, [1.0, 5.0, 1.0])
+    # pi is a kernel vector at any scale of its own.
+    for p in (1e-12, 1.0, 1e12):
+        assert hypergraph_to_ipl(hg, d, dt, w, p * np.ones(hg.n))[3].passed
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_gen_eig_refuses_a_negative_left_hand_side_at_every_scale(c):
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        gen_eig(c * np.diag([1.0, -1e-3]), SpdMatrix.identity(2))
+    assert gen_eig(c * np.diag([1.0, 0.0]), SpdMatrix.identity(2))[0][0] == 0.0
+
+
+def weighted(g: Graph, c: float) -> Graph:
+    # The same graph with every edge of weight c.
+    class Weighted(Graph):
+        def degrees(self):
+            return c * Graph.degrees(self)
+
+        def adjacency(self):
+            return c * Graph.adjacency(self)
+
+    return Weighted(g.labels, g.edges)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_neumann_and_dirichlet_unchanged_by_scaling(c):
+    rng = np.random.default_rng(5)
+    for n in (5, 7, 9):
+        g = random_connected_graph(rng, n, max_edges=2 * n)
+        s = sorted(int(v) for v in rng.choice(n, n - 2, replace=False))
+        plain, scaled = neumann_eigenvalue(g, s), neumann_eigenvalue(weighted(g, c), s)
+        assert scaled.multiplicity == plain.multiplicity
+        assert scaled.lambda_s == pytest.approx(plain.lambda_s, rel=1e-9, abs=1e-12)
+        vals = dirichlet_eigenvalues(weighted(g, c), s)
+        assert len(vals) == len(s)
+        np.testing.assert_allclose(vals, dirichlet_eigenvalues(g, s), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200, 1e-290, 1e-310])
+def test_weak_pair_of_a_tiny_coupling_is_finite_and_unit(eps):
+    m = SpdMatrix([[1.0, eps], [eps, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = weak_conformality(m)
+    x, y = r.witness_x, r.witness_y
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+    assert abs(m.quad(x) - 1.0) <= 1e-12
+    assert abs(m.quad(y) - 1.0) <= 1e-12
+    assert float(x @ m.entries @ y) >= 0.0
