@@ -73,7 +73,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .complexes import Graph, graph_incidence, unsigned_incidence
-from .conformality import _first_set, _subset_rows, weak_conformality_value
+from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
     IplSetup,
@@ -576,15 +576,6 @@ def verify_eml(
             "margin_lambda1": rhs_alt + rhs2 - lhs_alt,
         },
     )
-
-
-def _subset_sums(a: np.ndarray) -> np.ndarray:
-    """out[..., mask] = the sum of a[..., j] over the set bits j of mask, for
-    every mask below 2^(last dimension of a), added in increasing j."""
-    out = np.zeros(a.shape[:-1] + (1 << a.shape[-1],))
-    for j in range(a.shape[-1]):
-        np.add(out[..., : 1 << j], a[..., j : j + 1], out=out[..., 1 << j : 2 << j])
-    return out
 
 
 def _pair_tables(a: np.ndarray):

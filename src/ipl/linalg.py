@@ -37,7 +37,8 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _check_symmetric(a: np.ndarray) -> None:
+def _check_symmetric(a: np.ndarray) -> float:
+    """Refuse an asymmetric matrix; return its scale max |A|."""
     scale = float(np.abs(a).max(initial=0.0))
     skew = float(np.abs(a - a.T).max(initial=0.0))
     if skew > SYMMETRY_RTOL * scale:
@@ -45,6 +46,7 @@ def _check_symmetric(a: np.ndarray) -> None:
             f"matrix is asymmetric: max |A - A^T| = {skew:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
+    return scale
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -110,8 +112,9 @@ class SpdMatrix:
 
     The ``blocks`` of one size are one size stack (``stacks``, built once)
     with one stacked ``eigh`` call per size stack, which solves each block
-    alone (a connected M is one block); any other index is a 1 x 1 block
-    with an axis eigenvector, and one stable sort orders the eigenvalues.
+    alone; any other index is a 1 x 1 block with an axis eigenvector, and
+    one stable sort orders the eigenvalues. A connected M, one block of
+    every index, is one plain ``eigh``.
     As every eigenvector lives on one block, every product term between two
     blocks is an exact zero: the square roots, ``inverse()`` and ``solve``
     are exactly zero off the blocks (exactly diagonal for a diagonal M).
@@ -122,9 +125,11 @@ class SpdMatrix:
         if a.shape[0] == 0:
             raise ValueError("SpdMatrix requires dimension >= 1")
         check_finite(a)
-        _check_symmetric(a)
-        a = 0.5 * (a + a.T)
-        self._is_integral = bool((a == a.round()).all() and abs(a).sum() < 2.0**49)
+        scale = _check_symmetric(a)
+        # From 2^1023 on, A + A^T can overflow; halving first is exact there.
+        a = 0.5 * (a + a.T) if scale < 2.0**1023 else 0.5 * a + 0.5 * a.T
+        # scale >= 2^49 already decides the sum, which could overflow.
+        self._is_integral = bool((a == a.round()).all() and scale < 2.0**49 and abs(a).sum() < 2.0**49)
         k = a.shape[0]
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             # Exactly diagonal: a count costs far less than the pattern scan.
@@ -134,12 +139,16 @@ class SpdMatrix:
             blocks = _components(k, zip(rows.tolist(), cols.tolist()))
         self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
         self._stacks = tuple(np.array([c for c in self._blocks if len(c) == b]) for b in sorted({len(c) for c in self._blocks}))
-        vals, vecs = np.diagonal(a).copy(), np.eye(k)
-        for idx in self._stacks:
-            at = idx[:, :, None], idx[:, None, :]
-            vals[idx], vecs[at] = np.linalg.eigh(a[at])
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs.take(order, axis=1)
+        if len(self._blocks) == 1 and len(self._blocks[0]) == k:
+            # One block of every index: its gather, scatter and sort are identities.
+            vals, vecs = np.linalg.eigh(a)
+        else:
+            vals, vecs = np.diagonal(a).copy(), np.eye(k)
+            for idx in self._stacks:
+                at = idx[:, :, None], idx[:, None, :]
+                vals[idx], vecs[at] = np.linalg.eigh(a[at])
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], vecs.take(order, axis=1)
         if blocks:
             vecs = _fix_signs(vecs)
         self._entries = a

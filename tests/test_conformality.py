@@ -1046,3 +1046,170 @@ def test_weak_identity_ties_resolve_to_singleton():
     assert res.witness_partition == (0,)
     assert res.rho_weak == 0.0
     assert reference_weak(m)[:2] == (0.0, (0,))
+
+
+def rank_one_entries(rng, k):
+    # D + u u^T inputs of dimension k, ranked by the closed form.
+    half = [int(v) for v in rng.integers(2, 10, k // 2)]
+    values = half + [int(v) for v in rng.permutation(half)] + [2] * (k % 2)
+    yield "balanced gadget", partition_gadget(values).matrix.entries
+    yield "natural gadget", partition_gadget([int(v) for v in rng.integers(1, 50, k)]).matrix.entries
+    d, u = rng.uniform(0.5, 2.0, k), rng.standard_normal(k)
+    yield "random D + u u^T", np.diag(d) + np.outer(u, u)
+    d, u = 10.0 ** rng.uniform(-3, 3, k), rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2, k)
+    yield "scaled D + u u^T", np.diag(d) + np.outer(u, u)
+    p = rng.permutation(k)
+    yield "permuted gadget", partition_gadget(values).matrix.entries[np.ix_(p, p)]
+
+
+def mixed_rank_one_entries(rng):
+    # A rank-one block next to a dense block, and two equal-size rank-one
+    # blocks in one size stack, interleaved.
+    gadget = partition_gadget([1, 2, 3, 2, 1, 3]).matrix.entries
+    yield "rank-one and dense", np.block([[gadget, np.zeros((6, 5))], [np.zeros((5, 6)), random_spd(rng, 5).entries]])
+    d, u = rng.uniform(0.5, 2.0, 5), rng.standard_normal(5)
+    pair = np.zeros((10, 10))
+    pair[:5, :5] = np.diag(d) + np.outer(u, u)
+    pair[5:, 5:] = np.diag(d[::-1]) + np.outer(u[::-1], u[::-1])
+    p = rng.permutation(10)
+    yield "two rank-one blocks", pair[np.ix_(p, p)]
+    equal = np.zeros((8, 8))
+    equal[:4, :4] = equal[4:, 4:] = partition_gadget([1, 1, 2, 2]).matrix.entries
+    yield "two equal gadgets", equal
+
+
+def record_rankings(monkeypatch):
+    # The blocks that reach each ranking path, by size.
+    calls = {"closed": [], "general": []}
+    closed, general = conformality._rank_one_rho_sq, conformality._batched_rho_sq
+
+    def recording_closed(w2):
+        calls["closed"].append(w2.shape)
+        return closed(w2)
+
+    def recording_general(entries, inverse, c, delta):
+        calls["general"].append(c.shape)
+        return general(entries, inverse, c, delta)
+
+    monkeypatch.setattr(conformality, "_rank_one_rho_sq", recording_closed)
+    monkeypatch.setattr(conformality, "_batched_rho_sq", recording_general)
+    return calls
+
+
+def assert_closed_form_matches_general(m, monkeypatch, label):
+    calls = record_rankings(monkeypatch)
+    got = weak_conformality(m)
+    assert calls["closed"], label
+    with monkeypatch.context() as general_only:
+        general_only.setattr(conformality, "_rank_one_weights", lambda entries, c: None)
+        want = weak_conformality(m)
+    assert (got.rho_weak, got.witness_partition) == (want.rho_weak, want.witness_partition), label
+    assert np.array_equal(got.witness_x, want.witness_x), label
+    assert np.array_equal(got.witness_y, want.witness_y), label
+    assert weak_conformality_value(m) == want.rho_weak, label
+
+
+@pytest.mark.parametrize("k", range(4, 17))
+def test_rank_one_blocks_match_the_general_ranking(k, monkeypatch):
+    rng = np.random.default_rng(2600 + k)
+    for kind, entries in rank_one_entries(rng, k):
+        assert_closed_form_matches_general(SpdMatrix(entries), monkeypatch, f"{kind} k={k}")
+
+
+@pytest.mark.parametrize("k", [17, 18, 20])
+def test_large_random_rank_one_blocks_match_the_general_ranking(k, monkeypatch):
+    rng = np.random.default_rng(2600 + k)
+    d, u = rng.uniform(0.5, 2.0, k), rng.standard_normal(k)
+    assert_closed_form_matches_general(SpdMatrix(np.diag(d) + np.outer(u, u)), monkeypatch, f"k={k}")
+
+
+def test_mixed_rank_one_blocks_match_the_general_ranking(monkeypatch):
+    rng = np.random.default_rng(2626)
+    for kind, entries in mixed_rank_one_entries(rng):
+        m = SpdMatrix(entries)
+        assert_closed_form_matches_general(m, monkeypatch, kind)
+        assert_matches_reference(m, f"{kind} block-diagonal")
+
+
+def test_rank_one_stacks_take_the_closed_form_whole(monkeypatch):
+    # The dense block of 5 takes the general ranking, the gadget block of 6
+    # the closed form; equal rank-one blocks are one closed-form stack.
+    calls = record_rankings(monkeypatch)
+    for _, entries in mixed_rank_one_entries(np.random.default_rng(2626)):
+        weak_conformality_value(SpdMatrix(entries))
+    assert calls == {"closed": [(1, 6), (2, 5), (2, 4)], "general": [(1, 5)]}
+
+
+def rejected_entries(rng):
+    entries = partition_gadget([3, 1, 4, 1, 5, 9, 2, 6]).matrix.entries.copy()
+    entries[2, 5] *= 1.0 + 1e-10
+    entries[5, 2] = entries[2, 5]
+    yield "perturbed gadget", entries, 8
+    yield "3 x 3 gadget", partition_gadget([1, 2, 3]).matrix.entries, 3
+    d, u = rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)
+    yield "3 x 3 D + u u^T", np.diag(d) + np.outer(u, u), 3
+    yield "dense", random_spd(rng, 6).entries, 6
+    # Off-diagonal entries of mixed sign whose products admit no u u^T.
+    yield "negative rank one", 3.0 * np.eye(4) - 0.5 * np.ones((4, 4)), 4
+
+
+def test_blocks_that_fail_detection_take_the_general_ranking(monkeypatch):
+    rng = np.random.default_rng(2627)
+    calls = record_rankings(monkeypatch)
+    for kind, entries, b in rejected_entries(rng):
+        m = SpdMatrix(entries)
+        assert conformality._rank_one_weights(m.entries, m.stacks[-1]) is None, kind
+        weak_conformality_value(m)
+        assert calls["general"][-1] == (1, b), kind
+    assert calls["closed"] == []
+
+
+def test_rank_one_gadget_factors_only_in_rescore(monkeypatch):
+    # A gadget is ranked by the closed form: no inverse of M, no partition
+    # plan and no ranking call; every Cholesky is a rescoring one.
+    m = partition_gadget([3, 1, 4, 1, 5, 9, 2, 6, 3, 1, 4, 1, 5, 9, 2, 6]).matrix
+    expected = weak_conformality(m)
+    where, rescoring = [], []
+    cholesky, rescore = np.linalg.cholesky, conformality._rescore
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forbidden call")
+
+    def recording_cholesky(a):
+        where.append(bool(rescoring))
+        return cholesky(a)
+
+    def recording_rescore(entries, near):
+        rescoring.append(True)
+        try:
+            return rescore(entries, near)
+        finally:
+            rescoring.pop()
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(conformality, "_rescore", recording_rescore)
+    for name in ("_batched_rho_sq", "_partition_plan", "_plan_chunks"):
+        monkeypatch.setattr(conformality, name, forbidden)
+    monkeypatch.setattr(SpdMatrix, "inverse", forbidden)
+    res = weak_conformality(m)
+    assert where and all(where)
+    assert (res.rho_weak, res.witness_partition) == (expected.rho_weak, expected.witness_partition)
+    assert abs(res.rho_weak - 31 / 32) <= np.finfo(float).eps  # X / (X + 1), X = 31
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_closed_form_is_within_the_tie_window(k):
+    # The closed form differs from the one-by-one score by far less than
+    # delta / TIE_SAFETY = k eps cond(M), the unit the tie window is priced in.
+    rng = np.random.default_rng(2700 + k)
+    for kind, entries in rank_one_entries(rng, k):
+        m = SpdMatrix(entries)
+        closed = conformality._rank_one_rho_sq(conformality._rank_one_weights(m.entries, m.stacks[0]))[0]
+        rows = conformality._subset_rows(2 * np.arange(len(closed)) + 1, k)
+        scored = np.empty(len(closed))
+        for s in range(1, k):
+            at = np.flatnonzero(rows.sum(axis=1) == s)
+            s_idx, t_idx = np.nonzero(rows[at])[1].reshape(-1, s), np.nonzero(~rows[at])[1].reshape(-1, k - s)
+            scored[at] = _partition_value(m.entries, s_idx, t_idx)[0] ** 2
+        unit = k * np.finfo(float).eps * m.condition
+        assert np.abs(closed - scored).max() <= unit, f"{kind} k={k}"

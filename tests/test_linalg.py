@@ -279,3 +279,22 @@ def test_quad_on_stacks_matches_per_row_form(rng):
         single = m.quad(x[2])
         assert type(single) is float
         assert single == pytest.approx(want[2], rel=1e-13)
+
+
+def test_connected_matrix_is_one_plain_eigh(monkeypatch):
+    # One block of every index: the eigenpairs are those of one eigh with
+    # the sign convention, with no gather, scatter or sort around it.
+    rng = np.random.default_rng(46)
+    dense = [random_spd(rng, k).entries for k in (2, 4, 12, 20)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forbidden call")
+
+    for name in ("argsort", "eye"):
+        monkeypatch.setattr(np, name, forbidden)
+    built = [SpdMatrix(entries) for entries in dense]
+    monkeypatch.undo()
+    for m in built:
+        vals, vecs = np.linalg.eigh(m.entries)
+        assert np.array_equal(m.eigenvalues, vals)
+        assert np.array_equal(m.eigenvectors, _fix_signs(vecs))

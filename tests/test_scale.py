@@ -7,6 +7,9 @@ multiplied by one positive factor, so each test is relative to the
 magnitude it tests, at every scale.
 """
 
+import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +24,7 @@ from ipl import (
     graph_incidence,
     hypergraph_to_ipl,
     semi_hodge,
+    strong_conformality,
     weak_conformality,
 )
 from ipl.isoperimetry import dirichlet_eigenvalues, neumann_eigenvalue
@@ -104,3 +108,26 @@ def test_weak_pair_of_a_tiny_coupling_is_finite_and_unit(eps):
     assert abs(m.quad(x) - 1.0) <= 1e-12
     assert abs(m.quad(y) - 1.0) <= 1e-12
     assert float(x @ m.entries @ y) >= 0.0
+
+
+def test_huge_finite_entries_are_scored_without_overflow(tmp_path):
+    # Past 2^1023, A + A^T and lambda_max + lambda_min would overflow; both
+    # are halved first, which is exact there, so 1e308 I scores like I, with
+    # no warning and the same exit code under -W error.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rows": (1e308 * np.eye(3)).tolist()}))
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "ipl", "conformality", str(path)], capture_output=True, text=True)
+        for flags in ([], ["-W", "error"])
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    result = json.loads(runs[0].stdout)["result"]
+    assert (result["rho_strong"], result["rho_weak"], result["witness_S"]) == (0, 0, [0])
+    plain = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = SpdMatrix(1e308 * plain)
+        assert not big.is_integral
+        assert strong_conformality(big) == pytest.approx(strong_conformality(SpdMatrix(plain)), rel=1e-14)
+        assert weak_conformality(big).rho_weak == pytest.approx(0.1, rel=1e-14)
