@@ -25,19 +25,44 @@ smaller-side positions (int16), about 11 MB at k = 20, and a scan reads the
 block of M and of M^-1 once and gathers every S-block from those two.
 
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
-M_SS (M^-1)_SS, all >= 1, and E = B - I gives
+M_SS (M^-1)_SS, all >= 1, and E = B - I is positive semidefinite with
+largest eigenvalue mu_max - 1. P_S = M_SS (M^-1)_SS - I = L E L^-1 is
+similar to E, so traces of powers of P_S bound mu_max on both sides with
+no factor. Two such bounds come before any eigensolve.
 
-    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8).
+The screen, for blocks of ``SCREEN_MIN_SIZE`` or more (below it, its b^4
+terms cost more than the products they spare). With W = M^-1,
+(M W)_SS = I gives P_S = -M_ST W_TS, of rank at most min(s, t) for
+s = |S| and t = |T|, and tr(P_S^2) = tr(P_T^2), so
 
-The bound needs no factor: P = M_SS (M^-1)_SS - I = L E L^-1 is similar
-to E, so tr(P^8) = tr(E^8), from three batched products. From |S| = 3 on,
-only a partition whose upper bound reaches the best value met so far, less
-four times the tie window below, is factored, forms B and gets an
-eigenvalue call; the others keep their upper bound, which cannot reach the
-window, so the ranking below is unchanged. That batch only ranks the
-partitions: 1 - 1/mu loses digits, and partitions that tie mathematically
-differ only by rounding. Every partition within a
-rounding bound (the tie window) of the batch maximum is scored again by
+    (tr(P_S^2) / min(s, t))^(1/2) <= mu_max - 1 <= tr(P_S^2)^(1/2).
+
+tr(P_S^2) is a sum of terms over index 4-tuples supported in S, so one
+subset-sum (zeta) transform of those terms, binned by support, gives it for
+every partition of a block at once (``_trace_squares``; Yates 1937), in
+O(b^4 + b 2^b) per block with no gather, product or factor per partition.
+Each value carries a derived rounding allowance, (61 + b) eps times the
+block's sum of |terms| (the error measured under 0.4% of it), which the
+upper bound takes in and the lower bound gives up. The table holds
+2^(b-1) values per block (4 MB at b = 20) until the scan starts. The
+largest lower bound, and one exact value at the largest upper bound, start
+the running best.
+
+The tr(P^8) bound, per group of equal smaller sides |S| >= 3, on the
+partitions that pass the screen:
+
+    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8),
+
+with tr(P^8) = tr(E^8) from three batched products. Only a partition whose
+upper bound reaches the best value met so far, less four times the tie
+window below, goes on from a bound: in the end it is factored, forms B and
+gets an eigenvalue call. The others keep their upper bound, which cannot
+reach the window, so the ranking below is unchanged.
+
+That batch only ranks the partitions: 1 - 1/mu loses digits, and
+partitions that tie mathematically differ only by rounding. Every
+partition within a rounding bound (the tie window) of the batch maximum is
+scored again by
 ``_partition_value``, the one per-partition routine, and the best of those
 scores is the reported value. The result is the same as scoring every
 partition that way. The theorem verifiers take rho from that score alone.
@@ -135,6 +160,12 @@ TIE_SAFETY = 256.0
 # Each off-diagonal entry of a D + u u^T block matches u_i u_j within this
 # multiple of |M_ij| (measured: at most 3.9 eps on gadgets and D + u u^T).
 RANK_ONE_RTOL = 16.0 * np.finfo(float).eps
+# Blocks from this size on are screened by tr(P_S^2) before the tr(P^8)
+# bound: below it the screen's b^4 terms cost more than the products they
+# spare (ranking calls against the unscreened scan, one block or a full
+# slice of blocks, dense and near-diagonal: b = 9 at 1.2-1.5x, b = 10 at
+# 0.9-1.05x, b = 11 at 0.4-1.1x, b = 12 at 0.4-0.6x).
+SCREEN_MIN_SIZE = 10
 
 
 @dataclass
@@ -211,15 +242,26 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     L^-1 (M_ST Z) L^-T, and v = L^-T u for its unit eigenvector u, so
     v^T M_SS v = 1. Each stacked solve, Cholesky, product and ``eigh``
     treats its matrices one at a time, so a partition scores the same bits
-    in any stack, a stack of one included.
+    in any stack, a stack of one included, unless the stack's coupling is
+    weak enough to be scaled: value^2 is quadratic in M_ST and leaves the
+    normal range near value = 1e-154, so when max |M_ST| < 2^-480 max(1,
+    max diag M) the left factor M_ST of M_ST Z is scaled by 2^(2j), bringing
+    max |M_ST| near max diag M, and value by 2^-j. Both are exact, and
+    Z = M_TT^-1 M_TS keeps its own scale.
     """
     m_st = entries[s_idx[:, :, None], t_idx[:, None, :]]
     z = np.linalg.solve(entries[t_idx[:, :, None], t_idx[:, None, :]], np.swapaxes(m_st, 1, 2))
+    top, d, j = float(np.abs(m_st).max()), float(entries.diagonal().max()), 0
+    if 0.0 < top < 2.0**-480 * max(d, 1.0):
+        j = int(np.frexp(d)[1] - np.frexp(top)[1]) // 2
+        m_st = np.ldexp(m_st, 2 * j)
     chol = np.linalg.cholesky(entries[s_idx[:, :, None], s_idx[:, None, :]])
     half = np.linalg.solve(chol, m_st @ z)
     c = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
     vals, vecs = np.linalg.eigh(0.5 * (c + np.swapaxes(c, 1, 2)))
     values = np.sqrt(np.maximum(vals[:, -1], 0.0))
+    if j:
+        values = np.ldexp(values, -j)
     return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
 
 
@@ -294,6 +336,80 @@ def _partition_plan(k: int, chunk: int) -> tuple:
     return tuple(_plan_chunks(k, chunk))
 
 
+@lru_cache(maxsize=None)
+def _screen_index(b: int):
+    """The b-dependent half of ``_screen``: for each of the b^4 + b^2 + b
+    terms of ``_trace_squares``, in the order it lays them out, its support
+    mask less index 0, and min(s, b - s) for each partition mask 2p + 1 of
+    popcount s. Kept like ``_partition_plan`` (about 2 MB at b = 20), and
+    not past the cap.
+    """
+    bits = (1 << np.arange(b)) >> 1  # index 0 has no bit
+    masks = np.concatenate(
+        ((bits[:, None, None, None] | bits[:, None, None] | bits[:, None] | bits).ravel(), (bits[:, None] | bits).ravel(), bits)
+    )
+    size = np.zeros(1, dtype=np.int8)
+    for _ in range(b):
+        size = np.concatenate((size, size + 1))
+    size = size[1:-1:2]
+    return masks, np.minimum(size, b - size)
+
+
+def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
+    """tr(P_S^2) for P_S = M_SS W_SS - I, at every mask 2p + 1 of every block
+    of a stack (rows of a and a_inv, the blocks of M and of W = M^-1), and
+    the rounding allowance of each block's row.
+
+    tr(P_S^2) = T4(S) - 2 T2(S) + |S|, with T4(S) the sum of M_il W_lj M_jm
+    W_mi and T2(S) that of M_il W_li over indices in S. Only the S holding
+    index 0 are read, so each term is binned by its support less index 0
+    (``masks``), in one ``np.bincount`` per stack, and one in-place
+    subset-sum (zeta) transform over the other b - 1 indices turns the bins
+    into tr(P_S^2) for every such S at once: 2^(b-1) values per block, as
+    many as the block has slots. A term takes at most 3 products, 59
+    additions in its bin (supports U and U | {0} share one: 36 + 24 terms at
+    |U| = 3, the most of any) and b - 1 in the transform, so each value is
+    off by at most gamma_(61+b) times the block's sum|terms|. The allowance
+    takes (61 + b) eps, twice that, which also covers gamma's denominator
+    and the rounding of sum|terms|. Measured, the error stays under 0.4% of
+    the allowance (every ``tests/test_conformality.py`` fuzz kind, b = 2-13).
+    """
+    n = len(a)
+    m, w = a.reshape(n, b, b), a_inv.reshape(n, b, b)
+    x = m[:, :, :, None] * w[:, None, :, :]  # M_il W_lj at (i, l, j)
+    terms = np.empty((n, len(masks)))
+    np.multiply(x[..., None], x.transpose(0, 3, 1, 2)[:, :, None], out=terms[:, : b**4].reshape(n, b, b, b, b))
+    np.multiply(m, -2.0 * w.transpose(0, 2, 1), out=terms[:, b**4 : -b].reshape(n, b, b))
+    terms[:, -b:] = 1.0
+    allow = (61 + b) * np.finfo(float).eps * np.abs(terms).sum(axis=1)[:, None]
+    tr = np.bincount((masks + (np.arange(n) << (b - 1))[:, None]).ravel(), terms.ravel(), n << (b - 1)).reshape(n, -1)
+    del terms
+    for j in range(b - 1):
+        half = tr.reshape(n, -1, 2, 1 << j)
+        half[:, :, 1] += half[:, :, 0]
+    return tr, allow
+
+
+def _screen(a: np.ndarray, a_inv: np.ndarray, b: int, index) -> tuple[np.ndarray, float]:
+    """Upper bounds on value^2 for every partition of every block of a stack,
+    as ``_batched_rho_sq`` lays out its slots, and the largest lower bound on
+    any of them, from ``_trace_squares``: P_S has the eigenvalues mu - 1 >= 0
+    of M_SS W_SS and rank at most min(s, b - s) (module docstring).
+    """
+    masks, sizes = index
+    tr, allow = _trace_squares(a, a_inv, b, masks)
+    tr = tr[:, :-1]  # the last mask is all of C
+    out = tr - allow
+    out /= sizes
+    low = max(float(out.max()), 0.0)
+    np.add(tr, allow, out=out)
+    np.sqrt(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    np.subtract(1.0, out, out=out)  # 1 - 1/(1 + sqrt(tr + allowance)) >= value^2
+    return out.ravel(), 1.0 - 1.0 / (1.0 + low**0.5)
+
+
 def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
     """value(S)^2 for every partition mask of every block of the size stack
     c, by the Schur identity: one row per block (row of c), indexed by mask.
@@ -307,41 +423,68 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     ``_subset_rows``); the all-in mask 2^(b-1) - 1 is not a partition and is
     left out.
 
-    For the smaller side S, with M_SS = L L^T, B = L^T (M^-1)_SS L has the
-    eigenvalues of M_SS (M^-1)_SS, and E = B - I bounds mu_max = lambda_max(B)
-    on both sides through tr(E^8) (module docstring). From s = 3 on, that
-    trace comes from P = M_SS (M^-1)_SS - I = L E L^-1, as |tr(P^4 P^4)|
-    (its terms are not squares, so rounding can take it below 0), before
-    any factor. One running best, across chunks and shared by the
+    Two bounds come before any eigensolve (module docstring). A block of
+    b >= ``SCREEN_MIN_SIZE`` first fills every slot with its ``_screen``
+    bound from tr(P_S^2), and the running best starts at the screen's
+    largest lower bound or, higher as a rule, at the value^2 of the
+    partition with the largest screen bound, solved alone (S the side
+    holding index 0, which the scan itself solves on its smaller side;
+    the two differ by rounding only). Then, group by group, only the
+    partitions whose slot reaches best - 4 delta are gathered (all of them
+    in a smaller block). From s = 3 on they take the tr(P^8) bound, as
+    |tr(P^4 P^4)| (its terms are not squares, so rounding can take it below
+    0), which refines the slot and the running best, and only those whose
+    slot still reaches best - 4 delta are factored, form B and reach the
+    batched ``eigvalsh``. The running best, across chunks and shared by the
     blocks of the stack, keeps the largest lower bound and exact value met
-    so far; only the partitions whose upper bound reaches best - 4 delta
-    are factored, form B and reach the batched ``eigvalsh``, with the s <= 2
-    groups whole. Every other partition lies more than 3 delta below the
-    maximum, and so does the upper bound that fills its slot: rounding moves
-    the bounds by far less than delta (measured: at most 0.6 k eps cond(M),
-    on near-diagonal inputs). Each stacked Cholesky, product and
-    ``eigvalsh`` treats its matrices one at a time, so a live partition
-    scores the bits it scores in the whole group. So the maximum and the
-    slots within delta of it are those of eigensolving every partition, bit
-    for bit; delta = inf eigensolves them all. B is held for one chunk at a
-    time.
+    so far. Every other partition lies more than 3 delta below the maximum,
+    and so does the upper bound that fills its slot: rounding moves the
+    bounds by far less than delta (measured: at most 0.6 k eps cond(M), on
+    near-diagonal inputs). Each stacked product, Cholesky and ``eigvalsh``
+    treats its matrices one at a time, so a live partition scores the bits
+    it scores in the whole group. So the maximum and the slots within delta
+    of it are those of eigensolving every partition, bit for bit;
+    delta = inf eigensolves them all. B is held for one chunk at a time,
+    the screen's table (2^(b-1) values per block) only until the scan
+    starts.
     """
     n, k = c.shape
     count = (1 << (k - 1)) - 1
     block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
     a, a_inv = entries.take(block), inverse.take(block)
-    out = np.empty(n * count)
-    best = -np.inf
-    plan = _partition_plan if count <= CAPS["partitions"] else _plan_chunks
+    kept = count <= CAPS["partitions"]
+    screened = k >= SCREEN_MIN_SIZE
+    if screened:
+        out, best = _screen(a, a_inv, k, _screen_index(k) if kept else _screen_index.__wrapped__(k))
+        # One exact value, at the largest screen bound: the screen's own
+        # lower bound divides by min(s, t) and starts the best far lower.
+        j, p = divmod(int(out.argmax()), count)
+        pos = np.flatnonzero((2 * p + 1) >> np.arange(k) & 1)
+        flat = j * k * k + pos[:, None] * k + pos
+        chol = np.linalg.cholesky(a.take(flat))
+        best = max(best, 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ a_inv.take(flat) @ chol)[-1]))
+    else:
+        out, best = np.empty(n * count), -np.inf
     # Block j of the stack reads its entries from row j of a and a_inv and
     # writes its slots at offset j count.
     offsets = count * np.arange(n)[:, None]
-    for groups in plan(k, BATCH_CHUNK):
+    for groups in (_partition_plan if kept else _plan_chunks)(k, BATCH_CHUNK):
         for slots, pos in groups:
             s = pos.shape[1]
-            flat = (pos * k)[:, :, None] + pos[:, None, :]
-            slots = (offsets + slots).ravel()
-            m_ss, w_ss = a.take(flat, axis=1).reshape(-1, s, s), a_inv.take(flat, axis=1).reshape(-1, s, s)
+            slots = offsets + slots
+            if screened:
+                # Only the partitions that pass are gathered, at offset j k^2
+                # of the stack's entries for block j.
+                j, r = np.nonzero(out[slots] >= best - 4.0 * delta)
+                if not len(j):
+                    continue
+                slots, pos = slots[j, r], pos[r]
+                flat = (j * (k * k))[:, None, None] + (pos * k)[:, :, None] + pos[:, None, :]
+                m_ss, w_ss = a.take(flat), a_inv.take(flat)
+            else:
+                flat = (pos * k)[:, :, None] + pos[:, None, :]
+                slots = slots.ravel()
+                m_ss, w_ss = a.take(flat, axis=1).reshape(-1, s, s), a_inv.take(flat, axis=1).reshape(-1, s, s)
             if s > 2:
                 # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
                 # does, so those groups are solved whole.

@@ -554,14 +554,18 @@ def assert_pruning_sound(m, label):
     delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
     whole = m.entries, m.inverse(), np.arange(k)[None]  # a stack of one block
     exact = _batched_rho_sq(*whole, np.inf)[0]  # best - 4 * inf prunes no partition
-    # best + 4 > 1 >= value^2: every partition whose smaller side has 3 or
-    # more indices is pruned, and its slot holds its bound.
+    # best + 4 > 1 >= value^2: a screened block keeps every slot at its
+    # screen bound, another every slot whose smaller side has 3 or more
+    # indices at its tr(P^8) bound. A slot the scan prunes holds its exact
+    # value, its screen bound or its tr(P^8) bound.
     bounds = _batched_rho_sq(*whole, -1.0)[0]
+    tr8 = mask_order_rho_sq(m.entries, m.inverse(), np.arange(k), -1.0, screened=False)
     pruned = _batched_rho_sq(*whole, delta)[0]
-    # The bound holds up to rounding of the size k * eps * cond(M) that
+    # The bounds hold up to rounding of the size k * eps * cond(M) that
     # delta is a multiple of.
-    assert (bounds >= exact - delta / conformality.TIE_SAFETY).all(), label
-    assert np.all((pruned == exact) | (pruned == bounds)), label
+    for bound in (bounds, tr8):
+        assert (bound >= exact - delta / conformality.TIE_SAFETY).all(), label
+    assert np.all((pruned == exact) | (pruned == bounds) | (pruned == tr8)), label
     assert pruned.max() == exact.max(), label
     near_ties = [np.flatnonzero(r >= r.max() - delta) for r in (pruned, exact)]
     assert np.array_equal(*near_ties), label
@@ -599,48 +603,101 @@ def test_pruning_is_sound_on_non_normal_and_scaled_inputs(k):
         assert_pruning_sound(SpdMatrix(entries), f"{kind} k={k}")
 
 
+def direct_trace_squares(entries, inverse):
+    # tr((M_SS W_SS - I)^2) at every mask 2p + 1, the whole index set last,
+    # one S at a time in extended precision (where numpy has it on the
+    # platform), from the same M and W.
+    k = len(entries)
+    a, w = entries.astype(np.longdouble), inverse.astype(np.longdouble)
+    out = np.empty(1 << (k - 1), dtype=np.longdouble)
+    for p, row in enumerate(conformality._subset_rows(2 * np.arange(len(out)) + 1, k)):
+        s = np.flatnonzero(row)
+        e = a[np.ix_(s, s)] @ w[np.ix_(s, s)] - np.eye(len(s))
+        out[p] = np.sum(e * e.T)
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_trace_table_is_within_its_allowance(k):
+    # The screen's table against tr(P_S^2) formed mask by mask, at every
+    # mask of every fuzz kind; its upper bounds against the eigensolved
+    # value^2 and its lower bound against their maximum.
+    rng = np.random.default_rng(2700 + k)
+    for kind, entries in [*fuzz_entries(rng, k), *non_normal_and_scaled_entries(rng, k)]:
+        m = SpdMatrix(entries)
+        a, w = m.entries.reshape(1, -1), m.inverse().reshape(1, -1)
+        index = conformality._screen_index(k)
+        table, allow = conformality._trace_squares(a, w, k, index[0])
+        assert (np.abs(table[0] - direct_trace_squares(m.entries, m.inverse())) <= allow[0, 0]).all(), kind
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        exact = _batched_rho_sq(m.entries, m.inverse(), np.arange(k)[None], np.inf)[0]
+        upper, lower = conformality._screen(a, w, k, index)
+        assert (upper >= exact - delta / conformality.TIE_SAFETY).all(), kind
+        assert lower <= exact.max() + delta / conformality.TIE_SAFETY, kind
+
+
 def test_pruned_partitions_are_never_factored(monkeypatch):
-    # The bound comes before any Cholesky: the factored matrices are the
-    # M_SS of the s <= 2 groups and of the live partitions, those whose
-    # slot holds the exact value, and each factored stack is eigensolved.
-    k = 11
-    m = random_spd(np.random.default_rng(11), k)
-    delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-    whole = m.entries, m.inverse(), np.arange(k)[None]
-    exact = _batched_rho_sq(*whole, np.inf)[0]
-    factored, solved, cholesky, eigvalsh = [], [], np.linalg.cholesky, np.linalg.eigvalsh
+    # The bounds come before any Cholesky: the factored matrices are the
+    # M_SS of the live partitions, those whose slot holds the exact value,
+    # and each factored stack is eigensolved. Below SCREEN_MIN_SIZE (k = 9)
+    # the s <= 2 groups are live whole; from it on (k = 11) the screen
+    # prunes them too, and one more M_SS is factored first, S = {0} | p at
+    # the partition p of the largest screen bound.
+    for k in (9, 11):
+        m = random_spd(np.random.default_rng(11), k)
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        whole = m.entries, m.inverse(), np.arange(k)[None]
+        exact = _batched_rho_sq(*whole, np.inf)[0]
+        factored, solved, cholesky, eigvalsh = [], [], np.linalg.cholesky, np.linalg.eigvalsh
 
-    def recording_cholesky(a):
-        factored.append(a.copy())
-        return cholesky(a)
+        def recording_cholesky(a):
+            factored.append(a.reshape(-1, *a.shape[-2:]).copy())
+            return cholesky(a)
 
-    def recording_eigvalsh(a):
-        solved.append(len(a))
-        return eigvalsh(a)
+        def recording_eigvalsh(a):
+            solved.append(len(a.reshape(-1, *a.shape[-2:])))
+            return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    pruned = _batched_rho_sq(*whole, delta)[0]
-    monkeypatch.undo()
-    rows = conformality._subset_rows(2 * np.arange(len(exact)) + 1, k)
-    flip = rows.sum(axis=1) > k // 2
-    rows[flip] = ~rows[flip]  # the smaller side S
-    small = rows.sum(axis=1) <= 2
-    live = small | (pruned == exact)
-    assert [len(a) for a in factored] == solved
-    assert live[~small].sum() < (~small).sum()  # the bound pruned
-    expected = sorted(m.entries[np.ix_(s, s)].tobytes() for s in map(np.flatnonzero, rows[live]))
-    assert sorted(a.tobytes() for batch in factored for a in batch) == expected
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        pruned = _batched_rho_sq(*whole, delta)[0]
+        monkeypatch.undo()
+        rows = conformality._subset_rows(2 * np.arange(len(exact)) + 1, k)
+        screened = k >= conformality.SCREEN_MIN_SIZE
+        seed = []
+        if screened:
+            screen = conformality._screen(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k, conformality._screen_index(k))[0]
+            seed.append(rows[screen.argmax()].copy())
+        flip = rows.sum(axis=1) > k // 2
+        rows[flip] = ~rows[flip]  # the smaller side S
+        small = rows.sum(axis=1) <= 2
+        live = pruned == exact if screened else small | (pruned == exact)
+        assert [len(a) for a in factored] == solved
+        assert live[~small].sum() < (~small).sum()  # the bounds pruned
+        assert screened == (live[small].sum() < small.sum())  # the screen pruned
+        expected = sorted(m.entries[np.ix_(s, s)].tobytes() for s in map(np.flatnonzero, [*seed, *rows[live]]))
+        assert sorted(a.tobytes() for batch in factored for a in batch) == expected
 
 
-def mask_order_rho_sq(entries, inverse, c, delta):
+def mask_order_rho_sq(entries, inverse, c, delta, screened=None):
     # The scan with its index bookkeeping done inline on every call, chunk
     # by chunk in mask order, reading M and M^-1 at c's global indices: the
-    # reference that the cached partition plan must match bit for bit.
+    # reference that the cached partition plan must match bit for bit. A
+    # block of SCREEN_MIN_SIZE or more is screened first, unless screened is
+    # False: then delta = -1 leaves every s >= 3 slot at its tr(P^8) bound.
     n, k = len(entries), len(c)
     count = (1 << (k - 1)) - 1
     out = np.empty(count)
     best = -np.inf
+    if screened is None:
+        screened = k >= conformality.SCREEN_MIN_SIZE
+    if screened:
+        a, a_inv = entries[np.ix_(c, c)].reshape(1, -1), inverse[np.ix_(c, c)].reshape(1, -1)
+        out, best = conformality._screen(a, a_inv, k, conformality._screen_index(k))
+        # The seed: S = {0} | p at the largest screen bound, solved alone.
+        s_idx = c[np.flatnonzero((2 * int(out.argmax()) + 1) >> np.arange(k) & 1)]
+        chol = np.linalg.cholesky(entries[np.ix_(s_idx, s_idx)])
+        best = max(best, 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ inverse[np.ix_(s_idx, s_idx)] @ chol)[-1]))
     for lo in range(0, count, conformality.BATCH_CHUNK):
         members = conformality._subset_rows(2 * np.arange(lo, min(lo + conformality.BATCH_CHUNK, count)) + 1, k)
         size = members.sum(axis=1)
@@ -649,13 +706,15 @@ def mask_order_rho_sq(entries, inverse, c, delta):
         size[flip] = k - size[flip]
         for s in range(1, k // 2 + 1):
             rows = np.flatnonzero(size == s)
+            if screened:
+                rows = rows[out[lo + rows] >= best - 4.0 * delta]
             if len(rows) == 0:
                 continue
             idx = c.take(np.nonzero(members[rows])[1].reshape(-1, s))
             flat = idx[:, :, None] * n + idx[:, None, :]
             m_ss, w_ss = entries.take(flat), inverse.take(flat)
             if s > 2:
-                # The bound on the whole group from P = M_SS (M^-1)_SS - I.
+                # The bound on the group's survivors from P = M_SS (M^-1)_SS - I.
                 e = m_ss @ w_ss
                 e -= np.eye(s)
                 e = e @ e
@@ -698,11 +757,12 @@ def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
     # across blocks, plus one weakly coupled block of the same size that the
     # shared running best prunes; the whole matrix is permuted. The stack's
     # maximum and its slots within delta of it are those of ranking each
-    # block alone, bit for bit; a pruned slot holds its exact value or its
-    # bound. Pruning starts at smaller sides of 3, so at blocks of 6.
+    # block alone, bit for bit; a pruned slot holds its exact value, its
+    # screen bound or its tr(P^8) bound. The tr(P^8) bound starts at smaller
+    # sides of 3, so at blocks of 6, and the screen at SCREEN_MIN_SIZE.
     rng = np.random.default_rng(2121)
     shared = 0
-    for b in (4, 6, 7):
+    for b in (4, 6, 7, conformality.SCREEN_MIN_SIZE):
         base = np.eye(b) + rng.uniform(0.2, 0.8) * np.ones((b, b))
         blocks = [4.0 ** int(j) * base for j in (-1, 0, 2)] + [random_spd(rng, b, 0.9, 1.1).entries]
         k = len(blocks) * b
@@ -719,13 +779,14 @@ def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
         alone = np.array([_batched_rho_sq(m.entries, inverse, row[None], delta)[0] for row in c])
         exact = _batched_rho_sq(m.entries, inverse, c, np.inf)
         bounds = _batched_rho_sq(m.entries, inverse, c, -1.0)
+        tr8 = np.array([mask_order_rho_sq(m.entries, inverse, row, -1.0, screened=False) for row in c])
         top = alone.max()
         assert stack.max() == top
         near = stack >= top - delta
         assert np.array_equal(near, alone >= top - delta)
         assert np.array_equal(stack[near], alone[near])
         assert near.any(axis=1).sum() == 3 and (near.sum(axis=1) > 1).any()  # ties across and within blocks
-        assert np.all((stack == exact) | (stack == bounds))
+        assert np.all((stack == exact) | (stack == bounds) | (stack == tr8))
         # The weak block's partitions pruned by the stack's best, not its own.
         shared += int((stack != alone)[~near.any(axis=1)].sum())
         rho, subset, _, _ = brute_force_lift_weak(m)

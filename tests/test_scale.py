@@ -110,6 +110,25 @@ def test_weak_pair_of_a_tiny_coupling_is_finite_and_unit(eps):
     assert float(x @ m.entries @ y) >= 0.0
 
 
+@pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-290])
+def test_weak_conformality_of_a_tiny_coupling_is_the_coupling(eps):
+    # value^2 = eps^2 leaves the normal range, so the scan ranks the
+    # partition at 0; its score scales M_ST by a power of two first.
+    r = weak_conformality(SpdMatrix([[1.0, eps], [eps, 1.0]]))
+    assert abs(r.rho_weak - eps) <= 4 * np.spacing(eps)
+
+
+def test_tiny_coupling_beside_a_strong_block_keeps_rho():
+    # A 1e-170 coupling joins index 2 to the 0.3 block {0, 1}; a stack
+    # holding both couplings is not scaled.
+    a = np.eye(5)
+    a[0, 1] = a[1, 0] = 0.3
+    a[1, 2] = a[2, 1] = 1e-170
+    r = weak_conformality(SpdMatrix(a))
+    assert abs(r.rho_weak - 0.3) <= 4 * np.spacing(0.3)
+    assert abs(r.witness_x @ a @ r.witness_y - r.rho_weak) <= 1e-15
+
+
 def test_huge_finite_entries_are_scored_without_overflow(tmp_path):
     # Past 2^1023, A + A^T and lambda_max + lambda_min would overflow; both
     # are halved first, which is exact there, so 1e308 I scores like I, with
