@@ -104,7 +104,7 @@ def _parse_schedule(text: str):
 
 def _graph_with_inner_products(args) -> tuple[Graph, SpdMatrix, SpdMatrix]:
     g = load_graph(args.graph)
-    if getattr(args, "orientation", None):
+    if getattr(args, "orientation", None) is not None:
         g = g.with_orientation(_parse_orientation(args.orientation, g.m))
     if args.mv is not None or args.me is not None:
         if args.mv is None or args.me is None:
@@ -177,11 +177,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
-    weights = load_vector(args.weights) if args.weights else None
+    weights = load_vector(args.weights) if args.weights is not None else None
     m_v, m_e, spec = recover_classical(args.kind, g, weights)
     _emit(
         args,
-        {"graph": args.graph, **({"weights": args.weights} if args.weights else {})},
+        {"graph": args.graph, **({"weights": args.weights} if args.weights is not None else {})},
         {"kind": args.kind},
         {"m_v": m_v.entries, "m_e": m_e.entries, "spectrum": spec.to_dict()},
         _eigenvalue_rows(spec.eigenvalues),
@@ -191,10 +191,10 @@ def _cmd_recover(args) -> int:
 
 def _cmd_hypergraph_to_ipl(args) -> int:
     hg, w = load_hypergraph(args.hypergraph)
-    pi = load_vector(args.pi) if args.pi else np.ones(hg.n)
-    dt = load_vector(args.dt) if args.dt else np.ones(hg.n)
+    pi = load_vector(args.pi) if args.pi is not None else np.ones(hg.n)
+    dt = load_vector(args.dt) if args.dt is not None else np.ones(hg.n)
     h = hg.incidence().astype(float)
-    if args.d:
+    if args.d is not None:
         d = load_vector(args.d)
     else:
         # Kernel-consistent default: D pi = Dt H W H^T Dt pi entrywise.
@@ -202,7 +202,7 @@ def _cmd_hypergraph_to_ipl(args) -> int:
     graph, m_v, m_e, report = hypergraph_to_ipl(hg, d, dt, w, pi)
     inputs = {"hypergraph": args.hypergraph}
     for name in ("pi", "d", "dt"):
-        if getattr(args, name):
+        if getattr(args, name) is not None:
             inputs[name] = getattr(args, name)
     result = {"graph": graph.to_dict(), "m_v": m_v.entries, "m_e": m_e.entries, "report": report.to_dict()}
     _emit(args, inputs, {}, result)
@@ -254,6 +254,8 @@ def _cmd_verify(args) -> int:
         report = verify_radius_bound(g, m_v, m_e, force=args.force)
     else:
         if args.batch:
+            if args.x is not None or args.y is not None:
+                raise UsageError("--batch takes no --x or --y")
             report = verify_eml_batch(g, m_v, m_e, force=args.force)
             flags["batch"] = True
         else:
@@ -268,9 +270,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_neumann(args) -> int:
+    if args.direct_only and args.schedule is not None:
+        raise UsageError("--direct-only takes no --schedule")
     g = load_graph(args.graph)
     subset = _parse_subset(args.subset, g)
-    schedule = _parse_schedule(args.schedule) if args.schedule else list(DEFAULT_EPSILON_SCHEDULE)
+    schedule = _parse_schedule(args.schedule) if args.schedule is not None else list(DEFAULT_EPSILON_SCHEDULE)
     if args.direct_only:
         res = neumann_eigenvalue(g, subset)
     else:

@@ -115,8 +115,15 @@ def test_conformality_sampled_flags_checked_before_the_scan(files, capsys, monke
         (["neumann", "--graph", "p4", "--subset", "v2,v3", "--schedule", "1e-4:1e-1"], "schedule endpoints must satisfy 0 < end <= start < 1"),
         (["verify", "radius", "--graph", "p3", "--mv", "id3"], "--mv and --me must be given together"),
         (["verify", "eml", "--graph", "p3", "--x", "v1"], "verify eml needs --x and --y (or --batch)"),
+        (["verify", "cheeger", "--graph", "p3", "--orientation="], "--orientation needs 2 comma-separated signs, got 1"),
+        (["neumann", "--graph", "p4", "--subset", "v2,v3", "--schedule="], "--schedule: could not convert string to float: ''"),
+        (["verify", "eml", "--batch", "--graph", "p3", "--x", "v1", "--y", "v2"], "--batch takes no --x or --y"),
+        (["neumann", "--graph", "p4", "--subset", "v2,v3", "--direct-only", "--schedule", "1e-1:1e-3"], "--direct-only takes no --schedule"),
     ],
-    ids=["orientation-count", "orientation-sign", "unknown-label", "schedule-order", "mv-without-me", "eml-without-sets"],
+    ids=[
+        "orientation-count", "orientation-sign", "unknown-label", "schedule-order", "mv-without-me", "eml-without-sets",
+        "orientation-empty", "schedule-empty", "batch-with-sets", "direct-only-with-schedule",
+    ],
 )
 def test_usage_errors_exit_two_with_one_line(argv, message, files, capsys):
     code, out, err = run_cli([files.get(a, a) for a in argv], capsys)
@@ -143,12 +150,6 @@ def test_verify_cheeger_past_the_weak_cap(tmp_path, capsys):
     code, out, err = run_cli(["verify", "cheeger", "--graph", graph], capsys)
     assert code == 0, err
     assert json.loads(out)["result"]["passed"] is True
-
-
-def test_import_loads_no_scipy():
-    probe = "import sys, ipl; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
 
 
 def test_verify_eml_pair_and_batch(files, capsys):
@@ -380,12 +381,17 @@ def test_unreadable_input_exit_two_names_the_file(case, files, tmp_path, capsys)
 
 
 def test_empty_inner_product_paths_are_read(files, capsys):
-    # An empty --mv/--me is a path like any other: it is read and refused,
-    # not taken for an absent flag that silently selects the normalized pair.
-    for command in (["conductance"], ["verify", "radius"], ["spectrum"]):
-        code, out, err = run_cli([*command, "--graph", files["p3"], "--mv", "", "--me", ""], capsys)
-        assert (code, out) == (2, ""), command
-        assert err.count("\n") == 1 and err.startswith("error: '': cannot read: "), command
+    # An empty --mv/--me, --weights, --pi, --d or --dt is a path like any
+    # other: it is read and refused, not taken for an absent flag that
+    # silently selects the default.
+    for argv in (
+        *([*command, "--graph", files["p3"], "--mv", "", "--me", ""] for command in (["conductance"], ["verify", "radius"], ["spectrum"])),
+        ["recover", "--kind", "combinatorial", "--graph", files["p3"], "--weights="],
+        *(["hypergraph-to-ipl", "--hypergraph", files["tri"], f"--{name}="] for name in ("pi", "d", "dt")),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: '': cannot read: "), argv
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

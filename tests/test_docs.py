@@ -6,7 +6,8 @@ import re
 
 from ipl.cli import build_parser
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_readme_library_example():
@@ -38,3 +39,10 @@ def test_readme_cli_synopsis_flags_exist():
             parser = subcommands(parser)[words[2]]
         unknown = set(re.findall(r"--[a-z][a-z-]*", line)) - accepted_flags(parser)
         assert not unknown, (line, unknown)
+
+
+def test_workflow_holds_no_inline_ipl_checks():
+    # Checks of ipl live in tests/, where the tier-1 suite runs them too.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    inline = [line for line in workflow.splitlines() if re.search(r"-m ipl|import ipl|from ipl", line)]
+    assert not inline, inline
