@@ -109,6 +109,8 @@ def _graph_with_inner_products(args) -> tuple[Graph, SpdMatrix, SpdMatrix]:
     if args.mv is not None or args.me is not None:
         if args.mv is None or args.me is None:
             raise UsageError("--mv and --me must be given together")
+        if getattr(args, "kind", None) is not None:
+            raise UsageError("--kind takes no --mv or --me")
         m_v, m_e = SpdMatrix(load_matrix(args.mv)), SpdMatrix(load_matrix(args.me))
     else:
         m_v, m_e = _classical_inner_products(args.kind or "normalized", g)
@@ -272,6 +274,8 @@ def _cmd_verify(args) -> int:
 def _cmd_neumann(args) -> int:
     if args.direct_only and args.schedule is not None:
         raise UsageError("--direct-only takes no --schedule")
+    if args.direct_only and args.csv:
+        raise UsageError("--direct-only takes no --csv")
     g = load_graph(args.graph)
     subset = _parse_subset(args.subset, g)
     schedule = _parse_schedule(args.schedule) if args.schedule is not None else list(DEFAULT_EPSILON_SCHEDULE)

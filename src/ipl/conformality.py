@@ -27,15 +27,15 @@ block of M and of M^-1 once and gathers every S-block from those two.
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
 M_SS (M^-1)_SS, all >= 1, and E = B - I is positive semidefinite with
 largest eigenvalue mu_max - 1. P_S = M_SS (M^-1)_SS - I = L E L^-1 is
-similar to E, so traces of powers of P_S bound mu_max on both sides with
-no factor. Two such bounds come before any eigensolve.
+similar to E, so the trace of an even power of P_S is the sum of the
+eigenvalues of E to that power, at least (mu_max - 1) to that power, and
+bounds mu_max from above with no factor. Two such bounds come before any
+eigensolve.
 
 The screen, for blocks of ``SCREEN_MIN_SIZE`` or more (below it, its b^4
-terms cost more than the products they spare). With W = M^-1,
-(M W)_SS = I gives P_S = -M_ST W_TS, of rank at most min(s, t) for
-s = |S| and t = |T|, and tr(P_S^2) = tr(P_T^2), so
+terms cost more than the products they spare):
 
-    (tr(P_S^2) / min(s, t))^(1/2) <= mu_max - 1 <= tr(P_S^2)^(1/2).
+    mu_max - 1 <= tr(P_S^2)^(1/2).
 
 tr(P_S^2) is a sum of terms over index 4-tuples supported in S, so one
 subset-sum (zeta) transform of those terms, binned by support, gives it for
@@ -43,21 +43,22 @@ every partition of a block at once (``_trace_squares``; Yates 1937), in
 O(b^4 + b 2^b) per block with no gather, product or factor per partition.
 Each value carries a derived rounding allowance, (61 + b) eps times the
 block's sum of |terms| (the error measured under 0.4% of it), which the
-upper bound takes in and the lower bound gives up. The table holds
-2^(b-1) values per block (4 MB at b = 20) until the scan starts. The
-largest lower bound, and one exact value at the largest upper bound, start
-the running best.
+bound takes in. The table holds 2^(b-1) values per block (4 MB at
+b = 20) until the scan starts. One exact value, at the largest screen
+bound, starts the running best.
 
 The tr(P^8) bound, per group of equal smaller sides |S| >= 3, on the
 partitions that pass the screen:
 
-    1 + (tr(E^8)/|S|)^(1/8) <= mu_max <= 1 + tr(E^8)^(1/8),
+    mu_max <= 1 + tr(E^8)^(1/8),
 
-with tr(P^8) = tr(E^8) from three batched products. Only a partition whose
-upper bound reaches the best value met so far, less four times the tie
-window below, goes on from a bound: in the end it is factored, forms B and
-gets an eigenvalue call. The others keep their upper bound, which cannot
-reach the window, so the ranking below is unchanged.
+with tr(P^8) = tr(E^8) from three batched products. The running best only
+ever holds a value some partition attains, and both bounds stay above
+every value they stand for. So only a partition whose bound reaches the
+best value met so far, less four times the tie window below, goes on from
+a bound: in the end it is factored, forms B and gets an eigenvalue call.
+The others keep their bound, which cannot reach the window, so the
+ranking below is unchanged.
 
 That batch only ranks the partitions: 1 - 1/mu loses digits, and
 partitions that tie mathematically differ only by rounding. Every
@@ -337,22 +338,16 @@ def _partition_plan(k: int, chunk: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _screen_index(b: int):
+def _screen_index(b: int) -> np.ndarray:
     """The b-dependent half of ``_screen``: for each of the b^4 + b^2 + b
     terms of ``_trace_squares``, in the order it lays them out, its support
-    mask less index 0, and min(s, b - s) for each partition mask 2p + 1 of
-    popcount s. Kept like ``_partition_plan`` (about 2 MB at b = 20), and
-    not past the cap.
+    mask less index 0. Kept for the life of the process, at every b (about
+    2.7 MB at b = 24).
     """
     bits = (1 << np.arange(b)) >> 1  # index 0 has no bit
-    masks = np.concatenate(
+    return np.concatenate(
         ((bits[:, None, None, None] | bits[:, None, None] | bits[:, None] | bits).ravel(), (bits[:, None] | bits).ravel(), bits)
     )
-    size = np.zeros(1, dtype=np.int8)
-    for _ in range(b):
-        size = np.concatenate((size, size + 1))
-    size = size[1:-1:2]
-    return masks, np.minimum(size, b - size)
 
 
 def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
@@ -390,24 +385,18 @@ def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
     return tr, allow
 
 
-def _screen(a: np.ndarray, a_inv: np.ndarray, b: int, index) -> tuple[np.ndarray, float]:
+def _screen(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray) -> np.ndarray:
     """Upper bounds on value^2 for every partition of every block of a stack,
-    as ``_batched_rho_sq`` lays out its slots, and the largest lower bound on
-    any of them, from ``_trace_squares``: P_S has the eigenvalues mu - 1 >= 0
-    of M_SS W_SS and rank at most min(s, b - s) (module docstring).
+    as ``_batched_rho_sq`` lays out its slots, from ``_trace_squares``: P_S
+    has the eigenvalues mu - 1 >= 0 of M_SS W_SS (module docstring).
     """
-    masks, sizes = index
     tr, allow = _trace_squares(a, a_inv, b, masks)
-    tr = tr[:, :-1]  # the last mask is all of C
-    out = tr - allow
-    out /= sizes
-    low = max(float(out.max()), 0.0)
-    np.add(tr, allow, out=out)
+    out = tr[:, :-1] + allow  # the last mask is all of C
     np.sqrt(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
     np.subtract(1.0, out, out=out)  # 1 - 1/(1 + sqrt(tr + allowance)) >= value^2
-    return out.ravel(), 1.0 - 1.0 / (1.0 + low**0.5)
+    return out.ravel()
 
 
 def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
@@ -423,52 +412,49 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     ``_subset_rows``); the all-in mask 2^(b-1) - 1 is not a partition and is
     left out.
 
-    Two bounds come before any eigensolve (module docstring). A block of
-    b >= ``SCREEN_MIN_SIZE`` first fills every slot with its ``_screen``
-    bound from tr(P_S^2), and the running best starts at the screen's
-    largest lower bound or, higher as a rule, at the value^2 of the
+    Two upper bounds come before any eigensolve (module docstring). A block
+    of b >= ``SCREEN_MIN_SIZE`` first fills every slot with its ``_screen``
+    bound from tr(P_S^2), and the running best starts at the value^2 of the
     partition with the largest screen bound, solved alone (S the side
-    holding index 0, which the scan itself solves on its smaller side;
-    the two differ by rounding only). Then, group by group, only the
-    partitions whose slot reaches best - 4 delta are gathered (all of them
-    in a smaller block). From s = 3 on they take the tr(P^8) bound, as
+    holding index 0, which the scan itself solves on its smaller side; the
+    two differ by rounding only). Then, group by group, only the partitions
+    whose slot reaches best - 4 delta are gathered (all of them in a
+    smaller block). From s = 3 on they take the tr(P^8) bound, as
     |tr(P^4 P^4)| (its terms are not squares, so rounding can take it below
-    0), which refines the slot and the running best, and only those whose
-    slot still reaches best - 4 delta are factored, form B and reach the
-    batched ``eigvalsh``. The running best, across chunks and shared by the
-    blocks of the stack, keeps the largest lower bound and exact value met
-    so far. Every other partition lies more than 3 delta below the maximum,
-    and so does the upper bound that fills its slot: rounding moves the
-    bounds by far less than delta (measured: at most 0.6 k eps cond(M), on
-    near-diagonal inputs). Each stacked product, Cholesky and ``eigvalsh``
-    treats its matrices one at a time, so a live partition scores the bits
-    it scores in the whole group. So the maximum and the slots within delta
-    of it are those of eigensolving every partition, bit for bit;
-    delta = inf eigensolves them all. B is held for one chunk at a time,
-    the screen's table (2^(b-1) values per block) only until the scan
-    starts.
+    0), which refines the slot, and only those whose slot still reaches
+    best - 4 delta are factored, form B and reach the batched ``eigvalsh``.
+    The running best, across chunks and shared by the blocks of the stack,
+    is the largest exact value met so far: a value some partition attains,
+    never a bound. Every other partition lies more than 3 delta below the
+    maximum, and so does the upper bound that fills its slot: rounding
+    moves the bounds by far less than delta (measured: at most
+    0.6 k eps cond(M), on near-diagonal inputs). Each stacked product,
+    Cholesky and ``eigvalsh`` treats its matrices one at a time, so a live
+    partition scores the bits it scores in the whole group. So the maximum
+    and the slots within delta of it are those of eigensolving every
+    partition, bit for bit; delta = inf eigensolves them all. B is held for
+    one chunk at a time, the screen's table (2^(b-1) values per block) only
+    until the scan starts.
     """
     n, k = c.shape
     count = (1 << (k - 1)) - 1
     block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
     a, a_inv = entries.take(block), inverse.take(block)
-    kept = count <= CAPS["partitions"]
     screened = k >= SCREEN_MIN_SIZE
     if screened:
-        out, best = _screen(a, a_inv, k, _screen_index(k) if kept else _screen_index.__wrapped__(k))
-        # One exact value, at the largest screen bound: the screen's own
-        # lower bound divides by min(s, t) and starts the best far lower.
+        out = _screen(a, a_inv, k, _screen_index(k))
+        # One exact value, at the largest screen bound, starts the best.
         j, p = divmod(int(out.argmax()), count)
         pos = np.flatnonzero((2 * p + 1) >> np.arange(k) & 1)
         flat = j * k * k + pos[:, None] * k + pos
         chol = np.linalg.cholesky(a.take(flat))
-        best = max(best, 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ a_inv.take(flat) @ chol)[-1]))
+        best = 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ a_inv.take(flat) @ chol)[-1])
     else:
         out, best = np.empty(n * count), -np.inf
     # Block j of the stack reads its entries from row j of a and a_inv and
     # writes its slots at offset j count.
     offsets = count * np.arange(n)[:, None]
-    for groups in (_partition_plan if kept else _plan_chunks)(k, BATCH_CHUNK):
+    for groups in (_partition_plan if count <= CAPS["partitions"] else _plan_chunks)(k, BATCH_CHUNK):
         for slots, pos in groups:
             s = pos.shape[1]
             slots = offsets + slots
@@ -493,7 +479,6 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
                 e = e @ e
                 e = e @ e
                 root = np.abs(np.einsum("nij,nji->n", e, e)) ** 0.125  # tr(P^8)^(1/8) = tr(E^8)^(1/8)
-                best = max(best, 1.0 - 1.0 / (1.0 + float(root.max()) / s**0.125))
                 bound = 1.0 - 1.0 / (1.0 + root)
                 out[slots] = bound
                 live = bound >= best - 4.0 * delta

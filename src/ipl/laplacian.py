@@ -244,12 +244,21 @@ CLASSICAL_KINDS = ("combinatorial", "normalized", "signless", "normalized-signle
 def _classical_inner_products(kind: str, g: Graph, edge_weights=None) -> tuple[SpdMatrix, SpdMatrix]:
     """(M_V, M_E) of a textbook Laplacian: M_E the diagonal of the edge
     weights (default all ones), M_V the identity for the combinatorial and
-    signless kinds and the weighted degree diagonal for the normalized ones."""
+    signless kinds and the weighted degree diagonal for the normalized ones.
+    A graph with no edges has no M_E, and under the normalized kinds a
+    vertex on no edge has degree 0 (the weights are positive): each is
+    refused with one message that says so."""
+    if not g.m:
+        raise ValueError("the graph has no edges, so it has no classical edge inner product")
     w = np.ones(g.m) if edge_weights is None else edge_weights
     m_e = SpdMatrix.from_diagonal(w)
     if kind in ("combinatorial", "signless"):
         return SpdMatrix.identity(g.n), m_e
-    return SpdMatrix.from_diagonal(np.abs(graph_incidence(g)).astype(float) @ w), m_e
+    degrees = np.abs(graph_incidence(g)).astype(float) @ w
+    if not degrees.all():
+        label = g.labels[int(np.argmin(degrees))]
+        raise ValueError(f"vertex {label!r} is on no edge, so the {kind} vertex inner product (the degrees) is singular")
+    return SpdMatrix.from_diagonal(degrees), m_e
 
 
 def recover_classical(kind: str, g: Graph, edge_weights=None):

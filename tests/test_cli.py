@@ -46,6 +46,8 @@ def files(tmp_path):
         "p3": write(tmp_path, "p3.json", {"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"], ["v2", "v3"]]}),
         "p4": write(tmp_path, "p4.json", {"vertices": ["v1", "v2", "v3", "v4"], "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"]]}),
         "k2": write(tmp_path, "k2.json", {"vertices": ["v1", "v2"], "edges": [["v1", "v2"]]}),
+        "lonely": write(tmp_path, "lonely.json", {"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"]]}),
+        "edgeless": write(tmp_path, "edgeless.json", {"vertices": ["v1", "v2"], "edges": []}),
         "id3": write(tmp_path, "id3.json", {"rows": np.eye(3).tolist()}),
         "ipj": write(tmp_path, "ipj.json", {"rows": [[2.0, 1.0], [1.0, 2.0]]}),
         "id4": write(tmp_path, "id4.json", {"rows": np.eye(4).tolist()}),
@@ -119,10 +121,16 @@ def test_conformality_sampled_flags_checked_before_the_scan(files, capsys, monke
         (["neumann", "--graph", "p4", "--subset", "v2,v3", "--schedule="], "--schedule: could not convert string to float: ''"),
         (["verify", "eml", "--batch", "--graph", "p3", "--x", "v1", "--y", "v2"], "--batch takes no --x or --y"),
         (["neumann", "--graph", "p4", "--subset", "v2,v3", "--direct-only", "--schedule", "1e-1:1e-3"], "--direct-only takes no --schedule"),
+        (["neumann", "--graph", "p4", "--subset", "v2,v3", "--direct-only", "--csv"], "--direct-only takes no --csv"),
+        (["verify", "cheeger", "--graph", "p3", "--kind", "combinatorial", "--mv", "id3", "--me", "ipj"], "--kind takes no --mv or --me"),
+        (["conductance", "--graph", "lonely"], "vertex 'v3' is on no edge, so the normalized vertex inner product (the degrees) is singular"),
+        (["recover", "--kind", "normalized", "--graph", "lonely"], "vertex 'v3' is on no edge, so the normalized vertex inner product (the degrees) is singular"),
+        (["conductance", "--graph", "edgeless"], "the graph has no edges, so it has no classical edge inner product"),
     ],
     ids=[
         "orientation-count", "orientation-sign", "unknown-label", "schedule-order", "mv-without-me", "eml-without-sets",
-        "orientation-empty", "schedule-empty", "batch-with-sets", "direct-only-with-schedule",
+        "orientation-empty", "schedule-empty", "batch-with-sets", "direct-only-with-schedule", "direct-only-with-csv",
+        "kind-with-matrices", "vertex-on-no-edge", "recover-vertex-on-no-edge", "no-edges",
     ],
 )
 def test_usage_errors_exit_two_with_one_line(argv, message, files, capsys):

@@ -327,6 +327,20 @@ def test_recover_k2_normalized():
     np.testing.assert_allclose(spec.eigenvalues, [0, 2], atol=1e-12)
 
 
+def test_classical_inner_products_refuse_a_vertex_on_no_edge_by_label():
+    # The normalized kinds need every degree positive; the combinatorial
+    # kinds take any graph with an edge. A graph with no edges has no M_E.
+    lonely = Graph.from_edge_labels(["a", "b", "c", "d"], [("a", "b"), ("c", "a")])
+    for kind in ("normalized", "normalized-signless"):
+        with pytest.raises(ValueError, match=f"^vertex 'd' is on no edge, so the {kind} vertex"):
+            recover_classical(kind, lonely)
+    recover_classical("combinatorial", lonely)
+    empty = Graph.from_edge_labels(["a", "b"], [])
+    for kind in ("normalized", "combinatorial"):
+        with pytest.raises(ValueError, match="^the graph has no edges"):
+            recover_classical(kind, empty)
+
+
 def test_hypergraph_to_ipl_single_triangle():
     hg = Hypergraph.from_edge_labels(["1", "2", "3"], [("1", "2", "3")])
     graph, m_v, m_e, rep = hypergraph_to_ipl(hg, [3.0, 3, 3], [1.0, 1, 1], [1.0], [1.0, 1, 1])
