@@ -3,7 +3,9 @@
 A global vertex order fixes every face ordering, so boundary signs come
 purely from position parity and outputs are reproducible. Graph edges are
 unordered pairs; orientation is a per-edge sign that flips the default
-boundary column (-1 at the smaller endpoint, +1 at the larger).
+boundary column (-1 at the smaller endpoint, +1 at the larger). A Graph
+builds its signed incidence once and holds it read-only (``Graph.incidence``,
+which ``graph_incidence`` returns), like its endpoint array ``ends``.
 """
 
 from __future__ import annotations
@@ -201,6 +203,15 @@ class Graph:
         uv.setflags(write=False)
         return uv
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only n x m signed vertex-edge incidence, built once: column
+        e = (u, v) holds -sigma_e at u, +sigma_e at v. Columns sum to zero."""
+        b = np.zeros((self.n, self.m), dtype=np.int64)
+        b[self.ends, np.arange(self.m)] = np.array(self.orientation, dtype=np.int64) * [[-1], [1]]
+        b.setflags(write=False)
+        return b
+
     def degrees(self) -> np.ndarray:
         return np.bincount(self.ends.ravel(), minlength=self.n)
 
@@ -231,19 +242,12 @@ class Graph:
 
 
 def graph_incidence(g: Graph) -> np.ndarray:
-    """Signed vertex-edge incidence: column e = (u, v) holds -sigma_e at u,
-    +sigma_e at v. Columns sum to zero."""
-    b = np.zeros((g.n, g.m), dtype=np.int64)
-    u, v = g.ends
-    sigma = np.array(g.orientation, dtype=np.int64)
-    cols = np.arange(g.m)
-    b[u, cols] = -sigma
-    b[v, cols] = sigma
-    return b
+    """The graph's signed vertex-edge incidence, ``Graph.incidence`` (read-only, built once)."""
+    return g.incidence
 
 
 def unsigned_incidence(g: Graph) -> np.ndarray:
-    return np.abs(graph_incidence(g))
+    return np.abs(g.incidence)
 
 
 @dataclass(frozen=True)

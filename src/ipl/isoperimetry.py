@@ -63,6 +63,15 @@ by identity. Each orbit of the margin under swapping X and Y (and, for a
 diagonal M_E, complementing either) is scored once, at its first pair in
 (X mask, Y mask) order, and the witness is the first scored pair whose
 margin equals the minimum.
+
+The verifiers read the Laplacian's eigenvalues only, from
+``laplacian._eigenvalues`` (the ``eigh`` of ``inner_product_laplacian``,
+bit for bit, without its eigenvectors), and omega as the max of the
+per-vertex ratios. ``verify_cheeger`` allows for the rounding of its two
+comparisons relative to what they compare: eigh's backward error,
+n eps lambda_max, plus 64 eps of lower + upper for the products that form
+the bounds. So scaling an inner product changes none of its verdicts. The
+mixing verifiers still allow an absolute 1e-9.
 """
 
 from __future__ import annotations
@@ -79,10 +88,11 @@ from .laplacian import (
     IplSetup,
     SpectrumResult,
     _classical_inner_products,
+    _eigenvalues,
+    _ipl_matrix,
     _spectrum,
+    _vertex_ratios,
     check_graph_inner_products,
-    compatibility,
-    inner_product_laplacian,
 )
 from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
@@ -470,19 +480,22 @@ def verify_cheeger(
     """Two-sided Cheeger bound for the inner product Laplacian.
 
     ((1-rho_V)/(1+rho_V))^7 ((1-rho_E)/(1+rho_E))^4 Phi^2/(2 omega)
-        <= lambda_2 <= 2/(1-rho_V) * (1+rho_E)/(1-rho_E) * Phi.
+        <= lambda_2 <= 2/(1-rho_V) * (1+rho_E)/(1-rho_E) * Phi,
+
+    each side within eps (n lambda_max + 64 (lower + upper)), the rounding
+    of the comparison, so no scaling of M_V or M_E moves the verdict.
     """
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
-    spec = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
-    lam2 = float(spec.eigenvalues[1])
+    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
+    lam2 = float(vals[1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
-    omega = compatibility(g, m_v, m_e).omega
+    omega = float(_vertex_ratios(g, m_v, m_e).max())
     lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
     upper = 2.0 / (1 - rho_v) * (1 + rho_e) / (1 - rho_e) * phi
-    slack = 1e-9
+    slack = np.finfo(float).eps * (g.n * float(vals[-1]) + 64 * (lower + upper))
     return VerificationReport(
         check="cheeger",
         passed=bool(lower <= lam2 + slack and lam2 <= upper + slack),
@@ -526,13 +539,12 @@ def verify_eml(
     """
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    if spectrum is None:
-        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
+    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e))) if spectrum is None else spectrum.eigenvalues
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
-    lam1 = float(spectrum.eigenvalues[0])
-    lam2 = float(spectrum.eigenvalues[1])
-    lam_n = float(spectrum.eigenvalues[-1])
+    lam1 = float(vals[0])
+    lam2 = float(vals[1])
+    lam_n = float(vals[-1])
     vol_g = float(np.sum(m_v.entries))
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
     inter = sorted(set(x_set) & set(y_set))
@@ -696,10 +708,10 @@ def verify_eml_batch(
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
+    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
     rho_e = weak_conformality_value(m_e, force=force)
-    lam2 = float(spectrum.eigenvalues[1])
-    lam_n = float(spectrum.eigenvalues[-1])
+    lam2 = float(vals[1])
+    lam_n = float(vals[-1])
     tau = 0.5 * (lam_n + lam2)
     gap = 0.5 * (lam_n - lam2)
     mv, me = m_v.entries, m_e.entries

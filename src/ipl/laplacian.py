@@ -10,6 +10,16 @@ form Q_V^{-1} B M_E B^T Q_V^{-1} (the semi-Hodge Laplacian) also accepts
 unsigned incidence matrices, which covers the signless variants and
 hypergraphs. Diagonal inner product choices recover the combinatorial,
 normalized, and signless Laplacians exactly.
+
+The theorem verifiers (``verify_radius_bound`` here; ``verify_cheeger``,
+``verify_eml`` and ``verify_eml_batch`` in ``isoperimetry``) read
+eigenvalues only. ``_eigenvalues`` takes them from the same ``eigh`` of the
+same symmetrized matrix, built by ``_ipl_matrix`` or ``_semi_hodge_matrix``,
+that ``inner_product_laplacian`` and ``semi_hodge`` decompose, so they agree
+bit for bit, without the sign fix, eigenvectors or kernel count of a
+``SpectrumResult``. Their omega is the max of ``_vertex_ratios``, the array
+that ``compatibility`` lists per vertex. A ``Graph`` holds its signed
+incidence once, read-only, so no verifier builds it twice.
 """
 
 from __future__ import annotations
@@ -114,7 +124,16 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
     )
 
 
-def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
+def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``_spectrum(matrix, ...)``, bit for bit: the same
+    ``eigh`` of the same 0.5 (A + A^T), with no symmetry check (it cannot
+    fail there), sign fix, harmonic vectors or kernel count. The verifiers
+    read these alone."""
+    return np.linalg.eigh(0.5 * (matrix + matrix.T))[0]
+
+
+def _ipl_matrix(setup: IplSetup) -> np.ndarray:
+    """L_i of the setup at its target dimension, before ``_spectrum`` symmetrizes it."""
     i = setup.target_dim
     m_i = setup.inner[i]
     q_inv = m_i.inv_sqrt_entries
@@ -126,16 +145,25 @@ def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
     if i < setup.dim:
         b = setup.boundaries[i + 1]
         lap += q_inv @ b @ setup.inner[i + 1].entries @ b.T @ q_inv
-    return _spectrum(lap, q_inv)
+    return lap
 
 
-def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
-    """Q_V^{-1} B M_E B^T Q_V^{-1} for a signed or unsigned incidence B."""
+def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
+    return _spectrum(_ipl_matrix(setup), setup.inner[setup.target_dim].inv_sqrt_entries)
+
+
+def _semi_hodge_matrix(b, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """Q_V^{-1} B M_E B^T Q_V^{-1}, before ``_spectrum`` symmetrizes it."""
     b = np.asarray(b, dtype=float)
     if b.shape != (m_v.dim, m_e.dim):
         raise ValueError(f"incidence shape {b.shape} does not match inner products ({m_v.dim}, {m_e.dim})")
     q_inv = m_v.inv_sqrt_entries
-    return _spectrum(q_inv @ b @ m_e.entries @ b.T @ q_inv, q_inv)
+    return q_inv @ b @ m_e.entries @ b.T @ q_inv
+
+
+def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
+    """Q_V^{-1} B M_E B^T Q_V^{-1} for a signed or unsigned incidence B."""
+    return _spectrum(_semi_hodge_matrix(b, m_v, m_e), m_v.inv_sqrt_entries)
 
 
 def _incidence_of(carrier) -> np.ndarray:
@@ -147,15 +175,20 @@ def _incidence_of(carrier) -> np.ndarray:
     return np.asarray(carrier, dtype=float)
 
 
-def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
-    """Least omega with 1_{E(v)}^T M_E 1_{E(v)} <= omega * M_V[v,v] for all v."""
+def _vertex_ratios(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """1_{E(v)}^T M_E 1_{E(v)} / M_V[v,v] per vertex v; omega is their max."""
     h = _incidence_of(carrier)
     if h.shape != (m_v.dim, m_e.dim):
         raise ValueError("incidence shape does not match inner products")
-    ratios = (m_e.quad(h != 0) / np.diagonal(m_v.entries)).tolist()
-    omega = max(ratios)
-    perfect = all(abs(r - omega) <= 1e-9 * abs(omega) for r in ratios)
-    return Compatibility(omega=float(omega), perfect=bool(perfect), per_vertex=ratios)
+    return m_e.quad(h != 0) / np.diagonal(m_v.entries)
+
+
+def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
+    """Least omega with 1_{E(v)}^T M_E 1_{E(v)} <= omega * M_V[v,v] for all v."""
+    ratios = _vertex_ratios(carrier, m_v, m_e)
+    omega = float(ratios.max())
+    perfect = bool(np.all(np.abs(ratios - omega) <= 1e-9 * abs(omega)))
+    return Compatibility(omega=omega, perfect=perfect, per_vertex=ratios.tolist())
 
 
 def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool = False) -> VerificationReport:
@@ -165,12 +198,11 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     with r the largest hyperedge size and omega the compatibility constant.
     """
     b = _incidence_of(carrier)
-    spec = semi_hodge(b, m_v, m_e)
-    lam_max = float(spec.eigenvalues[-1])
+    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v, m_e))[-1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
     rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
-    omega = compatibility(b, m_v, m_e).omega
+    omega = float(_vertex_ratios(b, m_v, m_e).max())
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
     return VerificationReport(
         check="semi-hodge-spectral-radius",

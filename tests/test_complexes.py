@@ -8,6 +8,7 @@ from ipl import (
     build_complex,
     clique_expansion,
     graph_incidence,
+    unsigned_incidence,
 )
 
 from conftest import path_graph, random_connected_graph
@@ -109,6 +110,34 @@ def test_orientation_flip_negates_columns_and_preserves_bdbt(rng):
     np.testing.assert_array_equal(b1, b0 * np.array(sigma))
     d = np.diag(rng.uniform(0.5, 2.0, g.m))
     np.testing.assert_allclose(b1 @ d @ b1.T, b0 @ d @ b0.T, atol=1e-12)
+
+
+def reference_incidence(g):
+    # Column e = (u, v): -sigma_e at u, +sigma_e at v, one entry at a time.
+    b = np.zeros((g.n, g.m), dtype=np.int64)
+    for e, ((u, v), s) in enumerate(zip(g.edges, g.orientation)):
+        b[u, e], b[v, e] = -s, s
+    return b
+
+
+def test_graph_incidence_is_built_once_and_read_only(rng):
+    for n in range(2, 9):
+        g = random_connected_graph(rng, n)
+        b = graph_incidence(g)
+        assert b is graph_incidence(g) is g.incidence
+        assert b.dtype == np.int64 and not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b[:] = 0
+        np.testing.assert_array_equal(b, reference_incidence(g))
+        for _ in range(3):
+            h = g.with_orientation([int(s) for s in rng.choice([-1, 1], g.m)])
+            assert graph_incidence(h) is not b
+            np.testing.assert_array_equal(graph_incidence(h), reference_incidence(h))
+            u = unsigned_incidence(h)
+            np.testing.assert_array_equal(u, np.abs(reference_incidence(h)))
+            assert u.dtype == np.int64 and u.flags.writeable and u is not unsigned_incidence(h)
+    empty = Graph(labels=("a", "b"), edges=())
+    assert graph_incidence(empty).shape == (2, 0)
 
 
 def test_graph_validation():

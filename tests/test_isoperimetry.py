@@ -6,23 +6,28 @@ import pytest
 import ipl.isoperimetry
 from ipl.errors import CAPS
 from ipl.isoperimetry import _vertex_boundary
+from ipl.laplacian import _eigenvalues, _ipl_matrix
 from ipl.linalg import sym_eig
 from ipl import (
     EnumerationCapError,
     Graph,
     IplSetup,
     SpdMatrix,
+    compatibility,
     conductance,
     cut_stats,
     dirichlet_eigenvalues,
+    graph_incidence,
     inner_product_laplacian,
     neumann_eigenvalue,
     neumann_limit_experiment,
     normalized_inner_products,
     s_local_conductance,
+    semi_hodge,
     verify_cheeger,
     verify_eml,
     verify_eml_batch,
+    verify_radius_bound,
 )
 
 from conftest import (
@@ -627,6 +632,41 @@ def test_eml_batch_chunking_is_invisible(rng, monkeypatch):
     for chunk in (1, 24, 63, 200):
         monkeypatch.setattr(ipl.isoperimetry, "CUT_CHUNK", chunk)
         assert [verify_eml_batch(*case).values for case in cases] == whole
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_verifiers_read_the_spectra_and_omega_bit_for_bit():
+    # The verifiers take their eigenvalues from the eigh of the matrices that
+    # inner_product_laplacian and semi_hodge build, and omega as the max of
+    # compatibility's per-vertex ratios, without building either result.
+    rng = np.random.default_rng(30)
+    for trial in range(24):
+        n = 3 + trial % 8
+        g = random_connected_graph(rng, n, max_edges=12)
+        g = g.with_orientation([int(s) for s in rng.choice([-1, 1], g.m)])
+        m_v, m_e = normalized_inner_products(g)
+        if trial % 3 == 1:
+            m_v, m_e = random_spd(rng, n), random_spd(rng, g.m)
+        elif trial % 3 == 2:
+            m_e = _permuted_blocks(rng, [4] * (g.m // 4) + [g.m % 4] * (g.m % 4 > 0))
+        setup = IplSetup.from_graph(g, m_v, m_e)
+        spec = inner_product_laplacian(setup).eigenvalues
+        assert same_bits(_eigenvalues(_ipl_matrix(setup)), spec)
+        hodge = semi_hodge(graph_incidence(g), m_v, m_e).eigenvalues
+        omega = compatibility(g, m_v, m_e).omega
+        x, y = np.flatnonzero(rng.random(n) < 0.5).tolist(), np.flatnonzero(rng.random(n) < 0.5).tolist()
+        cheeger = verify_cheeger(g, m_v, m_e).values
+        radius = verify_radius_bound(g, m_v, m_e).values
+        eml = verify_eml(g, m_v, m_e, x, y).values
+        assert same_bits([cheeger["lambda_2"], cheeger["omega"]], [spec[1], omega])
+        assert same_bits([radius["lambda_max"], radius["omega"]], [hodge[-1], omega])
+        assert same_bits([eml["lambda_2"], eml["lambda_n"]], [spec[1], spec[-1]])
+        if n <= 7:
+            batch = verify_eml_batch(g, m_v, m_e).values
+            assert same_bits([batch["lambda_2"], batch["lambda_n"]], [spec[1], spec[-1]])
 
 
 def test_eml_mixing_example_needs_conformality_term():

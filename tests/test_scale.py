@@ -2,9 +2,9 @@
 
 Symmetry, the kernel of an inner product Laplacian, a kernel vector of a
 hypergraph Laplacian, the sign of a generalized spectrum, Neumann
-multiplicities and Dirichlet spectra are all unchanged when every weight is
-multiplied by one positive factor, so each test is relative to the
-magnitude it tests, at every scale.
+multiplicities, Dirichlet spectra and the Cheeger verdict are all unchanged
+when every weight is multiplied by one positive factor, so each test is
+relative to the magnitude it tests, at every scale.
 """
 
 import json
@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ipl.isoperimetry
 from ipl import (
     Graph,
     Hypergraph,
@@ -23,13 +24,15 @@ from ipl import (
     gen_eig,
     graph_incidence,
     hypergraph_to_ipl,
+    normalized_inner_products,
     semi_hodge,
     strong_conformality,
+    verify_cheeger,
     weak_conformality,
 )
 from ipl.isoperimetry import dirichlet_eigenvalues, neumann_eigenvalue
 
-from conftest import path_graph, random_connected_graph, random_spd
+from conftest import path_graph, random_connected_graph, random_spd, star_graph
 
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
 
@@ -95,6 +98,54 @@ def test_neumann_and_dirichlet_unchanged_by_scaling(c):
         vals = dirichlet_eigenvalues(weighted(g, c), s)
         assert len(vals) == len(s)
         np.testing.assert_allclose(vals, dirichlet_eigenvalues(g, s), rtol=1e-9, atol=1e-12)
+
+
+def cheeger_cases():
+    # K2 with identity inner products meets the upper bound exactly
+    # (lambda_2 = 2 phi); the rest are normalized, dense and diagonal pairs.
+    rng = np.random.default_rng(25)
+    cases = [(path_graph(2), SpdMatrix.identity(2), SpdMatrix.identity(1))]
+    for g in (path_graph(2), path_graph(5), star_graph(4)):
+        cases.append((g, *normalized_inner_products(g)))
+    for n in (4, 6, 8):
+        g = random_connected_graph(rng, n, max_edges=10)
+        g = g.with_orientation([int(s) for s in rng.choice([-1, 1], g.m)])
+        cases.append((g, random_spd(rng, n), random_spd(rng, g.m)))
+        cases.append((g, SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, n)), SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, g.m))))
+    return cases
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_cheeger_verdict_unchanged_by_scaling(c):
+    for g, m_v, m_e in cheeger_cases():
+        assert verify_cheeger(g, m_v, m_e).passed
+        for scaled_v, scaled_e in ((SpdMatrix(c * m_v.entries), m_e), (m_v, SpdMatrix(c * m_e.entries))):
+            rep = verify_cheeger(g, scaled_v, scaled_e)
+            assert rep.passed, (g, c, rep.values)
+
+
+def test_cheeger_tight_bound_at_a_tiny_vertex_mass():
+    # lambda_2 = upper = 2e15 on K2 with M_V = 1e-15 I, equal to a few ulps.
+    rep = verify_cheeger(path_graph(2), SpdMatrix(1e-15 * np.eye(2)), SpdMatrix.identity(1))
+    assert rep.passed, rep.values
+    assert abs(rep.values["upper_margin"]) <= 4 * np.spacing(2e15)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_cheeger_fails_a_violation_ten_times_its_rounding_bound(c, monkeypatch):
+    # On K2 with M_E = I and M_V = c I, rho = 0 makes upper exactly 2 phi, so
+    # a conductance phi' lowers upper to 2 phi'. The verifier's rounding
+    # bound is eps (n lambda_max + 64 (lower + upper)), with lambda_max =
+    # lambda_2 and lower = phi^2 / (2 omega) = upper / 4.
+    g, m_v, m_e = path_graph(2), SpdMatrix(c * np.eye(2)), SpdMatrix.identity(1)
+    lam2 = verify_cheeger(g, m_v, m_e).values["lambda_2"]
+    for factor, passed in ((10.0, False), (0.1, True)):
+        upper = lam2 * (1 - factor * np.finfo(float).eps * (2 + 64 * 1.25))
+        slack = np.finfo(float).eps * (2 * lam2 + 64 * (upper / 4 + upper))
+        assert lam2 - upper == pytest.approx(factor * slack, rel=0.1)
+        monkeypatch.setattr(ipl.isoperimetry, "conductance", lambda *args, **kwargs: (upper / 2, (0,), None))
+        rep = verify_cheeger(g, m_v, m_e)
+        assert (rep.values["upper"], rep.passed) == (upper, passed)
 
 
 @pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200, 1e-290, 1e-310])
