@@ -182,40 +182,6 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
     )
 
 
-def _split_features(a: np.ndarray, p: np.ndarray, lam: np.ndarray, grp: np.ndarray, sigma: np.ndarray):
-    """Features (F, G) with c^T a c - c_0^T a c_0 = F[x_H] @ G[:, x_L].
-
-    Item e's indicator is c_e = p_e(x_H) + q_e(x_H) lam_e(x_L), and c_0 is
-    its value at x_H = 0. q_e is 0 when grp[e] < 0 and sigma[:, grp[e]]
-    otherwise, sigma's column 0 being 1 and every other column a sign
-    1 - 2 x_h. Then c^T a c = p^T a p + 2 (q * a p)^T lam
-    + sum_{g, g'} sigma_g sigma_g' W_gg'(x_L), with W_gg' the form of lam on
-    the items of groups g and g'. All of it but the sum at x_H = 0 vanishes
-    at x_H = 0, and sigma_g^2 = 1, so the last sum contributes
-    (sigma_g sigma_g' - 1) 2 W_gg' for g < g' only, and only where a
-    couples the two groups. Items sharing lam share one feature.
-    """
-    ap = p @ a
-    lin = grp >= 0
-    f = np.column_stack([(ap * p).sum(axis=1), 2.0 * sigma[:, grp[lin]] * ap[:, lin]])
-    g = np.vstack([np.ones(len(lam)), lam[:, lin].T])
-    # g's rows are 0/1; equal rows (crossing edges at one low vertex, the
-    # pinned vertex and the constant) become one feature.
-    packed = np.packbits(g > 0, axis=1)
-    _, first, merge = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True
-    )
-    f, g = f @ (merge.reshape(-1, 1) == np.arange(len(first))), g[first]
-    member = grp[:, None] == np.arange(sigma.shape[1])
-    i, j = np.nonzero(np.triu(member.T.astype(float) @ (a != 0) @ member, 1))
-    if len(i):
-        w = np.stack([((lam[:, items] @ a[items]) * lam) @ member for items in member.T], axis=1)
-        f = np.column_stack([f, sigma[:, i] * sigma[:, j] - 1.0])
-        g = np.vstack([g, 2.0 * w[:, i, j].T])
-    keep = f.any(axis=0) & g.any(axis=1)
-    return f[:, keep], g[keep]
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=1, out=a)[:, -1]
 
@@ -229,7 +195,7 @@ def _complement_terms(mv: np.ndarray, cols) -> tuple[float, np.ndarray]:
     return float(np.sum(by_col[sel])), by_col.sum(axis=1)
 
 
-def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, total: float, r: np.ndarray) -> np.ndarray:
+def _cut_masses(rows: np.ndarray, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, total: float, r: np.ndarray) -> np.ndarray:
     """The reference (e_cut, vol, vol_comp) of each membership row, shape 3 x rows.
 
     vol = 1_X^T M_V 1_X, vol_comp = total - 2 1_X^T r + vol with the
@@ -239,16 +205,16 @@ def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, tota
     shape), so a row's values do not depend on the rows beside it.
     """
     u, v = g.ends
-    iv, jv = np.nonzero(mv)
-    ie, je = np.nonzero(me)
+    iv, jv, mv = m_v.nonzero
+    ie, je, me = m_e.nonzero
     # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
     step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
     out = np.empty((3, len(rows)))
     for lo in range(0, len(rows), step):
         x = rows[lo : lo + step]
         c = x[:, u] != x[:, v]
-        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv[iv, jv], 0.0))
-        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me[ie, je], 0.0))
+        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv, 0.0))
+        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me, 0.0))
         out[1, lo : lo + step] = vol
         out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
     return out
@@ -268,29 +234,68 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     of the cut whose membership row is high[i] | low[j].
 
     The rows low hold the low half L, the rows high the high half H, with
-    high[0] empty; ``tables`` are the masses of the low rows, folded in as a
-    feature. ``_split_features`` adds the rest, and vol_comp also takes
-    -2 1_X^T r on H.
+    high[0] empty; ``tables`` are the masses of the low rows, folded in as
+    the last feature. Every other G row is read off the graph: the
+    constant, x_l for a low vertex l, or x_u xor x_v for an LL edge (u, v).
+    A low vertex set in every low row (the pinned one) reads the constant,
+    and an edge with one low end l, crossing or leaving the columns, reads
+    x_l. A row's F sums 2 q_e (M p)_e over the items that read it, and only
+    items that M couples to an item with a high end have a nonzero one; the
+    constant's F also takes p^T M p (vol_comp: and -2 1_X^T r on H). Each
+    pair of edge groups i < j that M_E couples adds F = sigma_i sigma_j - 1
+    and G = 2 W_ij, summed over the items of group i from the products of
+    M_E with lam on the items of group j.
     """
+    n, m = g.n, g.m
     u, v = g.ends
-    in_low, h_cols = low.any(axis=0), np.flatnonzero(high.any(axis=0))
-    h_index = np.full(g.n, -1)
-    h_index[h_cols] = np.arange(1, len(h_cols) + 1)
-    # Edge groups: -1 with no low end (q = 0), 0 with no high end (q = 1),
-    # else 1 + the index of its high end (q = sigma of that end).
-    edge_grp = np.where(in_low[u] | in_low[v], np.maximum(h_index[u], h_index[v]).clip(0), -1)
-    sigma = np.column_stack([np.ones(len(high)), 1.0 - 2.0 * high[:, h_cols]])
+    mv, me = m_v.entries, m_e.entries
+    in_low, in_high = low.any(axis=0), high.any(axis=0)
+    src = np.vstack([np.ones((1, len(low)), bool), low.T, (low[:, u] != low[:, v]).T])
+    key_v = np.where(low.all(axis=0), 0, 1 + np.arange(n))
+    key_e = np.where(in_low[u] & in_low[v], 1 + n + np.arange(m), key_v[np.where(in_low[u], u, v)])
+    lin, has_high = in_low[u] | in_low[v], in_high[u] | in_high[v]
+    # Edge groups, shifted by one: 0 with no high end (q = 1), else 1 + the
+    # high end (q = sigma of that end, a column of sign).
+    grp = np.where(has_high, 1 + np.where(in_high[u], u, v), 0)
+    sign = np.hstack([np.ones((len(high), 1)), 1.0 - 2.0 * high])
+    rows, cols, _ = m_e.nonzero
     p_v = high.astype(float)
-    f_e, g_e = _split_features(
-        m_e.entries, (high[:, u] != high[:, v]).astype(float), (low[:, u] != low[:, v]).astype(float), edge_grp, sigma
-    )
-    f_v, g_v = _split_features(m_v.entries, p_v, low.astype(float), np.where(in_low, 0, -1), sigma)
-    one_h, one_l = np.ones((len(high), 1)), np.ones((1, len(low)))
-    return [
-        (np.hstack([f_e, one_h]), np.vstack([g_e, tables[0]])),
-        (np.hstack([f_v, one_h]), np.vstack([g_v, tables[1]])),
-        (np.hstack([f_v, -2.0 * (p_v @ r)[:, None], one_h]), np.vstack([g_v, one_l, tables[2]])),
-    ]
+    coupled = np.unique((grp[rows] * (n + 1) + grp[cols])[lin[rows] & lin[cols] & (grp[rows] > grp[cols])])
+    j, i = np.divmod(coupled, n + 1)
+    forms = []
+    for a, p, q, key, act, extra in (
+        (me, (high[:, u] != high[:, v]).astype(float), sign[:, grp], key_e, lin & (me[:, has_high] != 0).any(axis=1), len(i)),
+        (mv, p_v, 1.0, key_v, in_low & (mv[:, in_high] != 0).any(axis=1), 0),
+    ):
+        ap = p @ a
+        keys = np.unique(np.append(key[act], 0))
+        f, gl = np.empty((len(high), len(keys) + extra + 1)), np.empty((len(keys) + extra + 1, len(low)))
+        np.matmul(q * ap, 2.0 * ((key[:, None] == keys) & act[:, None]), out=f[:, : len(keys)])
+        f[:, 0] += (ap * p).sum(axis=1)
+        f[:, -1], gl[: len(keys)] = 1.0, src[keys]
+        forms.append((f, gl))
+    (f_e, g_e), (f_v, g_v) = forms
+    g_e[-1] = tables[0]
+    if len(i):
+        k = f_e.shape[1] - len(i) - 1
+        f_e[:, k:-1] = sign[:, i] * sign[:, j] - 1.0
+        items = np.flatnonzero(lin)
+        items = items[np.argsort(grp[items], kind="stable")]
+        bounds = np.searchsorted(grp[items], np.arange(n + 2))
+        a, lam = me[np.ix_(items, items)], src[key_e[items]].astype(float)
+        member = 2.0 * (grp[items] == np.arange(n + 1)[:, None])
+        cs, first = np.unique(j, return_index=True)
+        for c, lo, hi in zip(cs, first, np.append(first[1:], len(j))):
+            # 2 W_ic sums 2 lam_f y_f over the f of group i < c, y the sum
+            # of M_fe lam_e over the e of group c.
+            own = slice(bounds[c], bounds[c + 1])
+            y = a[: bounds[c], own] @ lam[own]
+            y *= lam[: bounds[c]]
+            np.matmul(member[i[lo:hi], : bounds[c]], y, out=g_e[k + lo : k + hi])
+    f_c, g_c = f_v.copy(), g_v.copy()
+    g_v[-1], g_c[-1] = tables[1], tables[2]
+    f_c[:, 0] -= 2.0 * (p_v @ r)
+    return [(f_e, g_e), (f_v, g_v), (f_c, g_c)]
 
 
 def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
@@ -396,7 +401,7 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
         if not exact:
             rows = rows[phi <= phi.min() * _widening(m_e, m_v, 0, 0)]
     if not exact:
-        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        e, vol, comp = _cut_masses(rows, g, m_v, m_e, total, r)
         phi = e / np.minimum(vol, comp)
     best = phi.min()
     ties = rows[phi == best]
@@ -460,7 +465,7 @@ def conductance(
     # Odd masks pin vertex 0 into S; the all-vertices mask 2^n - 1 is left out.
     for lo in range(1, (1 << n) - 1, 2 * CUT_CHUNK):
         rows = _subset_rows(np.arange(lo, min(lo + 2 * CUT_CHUNK, (1 << n) - 1), 2), n)
-        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        e, vol, comp = _cut_masses(rows, g, m_v, m_e, total, r)
         table.extend(
             {"subset": np.flatnonzero(row).tolist(), "e_cut": ec, "vol": vs, "vol_comp": vc, "phi": p}
             for row, ec, vs, vc, p in zip(
@@ -612,25 +617,25 @@ def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
 
 
 def _edge_word_tables(me: np.ndarray, coupled: np.ndarray, bits: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Code tables for the edge mass of the ``coupled`` edges.
+    """Lookups for the edge mass of the ``coupled`` edges.
 
-    The edges are cut into words of at most 8. Returns (ends, lookups):
-    ends[w] = (U_w, V_w) holds uint8 codes per subset mask, bit j of U_w[X]
-    set when the u endpoint of edge j of word w lies in X (V_w likewise).
-    ``_edge_mass(lookups, codes)`` then turns one code array per word,
-    together naming a set of coupled edges with indicator c, into
+    The edges are cut into words of at most 8; bit j of U_w[X] is set when
+    the u endpoint of edge j of word w lies in X (V_w likewise). A set of
+    coupled edges with indicator c, code c_w per word, has
 
         c^T M_E c = sum_w D_w[c_w] + sum_{w<x} C_wx[c_w, c_x],
 
     D_w[c] = bits(c)^T M_ww bits(c), C_wx[c, c'] = 2 bits(c)^T M_wx bits(c').
-    A lookup is (w, x, |x|, C_wx + folded D tables) indexed by
-    (c_w << |x|) | c_x, or (w, None, 0, D_w). C_wx is built only when M_wx
-    is nonzero, and each D_w is added into the first C_wx that has w.
+    C_wx is built only when M_wx is nonzero, and each D_w is added into the
+    first C_wx that has w. A lookup is (PU, PV, table): uint16 codes per
+    subset mask, PU[X] = (U_w[X] << |x|) | U_x[X] and PV likewise, with
+    C_wx + folded D tables indexed by (c_w << |x|) | c_x; or (U_w, V_w, D_w).
+    ``_edge_mass`` reads each table at one index per pair or set.
     """
     words = [coupled[i : i + 8] for i in range(0, len(coupled), 8)]
     code_bits = [_subset_rows(np.arange(1 << len(w)), len(w)).astype(float) for w in words]
     ends = [
-        tuple((bits[:, side[w]] @ (1 << np.arange(len(w)))).astype(np.uint8) for side in (u, v))
+        tuple((bits[:, side[w]] @ (1 << np.arange(len(w)))).astype(np.uint16) for side in (u, v))
         for w in words
     ]
     diag = [((cb @ me[np.ix_(w, w)]) * cb).sum(axis=1) for cb, w in zip(code_bits, words)]
@@ -644,19 +649,17 @@ def _edge_word_tables(me: np.ndarray, coupled: np.ndarray, bits: np.ndarray, u: 
                 if k in unfolded:
                     unfolded.remove(k)
                     table += np.expand_dims(diag[k], axis)
-            lookups.append((w, x, len(words[x]), table.ravel()))
-    lookups += [(w, None, 0, diag[w]) for w in sorted(unfolded)]
-    return ends, lookups
+            packed = ((hw << len(words[x])) | lw for hw, lw in zip(ends[w], ends[x]))
+            lookups.append((*packed, table.ravel()))
+    return lookups + [(*ends[w], diag[w]) for w in sorted(unfolded)]
 
 
-def _edge_mass(lookups, codes):
-    """Sum of the ``_edge_word_tables`` lookups at one code array per word."""
+def _edge_mass(lookups, index):
+    """Sum of the ``_edge_word_tables`` lookups, each table read at
+    index(PU, PV), added in lookup order to 0.0."""
     total = 0.0
-    for w, x, shift, table in lookups:
-        index = codes[w].astype(np.intp)
-        if x is not None:
-            index = (index << shift) | codes[x]
-        total = total + table.take(index)
+    for pu, pv, table in lookups:
+        total = total + table.take(index(pu, pv))
     return total
 
 
@@ -719,8 +722,7 @@ def verify_eml_batch(
     trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(me))
 
     count = 1 << n
-    masks = np.arange(count)
-    bits = _subset_rows(masks, n)
+    bits = _subset_rows(np.arange(count), n)
     s_float = bits.astype(float)
     c_float = 1.0 - s_float
     cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
@@ -730,19 +732,24 @@ def verify_eml_batch(
     u, v = g.ends
     form = -np.diag(m_e.quad(unsigned_incidence(g)))
     coupled = np.concatenate([np.arange(0), *m_e.blocks])
-    isolated = np.setdiff1d(np.arange(g.m), coupled)
+    isolated = np.ones(g.m, dtype=bool)
+    isolated[coupled] = False
+    # A simple graph has one edge per vertex pair, so no entry is added twice.
     w = np.diagonal(me)[isolated]
-    np.add.at(form, (u[isolated], v[isolated]), w)
-    np.add.at(form, (v[isolated], u[isolated]), w)
+    form[u[isolated], v[isolated]] += w
+    form[v[isolated], u[isolated]] += w
     r = mv.sum(axis=1)
     form += tau * (mv - np.outer(r, r) / vol_g)
     tables = _pair_tables(form)
-    ends, lookups = _edge_word_tables(me, coupled, bits, u, v)
-    inner_mass = _edge_mass(lookups, [uw & vw for uw, vw in ends]) if ends else None
+    lookups = _edge_word_tables(me, coupled, bits, u, v)
+    # The inner mass depends on X & Y alone: one table over subset masks.
+    inner_mass = _edge_mass(lookups, np.bitwise_and)
+    # Masks of n bits, as narrow as they fit, to index it by X & Y.
+    masks = np.arange(count, dtype=np.uint16 if n <= 16 else np.uint32)
 
     # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
     # complements share a margin: sweep the sets without vertex n - 1.
-    stop = count if ends else count >> 1
+    stop = count if lookups else count >> 1
     best = np.inf
     worst = None
     x0 = 1
@@ -750,9 +757,9 @@ def verify_eml_batch(
         x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
         xs, ys = slice(x0, x1), slice(x0, stop)
         lhs = _pair_rows(tables, xs, x0, stop)
-        if ends:
-            cut = [(uw[xs, None] & vw[ys]) | (vw[xs, None] & uw[ys]) for uw, vw in ends]
-            lhs += _edge_mass(lookups, cut) + inner_mass.take(masks[xs, None] & masks[ys])
+        if lookups:
+            cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
+            lhs += cut + inner_mass.take(masks[xs, None] & masks[ys])
         lhs = np.abs(lhs)
         margins = rhs_x[xs, None] * sqrt_cor[ys]
         margins += trace_term

@@ -30,7 +30,7 @@ import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
-from .linalg import ZERO_RTOL, SpdMatrix, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
 
 
@@ -114,7 +114,10 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
     or below ZERO_RTOL * lambda_max, a rule relative to the Laplacian's own
     scale, so scaling an inner product does not change the count."""
     matrix = 0.5 * (matrix + matrix.T)
-    vals, vecs = sym_eig(matrix)
+    # Exactly symmetric now, so sym_eig's check and second 0.5 (A + A^T)
+    # could change nothing: its eigh and sign fix alone.
+    vals, vecs = np.linalg.eigh(matrix)
+    vecs = _fix_signs(vecs)
     return SpectrumResult(
         matrix=matrix,
         eigenvalues=vals,

@@ -16,6 +16,8 @@ a diagonal M it uses (x * x) @ diag(M).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .complexes import _components
@@ -201,6 +203,16 @@ class SpdMatrix:
         """The ``blocks`` of each size as one (n, size) index array, by size;
         built once, for the eigensolve and for every weak-conformality scan."""
         return self._stacks
+
+    @cached_property
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero entries in row-major order,
+        read-only and built once, like ``Graph.incidence``."""
+        rows, cols = np.nonzero(self._entries)
+        out = (rows, cols, self._entries[rows, cols])
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     @property
     def is_diagonal(self) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 import ipl.isoperimetry
 from ipl.errors import CAPS
+from ipl.complexes import unsigned_incidence
 from ipl.isoperimetry import _vertex_boundary
 from ipl.laplacian import _eigenvalues, _ipl_matrix
 from ipl.linalg import sym_eig
@@ -321,6 +322,86 @@ def test_conductance_agrees_with_its_table(rng):
         assert list(witness) == min((r["subset"] for r in table if r["phi"] == best), key=tuple)
 
 
+def _split_and_reference(g, m_v, m_e, cols, pinned):
+    """Every cut of a split scan as (masses from the split forms, one product
+    per form; masses from _cut_masses; _widening's factor). The halves are
+    those of _cut_scan, which splits from SPLIT_MIN_BITS free columns."""
+    iso = ipl.isoperimetry
+    k = g.n if cols is None else len(cols)
+    b = k - (k - pinned) // 2
+    assert k - pinned >= iso.SPLIT_MIN_BITS
+    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
+    hi_masks = np.arange(1 << (k - b)) << b
+    low = iso._subset_rows(lo_masks, g.n, cols)
+    total, r = iso._complement_terms(m_v.entries, cols)
+    tables = iso._low_masses(g, m_v, m_e, low, total, r)
+    forms = iso._split_forms(g, m_v, m_e, low, iso._subset_rows(hi_masks, g.n, cols), tables, r)
+    split = np.array([(f @ gl).ravel() for f, gl in forms])
+    rows = iso._subset_rows((hi_masks[:, None] | lo_masks).ravel(), g.n, cols)
+    reference = iso._cut_masses(rows, g, m_v, m_e, total, r)
+    return split, reference, iso._widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
+
+
+def _graph_with(rng, n, max_edges, extra):
+    g = random_connected_graph(rng, n, max_edges=max_edges)
+    return Graph(labels=g.labels, edges=tuple(sorted(set(g.edges) | set(extra))))
+
+
+def test_split_values_within_the_widening_of_their_reference(rng):
+    # Each cut's split masses against its _cut_masses reference, over every
+    # cut of pinned scans (n = 13-18) and S-local ones (|S| = 12-14). Integral
+    # pairs match exactly, up to sum|M| just below 2^49. Otherwise both sides
+    # of a cut's phi lie within hi/lo of the exact one, so their ratio lies
+    # within sqrt of _widening's (hi/lo)^2. Among them are graphs where the
+    # pinned vertex 0 has crossing edges (the high half is the last
+    # (n - 1) // 2 vertices), so they read the constant row, and
+    # block-diagonal M_E coupling edges at several high vertices (pair
+    # features).
+    cases = []
+    g = _graph_with(rng, 13, 24, [(0, 11), (0, 12)])
+    cases.append((g, *normalized_inner_products(g), None))
+    g = random_connected_graph(rng, 14, max_edges=22)
+    cases.append((g, random_spd(rng, g.n), random_spd(rng, g.m), None))
+    g = _graph_with(rng, 15, 22, [(0, 14)])
+    cases.append((g, integer_spd(rng, g.n, 2**49), integer_spd(rng, g.m, 2**49), None))
+    assert all(np.abs(m.entries).sum() >= 2**48 for m in cases[-1][1:3])
+    g = _graph_with(rng, 16, 30, [(0, 9), (0, 15), (1, 9), (1, 15)])
+    blocks = _permuted_blocks(rng, [4, 5, 3] * (g.m // 12) + [1] * (g.m % 12))
+    cases.append((g, random_spd(rng, g.n), blocks, None))
+    g = _graph_with(rng, 17, 30, [(0, 16)])
+    blocks = _permuted_blocks(rng, [5] * (g.m // 5) + [1] * (g.m % 5))
+    cases.append((g, SpdMatrix.from_diagonal(rng.uniform(0.3, 3.0, g.n)), blocks, None))
+    g = _graph_with(rng, 18, 36, [(0, 12), (0, 17)])
+    cases.append((g, *normalized_inner_products(g), None))
+    for size in (12, 13, 14):
+        g = random_connected_graph(rng, 16, max_edges=30)
+        s = sorted(rng.choice(16, size, replace=False).tolist())
+        cases.append((g, *normalized_inner_products(g), s))
+        cases.append((g, random_spd(rng, g.n), _permuted_blocks(rng, [3] * (g.m // 3) + [1] * (g.m % 3)), s))
+    coupled_groups = 0
+    for g, m_v, m_e, cols in cases:
+        split, reference, widen = _split_and_reference(g, m_v, m_e, cols, pinned=cols is None)
+        if m_v.is_integral and m_e.is_integral:
+            assert np.array_equal(split, reference), (g.n, cols)
+            continue
+        # The empty set (unpinned scans) and C itself are no cuts.
+        cuts = slice(int(cols is not None), -1)
+        phi = [e[cuts] / np.minimum(vol, comp)[cuts] for e, vol, comp in (split, reference)]
+        ratio = phi[0] / phi[1]
+        assert 1.0 < widen < np.inf
+        assert np.all(ratio <= np.sqrt(widen)) and np.all(ratio >= 1.0 / np.sqrt(widen)), (g.n, cols)
+        # A block of M_E holding crossing edges at two high vertices couples
+        # their groups.
+        if cols is None:
+            high = np.arange(g.n) >= g.n - (g.n - 1) // 2
+            u, v = g.ends
+            crossing = high[u] != high[v]
+            for block in m_e.blocks:
+                ends = set(np.where(high[u], u, v)[block[crossing[block]]].tolist())
+                coupled_groups += len(ends) >= 2
+    assert coupled_groups >= 2
+
+
 def test_only_non_integral_scans_are_rescored(rng, monkeypatch):
     # One exactness rule on both paths: an integral pair of inner products
     # makes every scan value exact, so its scans call neither _widening nor
@@ -598,21 +679,127 @@ def test_eml_batch_code_words_and_cross_tables():
     masks = np.arange(1 << g.n)
     bits = ipl.isoperimetry._subset_rows(masks, g.n)
     u, v = g.ends
-    ends, lookups = ipl.isoperimetry._edge_word_tables(entries, coupled, bits, u, v)
-    assert len(ends) == 3
-    assert [(w, x) for w, x, _, _ in lookups] == [(1, 2), (0, None)]
+    lookups = ipl.isoperimetry._edge_word_tables(entries, coupled, bits, u, v)
+    # C_12 (codes of 8 + 4 bits, word 1's D folded in), then D_0 alone.
+    assert [len(table) for _, _, table in lookups] == [1 << 12, 1 << 8]
+    assert all(pu.dtype == pv.dtype == np.uint16 for pu, pv, _ in lookups)
     # Every pair's cut mass from the tables against the quadratic form.
     x, y = np.repeat(masks, len(masks)), np.tile(masks, len(masks))
-    codes = [(uw[x] & vw[y]) | (vw[x] & uw[y]) for uw, vw in ends]
     cut = ((bits[x][:, u] & bits[y][:, v]) | (bits[x][:, v] & bits[y][:, u])).astype(float)
     cut[:, 17] = 0.0
     np.testing.assert_allclose(
-        ipl.isoperimetry._edge_mass(lookups, codes), m_e.quad(cut), rtol=0, atol=1e-12 * np.abs(entries).sum()
+        ipl.isoperimetry._edge_mass(lookups, lambda pu, pv: (pu[x] & pv[y]) | (pv[x] & pu[y])),
+        m_e.quad(cut),
+        rtol=0,
+        atol=1e-12 * np.abs(entries).sum(),
     )
     m_v = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
     values = verify_eml_batch(g, m_v, m_e).values
     single = verify_eml(g, m_v, m_e, values["worst_x"], values["worst_y"], rho_e=values["rho_e"])
     assert abs(values["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, values)
+
+
+def _unpacked_margins(g, m_v, m_e, rho_e):
+    """The margin of every pair (X mask, Y mask), with the edge mass read the
+    unpacked way: one uint8 code per word and per set, and each lookup index
+    (c_w << |x|) | c_x formed in intp. The vertex form, its tables, the
+    correlations and every sum are formed as in verify_eml_batch, in the same
+    order, so each margin the sweep scores must come out with its bits."""
+    iso = ipl.isoperimetry
+    n = g.n
+    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
+    tau, gap = 0.5 * (vals[-1] + vals[1]), 0.5 * (vals[-1] - vals[1])
+    mv, me = m_v.entries, m_e.entries
+    vol_g = float(np.sum(mv))
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(me))
+    masks = np.arange(1 << n)
+    bits = iso._subset_rows(masks, n)
+    s = bits.astype(float)
+    cor = m_v.quad(s) * m_v.quad(1.0 - s) - ((s @ mv) * (1.0 - s)).sum(axis=1) ** 2
+    sqrt_cor = np.sqrt(np.clip(cor, 0.0, None))
+    u, v = g.ends
+    form = -np.diag(m_e.quad(unsigned_incidence(g)))
+    coupled = np.concatenate([np.arange(0), *m_e.blocks])
+    for e in np.setdiff1d(np.arange(g.m), coupled):
+        form[u[e], v[e]] += me[e, e]
+        form[v[e], u[e]] += me[e, e]
+    r = mv.sum(axis=1)
+    form += tau * (mv - np.outer(r, r) / vol_g)
+    high, low = iso._pair_tables(form)
+    h = n // 2
+    lhs = high[:, masks >> h] + low[:, masks & ((1 << h) - 1)]
+    lookups = iso._edge_word_tables(me, coupled, bits, u, v)
+    if lookups:
+        words = [coupled[i : i + 8] for i in range(0, len(coupled), 8)]
+        codes = [[(bits[:, side[w]] @ (1 << np.arange(len(w)))).astype(np.uint8) for side in (u, v)] for w in words]
+        # Lookup order: the coupled word pairs, then the words in none.
+        pairs = [
+            (w, x) for w, x in itertools.combinations(range(len(words)), 2) if np.any(me[np.ix_(words[w], words[x])])
+        ]
+        order = pairs + [(w, None) for w in range(len(words)) if all(w not in p for p in pairs)]
+        assert len(order) == len(lookups)
+        for (w, x), (pu, pv, _) in zip(order, lookups):
+            if x is not None:
+                packed = [(cw.astype(np.uint16) << len(words[x])) | cx for cw, cx in zip(codes[w], codes[x])]
+                assert np.array_equal(pu, packed[0]) and np.array_equal(pv, packed[1])
+
+        def edge_mass(code):
+            total = 0.0
+            for (w, x), (_, _, table) in zip(order, lookups):
+                index = code(w).astype(np.intp)
+                if x is not None:
+                    index = (index << len(words[x])) | code(x)
+                total = total + table.take(index)
+            return total
+
+        xs, ys = masks[:, None], masks[None, :]
+        cut = edge_mass(lambda w: (codes[w][0][xs] & codes[w][1][ys]) | (codes[w][1][xs] & codes[w][0][ys]))
+        lhs += cut + edge_mass(lambda w: codes[w][0] & codes[w][1]).take(xs & ys)
+    lhs = np.abs(lhs)
+    margins = (gap * sqrt_cor / vol_g)[:, None] * sqrt_cor
+    margins += trace_term
+    margins -= lhs
+    return margins, lhs, bool(lookups)
+
+
+def test_eml_batch_packed_codes_match_the_unpacked_sweep():
+    # The sweep's minimum and witness, bit for bit, against the full margin
+    # matrix scored with unpacked per-word codes, over the pairs it sweeps
+    # (X <= Y, X and Y nonempty, and without vertex n - 1 for an M_E that
+    # couples no edges). Inputs: n = 2-10; 17-24 coupled edges in three
+    # words, with cross-word lookups and, on K7, word 0 on its own; block,
+    # dense and diagonal M_E.
+    rng = np.random.default_rng(31)
+    k7 = complete_graph(7)
+    aligned = np.zeros((k7.m, k7.m))
+    start = 0
+    for size in (8, 9, 1, 3):
+        aligned[start : start + size, start : start + size] = random_spd(rng, size).entries
+        start += size
+    k8_24 = Graph(labels=tuple(f"v{i}" for i in range(8)), edges=complete_graph(8).edges[:24])
+    cases = [(k7, SpdMatrix(aligned)), (k8_24, _permuted_blocks(rng, [5, 5, 4, 4, 3, 2, 1]))]
+    g = _graph_with(rng, 10, 22, [(0, 9)])
+    cases.append((g, _permuted_blocks(rng, [4, 3] * (g.m // 7) + [1] * (g.m % 7))))
+    g = random_connected_graph(rng, 9, max_edges=17)
+    cases.append((g, _permuted_blocks(rng, [3, 2] * (g.m // 5) + [1] * (g.m % 5))))
+    for n in (2, 3, 5, 6):
+        g = random_connected_graph(rng, n, max_edges=9)
+        cases.append((g, random_spd(rng, g.m)))
+        cases.append((g, SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))))
+    assert [sum(len(b) for b in m_e.blocks) for _, m_e in cases[:2]] == [20, 23]
+    for trial, (g, m_e) in enumerate(cases):
+        m_v = random_spd(rng, g.n) if trial % 3 == 0 else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n))
+        v = verify_eml_batch(g, m_v, m_e).values
+        margins, lhs, coupled = _unpacked_margins(g, m_v, m_e, v["rho_e"])
+        n = g.n
+        stop = 1 << (n if coupled else n - 1)
+        swept = np.triu(np.ones((stop, stop), dtype=bool))
+        swept[0] = False
+        scored = np.where(swept, margins[:stop, :stop], np.inf)
+        x, y = divmod(int(np.argmin(scored)), stop)
+        assert same_bits(v["min_margin"], scored[x, y]), (trial, n)
+        assert (v["worst_x"], v["worst_y"]) == ([i for i in range(n) if x >> i & 1], [i for i in range(n) if y >> i & 1])
+        assert same_bits(v["worst_lhs"], lhs[x, y]), (trial, n)
 
 
 def test_eml_batch_chunking_is_invisible(rng, monkeypatch):

@@ -2,8 +2,9 @@
 
 They cover the package's import (no scipy) and ``--version``, the partition
 plan cache and the tr(P_S^2) screen of the weak-conformality scan, and
-end-to-end CLI checks: witnesses of split-scan, gadget and block ties, the
-pair sweep's caps and orbit rule, scale-free tolerances and the one-line
+end-to-end CLI checks: witnesses of split-scan, gadget and block ties, a
+dense split scan against its table, the pair sweep's caps and orbit rule and
+a dense one against ``verify eml``, scale-free tolerances and the one-line
 exit-2 messages. CLI calls run in-process through ``ipl.cli.main``; only
 ``--version``, the import check and the ``-W error`` run need a fresh
 interpreter. Inputs are written to a temporary directory.
@@ -133,6 +134,56 @@ def test_14_cycle_split_scan_witness_is_the_first_tied_cut():
     assert sum(float(row["phi"]) == 1 / 7 for row in rows) == 7, first
     assert r["witness_S"] == first["subset"].split(";") == [f"v{i}" for i in range(7)], (r, first)
     assert r["phi"] == float(first["phi"]) == 1 / 7, (r, first)
+
+
+def spd_json(rng, k):
+    # Dense SPD rows with eigenvalues in [0.5, 3], exactly symmetric.
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    a = (q * rng.uniform(0.5, 3.0, k)) @ q.T
+    return json.dumps({"rows": (0.5 * (a + a.T)).tolist()})
+
+
+def graph_json(rng, n, chords):
+    # The n-cycle plus distinct random chords.
+    v = [f"v{i}" for i in range(n)]
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < n + chords:
+        i, j = sorted(int(a) for a in rng.choice(n, 2, replace=False))
+        if (i, j) not in edges and (j, i) not in edges:
+            edges.add((i, j))
+    return json.dumps({"vertices": v, "edges": [[v[i], v[j]] for i, j in sorted(edges)]})
+
+
+def test_dense_split_scan_matches_its_table():
+    # Dense non-integer inner products at n = 14 take the split scan and
+    # the _cut_masses re-score of its candidates: phi and the witness are
+    # the least phi of the --table rows and its first row.
+    rng = np.random.default_rng(14)
+    with inputs(g=graph_json(rng, 14, 12), mv=spd_json(rng, 14), me=spd_json(rng, 26)) as f:
+        args = ("conductance", "--graph", f["g"], "--mv", f["mv"], "--me", f["me"])
+        r = result(*args)
+        rows = list(csv.DictReader(io.StringIO(passes(*args, "--table", "--csv"))))
+    first = min(rows, key=lambda row: float(row["phi"]))
+    print(r, len(rows))
+    assert len(rows) == 2**13 - 1, len(rows)
+    assert r["phi"] == float(first["phi"]) and r["witness_S"] == first["subset"].split(";"), (r, first)
+
+
+def test_dense_pair_sweep_worst_pair_reproduces():
+    # A dense M_E at n = 8: every edge coupled, so the sweep reads the edge
+    # mass from packed code tables. verify eml on its worst pair gives the
+    # same margin, up to the rounding of the magnitudes it adds up.
+    rng = np.random.default_rng(8)
+    mv, me = json.dumps({"rows": np.diag(rng.uniform(0.5, 2.0, 8)).tolist()}), spd_json(rng, 12)
+    with inputs(g=graph_json(rng, 8, 4), mv=mv, me=me) as f:
+        args = ("verify", "eml", "--graph", f["g"], "--mv", f["mv"], "--me", f["me"])
+        v = result(*args, "--batch")["values"]
+        labels = [",".join(f"v{i}" for i in v[k]) for k in ("worst_x", "worst_y")]
+        single = result(*args, "--x", labels[0], "--y", labels[1])["values"]
+    print(v["min_margin"], single["margin"])
+    scale = abs(v["worst_lhs"]) + abs(v["worst_rhs"]) + single["tau"] * single["vol_g"]
+    scale += float(np.abs(json.loads(me)["rows"]).sum())
+    assert abs(v["min_margin"] - single["margin"]) <= 1e-12 * scale, (v, single)
 
 
 def test_pair_sweep_past_the_pairs_cap_exits_two():
