@@ -248,53 +248,51 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     """
     n, m = g.n, g.m
     u, v = g.ends
-    mv, me = m_v.entries, m_e.entries
-    in_low, in_high = low.any(axis=0), high.any(axis=0)
+    # Rows in mask order: low[0] holds the columns set in every low row, and
+    # low[-1] and high[-1] hold every column of their half.
+    in_low, in_high = low[-1], high[-1]
     src = np.vstack([np.ones((1, len(low)), bool), low.T, (low[:, u] != low[:, v]).T])
-    key_v = np.where(low.all(axis=0), 0, 1 + np.arange(n))
+    key_v = np.where(low[0], 0, 1 + np.arange(n))
     key_e = np.where(in_low[u] & in_low[v], 1 + n + np.arange(m), key_v[np.where(in_low[u], u, v)])
     lin, has_high = in_low[u] | in_low[v], in_high[u] | in_high[v]
-    # Edge groups, shifted by one: 0 with no high end (q = 1), else 1 + the
-    # high end (q = sigma of that end, a column of sign).
-    grp = np.where(has_high, 1 + np.where(in_high[u], u, v), 0)
-    sign = np.hstack([np.ones((len(high), 1)), 1.0 - 2.0 * high])
-    rows, cols, _ = m_e.nonzero
+    # Edge groups: 0 with no high end (q = 1), else 1 + the high end (q =
+    # sigma of that end, 1 - 2 x_h); sign holds sigma per group.
+    group = np.where(has_high, 1 + np.where(in_high[u], u, v), 0)
+    member = (group == np.arange(n + 1)[:, None]) & lin
     p_v = high.astype(float)
-    coupled = np.unique((grp[rows] * (n + 1) + grp[cols])[lin[rows] & lin[cols] & (grp[rows] > grp[cols])])
-    j, i = np.divmod(coupled, n + 1)
+    sign = np.hstack([np.ones((len(high), 1)), 1.0 - 2.0 * p_v])
+    coupling = np.abs(m_e.entries)
+    # The pairs i < j of groups that M_E couples, in order of j.
+    j, i = np.nonzero(np.tril(member @ coupling @ member.T, -1))
     forms = []
-    for a, p, q, key, act, extra in (
-        (me, (high[:, u] != high[:, v]).astype(float), sign[:, grp], key_e, lin & (me[:, has_high] != 0).any(axis=1), len(i)),
-        (mv, p_v, 1.0, key_v, in_low & (mv[:, in_high] != 0).any(axis=1), 0),
+    for a, p, q, key, act, extra, table in (
+        (m_e.entries, np.abs(p_v @ g.incidence), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
+        (m_v.entries, p_v, 1.0, key_v, in_low & (np.abs(m_v.entries) @ in_high > 0), 0, tables[1]),
     ):
         ap = p @ a
         keys = np.unique(np.append(key[act], 0))
         f, gl = np.empty((len(high), len(keys) + extra + 1)), np.empty((len(keys) + extra + 1, len(low)))
         np.matmul(q * ap, 2.0 * ((key[:, None] == keys) & act[:, None]), out=f[:, : len(keys)])
         f[:, 0] += (ap * p).sum(axis=1)
-        f[:, -1], gl[: len(keys)] = 1.0, src[keys]
+        f[:, -1], gl[: len(keys)], gl[-1] = 1.0, src[keys], table
         forms.append((f, gl))
     (f_e, g_e), (f_v, g_v) = forms
-    g_e[-1] = tables[0]
     if len(i):
         k = f_e.shape[1] - len(i) - 1
         f_e[:, k:-1] = sign[:, i] * sign[:, j] - 1.0
-        items = np.flatnonzero(lin)
-        items = items[np.argsort(grp[items], kind="stable")]
-        bounds = np.searchsorted(grp[items], np.arange(n + 2))
-        a, lam = me[np.ix_(items, items)], src[key_e[items]].astype(float)
-        member = 2.0 * (grp[items] == np.arange(n + 1)[:, None])
+        # The items with a low end, by group.
+        group, items = np.nonzero(member)
+        bounds = np.searchsorted(group, np.arange(n + 2))
+        a, lam, twice = m_e.entries[np.ix_(items, items)], src[key_e[items]].astype(float), 2.0 * member[:, items]
         cs, first = np.unique(j, return_index=True)
         for c, lo, hi in zip(cs, first, np.append(first[1:], len(j))):
             # 2 W_ic sums 2 lam_f y_f over the f of group i < c, y the sum
             # of M_fe lam_e over the e of group c.
-            own = slice(bounds[c], bounds[c + 1])
-            y = a[: bounds[c], own] @ lam[own]
+            y = a[: bounds[c], bounds[c] : bounds[c + 1]] @ lam[bounds[c] : bounds[c + 1]]
             y *= lam[: bounds[c]]
-            np.matmul(member[i[lo:hi], : bounds[c]], y, out=g_e[k + lo : k + hi])
+            np.matmul(twice[i[lo:hi], : bounds[c]], y, out=g_e[k + lo : k + hi])
     f_c, g_c = f_v.copy(), g_v.copy()
-    g_v[-1], g_c[-1] = tables[1], tables[2]
-    f_c[:, 0] -= 2.0 * (p_v @ r)
+    f_c[:, 0], g_c[-1] = f_c[:, 0] - 2.0 * (p_v @ r), tables[2]
     return [(f_e, g_e), (f_v, g_v), (f_c, g_c)]
 
 
@@ -649,8 +647,7 @@ def _edge_word_tables(me: np.ndarray, coupled: np.ndarray, bits: np.ndarray, u: 
                 if k in unfolded:
                     unfolded.remove(k)
                     table += np.expand_dims(diag[k], axis)
-            packed = ((hw << len(words[x])) | lw for hw, lw in zip(ends[w], ends[x]))
-            lookups.append((*packed, table.ravel()))
+            lookups.append((*((hw << len(words[x])) | lw for hw, lw in zip(ends[w], ends[x])), table.ravel()))
     return lookups + [(*ends[w], diag[w]) for w in sorted(unfolded)]
 
 
@@ -732,9 +729,9 @@ def verify_eml_batch(
     u, v = g.ends
     form = -np.diag(m_e.quad(unsigned_incidence(g)))
     coupled = np.concatenate([np.arange(0), *m_e.blocks])
-    isolated = np.ones(g.m, dtype=bool)
-    isolated[coupled] = False
-    # A simple graph has one edge per vertex pair, so no entry is added twice.
+    # No off-diagonal entry in its row; a simple graph has one edge per
+    # vertex pair, so no entry of form is added twice.
+    isolated = np.count_nonzero(me, axis=1) == 1
     w = np.diagonal(me)[isolated]
     form[u[isolated], v[isolated]] += w
     form[v[isolated], u[isolated]] += w

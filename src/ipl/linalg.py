@@ -208,8 +208,8 @@ class SpdMatrix:
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries in row-major order,
         read-only and built once, like ``Graph.incidence``."""
-        rows, cols = np.nonzero(self._entries)
-        out = (rows, cols, self._entries[rows, cols])
+        at = np.nonzero(self._entries)
+        out = (*at, self._entries[at])
         for a in out:
             a.setflags(write=False)
         return out
