@@ -27,8 +27,12 @@ q_e q_f depends on x_H only through the signs 1 - 2 x_h of the edges' high
 ends. Grouping the edges by high end therefore leaves at most
 1 + |H| + |H|(|H| - 1)/2 features, and pairs of groups that M does not
 couple add none, so a diagonal M_E adds none at all. Each mass is then
-table[x_L] + F[x_H] @ G[:, x_L] (``_split_features``, ``_split_forms``):
-a tile of at most CUT_CHUNK cuts, high masks by low masks, costs three GEMMs.
+table[x_L] + F[x_H] @ G[:, x_L] (``_split_forms``), and every G row is read
+off the graph: the constant (which the pinned vertex and its crossing edges
+share), x_l per low vertex (shared by the crossing edges at l), x_u xor x_v
+per LL edge, and 2 W per coupled pair of groups, a segment sum over the
+edges of each group. A tile of at most CUT_CHUNK cuts, high masks by low
+masks, costs three GEMMs.
 
 Recheck rule, one for both paths. Below SPLIT_MIN_BITS free columns H is
 empty, and the scan is one batch of ``_low_masses`` over every cut; above
@@ -205,8 +209,8 @@ def _cut_masses(rows: np.ndarray, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, tota
     shape), so a row's values do not depend on the rows beside it.
     """
     u, v = g.ends
-    iv, jv, mv = m_v.nonzero
-    ie, je, me = m_e.nonzero
+    (iv, jv), (ie, je) = m_v.nonzero, m_e.nonzero
+    mv, me = m_v.entries[iv, jv], m_e.entries[ie, je]
     # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
     step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
     out = np.empty((3, len(rows)))
@@ -266,7 +270,7 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     j, i = np.nonzero(np.tril(member @ coupling @ member.T, -1))
     forms = []
     for a, p, q, key, act, extra, table in (
-        (m_e.entries, np.abs(p_v @ g.incidence), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
+        (m_e.entries, (high[:, u] != high[:, v]).astype(float), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
         (m_v.entries, p_v, 1.0, key_v, in_low & (np.abs(m_v.entries) @ in_high > 0), 0, tables[1]),
     ):
         ap = p @ a
@@ -303,7 +307,13 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
     Each value of a mass, split or reference, adds signed multiples of the
     entries of M (at most 9 of each, counted over all the terms) in chains of
     at most N = K + nnz + 3 dim additions, so it is off by at most
-    6 N eps sum|M|. A cut has e >= lambda_min(M_E) and
+    6 N eps sum|M|. A split value adds its K features' products F G, each
+    exact or one rounding of exact factors, and each factor chains at most
+    nnz + 3 dim: a table value (``_low_masses``) nnz + 2 dim + 2 (vol_comp:
+    the total over nnz entries, 2 x^T r and vol); an F 2 dim + 2 (M p, its
+    sum over the items of a row or with p, and -2 p^T r); a 2 W 2 dim (M lam
+    over one group, then 2 lam over the other); G's 0/1 rows and F's
+    sigma_i sigma_j - 1 are exact. A reference value chains nnz + 2 dim + 2. A cut has e >= lambda_min(M_E) and
     min(vol, vol_comp) >= lambda_min(M_V), so both of its values lie within
     [lo, hi] times its exact ratio, and a cut whose reference value is least
     has a split value within (hi/lo)^2 of the least split value.
@@ -682,9 +692,10 @@ def verify_eml_batch(
     - sum_{a in X cap Y} d_a is -diag(d) in F.
 
     The coupled edges go through ``_edge_word_tables`` and ``_edge_mass``:
-    a pair's cut code is (U_w[X] & V_w[Y]) | (V_w[X] & U_w[Y]) per word, and
-    the inner mass depends on X & Y only, so it is one table over subset
-    masks. The right-hand side uses Cor(X, X) as the Gram determinant
+    a pair's index into a table is (PU[X] & PV[Y]) | (PV[X] & PU[Y]) on its
+    codes packed per word pair, three integer operations and one ``take``.
+    The inner mass depends on X & Y only, so it is one table over subset
+    masks, read at X & Y in n-bit masks (uint16, uint32 past n = 16). The right-hand side uses Cor(X, X) as the Gram determinant
     Vol(X) Vol(Xc) - Vol(X, Xc)^2.
 
     When X or Y is {}, the edge terms and both correlations are 0, so the
@@ -756,8 +767,9 @@ def verify_eml_batch(
         lhs = _pair_rows(tables, xs, x0, stop)
         if lookups:
             cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
-            lhs += cut + inner_mass.take(masks[xs, None] & masks[ys])
-        lhs = np.abs(lhs)
+            cut += inner_mass.take(masks[xs, None] & masks[ys])
+            lhs += cut
+        lhs = np.abs(lhs, out=lhs)
         margins = rhs_x[xs, None] * sqrt_cor[ys]
         margins += trace_term
         margins -= lhs

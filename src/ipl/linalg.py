@@ -205,11 +205,11 @@ class SpdMatrix:
         return self._stacks
 
     @cached_property
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzero entries in row-major order,
-        read-only and built once, like ``Graph.incidence``."""
-        at = np.nonzero(self._entries)
-        out = (*at, self._entries[at])
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major (rows, cols) of the nonzero entries, read-only and built
+        once, like ``Graph.incidence``, in the narrowest unsigned type that
+        holds dim - 1 (uint8 up to dim 256)."""
+        out = tuple(a.astype(np.min_scalar_type(self.dim - 1)) for a in np.nonzero(self._entries))
         for a in out:
             a.setflags(write=False)
         return out
