@@ -199,7 +199,7 @@ def _complement_terms(mv: np.ndarray, cols) -> tuple[float, np.ndarray]:
     return float(np.sum(by_col[sel])), by_col.sum(axis=1)
 
 
-def _cut_masses(rows: np.ndarray, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, total: float, r: np.ndarray) -> np.ndarray:
+def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, total: float, r: np.ndarray) -> np.ndarray:
     """The reference (e_cut, vol, vol_comp) of each membership row, shape 3 x rows.
 
     vol = 1_X^T M_V 1_X, vol_comp = total - 2 1_X^T r + vol with the
@@ -209,16 +209,16 @@ def _cut_masses(rows: np.ndarray, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, tota
     shape), so a row's values do not depend on the rows beside it.
     """
     u, v = g.ends
-    (iv, jv), (ie, je) = m_v.nonzero, m_e.nonzero
-    mv, me = m_v.entries[iv, jv], m_e.entries[ie, je]
+    iv, jv = np.nonzero(mv)
+    ie, je = np.nonzero(me)
     # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
     step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
     out = np.empty((3, len(rows)))
     for lo in range(0, len(rows), step):
         x = rows[lo : lo + step]
         c = x[:, u] != x[:, v]
-        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv, 0.0))
-        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me, 0.0))
+        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv[iv, jv], 0.0))
+        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me[ie, je], 0.0))
         out[1, lo : lo + step] = vol
         out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
     return out
@@ -409,7 +409,7 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
         if not exact:
             rows = rows[phi <= phi.min() * _widening(m_e, m_v, 0, 0)]
     if not exact:
-        e, vol, comp = _cut_masses(rows, g, m_v, m_e, total, r)
+        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
         phi = e / np.minimum(vol, comp)
     best = phi.min()
     ties = rows[phi == best]
@@ -473,7 +473,7 @@ def conductance(
     # Odd masks pin vertex 0 into S; the all-vertices mask 2^n - 1 is left out.
     for lo in range(1, (1 << n) - 1, 2 * CUT_CHUNK):
         rows = _subset_rows(np.arange(lo, min(lo + 2 * CUT_CHUNK, (1 << n) - 1), 2), n)
-        e, vol, comp = _cut_masses(rows, g, m_v, m_e, total, r)
+        e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
         table.extend(
             {"subset": np.flatnonzero(row).tolist(), "e_cut": ec, "vol": vs, "vol_comp": vc, "phi": p}
             for row, ec, vs, vc, p in zip(

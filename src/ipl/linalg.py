@@ -16,8 +16,6 @@ a diagonal M it uses (x * x) @ diag(M).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .complexes import _components
@@ -203,16 +201,6 @@ class SpdMatrix:
         """The ``blocks`` of each size as one (n, size) index array, by size;
         built once, for the eigensolve and for every weak-conformality scan."""
         return self._stacks
-
-    @cached_property
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major (rows, cols) of the nonzero entries, read-only and built
-        once, like ``Graph.incidence``, in the narrowest unsigned type that
-        holds dim - 1 (uint8 up to dim 256)."""
-        out = tuple(a.astype(np.min_scalar_type(self.dim - 1)) for a in np.nonzero(self._entries))
-        for a in out:
-            a.setflags(write=False)
-        return out
 
     @property
     def is_diagonal(self) -> bool:

@@ -338,7 +338,7 @@ def _split_and_reference(g, m_v, m_e, cols, pinned):
     forms = iso._split_forms(g, m_v, m_e, low, iso._subset_rows(hi_masks, g.n, cols), tables, r)
     split = np.array([(f @ gl).ravel() for f, gl in forms])
     rows = iso._subset_rows((hi_masks[:, None] | lo_masks).ravel(), g.n, cols)
-    reference = iso._cut_masses(rows, g, m_v, m_e, total, r)
+    reference = iso._cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
     return split, reference, iso._widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
 
 
