@@ -769,7 +769,7 @@ def verify_eml_batch(
             cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
             cut += inner_mass.take(masks[xs, None] & masks[ys])
             lhs += cut
-        lhs = np.abs(lhs, out=lhs)
+        lhs = np.abs(lhs)
         margins = rhs_x[xs, None] * sqrt_cor[ys]
         margins += trace_term
         margins -= lhs
