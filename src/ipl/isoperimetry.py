@@ -255,13 +255,14 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     # Rows in mask order: low[0] holds the columns set in every low row, and
     # low[-1] and high[-1] hold every column of their half.
     in_low, in_high = low[-1], high[-1]
+    (low_u, low_v), (high_u, high_v) = in_low[g.ends], in_high[g.ends]
     src = np.vstack([np.ones((1, len(low)), bool), low.T, (low[:, u] != low[:, v]).T])
     key_v = np.where(low[0], 0, 1 + np.arange(n))
-    key_e = np.where(in_low[u] & in_low[v], 1 + n + np.arange(m), key_v[np.where(in_low[u], u, v)])
-    lin, has_high = in_low[u] | in_low[v], in_high[u] | in_high[v]
+    key_e = np.where(low_u & low_v, 1 + n + np.arange(m), key_v[np.where(low_u, u, v)])
+    lin, has_high = low_u | low_v, high_u | high_v
     # Edge groups: 0 with no high end (q = 1), else 1 + the high end (q =
     # sigma of that end, 1 - 2 x_h); sign holds sigma per group.
-    group = np.where(has_high, 1 + np.where(in_high[u], u, v), 0)
+    group = np.where(has_high, 1 + np.where(high_u, u, v), 0)
     member = (group == np.arange(n + 1)[:, None]) & lin
     p_v = high.astype(float)
     sign = np.hstack([np.ones((len(high), 1)), 1.0 - 2.0 * p_v])
