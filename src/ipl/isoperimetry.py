@@ -609,11 +609,19 @@ def _pair_tables(a: np.ndarray):
     h = n // 2, for every pair of subset masks of the n x n matrix a.
 
     A pair's value is that one addition wherever ``_pair_rows`` reads it, so
-    it does not depend on how the pairs are chunked.
+    it does not depend on how the pairs are chunked. Each table holds the
+    sums of ``_subset_sums`` over the columns of x_form, in the same order,
+    built with the Y mask first: each step adds one contiguous block.
     """
-    x_form = _subset_sums(a.T).T
+    x_form = _subset_sums(a.T)
     h = len(a) // 2
-    return _subset_sums(x_form[:, h:]), _subset_sums(x_form[:, :h])
+    tables = []
+    for cols in (x_form[h:], x_form[:h]):
+        t = np.zeros((1 << len(cols), x_form.shape[1]))
+        for j, col in enumerate(cols):
+            np.add(t[: 1 << j], col, out=t[1 << j : 2 << j])
+        tables.append(np.ascontiguousarray(t.T))
+    return tables
 
 
 def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
