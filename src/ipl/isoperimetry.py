@@ -615,13 +615,11 @@ def _pair_tables(a: np.ndarray):
     """
     x_form = _subset_sums(a.T)
     h = len(a) // 2
-    tables = []
-    for cols in (x_form[h:], x_form[:h]):
-        t = np.zeros((1 << len(cols), x_form.shape[1]))
+    tables = [np.zeros((1 << k, x_form.shape[1])) for k in (len(a) - h, h)]
+    for t, cols in zip(tables, (x_form[h:], x_form[:h])):
         for j, col in enumerate(cols):
             np.add(t[: 1 << j], col, out=t[1 << j : 2 << j])
-        tables.append(np.ascontiguousarray(t.T))
-    return tables
+    return [np.ascontiguousarray(t.T) for t in tables]
 
 
 def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
