@@ -250,15 +250,14 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     and G = 2 W_ij, summed over the items of group i from the products of
     M_E with lam on the items of group j.
     """
-    n, m = g.n, g.m
-    u, v = g.ends
+    n, (u, v) = g.n, g.ends
     # Rows in mask order: low[0] holds the columns set in every low row, and
     # low[-1] and high[-1] hold every column of their half.
     in_low, in_high = low[-1], high[-1]
     (low_u, low_v), (high_u, high_v) = in_low[g.ends], in_high[g.ends]
     src = np.vstack([np.ones((1, len(low)), bool), low.T, (low[:, u] != low[:, v]).T])
     key_v = np.where(low[0], 0, 1 + np.arange(n))
-    key_e = np.where(low_u & low_v, 1 + n + np.arange(m), key_v[np.where(low_u, u, v)])
+    key_e = np.where(low_u & low_v, 1 + n + np.arange(len(u)), key_v[np.where(low_u, u, v)])
     lin, has_high = low_u | low_v, high_u | high_v
     # Edge groups: 0 with no high end (q = 1), else 1 + the high end (q =
     # sigma of that end, 1 - 2 x_h); sign holds sigma per group.
@@ -611,15 +610,19 @@ def _pair_tables(a: np.ndarray):
     A pair's value is that one addition wherever ``_pair_rows`` reads it, so
     it does not depend on how the pairs are chunked. Each table holds the
     sums of ``_subset_sums`` over the columns of x_form, in the same order,
-    built with the Y mask first: each step adds one contiguous block.
+    built with the Y mask first, so each step adds one contiguous block, in
+    one buffer for both.
     """
     x_form = _subset_sums(a.T)
     h = len(a) // 2
-    tables = [np.zeros((1 << k, x_form.shape[1])) for k in (len(a) - h, h)]
-    for t, cols in zip(tables, (x_form[h:], x_form[:h])):
+    t = np.empty((1 << (len(a) - h), x_form.shape[1]))
+    tables = []
+    for cols in (x_form[h:], x_form[:h]):
+        t[0] = 0.0
         for j, col in enumerate(cols):
             np.add(t[: 1 << j], col, out=t[1 << j : 2 << j])
-    return [np.ascontiguousarray(t.T) for t in tables]
+        tables.append(np.ascontiguousarray(t[: 1 << len(cols)].T))
+    return tables
 
 
 def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
@@ -750,9 +753,8 @@ def verify_eml_batch(
     # No off-diagonal entry in its row; a simple graph has one edge per
     # vertex pair, so no entry of form is added twice.
     isolated = np.count_nonzero(me, axis=1) == 1
-    w = np.diagonal(me)[isolated]
-    form[u[isolated], v[isolated]] += w
-    form[v[isolated], u[isolated]] += w
+    for a, b in ((u, v), (v, u)):
+        form[a[isolated], b[isolated]] += np.diagonal(me)[isolated]
     r = mv.sum(axis=1)
     form += tau * (mv - np.outer(r, r) / vol_g)
     tables = _pair_tables(form)
