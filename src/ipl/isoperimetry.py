@@ -270,7 +270,7 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     j, i = np.nonzero(np.tril(member @ coupling @ member.T, -1))
     forms = []
     for a, p, q, key, act, extra, table in (
-        (m_e.entries, (high[:, u] != high[:, v]).astype(float), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
+        (m_e.entries, np.abs(p_v[:, u] - p_v[:, v]), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
         (m_v.entries, p_v, 1.0, key_v, in_low & (np.abs(m_v.entries) @ in_high > 0), 0, tables[1]),
     ):
         ap = p @ a
@@ -285,8 +285,8 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
         k = f_e.shape[1] - len(i) - 1
         f_e[:, k:-1] = sign[:, i] * sign[:, j] - 1.0
         # The items with a low end, by group.
-        group, items = np.nonzero(member)
-        bounds = np.searchsorted(group, np.arange(n + 2))
+        item_group, items = np.nonzero(member)
+        bounds = np.searchsorted(item_group, np.arange(n + 2))
         a, lam, twice = m_e.entries[np.ix_(items, items)], src[key_e[items]].astype(float), 2.0 * member[:, items]
         cs, first = np.unique(j, return_index=True)
         for c, lo, hi in zip(cs, first, np.append(first[1:], len(j))):
@@ -313,10 +313,11 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
     the total over nnz entries, 2 x^T r and vol); an F 2 dim + 2 (M p, its
     sum over the items of a row or with p, and -2 p^T r); a 2 W 2 dim (M lam
     over one group, then 2 lam over the other); G's 0/1 rows and F's
-    sigma_i sigma_j - 1 are exact. A reference value chains nnz + 2 dim + 2. A cut has e >= lambda_min(M_E) and
-    min(vol, vol_comp) >= lambda_min(M_V), so both of its values lie within
-    [lo, hi] times its exact ratio, and a cut whose reference value is least
-    has a split value within (hi/lo)^2 of the least split value.
+    sigma_i sigma_j - 1 are exact. A reference value chains nnz + 2 dim + 2.
+    A cut has e >= lambda_min(M_E) and min(vol, vol_comp) >= lambda_min(M_V),
+    so both of its values lie within [lo, hi] times its exact ratio, and a
+    cut whose reference value is least has a split value within (hi/lo)^2 of
+    the least split value.
     """
     eps = np.finfo(float).eps
     rel = []
@@ -705,7 +706,8 @@ def verify_eml_batch(
     a pair's index into a table is (PU[X] & PV[Y]) | (PV[X] & PU[Y]) on its
     codes packed per word pair, three integer operations and one ``take``.
     The inner mass depends on X & Y only, so it is one table over subset
-    masks, read at X & Y in n-bit masks (uint16, uint32 past n = 16). The right-hand side uses Cor(X, X) as the Gram determinant
+    masks, read at X & Y in n-bit masks (uint16, uint32 past n = 16). The
+    right-hand side uses Cor(X, X) as the Gram determinant
     Vol(X) Vol(Xc) - Vol(X, Xc)^2.
 
     When X or Y is {}, the edge terms and both correlations are 0, so the

@@ -114,8 +114,8 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
     or below ZERO_RTOL * lambda_max, a rule relative to the Laplacian's own
     scale, so scaling an inner product does not change the count."""
     matrix = 0.5 * (matrix + matrix.T)
-    # Exactly symmetric now, so sym_eig's check and second 0.5 (A + A^T)
-    # could change nothing: its eigh and sign fix alone.
+    # Exactly symmetric now: a symmetry check or a second symmetrization
+    # could change nothing, so only eigh and the sign fix remain.
     vals, vecs = np.linalg.eigh(matrix)
     vecs = _fix_signs(vecs)
     return SpectrumResult(
