@@ -611,19 +611,16 @@ def _pair_tables(a: np.ndarray):
     A pair's value is that one addition wherever ``_pair_rows`` reads it, so
     it does not depend on how the pairs are chunked. Each table holds the
     sums of ``_subset_sums`` over the columns of x_form, in the same order,
-    built with the Y mask first, so each step adds one contiguous block, in
-    one buffer for both.
+    built with the Y mask first, so each step adds one contiguous block, then
+    copied to X-major order for ``_pair_rows``.
     """
     x_form = _subset_sums(a.T)
     h = len(a) // 2
-    t = np.empty((1 << (len(a) - h), x_form.shape[1]))
-    tables = []
-    for cols in (x_form[h:], x_form[:h]):
-        t[0] = 0.0
+    tables = [np.zeros((1 << k, x_form.shape[1])) for k in (len(a) - h, h)]
+    for t, cols in zip(tables, (x_form[h:], x_form[:h])):
         for j, col in enumerate(cols):
             np.add(t[: 1 << j], col, out=t[1 << j : 2 << j])
-        tables.append(np.ascontiguousarray(t[: 1 << len(cols)].T))
-    return tables
+    return [np.ascontiguousarray(t.T) for t in tables]
 
 
 def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
