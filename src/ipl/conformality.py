@@ -216,12 +216,15 @@ def _subset_rows(masks: np.ndarray, n: int, cols=None) -> np.ndarray:
 
 
 def _subset_sums(a: np.ndarray) -> np.ndarray:
-    """out[..., mask] = the sum of a[..., j] over the set bits j of mask, for
-    every mask below 2^(last dimension of a), added in increasing j."""
-    out = np.zeros(a.shape[:-1] + (1 << a.shape[-1],))
-    for j in range(a.shape[-1]):
-        np.add(out[..., : 1 << j], a[..., j : j + 1], out=out[..., 1 << j : 2 << j])
-    return out
+    """out[i, mask] = the sum of a[i, j] over the set bits j of mask, for
+    every row i of the 2-D a and every mask below 2^(its column count),
+    added in increasing j. The table is built with the mask axis first, so
+    each step adds one contiguous block, then copied to C order (no copy
+    for one row, whose transpose is already C-contiguous)."""
+    out = np.zeros((1 << a.shape[1], len(a)))
+    for j, col in enumerate(a.T):
+        np.add(out[: 1 << j], col, out=out[1 << j : 2 << j])
+    return np.ascontiguousarray(out.T)
 
 
 def _first_set(rows: np.ndarray) -> int:

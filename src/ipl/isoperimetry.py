@@ -68,14 +68,16 @@ diagonal M_E, complementing either) is scored once, at its first pair in
 (X mask, Y mask) order, and the witness is the first scored pair whose
 margin equals the minimum.
 
-The verifiers read the Laplacian's eigenvalues only, from
-``laplacian._eigenvalues`` (the ``eigh`` of ``inner_product_laplacian``,
-bit for bit, without its eigenvectors), and omega as the max of the
-per-vertex ratios. ``verify_cheeger`` allows for the rounding of its two
-comparisons relative to what they compare: eigh's backward error,
-n eps lambda_max, plus 64 eps of lower + upper for the products that form
-the bounds. So scaling an inner product changes none of its verdicts. The
-mixing verifiers still allow an absolute 1e-9.
+The verifiers read the Laplacian's eigenvalues only: ``_graph_eigenvalues``
+hands the matrix of ``laplacian._semi_hodge_matrix`` (the one builder of
+the Laplacian, which ``inner_product_laplacian`` and the Neumann
+epsilon-sweep call too) to ``laplacian._eigenvalues``, the ``eigh`` of
+``inner_product_laplacian`` bit for bit, without its eigenvectors. Omega is
+the max of the per-vertex ratios. ``verify_cheeger`` allows for the
+rounding of its two comparisons relative to what they compare: eigh's
+backward error, n eps lambda_max, plus 64 eps of lower + upper for the
+products that form the bounds. So scaling an inner product changes none of
+its verdicts. The mixing verifiers still allow an absolute 1e-9.
 """
 
 from __future__ import annotations
@@ -89,11 +91,10 @@ from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
-    IplSetup,
     SpectrumResult,
     _classical_inner_products,
     _eigenvalues,
-    _ipl_matrix,
+    _semi_hodge_matrix,
     _spectrum,
     _vertex_ratios,
     check_graph_inner_products,
@@ -106,14 +107,22 @@ from .report import VerificationReport, to_plain
 CUT_CHUNK = 1 << 14
 # Free membership bits from which a cut scan splits its columns into two
 # halves of balanced size; below it the split costs more than it saves
-# (measured crossover: n = 12 to 13 for conductance).
-SPLIT_MIN_BITS = 12
+# (measured crossover: n = 11 to 12 for conductance, |S| = 10 to 11 for
+# the local conductance).
+SPLIT_MIN_BITS = 11
 DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 
 
 def normalized_inner_products(g: Graph) -> tuple[SpdMatrix, SpdMatrix]:
     """Degree diagonal on vertices, identity on edges (the default pair)."""
     return _classical_inner_products("normalized", g)
+
+
+def _graph_eigenvalues(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """The eigenvalues of the graph's inner product Laplacian, as
+    ``_eigenvalues`` reads them, once the inner products fit the graph."""
+    check_graph_inner_products(g, m_v, m_e)
+    return _eigenvalues(_semi_hodge_matrix(g.incidence, m_v.inv_sqrt_entries, m_e.entries))
 
 
 def _indicator(n: int, subset) -> np.ndarray:
@@ -502,7 +511,7 @@ def verify_cheeger(
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
-    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
+    vals = _graph_eigenvalues(g, m_v, m_e)
     lam2 = float(vals[1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
@@ -553,7 +562,7 @@ def verify_eml(
     """
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e))) if spectrum is None else spectrum.eigenvalues
+    vals = _graph_eigenvalues(g, m_v, m_e) if spectrum is None else spectrum.eigenvalues
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
     lam1 = float(vals[0])
@@ -609,18 +618,13 @@ def _pair_tables(a: np.ndarray):
     h = n // 2, for every pair of subset masks of the n x n matrix a.
 
     A pair's value is that one addition wherever ``_pair_rows`` reads it, so
-    it does not depend on how the pairs are chunked. Each table holds the
-    sums of ``_subset_sums`` over the columns of x_form, in the same order,
-    built with the Y mask first, so each step adds one contiguous block, then
-    copied to X-major order for ``_pair_rows``.
+    it does not depend on how the pairs are chunked. x_form[X, i] is
+    1_X^T a e_i, and each table is the ``_subset_sums`` of one half of its
+    columns, X-major as ``_pair_rows`` reads it.
     """
-    x_form = _subset_sums(a.T)
+    x_form = _subset_sums(a.T).T
     h = len(a) // 2
-    tables = [np.zeros((1 << k, x_form.shape[1])) for k in (len(a) - h, h)]
-    for t, cols in zip(tables, (x_form[h:], x_form[:h])):
-        for j, col in enumerate(cols):
-            np.add(t[: 1 << j], col, out=t[1 << j : 2 << j])
-    return [np.ascontiguousarray(t.T) for t in tables]
+    return [_subset_sums(x_form[:, cols]) for cols in (slice(h, None), slice(h))]
 
 
 def _pair_rows(tables, xs, y0: int, stop: int) -> np.ndarray:
@@ -728,7 +732,7 @@ def verify_eml_batch(
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
+    vals = _graph_eigenvalues(g, m_v, m_e)
     rho_e = weak_conformality_value(m_e, force=force)
     lam2 = float(vals[1])
     lam_n = float(vals[-1])
@@ -934,13 +938,12 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     eigenvalue and the harmonic eigenvector restricted to subset+boundary,
     sign-aligned step to step, and stops early, as a failure, if a vertex
     mass underflows to 0 or the kernel stops being one-dimensional. Both
-    inner products are diagonal, so each step forms the product of
-    ``inner_product_laplacian``, Q^-1 B diag(w) B^T Q^-1 with Q^-1 =
-    diag(M_V)^(-1/2), straight from them and without an ``SpdMatrix``:
-    vertex masses of order epsilon^2 two steps from the subset need no
-    positive-definiteness check. ``vector_gap`` is the largest entry of the
-    last vector's residual after projection onto the lambda_S eigenspace,
-    in the degree-weighted inner product on the subset.
+    inner products are diagonal, so each step hands ``_semi_hodge_matrix``
+    the arrays Q^-1 = diag(mass)^(-1/2) and diag(w), without an
+    ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
+    subset need no positive-definiteness check. ``vector_gap`` is the
+    largest entry of the last vector's residual after projection onto the
+    lambda_S eigenspace, in the degree-weighted inner product on the subset.
     """
     direct = neumann_eigenvalue(g, subset)
     if epsilon_schedule is None:
@@ -970,7 +973,7 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
             failures.append(f"epsilon={eps:g}: a vertex mass underflows to 0")
             break
         q_inv = np.diag(1.0 / np.sqrt(mass))
-        spec = _spectrum(q_inv @ b @ np.diag(w) @ b.T @ q_inv, q_inv)
+        spec = _spectrum(_semi_hodge_matrix(b, q_inv, np.diag(w)), q_inv)
         if spec.zero_multiplicity != 1:
             failures.append(
                 f"epsilon={eps:g}: kernel dimension {spec.zero_multiplicity} != 1"

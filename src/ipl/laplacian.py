@@ -11,15 +11,19 @@ unsigned incidence matrices, which covers the signless variants and
 hypergraphs. Diagonal inner product choices recover the combinatorial,
 normalized, and signless Laplacians exactly.
 
-The theorem verifiers (``verify_radius_bound`` here; ``verify_cheeger``,
+``_semi_hodge_matrix`` is the one builder of the product Q^{-1} B M B^T Q^{-1}:
+``semi_hodge``, the upper term of ``inner_product_laplacian``, the theorem
+verifiers and each step of the Neumann epsilon-sweep in ``isoperimetry``
+call it. The verifiers (``verify_radius_bound`` here; ``verify_cheeger``,
 ``verify_eml`` and ``verify_eml_batch`` in ``isoperimetry``) read
 eigenvalues only. ``_eigenvalues`` takes them from the same ``eigh`` of the
-same symmetrized matrix, built by ``_ipl_matrix`` or ``_semi_hodge_matrix``,
-that ``inner_product_laplacian`` and ``semi_hodge`` decompose, so they agree
-bit for bit, without the sign fix, eigenvectors or kernel count of a
-``SpectrumResult``. Their omega is the max of ``_vertex_ratios``, the array
-that ``compatibility`` lists per vertex. A ``Graph`` holds its signed
-incidence once, read-only, so no verifier builds it twice.
+same symmetrized matrix that ``inner_product_laplacian`` and ``semi_hodge``
+decompose, so they agree bit for bit, without the sign fix, eigenvectors or
+kernel count of a ``SpectrumResult``. Their omega is the max of
+``_vertex_ratios``, the array that ``compatibility`` lists per vertex. A
+``Graph`` holds its signed incidence once, read-only, so no verifier builds
+it twice. ``IplSetup`` pairs a chain complex with its inner products, for
+the Laplacian at any dimension and its Hodge decomposition.
 """
 
 from __future__ import annotations
@@ -135,38 +139,33 @@ def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(0.5 * (matrix + matrix.T))[0]
 
 
-def _ipl_matrix(setup: IplSetup) -> np.ndarray:
-    """L_i of the setup at its target dimension, before ``_spectrum`` symmetrizes it."""
+def _semi_hodge_matrix(b, q_inv: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Q^{-1} B M B^T Q^{-1} from the arrays B, Q^{-1} and M, before
+    ``_spectrum`` symmetrizes it: the one place this product is formed."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (len(q_inv), len(m)):
+        raise ValueError(f"incidence shape {b.shape} does not match inner products ({len(q_inv)}, {len(m)})")
+    return q_inv @ b @ m @ b.T @ q_inv
+
+
+def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
+    """L_i of the setup at its target dimension."""
     i = setup.target_dim
     m_i = setup.inner[i]
     q_inv = m_i.inv_sqrt_entries
-    n = m_i.dim
-    lap = np.zeros((n, n))
+    lap = np.zeros((m_i.dim, m_i.dim))
     if i >= 1:
         b, q = setup.boundaries[i], m_i.sqrt_entries
         lap += q @ b.T @ setup.inner[i - 1].solve(b) @ q
     if i < setup.dim:
-        b = setup.boundaries[i + 1]
-        lap += q_inv @ b @ setup.inner[i + 1].entries @ b.T @ q_inv
-    return lap
-
-
-def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
-    return _spectrum(_ipl_matrix(setup), setup.inner[setup.target_dim].inv_sqrt_entries)
-
-
-def _semi_hodge_matrix(b, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
-    """Q_V^{-1} B M_E B^T Q_V^{-1}, before ``_spectrum`` symmetrizes it."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m_v.dim, m_e.dim):
-        raise ValueError(f"incidence shape {b.shape} does not match inner products ({m_v.dim}, {m_e.dim})")
-    q_inv = m_v.inv_sqrt_entries
-    return q_inv @ b @ m_e.entries @ b.T @ q_inv
+        lap += _semi_hodge_matrix(setup.boundaries[i + 1], q_inv, setup.inner[i + 1].entries)
+    return _spectrum(lap, q_inv)
 
 
 def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
     """Q_V^{-1} B M_E B^T Q_V^{-1} for a signed or unsigned incidence B."""
-    return _spectrum(_semi_hodge_matrix(b, m_v, m_e), m_v.inv_sqrt_entries)
+    q_inv = m_v.inv_sqrt_entries
+    return _spectrum(_semi_hodge_matrix(b, q_inv, m_e.entries), q_inv)
 
 
 def _incidence_of(carrier) -> np.ndarray:
@@ -201,7 +200,7 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     with r the largest hyperedge size and omega the compatibility constant.
     """
     b = _incidence_of(carrier)
-    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v, m_e))[-1])
+    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v.inv_sqrt_entries, m_e.entries))[-1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
     rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
@@ -356,7 +355,7 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     m_e = SpdMatrix.from_diagonal(pair_w)
     b = graph_incidence(graph).astype(float)
     conjugated = (pi[:, None] * lap) * pi[None, :]
-    clique_resid = float(np.abs(conjugated - b @ np.diag(pair_w) @ b.T).max())
+    clique_resid = float(np.abs(conjugated - _semi_hodge_matrix(b, np.eye(n), np.diag(pair_w))).max())
     ipl = semi_hodge(b, m_v, m_e)
     ipl_resid = float(np.abs(ipl.matrix - lap).max())
     report = VerificationReport(

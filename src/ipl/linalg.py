@@ -278,8 +278,10 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     w = b.inv_sqrt_entries
     s = w @ a @ w
     # The product is symmetric only up to rounding, which can exceed the
-    # input tolerance at high cond(B); symmetrize before the check.
-    vals, vecs = sym_eig(0.5 * (s + s.T))
+    # input tolerance at high cond(B). Symmetrized, it is exactly symmetric:
+    # a symmetry check or a second symmetrization could change nothing, so
+    # only eigh and the sign fix remain.
+    vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
     if vals[0] < -ZERO_RTOL * vals[-1]:
         raise ValueError(f"left-hand matrix has negative eigenvalue {vals[0]:.3e}")
-    return vals, w @ vecs
+    return vals, w @ _fix_signs(vecs)

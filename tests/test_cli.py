@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -715,12 +716,18 @@ def test_verify_cheeger_block_me_past_the_weak_cap(tmp_path, capsys):
 
 
 def test_inner_product_dimension_mismatch_exit_two(files, capsys):
-    for command in (["conductance"], ["verify", "cheeger"]):
-        argv = command + ["--graph", files["p3"], "--mv", files["ipj"], "--me", files["ipj"]]
+    # Every command that scans cuts or forms the graph's Laplacian checks
+    # the inner products against the graph first, with one message.
+    commands = (["conductance"], ["verify", "cheeger"], ["verify", "eml", "--x", "v1", "--y", "v2"], ["verify", "eml", "--batch"])
+    for command, (mv, me) in itertools.product(commands, (("ipj", "ipj"), ("id3", "id3"))):
+        argv = command + ["--graph", files["p3"], "--mv", files[mv], "--me", files[me]]
         code, out, err = run_cli(argv, capsys)
         assert_one_error_line(code, out, err)
-        assert "inner product dimensions" in err
-
+        k = len(load_matrix(files[mv]))
+        assert err == (
+            f"error: inner product dimensions must match vertex and edge counts: M_V is {k}x{k} "
+            f"and M_E is {k}x{k}, the graph has 3 vertices and 2 edges\n"
+        )
 
 
 def test_verify_cheeger_orientation_matches_library(files, capsys):

@@ -6,13 +6,13 @@ import pytest
 import ipl.isoperimetry
 from ipl.errors import CAPS
 from ipl.complexes import unsigned_incidence
-from ipl.isoperimetry import _vertex_boundary
-from ipl.laplacian import _eigenvalues, _ipl_matrix
+from ipl.isoperimetry import DEFAULT_EPSILON_SCHEDULE, _vertex_boundary
 from ipl.linalg import sym_eig
 from ipl import (
     EnumerationCapError,
     Graph,
     IplSetup,
+    NotPositiveDefiniteError,
     SpdMatrix,
     compatibility,
     conductance,
@@ -699,6 +699,23 @@ def test_eml_batch_code_words_and_cross_tables():
     assert abs(values["min_margin"] - single.values["margin"]) <= 1e-12 * _eml_scale(g, m_v, m_e, values)
 
 
+def test_pair_tables_against_direct_sums(rng):
+    # high[X, Y >> h] + low[X, Y mod 2^h] is 1_X^T a 1_Y for every pair of
+    # masks: exactly for integer entries (every partial sum is exact), and
+    # within rounding for real ones. a is not symmetric, so X and Y cannot
+    # trade places unseen.
+    for n in range(2, 11):
+        h = n // 2
+        s = ipl.isoperimetry._subset_rows(np.arange(1 << n), n).astype(float)
+        y = np.arange(1 << n)
+        for a, atol in ((rng.integers(-8, 9, (n, n)).astype(float), 0.0), (rng.normal(size=(n, n)), 1e-12 * n * n)):
+            high, low = ipl.isoperimetry._pair_tables(a)
+            assert high.shape == (1 << n, 1 << (n - h)) and low.shape == (1 << n, 1 << h)
+            assert high.flags.c_contiguous and low.flags.c_contiguous
+            pairs = high[:, y >> h] + low[:, y & ((1 << h) - 1)]
+            np.testing.assert_allclose(pairs, s @ a @ s.T, rtol=0, atol=atol)
+
+
 def _unpacked_margins(g, m_v, m_e, rho_e):
     """The margin of every pair (X mask, Y mask), with the edge mass read the
     unpacked way: one uint8 code per word and per set, and each lookup index
@@ -707,7 +724,7 @@ def _unpacked_margins(g, m_v, m_e, rho_e):
     order, so each margin the sweep scores must come out with its bits."""
     iso = ipl.isoperimetry
     n = g.n
-    vals = _eigenvalues(_ipl_matrix(IplSetup.from_graph(g, m_v, m_e)))
+    vals = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e)).eigenvalues
     tau, gap = 0.5 * (vals[-1] + vals[1]), 0.5 * (vals[-1] - vals[1])
     mv, me = m_v.entries, m_e.entries
     vol_g = float(np.sum(mv))
@@ -826,12 +843,12 @@ def same_bits(a, b):
 
 
 def test_verifiers_read_the_spectra_and_omega_bit_for_bit():
-    # The verifiers take their eigenvalues from the eigh of the matrices that
+    # The verifiers take their eigenvalues from the eigh of the matrix that
     # inner_product_laplacian and semi_hodge build, and omega as the max of
     # compatibility's per-vertex ratios, without building either result.
     rng = np.random.default_rng(30)
-    for trial in range(24):
-        n = 3 + trial % 8
+    for trial in range(200):
+        n = 2 + trial % 9
         g = random_connected_graph(rng, n, max_edges=12)
         g = g.with_orientation([int(s) for s in rng.choice([-1, 1], g.m)])
         m_v, m_e = normalized_inner_products(g)
@@ -839,10 +856,12 @@ def test_verifiers_read_the_spectra_and_omega_bit_for_bit():
             m_v, m_e = random_spd(rng, n), random_spd(rng, g.m)
         elif trial % 3 == 2:
             m_e = _permuted_blocks(rng, [4] * (g.m // 4) + [g.m % 4] * (g.m % 4 > 0))
-        setup = IplSetup.from_graph(g, m_v, m_e)
-        spec = inner_product_laplacian(setup).eigenvalues
-        assert same_bits(_eigenvalues(_ipl_matrix(setup)), spec)
+        # One of M_V and M_E scaled by 1e-12, 1e-6, 1, 1e6 or 1e12.
+        scaled = SpdMatrix(10.0 ** (6 * (trial % 5 - 2)) * (m_v if trial % 2 else m_e).entries)
+        m_v, m_e = (scaled, m_e) if trial % 2 else (m_v, scaled)
+        spec = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e)).eigenvalues
         hodge = semi_hodge(graph_incidence(g), m_v, m_e).eigenvalues
+        assert same_bits(hodge, spec)
         omega = compatibility(g, m_v, m_e).omega
         x, y = np.flatnonzero(rng.random(n) < 0.5).tolist(), np.flatnonzero(rng.random(n) < 0.5).tolist()
         cheeger = verify_cheeger(g, m_v, m_e).values
@@ -1081,6 +1100,44 @@ def test_neumann_sweep_past_epsilon_squared_masses():
     assert all(r["zero_multiplicity"] == 1 for r in res.epsilon_trace)
     assert res.converged
     assert res.lambda_gap <= 1e-6
+
+
+def test_neumann_steps_are_the_semi_hodge_laplacian_bit_for_bit(monkeypatch, rng):
+    # Each epsilon step builds Q^-1 B diag(w) B^T Q^-1 from arrays; wherever
+    # SpdMatrix accepts the vertex masses, semi_hodge on the same diagonal
+    # inner products gives that matrix and its eigenvalues with their bits.
+    steps = []
+
+    def spectrum(matrix, q_inv):
+        steps.append(ipl.laplacian._spectrum(matrix, q_inv))
+        return steps[-1]
+
+    monkeypatch.setattr(ipl.isoperimetry, "_spectrum", spectrum)
+    labels = [f"v{i}" for i in range(8)]
+    edges = [(0, 2), (0, 3), (0, 4), (1, 6), (2, 3), (2, 5), (3, 4), (3, 6), (3, 7)]
+    cases = [(Graph.from_edge_labels(labels, [(labels[a], labels[b]) for a, b in edges]), [0, 2, 3, 4])]
+    for _ in range(12):
+        g = random_connected_graph(rng, int(rng.integers(4, 10)))
+        cases.append((g, sorted(rng.choice(g.n, size=int(rng.integers(2, g.n - 1)), replace=False).tolist())))
+    compared = 0
+    for g, subset in cases:
+        steps.clear()
+        res = neumann_limit_experiment(g, subset)
+        assert len(steps) == len(res.epsilon_trace) + (len(res.failures) > 0)
+        u, v = g.ends
+        in_s = np.isin(np.arange(g.n), subset)
+        for eps, step in zip(DEFAULT_EPSILON_SCHEDULE, steps):
+            w = np.where(in_s[u] | in_s[v], 1.0, eps)
+            deg_eps = unsigned_incidence(g).astype(float) @ w
+            try:
+                m_v = SpdMatrix.from_diagonal(np.where(in_s, deg_eps, eps * deg_eps))
+            except NotPositiveDefiniteError:
+                continue
+            spec = semi_hodge(graph_incidence(g), m_v, SpdMatrix.from_diagonal(w))
+            assert same_bits(step.matrix, spec.matrix)
+            assert same_bits(step.eigenvalues, spec.eigenvalues)
+            compared += 1
+    assert compared >= 80
 
 
 def test_neumann_schedule_validation():

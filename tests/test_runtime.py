@@ -4,8 +4,8 @@ They cover the package's import (no scipy) and ``--version``, the partition
 plan cache and the tr(P_S^2) screen of the weak-conformality scan, and
 end-to-end CLI checks: witnesses of split-scan, gadget and block ties, a
 dense split scan against its table, the pair sweep's caps and orbit rule and
-a dense one against ``verify eml``, scale-free tolerances and the one-line
-exit-2 messages. CLI calls run in-process through ``ipl.cli.main``; only
+a dense one against ``verify eml``, the verifiers' eigenvalues against
+``ipl spectrum``'s, scale-free tolerances and the one-line exit-2 messages. CLI calls run in-process through ``ipl.cli.main``; only
 ``--version``, the import check and the ``-W error`` run need a fresh
 interpreter. Inputs are written to a temporary directory.
 
@@ -184,6 +184,24 @@ def test_dense_pair_sweep_worst_pair_reproduces():
     scale = abs(v["worst_lhs"]) + abs(v["worst_rhs"]) + single["tau"] * single["vol_g"]
     scale += float(np.abs(json.loads(me)["rows"]).sum())
     assert abs(v["min_margin"] - single["margin"]) <= 1e-12 * scale, (v, single)
+
+
+def test_verifiers_read_the_spectrum_commands_eigenvalues():
+    # One Laplacian: on a dense pair with a mixed orientation, the lambdas of
+    # verify cheeger, verify eml --batch and verify radius are ipl
+    # spectrum's eigenvalues, to the bit.
+    rng = np.random.default_rng(32)
+    orientation = ",".join(rng.choice(["+", "-"], 11))
+    with inputs(g=graph_json(rng, 8, 3), mv=spd_json(rng, 8), me=spd_json(rng, 11)) as f:
+        args = ("--graph", f["g"], "--mv", f["mv"], "--me", f["me"], f"--orientation={orientation}")
+        vals = result("spectrum", *args)["eigenvalues"]
+        cheeger = result("verify", "cheeger", *args)["values"]
+        batch = result("verify", "eml", "--batch", *args)["values"]
+        radius = result("verify", "radius", *args)["values"]
+    print(orientation, vals)
+    assert cheeger["lambda_2"] == vals[1], (cheeger, vals)
+    assert [batch["lambda_2"], batch["lambda_n"]] == [vals[1], vals[-1]], (batch, vals)
+    assert radius["lambda_max"] == vals[-1], (radius, vals)
 
 
 def test_pair_sweep_past_the_pairs_cap_exits_two():
