@@ -5,7 +5,8 @@ plan cache and the tr(P_S^2) screen of the weak-conformality scan, and
 end-to-end CLI checks: witnesses of split-scan, gadget and block ties, a
 dense split scan against its table, the pair sweep's caps and orbit rule and
 a dense one against ``verify eml``, the verifiers' eigenvalues against
-``ipl spectrum``'s, scale-free tolerances and the one-line exit-2 messages. CLI calls run in-process through ``ipl.cli.main``; only
+``ipl spectrum``'s, scale-free tolerances and the one-line exit-2
+messages. CLI calls run in-process through ``ipl.cli.main``; only
 ``--version``, the import check and the ``-W error`` run need a fresh
 interpreter. Inputs are written to a temporary directory.
 
@@ -191,6 +192,7 @@ def test_verifiers_read_the_spectrum_commands_eigenvalues():
     # verify cheeger, verify eml --batch and verify radius are ipl
     # spectrum's eigenvalues, to the bit.
     rng = np.random.default_rng(32)
+    # One argv token: argparse would read a separate "-,+,..." as an option.
     orientation = ",".join(rng.choice(["+", "-"], 11))
     with inputs(g=graph_json(rng, 8, 3), mv=spd_json(rng, 8), me=spd_json(rng, 11)) as f:
         args = ("--graph", f["g"], "--mv", f["mv"], "--me", f["me"], f"--orientation={orientation}")
