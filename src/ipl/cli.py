@@ -11,6 +11,7 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from decimal import Decimal
 
@@ -49,6 +50,22 @@ FORMAT_VERSION = "1"
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a value that starts with - for an option, so
+    ``--orientation -,+`` would fail with "expected one argument"; a sign
+    list after ``--orientation`` is read as ``--orientation=-,+``. The
+    subcommand parsers are of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined[-1:] == ["--orientation"] and re.fullmatch(r"-[-+,\d\s]*", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _parse_orientation(text: str, m: int):
@@ -310,7 +327,7 @@ def _cmd_dirichlet(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ipl",
         description="Inner product Laplacian toolkit: conformality, spectra, and isoperimetric verification.",
     )

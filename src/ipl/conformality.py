@@ -43,9 +43,13 @@ every partition of a block at once (``_trace_squares``; Yates 1937), in
 O(b^4 + b 2^b) per block with no gather, product or factor per partition.
 Each value carries a derived rounding allowance, (61 + b) eps times the
 block's sum of |terms| (the error measured under 0.4% of it), which the
-bound takes in. The table holds 2^(b-1) values per block (4 MB at
-b = 20) until the scan starts. One exact value, at the largest screen
-bound, starts the running best.
+bound takes in. That sum is one scalar per block and factors through b x b
+products: the 4-tuple terms M_il W_lj M_jm W_mi give sum (|M||W|) o
+(|M||W|)^T, the pair terms -2 M_il W_li give 2 sum |M| o |W|^T, and the
+b constant terms give b, so no pass over the b^4 terms is made for it.
+The table holds 2^(b-1) values per block (4 MB at b = 20) until the scan
+starts. One exact value, at the largest screen bound, starts the running
+best.
 
 The tr(P^8) bound, per group of equal smaller sides |S| >= 3, on the
 partitions that pass the screen:
@@ -63,14 +67,19 @@ ranking below is unchanged.
 That batch only ranks the partitions: 1 - 1/mu loses digits, and
 partitions that tie mathematically differ only by rounding. Every
 partition within a rounding bound (the tie window) of the batch maximum is
-scored again by
-``_partition_value``, the one per-partition routine, and the best of those
-scores is the reported value. The result is the same as scoring every
-partition that way. The theorem verifiers take rho from that score alone.
-Only ``weak_conformality`` (so ``ipl conformality``) builds a witness pair,
-once, on the winning block's entries, from the v and Z of the winning
-stack's own ``_partition_value`` call: each partition is scored once, and
-the pair attains the reported value.
+scored again by ``_partition_value``, the one per-partition routine, and
+the best of those scores is the reported value. The result is the same as
+scoring every partition that way. Rescoring takes values first: a near tie
+costs its solve for Z, its Cholesky factor L, two solves with L and its
+``eigh``. The witness vector v = L^-T u is solved once, for the winner
+alone, from its rows of L and u in the stacked call, with the bits the
+stacked solve gives that row (each solve treats its matrices one at a
+time). The theorem verifiers (``weak_conformality_value``) take rho from
+that score alone: their rescoring keeps the maximum and no lift or witness
+state. Only ``weak_conformality`` (so ``ipl conformality``) keeps the
+winner's L, u and Z and builds a witness pair, once, on the winning
+block's entries: each partition is scored once, and the pair attains the
+reported value.
 
 The unit of work is the block C, one of ``SpdMatrix.blocks``, the
 connected components of the nonzero pattern; a connected M is one block.
@@ -96,11 +105,13 @@ number, its membership row spans the b indices of its block, and S and T
 are gathered from C. Among those that score the maximum exactly, the
 witness partition is the smallest lift L(S) = S | {i not in C : i <
 max(S)}, the lexicographically smallest full partition that restricts to
-S and the only row formed over all k indices. Within a block the lifts
-order as the S do (where two S first differ, the smaller index is in C and
-missing from the other lift, and the lifts agree below it), so a connected
-M gets the first S, as an exhaustive scan does. The witness pair is built
-on C and is zero off it.
+S. Within a block the lifts order as the S do (where two S first differ,
+the smaller index is in C and missing from the other lift, and the lifts
+agree below it), so a stack whose maxima share one block keeps its
+smallest S, and a connected M gets the first S, as an exhaustive scan
+does. Lifts, the only rows formed over all k indices, are built only to
+compare maxima of different blocks or stacks. The witness pair is built on
+C and is zero off it.
 
 A block of the form D + u u^T (D > 0 diagonal; the Partition gadget
 x x^T + I is one) is ranked in closed form. Weak conformality does not
@@ -238,20 +249,22 @@ def _first_set(rows: np.ndarray) -> int:
 
 
 def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
-    """value(S), the top generalized eigenvector v on S and Z = M_TT^-1 M_TS,
-    for a stack of partitions: row i of s_idx and of t_idx holds the two
-    sides of partition i, and every row has the same side sizes.
+    """value(S) for a stack of partitions, with the Cholesky factor L of M_SS,
+    the unit eigenvector u and Z = M_TT^-1 M_TS that scored it: row i of
+    s_idx and of t_idx holds the two sides of partition i, and every row has
+    the same side sizes.
 
     With M_SS = L L^T, value(S)^2 is the top eigenvalue of the symmetrized
-    L^-1 (M_ST Z) L^-T, and v = L^-T u for its unit eigenvector u, so
-    v^T M_SS v = 1. Each stacked solve, Cholesky, product and ``eigh``
-    treats its matrices one at a time, so a partition scores the same bits
-    in any stack, a stack of one included, unless the stack's coupling is
-    weak enough to be scaled: value^2 is quadratic in M_ST and leaves the
-    normal range near value = 1e-154, so when max |M_ST| < 2^-480 max(1,
-    max diag M) the left factor M_ST of M_ST Z is scaled by 2^(2j), bringing
-    max |M_ST| near max diag M, and value by 2^-j. Both are exact, and
-    Z = M_TT^-1 M_TS keeps its own scale.
+    L^-1 (M_ST Z) L^-T, and u is its unit eigenvector; the top generalized
+    eigenvector on S is v = L^-T u, with v^T M_SS v = 1, which only
+    ``weak_conformality`` solves, for its winner alone. Each stacked solve,
+    Cholesky, product and ``eigh`` treats its matrices one at a time, so a
+    partition scores the same bits in any stack, a stack of one included,
+    unless the stack's coupling is weak enough to be scaled: value^2 is
+    quadratic in M_ST and leaves the normal range near value = 1e-154, so
+    when max |M_ST| < 2^-480 max(1, max diag M) the left factor M_ST of
+    M_ST Z is scaled by 2^(2j), bringing max |M_ST| near max diag M, and
+    value by 2^-j. Both are exact, and Z = M_TT^-1 M_TS keeps its own scale.
     """
     m_st = entries[s_idx[:, :, None], t_idx[:, None, :]]
     z = np.linalg.solve(entries[t_idx[:, :, None], t_idx[:, None, :]], np.swapaxes(m_st, 1, 2))
@@ -266,46 +279,57 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     values = np.sqrt(np.maximum(vals[:, -1], 0.0))
     if j:
         values = np.ldexp(values, -j)
-    return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
+    return values, chol, vecs[:, :, -1], z
 
 
-def _rescore(entries: np.ndarray, near):
-    """Score the near ties again with ``_partition_value``, per size-stack
-    slice, stacked by |S|, ``BATCH_CHUNK`` at a time. ``near`` holds, per
-    slice, its blocks c (one row of indices per block) and a boolean array
-    marking partition p of block row i as a near tie, as ``_batched_rho_sq``
-    indexes them; a tie's membership row spans its block's b columns, and S
-    and T are gathered from c[i] in block order. Returns (rho, witness
-    partition, (C, S, v, Z)) of the best score, S the winner's membership
-    row over its block C. Among the exact maxima the winner has the
-    smallest lift S | {i outside C : i < max S}; those lifts are the only
-    rows formed over all k indices.
+def _rescore(entries: np.ndarray, near, witness: bool = True):
+    """Score the near ties again with ``_partition_value``. ``near`` holds, per
+    size-stack slice, its blocks c (one row of indices per block) and a
+    boolean array marking partition p of block row i as a near tie, as
+    ``_batched_rho_sq`` indexes them. A slice takes one ``nonzero`` of its
+    marks, then each |S| stack (``BATCH_CHUNK`` ties at a time) one gather of
+    S and of T from its block rows, each in block order, and one
+    ``_partition_value`` call.
+
+    Returns (rho, witness partition, (C, S, L, u, Z)) of the best score: S
+    the winner's membership row over its block C, and L, u and Z its rows of
+    its stack's ``_partition_value`` call. Among the exact maxima the winner
+    has the smallest lift S | {i outside C : i < max S}. Within one block,
+    lifts order as the S do, so a stack whose maxima share a block keeps its
+    smallest S; lifts, the only rows formed over all k indices, are compared
+    only among the maxima of several blocks or stacks. Without ``witness``
+    (rho-only callers) it keeps the maximum alone and returns (rho, None,
+    None).
     """
     k = len(entries)
-    best, ties = -np.inf, []
+    best, found = -np.inf, []
     for c, hit in near:
-        i, p = np.nonzero(hit)
+        i, p = np.divmod(np.flatnonzero(hit), hit.shape[1])
         members = _subset_rows(2 * p + 1, c.shape[1])
         sizes = members.sum(axis=1)
-        for s in np.unique(sizes).tolist():
+        for s in sorted(set(sizes.tolist())):
             at = np.flatnonzero(sizes == s)
             for lo in range(0, len(at), BATCH_CHUNK):
                 rows = at[lo : lo + BATCH_CHUNK]
-                # Positions of S, then of T, each in block order.
-                idx = c[i[rows, None], np.argsort(~members[rows], axis=1, kind="stable")]
-                values, v, z = _partition_value(entries, idx[:, :s], idx[:, s:])
+                blocks, inside = c[i[rows]], members[rows]
+                s_idx = blocks[inside].reshape(-1, s)
+                values, chol, u, z = _partition_value(entries, s_idx, blocks[~inside].reshape(len(rows), -1))
                 top = values.max()
-                if top >= best:
-                    best, ties = top, ties if top == best else []
+                if top > best:
+                    best, found = top, []
+                if witness and top == best:
                     won = np.flatnonzero(values == top)
-                    # i <= max S and i not in T: S and the indices outside C below max S.
-                    lift = np.arange(k) <= idx[won, s - 1 : s]
-                    np.put_along_axis(lift, idx[won, s:], False, axis=1)
-                    first = _first_set(lift)
-                    j = won[first]
-                    ties.append((lift[first], c[i[rows[j]]], members[rows[j]], v[j], z[j]))
-    lift, *winner = ties[_first_set(np.array([tie[0] for tie in ties]))]
-    return float(best), tuple(np.flatnonzero(lift).tolist()), tuple(winner)
+                    if len(won) > 1 and (i[rows[won]] == i[rows[won[0]]]).all():
+                        won = won[np.lexsort(s_idx[won].T[::-1])[:1]]
+                    found += [(blocks[j], inside[j], chol[j], u[j], z[j]) for j in won]
+    if not witness:
+        return float(best), None, None
+    # i <= max S and i not in T: S and the indices outside C below max S.
+    lifts = np.arange(k) <= np.array([c[s].max() for c, s, *_ in found])[:, None]
+    for lift, (c, s, *_) in zip(lifts, found):
+        lift[c[~s]] = False
+    first = _first_set(lifts)
+    return float(best), tuple(np.flatnonzero(lifts[first]).tolist()), found[first]
 
 
 def _plan_chunks(k: int, chunk: int):
@@ -369,8 +393,12 @@ def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
     |U| = 3, the most of any) and b - 1 in the transform, so each value is
     off by at most gamma_(61+b) times the block's sum|terms|. The allowance
     takes (61 + b) eps, twice that, which also covers gamma's denominator
-    and the rounding of sum|terms|. Measured, the error stays under 0.4% of
-    the allowance (every ``tests/test_conformality.py`` fuzz kind, b = 2-13).
+    and the rounding of sum|terms|. That sum is formed without the terms, as
+    sum (|M||W|) o (|M||W|)^T + 2 sum |M| o |W|^T + b (the 4-tuple terms
+    |M_il W_lj| |M_jm W_mi|, the pair terms |2 M_il W_li| and the b ones):
+    a sum of nonnegative products, within about (b + 3) eps of the sum
+    over the terms. Measured, the error stays under 0.4% of the allowance
+    (every ``tests/test_conformality.py`` fuzz kind, b = 2-13).
     """
     n = len(a)
     m, w = a.reshape(n, b, b), a_inv.reshape(n, b, b)
@@ -379,7 +407,10 @@ def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
     np.multiply(x[..., None], x.transpose(0, 3, 1, 2)[:, :, None], out=terms[:, : b**4].reshape(n, b, b, b, b))
     np.multiply(m, -2.0 * w.transpose(0, 2, 1), out=terms[:, b**4 : -b].reshape(n, b, b))
     terms[:, -b:] = 1.0
-    allow = (61 + b) * np.finfo(float).eps * np.abs(terms).sum(axis=1)[:, None]
+    abs_m, abs_w = np.abs(m), np.abs(w)
+    mw = abs_m @ abs_w
+    total = np.einsum("nij,nji->n", mw, mw) + 2.0 * np.einsum("nij,nji->n", abs_m, abs_w) + b
+    allow = (61 + b) * np.finfo(float).eps * total[:, None]
     tr = np.bincount((masks + (np.arange(n) << (b - 1))[:, None]).ravel(), terms.ravel(), n << (b - 1)).reshape(n, -1)
     del terms
     for j in range(b - 1):
@@ -536,14 +567,15 @@ def _rank_one_rho_sq(w2: np.ndarray) -> np.ndarray:
     return a / (1.0 + a) * (c / (1.0 + c))
 
 
-def _exact_weak(m: SpdMatrix, force: bool):
-    """(rho, witness partition, (C, S, v, Z)) of exact weak conformality:
+def _exact_weak(m: SpdMatrix, force: bool, witness: bool = True):
+    """(rho, witness partition, (C, S, L, u, Z)) of exact weak conformality:
     one ranking call per size-stack slice (the closed form for a slice of
-    D + u u^T blocks), then one ``_rescore`` call on the
-    ranking's own output (the blocks and near-tie marks of each slice that
-    holds a near tie), which scores every block's near ties again per
-    size-stack slice, stacked by |S|. C is the winning one of ``m.blocks`` and S the winner's membership
-    row over C. A diagonal M has no block and gives None as the last item.
+    D + u u^T blocks), then one ``_rescore`` call on the ranking's own
+    output (the blocks and near-tie marks of each slice that holds a near
+    tie), which scores every block's near ties again per size-stack slice,
+    stacked by |S|. C is the winning one of ``m.blocks`` and S the winner's
+    membership row over C. A diagonal M has no block and gives None as the
+    last item, and so does a call without ``witness``, as the middle one.
     A block past the ``partitions`` cap raises unless ``force`` is set.
     """
     k = m.dim
@@ -580,7 +612,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
             inverse = m.inverse()
         ranked.append(_batched_rho_sq(entries, inverse, c, delta))
     top = max(rho_sq.max() for rho_sq in ranked)
-    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()])
+    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()], witness)
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
@@ -605,7 +637,10 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
         # A diagonal M has no winning block: its pair is that of S = {0} on
         # C = {0, 1}, scored once.
         winner = _rescore(m.entries, [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
-    c, s, v, z = winner
+    c, s, chol, u, z = winner
+    # The winner's top generalized eigenvector v = L^-T u: the one solve of
+    # the call, with the bits of its row of a stacked solve.
+    v = np.linalg.solve(chol.T, u[:, None])[:, 0]
     x, y = np.zeros(m.dim), np.zeros(m.dim)
     x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
     return ConformalityResult(
@@ -620,7 +655,8 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
 def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarray, diagonal: bool):
     """Maximizing pair for the support partition (S, T) of the (diagonal or
     not) matrix with these entries, S marked by the membership row s, from
-    the v and Z = M_TT^-1 M_TS that ``_partition_value`` scored it with.
+    its top generalized eigenvector v on S and the Z = M_TT^-1 M_TS that
+    ``_partition_value`` scored it with.
 
     x is v on S, with its largest-magnitude entry positive; the optimal
     partner on T is y = Z v, or e_0 on T when Z v is exactly zero. Both are
@@ -657,7 +693,7 @@ def weak_conformality_value(m: SpdMatrix, *, force: bool = False) -> float:
     """
     if m.dim < 2:
         return 0.0
-    return _exact_weak(m, force)[0]
+    return _exact_weak(m, force, witness=False)[0]
 
 
 def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:

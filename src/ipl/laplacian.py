@@ -203,7 +203,12 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v.inv_sqrt_entries, m_e.entries))[-1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
-    rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
+    if isinstance(carrier, Graph):
+        rank = 2  # M_E has an edge (dimension >= 1), and Graph refuses loops
+    elif isinstance(carrier, Hypergraph):
+        rank = carrier.rank
+    else:
+        rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
     omega = float(_vertex_ratios(b, m_v, m_e).max())
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
     return VerificationReport(

@@ -443,6 +443,25 @@ def test_cap_exceeded_exit_two(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["spectrum", "--graph", "{p3}", "--mv", "{id3}", "--me", "{ipj}"],
+        ["verify", "cheeger", "--graph", "{p3}"],
+        ["verify", "eml", "--graph", "{p3}", "--batch"],
+        ["verify", "radius", "--graph", "{p3}"],
+    ],
+    ids=["spectrum", "cheeger", "eml", "radius"],
+)
+def test_orientation_value_may_start_with_minus(files, capsys, argv):
+    # "--orientation -,+" reads as "--orientation=-,+", byte for byte.
+    argv = [a.format(**files) for a in argv]
+    spaced = run_cli(argv + ["--orientation", "-,+"], capsys)
+    joined = run_cli(argv + ["--orientation=-,+"], capsys)
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and '"orientation":"-,+"' in spaced[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["conformality", "{id4}", "--weak-cap", "4"],
         ["conductance", "--graph", "{p3}", "--weak-cap", "4"],
         ["verify", "cheeger", "--graph", "{p3}", "--weak-cap", "4"],

@@ -202,10 +202,10 @@ def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
         built.append(np.shape(entries))
         init(self, entries)
 
-    def counting_rescore(entries, near):
+    def counting_rescore(entries, near, *witness):
         # The indices of every block that holds a near tie.
         scans.append(np.unique(np.concatenate([c[hit.any(axis=1)].ravel() for c, hit in near])).tolist())
-        return rescore(entries, near)
+        return rescore(entries, near, *witness)
 
     monkeypatch.setattr(SpdMatrix, "__init__", counting_init)
     monkeypatch.setattr(conformality, "_rescore", counting_rescore)
@@ -233,9 +233,9 @@ def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
         ranked.append((c, rank(entries, inverse, c, delta), delta))
         return ranked[-1][1]
 
-    def recording_rescore(entries, slices):
+    def recording_rescore(entries, slices, *witness):
         near.extend(slices)
-        return rescore(entries, slices)
+        return rescore(entries, slices, *witness)
 
     monkeypatch.setattr(conformality, "_batched_rho_sq", recording_rank)
     monkeypatch.setattr(conformality, "_rescore", recording_rescore)
@@ -255,32 +255,39 @@ def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
 
 def test_witness_pair_reuses_the_winning_score(monkeypatch):
     # A dense k = 8 input with a single near-tie: the rescoring stack is the
-    # only _partition_value call, and the pair is built from its v and Z
-    # with no index complement, no np.ix_ gather and no new SpdMatrix.
+    # only _partition_value call, and the pair is built from its L, u and Z
+    # with one more solve, v = L^-T u on the winner alone, and no index
+    # complement, no np.ix_ gather and no new SpdMatrix.
     m = random_spd(np.random.default_rng(8), 8)
     expected = weak_conformality(m)
-    calls, rescored = [], []
-    score, rescore = conformality._partition_value, conformality._rescore
+    calls, rescored, solves = [], [], []
+    score, rescore, solve = conformality._partition_value, conformality._rescore, np.linalg.solve
 
     def counting_score(entries, s_idx, t_idx):
         calls.append(len(s_idx))
         return score(entries, s_idx, t_idx)
 
-    def recording_rescore(entries, near):
+    def recording_solve(a, b):
+        solves.append(np.ndim(a))
+        return solve(a, b)
+
+    def recording_rescore(entries, near, *witness):
         rescored.append(sum(int(hit.sum()) for _, hit in near))
-        return rescore(entries, near)
+        return rescore(entries, near, *witness)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("forbidden call")
 
     monkeypatch.setattr(conformality, "_partition_value", counting_score)
     monkeypatch.setattr(conformality, "_rescore", recording_rescore)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     monkeypatch.setattr(np, "setdiff1d", forbidden)
     monkeypatch.setattr(np, "ix_", forbidden)
     monkeypatch.setattr(SpdMatrix, "__init__", forbidden)
     res = weak_conformality(m)
     assert rescored == [1]
     assert calls == [1]
+    assert solves == [3, 3, 3, 2]  # Z, then two with L, on the stack; then v
     assert (res.rho_weak, res.witness_partition) == (expected.rho_weak, expected.witness_partition)
     assert np.array_equal(res.witness_x, expected.witness_x)
     assert np.array_equal(res.witness_y, expected.witness_y)
@@ -289,11 +296,21 @@ def test_witness_pair_reuses_the_winning_score(monkeypatch):
 @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
 def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
     # Only weak_conformality reports a witness pair; the verifiers and the
-    # bounds check take rho from the scan alone.
+    # bounds check take rho from the scan alone, and their rescoring keeps
+    # the maximum only: no lift, no witness state.
+    flags, rescore = [], conformality._rescore
+
     def no_pair(*args):
         raise AssertionError("a witness pair was built")
 
+    def recording_rescore(entries, near, witness=True):
+        flags.append(witness)
+        result = rescore(entries, near, witness)
+        assert witness or result[1:] == (None, None)
+        return result
+
     monkeypatch.setattr(conformality, "_witness_pair", no_pair)
+    monkeypatch.setattr(conformality, "_rescore", recording_rescore)
     rng = np.random.default_rng(12)
     g = cycle_graph(5)
 
@@ -307,11 +324,14 @@ def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
     m_v, m_e = inner(g.n), inner(g.m)
     with pytest.raises(AssertionError, match="a witness pair was built"):
         weak_conformality(m_e)
+    assert flags == [True]
+    flags.clear()
     assert weak_conformality_value(m_e) >= 0.0
     assert verify_cheeger(g, m_v, m_e).check
     assert verify_radius_bound(g, m_v, m_e).check
     assert verify_eml_batch(g, m_v, m_e).check
     assert verify_conformality_bounds(m_v, np.ones(g.n)).check
+    assert not any(flags) and bool(flags) == (kind != "diagonal")
 
 
 def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
@@ -321,6 +341,127 @@ def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
         weak_conformality(SpdMatrix(entries))
     monkeypatch.setitem(CAPS, "partitions", 2**5 - 1)
     assert weak_conformality(SpdMatrix(entries)).rho_weak > 0
+
+
+def reference_partition_value(entries, s_idx, t_idx):
+    # The per-partition routine with the witness vector solved for every
+    # row: value(S), v = L^-T u and Z = M_TT^-1 M_TS, with the weak-coupling
+    # scaling of the library's routine.
+    m_st = entries[s_idx[:, :, None], t_idx[:, None, :]]
+    z = np.linalg.solve(entries[t_idx[:, :, None], t_idx[:, None, :]], np.swapaxes(m_st, 1, 2))
+    top, d, j = float(np.abs(m_st).max()), float(entries.diagonal().max()), 0
+    if 0.0 < top < 2.0**-480 * max(d, 1.0):
+        j = int(np.frexp(d)[1] - np.frexp(top)[1]) // 2
+        m_st = np.ldexp(m_st, 2 * j)
+    chol = np.linalg.cholesky(entries[s_idx[:, :, None], s_idx[:, None, :]])
+    half = np.linalg.solve(chol, m_st @ z)
+    c = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
+    vals, vecs = np.linalg.eigh(0.5 * (c + np.swapaxes(c, 1, 2)))
+    values = np.sqrt(np.maximum(vals[:, -1], 0.0))
+    if j:
+        values = np.ldexp(values, -j)
+    return values, np.linalg.solve(np.swapaxes(chol, 1, 2), vecs[:, :, -1:])[:, :, 0], z
+
+
+def reference_rescore(entries, near):
+    # Every near tie scored with its v, per slice and |S| stack, BATCH_CHUNK
+    # at a time; among the exact maxima of each stack the smallest lift
+    # S | {i not in C : i < max S}, formed over all k indices, then the
+    # smallest lift over the stacks. Returns (rho, lift, (C, S, v, Z)).
+    k = len(entries)
+    best, ties = -np.inf, []
+    for c, hit in near:
+        i, p = np.nonzero(hit)
+        members = conformality._subset_rows(2 * p + 1, c.shape[1])
+        sizes = members.sum(axis=1)
+        for s in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == s)
+            for lo in range(0, len(at), conformality.BATCH_CHUNK):
+                rows = at[lo : lo + conformality.BATCH_CHUNK]
+                idx = c[i[rows, None], np.argsort(~members[rows], axis=1, kind="stable")]
+                values, v, z = reference_partition_value(entries, idx[:, :s], idx[:, s:])
+                top = values.max()
+                if top >= best:
+                    best, ties = top, ties if top == best else []
+                    won = np.flatnonzero(values == top)
+                    lift = np.arange(k) <= idx[won, s - 1 : s]
+                    np.put_along_axis(lift, idx[won, s:], False, axis=1)
+                    first = conformality._first_set(lift)
+                    j = won[first]
+                    ties.append((lift[first], c[i[rows[j]]], members[rows[j]], v[j], z[j]))
+    lift, *winner = ties[conformality._first_set(np.array([tie[0] for tie in ties]))]
+    return float(best), tuple(np.flatnonzero(lift).tolist()), tuple(winner)
+
+
+def pre_change_weak(m, monkeypatch):
+    # The library's ranking, then reference_rescore on its near ties, and
+    # the pair from the winner's v and Z: (rho, witness partition, v, Z, x, y).
+    with monkeypatch.context() as patch:
+        patch.setattr(conformality, "_rescore", lambda entries, near, witness=True: reference_rescore(entries, near))
+        rho, subset, winner = conformality._exact_weak(m, False)
+    if winner is None:
+        winner = reference_rescore(m.entries, [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
+    c, s, v, z = winner
+    x, y = np.zeros(m.dim), np.zeros(m.dim)
+    x[c], y[c] = conformality._witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
+    return rho, subset, v, z, x, y
+
+
+def assert_rescoring_matches_pre_change(m, monkeypatch, label):
+    # Bit for bit: rho, the witness partition, the v and Z the pair is built
+    # from, the pair itself, and the rho-only value.
+    pairs, witness_pair = [], conformality._witness_pair
+
+    def recording(entries, s, v, z, diagonal):
+        pairs.append((v, z))
+        return witness_pair(entries, s, v, z, diagonal)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conformality, "_witness_pair", recording)
+        res = weak_conformality(m)
+    rho, subset, v, z, x, y = pre_change_weak(m, monkeypatch)
+    ((got_v, got_z),) = pairs
+    assert (res.rho_weak, res.witness_partition) == (rho, subset), label
+    assert np.array_equal(got_v, v) and np.array_equal(got_z, z), label
+    assert np.array_equal(res.witness_x, x) and np.array_equal(res.witness_y, y), label
+    assert weak_conformality_value(m) == rho, label
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_rescoring_matches_pre_change_reference(k, monkeypatch):
+    rng = np.random.default_rng(3300 + k)
+    for kind, entries in [*fuzz_entries(rng, k), *non_normal_and_scaled_entries(rng, k)]:
+        assert_rescoring_matches_pre_change(SpdMatrix(entries), monkeypatch, f"{kind} k={k}")
+
+
+@pytest.mark.parametrize("k", range(11, 17))
+def test_gadget_rescoring_matches_pre_change_reference(k, monkeypatch):
+    # Balanced gadgets, whose true ties are all rescored, with the k = 16
+    # instance of tests/test_runtime.py.
+    rng = np.random.default_rng(3400 + k)
+    half = [int(v) for v in rng.integers(1, 10, k // 2)]
+    instances = [half + [int(v) for v in rng.permutation(half)] + [2] * (k % 2)]
+    if k == 16:
+        instances.append([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 2, 6, 1, 4, 9, 1])
+    for values in instances:
+        assert_rescoring_matches_pre_change(partition_gadget(values).matrix, monkeypatch, f"gadget {values}")
+
+
+def test_block_stack_rescoring_matches_pre_change_reference(monkeypatch):
+    # Size stacks of several blocks, exact ties within and across blocks,
+    # and rank-one blocks beside dense ones.
+    rng = np.random.default_rng(3500)
+    for sizes in ([4] * 10, [5, 3, 5, 3, 5], [6, 5, 4, 3], [3] * 12):
+        entries = block_diagonal(rng, sizes)
+        p = rng.permutation(len(entries))
+        assert_rescoring_matches_pre_change(SpdMatrix(entries[np.ix_(p, p)]), monkeypatch, f"blocks {sizes}")
+    for b in (4, 6, 7):
+        base = np.eye(b) + rng.uniform(0.2, 0.8) * np.ones((b, b))
+        entries = np.kron(np.diag([1.0, 4.0, 0.25]), base)
+        p = rng.permutation(len(entries))
+        assert_rescoring_matches_pre_change(SpdMatrix(entries[np.ix_(p, p)]), monkeypatch, f"tied blocks of {b}")
+    for kind, entries in mixed_rank_one_entries(rng):
+        assert_rescoring_matches_pre_change(SpdMatrix(entries), monkeypatch, kind)
 
 
 def reference_weak(m):
@@ -341,7 +482,7 @@ def reference_weak(m):
     # [0.5, 1), both of unit M-norm, y flipped to x^T M y >= 0.
     s_idx = np.array(subset)
     t_idx = np.array([i for i in range(k) if i not in subset])
-    values, v, z = _partition_value(m.entries, s_idx[None], t_idx[None])
+    values, v, z = reference_partition_value(m.entries, s_idx[None], t_idx[None])
     # One routine scores the partitions and reports the value.
     assert values[0] == score
     v = _fix_signs(v[0])
@@ -541,12 +682,12 @@ def test_stacked_scores_match_one_partition_calls():
             at = rows[rows.sum(axis=1) == s]
             s_idx = np.nonzero(at)[1].reshape(-1, s)
             t_idx = np.nonzero(~at)[1].reshape(-1, k - s)
-            values, v, z = _partition_value(entries, s_idx, t_idx)
+            stack = _partition_value(entries, s_idx, t_idx)
             for i in range(len(at)):
                 one = _partition_value(entries, s_idx[i : i + 1], t_idx[i : i + 1])
-                assert values[i] == one[0][0], kind
-                assert np.array_equal(v[i], one[1][0]), kind
-                assert np.array_equal(z[i], one[2][0]), kind
+                assert stack[0][i] == one[0][0], kind
+                for got, want in zip(stack[1:], one[1:]):  # L, u and Z
+                    assert np.array_equal(got[i], want[0]), kind
 
 
 def assert_pruning_sound(m, label):
@@ -633,6 +774,20 @@ def test_trace_table_is_within_its_allowance(k):
         exact = _batched_rho_sq(m.entries, m.inverse(), np.arange(k)[None], np.inf)[0]
         upper = conformality._screen(a, w, k, masks)
         assert (upper >= exact - delta / conformality.TIE_SAFETY).all(), kind
+
+
+@pytest.mark.parametrize("k", range(10, 14))
+def test_trace_allowance_is_the_sum_of_the_terms(k):
+    # The allowance's sum|terms|, from products of |M| and |W|, against the
+    # sum over every term formed one by one: |M_il W_lj M_jm W_mi| over all
+    # 4-tuples, |2 M_il W_li| over all pairs and b ones.
+    rng = np.random.default_rng(2800 + k)
+    for kind, entries in [*fuzz_entries(rng, k), *non_normal_and_scaled_entries(rng, k)]:
+        m = SpdMatrix(entries)
+        a, w = np.abs(m.entries), np.abs(m.inverse())
+        direct = np.einsum("il,lj,jm,mi->iljm", a, w, a, w).sum() + np.sum(2.0 * a * w.T) + k
+        allow = conformality._trace_squares(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k, conformality._screen_index(k))[1]
+        assert abs(allow[0, 0] / ((61 + k) * np.finfo(float).eps * direct) - 1.0) <= 1e-12, kind
 
 
 def test_pruned_partitions_are_never_factored(monkeypatch):
@@ -1238,10 +1393,10 @@ def test_rank_one_gadget_factors_only_in_rescore(monkeypatch):
         where.append(bool(rescoring))
         return cholesky(a)
 
-    def recording_rescore(entries, near):
+    def recording_rescore(entries, near, *witness):
         rescoring.append(True)
         try:
-            return rescore(entries, near)
+            return rescore(entries, near, *witness)
         finally:
             rescoring.pop()
 

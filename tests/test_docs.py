@@ -41,6 +41,20 @@ def test_readme_cli_synopsis_flags_exist():
         assert not unknown, (line, unknown)
 
 
+def test_readme_examples_parse():
+    # Every concrete "$ ipl ..." example is a command line the parser
+    # accepts, values included, not only flag names that exist.
+    examples = [line.removeprefix("$ ipl ") for line in README.splitlines() if line.startswith("$ ipl ")]
+    assert len(examples) >= 2
+    for line in examples:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                build_parser().parse_args(line.split())
+        except SystemExit:
+            raise AssertionError((line, err.getvalue())) from None
+
+
 def test_workflow_holds_no_inline_ipl_checks():
     # Checks of ipl live in tests/, where the tier-1 suite runs them too.
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()

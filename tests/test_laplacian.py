@@ -196,6 +196,25 @@ def test_radius_bound_on_hypergraphs(dense_e):
             assert rep.values["lambda_max"] == spec.eigenvalues[-1]
 
 
+def test_radius_rank_comes_from_the_carrier():
+    # A Graph's rank is 2 and a Hypergraph's its largest hyperedge, as the
+    # count of nonzero incidence entries per edge gives for the same
+    # incidence passed as a matrix: the reports are identical.
+    rng = np.random.default_rng(37)
+    for n in range(3, 8):
+        g = random_connected_graph(rng, n)
+        labels = [f"v{i}" for i in range(n)]
+        sizes = rng.integers(1, n + 1, int(rng.integers(1, 6)))
+        hg = Hypergraph.from_edge_labels(labels, [rng.choice(labels, size, replace=False) for size in sizes])
+        for carrier, incidence in ((g, g.incidence), (hg, hg.incidence())):
+            m = incidence.shape[1]
+            m_v, m_e = random_spd(rng, n), random_spd(rng, m)
+            got = verify_radius_bound(carrier, m_v, m_e)
+            want = verify_radius_bound(np.array(incidence), m_v, m_e)
+            assert got.values == want.values and got.passed == want.passed
+            assert got.values["rank"] == int((incidence != 0).sum(axis=0).max())
+
+
 def test_hodge_triangle_dims():
     k = build_complex([("a", "b", "c")])
     setup = IplSetup.from_complex(
