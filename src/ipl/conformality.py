@@ -640,7 +640,7 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     c, s, chol, u, z = winner
     # The winner's top generalized eigenvector v = L^-T u: the one solve of
     # the call, with the bits of its row of a stacked solve.
-    v = np.linalg.solve(chol.T, u[:, None])[:, 0]
+    v = np.linalg.solve(chol.T, u)
     x, y = np.zeros(m.dim), np.zeros(m.dim)
     x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
     return ConformalityResult(

@@ -287,7 +287,7 @@ def test_witness_pair_reuses_the_winning_score(monkeypatch):
     res = weak_conformality(m)
     assert rescored == [1]
     assert calls == [1]
-    assert solves == [3, 3, 3, 2]  # Z, then two with L, on the stack; then v
+    assert solves == [3, 3, 3, 2]  # Z, then two with L, on the stack; then v alone
     assert (res.rho_weak, res.witness_partition) == (expected.rho_weak, expected.witness_partition)
     assert np.array_equal(res.witness_x, expected.witness_x)
     assert np.array_equal(res.witness_y, expected.witness_y)
