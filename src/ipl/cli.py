@@ -22,7 +22,6 @@ from .complexes import Graph
 from .conformality import weak_conformality, weak_conformality_sampled
 from .errors import CAPS
 from .isoperimetry import (
-    DEFAULT_EPSILON_SCHEDULE,
     conductance,
     dirichlet_eigenvalues,
     neumann_eigenvalue,
@@ -34,6 +33,7 @@ from .isoperimetry import (
 )
 from .jsonio import load_graph, load_hypergraph, load_matrix, load_vector
 from .laplacian import (
+    CLASSICAL_KINDS,
     IplSetup,
     _classical_inner_products,
     digraph_laplacian,
@@ -212,12 +212,7 @@ def _cmd_hypergraph_to_ipl(args) -> int:
     hg, w = load_hypergraph(args.hypergraph)
     pi = load_vector(args.pi) if args.pi is not None else np.ones(hg.n)
     dt = load_vector(args.dt) if args.dt is not None else np.ones(hg.n)
-    h = hg.incidence().astype(float)
-    if args.d is not None:
-        d = load_vector(args.d)
-    else:
-        # Kernel-consistent default: D pi = Dt H W H^T Dt pi entrywise.
-        d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
+    d = load_vector(args.d) if args.d is not None else None
     graph, m_v, m_e, report = hypergraph_to_ipl(hg, d, dt, w, pi)
     inputs = {"hypergraph": args.hypergraph}
     for name in ("pi", "d", "dt"):
@@ -295,7 +290,7 @@ def _cmd_neumann(args) -> int:
         raise UsageError("--direct-only takes no --csv")
     g = load_graph(args.graph)
     subset = _parse_subset(args.subset, g)
-    schedule = _parse_schedule(args.schedule) if args.schedule is not None else list(DEFAULT_EPSILON_SCHEDULE)
+    schedule = _parse_schedule(args.schedule) if args.schedule is not None else None
     if args.direct_only:
         res = neumann_eigenvalue(g, subset)
     else:
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("recover", help="classical Laplacian as an inner product Laplacian")
-    p.add_argument("--kind", required=True, choices=("combinatorial", "normalized", "signless", "normalized-signless"))
+    p.add_argument("--kind", required=True, choices=CLASSICAL_KINDS)
     p.add_argument("--graph", required=True)
     p.add_argument("--weights", help="per-edge weight vector file (default: all ones)")
     p.add_argument("--csv", action="store_true")

@@ -257,13 +257,18 @@ class Hypergraph:
 
     def __post_init__(self):
         n = len(self.labels)
+        if len(set(self.labels)) != n:
+            twice = next(lab for lab in self.labels if self.labels.count(lab) > 1)
+            raise ValueError(f"vertex labels must be distinct: {twice!r} appears twice")
+        if not self.hyperedges:
+            raise ValueError("a hypergraph needs at least one hyperedge")
         for h in self.hyperedges:
             if len(h) == 0:
                 raise ValueError("empty hyperedge")
-            if list(h) != sorted(set(h)):
-                raise ValueError(f"hyperedge {h!r} must be a sorted set of indices")
-            if h[0] < 0 or h[-1] >= n:
+            if min(h) < 0 or max(h) >= n:
                 raise ValueError(f"hyperedge {h!r} has out-of-range vertices")
+            if list(h) != sorted(set(h)):
+                raise ValueError(f"hyperedge {[self.labels[i] for i in h]} must name distinct vertices in index order")
         if list(self.hyperedges) != sorted(self.hyperedges):
             raise ValueError("hyperedges must be sorted")
 

@@ -17,12 +17,13 @@ the Schur complement ((M^-1)_SS)^-1, it also equals
 which needs only the S-blocks of M and of one shared inverse. The scan uses
 this form on the smaller side of every partition, stacked by side size into
 one batch per group. Which partitions share a group, and where
-their smaller sides sit, depends on the block size and the chunk size alone,
-never on M: ``_partition_plan`` builds that index plan once per pair and the
-process keeps it within the cap (a forced scan past it builds one chunk at
-a time and keeps none). It holds each partition's slot (int32) and
-smaller-side positions (int16), about 11 MB at k = 20, and a scan reads the
-block of M and of M^-1 once and gathers every S-block from those two.
+their smaller sides sit, depends on the block size alone (chunks hold
+``BATCH_CHUNK`` partitions), never on M: ``_partition_plan`` builds that
+index plan once per block size and the process keeps it within the cap (a
+forced scan past it builds one chunk at a time and keeps none). It holds
+each partition's slot (int32) and smaller-side positions (int16), about
+11 MB at k = 20, and a scan reads the block of M and of M^-1 once and
+gathers every S-block from those two.
 
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
 M_SS (M^-1)_SS, all >= 1, and E = B - I is positive semidefinite with
@@ -332,15 +333,16 @@ def _rescore(entries: np.ndarray, near, witness: bool = True):
     return float(best), tuple(np.flatnonzero(lifts[first]).tolist()), found[first]
 
 
-def _plan_chunks(k: int, chunk: int):
+def _plan_chunks(k: int):
     """The index half of ``_batched_rho_sq`` for blocks of size k, built one
-    chunk of ``chunk`` partition masks at a time: per chunk, one (slots,
-    positions) pair per smaller-side size s, slots (int32) the partition
-    numbers and positions (int16, s per row) the smaller side's positions.
+    chunk of ``BATCH_CHUNK`` partition masks at a time: per chunk, one
+    (slots, positions) pair per smaller-side size s, slots (int32) the
+    partition numbers and positions (int16, s per row) the smaller side's
+    positions.
     """
     count = (1 << (k - 1)) - 1
-    for lo in range(0, count, chunk):
-        members = _subset_rows(2 * np.arange(lo, min(lo + chunk, count)) + 1, k)
+    for lo in range(0, count, BATCH_CHUNK):
+        members = _subset_rows(2 * np.arange(lo, min(lo + BATCH_CHUNK, count)) + 1, k)
         size = members.sum(axis=1)
         flip = size > k - size
         members[flip] = ~members[flip]
@@ -355,13 +357,14 @@ def _plan_chunks(k: int, chunk: int):
 
 
 @lru_cache(maxsize=None)
-def _partition_plan(k: int, chunk: int) -> tuple:
+def _partition_plan(k: int) -> tuple:
     """All of ``_plan_chunks``, kept for the life of the process: about 11 MB
     at k = 20, and every smaller k together adds less again. A forced scan
     past the ``partitions`` cap reads ``_plan_chunks`` instead, one chunk at
-    a time, and keeps none of its plan (about 43 MB at k = 22).
+    a time, and keeps none of its plan (about 43 MB at k = 22). The cache is
+    keyed by k alone, so a change of ``BATCH_CHUNK`` must clear it.
     """
-    return tuple(_plan_chunks(k, chunk))
+    return tuple(_plan_chunks(k))
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +491,7 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     # Block j of the stack reads its entries from row j of a and a_inv and
     # writes its slots at offset j count.
     offsets = count * np.arange(n)[:, None]
-    for groups in (_partition_plan if count <= CAPS["partitions"] else _plan_chunks)(k, BATCH_CHUNK):
+    for groups in (_partition_plan if count <= CAPS["partitions"] else _plan_chunks)(k):
         for slots, pos in groups:
             s = pos.shape[1]
             slots = offsets + slots

@@ -91,7 +91,6 @@ from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
-    SpectrumResult,
     _classical_inner_products,
     _eigenvalues,
     _semi_hodge_matrix,
@@ -546,7 +545,6 @@ def verify_eml(
     *,
     force: bool = False,
     rho_e: float | None = None,
-    spectrum: SpectrumResult | None = None,
     include_conformality_term: bool = True,
 ) -> VerificationReport:
     """Expander mixing inequality with the conformality correction term.
@@ -562,7 +560,7 @@ def verify_eml(
     """
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _graph_eigenvalues(g, m_v, m_e) if spectrum is None else spectrum.eigenvalues
+    vals = _graph_eigenvalues(g, m_v, m_e)
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
     lam1 = float(vals[0])
@@ -571,7 +569,9 @@ def verify_eml(
     vol_g = float(np.sum(m_v.entries))
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
     inter = sorted(set(x_set) & set(y_set))
-    e_inter = cut_stats(g, m_v, m_e, inter, inter).e_x if inter else 0.0
+    # e(X cap Y): the mass of the edges with both ends in X cap Y.
+    in_inter = _indicator(g.n, inter)
+    e_inter = m_e.quad(_edge_mask(g, in_inter, in_inter)) if inter else 0.0
     # e({a}, ac) for each vertex a: the mass of the edges incident to a.
     point_mass = float(np.sum(m_e.quad(unsigned_incidence(g))[inter])) if inter else 0.0
     sqrt_cor = float(np.sqrt(max(stats.cor_x, 0.0) * max(stats.cor_y, 0.0)))

@@ -324,7 +324,10 @@ def recover_classical(kind: str, g: Graph, edge_weights=None):
 def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     """Re-express L = D - Dt H W Ht Dt as an inner product Laplacian.
 
-    Requires a strictly positive vector pi in the kernel of L. The carrier
+    Requires a strictly positive vector pi in the kernel of L. With
+    ``d=None``, D is the kernel-consistent D pi = Dt H W H^T Dt pi
+    entrywise, derived only once D-tilde, W and pi have passed their
+    checks. The carrier
     is the clique expansion with pair weights
     pi_u pi_v dt_u dt_v sum_{e contains u,v} w_e, the vertex inner product
     is diag(pi)^2, and the resulting Laplacian reproduces L entrywise.
@@ -333,17 +336,20 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     and max|L| for the Laplacian, so neither the units of the weights nor
     the scale of pi change the verdict.
     """
-    d = np.asarray(d, dtype=float)
-    dt = np.asarray(d_tilde, dtype=float)
-    w = np.asarray(w, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    d = None if d is None else np.asarray(d, dtype=float)
+    dt, w, pi = (np.asarray(v, dtype=float) for v in (d_tilde, w, pi))
     n, m = hg.n, hg.m
-    for name, vec, size in (("D", d, n), ("D-tilde", dt, n), ("W", w, m), ("pi", pi, n)):
+    given = [] if d is None else [("D", d, n)]
+    for name, vec, size in given + [("D-tilde", dt, n), ("W", w, m), ("pi", pi, n)]:
         if vec.shape != (size,):
             raise ValueError(f"{name} must be a vector of length {size}")
         if np.any(vec <= 0):
             raise ValueError(f"{name} must be strictly positive")
     h = hg.incidence().astype(float)
+    if d is None:
+        d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
+        if not np.all(d > 0):
+            raise ValueError(f"the kernel-consistent D is not positive at vertex {hg.labels[np.argmin(d > 0)]!r}")
     lap = np.diag(d) - (dt[:, None] * (h @ np.diag(w) @ h.T) * dt[None, :])
     lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
     kernel_resid = float(np.abs(lap @ pi).max())
@@ -431,11 +437,11 @@ def digraph_laplacian(p):
     pi = stationary_distribution(p)
     stat_resid = float(np.abs(pi @ p - pi).max())
 
+    # Both are symmetric as built: entries (u, v) and (v, u) add the same two
+    # rounded products in swapped order, and floating-point addition commutes.
     lap = np.diag(pi) - 0.5 * (pi[:, None] * p + p.T * pi[None, :])
-    lap = 0.5 * (lap + lap.T)
     sq = np.sqrt(pi)
     norm_lap = np.eye(n) - 0.5 * ((sq[:, None] * p) / sq[None, :] + (p.T * sq[None, :]) / sq[:, None])
-    norm_lap = 0.5 * (norm_lap + norm_lap.T)
 
     pairs = sorted(
         (u, v) for u in range(n) for v in range(u + 1, n) if p[u, v] > 0 or p[v, u] > 0

@@ -91,8 +91,6 @@ def stable_json(obj) -> str:
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)

@@ -220,6 +220,40 @@ def test_hypergraph_to_ipl_defaults(files, capsys):
     assert result["graph"]["edges"] == [["1", "2"], ["1", "3"], ["2", "3"]]
 
 
+TRIANGLE_AND_PAIR = {"vertices": ["a", "b", "c"], "hyperedges": [["a", "b", "c"], ["a", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "hypergraph, vectors, message",
+    [
+        (TRIANGLE_AND_PAIR, {"pi": [1.0, 0.0, 1.0]}, "pi must be strictly positive"),
+        (TRIANGLE_AND_PAIR, {"pi": [1.0, -1.0, 1.0]}, "pi must be strictly positive"),
+        ({**TRIANGLE_AND_PAIR, "weights": [-1.0, 1.0]}, {}, "W must be strictly positive"),
+        (TRIANGLE_AND_PAIR, {"dt": [1.0, 1.0]}, "D-tilde must be a vector of length 3"),
+        ({"vertices": ["a", "a", "b"], "hyperedges": [["a", "b"]]}, {}, "vertex labels must be distinct: 'a' appears twice"),
+        ({"vertices": ["a", "b"], "hyperedges": []}, {}, "a hypergraph needs at least one hyperedge"),
+        ({"vertices": ["a", "b", "c"], "hyperedges": [["a", "a", "b"]]}, {}, "hyperedge ['a', 'a', 'b'] must name distinct vertices in index order"),
+        ({"vertices": ["a", "b", "c"], "hyperedges": [["a", "b"]]}, {}, "the kernel-consistent D is not positive at vertex 'c'"),
+    ],
+    ids=[
+        "pi-zero", "pi-negative", "weight-negative", "dt-length", "repeated-label", "no-hyperedges", "repeated-in-hyperedge",
+        "vertex-on-no-hyperedge",
+    ],
+)
+def test_hypergraph_to_ipl_input_errors(hypergraph, vectors, message, tmp_path, capsys):
+    # Each input is checked before the default D is derived from it, and the
+    # one line names the input at fault: no numpy warning or traceback, and
+    # no complaint about a D the user did not give.
+    argv = ["hypergraph-to-ipl", "--hypergraph", write(tmp_path, "h.json", hypergraph)]
+    for name, values in vectors.items():
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", values)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: {message}\n"
+
+
 def test_digraph_command(files, tmp_path, capsys):
     # Both chains have period 2; the second never settles under power iteration.
     periodic = write(tmp_path, "periodic.json", {"rows": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]})
@@ -339,6 +373,23 @@ def test_neumann_mass_underflow_is_a_failure_not_a_warning(files, capsys):
     assert (code, err, caught) == (1, "", [])
     result = json.loads(out)["result"]
     assert result["failures"] == ["epsilon=1e-200: a vertex mass underflows to 0"]
+    assert result["epsilon_trace"] == [] and result["converged"] is False
+
+
+def test_neumann_kernel_failure_stops_the_sweep(tmp_path, capsys):
+    # On the 8-path with S = {v1, v2}, the largest eigenvalue grows like
+    # 1/eps^2: at eps = 1e-9, lambda_2 = 1.5 falls under ZERO_RTOL times it
+    # and the kernel counts two. The sweep stops there, keeping the steps
+    # before it.
+    failure = "epsilon=1e-09: kernel dimension 2 != 1"
+    res = neumann_limit_experiment(path_graph(8), [0, 1], (1e-1, 1e-5, 1e-9))
+    assert res.failures == [failure]
+    assert [r["epsilon"] for r in res.epsilon_trace] == [1e-1, 1e-5]
+    p8 = write(tmp_path, "p8.json", path_graph(8).to_dict())
+    code, out, err = run_cli(["neumann", "--graph", p8, "--subset", "v1,v2", "--schedule", "1e-9"], capsys)
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["failures"] == [failure]
     assert result["epsilon_trace"] == [] and result["converged"] is False
 
 

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -647,14 +649,22 @@ def test_weak_exact_ties_within_and_across_blocks():
     assert across > 0 and within > 0
 
 
+def use_batch_chunk(monkeypatch, chunk):
+    # The plan is cached by block size alone, so a test that changes
+    # BATCH_CHUNK scans with a plan cache of its own, which goes with the
+    # test: no plan of another chunk size is read or left behind.
+    monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    monkeypatch.setattr(conformality, "_partition_plan", lru_cache(maxsize=None)(conformality._partition_plan.__wrapped__))
+
+
 def record_chunk_rows(monkeypatch, chunk):
     # Sets BATCH_CHUNK and returns the row counts of the plan chunks that
-    # the scans then use; a plan cached by k alone would show other counts.
-    monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+    # the scans then use.
+    use_batch_chunk(monkeypatch, chunk)
     rows, plan = [], conformality._partition_plan
 
-    def recording_plan(k, size):
-        groups = plan(k, size)
+    def recording_plan(k):
+        groups = plan(k)
         rows.extend(sum(len(slots) for slots, _ in part) for part in groups)
         return groups
 
@@ -955,7 +965,7 @@ def test_size_stacks_are_ranked_in_slices(sizes, chunk, monkeypatch):
     # BATCH_CHUNK partitions unless it holds a single block. rho is the best
     # of the blocks scored as matrices of their own.
     if chunk:
-        monkeypatch.setattr(conformality, "BATCH_CHUNK", chunk)
+        use_batch_chunk(monkeypatch, chunk)
     calls, ranked = [], conformality._batched_rho_sq
 
     def recording(entries, inverse, c, delta):
@@ -1016,11 +1026,11 @@ def test_forced_scan_builds_its_plan_one_chunk_at_a_time(monkeypatch):
     m = random_spd(rng, 7)
     kept = weak_conformality(m)
     monkeypatch.setitem(CAPS, "partitions", 2**4 - 1)  # a block of 5
-    monkeypatch.setattr(conformality, "BATCH_CHUNK", 8)
+    use_batch_chunk(monkeypatch, 8)
     events, chunks, cholesky = [], conformality._plan_chunks, np.linalg.cholesky
 
-    def recording_chunks(k, size):
-        for groups in chunks(k, size):
+    def recording_chunks(k):
+        for groups in chunks(k):
             events.append("chunk")
             yield groups
 
@@ -1030,7 +1040,6 @@ def test_forced_scan_builds_its_plan_one_chunk_at_a_time(monkeypatch):
 
     monkeypatch.setattr(conformality, "_plan_chunks", recording_chunks)
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    conformality._partition_plan.cache_clear()
     forced = weak_conformality(m, force=True)
     assert conformality._partition_plan.cache_info().currsize == 0
     assert events.count("chunk") == 8  # 63 partitions in chunks of 8
@@ -1043,7 +1052,7 @@ def test_forced_scan_builds_its_plan_one_chunk_at_a_time(monkeypatch):
 def test_partition_plan_size_at_k20():
     # Slots and positions, not flat indices: the plan of the largest block
     # under the default cap stays near 11 MB, and covers each partition once.
-    plan = conformality._partition_plan(20, conformality.BATCH_CHUNK)
+    plan = conformality._partition_plan(20)
     assert sum(slots.nbytes + pos.nbytes for chunk in plan for slots, pos in chunk) <= 12e6
     slots = np.concatenate([slots for chunk in plan for slots, _ in chunk])
     assert np.array_equal(np.sort(slots), np.arange((1 << 19) - 1))

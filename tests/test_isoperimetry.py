@@ -322,6 +322,28 @@ def test_conductance_agrees_with_its_table(rng):
         assert list(witness) == min((r["subset"] for r in table if r["phi"] == best), key=tuple)
 
 
+def test_conductance_without_a_rounding_bound_rescores_every_cut(monkeypatch):
+    # M_E = 11^T + 1e-9 I: 6 N eps sum|M_E| exceeds lambda_min(M_E), so
+    # _widening has no bound and the one-batch scan rescores every cut with
+    # _cut_masses. phi and the witness are still the table's minimum and its
+    # lexicographically first minimizer.
+    widenings, widening = [], ipl.isoperimetry._widening
+
+    def recording(*args):
+        widenings.append(widening(*args))
+        return widenings[-1]
+
+    monkeypatch.setattr(ipl.isoperimetry, "_widening", recording)
+    labels = [f"v{i + 1}" for i in range(9)]
+    g = Graph.from_edge_labels(labels, list(itertools.combinations(labels, 2))[:30])
+    m_e = SpdMatrix(np.ones((30, 30)) + 1e-9 * np.eye(30))
+    phi, witness, table = conductance(g, normalized_inner_products(g)[0], m_e, include_table=True)
+    assert widenings == [np.inf]
+    best = min(r["phi"] for r in table)
+    assert phi == best
+    assert list(witness) == min((r["subset"] for r in table if r["phi"] == best), key=tuple)
+
+
 def _split_and_reference(g, m_v, m_e, cols, pinned):
     """Every cut of a split scan as (masses from the split forms, one product
     per form; masses from _cut_masses; _widening's factor). The halves are
@@ -544,10 +566,9 @@ def test_eml_batch_matches_single(rng):
         m_e = random_spd(rng, g.m) if dense else SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.m))
         batch = verify_eml_batch(g, m_v, m_e)
         assert batch.passed
-        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
 
         def margin(x, y):
-            rep = verify_eml(g, m_v, m_e, x, y, rho_e=batch.values["rho_e"], spectrum=spectrum)
+            rep = verify_eml(g, m_v, m_e, x, y, rho_e=batch.values["rho_e"])
             return rep.values["margin"]
 
         worst = margin(batch.values["worst_x"], batch.values["worst_y"])
@@ -609,10 +630,9 @@ def test_eml_batch_matches_exhaustive_fuzz():
             m_e = SpdMatrix.from_diagonal(rng.integers(1, 4, g.m).astype(float))
         batch = verify_eml_batch(g, m_v, m_e)
         v = batch.values
-        spectrum = inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e))
         subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
         singles = {
-            (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"], spectrum=spectrum).values
+            (x, y): verify_eml(g, m_v, m_e, x, y, rho_e=v["rho_e"]).values
             for x in subsets
             for y in subsets
         }

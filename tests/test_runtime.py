@@ -402,9 +402,10 @@ def test_tiny_asymmetric_matrix_is_refused_like_one_at_scale_one():
 def test_partition_plan_cache_dense_k16():
     # The default scan prunes by its bound; delta = inf eigensolves every
     # partition. Both must give the same maximum and the same slots within
-    # delta of it, bit for bit. The plan is cached per (block size, chunk
-    # size): a cold scan, a warm one and one in 100-row chunks must report
-    # the same rho and witness, bit for bit.
+    # delta of it, bit for bit. The plan is cached per block size, and
+    # cleared around the change of chunk size: a cold scan, a warm one and
+    # one in 100-row chunks must report the same rho and witness, bit for
+    # bit.
     rng = np.random.default_rng(16)
     q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
     m = SpdMatrix((q * rng.uniform(0.5, 3.0, 16)) @ q.T)
