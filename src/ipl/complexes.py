@@ -6,6 +6,10 @@ unordered pairs; orientation is a per-edge sign that flips the default
 boundary column (-1 at the smaller endpoint, +1 at the larger). A Graph
 builds its signed incidence once and holds it read-only (``Graph.incidence``,
 which ``graph_incidence`` returns), like its endpoint array ``ends``.
+The refusals of two kinds of input live here, one check each:
+``_distinct_labels`` for the vertex labels of a Graph or a Hypergraph, and
+``check_weights`` for every weight vector (``clique_expansion`` here,
+``recover_classical`` and ``hypergraph_to_ipl`` in ``laplacian``).
 """
 
 from __future__ import annotations
@@ -130,6 +134,25 @@ def boundary_matrix(k: SimplicialComplex, i: int) -> np.ndarray:
     return b
 
 
+def _distinct_labels(labels: tuple) -> None:
+    """Refuse repeated vertex labels, naming the first label that repeats. A
+    valid tuple pays one set; the repeat is looked up only once that fails."""
+    if len(set(labels)) != len(labels):
+        twice = next(lab for lab in labels if labels.count(lab) > 1)
+        raise ValueError(f"vertex labels must be distinct: {twice!r} appears twice")
+
+
+def check_weights(name: str, values, size: int) -> np.ndarray:
+    """``values`` as a float vector of ``size`` strictly positive entries, or a
+    ValueError naming ``name``: its length, or its sign (a NaN fails it too)."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must be a vector of length {size}")
+    if not np.all(v > 0):
+        raise ValueError(f"{name} must be strictly positive")
+    return v
+
+
 def _label_indices(index: dict, labels) -> list[int]:
     """Vertex indices of an edge's labels; an unknown label is a ValueError naming it."""
     try:
@@ -148,8 +171,7 @@ class Graph:
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("vertex labels must be distinct")
+        _distinct_labels(self.labels)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex index {u}")
@@ -257,9 +279,7 @@ class Hypergraph:
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            twice = next(lab for lab in self.labels if self.labels.count(lab) > 1)
-            raise ValueError(f"vertex labels must be distinct: {twice!r} appears twice")
+        _distinct_labels(self.labels)
         if not self.hyperedges:
             raise ValueError("a hypergraph needs at least one hyperedge")
         for h in self.hyperedges:
@@ -318,13 +338,7 @@ def clique_expansion(hg: Hypergraph, edge_weights=None) -> tuple[Graph, np.ndarr
     weight of pair {u, v} is the sum of w_e over hyperedges containing both.
     A 2-uniform hypergraph maps to itself with unchanged weights.
     """
-    if edge_weights is None:
-        edge_weights = np.ones(hg.m)
-    w = np.asarray(edge_weights, dtype=float)
-    if w.shape != (hg.m,):
-        raise ValueError("need one weight per hyperedge")
-    if np.any(w <= 0):
-        raise ValueError("hyperedge weights must be positive")
+    w = np.ones(hg.m) if edge_weights is None else check_weights("hyperedge weights", edge_weights, hg.m)
     pair_w: dict[tuple[int, int], float] = {}
     for e, verts in enumerate(hg.hyperedges):
         for u, v in combinations(verts, 2):

@@ -78,6 +78,10 @@ rounding of its two comparisons relative to what they compare: eigh's
 backward error, n eps lambda_max, plus 64 eps of lower + upper for the
 products that form the bounds. So scaling an inner product changes none of
 its verdicts. The mixing verifiers still allow an absolute 1e-9.
+
+Every vertex set a caller passes (X and Y of ``cut_stats`` and
+``verify_eml``, the Dirichlet, Neumann and local-conductance subsets) is
+sorted and refused in one place, ``_vertex_set``.
 """
 
 from __future__ import annotations
@@ -124,12 +128,21 @@ def _graph_eigenvalues(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
     return _eigenvalues(_semi_hodge_matrix(g.incidence, m_v.inv_sqrt_entries, m_e.entries))
 
 
+def _vertex_set(n: int, subset, least: int = 0) -> list[int]:
+    """``subset`` sorted, without repeats, or a ValueError: for a vertex
+    outside 0..n-1 (naming it), then for fewer than ``least`` (0, 1 or 2)
+    vertices. The one check of every vertex set a caller passes."""
+    s = sorted(set(subset))
+    if s and (s[0] < 0 or s[-1] >= n):
+        raise ValueError(f"vertex index {s[0] if s[0] < 0 else s[-1]} out of range 0..{n - 1}")
+    if len(s) < least:
+        raise ValueError(f"the subset needs at least {('', 'one vertex', 'two vertices')[least]}")
+    return s
+
+
 def _indicator(n: int, subset) -> np.ndarray:
     x = np.zeros(n)
-    subset = list(subset)
-    if subset and (min(subset) < 0 or max(subset) >= n):
-        raise ValueError(f"vertex index out of range in {subset}")
-    x[subset] = 1.0
+    x[_vertex_set(n, subset)] = 1.0
     return x
 
 
@@ -463,10 +476,10 @@ def conductance(
         dv, de = normalized_inner_products(g)
         m_v = m_v if m_v is not None else dv
         m_e = m_e if m_e is not None else de
+    # A graph of fewer than two vertices has no edge: the default M_E is
+    # refused above, and a given one (dimension >= 1) here.
     check_graph_inner_products(g, m_v, m_e)
     n = g.n
-    if n < 2:
-        raise ValueError("conductance needs at least two vertices")
     check_cap("cuts", 2 ** (n - 1) - 1, f"conductance of {n} vertices", force)
     if include_table:
         check_cap("rows", 2 ** (n - 1) - 1, f"the conductance table of {n} vertices", force)
@@ -824,12 +837,8 @@ def dirichlet_eigenvalues(g: Graph, subset) -> np.ndarray:
     degree-weighted denominator; there are |S| of them, all positive when
     every component of the induced subgraph meets the boundary.
     """
-    s_list = sorted(set(subset))
-    if not s_list:
-        raise ValueError("subset must be nonempty")
+    s_list = _vertex_set(g.n, subset, 1)
     s_set = set(s_list)
-    if max(s_list) >= g.n or min(s_list) < 0:
-        raise ValueError("subset contains out-of-range vertices")
     # Every component of G[S] must see the boundary; a swallowed component
     # would contribute a zero eigenvalue, which the boundary condition forbids.
     # A component of G[S] without an edge leaving S is a whole component of G.
@@ -891,9 +900,7 @@ def neumann_eigenvalue(g: Graph, subset) -> NeumannResult:
     Reduced eigenvalues within ZERO_RTOL * lambda_max of it count toward
     its multiplicity.
     """
-    s_list = sorted(set(subset))
-    if len(s_list) < 2:
-        raise ValueError("the subset needs at least two vertices")
+    s_list = _vertex_set(g.n, subset, 2)
     if not g.is_connected():
         raise ValueError("defined for connected graphs")
     boundary = _vertex_boundary(g, s_list)
@@ -937,10 +944,11 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     the subset and epsilon times it outside. The sweep records the second
     eigenvalue and the harmonic eigenvector restricted to subset+boundary,
     sign-aligned step to step, and stops early, as a failure, if a vertex
-    mass underflows to 0 or the kernel stops being one-dimensional. Both
-    inner products are diagonal, so each step hands ``_semi_hodge_matrix``
-    the arrays Q^-1 = diag(mass)^(-1/2) and diag(w), without an
-    ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
+    mass underflows to 0 or the kernel stops being one-dimensional; a sweep
+    that stopped early has ``converged`` false, whatever its last recorded
+    step met. Both inner products are diagonal, so each step hands
+    ``_semi_hodge_matrix`` the arrays Q^-1 = diag(mass)^(-1/2) and diag(w),
+    without an ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
     subset need no positive-definiteness check. ``vector_gap`` is the
     largest entry of the last vector's residual after projection onto the
     lambda_S eigenspace, in the degree-weighted inner product on the subset.
@@ -1009,7 +1017,7 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
         weight = deg[list(direct.subset)]
         coef = (weight * f[: len(weight)]) @ space[: len(weight)]
         vector_gap = float(np.abs(f - space @ coef).max())
-        converged = lambda_gap <= 1e-4 and vector_gap <= 1e-3
+        converged = not failures and lambda_gap <= 1e-4 and vector_gap <= 1e-3
     return replace(
         direct,
         epsilon_trace=trace,
@@ -1027,9 +1035,7 @@ def s_local_conductance(g: Graph, subset, *, force: bool = False):
     Measured in the default normalized quantities: volumes by degree sums,
     edge masses by counts. T ranges over nonempty proper subsets of S.
     """
-    s_list = sorted(set(subset))
-    if len(s_list) < 2:
-        raise ValueError("the subset needs at least two vertices")
+    s_list = _vertex_set(g.n, subset, 2)
     check_cap("cuts", 2 ** len(s_list) - 2, f"local conductance of |S| = {len(s_list)}", force)
     # Checks that g is connected, so every degree below is positive.
     direct = neumann_eigenvalue(g, s_list)

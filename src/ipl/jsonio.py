@@ -8,7 +8,8 @@ Vectors: either a bare JSON array or {"values": [...]}.
 Every reader names the file in its error when the file cannot be read or
 parsed. The load_* readers refuse NaN and infinities, naming the file and entry,
 and numeric arrays that are ragged, of the wrong depth or hold non-numbers,
-naming the file and key.
+naming the file and key. The graph and hypergraph readers check their
+list fields in one place, ``_list_fields``.
 """
 
 from __future__ import annotations
@@ -69,19 +70,26 @@ def vector_from_dict(d, what: str = "vector JSON") -> np.ndarray:
     return _numbers(d, 1, what)
 
 
+def _list_fields(d, kind: str, key: str, pair: bool, **optional: str) -> None:
+    """Refuse ``d`` unless it is a ``kind`` JSON object whose "vertices" is a
+    list and whose ``key`` is a list of lists of vertex labels (pairs when
+    ``pair``), and whose ``optional`` keys are absent, null or lists of what
+    they name: the one list-field check of the graph and hypergraph readers."""
+    if not isinstance(d, dict) or "vertices" not in d or key not in d:
+        raise ValueError(f'{kind} JSON must contain "vertices" and "{key}"')
+    shape = "pair" if pair else "list"
+    for name, holds in {"vertices": "labels", key: f"vertex {shape}s", **optional}.items():
+        value = d.get(name)
+        if not isinstance(value, list) and (name not in optional or value is not None):
+            raise ValueError(f'{kind} JSON "{name}" must be a list of {holds}')
+        for e in value if name == key else ():
+            if not (isinstance(e, list) and (len(e) == 2 or not pair)):
+                raise ValueError(f"{kind} JSON {key[:-1]} {json.dumps(e)} is not a {shape} of vertex labels")
+
+
 def graph_from_dict(d) -> Graph:
-    if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
-        raise ValueError('graph JSON must contain "vertices" and "edges"')
-    if not isinstance(d["vertices"], list):
-        raise ValueError('graph JSON "vertices" must be a list of labels')
-    if not isinstance(d["edges"], list):
-        raise ValueError('graph JSON "edges" must be a list of vertex pairs')
-    for e in d["edges"]:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ValueError(f"graph JSON edge {json.dumps(e)} is not a pair of vertex labels")
+    _list_fields(d, "graph", "edges", True, orientation="signs")
     orientation = d.get("orientation")
-    if orientation is not None and not isinstance(orientation, list):
-        raise ValueError('graph JSON "orientation" must be a list of signs')
     labels = [str(v) for v in d["vertices"]]
     edges = [(str(u), str(v)) for u, v in d["edges"]]
     return Graph.from_edge_labels(labels, edges, orientation)
@@ -94,15 +102,7 @@ def complex_from_dict(d) -> SimplicialComplex:
 
 
 def hypergraph_from_dict(d, what: str = "hypergraph JSON") -> tuple[Hypergraph, np.ndarray]:
-    if not isinstance(d, dict) or "vertices" not in d or "hyperedges" not in d:
-        raise ValueError('hypergraph JSON must contain "vertices" and "hyperedges"')
-    if not isinstance(d["vertices"], list):
-        raise ValueError('hypergraph JSON "vertices" must be a list of labels')
-    if not isinstance(d["hyperedges"], list):
-        raise ValueError('hypergraph JSON "hyperedges" must be a list of vertex lists')
-    for h in d["hyperedges"]:
-        if not isinstance(h, list):
-            raise ValueError(f"hypergraph JSON hyperedge {json.dumps(h)} is not a list of vertex labels")
+    _list_fields(d, "hypergraph", "hyperedges", False)
     weights = d.get("weights")
     if weights is not None:
         # Checked in file order, before the weights are sorted with the hyperedges.

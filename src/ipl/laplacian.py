@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, clique_expansion, graph_incidence, unsigned_incidence
+from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, check_weights, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
 from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs
 from .report import VerificationReport, to_plain
@@ -309,13 +309,7 @@ def recover_classical(kind: str, g: Graph, edge_weights=None):
     """
     if kind not in CLASSICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {CLASSICAL_KINDS}")
-    if edge_weights is None:
-        edge_weights = np.ones(g.m)
-    w = np.asarray(edge_weights, dtype=float)
-    if w.shape != (g.m,):
-        raise ValueError("need one weight per edge")
-    if np.any(w <= 0):
-        raise ValueError("edge weights must be positive")
+    w = np.ones(g.m) if edge_weights is None else check_weights("edge weights", edge_weights, g.m)
     m_v, m_e = _classical_inner_products(kind, g, w)
     b = graph_incidence(g) if kind in ("combinatorial", "normalized") else unsigned_incidence(g)
     return m_v, m_e, semi_hodge(b.astype(float), m_v, m_e)
@@ -336,15 +330,9 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     and max|L| for the Laplacian, so neither the units of the weights nor
     the scale of pi change the verdict.
     """
-    d = None if d is None else np.asarray(d, dtype=float)
-    dt, w, pi = (np.asarray(v, dtype=float) for v in (d_tilde, w, pi))
-    n, m = hg.n, hg.m
-    given = [] if d is None else [("D", d, n)]
-    for name, vec, size in given + [("D-tilde", dt, n), ("W", w, m), ("pi", pi, n)]:
-        if vec.shape != (size,):
-            raise ValueError(f"{name} must be a vector of length {size}")
-        if np.any(vec <= 0):
-            raise ValueError(f"{name} must be strictly positive")
+    n = hg.n
+    d = None if d is None else check_weights("D", d, n)
+    dt, w, pi = check_weights("D-tilde", d_tilde, n), check_weights("W", w, hg.m), check_weights("pi", pi, n)
     h = hg.incidence().astype(float)
     if d is None:
         d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi

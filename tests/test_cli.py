@@ -24,6 +24,7 @@ from ipl import (
     s_local_conductance,
     stable_json,
     verify_cheeger,
+    verify_eml,
     verify_eml_batch,
     weak_conformality,
 )
@@ -382,15 +383,23 @@ def test_neumann_kernel_failure_stops_the_sweep(tmp_path, capsys):
     # and the kernel counts two. The sweep stops there, keeping the steps
     # before it.
     failure = "epsilon=1e-09: kernel dimension 2 != 1"
+    # A sweep that stopped early has not converged, whatever its last
+    # recorded step met, so the command exits 1 either way.
     res = neumann_limit_experiment(path_graph(8), [0, 1], (1e-1, 1e-5, 1e-9))
     assert res.failures == [failure]
     assert [r["epsilon"] for r in res.epsilon_trace] == [1e-1, 1e-5]
+    assert res.converged is False
     p8 = write(tmp_path, "p8.json", path_graph(8).to_dict())
     code, out, err = run_cli(["neumann", "--graph", p8, "--subset", "v1,v2", "--schedule", "1e-9"], capsys)
     assert (code, err) == (1, "")
     result = json.loads(out)["result"]
     assert result["failures"] == [failure]
     assert result["epsilon_trace"] == [] and result["converged"] is False
+    code, out, err = run_cli(["neumann", "--graph", p8, "--subset", "v1,v2", "--schedule", "1e-1,1e-5,1e-9"], capsys)
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["failures"] == [failure] and len(result["epsilon_trace"]) == 2
+    assert result["converged"] is False
 
 
 @pytest.mark.parametrize("schedule", ["abc", "1e-1:abc"])
@@ -719,8 +728,14 @@ def test_unknown_vertex_label_exit_two(tmp_path, capsys):
         ({"vertices": 5, "edges": []}, '"vertices" must be a list'),
         ({"vertices": ["a", "b"], "edges": [5]}, "edge 5 is not a pair"),
         ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, 'edge ["a", "b", "c"] is not a pair'),
+        ({"vertices": ["a", "b"], "edges": {"a": "b"}}, 'graph JSON "edges" must be a list of vertex pairs'),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"]], "orientation": 1}, 'graph JSON "orientation" must be a list of signs'),
+        ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}, "vertex labels must be distinct: 'a' appears twice"),
     ],
-    ids=["short-orientation", "long-orientation", "vertices-not-list", "edge-not-list", "edge-triple"],
+    ids=[
+        "short-orientation", "long-orientation", "vertices-not-list", "edge-not-list", "edge-triple", "edges-not-list",
+        "orientation-not-list", "repeated-label",
+    ],
 )
 def test_malformed_graph_exit_two(tmp_path, capsys, graph, message):
     path = write(tmp_path, "g.json", graph)
@@ -736,8 +751,9 @@ def test_malformed_graph_exit_two(tmp_path, capsys, graph, message):
         ({"vertices": ["a", "b"], "hyperedges": 5}, '"hyperedges" must be a list'),
         ({"vertices": 5, "hyperedges": [["a", "b"]]}, '"vertices" must be a list'),
         ({"vertices": ["a", "b"], "hyperedges": [["a", "b"], 5]}, "hyperedge 5 is not a list"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"]]}, 'hypergraph JSON must contain "vertices" and "hyperedges"'),
     ],
-    ids=["weights-not-list", "hyperedges-not-list", "vertices-not-list", "hyperedge-not-list"],
+    ids=["weights-not-list", "hyperedges-not-list", "vertices-not-list", "hyperedge-not-list", "no-hyperedges-key"],
 )
 def test_malformed_hypergraph_exit_two(tmp_path, capsys, hypergraph, message):
     path = write(tmp_path, "h.json", hypergraph)
@@ -908,3 +924,91 @@ def test_enumeration_guard_at_every_site(what, tmp_path, capsys, monkeypatch):
     assert err == f"error: {refused.value}\n"
     code, out, err = run_cli(argv(tmp_path, size + 1) + ["--force"], capsys)
     assert code == 0, err
+
+
+TWO_EDGES = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]}
+P3 = {"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"], ["v2", "v3"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, contents, message",
+    [
+        (["conformality", "{m}"], {"m": {"rows": [[2.0]]}}, "weak conformality requires dimension >= 2"),
+        (["conformality", "{m}", "--sampled", "0", "--seed", "1"], {"m": {"rows": [[2.0, 1.0], [1.0, 2.0]]}}, "trials must be >= 1"),
+        (["recover", "--kind", "combinatorial", "--graph", "{g}", "--weights", "{w}"], {"g": P3, "w": [1.0]}, "edge weights must be a vector of length 2"),
+        (["recover", "--kind", "normalized", "--graph", "{g}", "--weights", "{w}"], {"g": P3, "w": {"values": [1.0, -2.0]}}, "edge weights must be strictly positive"),
+        (["digraph", "--transition", "{m}"], {"m": {"rows": [[1 - 1e-20, 1e-20], [1.0, 0.0]]}}, "stationary distribution is not numerically positive; chain is too close to reducible"),
+        (["digraph", "--transition", "{m}"], {"m": {"rows": [[0.5, 0.5]]}}, "transition matrix must be square"),
+        (["digraph", "--transition", "{m}"], {"m": {"rows": [[1.5, -0.5], [0.5, 0.5]]}}, "transition matrix has negative entries"),
+        (["digraph", "--transition", "{m}"], {"m": {"rows": [[1.0]]}}, "support graph has no edges"),
+        (["verify", "cheeger", "--graph", "{g}"], {"g": TWO_EDGES}, "the Cheeger bound is stated for connected graphs"),
+        (["verify", "eml", "--graph", "{g}", "--x", "a", "--y", "c"], {"g": TWO_EDGES}, "the mixing bound is stated for connected graphs"),
+        (["verify", "eml", "--batch", "--graph", "{g}"], {"g": TWO_EDGES}, "the mixing bound is stated for connected graphs"),
+        (["dirichlet", "--graph", "{g}", "--subset", ""], {"g": P3}, "the subset needs at least one vertex"),
+        (["neumann", "--graph", "{g}", "--subset", "v2,v2"], {"g": P3}, "the subset needs at least two vertices"),
+        (["neumann", "--graph", "{g}", "--subset", "v2", "--direct-only"], {"g": P3}, "the subset needs at least two vertices"),
+        (["conductance", "--graph", "{g}"], {"g": {"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}}, "vertex labels must be distinct: 'a' appears twice"),
+    ],
+    ids=[
+        "conformality-one-by-one", "sampled-no-trials", "weights-length", "weight-negative", "stationary-not-positive",
+        "transition-not-square", "transition-negative", "support-no-edges", "cheeger-disconnected", "eml-disconnected",
+        "eml-batch-disconnected", "dirichlet-empty", "neumann-one-vertex", "neumann-direct-one-vertex", "repeated-graph-label",
+    ],
+)
+def test_library_refusals_exit_two_with_one_line(argv, contents, message, tmp_path, capsys):
+    paths = {key: write(tmp_path, f"{key}.json", value) for key, value in contents.items()}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([a.format(**paths) for a in argv], capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: {message}\n"
+
+
+def test_stable_json_refuses_an_unknown_type():
+    with pytest.raises(TypeError) as refused:
+        stable_json({"value": object()})
+    assert type(refused.value) is TypeError and str(refused.value) == "cannot serialize object"
+
+
+def test_hypergraph_to_ipl_records_its_vectors(files, tmp_path, capsys):
+    # On the triangle with unit weights, pi = 1 and Dt = 1, the
+    # kernel-consistent D is 3 at every vertex: giving all three changes no
+    # value, and each file is recorded under config.inputs.
+    vectors = {"pi": [1.0, 1.0, 1.0], "d": [3.0, 3.0, 3.0], "dt": [1.0, 1.0, 1.0]}
+    argv = ["hypergraph-to-ipl", "--hypergraph", files["tri"]]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    for name, values in vectors.items():
+        argv += [f"--{name}", write(tmp_path, f"{name}.json", values)]
+    code, given, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    given = json.loads(given)
+    assert given["config"]["inputs"] == {
+        "hypergraph": files["tri"], **{name: str(tmp_path / f"{name}.json") for name in vectors}
+    }
+    assert given["result"] == json.loads(out)["result"]
+
+
+def test_vector_file_in_values_form_reads_as_the_bare_array(files, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    argv = ["recover", "--kind", "normalized", "--graph", files["p3"], "--weights", str(path)]
+    outputs = []
+    for content in ([2.0, 0.5], {"values": [2.0, 0.5]}):
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_eml_with_an_empty_set(files, capsys):
+    # --x "" is the empty set: the edge terms and both correlations are 0,
+    # so the margin is the conformality term alone.
+    code, out, err = run_cli(["verify", "eml", "--graph", files["p3"], "--x", "", "--y", "v1"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["config"]["flags"]["x"] == ""
+    g = path_graph(3)
+    expected = verify_eml(g, *normalized_inner_products(g), [], [0]).to_dict()
+    assert report["result"] == json.loads(stable_json(expected))
+    assert report["result"]["values"]["lhs"] == 0.0

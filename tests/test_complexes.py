@@ -223,3 +223,40 @@ def test_facets_recovered_and_complex_round_trip():
 
     assert sorted(again.labels) == sorted(k.labels)
     assert labeled_faces(again) == labeled_faces(k)
+
+
+def test_facet_labels_that_do_not_sort_together():
+    # 2 and "a" have no order; inside that facet they are visited by str.
+    k = build_complex([(2, "a"), ("b", "a")])
+    assert k.labels == (2, "a", "b")
+    assert k.faces_by_dim[1] == ((0, 1), (1, 2))
+
+
+TWO_HYPEREDGES = Hypergraph.from_edge_labels(["1", "2", "3"], [("1", "2"), ("2", "3")])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: build_complex([("a", "a")]), "facet ('a', 'a') repeats a vertex"),
+        (lambda: Graph(labels=("a", "b", "a"), edges=()), "vertex labels must be distinct: 'a' appears twice"),
+        (lambda: Graph(labels=("a", "b"), edges=((1, 0),)), "edge (1, 0) is not a normalized index pair"),
+        (lambda: Graph(labels=("a", "b", "c"), edges=((1, 2), (0, 1))), "edges must be sorted"),
+        (lambda: Graph(labels=("a", "b"), edges=((0, 1),), orientation=(1, 1)), "orientation length must match edge count"),
+        (lambda: Hypergraph(labels=("a", "b", "a"), hyperedges=((0, 1),)), "vertex labels must be distinct: 'a' appears twice"),
+        (lambda: Hypergraph(labels=("a",), hyperedges=((0, 1),)), "hyperedge (0, 1) has out-of-range vertices"),
+        (lambda: Hypergraph(labels=("a", "b"), hyperedges=((1,), (0,))), "hyperedges must be sorted"),
+        (lambda: clique_expansion(TWO_HYPEREDGES, [1.0]), "hyperedge weights must be a vector of length 2"),
+        (lambda: clique_expansion(TWO_HYPEREDGES, [1.0, 0.0]), "hyperedge weights must be strictly positive"),
+        (lambda: clique_expansion(TWO_HYPEREDGES, [1.0, float("nan")]), "hyperedge weights must be strictly positive"),
+    ],
+    ids=[
+        "facet-repeats", "graph-repeated-label", "edge-not-normalized", "edges-unsorted", "orientation-length",
+        "hypergraph-repeated-label", "hyperedge-out-of-range", "hyperedges-unsorted", "weights-length",
+        "weight-zero", "weight-nan",
+    ],
+)
+def test_refusals_name_their_input(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert type(refused.value) is ValueError and str(refused.value) == message

@@ -1436,3 +1436,22 @@ def test_closed_form_is_within_the_tie_window(k):
             scored[at] = _partition_value(m.entries, s_idx, t_idx)[0] ** 2
         unit = k * np.finfo(float).eps * m.condition
         assert np.abs(closed - scored).max() <= unit, f"{kind} k={k}"
+
+
+ONE_BY_ONE = SpdMatrix([[2.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: weak_conformality(ONE_BY_ONE), "weak conformality requires dimension >= 2"),
+        (lambda: weak_conformality_sampled(ONE_BY_ONE, 5, 1), "sampled weak conformality requires dimension >= 2"),
+        (lambda: weak_conformality_sampled(SpdMatrix([[2.0, 1.0], [1.0, 2.0]]), 0, 1), "trials must be >= 1"),
+        (lambda: inverse_conformality_check(ONE_BY_ONE), "conformality requires dimension >= 2"),
+    ],
+    ids=["weak-one-by-one", "sampled-one-by-one", "sampled-no-trials", "inverse-one-by-one"],
+)
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError and str(refused.value) == message

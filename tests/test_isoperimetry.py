@@ -1216,3 +1216,46 @@ def test_s_local_matches_brute_force(rng):
         phi_s, report = s_local_conductance(g, s)
         assert phi_s == report.values["phi_s"] == best[0]
         assert report.values["witness_T"] == list(best[1])
+
+
+TWO_EDGES = Graph.from_edge_labels(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cut_stats(path_graph(3), *normalized_inner_products(path_graph(3)), [0, 5], [1]), "vertex index 5 out of range 0..2"),
+        (lambda: verify_cheeger(TWO_EDGES, *normalized_inner_products(TWO_EDGES)), "the Cheeger bound is stated for connected graphs"),
+        (lambda: verify_eml(TWO_EDGES, *normalized_inner_products(TWO_EDGES), [0], [2]), "the mixing bound is stated for connected graphs"),
+        (lambda: verify_eml_batch(TWO_EDGES, *normalized_inner_products(TWO_EDGES)), "the mixing bound is stated for connected graphs"),
+        (lambda: dirichlet_eigenvalues(path_graph(4), [1, 7]), "vertex index 7 out of range 0..3"),
+        (lambda: dirichlet_eigenvalues(path_graph(4), []), "the subset needs at least one vertex"),
+        (lambda: neumann_eigenvalue(path_graph(4), [-1, 2]), "vertex index -1 out of range 0..3"),
+        (lambda: neumann_eigenvalue(path_graph(4), [1, 1]), "the subset needs at least two vertices"),
+        (lambda: neumann_limit_experiment(path_graph(4), [2]), "the subset needs at least two vertices"),
+        (lambda: s_local_conductance(path_graph(4), [1]), "the subset needs at least two vertices"),
+        (lambda: _vertex_boundary(path_graph(4), [4]), "vertex index 4 out of range 0..3"),
+    ],
+    ids=[
+        "cut-stats-range", "cheeger-disconnected", "eml-disconnected", "eml-batch-disconnected", "dirichlet-range",
+        "dirichlet-empty", "neumann-range", "neumann-one-vertex", "sweep-one-vertex", "s-local-one-vertex",
+        "boundary-range",
+    ],
+)
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_conductance_below_two_vertices_is_refused_for_having_no_edge(n):
+    # A graph of fewer than two vertices has no edge, so conductance needs
+    # no size check of its own: the default M_E does not exist and a given
+    # one (an SpdMatrix has dimension >= 1) does not fit.
+    g = Graph(labels=tuple(f"v{i}" for i in range(n)), edges=())
+    with pytest.raises(ValueError, match="^the graph has no edges, so it has no classical edge inner product$"):
+        conductance(g)
+    one = SpdMatrix.identity(1)
+    with pytest.raises(ValueError, match=f"^inner product dimensions must match .* the graph has {n} vertices and 0 edges$"):
+        conductance(g, one, one)

@@ -470,3 +470,39 @@ def test_vertex_and_edge_laplacians_share_nonzero_spectrum(rng):
         nz1 = spec1.eigenvalues[spec1.eigenvalues > thr]
         assert len(nz0) == len(nz1)
         np.testing.assert_allclose(nz0, nz1, atol=1e-8)
+
+
+I1, I2 = SpdMatrix.identity(1), SpdMatrix.identity(2)
+EDGE = build_complex([("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IplSetup([np.zeros((0, 2))], [I2, I1], 0), "expected one boundary matrix per dimension (index 0 is the zero map)"),
+        (lambda: IplSetup([np.zeros((0, 2)), np.ones((3, 1))], [I2, I1], 0), "boundary 1 has shape (3, 1), inner products require (2, 1)"),
+        (lambda: IplSetup([np.zeros((0, 2)), np.ones((2, 1))], [I2, I1], 2), "target dimension 2 out of range 0..1"),
+        (lambda: IplSetup.from_complex(EDGE, [I2], 0), "complex has dimensions 0..1, got 1 inner products"),
+        (lambda: IplSetup.from_complex(EDGE, [I2, I2], 0), "inner product 1 has dim 2, complex has 1 faces"),
+        (lambda: semi_hodge(np.ones((3, 2)), I2, I2), "incidence shape (3, 2) does not match inner products (2, 2)"),
+        (lambda: compatibility(np.ones((3, 2)), I2, I2), "incidence shape does not match inner products"),
+        (lambda: recover_classical("combinatorial", path_graph(3), [1.0]), "edge weights must be a vector of length 2"),
+        (lambda: recover_classical("combinatorial", path_graph(3), [1.0, 0.0]), "edge weights must be strictly positive"),
+        (lambda: recover_classical("normalized", path_graph(3), [1.0, np.nan]), "edge weights must be strictly positive"),
+        (lambda: hypergraph_to_ipl(Hypergraph.from_edge_labels(["a", "b"], [("a", "b")]), [1.0], [1, 1], [1], [1, 1]), "D must be a vector of length 2"),
+        # Irreducible, but pi_2 = 1e-20 is below the rounding of the least-squares solve.
+        (lambda: digraph_laplacian([[1 - 1e-20, 1e-20], [1.0, 0.0]]), "stationary distribution is not numerically positive; chain is too close to reducible"),
+        (lambda: digraph_laplacian([[0.5, 0.5]]), "transition matrix must be square"),
+        (lambda: digraph_laplacian([[1.5, -0.5], [0.5, 0.5]]), "transition matrix has negative entries"),
+        (lambda: digraph_laplacian([[1.0]]), "support graph has no edges"),
+    ],
+    ids=[
+        "boundary-count", "boundary-shape", "target-dimension", "complex-inner-product-count", "complex-inner-product-dim",
+        "semi-hodge-shape", "compatibility-shape", "edge-weights-length", "edge-weight-zero", "edge-weight-nan",
+        "hypergraph-d-length", "stationary-not-positive", "transition-not-square", "transition-negative", "support-no-edges",
+    ],
+)
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError and str(refused.value) == message

@@ -298,3 +298,17 @@ def test_connected_matrix_is_one_plain_eigh(monkeypatch):
         vals, vecs = np.linalg.eigh(m.entries)
         assert np.array_equal(m.eigenvalues, vals)
         assert np.array_equal(m.eigenvectors, _fix_signs(vecs))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpdMatrix(np.zeros((0, 0))), "SpdMatrix requires dimension >= 1"),
+        (lambda: gen_eig(np.eye(2), SpdMatrix.identity(3)), "dimension mismatch: A is 2x2, B is 3x3"),
+    ],
+    ids=["empty-spd", "gen-eig-dimensions"],
+)
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError and str(refused.value) == message
