@@ -295,7 +295,7 @@ def _cmd_neumann(args) -> int:
         res = neumann_eigenvalue(g, subset)
     else:
         res = neumann_limit_experiment(g, subset, schedule)
-    phi_s, local_report = s_local_conductance(g, subset, force=args.force)
+    phi_s, local_report = s_local_conductance(g, subset, force=args.force, neumann=res)
     result = res.to_dict()
     result["subset_labels"] = [g.labels[i] for i in res.subset]
     result["boundary_labels"] = [g.labels[i] for i in res.boundary]

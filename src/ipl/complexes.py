@@ -135,11 +135,13 @@ def boundary_matrix(k: SimplicialComplex, i: int) -> np.ndarray:
 
 
 def _distinct_labels(labels: tuple) -> None:
-    """Refuse repeated vertex labels, naming the first label that repeats. A
-    valid tuple pays one set; the repeat is looked up only once that fails."""
+    """Refuse repeated vertex labels, naming the first label that repeats and
+    how often it appears. A valid tuple pays one set; the repeat is looked
+    up only once that fails."""
     if len(set(labels)) != len(labels):
-        twice = next(lab for lab in labels if labels.count(lab) > 1)
-        raise ValueError(f"vertex labels must be distinct: {twice!r} appears twice")
+        label, times = next((lab, n) for lab in labels if (n := labels.count(lab)) > 1)
+        count = "twice" if times == 2 else f"{times} times"
+        raise ValueError(f"vertex labels must be distinct: {label!r} appears {count}")
 
 
 def check_weights(name: str, values, size: int) -> np.ndarray:

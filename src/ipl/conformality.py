@@ -22,8 +22,8 @@ their smaller sides sit, depends on the block size alone (chunks hold
 index plan once per block size and the process keeps it within the cap (a
 forced scan past it builds one chunk at a time and keeps none). It holds
 each partition's slot (int32) and smaller-side positions (int16), about
-11 MB at k = 20, and a scan reads the block of M and of M^-1 once and
-gathers every S-block from those two.
+11 MB at k = 20. A scan reads the block of M and of M^-1 once, side by
+side, and gathers the S-blocks of both with one take per group.
 
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
 M_SS (M^-1)_SS, all >= 1, and E = B - I is positive semidefinite with
@@ -65,6 +65,14 @@ a bound: in the end it is factored, forms B and gets an eigenvalue call.
 The others keep their bound, which cannot reach the window, so the
 ranking below is unchanged.
 
+The screened walk pays per candidate, not per group: at the start of each
+plan chunk one compare of the chunk's screen bounds, taken in scan order,
+against best - 4 delta finds its candidates, and one ``searchsorted``
+splits them by group. A group that holds none is skipped with no array
+operation. The best only rises, so the partitions a group would pass at
+its turn are among its candidates; they are compared again only when the
+best has risen since the chunk began, and they come out the same.
+
 That batch only ranks the partitions: 1 - 1/mu loses digits, and
 partitions that tie mathematically differ only by rounding. Every
 partition within a rounding bound (the tie window) of the batch maximum is
@@ -102,17 +110,19 @@ BATCH_CHUNK >> (b - 1) blocks, one block from b = 13 on. The near ties of
 the top over all blocks, partitions (S, T) of their block C with min(C)
 in S, are scored again in one pass, per size-stack slice, stacked by |S|.
 They stay in block coordinates: a tie is its block row and partition
-number, its membership row spans the b indices of its block, and S and T
-are gathered from C. Among those that score the maximum exactly, the
-witness partition is the smallest lift L(S) = S | {i not in C : i <
-max(S)}, the lexicographically smallest full partition that restricts to
-S. Within a block the lifts order as the S do (where two S first differ,
-the smaller index is in C and missing from the other lift, and the lifts
-agree below it), so a stack whose maxima share one block keeps its
-smallest S, and a connected M gets the first S, as an exhaustive scan
-does. Lifts, the only rows formed over all k indices, are built only to
-compare maxima of different blocks or stacks. The witness pair is built on
-C and is zero off it.
+number, and its membership row spans the b indices of its block. A slice
+orders its ties by |S| once, and one stable argsort of its membership rows
+builds every tie's row of block indices, S then T, each in block order;
+an |S| stack is a slice of those rows. Among those that score the maximum
+exactly, the witness partition is the smallest lift L(S) = S | {i not in
+C : i < max(S)}, the lexicographically smallest full partition that
+restricts to S. Within a block the lifts order as the S do (where two S
+first differ, the smaller index is in C and missing from the other lift,
+and the lifts agree below it), so a stack whose maxima share one block
+keeps its smallest S, and a connected M gets the first S, as an exhaustive
+scan does. Lifts, index tuples up to max(S), are formed only for the
+maxima the stacks keep, to compare those of different blocks or stacks.
+The witness pair is built on C and is zero off it.
 
 A block of the form D + u u^T (D > 0 diagonal; the Partition gadget
 x x^T + I is one) is ranked in closed form. Weak conformality does not
@@ -158,6 +168,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -267,16 +278,21 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     M_ST Z is scaled by 2^(2j), bringing max |M_ST| near max diag M, and
     value by 2^-j. Both are exact, and Z = M_TT^-1 M_TS keeps its own scale.
     """
-    m_st = entries[s_idx[:, :, None], t_idx[:, None, :]]
-    z = np.linalg.solve(entries[t_idx[:, :, None], t_idx[:, None, :]], np.swapaxes(m_st, 1, 2))
+    s = s_idx.shape[1]
+    idx = np.concatenate((s_idx, t_idx), axis=1)
+    # Each partition's matrix with S first, gathered in one take: M_SS, M_ST
+    # and M_TT are its blocks (LAPACK reads them at any stride).
+    perm = entries.take((idx * len(entries))[:, :, None] + idx[:, None, :])
+    m_st = perm[:, :s, s:].copy()
+    z = np.linalg.solve(perm[:, s:, s:], m_st.transpose(0, 2, 1))
     top, d, j = float(np.abs(m_st).max()), float(entries.diagonal().max()), 0
     if 0.0 < top < 2.0**-480 * max(d, 1.0):
         j = int(np.frexp(d)[1] - np.frexp(top)[1]) // 2
         m_st = np.ldexp(m_st, 2 * j)
-    chol = np.linalg.cholesky(entries[s_idx[:, :, None], s_idx[:, None, :]])
+    chol = np.linalg.cholesky(perm[:, :s, :s])
     half = np.linalg.solve(chol, m_st @ z)
-    c = np.linalg.solve(chol, np.swapaxes(half, 1, 2))
-    vals, vecs = np.linalg.eigh(0.5 * (c + np.swapaxes(c, 1, 2)))
+    c = np.linalg.solve(chol, half.transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.transpose(0, 2, 1)))
     values = np.sqrt(np.maximum(vals[:, -1], 0.0))
     if j:
         values = np.ldexp(values, -j)
@@ -288,8 +304,10 @@ def _rescore(entries: np.ndarray, near, witness: bool = True):
     size-stack slice, its blocks c (one row of indices per block) and a
     boolean array marking partition p of block row i as a near tie, as
     ``_batched_rho_sq`` indexes them. A slice takes one ``nonzero`` of its
-    marks, then each |S| stack (``BATCH_CHUNK`` ties at a time) one gather of
-    S and of T from its block rows, each in block order, and one
+    marks, one stable sort of its ties by |S| and one stable argsort of their
+    membership rows, which gives every tie's block indices, S then T, each in
+    block order. Each |S| stack (``BATCH_CHUNK`` ties at a time, in the order
+    of the marks) is then a slice of those rows, for one
     ``_partition_value`` call.
 
     Returns (rho, witness partition, (C, S, L, u, Z)) of the best score: S
@@ -297,40 +315,46 @@ def _rescore(entries: np.ndarray, near, witness: bool = True):
     its stack's ``_partition_value`` call. Among the exact maxima the winner
     has the smallest lift S | {i outside C : i < max S}. Within one block,
     lifts order as the S do, so a stack whose maxima share a block keeps its
-    smallest S; lifts, the only rows formed over all k indices, are compared
-    only among the maxima of several blocks or stacks. Without ``witness``
+    smallest S; lifts, index tuples up to max S, are formed only for the
+    maxima the stacks keep, and compared as tuples. Without ``witness``
     (rho-only callers) it keeps the maximum alone and returns (rho, None,
     None).
     """
-    k = len(entries)
     best, found = -np.inf, []
     for c, hit in near:
-        i, p = np.divmod(np.flatnonzero(hit), hit.shape[1])
+        i, p = hit.nonzero()
         members = _subset_rows(2 * p + 1, c.shape[1])
         sizes = members.sum(axis=1)
-        for s in sorted(set(sizes.tolist())):
-            at = np.flatnonzero(sizes == s)
-            for lo in range(0, len(at), BATCH_CHUNK):
-                rows = at[lo : lo + BATCH_CHUNK]
-                blocks, inside = c[i[rows]], members[rows]
-                s_idx = blocks[inside].reshape(-1, s)
-                values, chol, u, z = _partition_value(entries, s_idx, blocks[~inside].reshape(len(rows), -1))
+        # The ties by |S|, each |S| in the order of its marks, and each tie's
+        # block indices, S then T, each side in block order.
+        order = sizes.argsort(kind="stable")
+        i, members = i[order], members[order]
+        sides = c[i[:, None], (~members).argsort(axis=1, kind="stable")]
+        end = 0
+        for s, ties in enumerate(np.bincount(sizes).tolist()):
+            for lo in range(end, end + ties, BATCH_CHUNK):
+                hi = min(lo + BATCH_CHUNK, end + ties)
+                s_idx = sides[lo:hi, :s]
+                values, chol, u, z = _partition_value(entries, s_idx, sides[lo:hi, s:])
                 top = values.max()
                 if top > best:
                     best, found = top, []
                 if witness and top == best:
-                    won = np.flatnonzero(values == top)
-                    if len(won) > 1 and (i[rows[won]] == i[rows[won[0]]]).all():
-                        won = won[np.lexsort(s_idx[won].T[::-1])[:1]]
-                    found += [(blocks[j], inside[j], chol[j], u[j], z[j]) for j in won]
+                    won = (values == top).nonzero()[0]
+                    if len(won) > 1 and (i[lo + won] == i[lo + won[0]]).all():
+                        rows = s_idx[won].tolist()
+                        won = won[[rows.index(min(rows))]]
+                    found += [(c[i[lo + j]], members[lo + j], chol[j], u[j], z[j]) for j in won]
+            end += ties
     if not witness:
         return float(best), None, None
     # i <= max S and i not in T: S and the indices outside C below max S.
-    lifts = np.arange(k) <= np.array([c[s].max() for c, s, *_ in found])[:, None]
-    for lift, (c, s, *_) in zip(lifts, found):
-        lift[c[~s]] = False
-    first = _first_set(lifts)
-    return float(best), tuple(np.flatnonzero(lifts[first]).tolist()), found[first]
+    lifts = []
+    for c, s, *_ in found:
+        t = set(c[~s].tolist())
+        lifts.append(tuple(i for i in range(c[s][-1] + 1) if i not in t))
+    first = min(range(len(lifts)), key=lifts.__getitem__)
+    return float(best), lifts[first], found[first]
 
 
 def _plan_chunks(k: int):
@@ -365,6 +389,14 @@ def _partition_plan(k: int) -> tuple:
     keyed by k alone, so a change of ``BATCH_CHUNK`` must clear it.
     """
     return tuple(_plan_chunks(k))
+
+
+@lru_cache(maxsize=None)
+def _identity(s: int) -> np.ndarray:
+    """The s x s identity, read-only, built once per size."""
+    eye = np.eye(s)
+    eye.setflags(write=False)
+    return eye
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +446,8 @@ def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
     mw = abs_m @ abs_w
     total = np.einsum("nij,nji->n", mw, mw) + 2.0 * np.einsum("nij,nji->n", abs_m, abs_w) + b
     allow = (61 + b) * np.finfo(float).eps * total[:, None]
-    tr = np.bincount((masks + (np.arange(n) << (b - 1))[:, None]).ravel(), terms.ravel(), n << (b - 1)).reshape(n, -1)
+    bins = masks if n == 1 else (masks + (np.arange(n) << (b - 1))[:, None]).ravel()
+    tr = np.bincount(bins, terms.ravel(), n << (b - 1)).reshape(n, -1)
     del terms
     for j in range(b - 1):
         half = tr.reshape(n, -1, 2, 1 << j)
@@ -456,7 +489,11 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     holding index 0, which the scan itself solves on its smaller side; the
     two differ by rounding only). Then, group by group, only the partitions
     whose slot reaches best - 4 delta are gathered (all of them in a
-    smaller block). From s = 3 on they take the tr(P^8) bound, as
+    smaller block): ``_candidates`` takes, once per plan chunk, those that
+    reach it at the chunk's start, a group without one costs nothing, and a
+    group's candidates are compared again only when the best has risen
+    since (it only rises, so this keeps exactly the partitions that reach
+    it at the group's turn). From s = 3 on they take the tr(P^8) bound, as
     |tr(P^4 P^4)| (its terms are not squares, so rounding can take it below
     0), which refines the slot, and only those whose slot still reaches
     best - 4 delta are factored, form B and reach the batched ``eigvalsh``.
@@ -475,59 +512,92 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     """
     n, k = c.shape
     count = (1 << (k - 1)) - 1
-    block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
-    a, a_inv = entries.take(block), inverse.take(block)
+    # M and M^-1 side by side, so that one take gathers an S-block of both;
+    # a stack of one block of every index reads them whole.
+    both = np.concatenate((entries, inverse)).reshape(2, -1)
+    if k < len(entries):
+        both = both.take(c[:, :, None] * len(entries) + c[:, None, :], axis=1)
+    both = both.reshape(2, n, k * k)
+    flat_both = both.reshape(2, -1)
     screened = k >= SCREEN_MIN_SIZE
     if screened:
-        out = _screen(a, a_inv, k, _screen_index(k))
+        out = _screen(*both, k, _screen_index(k))
         # One exact value, at the largest screen bound, starts the best.
         j, p = divmod(int(out.argmax()), count)
-        pos = np.flatnonzero((2 * p + 1) >> np.arange(k) & 1)
-        flat = j * k * k + pos[:, None] * k + pos
-        chol = np.linalg.cholesky(a.take(flat))
-        best = 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ a_inv.take(flat) @ chol)[-1])
+        pos = ((2 * p + 1) >> np.arange(k) & 1).nonzero()[0]
+        m_ss, w_ss = flat_both.take(j * k * k + pos[:, None] * k + pos, axis=1)
+        chol = np.linalg.cholesky(m_ss)
+        best = 1.0 - 1.0 / float(np.linalg.eigvalsh(chol.T @ w_ss @ chol)[-1])
     else:
         out, best = np.empty(n * count), -np.inf
-    # Block j of the stack reads its entries from row j of a and a_inv and
-    # writes its slots at offset j count.
-    offsets = count * np.arange(n)[:, None]
-    for groups in (_partition_plan if count <= CAPS["partitions"] else _plan_chunks)(k):
-        for slots, pos in groups:
+        # Block j of the stack reads its entries from row j of both and
+        # writes its slots at offset j count.
+        offsets = count * np.arange(n)[:, None]
+    for chunk in (_partition_plan if count <= CAPS["partitions"] else _plan_chunks)(k):
+        if screened:
+            floor = best - 4.0 * delta
+            groups = _candidates(out.reshape(n, count), chunk, floor)
+        else:
+            groups = ((pos, slots, None) for slots, pos in chunk)
+        for pos, slots, j in groups:
             s = pos.shape[1]
-            slots = offsets + slots
             if screened:
-                # Only the partitions that pass are gathered, at offset j k^2
-                # of the stack's entries for block j.
-                j, r = np.nonzero(out[slots] >= best - 4.0 * delta)
-                if not len(j):
-                    continue
-                slots, pos = slots[j, r], pos[r]
-                flat = (j * (k * k))[:, None, None] + (pos * k)[:, :, None] + pos[:, None, :]
-                m_ss, w_ss = a.take(flat), a_inv.take(flat)
+                if best - 4.0 * delta > floor:
+                    # The best has risen since the candidates were taken.
+                    keep = (out[slots] >= best - 4.0 * delta).nonzero()[0]
+                    if not len(keep):
+                        continue
+                    pos, slots, j = pos[keep], slots[keep], j[keep]
+                rows = pos * k if n == 1 else pos * k + (j * (k * k))[:, None]
+                both_ss = flat_both.take(rows[:, :, None] + pos[:, None, :], axis=1)
             else:
-                flat = (pos * k)[:, :, None] + pos[:, None, :]
-                slots = slots.ravel()
-                m_ss, w_ss = a.take(flat, axis=1).reshape(-1, s, s), a_inv.take(flat, axis=1).reshape(-1, s, s)
+                slots = (offsets + slots).ravel()
+                both_ss = both.take((pos * k)[:, :, None] + pos[:, None, :], axis=2).reshape(2, -1, s, s)
             if s > 2:
                 # A 1 x 1 or 2 x 2 eigensolve costs about what its bound
                 # does, so those groups are solved whole.
-                e = m_ss @ w_ss
-                e -= np.eye(s)  # P = L E L^-1
+                e = both_ss[0] @ both_ss[1]
+                e -= _identity(s)  # P = L E L^-1
                 e = e @ e
                 e = e @ e
                 root = np.abs(np.einsum("nij,nji->n", e, e)) ** 0.125  # tr(P^8)^(1/8) = tr(E^8)^(1/8)
                 bound = 1.0 - 1.0 / (1.0 + root)
                 out[slots] = bound
-                live = bound >= best - 4.0 * delta
-                if not live.any():
+                live = (bound >= best - 4.0 * delta).nonzero()[0]
+                if not len(live):
                     continue
-                slots, m_ss, w_ss = slots[live], m_ss[live], w_ss[live]
+                if len(live) < len(slots):
+                    slots, both_ss = slots[live], both_ss[:, live]
+            m_ss, w_ss = both_ss
             chol = np.linalg.cholesky(m_ss)
-            b = np.swapaxes(chol, 1, 2) @ w_ss @ chol
-            mu = np.linalg.eigvalsh(b)[:, -1]
+            mu = np.linalg.eigvalsh(chol.transpose(0, 2, 1) @ w_ss @ chol)[:, -1]
             out[slots] = 1.0 - 1.0 / mu
             best = max(best, 1.0 - 1.0 / float(mu.max()))
     return out.reshape(n, count)
+
+
+def _candidates(out: np.ndarray, chunk, floor: float):
+    """The screened walk's groups of one plan chunk: per group, in scan order,
+    that holds a slot of ``out`` (one row per block, every slot at its screen
+    bound) reaching ``floor``, the positions, the slot and the block row of
+    each such partition. A group's partitions may come in any order: each
+    stacked product, Cholesky and ``eigvalsh`` treats its matrices one at a
+    time.
+
+    The chunk's candidates are found at once: one take of its slots in scan
+    order, one compare and one ``nonzero``, then one ``searchsorted`` for
+    where each group's candidates start. A group that holds none costs no
+    array operation.
+    """
+    count = out.shape[1]
+    scan = np.concatenate([slots for slots, _ in chunk])
+    q, j = (out.take(scan, axis=1) >= floor).T.nonzero()
+    starts = [0, *accumulate(len(slots) for slots, _ in chunk)]
+    cuts = np.searchsorted(q, starts).tolist()
+    slots = scan[q] + j * count
+    for (_, pos), start, lo, hi in zip(chunk, starts, cuts, cuts[1:]):
+        if lo < hi:
+            yield pos[q[lo:hi] - start], slots[lo:hi], j[lo:hi]
 
 
 def _rank_one_weights(entries: np.ndarray, c: np.ndarray):
@@ -644,8 +714,12 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     # The winner's top generalized eigenvector v = L^-T u: the one solve of
     # the call, with the bits of its row of a stacked solve.
     v = np.linalg.solve(chol.T, u)
-    x, y = np.zeros(m.dim), np.zeros(m.dim)
-    x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
+    if len(c) == m.dim:
+        # One block of every index: the pair needs no gather or scatter.
+        x, y = _witness_pair(m.entries, s, v, z, m.is_diagonal)
+    else:
+        x, y = np.zeros(m.dim), np.zeros(m.dim)
+        x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,

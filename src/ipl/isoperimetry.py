@@ -1028,17 +1028,24 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     )
 
 
-def s_local_conductance(g: Graph, subset, *, force: bool = False):
+def s_local_conductance(g: Graph, subset, *, force: bool = False, neumann: NeumannResult | None = None):
     """Local conductance Phi_S = min_T e(T, Tc)/min(Vol(T), Vol(S-T)) and the
     bound lambda_S <= 2 Phi_S.
 
     Measured in the default normalized quantities: volumes by degree sums,
     edge masses by counts. T ranges over nonempty proper subsets of S.
+    lambda_S comes from ``neumann``, a ``neumann_eigenvalue`` or
+    ``neumann_limit_experiment`` result for this subset of g (both report
+    the direct lambda_S), or from ``neumann_eigenvalue`` when it is None.
     """
     s_list = _vertex_set(g.n, subset, 2)
     check_cap("cuts", 2 ** len(s_list) - 2, f"local conductance of |S| = {len(s_list)}", force)
-    # Checks that g is connected, so every degree below is positive.
-    direct = neumann_eigenvalue(g, s_list)
+    if neumann is None:
+        # Checks that g is connected, so every degree below is positive.
+        neumann = neumann_eigenvalue(g, s_list)
+    elif neumann.subset != tuple(s_list):
+        raise ValueError("neumann is the result for another subset")
+    direct = neumann
     # The conductance scan over the columns S: with M_V = diag(deg), the
     # complement volume Vol(S) - Vol(T) is its vol_comp.
     best, witness = _cut_scan(g, *normalized_inner_products(g), s_list, pinned=False)

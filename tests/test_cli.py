@@ -853,6 +853,24 @@ def test_neumann_direct_only_matches_library(files, capsys):
     assert result["epsilon_trace"] == []
 
 
+
+@pytest.mark.parametrize("extra", [[], ["--direct-only"]], ids=["sweep", "direct-only"])
+def test_neumann_solves_the_eigenproblem_once(extra, files, capsys, monkeypatch):
+    # The S-local bound reuses the sweep's or the direct result's lambda_S:
+    # one neumann_eigenvalue per call, and the report of the library calls.
+    calls, solve = [], ipl.isoperimetry.neumann_eigenvalue
+
+    def counting(g, subset):
+        calls.append(list(subset))
+        return solve(g, subset)
+
+    monkeypatch.setattr(ipl.isoperimetry, "neumann_eigenvalue", counting)
+    monkeypatch.setattr(ipl.cli, "neumann_eigenvalue", counting)
+    code, out, _ = run_cli(["neumann", "--graph", files["p4"], "--subset", "v2,v3", *extra], capsys)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    assert json.loads(out)["result"]["s_local"] == s_local_conductance(load_graph(files["p4"]), [1, 2])[1].to_dict()
+
 def dense_matrix(k):
     return SpdMatrix(np.eye(k) + 0.1 * np.ones((k, k)))
 

@@ -260,3 +260,19 @@ def test_refusals_name_their_input(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda labels: Graph(labels=labels, edges=()),
+        lambda labels: Hypergraph(labels=labels, hyperedges=((0, 1),)),
+    ],
+    ids=["graph", "hypergraph"],
+)
+def test_repeated_label_refusal_counts_the_repeats(build):
+    # The first label that repeats is named with its count: 'a' three times
+    # here, though 'b' repeats too.
+    with pytest.raises(ValueError) as refused:
+        build(("a", "b", "a", "c", "b", "a"))
+    assert str(refused.value) == "vertex labels must be distinct: 'a' appears 3 times"

@@ -915,6 +915,78 @@ def test_planned_scan_matches_mask_order_scan(k):
                 assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
 
 
+
+def record_empty_chunks(monkeypatch):
+    # Counts the plan chunks whose screened walk finds no candidate at all.
+    empty, candidates = [0], conformality._candidates
+
+    def recording(*args):
+        found = list(candidates(*args))
+        empty[0] += not found
+        return iter(found)
+
+    monkeypatch.setattr(conformality, "_candidates", recording)
+    return empty
+
+
+@pytest.mark.parametrize("k", range(10, 14))
+def test_planned_scan_matches_mask_order_scan_in_small_chunks(k, monkeypatch):
+    # 100-partition chunks: the screened walk takes its candidates chunk by
+    # chunk, whole chunks hold none, and the slots are still those of the
+    # mask-order scan, bit for bit.
+    use_batch_chunk(monkeypatch, 100)
+    empty = record_empty_chunks(monkeypatch)
+    rng = np.random.default_rng(2400 + k)
+    for kind, entries in fuzz_entries(rng, k):
+        m = SpdMatrix(entries)
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        inverse = m.inverse()
+        for c in (np.arange(k), *m.blocks):
+            for d in (np.inf, -1.0, delta):
+                got = _batched_rho_sq(m.entries, inverse, c[None], d)[0]
+                assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
+    assert empty[0] > 0
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_screened_stack_matches_per_block_ranking(chunk, monkeypatch):
+    # Stacks of three dense blocks and one weakly coupled block of b = 10-12,
+    # permuted: the stack's maximum and its slots within delta of it are
+    # those of ranking each block alone, bit for bit, every slot holds its
+    # exact value, its screen bound or its tr(P^8) bound, and the weak
+    # block's candidates are cut by the stack's best, not its own.
+    if chunk:
+        use_batch_chunk(monkeypatch, chunk)
+    rng = np.random.default_rng(2500)
+    shared = 0
+    for b in (10, 11, 12):
+        blocks = [random_spd(rng, b).entries for _ in range(3)]
+        g = rng.standard_normal((b, b))
+        blocks.append(np.diag(rng.uniform(1.0, 2.0, b)) + 0.5e-3 * (g + g.T))
+        k = len(blocks) * b
+        entries = np.zeros((k, k))
+        for j, block in enumerate(blocks):
+            entries[j * b : (j + 1) * b, j * b : (j + 1) * b] = block
+        p = rng.permutation(k)
+        m = SpdMatrix(entries[np.ix_(p, p)])
+        (c,) = m.stacks
+        inverse = m.inverse()
+        delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
+        stack = _batched_rho_sq(m.entries, inverse, c, delta)
+        alone = np.array([_batched_rho_sq(m.entries, inverse, row[None], delta)[0] for row in c])
+        exact = _batched_rho_sq(m.entries, inverse, c, np.inf)
+        bounds = _batched_rho_sq(m.entries, inverse, c, -1.0)
+        tr8 = np.array([mask_order_rho_sq(m.entries, inverse, row, -1.0, screened=False) for row in c])
+        top = alone.max()
+        assert stack.max() == top == exact.max()
+        near = stack >= top - delta
+        assert np.array_equal(near, alone >= top - delta)
+        assert np.array_equal(stack[near], alone[near])
+        assert np.all((stack == exact) | (stack == bounds) | (stack == tr8))
+        weak = int(np.argmin(exact.max(axis=1)))
+        shared += int((stack[weak] != alone[weak]).sum())
+    assert shared > 0
+
 def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
     # Equal-size blocks that are 4^j multiples of one block tie exactly
     # across blocks, plus one weakly coupled block of the same size that the
