@@ -512,12 +512,10 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     """
     n, k = c.shape
     count = (1 << (k - 1)) - 1
-    # M and M^-1 side by side, so that one take gathers an S-block of both;
-    # a stack of one block of every index reads them whole.
-    both = np.concatenate((entries, inverse)).reshape(2, -1)
-    if k < len(entries):
-        both = both.take(c[:, :, None] * len(entries) + c[:, None, :], axis=1)
-    both = both.reshape(2, n, k * k)
+    # The stack's blocks of M and of M^-1 side by side, so that one take
+    # gathers an S-block of both.
+    block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
+    both = np.array((entries.take(block), inverse.take(block)))
     flat_both = both.reshape(2, -1)
     screened = k >= SCREEN_MIN_SIZE
     if screened:
@@ -566,8 +564,7 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
                 live = (bound >= best - 4.0 * delta).nonzero()[0]
                 if not len(live):
                     continue
-                if len(live) < len(slots):
-                    slots, both_ss = slots[live], both_ss[:, live]
+                slots, both_ss = slots[live], both_ss[:, live]
             m_ss, w_ss = both_ss
             chol = np.linalg.cholesky(m_ss)
             mu = np.linalg.eigvalsh(chol.transpose(0, 2, 1) @ w_ss @ chol)[:, -1]

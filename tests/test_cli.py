@@ -853,7 +853,6 @@ def test_neumann_direct_only_matches_library(files, capsys):
     assert result["epsilon_trace"] == []
 
 
-
 @pytest.mark.parametrize("extra", [[], ["--direct-only"]], ids=["sweep", "direct-only"])
 def test_neumann_solves_the_eigenproblem_once(extra, files, capsys, monkeypatch):
     # The S-local bound reuses the sweep's or the direct result's lambda_S:
@@ -870,6 +869,7 @@ def test_neumann_solves_the_eigenproblem_once(extra, files, capsys, monkeypatch)
     assert code == 0 and len(calls) == 1
     monkeypatch.undo()
     assert json.loads(out)["result"]["s_local"] == s_local_conductance(load_graph(files["p4"]), [1, 2])[1].to_dict()
+
 
 def dense_matrix(k):
     return SpdMatrix(np.eye(k) + 0.1 * np.ones((k, k)))

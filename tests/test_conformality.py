@@ -915,7 +915,6 @@ def test_planned_scan_matches_mask_order_scan(k):
                 assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
 
 
-
 def record_empty_chunks(monkeypatch):
     # Counts the plan chunks whose screened walk finds no candidate at all.
     empty, candidates = [0], conformality._candidates
@@ -986,6 +985,7 @@ def test_screened_stack_matches_per_block_ranking(chunk, monkeypatch):
         weak = int(np.argmin(exact.max(axis=1)))
         shared += int((stack[weak] != alone[weak]).sum())
     assert shared > 0
+
 
 def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
     # Equal-size blocks that are 4^j multiples of one block tie exactly

@@ -1051,7 +1051,6 @@ def test_neumann_errors():
         neumann_eigenvalue(g, [0, 1])
 
 
-
 def test_s_local_conductance_reuses_a_neumann_result():
     # A direct or a sweep result of the same subset gives the report of a
     # fresh call; one of another subset is refused.
@@ -1062,6 +1061,7 @@ def test_s_local_conductance_reuses_a_neumann_result():
         assert (phi, report.to_dict()) == (fresh[0], fresh[1].to_dict())
     with pytest.raises(ValueError, match="^neumann is the result for another subset$"):
         s_local_conductance(g, [1, 2, 3], neumann=neumann_eigenvalue(g, [1, 2]))
+
 
 def test_neumann_sweep_p4():
     res = neumann_limit_experiment(path_graph(4), [1, 2])
