@@ -307,9 +307,8 @@ def _cmd_neumann(args) -> int:
         result,
         _trace_rows(res),
     )
-    if args.direct_only:
-        return 0 if local_report.passed else 1
-    return 0 if (res.converged and local_report.passed) else 1
+    # converged is None under --direct-only, which runs no sweep.
+    return 0 if local_report.passed and res.converged is not False else 1
 
 
 def _cmd_dirichlet(args) -> int:

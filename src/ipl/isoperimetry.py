@@ -73,8 +73,11 @@ hands the matrix of ``laplacian._semi_hodge_matrix`` (the one builder of
 the Laplacian, which ``inner_product_laplacian`` and the Neumann
 epsilon-sweep call too) to ``laplacian._eigenvalues``, the ``eigh`` of
 ``inner_product_laplacian`` bit for bit, without its eigenvectors. Omega is
-the max of the per-vertex ratios. ``verify_cheeger`` allows for the
-rounding of its two comparisons relative to what they compare: eigh's
+the max of the per-vertex ratios, whose numerators e({a}, ac) are the
+point masses of the mixing bound. The two mixing verifiers take their
+shared inputs (refusals, spectrum, rho_E, Vol(G), trace term, point
+masses) from one prelude, ``_mixing_inputs``. ``verify_cheeger`` allows
+for the rounding of its two comparisons relative to what they compare: eigh's
 backward error, n eps lambda_max, plus 64 eps of lower + upper for the
 products that form the bounds. So scaling an inner product changes none of
 its verdicts. The mixing verifiers still allow an absolute 1e-9.
@@ -99,6 +102,7 @@ from .laplacian import (
     _eigenvalues,
     _semi_hodge_matrix,
     _spectrum,
+    _vertex_masses,
     _vertex_ratios,
     check_graph_inner_products,
 )
@@ -549,6 +553,21 @@ def verify_cheeger(
     )
 
 
+def _mixing_inputs(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, force: bool, rho_e: float | None = None):
+    """What both mixing verifiers read, refused in this order: the
+    connectivity check, the eigenvalues (as lambda_1, lambda_2, lambda_n),
+    rho_E (``rho_e`` when given), then Vol(G), the trace term
+    12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex masses e({a}, ac)."""
+    if not g.is_connected():
+        raise ValueError("the mixing bound is stated for connected graphs")
+    vals = _graph_eigenvalues(g, m_v, m_e)
+    if rho_e is None:
+        rho_e = weak_conformality_value(m_e, force=force)
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
+    lams = float(vals[0]), float(vals[1]), float(vals[-1])
+    return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(g.incidence, m_e)
+
+
 def verify_eml(
     g: Graph,
     m_v: SpdMatrix,
@@ -571,24 +590,15 @@ def verify_eml(
     recorded alongside. ``include_conformality_term=False`` drops the trace
     term, which the counterexample construction violates.
     """
-    if not g.is_connected():
-        raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _graph_eigenvalues(g, m_v, m_e)
-    if rho_e is None:
-        rho_e = weak_conformality_value(m_e, force=force)
-    lam1 = float(vals[0])
-    lam2 = float(vals[1])
-    lam_n = float(vals[-1])
-    vol_g = float(np.sum(m_v.entries))
+    (lam1, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force, rho_e)
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
     inter = sorted(set(x_set) & set(y_set))
-    # e(X cap Y): the mass of the edges with both ends in X cap Y.
+    # e(X cap Y), the mass of the edges with both ends in X cap Y, and the
+    # sum of e({a}, ac) over X cap Y: each +0.0 when X cap Y is empty.
     in_inter = _indicator(g.n, inter)
-    e_inter = m_e.quad(_edge_mask(g, in_inter, in_inter)) if inter else 0.0
-    # e({a}, ac) for each vertex a: the mass of the edges incident to a.
-    point_mass = float(np.sum(m_e.quad(unsigned_incidence(g))[inter])) if inter else 0.0
+    e_inter = m_e.quad(_edge_mask(g, in_inter, in_inter))
+    point_mass = float(np.sum(masses[inter]))
     sqrt_cor = float(np.sqrt(max(stats.cor_x, 0.0) * max(stats.cor_y, 0.0)))
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
 
     def side(lo):
         tau = 0.5 * (lam_n + lo)
@@ -743,17 +753,10 @@ def verify_eml_batch(
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
-    if not g.is_connected():
-        raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _graph_eigenvalues(g, m_v, m_e)
-    rho_e = weak_conformality_value(m_e, force=force)
-    lam2 = float(vals[1])
-    lam_n = float(vals[-1])
+    (_, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force)
     tau = 0.5 * (lam_n + lam2)
     gap = 0.5 * (lam_n - lam2)
     mv, me = m_v.entries, m_e.entries
-    vol_g = float(np.sum(mv))
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(me))
 
     count = 1 << n
     bits = _subset_rows(np.arange(count), n)
@@ -764,7 +767,7 @@ def verify_eml_batch(
     rhs_x = gap * sqrt_cor / vol_g
 
     u, v = g.ends
-    form = -np.diag(m_e.quad(unsigned_incidence(g)))
+    form = -np.diag(masses)
     coupled = np.concatenate([np.arange(0), *m_e.blocks])
     # No off-diagonal entry in its row; a simple graph has one edge per
     # vertex pair, so no entry of form is added twice.

@@ -20,10 +20,12 @@ eigenvalues only. ``_eigenvalues`` takes them from the same ``eigh`` of the
 same symmetrized matrix that ``inner_product_laplacian`` and ``semi_hodge``
 decompose, so they agree bit for bit, without the sign fix, eigenvectors or
 kernel count of a ``SpectrumResult``. Their omega is the max of
-``_vertex_ratios``, the array that ``compatibility`` lists per vertex. A
-``Graph`` holds its signed incidence once, read-only, so no verifier builds
-it twice. ``IplSetup`` pairs a chain complex with its inner products, for
-the Laplacian at any dimension and its Hodge decomposition.
+``_vertex_ratios``, the array that ``compatibility`` lists per vertex;
+its numerators e({v}, vc) are ``_vertex_masses``, which the mixing
+verifiers read too. A ``Graph`` holds its signed incidence once,
+read-only, so no verifier builds it twice. ``IplSetup`` pairs a chain
+complex with its inner products, for the Laplacian at any dimension and its
+Hodge decomposition.
 """
 
 from __future__ import annotations
@@ -177,12 +179,18 @@ def _incidence_of(carrier) -> np.ndarray:
     return np.asarray(carrier, dtype=float)
 
 
+def _vertex_masses(h: np.ndarray, m_e: SpdMatrix) -> np.ndarray:
+    """e({v}, vc) = 1_{E(v)}^T M_E 1_{E(v)} per vertex v, the mass of the
+    edges whose incidence column h is nonzero at v."""
+    return m_e.quad(h != 0)
+
+
 def _vertex_ratios(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
-    """1_{E(v)}^T M_E 1_{E(v)} / M_V[v,v] per vertex v; omega is their max."""
+    """e({v}, vc) / M_V[v,v] per vertex v; omega is their max."""
     h = _incidence_of(carrier)
     if h.shape != (m_v.dim, m_e.dim):
         raise ValueError("incidence shape does not match inner products")
-    return m_e.quad(h != 0) / np.diagonal(m_v.entries)
+    return _vertex_masses(h, m_e) / np.diagonal(m_v.entries)
 
 
 def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:

@@ -16,6 +16,8 @@ a diagonal M it uses (x * x) @ diag(M).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .complexes import _components
@@ -160,8 +162,6 @@ class SpdMatrix:
                 f"matrix is not positive definite: lambda_min = {vals[0]:.3e} "
                 f"<= {k} * {PD_RTOL:.0e} * lambda_max = {k * PD_RTOL * vals[-1]:.3e}"
             )
-        self._sqrt: np.ndarray | None = None
-        self._inv_sqrt: np.ndarray | None = None
 
     @classmethod
     def from_diagonal(cls, diag) -> "SpdMatrix":
@@ -221,22 +221,18 @@ class SpdMatrix:
         m = (v * f(self._eigenvalues)) @ v.T
         return 0.5 * (m + m.T)
 
-    @property
+    @cached_property
     def sqrt_entries(self) -> np.ndarray:
-        """The symmetric Q with Q @ Q = M."""
-        if self._sqrt is None:
-            q = self._spectral_apply(np.sqrt)
-            q.setflags(write=False)
-            self._sqrt = q
-        return self._sqrt
+        """The symmetric Q with Q @ Q = M, read-only, computed once."""
+        q = self._spectral_apply(np.sqrt)
+        q.setflags(write=False)
+        return q
 
-    @property
+    @cached_property
     def inv_sqrt_entries(self) -> np.ndarray:
-        if self._inv_sqrt is None:
-            q = self._spectral_apply(lambda w: 1.0 / np.sqrt(w))
-            q.setflags(write=False)
-            self._inv_sqrt = q
-        return self._inv_sqrt
+        q = self._spectral_apply(lambda w: 1.0 / np.sqrt(w))
+        q.setflags(write=False)
+        return q
 
     def sqrt(self) -> "SpdMatrix":
         return SpdMatrix(self.sqrt_entries)

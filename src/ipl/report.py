@@ -8,6 +8,7 @@ into one row per entry under a header.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -33,13 +34,14 @@ class VerificationReport:
 
 def to_plain(obj):
     """Recursively convert numpy scalars and arrays, tuples and iterators
-    (read once) into plain Python types."""
+    (read once) into plain Python types. An array takes one ``tolist``,
+    which gives nested lists of Python floats, ints or bools."""
     if isinstance(obj, dict):
         return {str(k): to_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, Iterator)):
         return [to_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [to_plain(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -50,7 +52,12 @@ def to_plain(obj):
 
 
 def _render(obj, out: list) -> None:
-    if isinstance(obj, dict):
+    # Floats first: they are nearly every leaf of an array-valued report.
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj!r} cannot be serialized")
+        out.append(f"{obj:.17g}")
+    elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if i:
@@ -70,10 +77,6 @@ def _render(obj, out: list) -> None:
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        if not np.isfinite(obj):
-            raise ValueError(f"non-finite value {obj!r} cannot be serialized")
-        out.append(f"{obj:.17g}")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, str):

@@ -1,0 +1,173 @@
+"""A recorded corpus of CLI runs: every README synopsis command and flag.
+
+    PYTHONPATH=src python tests/cli_corpus.py record OUT.json
+    PYTHONPATH=src python tests/cli_corpus.py compare A.json B.json
+
+``record`` writes the small inputs below to a temporary directory, runs each
+case in-process through ``ipl.cli.main`` and stores, per case, the exit code
+and stdout and stderr with every input path masked to its basename. The
+cases cover each command and flag of the README synopsis (and ``--version``),
+a Neumann sweep that exits 1, and three refusals that exit 2. ``compare``
+prints every case whose exit code, stdout or stderr differs between two
+recordings, or that only one of them holds, and exits 1 if there is any.
+Recording the same tree twice must give no difference; recording two
+trees shows whether a change moves any byte the CLI prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+from ipl.cli import main as ipl_main
+from ipl.laplacian import CLASSICAL_KINDS
+
+
+def _path(n):
+    labels = [f"v{i + 1}" for i in range(n)]
+    return {"vertices": labels, "edges": [[labels[i], labels[i + 1]] for i in range(n - 1)]}
+
+
+def _rows(k, entry):
+    return {"rows": [[entry(i, j) for j in range(k)] for i in range(k)]}
+
+
+_GADGET = [3.0, 1.0, 1.0, 2.0, 2.0, 1.0]
+_ME5 = {(0, 1): 0.4, (1, 3): -0.3, (2, 4): 0.2}
+
+INPUTS = {
+    "p3.json": _path(3),
+    "p4.json": _path(4),
+    "p8.json": _path(8),
+    "c5.json": {
+        "vertices": ["a", "b", "c", "d", "e"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["a", "e"]],
+        "orientation": [1, -1, 1, 1, -1],
+    },
+    "id3.json": _rows(3, lambda i, j: float(i == j)),
+    "ipj.json": {"rows": [[2.0, 1.0], [1.0, 2.0]]},
+    "mv5.json": _rows(5, lambda i, j: 2.0 if i == j else 0.3 * (abs(i - j) == 1)),
+    "me5.json": _rows(5, lambda i, j: 1.5 if i == j else _ME5.get((min(i, j), max(i, j)), 0.0)),
+    "dense6.json": _rows(6, lambda i, j: float(i == j) + 0.5 ** abs(i - j)),
+    "gadget6.json": _rows(6, lambda i, j: float(i == j) + _GADGET[i] * _GADGET[j]),
+    "asym.json": {"rows": [[2.0, 1.0], [0.0, 2.0]]},
+    "w3.json": [1.0, 2.0, 0.5],
+    "h4.json": {"vertices": ["1", "2", "3", "4"], "hyperedges": [["1", "2", "3"], ["3", "4"]], "weights": [1.0, 2.0]},
+    "pi4.json": [1.0, 2.0, 1.0, 1.0],
+    "d4.json": {"values": [3.0, 3.0, 7.0, 4.0]},
+    "dt4.json": [1.0, 1.0, 2.0, 1.0],
+    "chain3.json": {"rows": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0]]},
+}
+
+_DENSE = ["--mv", "mv5.json", "--me", "me5.json"]
+_C5 = ["--graph", "c5.json"]
+
+CASES = [
+    ["--version"],
+    ["conformality", "dense6.json"],
+    ["conformality", "gadget6.json", "--force"],
+    ["conformality", "dense6.json", "--sampled", "40", "--seed", "3"],
+    ["spectrum", "--graph", "p3.json", "--mv", "id3.json", "--me", "ipj.json", "--orientation", "+,-"],
+    ["spectrum", "--graph", "p3.json", "--mv", "id3.json", "--me", "ipj.json", "--orientation", "-,+"],
+    ["spectrum", *_C5, *_DENSE],
+    ["spectrum", *_C5, *_DENSE, "--dim", "1"],
+    ["spectrum", *_C5, *_DENSE, "--coboundary"],
+    ["spectrum", *_C5, *_DENSE, "--csv"],
+    *(["recover", "--kind", kind, "--graph", "p4.json"] for kind in CLASSICAL_KINDS),
+    ["recover", "--kind", "normalized", "--graph", "p4.json", "--weights", "w3.json"],
+    ["recover", "--kind", "combinatorial", "--graph", "p4.json", "--csv"],
+    ["hypergraph-to-ipl", "--hypergraph", "h4.json"],
+    ["hypergraph-to-ipl", "--hypergraph", "h4.json", "--pi", "pi4.json"],
+    ["hypergraph-to-ipl", "--hypergraph", "h4.json", "--d", "d4.json"],
+    ["hypergraph-to-ipl", "--hypergraph", "h4.json", "--dt", "dt4.json"],
+    ["digraph", "--transition", "chain3.json"],
+    ["conductance", *_C5],
+    ["conductance", *_C5, "--kind", "combinatorial", "--force"],
+    ["conductance", *_C5, *_DENSE, "--table"],
+    ["conductance", *_C5, *_DENSE, "--table", "--csv"],
+    *(
+        ["verify", check, *_C5, *inner, *extra]
+        for check, extra in (
+            ("cheeger", []),
+            ("eml", ["--x", "a,b", "--y", "b,c"]),
+            ("eml", ["--x", "a,b", "--y", "c,d"]),
+            ("eml", ["--batch"]),
+            ("radius", []),
+        )
+        for inner in ([], ["--kind", "combinatorial"], _DENSE, [*_DENSE, "--orientation", "-,+,+,-,+", "--force"])
+    ),
+    ["neumann", "--graph", "p4.json", "--subset", "v2,v3"],
+    ["neumann", "--graph", "p4.json", "--subset", "v2,v3", "--schedule", "1e-1:1e-6", "--force"],
+    ["neumann", "--graph", "p4.json", "--subset", "v2,v3", "--schedule", "0.5,0.1", "--csv"],
+    ["neumann", "--graph", "p4.json", "--subset", "v2,v3", "--direct-only"],
+    ["neumann", "--graph", "p4.json", "--subset", "v2,v3", "--schedule", "1e-1"],
+    ["neumann", "--graph", "p8.json", "--subset", "v1,v2", "--schedule", "1e-1,1e-5,1e-9"],
+    ["dirichlet", "--graph", "p4.json", "--subset", "v2,v3"],
+    ["dirichlet", "--graph", "p4.json", "--subset", "v1,v3,v4", "--csv"],
+    # Refusals, exit 2: an input, a subset and a flag combination.
+    ["conformality", "asym.json"],
+    ["dirichlet", "--graph", "p4.json", "--subset", ""],
+    ["conductance", "--graph", "p4.json", "--csv"],
+]
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ipl_main(argv)
+        except SystemExit as exc:  # argparse: --version, usage errors
+            code = exc.code or 0
+    return code, out.getvalue(), err.getvalue()
+
+
+def record() -> dict:
+    """Run every case on freshly written inputs; {case: {exit, stdout, stderr}}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp)
+        for name, obj in INPUTS.items():
+            (base / name).write_text(json.dumps(obj))
+        prefix = str(base) + "/"
+        runs = {}
+        for case in CASES:
+            code, out, err = _run([str(base / a) if a in INPUTS else a for a in case])
+            runs[" ".join(case)] = {"exit": code, "stdout": out.replace(prefix, ""), "stderr": err.replace(prefix, "")}
+    return runs
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per case, in sorted order, that only one recording holds or
+    whose exit code, stdout or stderr differs, naming what differs."""
+    lines = []
+    for case in sorted(a.keys() | b.keys()):
+        if case not in a or case not in b:
+            lines.append(f"{case}: only in {'A' if case in a else 'B'}")
+        elif a[case] != b[case]:
+            lines.append(f"{case}: " + ", ".join(k for k in a[case] if a[case][k] != b[case][k]))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record the CLI corpus, or compare two recordings.")
+    sub = parser.add_subparsers(dest="action", required=True)
+    sub.add_parser("record").add_argument("out")
+    p = sub.add_parser("compare")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.action == "record":
+        pathlib.Path(args.out).write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+        return 0
+    a, b = (json.loads(pathlib.Path(p).read_text()) for p in (args.a, args.b))
+    diffs = compare(a, b)
+    print("\n".join([*diffs, f"{len(diffs)} of {len(a.keys() | b.keys())} cases differ"]))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

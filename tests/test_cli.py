@@ -1,5 +1,7 @@
+import argparse
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -28,11 +30,12 @@ from ipl import (
     verify_eml_batch,
     weak_conformality,
 )
-from ipl.cli import main
+from ipl.cli import build_parser, main
 from ipl.errors import CAPS
 from ipl.isoperimetry import DEFAULT_EPSILON_SCHEDULE
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, load_matrix, matrix_from_dict, matrix_to_dict
 
+import cli_corpus
 from conftest import cycle_graph, path_graph
 
 
@@ -633,11 +636,50 @@ def test_conductance_same_bytes_for_any_blas_thread_count(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_stable_json_formatting():
+def test_cli_corpus_records_the_same_bytes_twice(tmp_path, capsys):
+    paths = [str(tmp_path / f"run{i}.json") for i in range(2)]
+    assert [cli_corpus.main(["record", p]) for p in paths] == [0, 0]
+    assert cli_corpus.main(["compare", *paths]) == 0
+    assert capsys.readouterr().out == f"0 of {len(cli_corpus.CASES)} cases differ\n"
+    runs = json.loads(pathlib.Path(paths[0]).read_text())
+    assert len(runs) == len(cli_corpus.CASES)
+    assert {run["exit"] for run in runs.values()} == {0, 1, 2}
+    assert not any(str(tmp_path) in run["stdout"] + run["stderr"] for run in runs.values())
+    # Every flag of every command is in some case.
+    commands = {}
+    for case in cli_corpus.CASES[1:]:
+        name = tuple(case[:2]) if case[0] == "verify" else (case[0],)
+        commands.setdefault(name, set()).update(a for a in case if a.startswith("--"))
+    for name, used in commands.items():
+        parser = build_parser()
+        for word in name:
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = sub.choices[word]
+        assert {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"} <= used, name
+    assert len(commands) == 11
+
+
+def test_stable_json_formatting(rng):
     text = stable_json({"b": 1 / 3, "a": [True, None, "x"], "c": 2})
     assert text == '{"a":[true,null,"x"],"b":0.33333333333333331,"c":2}\n'
     with pytest.raises(ValueError):
         stable_json({"bad": float("nan")})
+    # An array renders as its tolist() does, for floats, ints and bools.
+    assert stable_json(np.array([[0.5, -0.0], [1e300, 2.0]])) == "[[0.5,-0],[1.0000000000000001e+300,2]]\n"
+    assert stable_json(np.array([[3, -1]], dtype=np.int64)) == "[[3,-1]]\n"
+    assert stable_json(np.array([True, False])) == "[true,false]\n"
+    for a in (rng.standard_normal((3, 4)), rng.integers(-9, 9, (2, 3, 2)), rng.random(5) < 0.5, np.zeros((2, 0))):
+        assert stable_json({"a": a}) == stable_json({"a": a.tolist()})
+    with pytest.raises(ValueError, match=r"^non-finite value nan cannot be serialized$"):
+        stable_json({"a": np.array([1.0, np.nan])})
+    # Disjoint X and Y: the intersection terms are +0.0, sign bit included.
+    g = cycle_graph(5)
+    ring = np.eye(5) - 0.2 * (np.roll(np.eye(5), 1, 1) + np.roll(np.eye(5), -1, 1))
+    for m_v, m_e in (normalized_inner_products(g), (SpdMatrix.identity(5), SpdMatrix(ring))):
+        values = verify_eml(g, m_v, m_e, [0, 1], [2, 3]).values
+        for key in ("e_intersection", "pointwise_mass"):
+            assert values[key] == 0.0 and math.copysign(1.0, values[key]) == 1.0
+            assert f'"{key}":0,' in stable_json(values)
 
 
 def test_graph_round_trip_via_jsonio():
@@ -651,6 +693,15 @@ def test_graph_round_trip_via_jsonio():
     )
     assert hg.hyperedges == ((0, 1, 2), (1, 2))
     np.testing.assert_allclose(w, [1.0, 2.0])
+
+
+def test_hypergraph_round_trip_via_jsonio():
+    hg, _ = hypergraph_from_dict({"vertices": ["a", "b", "c", "d"], "hyperedges": [["c", "d"], ["a", "b", "c"]]})
+    d = hg.to_dict()
+    assert d == {"vertices": ["a", "b", "c", "d"], "hyperedges": [["a", "b", "c"], ["c", "d"]]}
+    again, w = hypergraph_from_dict(json.loads(json.dumps(d)))
+    assert again == hg
+    np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
 def test_help_for_every_subcommand(capsys):

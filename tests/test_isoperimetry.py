@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_cut_stats_k2():
     assert stats.cor_x == 1.0
     assert stats.cor_y == 1.0
     assert stats.boundary_edges == ((0, 1),)
+
+
+def test_cut_stats_to_dict_is_plain_and_serializable():
+    g = path_graph(3)
+    d = cut_stats(g, *normalized_inner_products(g), [0, 1], [1, 2]).to_dict()
+    assert d["boundary_edges"] == [[0, 1], [1, 2]]
+    assert d["e_xy"] == 2.0 and type(d["vol_x"]) is float
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_cut_stats_empty_set(rng):

@@ -132,6 +132,13 @@ def test_compatibility_classical_pairs(rng):
     assert comp.perfect == bool(np.all(deg == deg.max()))
 
 
+def test_compatibility_to_dict_is_plain():
+    g = path_graph(3)
+    d = compatibility(g, SpdMatrix.identity(g.n), SpdMatrix.identity(g.m)).to_dict()
+    assert d == {"omega": 2.0, "perfect": False, "per_vertex": [1.0, 2.0, 1.0]}
+    assert type(d["omega"]) is float and type(d["perfect"]) is bool
+
+
 def test_compatibility_mixing_example_is_perfect():
     g, m_v, m_e, _, _ = mixing_example_graph(2)
     comp = compatibility(g, m_v, m_e)

@@ -20,6 +20,18 @@ def test_sym_eig_diagonal_sorted_ascending():
     np.testing.assert_allclose(vals, [1.0, 3.0])
 
 
+def test_spd_repr_names_dimension_and_condition():
+    assert repr(SpdMatrix.from_diagonal([1.0, 4.0, 2.0])) == "SpdMatrix(dim=3, condition=4.000e+00)"
+
+
+def test_root_entries_are_cached_read_only():
+    m = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    for q in (m.sqrt_entries, m.inv_sqrt_entries):
+        assert not q.flags.writeable
+    assert m.sqrt_entries is m.sqrt_entries and m.inv_sqrt_entries is m.inv_sqrt_entries
+    np.testing.assert_allclose(m.sqrt_entries @ m.inv_sqrt_entries, np.eye(2), atol=1e-15)
+
+
 def test_sym_eig_path_laplacian_spectrum():
     a = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     vals, vecs = sym_eig(a)
