@@ -705,8 +705,8 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     rho, subset, winner = _exact_weak(m, force)
     if winner is None:
         # A diagonal M has no winning block: its pair is that of S = {0} on
-        # C = {0, 1}, scored once.
-        winner = _rescore(m.entries, [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
+        # C = {0, 1}, scored once on M_CC, the only entries it reads.
+        winner = _rescore(np.diag(m._diagonal[:2]), [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
     c, s, chol, u, z = winner
     # The winner's top generalized eigenvector v = L^-T u: the one solve of
     # the call, with the bits of its row of a stacked solve.
@@ -715,8 +715,9 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
         # One block of every index: the pair needs no gather or scatter.
         x, y = _witness_pair(m.entries, s, v, z, m.is_diagonal)
     else:
+        block = np.diag(m._diagonal[c]) if m.is_diagonal else m.entries.take(c[:, None] * m.dim + c)
         x, y = np.zeros(m.dim), np.zeros(m.dim)
-        x[c], y[c] = _witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
+        x[c], y[c] = _witness_pair(block, s, v, z, m.is_diagonal)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,
@@ -750,8 +751,9 @@ def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarr
     # Scaling by 2^-exp is exact, so the normalized y keeps its bits, and
     # its M-norm neither under- nor overflows however weak the coupling.
     x[s], y[~s] = v, np.ldexp(y_t, -exp)
-    x = x / np.sqrt(_quad(entries, x, diagonal))
-    y = y / np.sqrt(_quad(entries, y, diagonal))
+    a = np.diagonal(entries) if diagonal else entries
+    x = x / np.sqrt(_quad(a, x))
+    y = y / np.sqrt(_quad(a, y))
     if float(x @ entries @ y) < 0.0:
         y = -y
     return x, y
@@ -871,7 +873,7 @@ def verify_conformality_bounds(m: SpdMatrix, x, *, force: bool = False) -> Verif
     hi_factor = (1.0 + rho) / (1.0 - rho)
     quad = m.quad(x)
     abs_quad = m.quad(np.abs(x))
-    diag_quad = float(np.sum(x * x * np.diagonal(m.entries)))
+    diag_quad = float(np.sum(x * x * m._diagonal))
     slack = 1e-10
     sign_ok = lo_factor * abs_quad - slack <= quad <= hi_factor * abs_quad + slack
     trace_ok = lo_factor * diag_quad - slack <= quad <= hi_factor * diag_quad + slack
@@ -895,7 +897,7 @@ def inverse_conformality_check(m: SpdMatrix, *, force: bool = False) -> Verifica
     """Both conformalities must be invariant under matrix inversion."""
     if m.dim < 2:
         raise ValueError("conformality requires dimension >= 2")
-    inv = SpdMatrix(m.inverse())
+    inv = m._inverted()
     rho_s = strong_conformality(m)
     rho_s_inv = strong_conformality(inv)
     rho_w = weak_conformality_value(m, force=force)

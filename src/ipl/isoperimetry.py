@@ -129,7 +129,7 @@ def _graph_eigenvalues(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
     """The eigenvalues of the graph's inner product Laplacian, as
     ``_eigenvalues`` reads them, once the inner products fit the graph."""
     check_graph_inner_products(g, m_v, m_e)
-    return _eigenvalues(_semi_hodge_matrix(g.incidence, m_v.inv_sqrt_entries, m_e.entries))
+    return _eigenvalues(_semi_hodge_matrix(g.incidence, m_v._inv_sqrt_operand, m_e._operand))
 
 
 def _vertex_set(n: int, subset, least: int = 0) -> list[int]:
@@ -950,8 +950,8 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     mass underflows to 0 or the kernel stops being one-dimensional; a sweep
     that stopped early has ``converged`` false, whatever its last recorded
     step met. Both inner products are diagonal, so each step hands
-    ``_semi_hodge_matrix`` the arrays Q^-1 = diag(mass)^(-1/2) and diag(w),
-    without an ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
+    ``_semi_hodge_matrix`` their diagonals mass^(-1/2) and w as 1-D
+    operands, without an ``SpdMatrix``: vertex masses of order epsilon^2 two steps from the
     subset need no positive-definiteness check. ``vector_gap`` is the
     largest entry of the last vector's residual after projection onto the
     lambda_S eigenspace, in the degree-weighted inner product on the subset.
@@ -983,8 +983,8 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
         if not mass.all():
             failures.append(f"epsilon={eps:g}: a vertex mass underflows to 0")
             break
-        q_inv = np.diag(1.0 / np.sqrt(mass))
-        spec = _spectrum(_semi_hodge_matrix(b, q_inv, np.diag(w)), q_inv)
+        q_inv = 1.0 / np.sqrt(mass)
+        spec = _spectrum(_semi_hodge_matrix(b, q_inv, w), q_inv)
         if spec.zero_multiplicity != 1:
             failures.append(
                 f"epsilon={eps:g}: kernel dimension {spec.zero_multiplicity} != 1"

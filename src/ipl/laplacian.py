@@ -36,7 +36,7 @@ import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, check_weights, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
-from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _times
 from .report import VerificationReport, to_plain
 
 
@@ -112,7 +112,7 @@ class IplSetup:
 
     def with_inverted_inner_products(self) -> "IplSetup":
         """Swap every M_i for its inverse (the coboundary-style Laplacian)."""
-        return IplSetup(self.boundaries, [SpdMatrix(m.inverse()) for m in self.inner], self.target_dim)
+        return IplSetup(self.boundaries, [m._inverted() for m in self.inner], self.target_dim)
 
 
 def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
@@ -128,7 +128,7 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
         matrix=matrix,
         eigenvalues=vals,
         eigenvectors=vecs,
-        harmonic_eigenvectors=q_inv @ vecs,
+        harmonic_eigenvectors=_times(q_inv, vecs),
         zero_multiplicity=int(np.sum(vals <= ZERO_RTOL * vals[-1])),
     )
 
@@ -142,32 +142,36 @@ def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def _semi_hodge_matrix(b, q_inv: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Q^{-1} B M B^T Q^{-1} from the arrays B, Q^{-1} and M, before
-    ``_spectrum`` symmetrizes it: the one place this product is formed."""
+    """Q^{-1} B M B^T Q^{-1} from the array B and the ``_times`` operands
+    Q^{-1} and M (1-D for a diagonal), before ``_spectrum`` symmetrizes it:
+    the one place this product is formed, in the order
+    ((((Q^{-1} B) M) B^T) Q^{-1}). Against a diagonal each product is a
+    scaling with the GEMM's bits, so diagonal inner products leave the one
+    n x m x n GEMM (Q^{-1} B M) B^T, on the operand the four GEMMs gave it."""
     b = np.asarray(b, dtype=float)
     if b.shape != (len(q_inv), len(m)):
         raise ValueError(f"incidence shape {b.shape} does not match inner products ({len(q_inv)}, {len(m)})")
-    return q_inv @ b @ m @ b.T @ q_inv
+    return _times(q_inv, _times(m, _times(q_inv, b), right=True) @ b.T, right=True)
 
 
 def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
     """L_i of the setup at its target dimension."""
     i = setup.target_dim
     m_i = setup.inner[i]
-    q_inv = m_i.inv_sqrt_entries
+    q_inv = m_i._inv_sqrt_operand
     lap = np.zeros((m_i.dim, m_i.dim))
     if i >= 1:
-        b, q = setup.boundaries[i], m_i.sqrt_entries
-        lap += q @ b.T @ setup.inner[i - 1].solve(b) @ q
+        b, q = setup.boundaries[i], m_i._sqrt_operand
+        lap += _times(q, _times(q, b.T) @ setup.inner[i - 1].solve(b), right=True)
     if i < setup.dim:
-        lap += _semi_hodge_matrix(setup.boundaries[i + 1], q_inv, setup.inner[i + 1].entries)
+        lap += _semi_hodge_matrix(setup.boundaries[i + 1], q_inv, setup.inner[i + 1]._operand)
     return _spectrum(lap, q_inv)
 
 
 def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
     """Q_V^{-1} B M_E B^T Q_V^{-1} for a signed or unsigned incidence B."""
-    q_inv = m_v.inv_sqrt_entries
-    return _spectrum(_semi_hodge_matrix(b, q_inv, m_e.entries), q_inv)
+    q_inv = m_v._inv_sqrt_operand
+    return _spectrum(_semi_hodge_matrix(b, q_inv, m_e._operand), q_inv)
 
 
 def _incidence_of(carrier) -> np.ndarray:
@@ -190,7 +194,7 @@ def _vertex_ratios(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
     h = _incidence_of(carrier)
     if h.shape != (m_v.dim, m_e.dim):
         raise ValueError("incidence shape does not match inner products")
-    return _vertex_masses(h, m_e) / np.diagonal(m_v.entries)
+    return _vertex_masses(h, m_e) / m_v._diagonal
 
 
 def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
@@ -208,7 +212,7 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     with r the largest hyperedge size and omega the compatibility constant.
     """
     b = _incidence_of(carrier)
-    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v.inv_sqrt_entries, m_e.entries))[-1])
+    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v._inv_sqrt_operand, m_e._operand))[-1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
     if isinstance(carrier, Graph):
@@ -258,11 +262,11 @@ def hodge_decomposition(setup: IplSetup):
     m_i = setup.inner[i]
     n = m_i.dim
     if i >= 1:
-        from_below = m_i.sqrt_entries @ setup.boundaries[i].T @ setup.inner[i - 1].inv_sqrt_entries
+        from_below = _times(setup.inner[i - 1]._inv_sqrt_operand, _times(m_i._sqrt_operand, setup.boundaries[i].T), right=True)
     else:
         from_below = np.zeros((n, 0))
     if i < setup.dim:
-        from_above = m_i.inv_sqrt_entries @ setup.boundaries[i + 1] @ setup.inner[i + 1].sqrt_entries
+        from_above = _times(setup.inner[i + 1]._sqrt_operand, _times(m_i._inv_sqrt_operand, setup.boundaries[i + 1]), right=True)
     else:
         from_above = np.zeros((n, 0))
     basis_up = _orthonormal_range(from_below)
@@ -280,7 +284,7 @@ def hodge_decomposition(setup: IplSetup):
         "dims": (basis_up.shape[1], basis_harmonic.shape[1], basis_down.shape[1]),
     }
     if 1 <= i <= setup.dim - 1:
-        zeta_i = setup.inner[i - 1].inv_sqrt_entries @ setup.boundaries[i] @ m_i.sqrt_entries
+        zeta_i = _times(m_i._sqrt_operand, _times(setup.inner[i - 1]._inv_sqrt_operand, setup.boundaries[i]), right=True)
         residuals["zeta_composition"] = float(np.linalg.norm(zeta_i @ from_above))
     return basis_up, basis_harmonic, basis_down, residuals
 
@@ -301,7 +305,9 @@ def _classical_inner_products(kind: str, g: Graph, edge_weights=None) -> tuple[S
     m_e = SpdMatrix.from_diagonal(w)
     if kind in ("combinatorial", "signless"):
         return SpdMatrix.identity(g.n), m_e
-    degrees = np.abs(graph_incidence(g)).astype(float) @ w
+    # Unit weights: the degree count is |B| @ w bit for bit, every partial
+    # sum being an integer below 2^53, in O(m) rather than O(n m).
+    degrees = g.degrees().astype(float) if edge_weights is None else np.abs(graph_incidence(g)).astype(float) @ w
     if not degrees.all():
         label = g.labels[int(np.argmin(degrees))]
         raise ValueError(f"vertex {label!r} is on no edge, so the {kind} vertex inner product (the degrees) is singular")
@@ -317,7 +323,7 @@ def recover_classical(kind: str, g: Graph, edge_weights=None):
     """
     if kind not in CLASSICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {CLASSICAL_KINDS}")
-    w = np.ones(g.m) if edge_weights is None else check_weights("edge weights", edge_weights, g.m)
+    w = None if edge_weights is None else check_weights("edge weights", edge_weights, g.m)
     m_v, m_e = _classical_inner_products(kind, g, w)
     b = graph_incidence(g) if kind in ("combinatorial", "normalized") else unsigned_incidence(g)
     return m_v, m_e, semi_hodge(b.astype(float), m_v, m_e)
@@ -346,7 +352,7 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
         d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
         if not np.all(d > 0):
             raise ValueError(f"the kernel-consistent D is not positive at vertex {hg.labels[np.argmin(d > 0)]!r}")
-    lap = np.diag(d) - (dt[:, None] * (h @ np.diag(w) @ h.T) * dt[None, :])
+    lap = np.diag(d) - (dt[:, None] * (_times(w, h, right=True) @ h.T) * dt[None, :])
     lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
     kernel_resid = float(np.abs(lap @ pi).max())
     if kernel_resid > 1e-9 * lap_max * pi_max:
@@ -362,7 +368,7 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     m_e = SpdMatrix.from_diagonal(pair_w)
     b = graph_incidence(graph).astype(float)
     conjugated = (pi[:, None] * lap) * pi[None, :]
-    clique_resid = float(np.abs(conjugated - _semi_hodge_matrix(b, np.eye(n), np.diag(pair_w))).max())
+    clique_resid = float(np.abs(conjugated - _semi_hodge_matrix(b, np.ones(n), pair_w)).max())
     ipl = semi_hodge(b, m_v, m_e)
     ipl_resid = float(np.abs(ipl.matrix - lap).max())
     report = VerificationReport(

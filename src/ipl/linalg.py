@@ -9,9 +9,14 @@ in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
 Eigenvectors, and so spectral functions, keep the blocks (connected
 components) of a symmetric matrix's nonzero pattern; ``SpdMatrix`` eigensolves
 each block alone, so its roots, inverse and solves are exactly zero off them.
-``_quad`` (as ``SpdMatrix.quad``) is the one routine for quadratic forms
-x^T M x: it takes a vector or a stack of rows (one value per row), and for
-a diagonal M it uses (x * x) @ diag(M).
+An exactly diagonal M is stored as its diagonal d alone: V is then the
+permutation that sorts d, f(M) = diag(f(d)) bit for bit, and no m x m array
+exists until a caller reads ``entries``, ``eigenvectors`` or a root's
+entries. ``_times`` is the one routine that applies M, or a root of it, to
+an array: a diagonal as the exact row or column scaling, any other M as a
+matrix product. ``_quad`` (as ``SpdMatrix.quad``) is the one routine for
+quadratic forms x^T M x: it takes a vector or a stack of rows (one value
+per row), and for a diagonal M it uses (x * x) @ diag(M).
 """
 
 from __future__ import annotations
@@ -86,18 +91,72 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _quad(entries: np.ndarray, x, diagonal: bool):
-    """x^T M x from M's entries, of a vector (a float) or of each row of a
-    stack, as ((x @ M) * x) summed per row; a diagonal M takes
-    (x * x) @ diag(M) instead and never forms the product with M."""
-    x = np.asarray(x, dtype=float)
-    if diagonal:
-        q = (x * x) @ np.diagonal(entries)
-    else:
-        q = x @ entries
+def _times(a: np.ndarray, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """a @ x, or x @ a when ``right``, for an operand ``a``: a matrix, or a
+    1-D array that stands for the diagonal matrix diag(a) (as
+    ``SpdMatrix`` hands out a diagonal M and its roots). Against a diagonal
+    the product is a row (column) scaling, with the bits of the GEMM it
+    replaces: each entry of that GEMM is one product plus exact zeros, and
+    adding +0.0 turns a -0 into +0, the zeros' only effect."""
+    if a.ndim == 2:
+        return x @ a if right else a @ x
+    # C order, as a GEMM's output, so that a GEMM downstream sees the same layout.
+    y = np.multiply(x, a if right else a[:, None], order="C")
+    y += 0.0
+    return y
+
+
+def _quad(a: np.ndarray, x):
+    """x^T M x of a vector (a float) or of each row of a stack, for M's
+    ``_times`` operand ``a``: ((x @ M) * x) summed per row, or for a
+    diagonal M (x * x) @ diag(M), which never forms the product with M (a
+    boolean x is its own square)."""
+    x = np.asarray(x)
+    own_square = x.dtype == bool
+    x = x.astype(float, copy=False)
+    if a.ndim == 2:
+        q = x @ a
         q *= x
-        q = q.sum(axis=-1)
-    return float(q) if x.ndim == 1 else q
+        return float(q.sum()) if x.ndim == 1 else q.sum(axis=-1)
+    sq = x if own_square else x * x
+    if x.ndim == 2:
+        return sq @ a
+    # BLAS sums a dot product with a strided operand in another order than
+    # one of two contiguous vectors. diag(M) was a strided view of dense
+    # entries; a strided copy of x * x keeps that order, and so the bits.
+    s = np.empty((len(sq), 2))
+    s[:, 0] = sq
+    return float(s[:, 0] @ a)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _dense(a: np.ndarray) -> np.ndarray:
+    """The matrix of a ``_times`` operand."""
+    return a if a.ndim == 2 else np.diag(a)
+
+
+def _inv_sqrt(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
+
+
+def _inv(w: np.ndarray) -> np.ndarray:
+    return 1.0 / w
+
+
+def _integral(a: np.ndarray, scale: float) -> bool:
+    # scale >= 2^49 already decides the sum, which could overflow.
+    return bool((a == a.round()).all() and scale < 2.0**49 and abs(a).sum() < 2.0**49)
+
+
+def _halved_sum(a: np.ndarray, scale: float) -> np.ndarray:
+    """(A + A^T) / 2; on a 1-D diagonal d (d.T is d) it gives the diagonal
+    of that of diag(d), bit for bit."""
+    # From 2^1023 on, A + A^T can overflow; halving first is exact there.
+    return 0.5 * (a + a.T) if scale < 2.0**1023 else 0.5 * a + 0.5 * a.T
 
 
 class SpdMatrix:
@@ -112,11 +171,19 @@ class SpdMatrix:
     root and its inverse are computed once and shared; instances are
     immutable and safe to use from multiple threads.
 
-    The ``blocks`` of one size are one size stack (``stacks``, built once)
-    with one stacked ``eigh`` call per size stack, which solves each block
-    alone; any other index is a 1 x 1 block with an axis eigenvector, and
-    one stable sort orders the eigenvalues. A connected M, one block of
-    every index, is one plain ``eigh``.
+    An exactly diagonal M (every off-diagonal entry zero, from any
+    constructor) is stored as its diagonal d and its stably sorted
+    eigenvalues, O(dim) memory: ``entries``, ``eigenvectors`` (the
+    permutation that sorts d) and the roots are read-only dense views formed
+    on first access, and ``solve``, ``quad``, ``inverse()`` and the private
+    ``_times`` operands read d. A view is the same array whichever thread
+    forms it, so the thread-safety above holds.
+
+    Otherwise the ``blocks`` of one size are one size stack (``stacks``,
+    built once) with one stacked ``eigh`` call per size stack, which solves
+    each block alone; any other index is a 1 x 1 block with an axis
+    eigenvector, and one stable sort orders the eigenvalues. A connected M,
+    one block of every index, is one plain ``eigh``.
     As every eigenvector lives on one block, every product term between two
     blocks is an exact zero: the square roots, ``inverse()`` and ``solve``
     are exactly zero off the blocks (exactly diagonal for a diagonal M).
@@ -128,20 +195,17 @@ class SpdMatrix:
             raise ValueError("SpdMatrix requires dimension >= 1")
         check_finite(a)
         scale = _check_symmetric(a)
-        # From 2^1023 on, A + A^T can overflow; halving first is exact there.
-        a = 0.5 * (a + a.T) if scale < 2.0**1023 else 0.5 * a + 0.5 * a.T
-        # scale >= 2^49 already decides the sum, which could overflow.
-        self._is_integral = bool((a == a.round()).all() and scale < 2.0**49 and abs(a).sum() < 2.0**49)
-        k = a.shape[0]
+        a = _halved_sum(a, scale)
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
             # Exactly diagonal: a count costs far less than the pattern scan.
-            blocks = ()
-        else:
-            rows, cols = np.nonzero(np.triu(a, 1))
-            blocks = _components(k, zip(rows.tolist(), cols.tolist()))
-        self._blocks = tuple(np.array(c) for c in blocks if len(c) > 1)
+            self._set_diagonal(np.diagonal(a).copy(), scale)
+            return
+        k = a.shape[0]
+        self._is_integral = _integral(a, scale)
+        rows, cols = np.nonzero(np.triu(a, 1))
+        self._blocks = tuple(np.array(c) for c in _components(k, zip(rows.tolist(), cols.tolist())) if len(c) > 1)
         self._stacks = tuple(np.array([c for c in self._blocks if len(c) == b]) for b in sorted({len(c) for c in self._blocks}))
-        if len(self._blocks) == 1 and len(self._blocks[0]) == k:
+        if len(self._blocks[0]) == k:
             # One block of every index: its gather, scatter and sort are identities.
             vals, vecs = np.linalg.eigh(a)
         else:
@@ -151,12 +215,22 @@ class SpdMatrix:
                 vals[idx], vecs[at] = np.linalg.eigh(a[at])
             order = np.argsort(vals, kind="stable")
             vals, vecs = vals[order], vecs.take(order, axis=1)
-        if blocks:
-            vecs = _fix_signs(vecs)
-        self._entries = a
-        self._entries.setflags(write=False)
+        self._dim, self._diag = k, None
+        self._entries, self._operand = _read_only(a), a
+        self._eigenvectors = _read_only(_fix_signs(vecs))
+        self._set_eigenvalues(vals)
+
+    def _set_diagonal(self, d: np.ndarray, scale: float) -> None:
+        """Store a diagonal M = diag(d) as d: no m x m array."""
+        self._dim, self._diag, self._operand = len(d), _read_only(d), d
+        self._entries = self._eigenvectors = None
+        self._blocks = self._stacks = ()
+        self._is_integral = _integral(d, scale)
+        self._set_eigenvalues(d[np.argsort(d, kind="stable")])
+
+    def _set_eigenvalues(self, vals: np.ndarray) -> None:
         self._eigenvalues = vals
-        self._eigenvectors = vecs
+        k = self._dim
         if vals[0] <= k * PD_RTOL * vals[-1]:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min = {vals[0]:.3e} "
@@ -165,18 +239,32 @@ class SpdMatrix:
 
     @classmethod
     def from_diagonal(cls, diag) -> "SpdMatrix":
-        return cls(np.diag(np.asarray(diag, dtype=float)))
+        """diag(d) from the 1-D array d, in O(len(d)) time and memory."""
+        d = np.asarray(diag, dtype=float)
+        if d.ndim != 1:
+            raise ValueError(f"expected a 1-D diagonal, got shape {d.shape}")
+        if not len(d):
+            raise ValueError("SpdMatrix requires dimension >= 1")
+        bad = np.flatnonzero(~np.isfinite(d))[:1]
+        if len(bad):
+            raise NonFiniteError(f"matrix has a non-finite entry: {d[bad[0]]} at row {bad[0]}, column {bad[0]}")
+        scale = float(np.abs(d).max())
+        m = cls.__new__(cls)
+        m._set_diagonal(_halved_sum(d, scale), scale)
+        return m
 
     @classmethod
     def identity(cls, dim: int) -> "SpdMatrix":
-        return cls(np.eye(dim))
+        return cls.from_diagonal(np.ones(dim))
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._dim
 
     @property
     def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = _read_only(_dense(self._diag))
         return self._entries
 
     @property
@@ -185,6 +273,11 @@ class SpdMatrix:
 
     @property
     def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            k = self._dim
+            v = np.zeros((k, k))
+            v[np.argsort(self._diag, kind="stable"), np.arange(k)] = 1.0
+            self._eigenvectors = _read_only(v)
         return self._eigenvectors
 
     @property
@@ -216,46 +309,68 @@ class SpdMatrix:
         therefore takes its own values as final and re-scores none."""
         return self._is_integral
 
+    @property
+    def _diagonal(self) -> np.ndarray:
+        """diag(M), read-only."""
+        return np.diagonal(self._entries) if self._diag is None else self._diag
+
     def _spectral_apply(self, f) -> np.ndarray:
+        """f(M) as a ``_times`` operand: for a diagonal M the vector f(d),
+        whose diag(f(d)) is (V f(lambda)) V^T for the permutation V bit for
+        bit, as every entry of that product is one term plus exact zeros."""
+        if self._diag is not None:
+            return f(self._diag)
         v = self._eigenvectors
         m = (v * f(self._eigenvalues)) @ v.T
         return 0.5 * (m + m.T)
 
     @cached_property
+    def _sqrt_operand(self) -> np.ndarray:
+        return _read_only(self._spectral_apply(np.sqrt))
+
+    @cached_property
+    def _inv_sqrt_operand(self) -> np.ndarray:
+        return _read_only(self._spectral_apply(_inv_sqrt))
+
+    @cached_property
     def sqrt_entries(self) -> np.ndarray:
         """The symmetric Q with Q @ Q = M, read-only, computed once."""
-        q = self._spectral_apply(np.sqrt)
-        q.setflags(write=False)
-        return q
+        return _read_only(_dense(self._sqrt_operand))
 
     @cached_property
     def inv_sqrt_entries(self) -> np.ndarray:
-        q = self._spectral_apply(lambda w: 1.0 / np.sqrt(w))
-        q.setflags(write=False)
-        return q
+        return _read_only(_dense(self._inv_sqrt_operand))
+
+    @staticmethod
+    def _of(a: np.ndarray) -> "SpdMatrix":
+        """The SpdMatrix of a ``_times`` operand, a diagonal built from its vector."""
+        return SpdMatrix(a) if a.ndim == 2 else SpdMatrix.from_diagonal(a)
 
     def sqrt(self) -> "SpdMatrix":
-        return SpdMatrix(self.sqrt_entries)
+        return self._of(self._sqrt_operand)
 
     def solve(self, b) -> np.ndarray:
         """Solve M x = b in the cached eigenbasis, with one step of iterative refinement."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: M is {self.dim}x{self.dim}, b has leading size {b.shape[0]}")
-        if self.is_diagonal:
-            d = np.diagonal(self._entries)
-            return (b.T / d).T
+        if self._diag is not None:
+            return (b.T / self._diag).T
         v, lam = self._eigenvectors, self._eigenvalues
         x = v @ ((v.T @ b).T / lam).T
         return x + v @ ((v.T @ (b - self._entries @ x)).T / lam).T
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse, for callers that genuinely need the matrix."""
-        return self._spectral_apply(lambda w: 1.0 / w)
+        return _dense(self._spectral_apply(_inv))
+
+    def _inverted(self) -> "SpdMatrix":
+        """SpdMatrix(inverse()), with a diagonal kept as its diagonal."""
+        return self._of(self._spectral_apply(_inv))
 
     def quad(self, x):
         """The quadratic form x^T M x of a vector (a float) or of each row of a stack."""
-        return _quad(self._entries, x, self.is_diagonal)
+        return _quad(self._operand, x)
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, condition={self.condition:.3e})"
@@ -271,8 +386,8 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     _check_symmetric(a)
     if a.shape[0] != b.dim:
         raise ValueError(f"dimension mismatch: A is {a.shape[0]}x{a.shape[0]}, B is {b.dim}x{b.dim}")
-    w = b.inv_sqrt_entries
-    s = w @ a @ w
+    w = b._inv_sqrt_operand
+    s = _times(w, _times(w, a), right=True)
     # The product is symmetric only up to rounding, which can exceed the
     # input tolerance at high cond(B). Symmetrized, it is exactly symmetric:
     # a symmetry check or a second symmetrization could change nothing, so
@@ -280,4 +395,4 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
     if vals[0] < -ZERO_RTOL * vals[-1]:
         raise ValueError(f"left-hand matrix has negative eigenvalue {vals[0]:.3e}")
-    return vals, w @ _fix_signs(vecs)
+    return vals, _times(w, _fix_signs(vecs))

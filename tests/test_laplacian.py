@@ -513,3 +513,90 @@ def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def semi_hodge_cases(rng):
+    """(label, B, Q^-1 diagonal, M diagonal): each kind of pair the product
+    is formed from, with diagonal inner products."""
+    for n in range(2, 12):
+        g = random_connected_graph(rng, n)
+        b = graph_incidence(g.with_orientation(rng.choice([-1, 1], g.m))).astype(float)
+        yield f"fuzz n={n}", b, 1.0 / np.sqrt(rng.uniform(0.5, 4.0, n)), rng.uniform(0.5, 4.0, g.m)
+        yield f"normalized n={n}", b, 1.0 / np.sqrt(g.degrees().astype(float)), np.ones(g.m)
+        # The Neumann sweep's pair: weights 1 or eps, masses eps times the
+        # weighted degree off a subset.
+        in_s = rng.random(n) < 0.5
+        u, v = g.ends
+        for eps in (1e-1, 1e-4, 1e-8):
+            w = np.where(in_s[u] | in_s[v], 1.0, eps)
+            deg = unsigned_incidence(g).astype(float) @ w
+            yield f"neumann n={n} eps={eps:g}", b, 1.0 / np.sqrt(np.where(in_s, deg, eps * deg)), w
+    for n in (3, 6, 9):
+        hyperedges = [tuple(sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())) for _ in range(n)]
+        hg = Hypergraph(tuple(f"v{i}" for i in range(n)), tuple(sorted(set(hyperedges))))
+        yield f"hypergraph n={n}", hg.incidence().astype(float), 1.0 / np.sqrt(rng.uniform(0.5, 4.0, n)), rng.uniform(0.5, 4.0, hg.m)
+        # hypergraph_to_ipl's clique identity: Q^-1 = I, M = the pair weights.
+        clique = complete_graph(n)
+        yield f"clique n={n}", graph_incidence(clique).astype(float), np.ones(n), rng.uniform(0.1, 9.0, clique.m)
+    # Two components: eigenvectors with exact zeros, -0.0 after the sign fix.
+    g = Graph.from_edge_labels(list("abcdefg"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("f", "g")])
+    yield "two components", graph_incidence(g).astype(float), 1.0 / np.sqrt(rng.uniform(0.5, 4.0, 7)), rng.uniform(0.5, 4.0, 6)
+
+
+def test_semi_hodge_product_is_the_four_gemm_product_bit_for_bit():
+    # Diagonal Q^-1 and M are applied as scalings, leaving one GEMM; the
+    # product and the harmonic vectors Q^-1 V keep the bits of the dense
+    # q_inv @ b @ m @ b.T @ q_inv and q_inv @ V, signs of zero included. A
+    # dense M goes through its own GEMM, beside the diagonal Q^-1.
+    from ipl.laplacian import _semi_hodge_matrix, _spectrum
+
+    rng = np.random.default_rng(3830)
+    zeros = 0
+    for label, b, q, d in semi_hodge_cases(rng):
+        q_inv = np.diag(q)
+        got = _semi_hodge_matrix(b, q, d)
+        assert same_bits(got, q_inv @ b @ np.diag(d) @ b.T @ q_inv), label
+        spec = _spectrum(got, q)
+        assert same_bits(spec.harmonic_eigenvectors, q_inv @ spec.eigenvectors), label
+        zeros += int(np.signbit(spec.eigenvectors[spec.eigenvectors == 0.0]).sum())
+        m = random_spd(rng, len(d)).entries
+        assert same_bits(_semi_hodge_matrix(b, q, m), q_inv @ b @ m @ b.T @ q_inv), label
+    assert zeros > 0
+
+
+def test_graph_scale_diagonal_inner_products_allocate_no_m_by_m_array():
+    # At n = 300, m = 1200 (a path plus random edges) none of these calls
+    # allocates as much as one m x m float array: the default inner products
+    # are stored as their diagonals, and the product scales by them.
+    import tracemalloc
+
+    from ipl import normalized_inner_products
+
+    rng = np.random.default_rng(1)
+    n, m = 300, 1200
+    edges = {(i, i + 1) for i in range(n - 1)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False))))
+    g = Graph(labels=tuple(f"v{i}" for i in range(n)), edges=tuple(sorted(edges)))
+    b = graph_incidence(g).astype(float)
+    inner = []
+    calls = {
+        "normalized_inner_products": lambda: inner.extend(normalized_inner_products(g)),
+        "semi_hodge": lambda: semi_hodge(b, *inner),
+        "verify_radius_bound": lambda: verify_radius_bound(g, *inner),
+        "compatibility": lambda: compatibility(g, *inner),
+    }
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            assert tracemalloc.get_traced_memory()[1] - base < m * m * 8, name
+    finally:
+        tracemalloc.stop()

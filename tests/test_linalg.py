@@ -324,3 +324,143 @@ def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def dense_diagonal_reference(entries, b, xs):
+    """What a diagonal SpdMatrix gave when it kept dense entries and
+    permutation eigenvectors: ``reference_outputs`` of the symmetrized
+    entries, those entries themselves, and the quadratic forms
+    (x * x) @ np.diagonal(entries) of float copies."""
+    a = 0.5 * (entries + entries.T)
+    d = np.diagonal(a)
+    quads = []
+    for x in xs:
+        x = np.asarray(x, dtype=float)
+        q = (x * x) @ d
+        quads.append(float(q) if x.ndim == 1 else q)
+    return (a, *reference_outputs(a, b), quads)
+
+
+def diagonal_outputs(m, b, xs):
+    return (m.entries, *spectral_outputs(m, b), [m.quad(x) for x in xs])
+
+
+def diagonal_cases(rng):
+    for k in (1, 2, 3, 7, 16, 40):
+        yield f"uniform k={k}", rng.uniform(0.5, 4.0, k)
+        yield f"tied k={k}", rng.integers(1, 4, k).astype(float)
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            yield f"scale {scale:g} k={k}", scale * rng.uniform(1.0, 10.0, k)
+
+
+def test_diagonal_routes_keep_the_dense_bits():
+    # Every route to a diagonal SpdMatrix stores d alone, yet gives the bits
+    # of the dense entries and permutation eigenvectors it replaced: entries,
+    # the spectrum, both roots, the inverse, solves and quadratic forms of
+    # vectors (whose dot product BLAS sums in another order when an operand
+    # is strided, as np.diagonal of dense entries is) and of stacks, float
+    # and boolean.
+    rng = np.random.default_rng(3801)
+    seen = set()
+    for kind, d in diagonal_cases(rng):
+        k = len(d)
+        b = rng.standard_normal((k, 3))
+        xs = [rng.standard_normal(k), rng.standard_normal((5, k)), rng.random(k) < 0.5, rng.random((9, k)) < 0.5]
+        routes = [("entries", SpdMatrix(np.diag(d)), np.diag(d)), ("from_diagonal", SpdMatrix.from_diagonal(d), np.diag(d))]
+        if kind.startswith("uniform"):
+            routes.append(("identity", SpdMatrix.identity(k), np.eye(k)))
+        for route, m, dense in routes:
+            assert m.is_diagonal and m.dim == k
+            want = dense_diagonal_reference(dense, b, xs)
+            for got, ref in zip(diagonal_outputs(m, b, xs), want):
+                if isinstance(ref, list):
+                    assert all(same_bits(g, r) for g, r in zip(got, ref)), (kind, route)
+                else:
+                    assert same_bits(got, ref), (kind, route)
+            for view in (m.entries, m.eigenvectors, m.sqrt_entries, m.inv_sqrt_entries):
+                assert not view.flags.writeable
+            # sqrt() was SpdMatrix(sqrt_entries): the dense square root, rebuilt.
+            want = dense_diagonal_reference(want[3], b, xs)
+            assert all(same_bits(g, r) for g, r in zip(diagonal_outputs(m.sqrt(), b, xs)[:-1], want[:-1])), (kind, route)
+            seen.add(route)
+    assert seen == {"entries", "from_diagonal", "identity"}
+
+
+def test_zero_edge_kinds_keep_their_bits():
+    # "signed zeros": -0.0 off the diagonal is zero, so M is diagonal and
+    # stored as d; its entries are diag(d), whose zeros are +0.0 (dense
+    # storage kept the input's -0.0 there), and every other output keeps the
+    # dense bits. "subnormal": the smallest subnormal is not zero, so M
+    # keeps its dense entries, -0.0 included, and a 2 x 2 one is one eigh.
+    for k in (2, 3, 11):
+        rng = np.random.default_rng(3810 + k)
+        signed = np.diag(np.arange(1.0, k + 1.0))
+        signed[~np.eye(k, dtype=bool)] = -0.0
+        tiny = signed.copy()
+        tiny[0, -1] = tiny[-1, 0] = 5e-324
+        b = rng.standard_normal((k, 3))
+        xs = [rng.standard_normal(k), rng.standard_normal((4, k)), rng.random((6, k)) < 0.5]
+        m = SpdMatrix(signed)
+        assert m.is_diagonal and same_bits(m.entries, np.diag(np.arange(1.0, k + 1.0)))
+        for got, ref in zip(diagonal_outputs(m, b, xs)[1:], dense_diagonal_reference(signed, b, xs)[1:]):
+            assert all(same_bits(g, r) for g, r in zip(got, ref)) if isinstance(ref, list) else same_bits(got, ref)
+        m = SpdMatrix(tiny)
+        assert not m.is_diagonal and same_bits(m.entries, tiny)
+        if k == 2:
+            for got, ref in zip(spectral_outputs(m, b), reference_outputs(m.entries, b)):
+                assert same_bits(got, ref)
+
+
+@pytest.mark.parametrize(
+    "diag, error, message",
+    [
+        ([[1.0, 2.0], [2.0, 5.0]], ValueError, "expected a 1-D diagonal, got shape (2, 2)"),
+        (3.0, ValueError, "expected a 1-D diagonal, got shape ()"),
+        ([], ValueError, "SpdMatrix requires dimension >= 1"),
+        ([1.0, np.nan, np.inf], NonFiniteError, "matrix has a non-finite entry: nan at row 1, column 1"),
+        ([1.0, -np.inf], NonFiniteError, "matrix has a non-finite entry: -inf at row 1, column 1"),
+        (
+            [1.0, 1e-13],
+            NotPositiveDefiniteError,
+            "matrix is not positive definite: lambda_min = 1.000e-13 <= 2 * 1e-12 * lambda_max = 2.000e-12",
+        ),
+        (
+            [4.0, -0.5, 2.0],
+            NotPositiveDefiniteError,
+            "matrix is not positive definite: lambda_min = -5.000e-01 <= 3 * 1e-12 * lambda_max = 1.200e-11",
+        ),
+    ],
+    ids=["matrix", "scalar", "empty", "nan", "inf", "near-singular", "indefinite"],
+)
+def test_from_diagonal_refusals(diag, error, message):
+    # A refusal names the shape it got; the NaN and positive-definiteness
+    # refusals read as those of the dense diagonal matrix, number for number.
+    with pytest.raises(error) as refused:
+        SpdMatrix.from_diagonal(diag)
+    assert type(refused.value) is error and str(refused.value) == message
+    if np.ndim(diag) == 1 and len(diag):
+        with pytest.raises(error) as dense:
+            SpdMatrix(np.diag(diag))
+        assert str(dense.value) == message
+
+
+def test_times_is_the_gemm_bit_for_bit():
+    # A product against a diagonal operand is a scaling with the bits of the
+    # GEMM against diag(a), a -0.0 in x included (the GEMM's sum reads +0.0).
+    from ipl.linalg import _times
+
+    rng = np.random.default_rng(3820)
+    for shape in [(1, 1), (5, 3), (40, 17)]:
+        x = rng.standard_normal(shape) * (rng.random(shape) < 0.7)
+        x[rng.random(shape) < 0.2] = -0.0
+        for right in (False, True):
+            a = rng.uniform(0.1, 10.0, shape[1] if right else shape[0])
+            want = x @ np.diag(a) if right else np.diag(a) @ x
+            assert same_bits(_times(a, x, right), want)
+            assert same_bits(_times(a, x.T.copy().T, right), want)
+            assert _times(a, x, right).flags.c_contiguous
