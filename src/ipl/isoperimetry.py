@@ -68,19 +68,24 @@ diagonal M_E, complementing either) is scored once, at its first pair in
 (X mask, Y mask) order, and the witness is the first scored pair whose
 margin equals the minimum.
 
-The verifiers read the Laplacian's eigenvalues only: ``_graph_eigenvalues``
-hands the matrix of ``laplacian._semi_hodge_matrix`` (the one builder of
+The verifiers read the graph's stored incidence through
+``laplacian._incidence_of``, which refuses inner products that do not fit
+the graph, and the Laplacian's eigenvalues only, through
+``laplacian._laplacian_eigenvalues``: the ``eigh`` of ``semi_hodge`` bit for
+bit, on the matrix of ``laplacian._semi_hodge_matrix`` (the one builder of
 the Laplacian, which ``inner_product_laplacian`` and the Neumann
-epsilon-sweep call too) to ``laplacian._eigenvalues``, the ``eigh`` of
-``inner_product_laplacian`` bit for bit, without its eigenvectors. Omega is
-the max of the per-vertex ratios, whose numerators e({a}, ac) are the
-point masses of the mixing bound. The two mixing verifiers take their
-shared inputs (refusals, spectrum, rho_E, Vol(G), trace term, point
-masses) from one prelude, ``_mixing_inputs``. ``verify_cheeger`` allows
-for the rounding of its two comparisons relative to what they compare: eigh's
-backward error, n eps lambda_max, plus 64 eps of lower + upper for the
-products that form the bounds. So scaling an inner product changes none of
-its verdicts. The mixing verifiers still allow an absolute 1e-9.
+epsilon-sweep call too), without its eigenvectors. Omega is the max of the
+per-vertex ratios, whose numerators e({a}, ac) are the point masses of the
+mixing bound. The two mixing verifiers take their shared inputs (refusals,
+spectrum, rho_E, Vol(G), trace term, point masses) from one prelude,
+``_mixing_inputs``. ``verify_cheeger`` allows for the rounding of its two
+comparisons relative to what they compare: eigh's backward error,
+n eps lambda_max, plus 64 eps of lower + upper for the products that form
+the bounds. So scaling an inner product changes none of its verdicts, as
+long as phi^2 / (2 omega) is a double: past that range it refuses. The
+mixing verifiers still allow an absolute 1e-9, and the pair sweep refuses
+once a term it reads or forms leaves the range of a double, rather than
+let a margin read +inf or NaN.
 
 Every vertex set a caller passes (X and Y of ``cut_stats`` and
 ``verify_eml``, the Dirichlet, Neumann and local-conductance subsets) is
@@ -99,7 +104,8 @@ from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformal
 from .errors import check_cap
 from .laplacian import (
     _classical_inner_products,
-    _eigenvalues,
+    _incidence_of,
+    _laplacian_eigenvalues,
     _semi_hodge_matrix,
     _spectrum,
     _vertex_masses,
@@ -123,13 +129,6 @@ DEFAULT_EPSILON_SCHEDULE = tuple(10.0**-k for k in range(1, 9))
 def normalized_inner_products(g: Graph) -> tuple[SpdMatrix, SpdMatrix]:
     """Degree diagonal on vertices, identity on edges (the default pair)."""
     return _classical_inner_products("normalized", g)
-
-
-def _graph_eigenvalues(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
-    """The eigenvalues of the graph's inner product Laplacian, as
-    ``_eigenvalues`` reads them, once the inner products fit the graph."""
-    check_graph_inner_products(g, m_v, m_e)
-    return _eigenvalues(_semi_hodge_matrix(g.incidence, m_v._inv_sqrt_operand, m_e._operand))
 
 
 def _vertex_set(n: int, subset, least: int = 0) -> list[int]:
@@ -522,17 +521,25 @@ def verify_cheeger(
         <= lambda_2 <= 2/(1-rho_V) * (1+rho_E)/(1-rho_E) * Phi,
 
     each side within eps (n lambda_max + 64 (lower + upper)), the rounding
-    of the comparison, so no scaling of M_V or M_E moves the verdict.
+    of the comparison, so no scaling of M_V or M_E moves the verdict. Where
+    Phi^2 overflows or omega underflows to 0, the lower bound is no double,
+    and the check is refused with a ValueError naming phi and omega. The
+    power ``phi**2`` stays as written: ``phi * phi`` rounds differently on
+    some doubles.
     """
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
-    vals = _graph_eigenvalues(g, m_v, m_e)
+    b = _incidence_of(g, m_v, m_e)
+    vals = _laplacian_eigenvalues(b, m_v, m_e)
     lam2 = float(vals[1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
-    omega = float(_vertex_ratios(g, m_v, m_e).max())
-    lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
+    omega = float(_vertex_ratios(b, m_v, m_e).max())
+    try:
+        lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"phi^2 / (2 omega) leaves the range of a double at phi = {phi:.3g}, omega = {omega:.3g}") from None
     upper = 2.0 / (1 - rho_v) * (1 + rho_e) / (1 - rho_e) * phi
     slack = np.finfo(float).eps * (g.n * float(vals[-1]) + 64 * (lower + upper))
     return VerificationReport(
@@ -560,12 +567,13 @@ def _mixing_inputs(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, force: bool, rho_e:
     12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex masses e({a}, ac)."""
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
-    vals = _graph_eigenvalues(g, m_v, m_e)
+    b = _incidence_of(g, m_v, m_e)
+    vals = _laplacian_eigenvalues(b, m_v, m_e)
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
     trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
     lams = float(vals[0]), float(vals[1]), float(vals[-1])
-    return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(g.incidence, m_e)
+    return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(b, m_e)
 
 
 def verify_eml(
@@ -749,65 +757,77 @@ def verify_eml_batch(
     witness range over the swept ones. A chunk holds CUT_CHUNK pairs at
     most (one X mask at least), and a pair's margin does not depend on the
     chunk it falls in. The witness is the first pair in (X mask, Y mask)
-    order whose margin equals the minimum.
+    order whose margin equals the minimum. If lambda_2, lambda_n, Vol(G)
+    or the trace term is not finite, or the sweep's own arithmetic
+    overflows or makes a NaN, a margin could read +inf and drop out of the
+    minimum, so the sweep is refused with one ValueError instead.
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
     (_, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force)
-    tau = 0.5 * (lam_n + lam2)
-    gap = 0.5 * (lam_n - lam2)
-    mv, me = m_v.entries, m_e.entries
+    # Past the range of a double a margin would read +inf (and leave the
+    # minimum) or NaN: a scalar the sweep reads that is not finite, or an
+    # overflow or invalid operation in its own arithmetic, is one refusal.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if not np.isfinite([lam2, lam_n, vol_g, trace_term]).all():
+                raise FloatingPointError
+            tau = 0.5 * (lam_n + lam2)
+            gap = 0.5 * (lam_n - lam2)
+            mv, me = m_v.entries, m_e.entries
 
-    count = 1 << n
-    bits = _subset_rows(np.arange(count), n)
-    s_float = bits.astype(float)
-    c_float = 1.0 - s_float
-    cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
-    sqrt_cor = np.sqrt(np.clip(cor_x, 0.0, None))
-    rhs_x = gap * sqrt_cor / vol_g
+            count = 1 << n
+            bits = _subset_rows(np.arange(count), n)
+            s_float = bits.astype(float)
+            c_float = 1.0 - s_float
+            cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
+            sqrt_cor = np.sqrt(np.clip(cor_x, 0.0, None))
+            rhs_x = gap * sqrt_cor / vol_g
 
-    u, v = g.ends
-    form = -np.diag(masses)
-    coupled = np.concatenate([np.arange(0), *m_e.blocks])
-    # No off-diagonal entry in its row; a simple graph has one edge per
-    # vertex pair, so no entry of form is added twice.
-    isolated = np.count_nonzero(me, axis=1) == 1
-    for a, b in ((u, v), (v, u)):
-        form[a[isolated], b[isolated]] += np.diagonal(me)[isolated]
-    r = mv.sum(axis=1)
-    form += tau * (mv - np.outer(r, r) / vol_g)
-    tables = _pair_tables(form)
-    lookups = _edge_word_tables(me, coupled, bits, u, v)
-    # The inner mass depends on X & Y alone: one table over subset masks.
-    inner_mass = _edge_mass(lookups, np.bitwise_and)
-    # Masks of n bits, as narrow as they fit, to index it by X & Y.
-    masks = np.arange(count, dtype=np.uint16 if n <= 16 else np.uint32)
+            u, v = g.ends
+            form = -np.diag(masses)
+            coupled = np.concatenate([np.arange(0), *m_e.blocks])
+            # No off-diagonal entry in its row; a simple graph has one edge per
+            # vertex pair, so no entry of form is added twice.
+            isolated = np.count_nonzero(me, axis=1) == 1
+            for a, b in ((u, v), (v, u)):
+                form[a[isolated], b[isolated]] += np.diagonal(me)[isolated]
+            r = mv.sum(axis=1)
+            form += tau * (mv - np.outer(r, r) / vol_g)
+            tables = _pair_tables(form)
+            lookups = _edge_word_tables(me, coupled, bits, u, v)
+            # The inner mass depends on X & Y alone: one table over subset masks.
+            inner_mass = _edge_mass(lookups, np.bitwise_and)
+            # Masks of n bits, as narrow as they fit, to index it by X & Y.
+            masks = np.arange(count, dtype=np.uint16 if n <= 16 else np.uint32)
 
-    # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
-    # complements share a margin: sweep the sets without vertex n - 1.
-    stop = count if lookups else count >> 1
-    best = np.inf
-    worst = None
-    x0 = 1
-    while x0 < stop:
-        x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
-        xs, ys = slice(x0, x1), slice(x0, stop)
-        lhs = _pair_rows(tables, xs, x0, stop)
-        if lookups:
-            cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
-            cut += inner_mass.take(masks[xs, None] & masks[ys])
-            lhs += cut
-        lhs = np.abs(lhs)
-        margins = rhs_x[xs, None] * sqrt_cor[ys]
-        margins += trace_term
-        margins -= lhs
-        margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
-        i, j = divmod(int(np.argmin(margins)), margins.shape[1])
-        if margins[i, j] < best:
-            best = float(margins[i, j])
-            x, y = x0 + i, x0 + j
-            worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
-        x0 = x1
+            # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
+            # complements share a margin: sweep the sets without vertex n - 1.
+            stop = count if lookups else count >> 1
+            best = np.inf
+            worst = None
+            x0 = 1
+            while x0 < stop:
+                x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
+                xs, ys = slice(x0, x1), slice(x0, stop)
+                lhs = _pair_rows(tables, xs, x0, stop)
+                if lookups:
+                    cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
+                    cut += inner_mass.take(masks[xs, None] & masks[ys])
+                    lhs += cut
+                lhs = np.abs(lhs)
+                margins = rhs_x[xs, None] * sqrt_cor[ys]
+                margins += trace_term
+                margins -= lhs
+                margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
+                i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+                if margins[i, j] < best:
+                    best = float(margins[i, j])
+                    x, y = x0 + i, x0 + j
+                    worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
+                x0 = x1
+    except FloatingPointError:
+        raise ValueError(f"the pair sweep leaves the range of a double at Vol(G) = {vol_g:.3g}; rescale M_V and M_E") from None
     x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",

@@ -15,17 +15,20 @@ normalized, and signless Laplacians exactly.
 ``semi_hodge``, the upper term of ``inner_product_laplacian``, the theorem
 verifiers and each step of the Neumann epsilon-sweep in ``isoperimetry``
 call it. The verifiers (``verify_radius_bound`` here; ``verify_cheeger``,
-``verify_eml`` and ``verify_eml_batch`` in ``isoperimetry``) read
-eigenvalues only. ``_eigenvalues`` takes them from the same ``eigh`` of the
-same symmetrized matrix that ``inner_product_laplacian`` and ``semi_hodge``
-decompose, so they agree bit for bit, without the sign fix, eigenvectors or
-kernel count of a ``SpectrumResult``. Their omega is the max of
-``_vertex_ratios``, the array that ``compatibility`` lists per vertex;
-its numerators e({v}, vc) are ``_vertex_masses``, which the mixing
-verifiers read too. A ``Graph`` holds its signed incidence once,
-read-only, so no verifier builds it twice. ``IplSetup`` pairs a chain
-complex with its inner products, for the Laplacian at any dimension and its
-Hodge decomposition.
+``verify_eml`` and ``verify_eml_batch`` in ``isoperimetry``) read a graph
+one way, through ``_incidence_of``: a ``Graph`` gives the signed int64
+incidence it stores once, read-only, with no float copy, after
+``check_graph_inner_products`` (the one message for inner products that do
+not fit a graph), as it does for ``compatibility`` and
+``IplSetup.from_graph``. They read eigenvalues only, from
+``_laplacian_eigenvalues``: the same ``eigh`` of the same symmetrized matrix
+that ``inner_product_laplacian`` and ``semi_hodge`` decompose, so they agree
+bit for bit, without the sign fix, eigenvectors or kernel count of a
+``SpectrumResult``. Their omega is the max of ``_vertex_ratios``, the array
+that ``compatibility`` lists per vertex; its numerators e({v}, vc) are
+``_vertex_masses``, which the mixing verifiers read too. ``IplSetup`` pairs
+a chain complex with its inner products, for the Laplacian at any dimension
+and its Hodge decomposition.
 """
 
 from __future__ import annotations
@@ -106,9 +109,7 @@ class IplSetup:
 
     @classmethod
     def from_graph(cls, g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, target_dim: int = 0) -> "IplSetup":
-        check_graph_inner_products(g, m_v, m_e)
-        b1 = graph_incidence(g).astype(float)
-        return cls([np.zeros((0, g.n)), b1], [m_v, m_e], target_dim)
+        return cls([np.zeros((0, g.n)), _incidence_of(g, m_v, m_e).astype(float)], [m_v, m_e], target_dim)
 
     def with_inverted_inner_products(self) -> "IplSetup":
         """Swap every M_i for its inverse (the coboundary-style Laplacian)."""
@@ -131,14 +132,6 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
         harmonic_eigenvectors=_times(q_inv, vecs),
         zero_multiplicity=int(np.sum(vals <= ZERO_RTOL * vals[-1])),
     )
-
-
-def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """The eigenvalues of ``_spectrum(matrix, ...)``, bit for bit: the same
-    ``eigh`` of the same 0.5 (A + A^T), with no symmetry check (it cannot
-    fail there), sign fix, harmonic vectors or kernel count. The verifiers
-    read these alone."""
-    return np.linalg.eigh(0.5 * (matrix + matrix.T))[0]
 
 
 def _semi_hodge_matrix(b, q_inv: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -174,13 +167,22 @@ def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
     return _spectrum(_semi_hodge_matrix(b, q_inv, m_e._operand), q_inv)
 
 
-def _incidence_of(carrier) -> np.ndarray:
-    """Vertex-by-edge incidence of a Graph (signed), a Hypergraph, or an explicit matrix."""
+def _laplacian_eigenvalues(b, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """The eigenvalues of ``semi_hodge(b, m_v, m_e)``, bit for bit: the same
+    ``eigh`` of the same symmetrized ``_semi_hodge_matrix``, with no sign
+    fix, harmonic vectors or kernel count. The verifiers read these alone."""
+    lap = _semi_hodge_matrix(b, m_v._inv_sqrt_operand, m_e._operand)
+    return np.linalg.eigh(0.5 * (lap + lap.T))[0]
+
+
+def _incidence_of(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """Vertex-by-edge incidence of a Graph (its stored signed int64 array,
+    once ``check_graph_inner_products`` passes), a Hypergraph, or an
+    explicit matrix, with no float copy."""
     if isinstance(carrier, Graph):
-        carrier = graph_incidence(carrier)
-    elif isinstance(carrier, Hypergraph):
-        carrier = carrier.incidence()
-    return np.asarray(carrier, dtype=float)
+        check_graph_inner_products(carrier, m_v, m_e)
+        return carrier.incidence
+    return carrier.incidence() if isinstance(carrier, Hypergraph) else np.asarray(carrier)
 
 
 def _vertex_masses(h: np.ndarray, m_e: SpdMatrix) -> np.ndarray:
@@ -189,9 +191,8 @@ def _vertex_masses(h: np.ndarray, m_e: SpdMatrix) -> np.ndarray:
     return m_e.quad(h != 0)
 
 
-def _vertex_ratios(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
-    """e({v}, vc) / M_V[v,v] per vertex v; omega is their max."""
-    h = _incidence_of(carrier)
+def _vertex_ratios(h: np.ndarray, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
+    """e({v}, vc) / M_V[v,v] per vertex v of the incidence h; omega is their max."""
     if h.shape != (m_v.dim, m_e.dim):
         raise ValueError("incidence shape does not match inner products")
     return _vertex_masses(h, m_e) / m_v._diagonal
@@ -199,7 +200,7 @@ def _vertex_ratios(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
 
 def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
     """Least omega with 1_{E(v)}^T M_E 1_{E(v)} <= omega * M_V[v,v] for all v."""
-    ratios = _vertex_ratios(carrier, m_v, m_e)
+    ratios = _vertex_ratios(_incidence_of(carrier, m_v, m_e), m_v, m_e)
     omega = float(ratios.max())
     perfect = bool(np.all(np.abs(ratios - omega) <= 1e-9 * abs(omega)))
     return Compatibility(omega=omega, perfect=perfect, per_vertex=ratios.tolist())
@@ -211,16 +212,13 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
     with r the largest hyperedge size and omega the compatibility constant.
     """
-    b = _incidence_of(carrier)
-    lam_max = float(_eigenvalues(_semi_hodge_matrix(b, m_v._inv_sqrt_operand, m_e._operand))[-1])
+    b = _incidence_of(carrier, m_v, m_e)
+    lam_max = float(_laplacian_eigenvalues(b, m_v, m_e)[-1])
     rho_v = weak_conformality_value(m_v, force=force)
     rho_e = weak_conformality_value(m_e, force=force)
-    if isinstance(carrier, Graph):
-        rank = 2  # M_E has an edge (dimension >= 1), and Graph refuses loops
-    elif isinstance(carrier, Hypergraph):
-        rank = carrier.rank
-    else:
-        rank = int((np.abs(b) > 0).sum(axis=0).max(initial=0))
+    # A Graph's edges have two ends (M_E has an edge, and Graph refuses
+    # loops); counting them costs an n x m pass.
+    rank = 2 if isinstance(carrier, Graph) else int((np.abs(b) > 0).sum(axis=0).max(initial=0))
     omega = float(_vertex_ratios(b, m_v, m_e).max())
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
     return VerificationReport(

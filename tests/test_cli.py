@@ -34,6 +34,7 @@ from ipl.cli import build_parser, main
 from ipl.errors import CAPS
 from ipl.isoperimetry import DEFAULT_EPSILON_SCHEDULE
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, load_matrix, matrix_from_dict, matrix_to_dict
+from ipl.laplacian import CLASSICAL_KINDS
 
 import cli_corpus
 from conftest import cycle_graph, path_graph
@@ -855,7 +856,10 @@ def test_verify_cheeger_block_me_past_the_weak_cap(tmp_path, capsys):
 def test_inner_product_dimension_mismatch_exit_two(files, capsys):
     # Every command that scans cuts or forms the graph's Laplacian checks
     # the inner products against the graph first, with one message.
-    commands = (["conductance"], ["verify", "cheeger"], ["verify", "eml", "--x", "v1", "--y", "v2"], ["verify", "eml", "--batch"])
+    commands = (
+        ["spectrum"], ["conductance"], ["verify", "cheeger"], ["verify", "radius"],
+        ["verify", "eml", "--x", "v1", "--y", "v2"], ["verify", "eml", "--batch"],
+    )
     for command, (mv, me) in itertools.product(commands, (("ipj", "ipj"), ("id3", "id3"))):
         argv = command + ["--graph", files["p3"], "--mv", files[mv], "--me", files[me]]
         code, out, err = run_cli(argv, capsys)
@@ -1081,3 +1085,91 @@ def test_verify_eml_with_an_empty_set(files, capsys):
     expected = verify_eml(g, *normalized_inner_products(g), [], [0]).to_dict()
     assert report["result"] == json.loads(stable_json(expected))
     assert report["result"]["values"]["lhs"] == 0.0
+
+
+FUZZ_SCALES = (-300, -154, -100, 0, 100, 154, 300)
+
+
+def _fuzz_graph(rng):
+    """A random graph of 2 to 7 vertices and at least one edge, connected or not."""
+    n = int(rng.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
+    keep[rng.integers(len(pairs))] = True
+    labels = [f"v{i}" for i in range(n)]
+    return {"vertices": labels, "edges": [[labels[u], labels[v]] for (u, v), k in zip(pairs, keep) if k]}
+
+
+def _fuzz_inner_product(rng, k):
+    """A diagonal, dense or block-diagonal SPD matrix of size k, times 10^s
+    for a scale s drawn from FUZZ_SCALES."""
+    kind = rng.choice(["diagonal", "dense", "block"])
+    if kind == "diagonal":
+        m = np.diag(rng.uniform(0.5, 3.0, k))
+    else:
+        sizes = [k] if kind == "dense" else np.diff([0, *sorted(rng.choice(np.arange(1, k), min(k - 1, 2), replace=False)), k])
+        m = np.zeros((k, k))
+        lo = 0
+        for b in sizes:
+            a = rng.standard_normal((b, b))
+            m[lo : lo + b, lo : lo + b] = a @ a.T / b + np.eye(b)
+            lo += b
+    return {"rows": (m * 10.0 ** int(rng.choice(FUZZ_SCALES))).tolist()}
+
+
+def _fuzz_cases(rng, tmp_path):
+    """argv lists of every graph command of the README synopsis on random
+    graphs, inner products and weights at scales from 10^-300 to 10^300."""
+    for i in range(16):
+        graph = _fuzz_graph(rng)
+        n, m = len(graph["vertices"]), len(graph["edges"])
+        g = write(tmp_path, f"g{i}.json", graph)
+        mv = write(tmp_path, f"mv{i}.json", _fuzz_inner_product(rng, n))
+        me = write(tmp_path, f"me{i}.json", _fuzz_inner_product(rng, m))
+        w = write(tmp_path, f"w{i}.json", (rng.uniform(0.5, 3.0, m) * 10.0 ** int(rng.choice(FUZZ_SCALES))).tolist())
+        ips = ["--graph", g, "--mv", mv, "--me", me]
+        x, y, s = (",".join(rng.choice(graph["vertices"], int(rng.integers(1, n + 1)), replace=False)) for _ in range(3))
+        yield ["spectrum", *ips]
+        yield ["recover", "--kind", str(rng.choice(CLASSICAL_KINDS)), "--graph", g, "--weights", w]
+        yield ["conductance", *ips]
+        for verb in (["cheeger"], ["eml", "--x", x, "--y", y], ["eml", "--batch"], ["radius"]):
+            yield ["verify", *verb, *ips]
+        yield ["neumann", "--graph", g, "--subset", s]
+        yield ["dirichlet", "--graph", g, "--subset", s]
+
+
+def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
+    # Every call exits 0, 1 or 2, without an internal error or a traceback,
+    # and an exit 2 prints one error line and no report. Warnings are
+    # ignored, as the installed CLI ignores them for its exit code. The
+    # first five cases are terms past the range of a double: the pair sweep
+    # of the 9-cycle with the chord (v0, v4) at M_V = M_E = 10^153.5 I and
+    # 10^153.75 I, the Cheeger lower bound of K2 at M_E = (1e300) and of the
+    # 3-path at M_V = 1e300 I, M_E = 1e-300 I, and that 3-path's pair sweep.
+    def graph(name, n, edges):
+        labels = [f"v{i}" for i in range(n)]
+        return write(tmp_path, name, {"vertices": labels, "edges": [[labels[u], labels[v]] for u, v in edges]})
+
+    def eye(k, s):
+        return write(tmp_path, f"eye{k}e{s}.json", {"rows": (np.eye(k) * 10.0**s).tolist()})
+
+    chord = graph("c9.json", 9, [(i, (i + 1) % 9) for i in range(9)] + [(0, 4)])
+    k2, p3 = graph("k2.json", 2, [(0, 1)]), graph("p3.json", 3, [(0, 1), (1, 2)])
+    named = [
+        ["verify", "eml", "--batch", "--graph", chord, "--mv", eye(9, 153.5), "--me", eye(10, 153.5)],
+        ["verify", "eml", "--batch", "--graph", chord, "--mv", eye(9, 153.75), "--me", eye(10, 153.75)],
+        ["verify", "cheeger", "--graph", k2, "--mv", eye(2, 0), "--me", eye(1, 300)],
+        ["verify", "cheeger", "--graph", p3, "--mv", eye(3, 300), "--me", eye(2, -300)],
+        ["verify", "eml", "--batch", "--graph", p3, "--mv", eye(3, 300), "--me", eye(2, -300)],
+    ]
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k, argv in enumerate(named + list(_fuzz_cases(np.random.default_rng(39), tmp_path))):
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "internal error" not in err and "Traceback" not in err, (argv, err)
+            if code == 2 or k < len(named):
+                assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, code, err)
+            codes.append(code)
+    assert {0, 1, 2} <= set(codes), codes
