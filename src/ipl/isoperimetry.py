@@ -47,7 +47,9 @@ rounding bound built from sum|M|, lambda_min(M) and the length of each
 evaluation's chains of additions. ``_cut_masses`` sums each row's terms left
 to right, whatever the rows beside it, and the minimum and the witness come
 from its values alone. Either way ``phi`` and the witness agree with the
-conductance table at every size.
+conductance table at every size. A scan whose Vol(C) is not a finite
+double, or whose least value is not a positive one, is refused with one
+ValueError that names it.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
@@ -78,7 +80,10 @@ epsilon-sweep call too), without its eigenvectors. Omega is the max of the
 per-vertex ratios, whose numerators e({a}, ac) are the point masses of the
 mixing bound. The two mixing verifiers take their shared inputs (refusals,
 spectrum, rho_E, Vol(G), trace term, point masses) from one prelude,
-``_mixing_inputs``. ``verify_cheeger`` allows for the rounding of its two
+``_mixing_inputs``, and ``verify_cheeger`` shares its own with the radius
+bound through ``laplacian._bound_inputs``. ``verify_eml`` reads e(X cap Y)
+as ``CutStats.e_intersection``, from the masks that ``cut_stats`` builds
+for X and Y. ``verify_cheeger`` allows for the rounding of its two
 comparisons relative to what they compare: eigh's backward error,
 n eps lambda_max, plus 64 eps of lower + upper for the products that form
 the bounds. So scaling an inner product changes none of its verdicts, as
@@ -103,13 +108,13 @@ from .complexes import Graph, graph_incidence, unsigned_incidence
 from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
+    _bound_inputs,
     _classical_inner_products,
     _incidence_of,
     _laplacian_eigenvalues,
     _semi_hodge_matrix,
     _spectrum,
     _vertex_masses,
-    _vertex_ratios,
     check_graph_inner_products,
 )
 from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, gen_eig, sym_eig
@@ -170,6 +175,7 @@ class CutStats:
     e_xy: float
     e_x: float
     e_y: float
+    e_intersection: float
     boundary_edges: tuple
 
     def to_dict(self) -> dict:
@@ -206,6 +212,8 @@ def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStat
         e_xy=m_e.quad(mask_xy),
         e_x=m_e.quad(mask_xx),
         e_y=m_e.quad(mask_yy),
+        # An edge lies inside X cap Y exactly when it lies inside X and Y.
+        e_intersection=m_e.quad(mask_xx * mask_yy),
         boundary_edges=boundary,
     )
 
@@ -386,8 +394,9 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
                 if low_phi > limit:
                     continue
                 best = min(best, low_phi)
-                # An unbounded window takes every cut (C itself excluded).
-                limit = best * widen if widen < np.inf else np.finfo(float).max
+                # An unbounded window takes every cut, and no window takes a
+                # cut whose value overflows (C itself excluded).
+                limit = min(best * widen, np.finfo(float).max) if widen < np.inf else np.finfo(float).max
                 i, j = np.nonzero(phi <= limit)
                 found.append((hi_masks[r0 + i] | lo_masks[c0 + j], phi[i, j]))
     masks, values = (np.concatenate(a) for a in zip(*found))
@@ -419,6 +428,8 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
     low = _subset_rows(lo_masks, n, cols)
     total, r = _complement_terms(m_v.entries, cols)
+    if not np.isfinite(total):
+        raise ValueError(f"the cut scan leaves the range of a double at Vol(C) = {total:.3g}; rescale M_V and M_E")
     tables = _low_masses(g, m_v, m_e, low, total, r)
     exact = m_v.is_integral and m_e.is_integral
     if b < k:
@@ -431,9 +442,17 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
         # The empty set (unpinned scans) and C itself are no cuts.
         rows = low[1 - pinned : -1]
         phi = tables[0][1 - pinned : -1] / np.minimum(tables[1], tables[2])[1 - pinned : -1]
-        if not exact:
-            rows = rows[phi <= phi.min() * _widening(m_e, m_v, 0, 0)]
+        widen = 1.0 if exact else _widening(m_e, m_v, 0, 0)
+    # The split tiles leave no candidate once every value overflows or is
+    # NaN; in one batch a NaN is the least value. A cut of a connected graph
+    # has e > 0, so a least value of 0 or below is rounding out of range too
+    # (Vol(C - X) = total - 2 1_X^T r + Vol(X) can read -inf).
+    least = phi.min(initial=np.inf)
+    if not 0.0 < least < np.inf:
+        raise ValueError(f"the cut scan leaves the range of a double at phi = {least:.3g}; rescale M_V and M_E")
     if not exact:
+        # The split candidates already lie in this window.
+        rows = rows[phi <= least * widen]
         e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
         phi = e / np.minimum(vol, comp)
     best = phi.min()
@@ -530,12 +549,8 @@ def verify_cheeger(
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
-    b = _incidence_of(g, m_v, m_e)
-    vals = _laplacian_eigenvalues(b, m_v, m_e)
+    _, vals, rho_v, rho_e, omega = _bound_inputs(g, m_v, m_e, force)
     lam2 = float(vals[1])
-    rho_v = weak_conformality_value(m_v, force=force)
-    rho_e = weak_conformality_value(m_e, force=force)
-    omega = float(_vertex_ratios(b, m_v, m_e).max())
     try:
         lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
     except (OverflowError, ZeroDivisionError):
@@ -600,17 +615,14 @@ def verify_eml(
     """
     (lam1, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force, rho_e)
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
-    inter = sorted(set(x_set) & set(y_set))
-    # e(X cap Y), the mass of the edges with both ends in X cap Y, and the
-    # sum of e({a}, ac) over X cap Y: each +0.0 when X cap Y is empty.
-    in_inter = _indicator(g.n, inter)
-    e_inter = m_e.quad(_edge_mask(g, in_inter, in_inter))
-    point_mass = float(np.sum(masses[inter]))
+    # The sum of e({a}, ac) over X cap Y: +0.0 when X cap Y is empty, as
+    # is e(X cap Y).
+    point_mass = float(np.sum(masses[sorted(set(x_set) & set(y_set))]))
     sqrt_cor = float(np.sqrt(max(stats.cor_x, 0.0) * max(stats.cor_y, 0.0)))
 
     def side(lo):
         tau = 0.5 * (lam_n + lo)
-        lhs = abs(stats.e_xy + e_inter - point_mass + tau * stats.cor_xy / vol_g)
+        lhs = abs(stats.e_xy + stats.e_intersection - point_mass + tau * stats.cor_xy / vol_g)
         rhs_spectral = 0.5 * (lam_n - lo) * sqrt_cor / vol_g
         return tau, lhs, rhs_spectral
 
@@ -623,7 +635,7 @@ def verify_eml(
         passed=bool(margin >= -1e-9),
         values={
             "e_xy": stats.e_xy,
-            "e_intersection": e_inter,
+            "e_intersection": stats.e_intersection,
             "pointwise_mass": point_mass,
             "cor_xy": stats.cor_xy,
             "cor_x": stats.cor_x,

@@ -26,7 +26,15 @@ that ``inner_product_laplacian`` and ``semi_hodge`` decompose, so they agree
 bit for bit, without the sign fix, eigenvectors or kernel count of a
 ``SpectrumResult``. Their omega is the max of ``_vertex_ratios``, the array
 that ``compatibility`` lists per vertex; its numerators e({v}, vc) are
-``_vertex_masses``, which the mixing verifiers read too. ``IplSetup`` pairs
+``_vertex_masses``, which the mixing verifiers read too. ``_incidence_of``
+is also the one refusal of a Hypergraph or matrix carrier whose shape does
+not fit the inner products. ``_bound_inputs`` is the one home of what the
+Cheeger and spectral-radius verifiers share (incidence, eigenvalues, rho_V,
+rho_E, omega, refused in that order), as ``isoperimetry._mixing_inputs`` is
+for the two mixing verifiers. ``_support_ipl`` is the one home of the last
+step of both re-expressions, ``hypergraph_to_ipl`` and
+``digraph_laplacian``: M_E = diag(pair weights) on the support graph, its
+semi-Hodge Laplacian and the largest residual against L. ``IplSetup`` pairs
 a chain complex with its inner products, for the Laplacian at any dimension
 and its Hodge decomposition.
 """
@@ -178,11 +186,15 @@ def _laplacian_eigenvalues(b, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
 def _incidence_of(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
     """Vertex-by-edge incidence of a Graph (its stored signed int64 array,
     once ``check_graph_inner_products`` passes), a Hypergraph, or an
-    explicit matrix, with no float copy."""
+    explicit matrix, with no float copy. The one refusal of a Hypergraph or
+    matrix whose shape does not fit the inner products, naming both shapes."""
     if isinstance(carrier, Graph):
         check_graph_inner_products(carrier, m_v, m_e)
         return carrier.incidence
-    return carrier.incidence() if isinstance(carrier, Hypergraph) else np.asarray(carrier)
+    h = carrier.incidence() if isinstance(carrier, Hypergraph) else np.asarray(carrier)
+    if h.shape != (m_v.dim, m_e.dim):
+        raise ValueError(f"incidence shape {h.shape} does not match inner products ({m_v.dim}, {m_e.dim})")
+    return h
 
 
 def _vertex_masses(h: np.ndarray, m_e: SpdMatrix) -> np.ndarray:
@@ -193,8 +205,6 @@ def _vertex_masses(h: np.ndarray, m_e: SpdMatrix) -> np.ndarray:
 
 def _vertex_ratios(h: np.ndarray, m_v: SpdMatrix, m_e: SpdMatrix) -> np.ndarray:
     """e({v}, vc) / M_V[v,v] per vertex v of the incidence h; omega is their max."""
-    if h.shape != (m_v.dim, m_e.dim):
-        raise ValueError("incidence shape does not match inner products")
     return _vertex_masses(h, m_e) / m_v._diagonal
 
 
@@ -206,20 +216,28 @@ def compatibility(carrier, m_v: SpdMatrix, m_e: SpdMatrix) -> Compatibility:
     return Compatibility(omega=omega, perfect=perfect, per_vertex=ratios.tolist())
 
 
+def _bound_inputs(carrier, m_v: SpdMatrix, m_e: SpdMatrix, force: bool):
+    """What the Cheeger and spectral-radius verifiers read, refused in this
+    order: the incidence (``_incidence_of``), the Laplacian eigenvalues,
+    rho_V, rho_E, then omega, the max of the ``_vertex_ratios``."""
+    b = _incidence_of(carrier, m_v, m_e)
+    vals = _laplacian_eigenvalues(b, m_v, m_e)
+    rho_v = weak_conformality_value(m_v, force=force)
+    rho_e = weak_conformality_value(m_e, force=force)
+    return b, vals, rho_v, rho_e, float(_vertex_ratios(b, m_v, m_e).max())
+
+
 def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool = False) -> VerificationReport:
     """Spectral radius of the semi-Hodge Laplacian against its conformality bound.
 
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
     with r the largest hyperedge size and omega the compatibility constant.
     """
-    b = _incidence_of(carrier, m_v, m_e)
-    lam_max = float(_laplacian_eigenvalues(b, m_v, m_e)[-1])
-    rho_v = weak_conformality_value(m_v, force=force)
-    rho_e = weak_conformality_value(m_e, force=force)
+    b, vals, rho_v, rho_e, omega = _bound_inputs(carrier, m_v, m_e, force)
+    lam_max = float(vals[-1])
     # A Graph's edges have two ends (M_E has an edge, and Graph refuses
     # loops); counting them costs an n x m pass.
     rank = 2 if isinstance(carrier, Graph) else int((np.abs(b) > 0).sum(axis=0).max(initial=0))
-    omega = float(_vertex_ratios(b, m_v, m_e).max())
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
     return VerificationReport(
         check="semi-hodge-spectral-radius",
@@ -327,6 +345,16 @@ def recover_classical(kind: str, g: Graph, edge_weights=None):
     return m_v, m_e, semi_hodge(b.astype(float), m_v, m_e)
 
 
+def _support_ipl(graph: Graph, pair_w: np.ndarray, targets):
+    """A Laplacian re-expressed on its support graph: the graph's float
+    incidence B, M_E = diag(pair_w) and, for each (M_V, L) that ``targets``
+    yields once M_E is built, the largest |entry| of semi_hodge(B, M_V, M_E) - L.
+    The one home of this step of ``hypergraph_to_ipl`` and ``digraph_laplacian``."""
+    b = graph_incidence(graph).astype(float)
+    m_e = SpdMatrix.from_diagonal(pair_w)
+    return b, m_e, [float(np.abs(semi_hodge(b, m_v, m_e).matrix - lap).max()) for m_v, lap in targets]
+
+
 def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     """Re-express L = D - Dt H W Ht Dt as an inner product Laplacian.
 
@@ -359,16 +387,23 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
             f"(tolerance {1e-9 * lap_max * pi_max:.3e})"
         )
     graph, base_w = clique_expansion(hg, w)
-    pair_w = np.array(
-        [pi[u] * pi[v] * dt[u] * dt[v] * bw for (u, v), bw in zip(graph.edges, base_w)]
-    )
-    m_v = SpdMatrix.from_diagonal(pi**2)
-    m_e = SpdMatrix.from_diagonal(pair_w)
-    b = graph_incidence(graph).astype(float)
+    u, v = graph.ends
+    # Each inner product's diagonal must hold positive doubles: an overflow
+    # reads inf, and the input that leaves their range is named, not the
+    # matrix built from it.
+    with np.errstate(over="ignore"):
+        pi_sq, pair_w = pi**2, pi[u] * pi[v] * dt[u] * dt[v] * base_w
+    for values, name, at, inputs in (
+        (pi_sq, "pi^2", lambda i: hg.labels[i], "pi"),
+        (pair_w, "the pair weight pi_u pi_v dt_u dt_v w", lambda i: (hg.labels[u[i]], hg.labels[v[i]]), "pi, D-tilde or W"),
+    ):
+        bad = np.flatnonzero(~((values > 0) & (values < np.inf)))
+        if len(bad):
+            raise ValueError(f"{name} leaves the range of a double at {at(bad[0])!r}; rescale {inputs}")
+    m_v = SpdMatrix.from_diagonal(pi_sq)
+    b, m_e, (ipl_resid,) = _support_ipl(graph, pair_w, [(m_v, lap)])
     conjugated = (pi[:, None] * lap) * pi[None, :]
     clique_resid = float(np.abs(conjugated - _semi_hodge_matrix(b, np.ones(n), pair_w)).max())
-    ipl = semi_hodge(b, m_v, m_e)
-    ipl_resid = float(np.abs(ipl.matrix - lap).max())
     report = VerificationReport(
         check="hypergraph-clique-expansion",
         passed=bool(clique_resid <= 1e-9 * lap_max * pi_max**2 and ipl_resid <= 1e-9 * lap_max),
@@ -376,7 +411,7 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
             "kernel_residual": kernel_resid,
             "clique_identity_residual": clique_resid,
             "ipl_residual": ipl_resid,
-            "pair_weights": [float(v) for v in pair_w],
+            "pair_weights": pair_w.tolist(),
         },
     )
     return graph, m_v, m_e, report
@@ -443,19 +478,14 @@ def digraph_laplacian(p):
     sq = np.sqrt(pi)
     norm_lap = np.eye(n) - 0.5 * ((sq[:, None] * p) / sq[None, :] + (p.T * sq[None, :]) / sq[:, None])
 
-    pairs = sorted(
-        (u, v) for u in range(n) for v in range(u + 1, n) if p[u, v] > 0 or p[v, u] > 0
-    )
-    if not pairs:
+    u, v = np.nonzero(np.triu((p > 0) | (p.T > 0), 1))
+    if not len(u):
         raise ValueError("support graph has no edges")
-    graph = Graph(labels=tuple(f"v{i + 1}" for i in range(n)), edges=tuple(pairs))
-    pair_w = np.array([0.5 * (pi[u] * p[u, v] + pi[v] * p[v, u]) for u, v in pairs])
-    b = graph_incidence(graph).astype(float)
-    m_e = SpdMatrix.from_diagonal(pair_w)
-    ipl_plain = semi_hodge(b, SpdMatrix.identity(n), m_e)
-    ipl_norm = semi_hodge(b, SpdMatrix.from_diagonal(pi), m_e)
-    resid_plain = float(np.abs(ipl_plain.matrix - lap).max())
-    resid_norm = float(np.abs(ipl_norm.matrix - norm_lap).max())
+    graph = Graph(labels=tuple(f"v{i + 1}" for i in range(n)), edges=tuple(zip(u.tolist(), v.tolist())))
+    pair_w = 0.5 * (pi[u] * p[u, v] + pi[v] * p[v, u])
+    # M_V = I, then diag(pi), each built after M_E, whose refusal comes first.
+    targets = ((SpdMatrix.from_diagonal(d), target) for d, target in ((np.ones(n), lap), (pi, norm_lap)))
+    _, _, (resid_plain, resid_norm) = _support_ipl(graph, pair_w, targets)
     report = VerificationReport(
         check="digraph-laplacian",
         passed=bool(resid_plain <= 1e-9 and resid_norm <= 1e-9 and stat_resid <= 1e-10),
@@ -463,8 +493,8 @@ def digraph_laplacian(p):
             "stationary_residual": stat_resid,
             "ipl_residual": resid_plain,
             "normalized_ipl_residual": resid_norm,
-            "support_edges": [[int(u), int(v)] for u, v in pairs],
-            "pair_weights": [float(v) for v in pair_w],
+            "support_edges": [list(e) for e in graph.edges],
+            "pair_weights": pair_w.tolist(),
         },
     )
     return lap, norm_lap, pi, report

@@ -2,7 +2,8 @@
 
 JSON output is byte-stable: keys sorted, floats printed with 17 significant
 digits, one trailing newline. CSV flattens a report's array-valued trace
-into one row per entry under a header.
+into one row per entry under a header. Both refuse a NaN or an infinity with
+one ValueError, raised before a byte of the report is written.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def stable_json(obj) -> str:
 
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
+        if not math.isfinite(v):
+            _render(float(v), [])  # refuses it with JSON's ValueError
         return f"{v:.17g}"
     return str(v)
 

@@ -35,6 +35,7 @@ from ipl.errors import CAPS
 from ipl.isoperimetry import DEFAULT_EPSILON_SCHEDULE
 from ipl.jsonio import graph_from_dict, hypergraph_from_dict, load_graph, load_matrix, matrix_from_dict, matrix_to_dict
 from ipl.laplacian import CLASSICAL_KINDS
+from ipl.report import csv_table
 
 import cli_corpus
 from conftest import cycle_graph, path_graph
@@ -1087,7 +1088,28 @@ def test_verify_eml_with_an_empty_set(files, capsys):
     assert report["result"]["values"]["lhs"] == 0.0
 
 
+def test_csv_refuses_a_non_finite_value_as_json_does(files, tmp_path, capsys):
+    # On the 3-path at M_V = 1e300 I, M_E = 1e308 I the cut {v1, v3} cuts
+    # both edges, e = 2e308 = inf: both formats refuse with one line and
+    # print no report. The overflow's warning is ignored, as in the fuzz.
+    mv = write(tmp_path, "mv.json", {"rows": (np.eye(3) * 1e300).tolist()})
+    me = write(tmp_path, "me.json", {"rows": (np.eye(2) * 1e308).tolist()})
+    argv = ["conductance", "--graph", files["p3"], "--mv", mv, "--me", me, "--table"]
+    for extra in ([], ["--csv"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli([*argv, *extra], capsys) == (2, "", "error: non-finite value inf cannot be serialized\n")
+    for value in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError) as refused:
+            csv_table(["a", "b"], [[1.0, 2.0], ["x", value]])
+        assert str(refused.value) == f"non-finite value {float(value)!r} cannot be serialized"
+
+
 FUZZ_SCALES = (-300, -154, -100, 0, 100, 154, 300)
+# The re-expressions and conformality also take inputs at 10^307.
+REEXPRESSION_SCALES = (*FUZZ_SCALES, 307)
+# The flags that each command with a --csv form needs beside it.
+CSV_FORMS = {"spectrum": [], "recover": [], "conductance": ["--table"], "neumann": [], "dirichlet": []}
 
 
 def _fuzz_graph(rng):
@@ -1100,9 +1122,9 @@ def _fuzz_graph(rng):
     return {"vertices": labels, "edges": [[labels[u], labels[v]] for (u, v), k in zip(pairs, keep) if k]}
 
 
-def _fuzz_inner_product(rng, k):
+def _fuzz_inner_product(rng, k, scales=FUZZ_SCALES):
     """A diagonal, dense or block-diagonal SPD matrix of size k, times 10^s
-    for a scale s drawn from FUZZ_SCALES."""
+    for a scale s drawn from ``scales``."""
     kind = rng.choice(["diagonal", "dense", "block"])
     if kind == "diagonal":
         m = np.diag(rng.uniform(0.5, 3.0, k))
@@ -1114,7 +1136,7 @@ def _fuzz_inner_product(rng, k):
             a = rng.standard_normal((b, b))
             m[lo : lo + b, lo : lo + b] = a @ a.T / b + np.eye(b)
             lo += b
-    return {"rows": (m * 10.0 ** int(rng.choice(FUZZ_SCALES))).tolist()}
+    return {"rows": (m * 10.0 ** int(rng.choice(scales))).tolist()}
 
 
 def _fuzz_cases(rng, tmp_path):
@@ -1138,14 +1160,44 @@ def _fuzz_cases(rng, tmp_path):
         yield ["dirichlet", "--graph", g, "--subset", s]
 
 
+def _fuzz_reexpression_cases(rng, tmp_path):
+    """argv lists of conformality, hypergraph-to-ipl and digraph: SPD
+    matrices, hyperedge weights, pi, D-tilde and transition entries each
+    times 10^s for scales s drawn from REEXPRESSION_SCALES."""
+
+    def scaled(shape):
+        return rng.uniform(0.5, 3.0, shape) * 10.0 ** int(rng.choice(REEXPRESSION_SCALES))
+
+    for i in range(16):
+        n = int(rng.integers(2, 8))
+        yield ["conformality", write(tmp_path, f"spd{i}.json", _fuzz_inner_product(rng, n, REEXPRESSION_SCALES))]
+        labels = [f"v{j}" for j in range(n)]
+        hyperedges = sorted({tuple(sorted(rng.choice(labels, int(rng.integers(2, n + 1)), replace=False))) for _ in range(n)})
+        hg = {"vertices": labels, "hyperedges": [list(h) for h in hyperedges], "weights": scaled(len(hyperedges)).tolist()}
+        argv = ["hypergraph-to-ipl", "--hypergraph", write(tmp_path, f"h{i}.json", hg)]
+        for name in ("pi", "dt"):
+            if rng.random() < 0.75:
+                argv += [f"--{name}", write(tmp_path, f"{name}{i}.json", scaled(n).tolist())]
+        yield argv
+        # A cycle through every state keeps most chains ergodic; entries of
+        # far apart scales round to 0 in their row.
+        p = scaled((n, n)) * (rng.random((n, n)) < 0.5)
+        p[np.arange(n), (np.arange(n) + 1) % n] = scaled(n)
+        yield ["digraph", "--transition", write(tmp_path, f"p{i}.json", {"rows": (p / p.sum(axis=1)[:, None]).tolist()})]
+
+
 def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     # Every call exits 0, 1 or 2, without an internal error or a traceback,
-    # and an exit 2 prints one error line and no report. Warnings are
-    # ignored, as the installed CLI ignores them for its exit code. The
-    # first five cases are terms past the range of a double: the pair sweep
-    # of the 9-cycle with the chord (v0, v4) at M_V = M_E = 10^153.5 I and
+    # and an exit 2 prints one error line and no report. A command with a
+    # --csv form exits with the same code with and without --csv. Warnings
+    # are ignored, as the installed CLI ignores them for its exit code. The
+    # named cases are terms past the range of a double: the pair sweep of
+    # the 9-cycle with the chord (v0, v4) at M_V = M_E = 10^153.5 I and
     # 10^153.75 I, the Cheeger lower bound of K2 at M_E = (1e300) and of the
-    # 3-path at M_V = 1e300 I, M_E = 1e-300 I, and that 3-path's pair sweep.
+    # 3-path at M_V = 1e300 I, M_E = 1e-300 I, and that 3-path's pair sweep;
+    # the 3-path's conductance and Cheeger check at M_V = M_E = 1e308 I,
+    # where Vol(G) overflows, and its cut table at M_V = 1e300 I,
+    # M_E = 1e308 I, where the cut {v0, v2} has e = inf.
     def graph(name, n, edges):
         labels = [f"v{i}" for i in range(n)]
         return write(tmp_path, name, {"vertices": labels, "edges": [[labels[u], labels[v]] for u, v in edges]})
@@ -1161,15 +1213,30 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
         ["verify", "cheeger", "--graph", k2, "--mv", eye(2, 0), "--me", eye(1, 300)],
         ["verify", "cheeger", "--graph", p3, "--mv", eye(3, 300), "--me", eye(2, -300)],
         ["verify", "eml", "--batch", "--graph", p3, "--mv", eye(3, 300), "--me", eye(2, -300)],
+        ["conductance", "--graph", p3, "--mv", eye(3, 308), "--me", eye(2, 308)],
+        ["verify", "cheeger", "--graph", p3, "--mv", eye(3, 308), "--me", eye(2, 308)],
+        ["conductance", "--graph", p3, "--mv", eye(3, 300), "--me", eye(2, 308), "--table"],
     ]
-    codes = []
+
+    def run(argv, refused):
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "internal error" not in err and "Traceback" not in err, (argv, err)
+        if code == 2 or refused:
+            assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, code, err)
+        return code
+
+    rng = np.random.default_rng(39)
+    cases = [*named, *_fuzz_cases(rng, tmp_path), *_fuzz_reexpression_cases(rng, tmp_path)]
+    codes = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for k, argv in enumerate(named + list(_fuzz_cases(np.random.default_rng(39), tmp_path))):
-            code, out, err = run_cli(argv, capsys)
-            assert code in (0, 1, 2), (argv, code, err)
-            assert "internal error" not in err and "Traceback" not in err, (argv, err)
-            if code == 2 or k < len(named):
-                assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, code, err)
-            codes.append(code)
-    assert {0, 1, 2} <= set(codes), codes
+        for k, argv in enumerate(cases):
+            code = run(argv, k < len(named))
+            codes.setdefault(argv[0], set()).add(code)
+            if argv[0] in CSV_FORMS:
+                plain = [*argv, *(f for f in CSV_FORMS[argv[0]] if f not in argv)]
+                code = run(plain, k < len(named)) if plain != argv else code
+                assert run([*plain, "--csv"], k < len(named)) == code, argv
+    assert {0, 1, 2} <= set().union(*codes.values()), codes
+    assert {"conformality", "hypergraph-to-ipl", "digraph"} <= codes.keys(), codes

@@ -83,6 +83,38 @@ def test_cut_stats_empty_set(rng):
     assert stats.cor_xy == 0.0
 
 
+def test_cut_stats_e_intersection_is_the_mass_of_its_own_edge_mask(rng):
+    # An edge lies inside X cap Y exactly when it lies inside X and inside
+    # Y, so e_intersection is m_e.quad of the edge mask of X cap Y bit for
+    # bit, +0.0 when no edge lies inside, on diagonal, dense and block M_E.
+    kinds = set()
+    for trial in range(60):
+        g = random_connected_graph(rng, int(rng.integers(2, 9)))
+        kind = ("diagonal", "dense", "block")[trial % 3]
+        if kind == "diagonal":
+            m_e = SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, g.m))
+        elif kind == "dense":
+            m_e = random_spd(rng, g.m)
+        else:
+            half = g.m // 2
+            entries = np.zeros((g.m, g.m))
+            entries[:half, :half] = random_spd(rng, half).entries if half else 0.0
+            entries[half:, half:] = random_spd(rng, g.m - half).entries
+            m_e = SpdMatrix(entries)
+        x = sorted(rng.choice(g.n, int(rng.integers(0, g.n + 1)), replace=False).tolist())
+        rest = [a for a in range(g.n) if a not in x]
+        # A random Y, then an empty and a full intersection.
+        for y in (rng.choice(g.n, int(rng.integers(0, g.n + 1)), replace=False).tolist(), rest, x):
+            inside = np.isin(np.arange(g.n), list(set(x) & set(y)))
+            u, v = g.ends
+            want = m_e.quad((inside[u] & inside[v]).astype(float))
+            got = cut_stats(g, SpdMatrix.identity(g.n), m_e, x, y).e_intersection
+            assert type(got) is float and got == want and np.signbit(got) == np.signbit(want), (kind, x, y)
+            kinds.add((kind, "empty" if not (inside[u] & inside[v]).any() else "edges"))
+    assert len(kinds) == 6, kinds
+    assert cut_stats(path_graph(3), SpdMatrix.identity(3), SpdMatrix.identity(2), [0], [2]).e_intersection == 0.0
+
+
 def test_cut_stats_symmetry_and_diagonal_correlation(rng):
     for _ in range(10):
         g = random_connected_graph(rng, 6)
@@ -1242,6 +1274,11 @@ def test_s_local_matches_brute_force(rng):
 TWO_EDGES = Graph.from_edge_labels(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
 
 
+def scaled_identities(n, mv, me):
+    """mv I on the vertices and me I on the edges of the n-path."""
+    return SpdMatrix.from_diagonal(np.full(n, mv)), SpdMatrix.from_diagonal(np.full(n - 1, me))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -1267,6 +1304,26 @@ def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cut_scan_refuses_masses_past_the_range_of_a_double():
+    # At M_V = M_E = 1e308 I, Vol(G) overflows and every phi would be NaN;
+    # at M_V = 1e-300 I, M_E = 1e300 I every phi = 1e300 / 1e-300 overflows.
+    # Each is one refusal that names the value, on the 3-path (one batch)
+    # and the 13-path (split tiles), for the Cheeger check too, which scans
+    # the same cuts.
+    for n in (3, 13):
+        for call in (conductance, lambda *a: conductance(*a, include_table=True), verify_cheeger):
+            for scales, name in (((1e308, 1e308), "Vol(C) = inf"), ((1e-300, 1e300), "phi = inf")):
+                with pytest.raises(ValueError) as refused:
+                    call(path_graph(n), *scaled_identities(n, *scales))
+                assert str(refused.value) == f"the cut scan leaves the range of a double at {name}; rescale M_V and M_E"
+    # Vol(G) = 1.7e308 is a double, but for X = {v0, v1} the complement
+    # volume Vol(G) - 2 1_X^T r + Vol(X) reads -inf, and phi -0.0.
+    with pytest.raises(ValueError) as refused:
+        conductance(path_graph(3), SpdMatrix.from_diagonal([6e307, 6e307, 5e307]), SpdMatrix.identity(2))
+    assert str(refused.value) == "the cut scan leaves the range of a double at phi = -0; rescale M_V and M_E"
 
 
 @pytest.mark.parametrize("n", [0, 1])

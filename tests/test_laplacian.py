@@ -494,6 +494,7 @@ def test_vertex_and_edge_laplacians_share_nonzero_spectrum(rng):
 
 I1, I2 = SpdMatrix.identity(1), SpdMatrix.identity(2)
 EDGE = build_complex([("a", "b")])
+AB = Hypergraph.from_edge_labels(["a", "b"], [("a", "b")])
 
 
 @pytest.mark.parametrize(
@@ -505,7 +506,7 @@ EDGE = build_complex([("a", "b")])
         (lambda: IplSetup.from_complex(EDGE, [I2], 0), "complex has dimensions 0..1, got 1 inner products"),
         (lambda: IplSetup.from_complex(EDGE, [I2, I2], 0), "inner product 1 has dim 2, complex has 1 faces"),
         (lambda: semi_hodge(np.ones((3, 2)), I2, I2), "incidence shape (3, 2) does not match inner products (2, 2)"),
-        (lambda: compatibility(np.ones((3, 2)), I2, I2), "incidence shape does not match inner products"),
+        (lambda: compatibility(np.ones((3, 2)), I2, I2), "incidence shape (3, 2) does not match inner products (2, 2)"),
         (lambda: recover_classical("combinatorial", path_graph(3), [1.0]), "edge weights must be a vector of length 2"),
         (lambda: recover_classical("combinatorial", path_graph(3), [1.0, 0.0]), "edge weights must be strictly positive"),
         (lambda: recover_classical("normalized", path_graph(3), [1.0, np.nan]), "edge weights must be strictly positive"),
@@ -515,17 +516,56 @@ EDGE = build_complex([("a", "b")])
         (lambda: digraph_laplacian([[0.5, 0.5]]), "transition matrix must be square"),
         (lambda: digraph_laplacian([[1.5, -0.5], [0.5, 0.5]]), "transition matrix has negative entries"),
         (lambda: digraph_laplacian([[1.0]]), "support graph has no edges"),
+        # pi is in the kernel of L, but pi^2 overflows or underflows, or the
+        # pair weight 1e100 1e100 1e75 1e75 does.
+        (lambda: hypergraph_to_ipl(AB, None, [1, 1], [1], [1e200, 1e200]), "pi^2 leaves the range of a double at 'a'; rescale pi"),
+        (lambda: hypergraph_to_ipl(AB, None, [1, 1], [1], [1e-200, 1e-200]), "pi^2 leaves the range of a double at 'a'; rescale pi"),
+        (
+            lambda: hypergraph_to_ipl(AB, None, [1e75, 1e75], [1], [1e100, 1e100]),
+            "the pair weight pi_u pi_v dt_u dt_v w leaves the range of a double at ('a', 'b'); rescale pi, D-tilde or W",
+        ),
     ],
     ids=[
         "boundary-count", "boundary-shape", "target-dimension", "complex-inner-product-count", "complex-inner-product-dim",
         "semi-hodge-shape", "compatibility-shape", "edge-weights-length", "edge-weight-zero", "edge-weight-nan",
         "hypergraph-d-length", "stationary-not-positive", "transition-not-square", "transition-negative", "support-no-edges",
+        "hypergraph-pi-overflow", "hypergraph-pi-underflow", "hypergraph-pair-weight-overflow",
     ],
 )
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+def test_carrier_shape_refusal_is_one_message():
+    # A Hypergraph or a matrix of 3 vertices and 2 edges against 2 x 2 inner
+    # products: compatibility and the radius bound refuse it alike.
+    hg = Hypergraph.from_edge_labels(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for carrier in (hg, hg.incidence().astype(float)):
+        for check in (compatibility, verify_radius_bound):
+            with pytest.raises(ValueError) as refused:
+                check(carrier, I2, I2)
+            assert str(refused.value) == "incidence shape (3, 2) does not match inner products (2, 2)"
+
+
+def test_digraph_support_pairs_are_those_of_the_pairwise_loop(rng):
+    # {u, v} is a support edge when P_uv > 0 or P_vu > 0: a chain with
+    # one-way transitions, then random sparse chains around a cycle. The
+    # report holds plain ints and floats.
+    chains = [np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])]
+    for n in range(2, 9):
+        p = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.4)
+        p[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.1, 1.0, n)
+        chains.append(p / p.sum(axis=1)[:, None])
+    for p in chains:
+        n = len(p)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if p[u, v] > 0 or p[v, u] > 0]
+        _, _, pi, report = digraph_laplacian(p)
+        assert report.values["support_edges"] == [[u, v] for u, v in pairs]
+        assert report.values["pair_weights"] == [0.5 * (pi[u] * p[u, v] + pi[v] * p[v, u]) for u, v in pairs]
+        assert all(type(a) is int for e in report.values["support_edges"] for a in e)
+        assert all(type(w) is float for w in report.values["pair_weights"])
 
 
 def same_bits(got, want) -> bool:
