@@ -414,7 +414,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # A refused run prints its one error line and nothing from numpy;
+        # a scan that raises on overflow sets its own errstate inside.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: file not found", file=sys.stderr)
         return 2

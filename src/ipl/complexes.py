@@ -145,13 +145,16 @@ def _distinct_labels(labels: tuple) -> None:
 
 
 def check_weights(name: str, values, size: int) -> np.ndarray:
-    """``values`` as a float vector of ``size`` strictly positive entries, or a
-    ValueError naming ``name``: its length, or its sign (a NaN fails it too)."""
+    """``values`` as a float vector of ``size`` strictly positive, finite
+    entries, or a ValueError naming ``name``: its length, its sign (a NaN
+    fails it too), or an infinite entry."""
     v = np.asarray(values, dtype=float)
     if v.shape != (size,):
         raise ValueError(f"{name} must be a vector of length {size}")
     if not np.all(v > 0):
         raise ValueError(f"{name} must be strictly positive")
+    if not np.all(v < np.inf):
+        raise ValueError(f"{name} must be finite")
     return v
 
 

@@ -88,9 +88,10 @@ comparisons relative to what they compare: eigh's backward error,
 n eps lambda_max, plus 64 eps of lower + upper for the products that form
 the bounds. So scaling an inner product changes none of its verdicts, as
 long as phi^2 / (2 omega) is a double: past that range it refuses. The
-mixing verifiers still allow an absolute 1e-9, and the pair sweep refuses
-once a term it reads or forms leaves the range of a double, rather than
-let a margin read +inf or NaN.
+mixing verifiers still allow an absolute 1e-9. Both refuse a lambda_2,
+lambda_n, Vol(G) or trace term out of the range of a double in
+``_mixing_inputs``, naming it, and the pair sweep refuses once a term it
+forms leaves that range too, rather than let a margin read +inf or NaN.
 
 Every vertex set a caller passes (X and Y of ``cut_stats`` and
 ``verify_eml``, the Dirichlet, Neumann and local-conductance subsets) is
@@ -367,7 +368,8 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
 def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.ndarray, pinned: bool):
     """(masks, values) of every cut whose split value lies within the factor
     ``widen`` of the least one, scored in tiles of at most CUT_CHUNK cuts
-    (high masks x low masks) by three GEMMs over the ``_split_forms``."""
+    (high masks x low masks) by three GEMMs over the ``_split_forms``, under
+    the errstate of ``_cut_scan``, its one caller."""
     # Square tiles, so the slice of G a tile reads stays in cache: at n = 24
     # with a dense M_E, tiles one low table wide took 1.8x as long.
     cols_t = min(len(lo_masks), 1 << (CUT_CHUNK.bit_length() // 2))
@@ -375,34 +377,36 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
     buf = np.empty((3, rows_t * cols_t))
     best, limit = np.inf, np.inf
     found = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r0 in range(0, len(hi_masks), rows_t):
-            for c0 in range(0, len(lo_masks), cols_t):
-                rs, cs = slice(r0, r0 + rows_t), slice(c0, c0 + cols_t)
-                shape = (len(hi_masks[rs]), len(lo_masks[cs]))
-                e, vol, comp = (
-                    np.matmul(f[rs], gl[:, cs], out=out[: shape[0] * shape[1]].reshape(shape))
-                    for (f, gl), out in zip(forms, buf)
-                )
-                phi = np.divide(e, np.minimum(vol, comp, out=vol), out=e)
-                # The empty set (unpinned scans) and C itself are no cuts.
-                if not pinned and r0 == c0 == 0:
-                    phi[0, 0] = np.inf
-                if r0 + shape[0] == len(hi_masks) and c0 + shape[1] == len(lo_masks):
-                    phi[-1, -1] = np.inf
-                low_phi = phi.min()
-                if low_phi > limit:
-                    continue
-                best = min(best, low_phi)
-                # An unbounded window takes every cut, and no window takes a
-                # cut whose value overflows (C itself excluded).
-                limit = min(best * widen, np.finfo(float).max) if widen < np.inf else np.finfo(float).max
-                i, j = np.nonzero(phi <= limit)
-                found.append((hi_masks[r0 + i] | lo_masks[c0 + j], phi[i, j]))
+    for r0 in range(0, len(hi_masks), rows_t):
+        for c0 in range(0, len(lo_masks), cols_t):
+            rs, cs = slice(r0, r0 + rows_t), slice(c0, c0 + cols_t)
+            shape = (len(hi_masks[rs]), len(lo_masks[cs]))
+            e, vol, comp = (
+                np.matmul(f[rs], gl[:, cs], out=out[: shape[0] * shape[1]].reshape(shape))
+                for (f, gl), out in zip(forms, buf)
+            )
+            phi = np.divide(e, np.minimum(vol, comp, out=vol), out=e)
+            # The empty set (unpinned scans) and C itself are no cuts.
+            if not pinned and r0 == c0 == 0:
+                phi[0, 0] = np.inf
+            if r0 + shape[0] == len(hi_masks) and c0 + shape[1] == len(lo_masks):
+                phi[-1, -1] = np.inf
+            low_phi = phi.min()
+            if low_phi > limit:
+                continue
+            best = min(best, low_phi)
+            # An unbounded window takes every cut, and no window takes a
+            # cut whose value overflows (C itself excluded).
+            limit = min(best * widen, np.finfo(float).max) if widen < np.inf else np.finfo(float).max
+            i, j = np.nonzero(phi <= limit)
+            found.append((hi_masks[r0 + i] | lo_masks[c0 + j], phi[i, j]))
     masks, values = (np.concatenate(a) for a in zip(*found))
     return masks[values <= limit], values[values <= limit]
 
 
+# Past the range of a double a mass or a phi reads inf, 0 or NaN, and the
+# scan refuses it by value: numpy's warnings would add nothing.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     """Minimum of e(X, Xc) / min(Vol(X), Vol(C - X)) over the vertex sets X
     with 0 < X < C, C the columns ``cols`` (all vertices for None); with
@@ -579,16 +583,23 @@ def _mixing_inputs(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, force: bool, rho_e:
     """What both mixing verifiers read, refused in this order: the
     connectivity check, the eigenvalues (as lambda_1, lambda_2, lambda_n),
     rho_E (``rho_e`` when given), then Vol(G), the trace term
-    12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex masses e({a}, ac)."""
+    12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex masses e({a}, ac).
+    The one range check of both: a lambda_2, lambda_n, Vol(G) or trace
+    term that is not a finite double is refused, naming the first."""
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
     b = _incidence_of(g, m_v, m_e)
     vals = _laplacian_eigenvalues(b, m_v, m_e)
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol_g = float(np.sum(m_v.entries))
+        trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
     lams = float(vals[0]), float(vals[1]), float(vals[-1])
-    return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(b, m_e)
+    for name, value in (("lambda_2", lams[1]), ("lambda_n", lams[2]), ("Vol(G)", vol_g), ("the trace term", trace_term)):
+        if not np.isfinite(value):
+            raise ValueError(f"the mixing bound leaves the range of a double at {name} = {value:.3g}; rescale M_V and M_E")
+    return lams, rho_e, vol_g, trace_term, _vertex_masses(b, m_e)
 
 
 def verify_eml(
@@ -769,21 +780,21 @@ def verify_eml_batch(
     witness range over the swept ones. A chunk holds CUT_CHUNK pairs at
     most (one X mask at least), and a pair's margin does not depend on the
     chunk it falls in. The witness is the first pair in (X mask, Y mask)
-    order whose margin equals the minimum. If lambda_2, lambda_n, Vol(G)
-    or the trace term is not finite, or the sweep's own arithmetic
-    overflows or makes a NaN, a margin could read +inf and drop out of the
-    minimum, so the sweep is refused with one ValueError instead.
+    order whose margin equals the minimum. ``_mixing_inputs`` refuses a
+    lambda_2, lambda_n, Vol(G) or trace term that is not finite; if the
+    sweep's own arithmetic overflows or makes a NaN, a margin could read
+    +inf and drop out of the minimum, so the sweep is refused with one
+    ValueError instead.
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
     (_, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force)
     # Past the range of a double a margin would read +inf (and leave the
-    # minimum) or NaN: a scalar the sweep reads that is not finite, or an
-    # overflow or invalid operation in its own arithmetic, is one refusal.
+    # minimum) or NaN: an overflow or invalid operation in the sweep's own
+    # arithmetic is one refusal, as a scalar it reads out of range is in
+    # _mixing_inputs.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if not np.isfinite([lam2, lam_n, vol_g, trace_term]).all():
-                raise FloatingPointError
             tau = 0.5 * (lam_n + lam2)
             gap = 0.5 * (lam_n - lam2)
             mv, me = m_v.entries, m_e.entries

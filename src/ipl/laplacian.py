@@ -47,7 +47,8 @@ import numpy as np
 
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, check_weights, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
-from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _times
+from .errors import NotPositiveDefiniteError
+from .linalg import PD_RTOL, ZERO_RTOL, SpdMatrix, _fix_signs, _times, check_finite
 from .report import VerificationReport, to_plain
 
 
@@ -349,9 +350,17 @@ def _support_ipl(graph: Graph, pair_w: np.ndarray, targets):
     """A Laplacian re-expressed on its support graph: the graph's float
     incidence B, M_E = diag(pair_w) and, for each (M_V, L) that ``targets``
     yields once M_E is built, the largest |entry| of semi_hodge(B, M_V, M_E) - L.
-    The one home of this step of ``hypergraph_to_ipl`` and ``digraph_laplacian``."""
+    The one home of this step of ``hypergraph_to_ipl`` and ``digraph_laplacian``.
+    Pair weights too far apart for a positive definite M_E are refused as
+    such: the caller gave no M_E."""
     b = graph_incidence(graph).astype(float)
-    m_e = SpdMatrix.from_diagonal(pair_w)
+    try:
+        m_e = SpdMatrix.from_diagonal(pair_w)
+    except NotPositiveDefiniteError:
+        raise ValueError(
+            f"the pair weights spread too far for a positive definite M_E = diag(pair weights): "
+            f"least {pair_w.min():.3e} <= {len(pair_w)} * {PD_RTOL:.0e} * greatest {pair_w.max():.3e}"
+        ) from None
     return b, m_e, [float(np.abs(semi_hodge(b, m_v, m_e).matrix - lap).max()) for m_v, lap in targets]
 
 
@@ -368,7 +377,9 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     Each residual is held to 1e-9 times the magnitude it is made of:
     max|L| max|pi| for L pi, max|L| max|pi|^2 for the conjugated identity
     and max|L| for the Laplacian, so neither the units of the weights nor
-    the scale of pi change the verdict.
+    the scale of pi change the verdict. pi^2 and the pair weights are
+    range-checked first, naming the input; a max|L pi| that is still not
+    finite (L itself overflows) fails the kernel check as such.
     """
     n = hg.n
     d = None if d is None else check_weights("D", d, n)
@@ -378,19 +389,11 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
         d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
         if not np.all(d > 0):
             raise ValueError(f"the kernel-consistent D is not positive at vertex {hg.labels[np.argmin(d > 0)]!r}")
-    lap = np.diag(d) - (dt[:, None] * (_times(w, h, right=True) @ h.T) * dt[None, :])
-    lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
-    kernel_resid = float(np.abs(lap @ pi).max())
-    if kernel_resid > 1e-9 * lap_max * pi_max:
-        raise ValueError(
-            f"pi is not in the kernel of L: max |L pi| = {kernel_resid:.3e} "
-            f"(tolerance {1e-9 * lap_max * pi_max:.3e})"
-        )
     graph, base_w = clique_expansion(hg, w)
     u, v = graph.ends
     # Each inner product's diagonal must hold positive doubles: an overflow
     # reads inf, and the input that leaves their range is named, not the
-    # matrix built from it.
+    # matrix built from it nor the L pi that overflows with it.
     with np.errstate(over="ignore"):
         pi_sq, pair_w = pi**2, pi[u] * pi[v] * dt[u] * dt[v] * base_w
     for values, name, at, inputs in (
@@ -400,6 +403,13 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
         bad = np.flatnonzero(~((values > 0) & (values < np.inf)))
         if len(bad):
             raise ValueError(f"{name} leaves the range of a double at {at(bad[0])!r}; rescale {inputs}")
+    lap = np.diag(d) - (dt[:, None] * (_times(w, h, right=True) @ h.T) * dt[None, :])
+    lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
+    kernel_resid, tol = float(np.abs(lap @ pi).max()), 1e-9 * lap_max * pi_max
+    # Written so that a NaN residual fails it too.
+    if not kernel_resid <= tol:
+        detail = f"(tolerance {tol:.3e})" if np.isfinite(kernel_resid) else "is not finite; rescale D, D-tilde, W or pi"
+        raise ValueError(f"pi is not in the kernel of L: max |L pi| = {kernel_resid:.3e} {detail}")
     m_v = SpdMatrix.from_diagonal(pi_sq)
     b, m_e, (ipl_resid,) = _support_ipl(graph, pair_w, [(m_v, lap)])
     conjugated = (pi[:, None] * lap) * pi[None, :]
@@ -463,6 +473,7 @@ def digraph_laplacian(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("transition matrix must be square")
+    check_finite(p, "transition matrix")
     if np.any(p < 0):
         raise ValueError("transition matrix has negative entries")
     row_err = float(np.abs(p.sum(axis=1) - 1.0).max())

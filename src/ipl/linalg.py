@@ -45,7 +45,9 @@ def _as_square(a) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray) -> float:
-    """Refuse an asymmetric matrix; return its scale max |A|."""
+    """Refuse a non-finite matrix (a NaN would pass the comparison below),
+    then an asymmetric one; return its scale max |A|."""
+    check_finite(a)
     scale = float(np.abs(a).max(initial=0.0))
     skew = float(np.abs(a - a.T).max(initial=0.0))
     if skew > SYMMETRY_RTOL * scale:
@@ -73,7 +75,8 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvectors as
-    columns, with the deterministic sign convention of ``_fix_signs``.
+    columns, with the deterministic sign convention of ``_fix_signs``. A
+    non-finite or asymmetric matrix is refused, as in ``gen_eig``.
     """
     a = _as_square(a)
     _check_symmetric(a)
@@ -193,7 +196,6 @@ class SpdMatrix:
         a = _as_square(entries)
         if a.shape[0] == 0:
             raise ValueError("SpdMatrix requires dimension >= 1")
-        check_finite(a)
         scale = _check_symmetric(a)
         a = _halved_sum(a, scale)
         if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):

@@ -7,7 +7,7 @@
 case in-process through ``ipl.cli.main`` and stores, per case, the exit code
 and stdout and stderr with every input path masked to its basename. The
 cases cover each command and flag of the README synopsis (and ``--version``),
-a Neumann sweep that exits 1, and three refusals that exit 2. ``compare``
+a Neumann sweep that exits 1, and five refusals that exit 2. ``compare``
 prints every case whose exit code, stdout or stderr differs between two
 recordings, or that only one of them holds, and exits 1 if there is any.
 Recording the same tree twice must give no difference; recording two
@@ -62,6 +62,19 @@ INPUTS = {
     "d4.json": {"values": [3.0, 3.0, 7.0, 4.0]},
     "dt4.json": [1.0, 1.0, 2.0, 1.0],
     "chain3.json": {"rows": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0]]},
+    # Doubly stochastic, with the one-way transition v1 -> v3 of 1e-15: its
+    # pair weight is too small beside the others for M_E = diag(pair weights).
+    "chain4.json": {
+        "rows": [
+            [0.0, 0.875, 1e-15, 0.125 - 1e-15],
+            [0.875, 0.0, 0.125, 0.0],
+            [0.0, 0.125, 0.0, 0.875],
+            [0.125, 0.0, 0.875 - 1e-15, 1e-15],
+        ]
+    },
+    "id5.json": _rows(5, lambda i, j: float(i == j)),
+    # Vol(G) = 5 * 4e307 overflows.
+    "huge5.json": _rows(5, lambda i, j: 4e307 * (i == j)),
 }
 
 _DENSE = ["--mv", "mv5.json", "--me", "me5.json"]
@@ -109,10 +122,13 @@ CASES = [
     ["neumann", "--graph", "p8.json", "--subset", "v1,v2", "--schedule", "1e-1,1e-5,1e-9"],
     ["dirichlet", "--graph", "p4.json", "--subset", "v2,v3"],
     ["dirichlet", "--graph", "p4.json", "--subset", "v1,v3,v4", "--csv"],
-    # Refusals, exit 2: an input, a subset and a flag combination.
+    # Refusals, exit 2: an input, a subset, a flag combination, pair weights
+    # out of range of a positive definite M_E, and Vol(G) past a double.
     ["conformality", "asym.json"],
     ["dirichlet", "--graph", "p4.json", "--subset", ""],
     ["conductance", "--graph", "p4.json", "--csv"],
+    ["digraph", "--transition", "chain4.json"],
+    ["verify", "eml", *_C5, "--mv", "huge5.json", "--me", "id5.json", "--x", "a,b", "--y", "b,c"],
 ]
 
 

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from ipl import (
     Graph,
@@ -324,6 +323,16 @@ def test_criterion_11_expander_mixing():
         assert not without.passed
 
 
+def complement_basis(u):
+    # An orthonormal basis of u-perp, by a route other than ipl's SVD: the
+    # Householder reflection H = I - 2 w w^T / (w^T w), w = u/|u| + e_1,
+    # maps e_1 to -u/|u| (u_1 > 0 here, so w does not cancel). H is
+    # orthogonal, so its other columns span u-perp.
+    w = u / np.linalg.norm(u)
+    w[0] += 1.0
+    return (np.eye(len(u)) - 2.0 * np.outer(w, w) / (w @ w))[:, 1:]
+
+
 def constrained_subgraph_spectrum(g, subset):
     # Independent reduction straight from the definition: boundary vertices
     # take the mean of their subset neighbors (forced by minimizing each
@@ -346,8 +355,7 @@ def constrained_subgraph_spectrum(g, subset):
     deg = g.degrees().astype(float)[s_list]
     scale = 1.0 / np.sqrt(deg)
     a = a * scale[:, None] * scale[None, :]
-    u = np.sqrt(deg)
-    basis = null_space((u / np.linalg.norm(u))[None, :])
+    basis = complement_basis(np.sqrt(deg))
     return np.linalg.eigvalsh(basis.T @ a @ basis)
 
 

@@ -1091,14 +1091,12 @@ def test_verify_eml_with_an_empty_set(files, capsys):
 def test_csv_refuses_a_non_finite_value_as_json_does(files, tmp_path, capsys):
     # On the 3-path at M_V = 1e300 I, M_E = 1e308 I the cut {v1, v3} cuts
     # both edges, e = 2e308 = inf: both formats refuse with one line and
-    # print no report. The overflow's warning is ignored, as in the fuzz.
+    # print no report, and no numpy warning.
     mv = write(tmp_path, "mv.json", {"rows": (np.eye(3) * 1e300).tolist()})
     me = write(tmp_path, "me.json", {"rows": (np.eye(2) * 1e308).tolist()})
     argv = ["conductance", "--graph", files["p3"], "--mv", mv, "--me", me, "--table"]
     for extra in ([], ["--csv"]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert run_cli([*argv, *extra], capsys) == (2, "", "error: non-finite value inf cannot be serialized\n")
+        assert run_cli([*argv, *extra], capsys) == (2, "", "error: non-finite value inf cannot be serialized\n")
     for value in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
         with pytest.raises(ValueError) as refused:
             csv_table(["a", "b"], [[1.0, 2.0], ["x", value]])
@@ -1189,8 +1187,8 @@ def _fuzz_reexpression_cases(rng, tmp_path):
 def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     # Every call exits 0, 1 or 2, without an internal error or a traceback,
     # and an exit 2 prints one error line and no report. A command with a
-    # --csv form exits with the same code with and without --csv. Warnings
-    # are ignored, as the installed CLI ignores them for its exit code. The
+    # --csv form exits with the same code with and without --csv, and no
+    # call emits a numpy warning (tier-1 makes every warning an error). The
     # named cases are terms past the range of a double: the pair sweep of
     # the 9-cycle with the chord (v0, v4) at M_V = M_E = 10^153.5 I and
     # 10^153.75 I, the Cheeger lower bound of K2 at M_E = (1e300) and of the
@@ -1229,14 +1227,12 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     rng = np.random.default_rng(39)
     cases = [*named, *_fuzz_cases(rng, tmp_path), *_fuzz_reexpression_cases(rng, tmp_path)]
     codes = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k, argv in enumerate(cases):
-            code = run(argv, k < len(named))
-            codes.setdefault(argv[0], set()).add(code)
-            if argv[0] in CSV_FORMS:
-                plain = [*argv, *(f for f in CSV_FORMS[argv[0]] if f not in argv)]
-                code = run(plain, k < len(named)) if plain != argv else code
-                assert run([*plain, "--csv"], k < len(named)) == code, argv
+    for k, argv in enumerate(cases):
+        code = run(argv, k < len(named))
+        codes.setdefault(argv[0], set()).add(code)
+        if argv[0] in CSV_FORMS:
+            plain = [*argv, *(f for f in CSV_FORMS[argv[0]] if f not in argv)]
+            code = run(plain, k < len(named)) if plain != argv else code
+            assert run([*plain, "--csv"], k < len(named)) == code, argv
     assert {0, 1, 2} <= set().union(*codes.values()), codes
     assert {"conformality", "hypergraph-to-ipl", "digraph"} <= codes.keys(), codes

@@ -249,11 +249,12 @@ TWO_HYPEREDGES = Hypergraph.from_edge_labels(["1", "2", "3"], [("1", "2"), ("2",
         (lambda: clique_expansion(TWO_HYPEREDGES, [1.0]), "hyperedge weights must be a vector of length 2"),
         (lambda: clique_expansion(TWO_HYPEREDGES, [1.0, 0.0]), "hyperedge weights must be strictly positive"),
         (lambda: clique_expansion(TWO_HYPEREDGES, [1.0, float("nan")]), "hyperedge weights must be strictly positive"),
+        (lambda: clique_expansion(TWO_HYPEREDGES, [1.0, float("inf")]), "hyperedge weights must be finite"),
     ],
     ids=[
         "facet-repeats", "graph-repeated-label", "edge-not-normalized", "edges-unsorted", "orientation-length",
         "hypergraph-repeated-label", "hyperedge-out-of-range", "hyperedges-unsorted", "weights-length",
-        "weight-zero", "weight-nan",
+        "weight-zero", "weight-nan", "weight-inf",
     ],
 )
 def test_refusals_name_their_input(build, message):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 
@@ -1306,7 +1307,6 @@ def test_refusals_name_their_input(call, message):
     assert type(refused.value) is ValueError and str(refused.value) == message
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cut_scan_refuses_masses_past_the_range_of_a_double():
     # At M_V = M_E = 1e308 I, Vol(G) overflows and every phi would be NaN;
     # at M_V = 1e-300 I, M_E = 1e300 I every phi = 1e300 / 1e-300 overflows.
@@ -1324,6 +1324,33 @@ def test_cut_scan_refuses_masses_past_the_range_of_a_double():
     with pytest.raises(ValueError) as refused:
         conductance(path_graph(3), SpdMatrix.from_diagonal([6e307, 6e307, 5e307]), SpdMatrix.identity(2))
     assert str(refused.value) == "the cut scan leaves the range of a double at phi = -0; rescale M_V and M_E"
+
+
+def _coupled_5_cycle_me(scale):
+    # A tridiagonal M_E on the 5-cycle's edges: rho_E > 0.
+    return SpdMatrix((np.eye(5) + 0.3 * (np.eye(5, k=1) + np.eye(5, k=-1))) * scale)
+
+
+@pytest.mark.parametrize(
+    "m_v, m_e, name",
+    [
+        (SpdMatrix.from_diagonal(np.full(5, 4e307)), SpdMatrix.identity(5), "Vol(G) = inf"),
+        (SpdMatrix.from_diagonal(np.full(5, 1e300)), _coupled_5_cycle_me(5e307), "the trace term = inf"),
+        (SpdMatrix.identity(5), _coupled_5_cycle_me(5e307), "lambda_2 = nan"),
+    ],
+    ids=["vol-g", "trace-term", "lambda-2"],
+)
+@pytest.mark.parametrize("verifier", [lambda *a: verify_eml(*a, [0, 1], [1, 2]), verify_eml_batch], ids=["single", "batch"])
+def test_mixing_verifiers_refuse_a_term_past_the_range_of_a_double(m_v, m_e, name, verifier):
+    # On the 5-cycle, Vol(G) = 5 * 4e307 overflows; 5 tr(M_E) = 2.5e309
+    # does; and at M_V = I the Laplacian of that M_E overflows, so its
+    # eigenvalues read NaN. Both verifiers refuse alike, naming the term,
+    # where verify_eml used to report NaN. Only the Laplacian's own
+    # overflow warns, before the refusal.
+    quiet = np.errstate(over="ignore", invalid="ignore") if name.startswith("lambda") else contextlib.nullcontext()
+    with quiet, pytest.raises(ValueError) as refused:
+        verifier(cycle_graph(5), m_v, m_e)
+    assert str(refused.value) == f"the mixing bound leaves the range of a double at {name}; rescale M_V and M_E"
 
 
 @pytest.mark.parametrize("n", [0, 1])

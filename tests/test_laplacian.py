@@ -7,6 +7,7 @@ from ipl import (
     Graph,
     Hypergraph,
     IplSetup,
+    NonFiniteError,
     SpdMatrix,
     build_complex,
     compatibility,
@@ -495,6 +496,7 @@ def test_vertex_and_edge_laplacians_share_nonzero_spectrum(rng):
 I1, I2 = SpdMatrix.identity(1), SpdMatrix.identity(2)
 EDGE = build_complex([("a", "b")])
 AB = Hypergraph.from_edge_labels(["a", "b"], [("a", "b")])
+H4 = Hypergraph.from_edge_labels(["1", "2", "3", "4"], [("1", "2", "3"), ("3", "4")])
 
 
 @pytest.mark.parametrize(
@@ -510,12 +512,28 @@ AB = Hypergraph.from_edge_labels(["a", "b"], [("a", "b")])
         (lambda: recover_classical("combinatorial", path_graph(3), [1.0]), "edge weights must be a vector of length 2"),
         (lambda: recover_classical("combinatorial", path_graph(3), [1.0, 0.0]), "edge weights must be strictly positive"),
         (lambda: recover_classical("normalized", path_graph(3), [1.0, np.nan]), "edge weights must be strictly positive"),
+        (lambda: recover_classical("normalized", path_graph(3), [1.0, np.inf]), "edge weights must be finite"),
         (lambda: hypergraph_to_ipl(Hypergraph.from_edge_labels(["a", "b"], [("a", "b")]), [1.0], [1, 1], [1], [1, 1]), "D must be a vector of length 2"),
+        # Each vector of the corpus hypergraph h4 with one entry +inf. An
+        # infinite D used to pass, with kernel_residual = inf.
+        (lambda: hypergraph_to_ipl(H4, [np.inf, 3, 7, 4], np.ones(4), [1, 2], [1, 2, 1, 1]), "D must be finite"),
+        (lambda: hypergraph_to_ipl(H4, None, [1, np.inf, 1, 1], [1, 2], [1, 2, 1, 1]), "D-tilde must be finite"),
+        (lambda: hypergraph_to_ipl(H4, None, np.ones(4), [1, np.inf], [1, 2, 1, 1]), "W must be finite"),
+        (lambda: hypergraph_to_ipl(H4, None, np.ones(4), [1, 2], [1, 2, 1, np.inf]), "pi must be finite"),
         # Irreducible, but pi_2 = 1e-20 is below the rounding of the least-squares solve.
         (lambda: digraph_laplacian([[1 - 1e-20, 1e-20], [1.0, 0.0]]), "stationary distribution is not numerically positive; chain is too close to reducible"),
         (lambda: digraph_laplacian([[0.5, 0.5]]), "transition matrix must be square"),
         (lambda: digraph_laplacian([[1.5, -0.5], [0.5, 0.5]]), "transition matrix has negative entries"),
         (lambda: digraph_laplacian([[1.0]]), "support graph has no edges"),
+        # The corpus chain with the one-way transition v1 -> v3 of 1e-15: its
+        # pair weight 1.25e-16 is below 5 * 1e-12 times the largest, 0.21875.
+        # The refusal names the pair weights, not an M_E the caller never gave.
+        (
+            lambda: digraph_laplacian(
+                [[0, 0.875, 1e-15, 0.125 - 1e-15], [0.875, 0, 0.125, 0], [0, 0.125, 0, 0.875], [0.125, 0, 0.875 - 1e-15, 1e-15]]
+            ),
+            "the pair weights spread too far for a positive definite M_E = diag(pair weights): least 1.250e-16 <= 5 * 1e-12 * greatest 2.188e-01",
+        ),
         # pi is in the kernel of L, but pi^2 overflows or underflows, or the
         # pair weight 1e100 1e100 1e75 1e75 does.
         (lambda: hypergraph_to_ipl(AB, None, [1, 1], [1], [1e200, 1e200]), "pi^2 leaves the range of a double at 'a'; rescale pi"),
@@ -528,14 +546,34 @@ AB = Hypergraph.from_edge_labels(["a", "b"], [("a", "b")])
     ids=[
         "boundary-count", "boundary-shape", "target-dimension", "complex-inner-product-count", "complex-inner-product-dim",
         "semi-hodge-shape", "compatibility-shape", "edge-weights-length", "edge-weight-zero", "edge-weight-nan",
-        "hypergraph-d-length", "stationary-not-positive", "transition-not-square", "transition-negative", "support-no-edges",
-        "hypergraph-pi-overflow", "hypergraph-pi-underflow", "hypergraph-pair-weight-overflow",
+        "edge-weight-inf", "hypergraph-d-length", "hypergraph-d-inf", "hypergraph-dt-inf", "hypergraph-w-inf", "hypergraph-pi-inf",
+        "stationary-not-positive", "transition-not-square", "transition-negative", "support-no-edges",
+        "pair-weight-spread", "hypergraph-pi-overflow", "hypergraph-pi-underflow", "hypergraph-pair-weight-overflow",
     ],
 )
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+def test_transition_matrix_with_a_nan_is_refused_as_non_finite():
+    # A NaN fails no sign or row-sum test, and used to surface as "chain is
+    # not ergodic".
+    with pytest.raises(NonFiniteError) as refused:
+        digraph_laplacian([[0.5, np.nan], [0.5, 0.5]])
+    assert str(refused.value) == "transition matrix has a non-finite entry: nan at row 0, column 1"
+
+
+def test_hypergraph_kernel_check_refuses_a_nan_residual():
+    # D-tilde = 1e200 and pi = 1e-150 keep pi^2 and the pair weights
+    # (1e100 w) doubles, but make the kernel-consistent D inf, and L's
+    # diagonal D - Dt H W H^T Dt is inf - inf = NaN: max |L pi| is NaN,
+    # which the check used to let through (eigh then failed to converge).
+    # Forming L warns, so the test quiets numpy.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as refused:
+        hypergraph_to_ipl(H4, None, np.full(4, 1e200), [1, 2], np.full(4, 1e-150))
+    assert str(refused.value) == "pi is not in the kernel of L: max |L pi| = nan is not finite; rescale D, D-tilde, W or pi"
 
 
 def test_carrier_shape_refusal_is_one_message():

@@ -98,6 +98,16 @@ def test_spd_rejects_non_finite(bad):
         SpdMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
 
+def test_eigensolvers_refuse_nan():
+    # A NaN passes the symmetry test (every comparison with it is false), so
+    # each eigensolver refuses non-finite input at entry, not with NaN pairs.
+    bad = [[1.0, np.nan], [np.nan, 1.0]]
+    for call in (lambda: sym_eig(bad), lambda: gen_eig(bad, SpdMatrix.identity(2))):
+        with pytest.raises(NonFiniteError) as refused:
+            call()
+        assert str(refused.value) == "matrix has a non-finite entry: nan at row 0, column 1"
+
+
 def spectral_outputs(m, b):
     return m.eigenvalues, m.eigenvectors, m.sqrt_entries, m.inv_sqrt_entries, m.inverse(), m.solve(b)
 

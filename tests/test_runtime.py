@@ -1,19 +1,14 @@
-"""Checks of the runtime install that need only numpy and ipl.
+"""Checks of the installed package and its CLI, end to end.
 
-They cover the package's import (no scipy) and ``--version``, the partition
-plan cache and the tr(P_S^2) screen of the weak-conformality scan, and
-end-to-end CLI checks: witnesses of split-scan, gadget and block ties, a
+They cover the package's import (no scipy or pytest) and ``--version``, the
+partition plan cache and the tr(P_S^2) screen of the weak-conformality scan,
+and end-to-end CLI checks: witnesses of split-scan, gadget and block ties, a
 dense split scan against its table, the pair sweep's caps and orbit rule and
 a dense one against ``verify eml``, the verifiers' eigenvalues against
 ``ipl spectrum``'s, scale-free tolerances and the one-line exit-2
-messages. CLI calls run in-process through ``ipl.cli.main``; only
+messages. CLI calls run in-process through ``cli_corpus._run``; only
 ``--version``, the import check and the ``-W error`` run need a fresh
 interpreter. Inputs are written to a temporary directory.
-
-The tier-1 suite collects these tests. With no pytest and no install, run
-``PYTHONPATH=src python tests/test_runtime.py`` from the repository root:
-it runs each test in turn, exits 1 on the first failure, and checks at the
-end that neither pytest nor scipy was imported.
 """
 
 import contextlib
@@ -30,7 +25,8 @@ import tempfile
 import numpy as np
 
 from ipl import SpdMatrix, conformality, inverse_conformality_check, weak_conformality
-from ipl.cli import main
+
+import cli_corpus
 
 P3 = '{"vertices": ["v1", "v2", "v3"], "edges": [["v1", "v2"], ["v2", "v3"]]}'
 
@@ -48,14 +44,6 @@ def inputs(**texts):
         yield paths
 
 
-def run_cli(*argv):
-    """Exit code, stdout and stderr of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def run_fresh(*args):
     """A fresh interpreter's run of ``python *args``, which must exit 0."""
     run = subprocess.run([sys.executable, *args], capture_output=True, text=True)
@@ -65,7 +53,7 @@ def run_fresh(*args):
 
 def passes(*argv):
     """The stdout of a CLI call that must exit 0."""
-    code, out, err = run_cli(*argv)
+    code, out, err = cli_corpus._run(list(argv))
     assert code == 0, (argv, code, err)
     return out
 
@@ -100,7 +88,8 @@ def test_version_in_a_fresh_interpreter():
 
 
 def test_import_loads_no_scipy():
-    run_fresh("-c", "import sys, ipl; bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); assert not bad, bad")
+    # Nor pytest: the package needs numpy alone.
+    run_fresh("-c", "import sys, ipl; bad = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'pytest')); assert not bad, bad")
 
 
 def test_verify_cheeger_on_the_3_path():
@@ -209,7 +198,7 @@ def test_verifiers_read_the_spectrum_commands_eigenvalues():
 def test_pair_sweep_past_the_pairs_cap_exits_two():
     # The pair sweep at n = 13 is past the pairs cap: exit 2, one message.
     with inputs(p13=path_json(13)) as f:
-        code, _, err = run_cli("verify", "eml", "--batch", "--graph", f["p13"])
+        code, _, err = cli_corpus._run(["verify", "eml", "--batch", "--graph", f["p13"]])
     print(err, end="")
     assert code == 2
     message = "error: the pair sweep of 13 vertices: 67108864 pairs exceed the cap of 16777216; pass force=True (CLI: --force)"
@@ -313,7 +302,7 @@ def test_inverse_of_a_permuted_block_diagonal_matrix_needs_no_force():
 
 def test_ragged_matrix_exits_two_naming_the_file_and_key():
     with inputs(ragged='{"rows": [[1, [2]], [3, 4]]}') as f:
-        code, _, err = run_cli("conformality", f["ragged"])
+        code, _, err = cli_corpus._run(["conformality", f["ragged"]])
     print(err, end="")
     assert code == 2
     assert f'error: {f["ragged"]}: matrix "rows" must be a list of equal-length lists of numbers' in err.splitlines(), err
@@ -321,7 +310,7 @@ def test_ragged_matrix_exits_two_naming_the_file_and_key():
 
 def test_directory_as_matrix_file_exits_two_with_one_line():
     with tempfile.TemporaryDirectory() as tmp:
-        code, _, err = run_cli("conformality", tmp)
+        code, _, err = cli_corpus._run(["conformality", tmp])
     print(err, end="")
     assert code == 2
     assert err.count("\n") == 1
@@ -391,7 +380,7 @@ def test_scaled_vertex_inner_product_keeps_one_kernel_vector():
 
 def test_tiny_asymmetric_matrix_is_refused_like_one_at_scale_one():
     with inputs(a2='{"rows": [[1e-20, 5e-21], [0, 1e-20]]}') as f:
-        code, out, err = run_cli("conformality", f["a2"])
+        code, out, err = cli_corpus._run(["conformality", f["a2"]])
     print(err, end="")
     assert code == 2
     assert out == ""
@@ -450,11 +439,3 @@ def test_screened_scan_matches_the_full_scan():
         assert np.array_equal(near, exact >= exact.max() - delta), k
         assert np.array_equal(screened[near], exact[near]), k
 
-
-if __name__ == "__main__":
-    for name, test in list(globals().items()):
-        if name.startswith("test_"):
-            print(name)
-            test()
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("pytest", "scipy"))
-    assert not loaded, loaded
