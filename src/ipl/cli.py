@@ -414,8 +414,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A refused run prints its one error line and nothing from numpy;
-        # a scan that raises on overflow sets its own errstate inside.
+        # A refused run prints its one error line and nothing from numpy.
         with np.errstate(all="ignore"):
             return args.handler(args)
     except FileNotFoundError as exc:

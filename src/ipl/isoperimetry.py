@@ -47,9 +47,7 @@ rounding bound built from sum|M|, lambda_min(M) and the length of each
 evaluation's chains of additions. ``_cut_masses`` sums each row's terms left
 to right, whatever the rows beside it, and the minimum and the witness come
 from its values alone. Either way ``phi`` and the witness agree with the
-conductance table at every size. A scan whose Vol(C) is not a finite
-double, or whose least value is not a positive one, is refused with one
-ValueError that names it.
+conductance table at every size.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
@@ -86,12 +84,16 @@ as ``CutStats.e_intersection``, from the masks that ``cut_stats`` builds
 for X and Y. ``verify_cheeger`` allows for the rounding of its two
 comparisons relative to what they compare: eigh's backward error,
 n eps lambda_max, plus 64 eps of lower + upper for the products that form
-the bounds. So scaling an inner product changes none of its verdicts, as
-long as phi^2 / (2 omega) is a double: past that range it refuses. The
-mixing verifiers still allow an absolute 1e-9. Both refuse a lambda_2,
-lambda_n, Vol(G) or trace term out of the range of a double in
-``_mixing_inputs``, naming it, and the pair sweep refuses once a term it
-forms leaves that range too, rather than let a margin read +inf or NaN.
+the bounds. The mixing verifiers still allow an absolute 1e-9.
+
+One range rule holds for the four verifiers and ``conductance``, in
+``laplacian._unit_scaled`` and ``laplacian._rescaled``. An inner product
+whose lambda_max lies outside [2^-200, 2^200) is divided by a power of 4,
+which is exact; each verifier computes and decides on that pair, and
+multiplies each value it reports back by its units' power of 2, exactly.
+Inside the window nothing is scaled, and no value leaves the range of a
+double. The one refusal is of a reported value whose true size lies
+outside that range, naming it.
 
 Every vertex set a caller passes (X and Y of ``cut_stats`` and
 ``verify_eml``, the Dirichlet, Neumann and local-conductance subsets) is
@@ -113,8 +115,10 @@ from .laplacian import (
     _classical_inner_products,
     _incidence_of,
     _laplacian_eigenvalues,
+    _rescaled,
     _semi_hodge_matrix,
     _spectrum,
+    _unit_scaled,
     _vertex_masses,
     check_graph_inner_products,
 )
@@ -404,9 +408,9 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
     return masks[values <= limit], values[values <= limit]
 
 
-# Past the range of a double a mass or a phi reads inf, 0 or NaN, and the
-# scan refuses it by value: numpy's warnings would add nothing.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# The split tiles score the empty set (unpinned scans) and C itself, 0/0 and
+# e/0, before they drop them: numpy's warnings would add nothing.
+@np.errstate(divide="ignore", invalid="ignore")
 def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     """Minimum of e(X, Xc) / min(Vol(X), Vol(C - X)) over the vertex sets X
     with 0 < X < C, C the columns ``cols`` (all vertices for None); with
@@ -432,8 +436,6 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
     low = _subset_rows(lo_masks, n, cols)
     total, r = _complement_terms(m_v.entries, cols)
-    if not np.isfinite(total):
-        raise ValueError(f"the cut scan leaves the range of a double at Vol(C) = {total:.3g}; rescale M_V and M_E")
     tables = _low_masses(g, m_v, m_e, low, total, r)
     exact = m_v.is_integral and m_e.is_integral
     if b < k:
@@ -447,16 +449,9 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
         rows = low[1 - pinned : -1]
         phi = tables[0][1 - pinned : -1] / np.minimum(tables[1], tables[2])[1 - pinned : -1]
         widen = 1.0 if exact else _widening(m_e, m_v, 0, 0)
-    # The split tiles leave no candidate once every value overflows or is
-    # NaN; in one batch a NaN is the least value. A cut of a connected graph
-    # has e > 0, so a least value of 0 or below is rounding out of range too
-    # (Vol(C - X) = total - 2 1_X^T r + Vol(X) can read -inf).
-    least = phi.min(initial=np.inf)
-    if not 0.0 < least < np.inf:
-        raise ValueError(f"the cut scan leaves the range of a double at phi = {least:.3g}; rescale M_V and M_E")
     if not exact:
         # The split candidates already lie in this window.
-        rows = rows[phi <= least * widen]
+        rows = rows[phi <= phi.min() * widen]
         e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
         phi = e / np.minimum(vol, comp)
     best = phi.min()
@@ -509,11 +504,13 @@ def conductance(
     check_cap("cuts", 2 ** (n - 1) - 1, f"conductance of {n} vertices", force)
     if include_table:
         check_cap("rows", 2 ** (n - 1) - 1, f"the conductance table of {n} vertices", force)
+    m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     components = g.components
     if len(components) == 1:
         phi, witness = _cut_scan(g, m_v, m_e, None, pinned=True)
     else:
         phi, witness = 0.0, _first_union(components)
+    phi = _rescaled(se - sv, phi=phi)["phi"]
     if not include_table:
         return phi, witness, None
     total, r = _complement_terms(m_v.entries, None)
@@ -522,11 +519,10 @@ def conductance(
     for lo in range(1, (1 << n) - 1, 2 * CUT_CHUNK):
         rows = _subset_rows(np.arange(lo, min(lo + 2 * CUT_CHUNK, (1 << n) - 1), 2), n)
         e, vol, comp = _cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
+        cols = _rescaled(se, e_cut=e), _rescaled(sv, vol=vol, vol_comp=comp), _rescaled(se - sv, phi=e / np.minimum(vol, comp))
         table.extend(
             {"subset": np.flatnonzero(row).tolist(), "e_cut": ec, "vol": vs, "vol_comp": vc, "phi": p}
-            for row, ec, vs, vc, p in zip(
-                rows, e.tolist(), vol.tolist(), comp.tolist(), (e / np.minimum(vol, comp)).tolist()
-            )
+            for row, ec, vs, vc, p in zip(rows, *(c.tolist() for col in cols for c in col.values()))
         )
     return phi, witness, table
 
@@ -544,62 +540,54 @@ def verify_cheeger(
         <= lambda_2 <= 2/(1-rho_V) * (1+rho_E)/(1-rho_E) * Phi,
 
     each side within eps (n lambda_max + 64 (lower + upper)), the rounding
-    of the comparison, so no scaling of M_V or M_E moves the verdict. Where
-    Phi^2 overflows or omega underflows to 0, the lower bound is no double,
-    and the check is refused with a ValueError naming phi and omega. The
-    power ``phi**2`` stays as written: ``phi * phi`` rounds differently on
-    some doubles.
+    of the comparison, so no scaling of M_V or M_E moves the verdict. The
+    bounds are formed on the pair of ``laplacian._unit_scaled``, so Phi^2
+    is a double even where the reported Phi is near the top of the range;
+    a reported value past that range is refused by ``_rescaled``, naming it.
+    The power ``phi**2`` stays as written: ``phi * phi`` rounds differently
+    on some doubles.
     """
     if not g.is_connected():
         raise ValueError("the Cheeger bound is stated for connected graphs")
+    m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     phi, witness, _ = conductance(g, m_v, m_e, force=force)
     _, vals, rho_v, rho_e, omega = _bound_inputs(g, m_v, m_e, force)
     lam2 = float(vals[1])
-    try:
-        lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"phi^2 / (2 omega) leaves the range of a double at phi = {phi:.3g}, omega = {omega:.3g}") from None
+    lower = ((1 - rho_v) / (1 + rho_v)) ** 7 * ((1 - rho_e) / (1 + rho_e)) ** 4 * phi**2 / (2 * omega)
     upper = 2.0 / (1 - rho_v) * (1 + rho_e) / (1 - rho_e) * phi
     slack = np.finfo(float).eps * (g.n * float(vals[-1]) + 64 * (lower + upper))
     return VerificationReport(
         check="cheeger",
         passed=bool(lower <= lam2 + slack and lam2 <= upper + slack),
         values={
-            "phi": phi,
+            **_rescaled(se - sv, phi=phi),
             "witness_S": [int(s) for s in witness],
-            "lambda_2": lam2,
+            **_rescaled(se - sv, lambda_2=lam2),
             "rho_v": rho_v,
             "rho_e": rho_e,
-            "omega": omega,
-            "lower": lower,
-            "upper": upper,
-            "lower_margin": lam2 - lower,
-            "upper_margin": upper - lam2,
+            **_rescaled(se - sv, omega=omega, lower=lower, upper=upper, lower_margin=lam2 - lower, upper_margin=upper - lam2),
         },
     )
 
 
 def _mixing_inputs(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, force: bool, rho_e: float | None = None):
     """What both mixing verifiers read, refused in this order: the
-    connectivity check, the eigenvalues (as lambda_1, lambda_2, lambda_n),
-    rho_E (``rho_e`` when given), then Vol(G), the trace term
-    12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex masses e({a}, ac).
-    The one range check of both: a lambda_2, lambda_n, Vol(G) or trace
-    term that is not a finite double is refused, naming the first."""
+    connectivity check, a given ``rho_e`` outside [0, 1), the eigenvalues
+    (as lambda_1, lambda_2, lambda_n), rho_E (``rho_e`` when given), then
+    Vol(G), the trace term 12 rho_E/(1 - rho_E^2) tr(M_E) and the per-vertex
+    masses e({a}, ac)."""
     if not g.is_connected():
         raise ValueError("the mixing bound is stated for connected graphs")
+    # Written so that a NaN fails it too.
+    if rho_e is not None and not 0.0 <= rho_e < 1.0:
+        raise ValueError(f"rho_e must lie in [0, 1), got {rho_e!r}")
     b = _incidence_of(g, m_v, m_e)
     vals = _laplacian_eigenvalues(b, m_v, m_e)
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vol_g = float(np.sum(m_v.entries))
-        trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
     lams = float(vals[0]), float(vals[1]), float(vals[-1])
-    for name, value in (("lambda_2", lams[1]), ("lambda_n", lams[2]), ("Vol(G)", vol_g), ("the trace term", trace_term)):
-        if not np.isfinite(value):
-            raise ValueError(f"the mixing bound leaves the range of a double at {name} = {value:.3g}; rescale M_V and M_E")
-    return lams, rho_e, vol_g, trace_term, _vertex_masses(b, m_e)
+    return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(b, m_e)
 
 
 def verify_eml(
@@ -622,8 +610,10 @@ def verify_eml(
 
     The variant with lambda_1 in place of lambda_2 (the looser mid-shift) is
     recorded alongside. ``include_conformality_term=False`` drops the trace
-    term, which the counterexample construction violates.
+    term, which the counterexample construction violates. A given ``rho_e``
+    (in place of the scan of M_E) must lie in [0, 1).
     """
+    m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     (lam1, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force, rho_e)
     stats = cut_stats(g, m_v, m_e, x_set, y_set)
     # The sum of e({a}, ac) over X cap Y: +0.0 when X cap Y is empty, as
@@ -645,24 +635,14 @@ def verify_eml(
         check="expander-mixing",
         passed=bool(margin >= -1e-9),
         values={
-            "e_xy": stats.e_xy,
-            "e_intersection": stats.e_intersection,
-            "pointwise_mass": point_mass,
-            "cor_xy": stats.cor_xy,
-            "cor_x": stats.cor_x,
-            "cor_y": stats.cor_y,
-            "vol_g": vol_g,
-            "lambda_2": lam2,
-            "lambda_n": lam_n,
+            **_rescaled(se, e_xy=stats.e_xy, e_intersection=stats.e_intersection, pointwise_mass=point_mass),
+            **_rescaled(2 * sv, cor_xy=stats.cor_xy, cor_x=stats.cor_x, cor_y=stats.cor_y),
+            **_rescaled(sv, vol_g=vol_g),
+            **_rescaled(se - sv, lambda_2=lam2, lambda_n=lam_n),
             "rho_e": rho_e,
-            "tau": tau,
-            "lhs": lhs,
-            "rhs_spectral": rhs_spectral,
-            "rhs_conformality": trace_term,
-            "margin": margin,
-            "lhs_lambda1": lhs_alt,
-            "rhs_spectral_lambda1": rhs_alt,
-            "margin_lambda1": rhs_alt + rhs2 - lhs_alt,
+            **_rescaled(se - sv, tau=tau),
+            **_rescaled(se, lhs=lhs, rhs_spectral=rhs_spectral, rhs_conformality=trace_term, margin=margin),
+            **_rescaled(se, lhs_lambda1=lhs_alt, rhs_spectral_lambda1=rhs_alt, margin_lambda1=rhs_alt + rhs2 - lhs_alt),
         },
     )
 
@@ -780,90 +760,78 @@ def verify_eml_batch(
     witness range over the swept ones. A chunk holds CUT_CHUNK pairs at
     most (one X mask at least), and a pair's margin does not depend on the
     chunk it falls in. The witness is the first pair in (X mask, Y mask)
-    order whose margin equals the minimum. ``_mixing_inputs`` refuses a
-    lambda_2, lambda_n, Vol(G) or trace term that is not finite; if the
-    sweep's own arithmetic overflows or makes a NaN, a margin could read
-    +inf and drop out of the minimum, so the sweep is refused with one
-    ValueError instead.
+    order whose margin equals the minimum. The sweep runs on the pair of
+    ``laplacian._unit_scaled``, where no margin leaves the range of a double.
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
+    m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     (_, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force)
-    # Past the range of a double a margin would read +inf (and leave the
-    # minimum) or NaN: an overflow or invalid operation in the sweep's own
-    # arithmetic is one refusal, as a scalar it reads out of range is in
-    # _mixing_inputs.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            tau = 0.5 * (lam_n + lam2)
-            gap = 0.5 * (lam_n - lam2)
-            mv, me = m_v.entries, m_e.entries
+    tau = 0.5 * (lam_n + lam2)
+    gap = 0.5 * (lam_n - lam2)
+    mv, me = m_v.entries, m_e.entries
 
-            count = 1 << n
-            bits = _subset_rows(np.arange(count), n)
-            s_float = bits.astype(float)
-            c_float = 1.0 - s_float
-            cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
-            sqrt_cor = np.sqrt(np.clip(cor_x, 0.0, None))
-            rhs_x = gap * sqrt_cor / vol_g
+    count = 1 << n
+    bits = _subset_rows(np.arange(count), n)
+    s_float = bits.astype(float)
+    c_float = 1.0 - s_float
+    cor_x = m_v.quad(s_float) * m_v.quad(c_float) - ((s_float @ mv) * c_float).sum(axis=1) ** 2
+    sqrt_cor = np.sqrt(np.clip(cor_x, 0.0, None))
+    rhs_x = gap * sqrt_cor / vol_g
 
-            u, v = g.ends
-            form = -np.diag(masses)
-            coupled = np.concatenate([np.arange(0), *m_e.blocks])
-            # No off-diagonal entry in its row; a simple graph has one edge per
-            # vertex pair, so no entry of form is added twice.
-            isolated = np.count_nonzero(me, axis=1) == 1
-            for a, b in ((u, v), (v, u)):
-                form[a[isolated], b[isolated]] += np.diagonal(me)[isolated]
-            r = mv.sum(axis=1)
-            form += tau * (mv - np.outer(r, r) / vol_g)
-            tables = _pair_tables(form)
-            lookups = _edge_word_tables(me, coupled, bits, u, v)
-            # The inner mass depends on X & Y alone: one table over subset masks.
-            inner_mass = _edge_mass(lookups, np.bitwise_and)
-            # Masks of n bits, as narrow as they fit, to index it by X & Y.
-            masks = np.arange(count, dtype=np.uint16 if n <= 16 else np.uint32)
+    u, v = g.ends
+    form = -np.diag(masses)
+    coupled = np.concatenate([np.arange(0), *m_e.blocks])
+    # No off-diagonal entry in its row; a simple graph has one edge per
+    # vertex pair, so no entry of form is added twice.
+    isolated = np.count_nonzero(me, axis=1) == 1
+    for a, b in ((u, v), (v, u)):
+        form[a[isolated], b[isolated]] += np.diagonal(me)[isolated]
+    r = mv.sum(axis=1)
+    form += tau * (mv - np.outer(r, r) / vol_g)
+    tables = _pair_tables(form)
+    lookups = _edge_word_tables(me, coupled, bits, u, v)
+    # The inner mass depends on X & Y alone: one table over subset masks.
+    inner_mass = _edge_mass(lookups, np.bitwise_and)
+    # Masks of n bits, as narrow as they fit, to index it by X & Y.
+    masks = np.arange(count, dtype=np.uint16 if n <= 16 else np.uint32)
 
-            # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
-            # complements share a margin: sweep the sets without vertex n - 1.
-            stop = count if lookups else count >> 1
-            best = np.inf
-            worst = None
-            x0 = 1
-            while x0 < stop:
-                x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
-                xs, ys = slice(x0, x1), slice(x0, stop)
-                lhs = _pair_rows(tables, xs, x0, stop)
-                if lookups:
-                    cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
-                    cut += inner_mass.take(masks[xs, None] & masks[ys])
-                    lhs += cut
-                lhs = np.abs(lhs)
-                margins = rhs_x[xs, None] * sqrt_cor[ys]
-                margins += trace_term
-                margins -= lhs
-                margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
-                i, j = divmod(int(np.argmin(margins)), margins.shape[1])
-                if margins[i, j] < best:
-                    best = float(margins[i, j])
-                    x, y = x0 + i, x0 + j
-                    worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
-                x0 = x1
-    except FloatingPointError:
-        raise ValueError(f"the pair sweep leaves the range of a double at Vol(G) = {vol_g:.3g}; rescale M_V and M_E") from None
+    # Mask 0 ({}) passes by identity. With no edge coupled so does V, and
+    # complements share a margin: sweep the sets without vertex n - 1.
+    stop = count if lookups else count >> 1
+    best = np.inf
+    worst = None
+    x0 = 1
+    while x0 < stop:
+        x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
+        xs, ys = slice(x0, x1), slice(x0, stop)
+        lhs = _pair_rows(tables, xs, x0, stop)
+        if lookups:
+            cut = _edge_mass(lookups, lambda pu, pv: (pu[xs, None] & pv[ys]) | (pv[xs, None] & pu[ys]))
+            cut += inner_mass.take(masks[xs, None] & masks[ys])
+            lhs += cut
+        lhs = np.abs(lhs)
+        margins = rhs_x[xs, None] * sqrt_cor[ys]
+        margins += trace_term
+        margins -= lhs
+        margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
+        i, j = divmod(int(np.argmin(margins)), margins.shape[1])
+        if margins[i, j] < best:
+            best = float(margins[i, j])
+            x, y = x0 + i, x0 + j
+            worst = (x, y, float(lhs[i, j]), float(rhs_x[x] * sqrt_cor[y] + trace_term))
+        x0 = x1
     x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",
         passed=bool(best >= -1e-9),
         values={
             "pairs_checked": count * count,
-            "min_margin": best,
+            **_rescaled(se, min_margin=best),
             "worst_x": np.flatnonzero(bits[x]).tolist(),
             "worst_y": np.flatnonzero(bits[y]).tolist(),
-            "worst_lhs": lhs_w,
-            "worst_rhs": rhs_w,
-            "lambda_2": lam2,
-            "lambda_n": lam_n,
+            **_rescaled(se, worst_lhs=lhs_w, worst_rhs=rhs_w),
+            **_rescaled(se - sv, lambda_2=lam2, lambda_n=lam_n),
             "rho_e": rho_e,
         },
     )

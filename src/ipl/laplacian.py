@@ -31,7 +31,12 @@ is also the one refusal of a Hypergraph or matrix carrier whose shape does
 not fit the inner products. ``_bound_inputs`` is the one home of what the
 Cheeger and spectral-radius verifiers share (incidence, eigenvalues, rho_V,
 rho_E, omega, refused in that order), as ``isoperimetry._mixing_inputs`` is
-for the two mixing verifiers. ``_support_ipl`` is the one home of the last
+for the two mixing verifiers. The range of a double is one rule for the four
+verifiers and ``conductance``: ``_unit_scaled`` divides an inner product whose
+lambda_max lies outside [2^-200, 2^200) by a power of 4, and ``_rescaled``
+multiplies each reported value back by its units' power of 2, refusing only
+a value whose true size is no double; both scalings are exact, and inside
+the window nothing is scaled. ``_support_ipl`` is the one home of the last
 step of both re-expressions, ``hypergraph_to_ipl`` and
 ``digraph_laplacian``: M_E = diag(pair weights) on the support graph, its
 semi-Hodge Laplacian and the largest residual against L. ``IplSetup`` pairs
@@ -41,6 +46,7 @@ and its Hodge decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -228,12 +234,57 @@ def _bound_inputs(carrier, m_v: SpdMatrix, m_e: SpdMatrix, force: bool):
     return b, vals, rho_v, rho_e, float(_vertex_ratios(b, m_v, m_e).max())
 
 
+# The window of lambda_max in which a verifier takes an inner product as
+# given, [2^-200, 2^200). With both inside it, and lambda_min above
+# 1e-12 k lambda_max as ``SpdMatrix`` requires, the largest product a
+# verifier forms (Cor_X Cor_Y, phi^2) stays below 2^1024, and phi^2 at its
+# least above 2^-1022, so no value of a verifier leaves the doubles.
+def _unit_scaled(m_v: SpdMatrix, m_e: SpdMatrix):
+    """(M_V / 2^sv, M_E / 2^se, sv, se), the one range rule of the verifiers.
+
+    Inside the window the very objects come back with sv = se = 0. An inner
+    product outside it is rebuilt divided by the power of 4 that brings its
+    lambda_max into [1/2, 2): an exact scaling, and its square root's too.
+    Every theorem checked is homogeneous in M_V and M_E, so a verifier
+    computes and decides on the scaled pair and hands each value to
+    ``_rescaled`` with its units: sv per Vol, se per e(.,.), se - sv per
+    lambda, phi and omega."""
+    ev, ee = math.frexp(m_v.eigenvalues[-1])[1], math.frexp(m_e.eigenvalues[-1])[1]
+    if -199 <= ev <= 200 and -199 <= ee <= 200:
+        return m_v, m_e, 0, 0
+    sv, se = (0 if -199 <= e <= 200 else e // 2 * 2 for e in (ev, ee))
+    m_v, m_e = (SpdMatrix._of(np.ldexp(m._operand, -k)) if k else m for m, k in ((m_v, sv), (m_e, se)))
+    return m_v, m_e, sv, se
+
+
+def _rescaled(k: int, **values) -> dict:
+    """The ``values`` (floats or arrays) of a scaled pair, each times 2^k by
+    ``np.ldexp``, which is exact. The first one whose true value is outside
+    the range of a double, past the largest or a nonzero below the least,
+    is refused with one ValueError naming it and its size."""
+    if not k:
+        return values
+    out = {}
+    for name, value in values.items():
+        with np.errstate(over="ignore"):
+            out[name] = np.ldexp(value, k)
+        bad = np.ravel(~np.isfinite(out[name]) | ((out[name] == 0) & (np.asarray(value) != 0)))
+        if bad.any():
+            v = np.ravel(value)[bad.argmax()]
+            # |v 2^k| = 10^t; a mantissa that rounds up to 10.00 carries 1 into the exponent.
+            t = math.log10(abs(v)) + k * math.log10(2.0)
+            mantissa, carry = f"{math.copysign(10 ** (t % 1), v):.2e}".split("e")
+            raise ValueError(f"{name} = {mantissa}e{math.floor(t) + int(carry):+d} is outside the range of a double; rescale M_V and M_E")
+    return out
+
+
 def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool = False) -> VerificationReport:
     """Spectral radius of the semi-Hodge Laplacian against its conformality bound.
 
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
     with r the largest hyperedge size and omega the compatibility constant.
     """
+    m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     b, vals, rho_v, rho_e, omega = _bound_inputs(carrier, m_v, m_e, force)
     lam_max = float(vals[-1])
     # A Graph's edges have two ends (M_E has an edge, and Graph refuses
@@ -244,13 +295,11 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
         check="semi-hodge-spectral-radius",
         passed=bool(lam_max <= bound + 1e-9),
         values={
-            "lambda_max": lam_max,
+            **_rescaled(se - sv, lambda_max=lam_max),
             "rho_v": rho_v,
             "rho_e": rho_e,
             "rank": rank,
-            "omega": omega,
-            "bound": bound,
-            "margin": bound - lam_max,
+            **_rescaled(se - sv, omega=omega, bound=bound, margin=bound - lam_max),
         },
     )
 

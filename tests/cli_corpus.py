@@ -73,7 +73,7 @@ INPUTS = {
         ]
     },
     "id5.json": _rows(5, lambda i, j: float(i == j)),
-    # Vol(G) = 5 * 4e307 overflows.
+    # Cor(X, Y) = (8 - 4) (4e307)^2 for X = {a, b}, Y = {b, c} is no double.
     "huge5.json": _rows(5, lambda i, j: 4e307 * (i == j)),
 }
 
@@ -123,7 +123,7 @@ CASES = [
     ["dirichlet", "--graph", "p4.json", "--subset", "v2,v3"],
     ["dirichlet", "--graph", "p4.json", "--subset", "v1,v3,v4", "--csv"],
     # Refusals, exit 2: an input, a subset, a flag combination, pair weights
-    # out of range of a positive definite M_E, and Vol(G) past a double.
+    # out of range of a positive definite M_E, and Cor(X, Y) past a double.
     ["conformality", "asym.json"],
     ["dirichlet", "--graph", "p4.json", "--subset", ""],
     ["conductance", "--graph", "p4.json", "--csv"],

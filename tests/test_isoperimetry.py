@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import json
 
@@ -1308,22 +1307,35 @@ def test_refusals_name_their_input(call, message):
 
 
 def test_cut_scan_refuses_masses_past_the_range_of_a_double():
-    # At M_V = M_E = 1e308 I, Vol(G) overflows and every phi would be NaN;
-    # at M_V = 1e-300 I, M_E = 1e300 I every phi = 1e300 / 1e-300 overflows.
-    # Each is one refusal that names the value, on the 3-path (one batch)
-    # and the 13-path (split tiles), for the Cheeger check too, which scans
-    # the same cuts.
-    for n in (3, 13):
+    # The scans run on the pair of laplacian._unit_scaled, so a mass past
+    # the range of a double no longer decides anything: at M_V = M_E = 1e308 I,
+    # where Vol(G) overflows, phi = 1 on the 3-path (one batch) and 1/6 on
+    # the 13-path (split tiles), as at M_V = M_E = I, and the Cheeger check
+    # passes on both. Only a reported value whose true size is past that
+    # range is refused, with the one line that names it: the tables' e_cut
+    # of {v0, v2}, which cuts 2 edges of the 3-path and 3 of the 13-path,
+    # and phi at M_V = 1e-300 I, M_E = 1e300 I: 1e600 on the 3-path and
+    # 1e600 / 6 on the 13-path.
+    def refusal(name):
+        return f"{name} is outside the range of a double; rescale M_V and M_E"
+
+    for n, phi in ((3, 1.0), (13, 1 / 6)):
+        big = scaled_identities(n, 1e308, 1e308)
+        assert conductance(path_graph(n), *big)[:2] == (phi, tuple(range(n // 2)))
+        report = verify_cheeger(path_graph(n), *big)
+        assert report.passed and report.values["phi"] == phi
+        with pytest.raises(ValueError) as refused:
+            conductance(path_graph(n), *big, include_table=True)
+        assert str(refused.value) == refusal(f"e_cut = {2 + (n > 3)}.00e+308")
         for call in (conductance, lambda *a: conductance(*a, include_table=True), verify_cheeger):
-            for scales, name in (((1e308, 1e308), "Vol(C) = inf"), ((1e-300, 1e300), "phi = inf")):
-                with pytest.raises(ValueError) as refused:
-                    call(path_graph(n), *scaled_identities(n, *scales))
-                assert str(refused.value) == f"the cut scan leaves the range of a double at {name}; rescale M_V and M_E"
+            with pytest.raises(ValueError) as refused:
+                call(path_graph(n), *scaled_identities(n, 1e-300, 1e300))
+            assert str(refused.value) == refusal("phi = 1.00e+600" if n == 3 else "phi = 1.67e+599")
     # Vol(G) = 1.7e308 is a double, but for X = {v0, v1} the complement
-    # volume Vol(G) - 2 1_X^T r + Vol(X) reads -inf, and phi -0.0.
-    with pytest.raises(ValueError) as refused:
-        conductance(path_graph(3), SpdMatrix.from_diagonal([6e307, 6e307, 5e307]), SpdMatrix.identity(2))
-    assert str(refused.value) == "the cut scan leaves the range of a double at phi = -0; rescale M_V and M_E"
+    # volume Vol(G) - 2 1_X^T r + Vol(X) read -inf at the given scale, and
+    # phi -0.0: on the scaled pair phi is 1 / 6e307, a subnormal.
+    phi, witness, _ = conductance(path_graph(3), SpdMatrix.from_diagonal([6e307, 6e307, 5e307]), SpdMatrix.identity(2))
+    assert (phi, witness) == (1.0 / 6e307, (0,))
 
 
 def _coupled_5_cycle_me(scale):
@@ -1342,15 +1354,42 @@ def _coupled_5_cycle_me(scale):
 )
 @pytest.mark.parametrize("verifier", [lambda *a: verify_eml(*a, [0, 1], [1, 2]), verify_eml_batch], ids=["single", "batch"])
 def test_mixing_verifiers_refuse_a_term_past_the_range_of_a_double(m_v, m_e, name, verifier):
-    # On the 5-cycle, Vol(G) = 5 * 4e307 overflows; 5 tr(M_E) = 2.5e309
-    # does; and at M_V = I the Laplacian of that M_E overflows, so its
-    # eigenvalues read NaN. Both verifiers refuse alike, naming the term,
-    # where verify_eml used to report NaN. Only the Laplacian's own
-    # overflow warns, before the refusal.
-    quiet = np.errstate(over="ignore", invalid="ignore") if name.startswith("lambda") else contextlib.nullcontext()
-    with quiet, pytest.raises(ValueError) as refused:
+    # On the 5-cycle Vol(G) = 5 * 4e307 and 5 tr(M_E) = 2.5e309 overflow,
+    # and at M_V = I so do the Laplacian's entries; each once refused as
+    # `name`. Both verifiers now run on the pair of laplacian._unit_scaled,
+    # with no numpy warning, and refuse only a reported value whose true
+    # size is past the range of a double, the first in report order:
+    # Cor(X, Y) = (8 - 4) (4e307)^2 and 1e600, and lambda_n of the single
+    # check; min_margin, held up by the trace term, of the sweep. The sweep
+    # at M_V = 4e307 I reports no Cor or Vol and passes, with the margins of
+    # M_V = I (a margin is in the units of M_E) and its lambdas / 4e307.
+    expected = {
+        ("Vol(G) = inf", False): "cor_xy = 1.60e+615",
+        ("the trace term = inf", False): "cor_xy = 1.00e+600",
+        ("the trace term = inf", True): "min_margin = 1.99e+309",
+        ("lambda_2 = nan", False): "lambda_n = 2.03e+308",
+        ("lambda_2 = nan", True): "min_margin = 1.99e+309",
+    }.get((name, verifier is verify_eml_batch))
+    if expected is None:
+        report, unit = verifier(cycle_graph(5), m_v, m_e), verifier(cycle_graph(5), SpdMatrix.identity(5), m_e)
+        assert report.passed and unit.passed
+        for key, value in unit.values.items():
+            scale = 1 / 4e307 if key.startswith("lambda") else 1.0
+            assert report.values[key] == (pytest.approx(value * scale, rel=1e-12) if isinstance(value, float) else value), key
+        return
+    with pytest.raises(ValueError) as refused:
         verifier(cycle_graph(5), m_v, m_e)
-    assert str(refused.value) == f"the mixing bound leaves the range of a double at {name}; rescale M_V and M_E"
+    assert str(refused.value) == f"{expected} is outside the range of a double; rescale M_V and M_E"
+
+
+@pytest.mark.parametrize("rho_e", [1.0, -0.5, 2.0, float("nan"), float("inf")])
+def test_verify_eml_refuses_a_given_rho_e_outside_zero_one(rho_e):
+    # rho_E of an SPD M_E lies in [0, 1); 1 divided by zero in the trace
+    # term, -0.5 and 2 made it negative, and NaN passed into every value.
+    g = cycle_graph(5)
+    with pytest.raises(ValueError) as refused:
+        verify_eml(g, *normalized_inner_products(g), [0, 1], [1, 2], rho_e=rho_e)
+    assert str(refused.value) == f"rho_e must lie in [0, 1), got {rho_e!r}"
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -4,10 +4,14 @@ Symmetry, the kernel of an inner product Laplacian, a kernel vector of a
 hypergraph Laplacian, the sign of a generalized spectrum, Neumann
 multiplicities, Dirichlet spectra and the Cheeger verdict are all unchanged
 when every weight is multiplied by one positive factor, so each test is
-relative to the magnitude it tests, at every scale.
+relative to the magnitude it tests, at every scale. Under a power of 4 the
+verifiers are exact: each reported value is the unscaled one times its
+units' power of 2, and each verdict is the unscaled one.
 """
 
+import itertools
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -28,9 +32,13 @@ from ipl import (
     semi_hodge,
     strong_conformality,
     verify_cheeger,
+    verify_eml,
+    verify_eml_batch,
+    verify_radius_bound,
     weak_conformality,
 )
 from ipl.isoperimetry import dirichlet_eigenvalues, neumann_eigenvalue
+from ipl.laplacian import _unit_scaled
 
 from conftest import path_graph, random_connected_graph, random_spd, star_graph
 
@@ -201,3 +209,112 @@ def test_huge_finite_entries_are_scored_without_overflow(tmp_path):
         assert not big.is_integral
         assert strong_conformality(big) == pytest.approx(strong_conformality(SpdMatrix(plain)), rel=1e-14)
         assert weak_conformality(big).rho_weak == pytest.approx(0.1, rel=1e-14)
+
+
+# How each reported float of a verifier scales when M_V is multiplied by
+# 4^j_V and M_E by 4^j_E: by 4^(v j_V + e j_E) for units (v, e). A value
+# not listed (rho, rank, witnesses, counts) does not scale.
+LAMBDA, MASS = (-1, 1), (0, 1)
+VERIFIER_UNITS = {
+    "cheeger": (verify_cheeger, dict.fromkeys(["phi", "lambda_2", "omega", "lower", "upper", "lower_margin", "upper_margin"], LAMBDA)),
+    "radius": (verify_radius_bound, dict.fromkeys(["lambda_max", "omega", "bound", "margin"], LAMBDA)),
+    "eml": (
+        lambda g, m_v, m_e: verify_eml(g, m_v, m_e, [0, 1], [1, 2]),
+        {
+            **dict.fromkeys(["e_xy", "e_intersection", "pointwise_mass"], MASS),
+            **dict.fromkeys(["cor_xy", "cor_x", "cor_y"], (2, 0)),
+            "vol_g": (1, 0),
+            **dict.fromkeys(["lambda_2", "lambda_n", "tau"], LAMBDA),
+            **dict.fromkeys(["lhs", "rhs_spectral", "rhs_conformality", "margin", "lhs_lambda1", "rhs_spectral_lambda1", "margin_lambda1"], MASS),
+        },
+    ),
+    "batch": (verify_eml_batch, {**dict.fromkeys(["min_margin", "worst_lhs", "worst_rhs"], MASS), **dict.fromkeys(["lambda_2", "lambda_n"], LAMBDA)}),
+}
+REFUSAL = re.compile(r"(\w+) = -?\d(\.\d+)?e[+-]\d+ is outside the range of a double; rescale M_V and M_E")
+
+
+def times_power_of_4(m: SpdMatrix, j: int) -> SpdMatrix:
+    """m times 4^j, formed exactly (np.ldexp)."""
+    if m.is_diagonal:
+        return SpdMatrix.from_diagonal(np.ldexp(np.diagonal(m.entries), 2 * j))
+    return SpdMatrix(np.ldexp(m.entries, 2 * j))
+
+
+def exact_scaling_cases(rng, graphs, most=7):
+    """Per random connected graph (n = 3 to ``most``, at most 12 edges, so a
+    dense M_E's weak conformality scan stays short): the normalized pair,
+    and it with a dense M_E, then with a dense M_V."""
+    for _ in range(graphs):
+        g = random_connected_graph(rng, int(rng.integers(3, most + 1)), max_edges=12)
+        m_v, m_e = normalized_inner_products(g)
+        yield from ((g, m_v, m_e), (g, m_v, random_spd(rng, g.m)), (g, random_spd(rng, g.n), m_e))
+
+
+def scaled_report_problems(verifier, units, g, m_v, m_e, j_v, j_e, base):
+    """(refused, problems) of the verifier's call on (M_V 4^j_V, M_E 4^j_E)
+    against ``base``, its report at j = 0. A problem is a moved verdict, a
+    value other than the unscaled one times its units' power of 2 (sign of
+    a zero included), a refusal naming any but the first value whose true
+    size is not a double, or a refusal of another form."""
+    with np.errstate(over="ignore"):
+        want = {k: np.ldexp(v, 2 * (units[k][0] * j_v + units[k][1] * j_e)) if k in units else v for k, v in base.values.items()}
+    past = [k for k, v in want.items() if k in units and not (np.isfinite(v) and (v != 0 or base.values[k] == 0))]
+    try:
+        report = verifier(g, times_power_of_4(m_v, j_v), times_power_of_4(m_e, j_e))
+    except ValueError as exc:
+        named = REFUSAL.fullmatch(str(exc))
+        return True, [] if named and past[:1] == [named.group(1)] else [f"refused: {exc} (past the range: {past})"]
+    moved = [k for k, v in want.items() if report.values[k] != v or k in units and np.signbit(report.values[k]) != np.signbit(v)]
+    return False, (["verdict"] if report.passed != base.passed else []) + moved + past
+
+
+def test_verifiers_scale_exactly_under_powers_of_4():
+    # Every verifier computes and decides on inner products divided by the
+    # power of 4 that brings lambda_max near 1 (laplacian._unit_scaled), and
+    # reports each value times its units' power of 2 (laplacian._rescaled).
+    # So under M_V 4^j_V and M_E 4^j_E each call either reports every float
+    # as the unscaled one times that power, exactly, with the same verdict,
+    # or refuses with the one line naming the first value that is no double.
+    rng = np.random.default_rng(42)
+    js = (-500, -150, 0, 150, 500)
+    problems, refused = [], 0
+    for g, m_v, m_e in exact_scaling_cases(rng, 40):
+        for name, (verifier, units) in VERIFIER_UNITS.items():
+            base = verifier(g, m_v, m_e)
+            for j_v, j_e in itertools.product(js, js):
+                was_refused, found = scaled_report_problems(verifier, units, g, m_v, m_e, j_v, j_e, base)
+                problems += [(name, g.n, j_v, j_e, p) for p in found]
+                refused += was_refused
+    assert problems == []
+    # 40 graphs, 3 pairs, 4 verifiers and 25 scalings: a share of the calls
+    # has a value past the range (j_E - j_V = +-1000 always does).
+    assert 0 < refused < 12000 // 2
+
+
+# The verdicts that still allow an absolute 1e-9, as a rule on the values
+# a verifier reports.
+ABSOLUTE_SLACK = {
+    "radius": lambda v: v["lambda_max"] <= v["bound"] + 1e-9,
+    "eml": lambda v: v["margin"] >= -1e-9,
+    "batch": lambda v: v["min_margin"] >= -1e-9,
+}
+
+
+@pytest.mark.parametrize("j", [-99, 0, 99])
+def test_inner_products_inside_the_window_are_taken_as_given(j):
+    # With lambda_max in [2^-200, 2^200) for both, _unit_scaled hands back
+    # the very objects, unscaled, so each verifier takes the path it took
+    # before the range rule: its values are the j = 0 ones times their
+    # units' power of 2, and a verdict with an absolute slack is decided on
+    # those values as given (so at 4^99 it can differ from j = 0's). Up to
+    # 4 vertices the degrees, and so every lambda_max here, lie in [1/2, 4).
+    rng = np.random.default_rng(7)
+    for g, m_v, m_e in exact_scaling_cases(rng, 6, most=4):
+        s_v, s_e = times_power_of_4(m_v, j), times_power_of_4(m_e, j)
+        scaled = _unit_scaled(s_v, s_e)
+        assert scaled[0] is s_v and scaled[1] is s_e and scaled[2:] == (0, 0)
+        for name, (verifier, units) in VERIFIER_UNITS.items():
+            refused, problems = scaled_report_problems(verifier, units, g, m_v, m_e, j, j, verifier(g, m_v, m_e))
+            assert not refused and set(problems) <= ({"verdict"} if name in ABSOLUTE_SLACK else set()), (name, problems)
+            report = verifier(g, s_v, s_e)
+            assert name not in ABSOLUTE_SLACK or report.passed == ABSOLUTE_SLACK[name](report.values)
