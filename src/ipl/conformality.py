@@ -83,12 +83,12 @@ costs its solve for Z, its Cholesky factor L, two solves with L and its
 ``eigh``. The witness vector v = L^-T u is solved once, for the winner
 alone, from its rows of L and u in the stacked call, with the bits the
 stacked solve gives that row (each solve treats its matrices one at a
-time). The theorem verifiers (``weak_conformality_value``) take rho from
-that score alone: their rescoring keeps the maximum and no lift or witness
-state. Only ``weak_conformality`` (so ``ipl conformality``) keeps the
-winner's L, u and Z and builds a witness pair, once, on the winning
-block's entries: each partition is scored once, and the pair attains the
-reported value.
+time). Rescoring is one pass for every caller: it returns the best score
+and the exact maxima with their L, u and Z. The theorem verifiers
+(``weak_conformality_value``) take rho alone; only ``weak_conformality``
+(so ``ipl conformality``) picks the witness among the maxima and builds
+its pair, once, on the winning block's ``_times`` operand: each partition
+is scored once, and the pair attains the reported value.
 
 The unit of work is the block C, one of ``SpdMatrix.blocks``, the
 connected components of the nonzero pattern; a connected M is one block.
@@ -120,9 +120,10 @@ restricts to S. Within a block the lifts order as the S do (where two S
 first differ, the smaller index is in C and missing from the other lift,
 and the lifts agree below it), so a stack whose maxima share one block
 keeps its smallest S, and a connected M gets the first S, as an exhaustive
-scan does. Lifts, index tuples up to max(S), are formed only for the
-maxima the stacks keep, to compare those of different blocks or stacks.
-The witness pair is built on C and is zero off it.
+scan does. Lifts, index tuples up to max(S), are formed only in
+``weak_conformality``, for the maxima the stacks keep, to compare those of
+different blocks or stacks. The witness pair is built on C and is zero off
+it.
 
 A block of the form D + u u^T (D > 0 diagonal; the Partition gadget
 x x^T + I is one) is ranked in closed form. Weak conformality does not
@@ -173,7 +174,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CAPS, check_cap
-from .linalg import SpdMatrix, _fix_signs, _quad
+from .linalg import SpdMatrix, _fix_signs, _quad, _times
 from .report import VerificationReport, to_plain
 
 # Partitions per ranking call, over all blocks of its size stack slice;
@@ -299,7 +300,7 @@ def _partition_value(entries: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     return values, chol, vecs[:, :, -1], z
 
 
-def _rescore(entries: np.ndarray, near, witness: bool = True):
+def _rescore(entries: np.ndarray, near):
     """Score the near ties again with ``_partition_value``. ``near`` holds, per
     size-stack slice, its blocks c (one row of indices per block) and a
     boolean array marking partition p of block row i as a near tie, as
@@ -310,15 +311,14 @@ def _rescore(entries: np.ndarray, near, witness: bool = True):
     of the marks) is then a slice of those rows, for one
     ``_partition_value`` call.
 
-    Returns (rho, witness partition, (C, S, L, u, Z)) of the best score: S
-    the winner's membership row over its block C, and L, u and Z its rows of
-    its stack's ``_partition_value`` call. Among the exact maxima the winner
-    has the smallest lift S | {i outside C : i < max S}. Within one block,
-    lifts order as the S do, so a stack whose maxima share a block keeps its
-    smallest S; lifts, index tuples up to max S, are formed only for the
-    maxima the stacks keep, and compared as tuples. Without ``witness``
-    (rho-only callers) it keeps the maximum alone and returns (rho, None,
-    None).
+    Returns (rho, found): rho the best score, and found, per stack whose top
+    is the running best, its exact maxima as one tuple (C, S, L, u, Z) of
+    arrays with a row per maximum: S the membership row over its block C,
+    and L, u and Z its rows of the stack's ``_partition_value`` call.
+    Within one block, lifts order as the S do (module docstring), so a stack
+    whose maxima share a block keeps only its smallest S.
+    ``weak_conformality`` picks the witness among the rest; a rho-only
+    caller pays one gather per stack for them.
     """
     best, found = -np.inf, []
     for c, hit in near:
@@ -339,22 +339,14 @@ def _rescore(entries: np.ndarray, near, witness: bool = True):
                 top = values.max()
                 if top > best:
                     best, found = top, []
-                if witness and top == best:
+                if top == best:
                     won = (values == top).nonzero()[0]
                     if len(won) > 1 and (i[lo + won] == i[lo + won[0]]).all():
                         rows = s_idx[won].tolist()
                         won = won[[rows.index(min(rows))]]
-                    found += [(c[i[lo + j]], members[lo + j], chol[j], u[j], z[j]) for j in won]
+                    found.append((c[i[lo + won]], members[lo + won], chol[won], u[won], z[won]))
             end += ties
-    if not witness:
-        return float(best), None, None
-    # i <= max S and i not in T: S and the indices outside C below max S.
-    lifts = []
-    for c, s, *_ in found:
-        t = set(c[~s].tolist())
-        lifts.append(tuple(i for i in range(c[s][-1] + 1) if i not in t))
-    first = min(range(len(lifts)), key=lifts.__getitem__)
-    return float(best), lifts[first], found[first]
+    return float(best), found
 
 
 def _plan_chunks(k: int):
@@ -637,16 +629,15 @@ def _rank_one_rho_sq(w2: np.ndarray) -> np.ndarray:
     return a / (1.0 + a) * (c / (1.0 + c))
 
 
-def _exact_weak(m: SpdMatrix, force: bool, witness: bool = True):
-    """(rho, witness partition, (C, S, L, u, Z)) of exact weak conformality:
-    one ranking call per size-stack slice (the closed form for a slice of
-    D + u u^T blocks), then one ``_rescore`` call on the ranking's own
-    output (the blocks and near-tie marks of each slice that holds a near
-    tie), which scores every block's near ties again per size-stack slice,
-    stacked by |S|. C is the winning one of ``m.blocks`` and S the winner's
-    membership row over C. A diagonal M has no block and gives None as the
-    last item, and so does a call without ``witness``, as the middle one.
-    A block past the ``partitions`` cap raises unless ``force`` is set.
+def _exact_weak(m: SpdMatrix, force: bool):
+    """(rho, found) of exact weak conformality: one ranking call per
+    size-stack slice (the closed form for a slice of D + u u^T blocks), then
+    one ``_rescore`` call on the ranking's own output (the blocks and
+    near-tie marks of each slice that holds a near tie), which scores every
+    block's near ties again per size-stack slice, stacked by |S|, and
+    returns them with the exact maxima it finds, each block C one of
+    ``m.blocks``. A diagonal M has no block and gives (0.0, []). A block
+    past the ``partitions`` cap raises unless ``force`` is set.
     """
     k = m.dim
     if k < 2:
@@ -654,7 +645,7 @@ def _exact_weak(m: SpdMatrix, force: bool, witness: bool = True):
     if m.is_diagonal:
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
-        return 0.0, (0,), None
+        return 0.0, []
     entries, stacks = m.entries, m.stacks
     largest = stacks[-1].shape[1]
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
@@ -682,7 +673,7 @@ def _exact_weak(m: SpdMatrix, force: bool, witness: bool = True):
             inverse = m.inverse()
         ranked.append(_batched_rho_sq(entries, inverse, c, delta))
     top = max(rho_sq.max() for rho_sq in ranked)
-    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()], witness)
+    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()])
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:
@@ -702,22 +693,25 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     A block past the ``partitions`` cap raises ``EnumerationCapError`` unless
     ``force`` is set; a diagonal M needs no scan and is never refused.
     """
-    rho, subset, winner = _exact_weak(m, force)
-    if winner is None:
+    rho, found = _exact_weak(m, force)
+    if not found:
         # A diagonal M has no winning block: its pair is that of S = {0} on
         # C = {0, 1}, scored once on M_CC, the only entries it reads.
-        winner = _rescore(np.diag(m._diagonal[:2]), [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
-    c, s, chol, u, z = winner
+        found = _rescore(np.diag(m._diagonal[:2]), [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[1]
+    # The smallest lift among the maxima, S and the indices outside C below
+    # max S: i <= max S and i not in T, compared as tuples.
+    lifts = []
+    for stack in found:
+        for c, s, *score in zip(*stack):
+            t = set(c[~s].tolist())
+            lifts.append((tuple(i for i in range(c[s][-1] + 1) if i not in t), c, s, *score))
+    subset, c, s, chol, u, z = min(lifts, key=lambda lift: lift[0])
     # The winner's top generalized eigenvector v = L^-T u: the one solve of
     # the call, with the bits of its row of a stacked solve.
     v = np.linalg.solve(chol.T, u)
-    if len(c) == m.dim:
-        # One block of every index: the pair needs no gather or scatter.
-        x, y = _witness_pair(m.entries, s, v, z, m.is_diagonal)
-    else:
-        block = np.diag(m._diagonal[c]) if m.is_diagonal else m.entries.take(c[:, None] * m.dim + c)
-        x, y = np.zeros(m.dim), np.zeros(m.dim)
-        x[c], y[c] = _witness_pair(block, s, v, z, m.is_diagonal)
+    # The pair on the winning block's ``_times`` operand, and zero off it.
+    x, y = np.zeros(m.dim), np.zeros(m.dim)
+    x[c], y[c] = _witness_pair(m._operand[c] if m.is_diagonal else m.entries.take(c[:, None] * m.dim + c), s, v, z)
     return ConformalityResult(
         rho_strong=strong_conformality(m),
         rho_weak=rho,
@@ -727,19 +721,20 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
     )
 
 
-def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarray, diagonal: bool):
-    """Maximizing pair for the support partition (S, T) of the (diagonal or
-    not) matrix with these entries, S marked by the membership row s, from
-    its top generalized eigenvector v on S and the Z = M_TT^-1 M_TS that
-    ``_partition_value`` scored it with.
+def _witness_pair(a: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarray):
+    """Maximizing pair for the support partition (S, T) of a block of M, for
+    the block's ``_times`` operand a (its entries, or its diagonal for a
+    diagonal M), S marked by the membership row s, from its top generalized
+    eigenvector v on S and the Z = M_TT^-1 M_TS that ``_partition_value``
+    scored it with.
 
     x is v on S, with its largest-magnitude entry positive; the optimal
     partner on T is y = Z v, or e_0 on T when Z v is exactly zero. Both are
     returned with unit M-norm and a sign making the correlation
-    nonnegative. ``diagonal`` keeps the norms of a diagonal M as
-    (x * x) @ diag(M), the form ``SpdMatrix.quad`` uses: the general
-    ((x @ M) * x) rounds (v M_00) v, not (v v) M_00, and it moved the
-    pair's bits on 53 of 300 random diagonal inputs (k = 2-13).
+    nonnegative. ``_quad`` takes the norms of a diagonal operand as
+    (x * x) @ diag(M): the general ((x @ M) * x) rounds (v M_00) v, not
+    (v v) M_00, and it moved the pair's bits on 53 of 300 random diagonal
+    inputs (k = 2-13).
     """
     v = _fix_signs(v)
     y_t = z @ v
@@ -751,10 +746,9 @@ def _witness_pair(entries: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarr
     # Scaling by 2^-exp is exact, so the normalized y keeps its bits, and
     # its M-norm neither under- nor overflows however weak the coupling.
     x[s], y[~s] = v, np.ldexp(y_t, -exp)
-    a = np.diagonal(entries) if diagonal else entries
     x = x / np.sqrt(_quad(a, x))
     y = y / np.sqrt(_quad(a, y))
-    if float(x @ entries @ y) < 0.0:
+    if float(_times(a, x, right=True) @ y) < 0.0:
         y = -y
     return x, y
 
@@ -769,7 +763,7 @@ def weak_conformality_value(m: SpdMatrix, *, force: bool = False) -> float:
     """
     if m.dim < 2:
         return 0.0
-    return _exact_weak(m, force, witness=False)[0]
+    return _exact_weak(m, force)[0]
 
 
 def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:

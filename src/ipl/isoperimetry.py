@@ -84,7 +84,13 @@ as ``CutStats.e_intersection``, from the masks that ``cut_stats`` builds
 for X and Y. ``verify_cheeger`` allows for the rounding of its two
 comparisons relative to what they compare: eigh's backward error,
 n eps lambda_max, plus 64 eps of lower + upper for the products that form
-the bounds. The mixing verifiers still allow an absolute 1e-9.
+the bounds. The radius and mixing verifiers allow 1e-9 plus eigh's
+backward error as it reaches their margins: n eps lambda_max on the
+radius, and on a mixing margin, which reads lambda_n and lambda_2 through
+tau and the gap, n eps lambda_n (|Cor(X,Y)| + sqrt(Cor(X) Cor(Y)))/Vol(G).
+The sweep takes 2 n eps lambda_n max_X Cor(X)/Vol(G) for every pair: as
+Vol(G) M_V - r r^T is positive semidefinite, |Cor(X,Y)| <=
+sqrt(Cor(X) Cor(Y)).
 
 One range rule holds for the four verifiers and ``conductance``, in
 ``laplacian._unit_scaled`` and ``laplacian._rescaled``. An inner product
@@ -611,7 +617,8 @@ def verify_eml(
     The variant with lambda_1 in place of lambda_2 (the looser mid-shift) is
     recorded alongside. ``include_conformality_term=False`` drops the trace
     term, which the counterexample construction violates. A given ``rho_e``
-    (in place of the scan of M_E) must lie in [0, 1).
+    (in place of the scan of M_E) must lie in [0, 1). The margin may fall
+    short by 1e-9 plus eigh's backward error (module docstring).
     """
     m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     (lam1, lam2, lam_n), rho_e, vol_g, trace_term, masses = _mixing_inputs(g, m_v, m_e, force, rho_e)
@@ -633,7 +640,7 @@ def verify_eml(
     margin = rhs_spectral + rhs2 - lhs
     return VerificationReport(
         check="expander-mixing",
-        passed=bool(margin >= -1e-9),
+        passed=bool(margin >= -1e-9 - np.finfo(float).eps * g.n * lam_n * (abs(stats.cor_xy) + sqrt_cor) / vol_g),
         values={
             **_rescaled(se, e_xy=stats.e_xy, e_intersection=stats.e_intersection, pointwise_mass=point_mass),
             **_rescaled(2 * sv, cor_xy=stats.cor_xy, cor_x=stats.cor_x, cor_y=stats.cor_y),
@@ -761,7 +768,9 @@ def verify_eml_batch(
     most (one X mask at least), and a pair's margin does not depend on the
     chunk it falls in. The witness is the first pair in (X mask, Y mask)
     order whose margin equals the minimum. The sweep runs on the pair of
-    ``laplacian._unit_scaled``, where no margin leaves the range of a double.
+    ``laplacian._unit_scaled``, where no margin leaves the range of a double,
+    and its margins may fall short by 1e-9 plus eigh's backward error
+    (module docstring).
     """
     n = g.n
     check_cap("pairs", 4**n, f"the pair sweep of {n} vertices", force)
@@ -824,7 +833,7 @@ def verify_eml_batch(
     x, y, lhs_w, rhs_w = worst
     return VerificationReport(
         check="expander-mixing-batch",
-        passed=bool(best >= -1e-9),
+        passed=bool(best >= -1e-9 - 2.0 * np.finfo(float).eps * n * lam_n * float(cor_x.max()) / vol_g),
         values={
             "pairs_checked": count * count,
             **_rescaled(se, min_margin=best),

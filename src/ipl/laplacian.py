@@ -270,11 +270,10 @@ def _rescaled(k: int, **values) -> dict:
             out[name] = np.ldexp(value, k)
         bad = np.ravel(~np.isfinite(out[name]) | ((out[name] == 0) & (np.asarray(value) != 0)))
         if bad.any():
-            v = np.ravel(value)[bad.argmax()]
-            # |v 2^k| = 10^t; a mantissa that rounds up to 10.00 carries 1 into the exponent.
-            t = math.log10(abs(v)) + k * math.log10(2.0)
-            mantissa, carry = f"{math.copysign(10 ** (t % 1), v):.2e}".split("e")
-            raise ValueError(f"{name} = {mantissa}e{math.floor(t) + int(carry):+d} is outside the range of a double; rescale M_V and M_E")
+            from decimal import Decimal  # only a refusal needs it; keeps it out of ``import ipl``
+
+            size = Decimal(float(np.ravel(value)[bad.argmax()])) * Decimal(2) ** k
+            raise ValueError(f"{name} = {size:.2e} is outside the range of a double; rescale M_V and M_E")
     return out
 
 
@@ -282,7 +281,9 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     """Spectral radius of the semi-Hodge Laplacian against its conformality bound.
 
     lambda_max <= (1+rho_V)/(1-rho_V) * ((1+rho_E)/(1-rho_E))^2 * r * omega,
-    with r the largest hyperedge size and omega the compatibility constant.
+    with r the largest hyperedge size and omega the compatibility constant,
+    within 1e-9 plus eigh's backward error n eps lambda_max, as in
+    ``verify_cheeger``.
     """
     m_v, m_e, sv, se = _unit_scaled(m_v, m_e)
     b, vals, rho_v, rho_e, omega = _bound_inputs(carrier, m_v, m_e, force)
@@ -293,7 +294,7 @@ def verify_radius_bound(carrier, m_v: SpdMatrix, m_e: SpdMatrix, *, force: bool 
     bound = (1 + rho_v) / (1 - rho_v) * ((1 + rho_e) / (1 - rho_e)) ** 2 * rank * omega
     return VerificationReport(
         check="semi-hodge-spectral-radius",
-        passed=bool(lam_max <= bound + 1e-9),
+        passed=bool(lam_max <= bound + 1e-9 + np.finfo(float).eps * len(vals) * lam_max),
         values={
             **_rescaled(se - sv, lambda_max=lam_max),
             "rho_v": rho_v,
@@ -484,7 +485,9 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     ``digraph_laplacian``), each of which carries a stationary vector of its
     own. For an irreducible chain pi is unique and positive, and solves
     [(I - P)^T; 1^T] pi = [0; 1] by least squares, which needs no
-    aperiodicity.
+    aperiodicity. A pi whose least entry is not above n times the solve's
+    own residual max |pi P - pi| is refused as not numerically positive:
+    that entry may be rounding noise.
     """
     n = p.shape[0]
     reach = ((p > 0) | np.eye(n, dtype=bool)).astype(float)
@@ -505,7 +508,7 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi = np.linalg.lstsq(a, b, rcond=None)[0]
-    if np.any(pi <= 0.0):
+    if not pi.min() > n * float(np.abs(pi @ p - pi).max()):
         raise ValueError("stationary distribution is not numerically positive; chain is too close to reducible")
     return pi
 

@@ -21,7 +21,7 @@ from ipl import (
 
 from ipl import conformality
 from ipl.conformality import _batched_rho_sq, _partition_value
-from ipl.linalg import _fix_signs
+from ipl.linalg import _fix_signs, _quad
 from ipl.errors import CAPS
 
 from conftest import cycle_graph, random_orthogonal, random_spd
@@ -247,9 +247,10 @@ def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
     assert len(every) == 4 and len(near) == 1
     assert near[0][0] is every[int(np.argmax([hit.any() for _, hit in every]))][0]
     assert all(hit.any() for _, hit in near)
-    got, want = rescore(m.entries, near), rescore(m.entries, every)
-    assert got[:2] == want[:2] == (res.rho_weak, res.witness_partition)
-    assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+    (got, got_found), (want, want_found) = rescore(m.entries, near), rescore(m.entries, every)
+    assert got == want == res.rho_weak
+    assert len(got_found) == len(want_found) > 0
+    assert all(np.array_equal(a, b) for g, w in zip(got_found, want_found) for a, b in zip(g, w))
     rho, subset, x, y = reference_block_weak(m)
     assert (res.rho_weak, res.witness_partition) == (rho, subset)
     assert np.array_equal(res.witness_x, x) and np.array_equal(res.witness_y, y)
@@ -298,18 +299,15 @@ def test_witness_pair_reuses_the_winning_score(monkeypatch):
 @pytest.mark.parametrize("kind", ["diagonal", "block", "dense"])
 def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
     # Only weak_conformality reports a witness pair; the verifiers and the
-    # bounds check take rho from the scan alone, and their rescoring keeps
-    # the maximum only: no lift, no witness state.
-    flags, rescore = [], conformality._rescore
+    # bounds check take rho from the scan alone and never build one.
+    calls, rescore = [], conformality._rescore
 
     def no_pair(*args):
         raise AssertionError("a witness pair was built")
 
-    def recording_rescore(entries, near, witness=True):
-        flags.append(witness)
-        result = rescore(entries, near, witness)
-        assert witness or result[1:] == (None, None)
-        return result
+    def recording_rescore(entries, near):
+        calls.append(len(near))
+        return rescore(entries, near)
 
     monkeypatch.setattr(conformality, "_witness_pair", no_pair)
     monkeypatch.setattr(conformality, "_rescore", recording_rescore)
@@ -326,14 +324,14 @@ def test_rho_only_callers_build_no_witness_pair(kind, monkeypatch):
     m_v, m_e = inner(g.n), inner(g.m)
     with pytest.raises(AssertionError, match="a witness pair was built"):
         weak_conformality(m_e)
-    assert flags == [True]
-    flags.clear()
+    assert len(calls) == 1
+    calls.clear()
     assert weak_conformality_value(m_e) >= 0.0
     assert verify_cheeger(g, m_v, m_e).check
     assert verify_radius_bound(g, m_v, m_e).check
     assert verify_eml_batch(g, m_v, m_e).check
     assert verify_conformality_bounds(m_v, np.ones(g.n)).check
-    assert not any(flags) and bool(flags) == (kind != "diagonal")
+    assert bool(calls) == (kind != "diagonal")
 
 
 def test_weak_cap_applies_to_the_largest_block(rng, monkeypatch):
@@ -395,17 +393,42 @@ def reference_rescore(entries, near):
     return float(best), tuple(np.flatnonzero(lift).tolist()), tuple(winner)
 
 
+def pre_change_witness_pair(entries, s, v, z, diagonal):
+    # The pair builder on a block's dense entries, a diagonal M's block
+    # included, with the norms of a diagonal M read from a strided view of
+    # the block's diagonal.
+    v = _fix_signs(v)
+    y_t = z @ v
+    top, exp = np.frexp(np.abs(y_t).max(initial=0.0))
+    if top == 0.0:
+        y_t = np.eye(len(y_t))[0]
+    x, y = np.zeros(len(s)), np.zeros(len(s))
+    x[s], y[~s] = v, np.ldexp(y_t, -exp)
+    a = np.diagonal(entries) if diagonal else entries
+    x = x / np.sqrt(_quad(a, x))
+    y = y / np.sqrt(_quad(a, y))
+    if float(x @ entries @ y) < 0.0:
+        y = -y
+    return x, y
+
+
 def pre_change_weak(m, monkeypatch):
     # The library's ranking, then reference_rescore on its near ties, and
     # the pair from the winner's v and Z: (rho, witness partition, v, Z, x, y).
+    slices = []
     with monkeypatch.context() as patch:
-        patch.setattr(conformality, "_rescore", lambda entries, near, witness=True: reference_rescore(entries, near))
-        rho, subset, winner = conformality._exact_weak(m, False)
-    if winner is None:
+        patch.setattr(conformality, "_rescore", lambda entries, near: slices.append(near) or (0.0, []))
+        conformality._exact_weak(m, False)
+    if slices:
+        rho, subset, winner = reference_rescore(m.entries, slices[0])
+    else:
+        # A diagonal M scores 0 with witness S = (0,), the pair of S = {0}
+        # on C = {0, 1}.
+        rho, subset = 0.0, (0,)
         winner = reference_rescore(m.entries, [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[2]
     c, s, v, z = winner
     x, y = np.zeros(m.dim), np.zeros(m.dim)
-    x[c], y[c] = conformality._witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
+    x[c], y[c] = pre_change_witness_pair(m.entries.take(c[:, None] * m.dim + c), s, v, z, m.is_diagonal)
     return rho, subset, v, z, x, y
 
 
@@ -414,9 +437,9 @@ def assert_rescoring_matches_pre_change(m, monkeypatch, label):
     # from, the pair itself, and the rho-only value.
     pairs, witness_pair = [], conformality._witness_pair
 
-    def recording(entries, s, v, z, diagonal):
+    def recording(a, s, v, z):
         pairs.append((v, z))
-        return witness_pair(entries, s, v, z, diagonal)
+        return witness_pair(a, s, v, z)
 
     with monkeypatch.context() as patch:
         patch.setattr(conformality, "_witness_pair", recording)
@@ -464,6 +487,21 @@ def test_block_stack_rescoring_matches_pre_change_reference(monkeypatch):
         assert_rescoring_matches_pre_change(SpdMatrix(entries[np.ix_(p, p)]), monkeypatch, f"tied blocks of {b}")
     for kind, entries in mixed_rank_one_entries(rng):
         assert_rescoring_matches_pre_change(SpdMatrix(entries), monkeypatch, kind)
+
+
+def test_tied_block_stack_rescoring_matches_pre_change_reference(monkeypatch):
+    # Stacks of 2-8 identical blocks of 2-6, some scaled by powers of 4 (an
+    # exact scaling, which every value ignores), in block order and
+    # permuted: the exact maxima span every block of the stack, and the
+    # witness is the smallest of their lifts.
+    rng = np.random.default_rng(3600)
+    for case in range(15):
+        b, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        scales = np.ldexp(1.0, 2 * rng.integers(-3, 4, n)) if case % 2 else np.ones(n)
+        entries = np.kron(np.diag(scales), random_spd(rng, b).entries)
+        p = rng.permutation(len(entries))
+        for label, e in (("in block order", entries), ("permuted", entries[np.ix_(p, p)])):
+            assert_rescoring_matches_pre_change(SpdMatrix(e), monkeypatch, f"{n} tied blocks of {b} {label}")
 
 
 def reference_weak(m):

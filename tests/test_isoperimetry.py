@@ -597,6 +597,19 @@ def _swept_subsets(n, m_e):
     return [s for size in range(1, n if diagonal else n + 1) for s in itertools.combinations(range(n), size)]
 
 
+def test_mixing_verdicts_allow_for_eigh_rounding():
+    # lambda_n is about 2e11 here, so eigh's last bits on it move a margin
+    # by up to n eps lambda_n (|Cor(X,Y)| + sqrt(Cor(X) Cor(Y)))/Vol(G): the
+    # sweep's least margin, -1.5e-5, is that rounding, and verify_eml
+    # scores the same pair at 0.
+    g = cycle_graph(4)
+    m_v, m_e = SpdMatrix.from_diagonal([1.0, 1e-11, 1.0, 2.0]), SpdMatrix.identity(4)
+    batch = verify_eml_batch(g, m_v, m_e)
+    assert batch.passed and batch.values["min_margin"] < -1e-6
+    single = verify_eml(g, m_v, m_e, batch.values["worst_x"], batch.values["worst_y"])
+    assert single.passed
+
+
 def test_eml_batch_matches_single(rng):
     # The sweep's minimum margin is the least single-pair margin over the
     # pairs it scores, and its worst pair attains it, for dense and diagonal

@@ -16,6 +16,7 @@ from ipl import (
     hodge_decomposition,
     hypergraph_to_ipl,
     inner_product_laplacian,
+    normalized_inner_products,
     recover_classical,
     semi_hodge,
     unsigned_incidence,
@@ -183,6 +184,23 @@ def test_radius_bound_fuzz(rng):
         m_v = random_spd(rng, g.n)
         m_e = random_spd(rng, g.m)
         assert verify_radius_bound(g, m_v, m_e).passed
+
+
+def test_radius_verdict_allows_for_eigh_rounding():
+    # With the normalized M_V times 1e-12 the bound of a tree is tight:
+    # lambda_max is 2e12 exactly, against a bound of exactly 2e12, and
+    # eigh's last bit on lambda_max, up to n eps lambda_max, fails nothing.
+    rng = np.random.default_rng(0)
+    trees = [path_graph(3)]
+    for n in rng.integers(3, 9, 20).tolist():
+        edges = sorted((int(rng.integers(0, i)), i) for i in range(1, n))
+        trees.append(Graph(labels=tuple(f"v{i}" for i in range(n)), edges=tuple(edges)))
+    for g in trees:
+        m_v, m_e = normalized_inner_products(g)
+        rep = verify_radius_bound(g, SpdMatrix.from_diagonal(1e-12 * m_v._diagonal), m_e)
+        assert rep.passed, (g.edges, rep.values)
+        assert rep.values["bound"] == 2e12
+        assert rep.values["margin"] >= -np.finfo(float).eps * g.n * rep.values["lambda_max"]
 
 
 @pytest.mark.parametrize("dense_e", [False, True], ids=["diagonal-ME", "dense-ME"])
@@ -475,6 +493,22 @@ def test_stationary_distribution_deterministic():
     b = stationary_distribution(p)
     assert np.array_equal(a, b)
     np.testing.assert_allclose(a @ p, a, atol=1e-11)
+
+
+def test_stationary_distribution_refuses_rounding_noise():
+    # A 4-state chain with transition probabilities near 1e-153: its true
+    # pi_3 is about 2.7e-153, and least squares gives 4.3e-17, under the
+    # solve's own residual max |pi P - pi| = 2.4e-17 times n.
+    p = np.array(
+        [
+            [1, 8.549744116080263e-154, 0, 0],
+            [0, 1, 1.8875402337824767e-154, 0],
+            [0, 0, 1, 4.4078610786455795e-153],
+            [5.4959317645938576e-154, 0, 0.5484335181361428, 0.45156648186385717],
+        ]
+    )
+    with pytest.raises(ValueError, match="^stationary distribution is not numerically positive; chain is too close to reducible$"):
+        stationary_distribution(p)
 
 
 def test_vertex_and_edge_laplacians_share_nonzero_spectrum(rng):
