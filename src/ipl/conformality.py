@@ -784,7 +784,7 @@ def weak_conformality_sampled(m: SpdMatrix, trials: int, seed: int) -> float:
     mask = ranks < sizes[:, None]
     x = rng.standard_normal((trials, k)) * mask
     y = rng.standard_normal((trials, k)) * ~mask
-    num = np.abs(np.einsum("ti,ti->t", x @ m.entries, y))
+    num = np.abs(np.einsum("ti,ti->t", _times(m._operand, x, right=True), y))
     den = np.sqrt(m.quad(x) * m.quad(y))
     return float((num / den).max())
 
@@ -867,7 +867,7 @@ def verify_conformality_bounds(m: SpdMatrix, x, *, force: bool = False) -> Verif
     hi_factor = (1.0 + rho) / (1.0 - rho)
     quad = m.quad(x)
     abs_quad = m.quad(np.abs(x))
-    diag_quad = float(np.sum(x * x * m._diagonal))
+    diag_quad = _quad(m._diagonal, x)
     slack = 1e-10
     sign_ok = lo_factor * abs_quad - slack <= quad <= hi_factor * abs_quad + slack
     trace_ok = lo_factor * diag_quad - slack <= quad <= hi_factor * diag_quad + slack

@@ -78,13 +78,14 @@ epsilon-sweep call too), without its eigenvectors. Omega is the max of the
 per-vertex ratios, whose numerators e({a}, ac) are the point masses of the
 mixing bound. The two mixing verifiers take their shared inputs (refusals,
 spectrum, rho_E, Vol(G), trace term, point masses) from one prelude,
-``_mixing_inputs``, and ``verify_cheeger`` shares its own with the radius
-bound through ``laplacian._bound_inputs``. ``verify_eml`` reads e(X cap Y)
-as ``CutStats.e_intersection``, from the masks that ``cut_stats`` builds
-for X and Y. ``verify_cheeger`` allows for the rounding of its two
-comparisons relative to what they compare: eigh's backward error,
-n eps lambda_max, plus 64 eps of lower + upper for the products that form
-the bounds. The radius and mixing verifiers allow 1e-9 plus eigh's
+``_mixing_inputs``, which reads tr(M_E) off M_E's diagonal, so that a
+diagonal M_E is never formed densely; ``verify_cheeger`` shares its own with
+the radius bound through ``laplacian._bound_inputs``. ``verify_eml`` reads
+e(X cap Y) as ``CutStats.e_intersection``, from the masks that ``cut_stats``
+builds for X and Y; ``cut_stats`` applies M_V through ``linalg._times``.
+``verify_cheeger`` allows for the rounding of its two comparisons relative
+to what they compare: eigh's backward error, n eps lambda_max, plus 64 eps
+of lower + upper for the products that form the bounds. The radius and mixing verifiers allow 1e-9 plus eigh's
 backward error as it reaches their margins: n eps lambda_max on the
 radius, and on a mixing margin, which reads lambda_n and lambda_2 through
 tau and the gap, n eps lambda_n (|Cor(X,Y)| + sqrt(Cor(X) Cor(Y)))/Vol(G).
@@ -113,7 +114,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .complexes import Graph, graph_incidence, unsigned_incidence
+from .complexes import Graph, graph_incidence
 from .conformality import _first_set, _subset_rows, _subset_sums, weak_conformality_value
 from .errors import check_cap
 from .laplacian import (
@@ -128,7 +129,7 @@ from .laplacian import (
     _vertex_masses,
     check_graph_inner_products,
 )
-from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, gen_eig, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _quad, _times, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
@@ -196,13 +197,13 @@ class CutStats:
 def cut_stats(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, x_set, y_set) -> CutStats:
     check_graph_inner_products(g, m_v, m_e)
     n = g.n
-    mv = m_v.entries
+    mv = m_v._operand
     x = _indicator(n, x_set)
     y = _indicator(n, y_set)
     xc, yc = 1.0 - x, 1.0 - y
 
     def vol(a, b):
-        return float(a @ mv @ b)
+        return float(_times(mv, a, right=True) @ b)
 
     def cor(a, b):
         return vol(a, b) * vol(1 - a, 1 - b) - vol(a, 1 - b) * vol(1 - a, b)
@@ -591,7 +592,7 @@ def _mixing_inputs(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, force: bool, rho_e:
     vals = _laplacian_eigenvalues(b, m_v, m_e)
     if rho_e is None:
         rho_e = weak_conformality_value(m_e, force=force)
-    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(np.trace(m_e.entries))
+    trace_term = 12.0 * rho_e / (1.0 - rho_e**2) * float(m_e._diagonal.sum())
     lams = float(vals[0]), float(vals[1]), float(vals[-1])
     return lams, rho_e, float(np.sum(m_v.entries)), trace_term, _vertex_masses(b, m_e)
 
@@ -990,7 +991,6 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     in_s = _indicator(g.n, direct.subset) > 0
     u, v = g.ends
     incident = in_s[u] | in_s[v]
-    b_abs = unsigned_incidence(g).astype(float)
     b = graph_incidence(g).astype(float)
 
     trace: list = []
@@ -998,7 +998,7 @@ def neumann_limit_experiment(g: Graph, subset, epsilon_schedule=None) -> Neumann
     prev = None
     for eps in schedule:
         w = np.where(incident, 1.0, eps)
-        deg_eps = b_abs @ w
+        deg_eps = _quad(w, b != 0)
         mass = np.where(in_s, deg_eps, eps * deg_eps)
         if not mass.all():
             failures.append(f"epsilon={eps:g}: a vertex mass underflows to 0")

@@ -54,7 +54,7 @@ import numpy as np
 from .complexes import Graph, Hypergraph, SimplicialComplex, boundary_matrix, check_weights, clique_expansion, graph_incidence, unsigned_incidence
 from .conformality import weak_conformality_value
 from .errors import NotPositiveDefiniteError
-from .linalg import PD_RTOL, ZERO_RTOL, SpdMatrix, _fix_signs, _times, check_finite
+from .linalg import PD_RTOL, ZERO_RTOL, SpdMatrix, _times, check_finite, sym_eig
 from .report import VerificationReport, to_plain
 
 
@@ -135,11 +135,8 @@ def _spectrum(matrix: np.ndarray, q_inv: np.ndarray) -> SpectrumResult:
     """Eigendata of a symmetrized Laplacian. Its kernel is the eigenvalues at
     or below ZERO_RTOL * lambda_max, a rule relative to the Laplacian's own
     scale, so scaling an inner product does not change the count."""
-    matrix = 0.5 * (matrix + matrix.T)
-    # Exactly symmetric now: a symmetry check or a second symmetrization
-    # could change nothing, so only eigh and the sign fix remain.
-    vals, vecs = np.linalg.eigh(matrix)
-    vecs = _fix_signs(vecs)
+    matrix = check_finite(0.5 * (matrix + matrix.T), "the Laplacian")
+    vals, vecs = sym_eig(matrix)
     return SpectrumResult(
         matrix=matrix,
         eigenvalues=vals,
@@ -374,7 +371,7 @@ def _classical_inner_products(kind: str, g: Graph, edge_weights=None) -> tuple[S
         return SpdMatrix.identity(g.n), m_e
     # Unit weights: the degree count is |B| @ w bit for bit, every partial
     # sum being an integer below 2^53, in O(m) rather than O(n m).
-    degrees = g.degrees().astype(float) if edge_weights is None else np.abs(graph_incidence(g)).astype(float) @ w
+    degrees = g.degrees().astype(float) if edge_weights is None else _vertex_masses(g.incidence, m_e)
     if not degrees.all():
         label = g.labels[int(np.argmin(degrees))]
         raise ValueError(f"vertex {label!r} is on no edge, so the {kind} vertex inner product (the degrees) is singular")

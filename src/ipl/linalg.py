@@ -17,6 +17,18 @@ an array: a diagonal as the exact row or column scaling, any other M as a
 matrix product. ``_quad`` (as ``SpdMatrix.quad``) is the one routine for
 quadratic forms x^T M x: it takes a vector or a stack of rows (one value
 per row), and for a diagonal M it uses (x * x) @ diag(M).
+
+Outside this module every product, quadratic form and spectrum goes through
+``_times``, ``_quad`` and ``sym_eig`` (``gen_eig`` too calls ``sym_eig``),
+with four exceptions, each for its reason:
+- the capped enumerations (the cut scans, ``isoperimetry._widening``, the
+  pair sweep and the weak-conformality kernels) read dense ``entries`` and
+  call stacked LAPACK, as their batches need;
+- ``laplacian._laplacian_eigenvalues`` calls an eigenvalue-only ``eigh``,
+  as the verifiers skip the sign fix;
+- Vol(G) is the sum of M_V's dense entries, whose n^2 summation order is
+  part of its bits;
+- the CLI reports write ``entries``.
 """
 
 from __future__ import annotations
@@ -79,9 +91,7 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     non-finite or asymmetric matrix is refused, as in ``gen_eig``.
     """
     a = _as_square(a)
-    _check_symmetric(a)
-    a = 0.5 * (a + a.T)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(_halved_sum(a, _check_symmetric(a)))
     return vals, _fix_signs(vecs)
 
 
@@ -391,10 +401,8 @@ def gen_eig(a, b: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     w = b._inv_sqrt_operand
     s = _times(w, _times(w, a), right=True)
     # The product is symmetric only up to rounding, which can exceed the
-    # input tolerance at high cond(B). Symmetrized, it is exactly symmetric:
-    # a symmetry check or a second symmetrization could change nothing, so
-    # only eigh and the sign fix remain.
-    vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
+    # input tolerance at high cond(B); symmetrized, it is exactly symmetric.
+    vals, vecs = sym_eig(0.5 * (s + s.T))
     if vals[0] < -ZERO_RTOL * vals[-1]:
         raise ValueError(f"left-hand matrix has negative eigenvalue {vals[0]:.3e}")
-    return vals, _times(w, _fix_signs(vecs))
+    return vals, _times(w, vecs)

@@ -1,6 +1,7 @@
 """A recorded corpus of CLI runs: every README synopsis command and flag.
 
     PYTHONPATH=src python tests/cli_corpus.py record OUT.json
+    PYTHONPATH=src python tests/cli_corpus.py fuzz OUT.json
     PYTHONPATH=src python tests/cli_corpus.py compare A.json B.json
 
 ``record`` writes the small inputs below to a temporary directory, runs each
@@ -12,6 +13,13 @@ prints every case whose exit code, stdout or stderr differs between two
 recordings, or that only one of them holds, and exits 1 if there is any.
 Recording the same tree twice must give no difference; recording two
 trees shows whether a change moves any byte the CLI prints.
+
+``fuzz`` records the random cases of ``_fuzz_cases`` and
+``_fuzz_reexpression_cases`` (which ``test_cli`` runs for seed 39) for every
+seed of FUZZ_SEEDS, each with its --csv form where the command has one:
+per run its exit code and the last line of its stderr, input paths masked
+to the seed's directory. ``compare`` reads that recording as it reads
+``record``'s, and so lists every run whose exit code or error line moved.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import json
 import pathlib
 import sys
 import tempfile
+
+import numpy as np
 
 from ipl.cli import main as ipl_main
 from ipl.laplacian import CLASSICAL_KINDS
@@ -132,6 +142,93 @@ CASES = [
 ]
 
 
+FUZZ_SCALES = (-300, -154, -100, 0, 100, 154, 300)
+# The re-expressions and conformality also take inputs at 10^307.
+REEXPRESSION_SCALES = (*FUZZ_SCALES, 307)
+# The flags that each command with a --csv form needs beside it.
+CSV_FORMS = {"spectrum": [], "recover": [], "conductance": ["--table"], "neumann": [], "dirichlet": []}
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _fuzz_graph(rng):
+    """A random graph of 2 to 7 vertices and at least one edge, connected or not."""
+    n = int(rng.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
+    keep[rng.integers(len(pairs))] = True
+    labels = [f"v{i}" for i in range(n)]
+    return {"vertices": labels, "edges": [[labels[u], labels[v]] for (u, v), k in zip(pairs, keep) if k]}
+
+
+def _fuzz_inner_product(rng, k, scales=FUZZ_SCALES):
+    """A diagonal, dense or block-diagonal SPD matrix of size k, times 10^s
+    for a scale s drawn from ``scales``."""
+    kind = rng.choice(["diagonal", "dense", "block"])
+    if kind == "diagonal":
+        m = np.diag(rng.uniform(0.5, 3.0, k))
+    else:
+        sizes = [k] if kind == "dense" else np.diff([0, *sorted(rng.choice(np.arange(1, k), min(k - 1, 2), replace=False)), k])
+        m = np.zeros((k, k))
+        lo = 0
+        for b in sizes:
+            a = rng.standard_normal((b, b))
+            m[lo : lo + b, lo : lo + b] = a @ a.T / b + np.eye(b)
+            lo += b
+    return {"rows": (m * 10.0 ** int(rng.choice(scales))).tolist()}
+
+
+def _fuzz_cases(rng, tmp_path):
+    """argv lists of every graph command of the README synopsis on random
+    graphs, inner products and weights at scales from 10^-300 to 10^300."""
+    for i in range(16):
+        graph = _fuzz_graph(rng)
+        n, m = len(graph["vertices"]), len(graph["edges"])
+        g = write(tmp_path, f"g{i}.json", graph)
+        mv = write(tmp_path, f"mv{i}.json", _fuzz_inner_product(rng, n))
+        me = write(tmp_path, f"me{i}.json", _fuzz_inner_product(rng, m))
+        w = write(tmp_path, f"w{i}.json", (rng.uniform(0.5, 3.0, m) * 10.0 ** int(rng.choice(FUZZ_SCALES))).tolist())
+        ips = ["--graph", g, "--mv", mv, "--me", me]
+        x, y, s = (",".join(rng.choice(graph["vertices"], int(rng.integers(1, n + 1)), replace=False)) for _ in range(3))
+        yield ["spectrum", *ips]
+        yield ["recover", "--kind", str(rng.choice(CLASSICAL_KINDS)), "--graph", g, "--weights", w]
+        yield ["conductance", *ips]
+        for verb in (["cheeger"], ["eml", "--x", x, "--y", y], ["eml", "--batch"], ["radius"]):
+            yield ["verify", *verb, *ips]
+        yield ["neumann", "--graph", g, "--subset", s]
+        yield ["dirichlet", "--graph", g, "--subset", s]
+
+
+def _fuzz_reexpression_cases(rng, tmp_path):
+    """argv lists of conformality, hypergraph-to-ipl and digraph: SPD
+    matrices, hyperedge weights, pi, D-tilde and transition entries each
+    times 10^s for scales s drawn from REEXPRESSION_SCALES."""
+
+    def scaled(shape):
+        return rng.uniform(0.5, 3.0, shape) * 10.0 ** int(rng.choice(REEXPRESSION_SCALES))
+
+    for i in range(16):
+        n = int(rng.integers(2, 8))
+        yield ["conformality", write(tmp_path, f"spd{i}.json", _fuzz_inner_product(rng, n, REEXPRESSION_SCALES))]
+        labels = [f"v{j}" for j in range(n)]
+        hyperedges = sorted({tuple(sorted(rng.choice(labels, int(rng.integers(2, n + 1)), replace=False))) for _ in range(n)})
+        hg = {"vertices": labels, "hyperedges": [list(h) for h in hyperedges], "weights": scaled(len(hyperedges)).tolist()}
+        argv = ["hypergraph-to-ipl", "--hypergraph", write(tmp_path, f"h{i}.json", hg)]
+        for name in ("pi", "dt"):
+            if rng.random() < 0.75:
+                argv += [f"--{name}", write(tmp_path, f"{name}{i}.json", scaled(n).tolist())]
+        yield argv
+        # A cycle through every state keeps most chains ergodic; entries of
+        # far apart scales round to 0 in their row.
+        p = scaled((n, n)) * (rng.random((n, n)) < 0.5)
+        p[np.arange(n), (np.arange(n) + 1) % n] = scaled(n)
+        yield ["digraph", "--transition", write(tmp_path, f"p{i}.json", {"rows": (p / p.sum(axis=1)[:, None]).tolist()})]
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -156,6 +253,30 @@ def record() -> dict:
     return runs
 
 
+FUZZ_SEEDS = range(39, 45)
+
+
+def fuzz(seeds=FUZZ_SEEDS) -> dict:
+    """Run the fuzz cases of each seed, each with its --csv form, on freshly
+    written inputs; {case: {exit, stderr}}, stderr as its last line."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = tmp + "/"
+        for seed in seeds:
+            base = pathlib.Path(tmp, str(seed))
+            base.mkdir()
+            rng = np.random.default_rng(seed)
+            for argv in [*_fuzz_cases(rng, base), *_fuzz_reexpression_cases(rng, base)]:
+                forms = [argv]
+                if argv[0] in CSV_FORMS:
+                    forms.append([*argv, *(f for f in CSV_FORMS[argv[0]] if f not in argv), "--csv"])
+                for form in forms:
+                    code, _, err = _run(form)
+                    last = err.splitlines()[-1] if err else ""
+                    runs[" ".join(form).replace(prefix, "")] = {"exit": code, "stderr": last.replace(prefix, "")}
+    return runs
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """One line per case, in sorted order, that only one recording holds or
     whose exit code, stdout or stderr differs, naming what differs."""
@@ -169,15 +290,17 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Record the CLI corpus, or compare two recordings.")
+    parser = argparse.ArgumentParser(description="Record the CLI corpus or the fuzz outcomes, or compare two recordings.")
     sub = parser.add_subparsers(dest="action", required=True)
     sub.add_parser("record").add_argument("out")
+    sub.add_parser("fuzz").add_argument("out")
     p = sub.add_parser("compare")
     p.add_argument("a")
     p.add_argument("b")
     args = parser.parse_args(argv)
-    if args.action == "record":
-        pathlib.Path(args.out).write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    if args.action in ("record", "fuzz"):
+        runs = record() if args.action == "record" else fuzz()
+        pathlib.Path(args.out).write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
         return 0
     a, b = (json.loads(pathlib.Path(p).read_text()) for p in (args.a, args.b))
     diffs = compare(a, b)

@@ -38,13 +38,8 @@ from ipl.laplacian import CLASSICAL_KINDS
 from ipl.report import csv_table
 
 import cli_corpus
+from cli_corpus import CSV_FORMS, _fuzz_cases, _fuzz_reexpression_cases, write
 from conftest import cycle_graph, path_graph
-
-
-def write(tmp_path, name, obj):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
 
 
 @pytest.fixture
@@ -661,6 +656,18 @@ def test_cli_corpus_records_the_same_bytes_twice(tmp_path, capsys):
     assert len(commands) == 11
 
 
+def test_cli_fuzz_recording_masks_paths_and_reads_as_a_corpus():
+    # One seed: 16 graphs of nine cases, five of them with a --csv form, and
+    # 16 triples of re-expression cases, each run keyed by its argv with the
+    # inputs under the seed's directory.
+    runs = cli_corpus.fuzz([39])
+    assert len(runs) == 16 * (9 + 5) + 16 * 3
+    assert all(set(run) == {"exit", "stderr"} and run["exit"] in (0, 1, 2) for run in runs.values())
+    assert all(a.startswith("39/") for case in runs for a in case.split() if a.endswith(".json"))
+    assert sum(case.endswith("--csv") for case in runs) == 16 * 5
+    assert cli_corpus.compare(runs, runs) == []
+
+
 def test_stable_json_formatting(rng):
     text = stable_json({"b": 1 / 3, "a": [True, None, "x"], "c": 2})
     assert text == '{"a":[true,null,"x"],"b":0.33333333333333331,"c":2}\n'
@@ -1105,87 +1112,6 @@ def test_csv_refuses_a_non_finite_value_as_json_does(files, tmp_path, capsys):
         assert str(refused.value) == f"non-finite value {float(value)!r} cannot be serialized"
 
 
-FUZZ_SCALES = (-300, -154, -100, 0, 100, 154, 300)
-# The re-expressions and conformality also take inputs at 10^307.
-REEXPRESSION_SCALES = (*FUZZ_SCALES, 307)
-# The flags that each command with a --csv form needs beside it.
-CSV_FORMS = {"spectrum": [], "recover": [], "conductance": ["--table"], "neumann": [], "dirichlet": []}
-
-
-def _fuzz_graph(rng):
-    """A random graph of 2 to 7 vertices and at least one edge, connected or not."""
-    n = int(rng.integers(2, 8))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
-    keep[rng.integers(len(pairs))] = True
-    labels = [f"v{i}" for i in range(n)]
-    return {"vertices": labels, "edges": [[labels[u], labels[v]] for (u, v), k in zip(pairs, keep) if k]}
-
-
-def _fuzz_inner_product(rng, k, scales=FUZZ_SCALES):
-    """A diagonal, dense or block-diagonal SPD matrix of size k, times 10^s
-    for a scale s drawn from ``scales``."""
-    kind = rng.choice(["diagonal", "dense", "block"])
-    if kind == "diagonal":
-        m = np.diag(rng.uniform(0.5, 3.0, k))
-    else:
-        sizes = [k] if kind == "dense" else np.diff([0, *sorted(rng.choice(np.arange(1, k), min(k - 1, 2), replace=False)), k])
-        m = np.zeros((k, k))
-        lo = 0
-        for b in sizes:
-            a = rng.standard_normal((b, b))
-            m[lo : lo + b, lo : lo + b] = a @ a.T / b + np.eye(b)
-            lo += b
-    return {"rows": (m * 10.0 ** int(rng.choice(scales))).tolist()}
-
-
-def _fuzz_cases(rng, tmp_path):
-    """argv lists of every graph command of the README synopsis on random
-    graphs, inner products and weights at scales from 10^-300 to 10^300."""
-    for i in range(16):
-        graph = _fuzz_graph(rng)
-        n, m = len(graph["vertices"]), len(graph["edges"])
-        g = write(tmp_path, f"g{i}.json", graph)
-        mv = write(tmp_path, f"mv{i}.json", _fuzz_inner_product(rng, n))
-        me = write(tmp_path, f"me{i}.json", _fuzz_inner_product(rng, m))
-        w = write(tmp_path, f"w{i}.json", (rng.uniform(0.5, 3.0, m) * 10.0 ** int(rng.choice(FUZZ_SCALES))).tolist())
-        ips = ["--graph", g, "--mv", mv, "--me", me]
-        x, y, s = (",".join(rng.choice(graph["vertices"], int(rng.integers(1, n + 1)), replace=False)) for _ in range(3))
-        yield ["spectrum", *ips]
-        yield ["recover", "--kind", str(rng.choice(CLASSICAL_KINDS)), "--graph", g, "--weights", w]
-        yield ["conductance", *ips]
-        for verb in (["cheeger"], ["eml", "--x", x, "--y", y], ["eml", "--batch"], ["radius"]):
-            yield ["verify", *verb, *ips]
-        yield ["neumann", "--graph", g, "--subset", s]
-        yield ["dirichlet", "--graph", g, "--subset", s]
-
-
-def _fuzz_reexpression_cases(rng, tmp_path):
-    """argv lists of conformality, hypergraph-to-ipl and digraph: SPD
-    matrices, hyperedge weights, pi, D-tilde and transition entries each
-    times 10^s for scales s drawn from REEXPRESSION_SCALES."""
-
-    def scaled(shape):
-        return rng.uniform(0.5, 3.0, shape) * 10.0 ** int(rng.choice(REEXPRESSION_SCALES))
-
-    for i in range(16):
-        n = int(rng.integers(2, 8))
-        yield ["conformality", write(tmp_path, f"spd{i}.json", _fuzz_inner_product(rng, n, REEXPRESSION_SCALES))]
-        labels = [f"v{j}" for j in range(n)]
-        hyperedges = sorted({tuple(sorted(rng.choice(labels, int(rng.integers(2, n + 1)), replace=False))) for _ in range(n)})
-        hg = {"vertices": labels, "hyperedges": [list(h) for h in hyperedges], "weights": scaled(len(hyperedges)).tolist()}
-        argv = ["hypergraph-to-ipl", "--hypergraph", write(tmp_path, f"h{i}.json", hg)]
-        for name in ("pi", "dt"):
-            if rng.random() < 0.75:
-                argv += [f"--{name}", write(tmp_path, f"{name}{i}.json", scaled(n).tolist())]
-        yield argv
-        # A cycle through every state keeps most chains ergodic; entries of
-        # far apart scales round to 0 in their row.
-        p = scaled((n, n)) * (rng.random((n, n)) < 0.5)
-        p[np.arange(n), (np.arange(n) + 1) % n] = scaled(n)
-        yield ["digraph", "--transition", write(tmp_path, f"p{i}.json", {"rows": (p / p.sum(axis=1)[:, None]).tolist()})]
-
-
 def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     # Every call exits 0, 1 or 2, without an internal error or a traceback,
     # and an exit 2 prints one error line and no report. A command with a
@@ -1203,9 +1129,14 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     # cut table at M_V = 1e300 I, M_E = 1e308 I, where the cut {v0, v2} has
     # e = 2e308; and both mixing checks of the 5-cycle at M_V = I,
     # M_E = 1e308 I, where lambda_n = 3.62e308 (once numpy's "Eigenvalues
-    # did not converge", as the Laplacian's entries overflowed). A Neumann
-    # sweep stopped after one step exits 1, which no fuzz case of seed 39
-    # does now that the pair sweep decides on the scaled pair.
+    # did not converge", as the Laplacian's entries overflowed). The spectra
+    # of K2 at M_V = 1e-154 I, M_E = (1e300) and of the 3-path at
+    # M_V = 1e-300 I, M_E = 1e100 I overflow the Laplacian itself; both
+    # refuse it, naming its first non-finite entry (they once printed
+    # "non-finite value nan cannot be serialized" and numpy's "Eigenvalues
+    # did not converge"). A Neumann sweep stopped after
+    # one step exits 1, which no fuzz case of seed 39 does now that the pair
+    # sweep decides on the scaled pair.
     def graph(name, n, edges):
         labels = [f"v{i}" for i in range(n)]
         return write(tmp_path, name, {"vertices": labels, "edges": [[labels[u], labels[v]] for u, v in edges]})
@@ -1216,6 +1147,7 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
     def refusal(name):
         return 2, f"error: {name} is outside the range of a double; rescale M_V and M_E\n"
 
+    overflow = 2, "error: the Laplacian has a non-finite entry: inf at row 0, column 0\n"
     chord = graph("c9.json", 9, [(i, (i + 1) % 9) for i in range(9)] + [(0, 4)])
     # Not p3.json: the fuzz cases below write their transition matrices as p<i>.json.
     k2, p3 = graph("k2.json", 2, [(0, 1)]), graph("path3.json", 3, [(0, 1), (1, 2)])
@@ -1232,6 +1164,8 @@ def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys):
         (["verify", "eml", "--graph", c5, "--mv", eye(5, 0), "--me", eye(5, 308), "--x", "v0", "--y", "v2"], refusal("lambda_n = 3.62e+308")),
         (["verify", "eml", "--batch", "--graph", c5, "--mv", eye(5, 0), "--me", eye(5, 308)], refusal("lambda_n = 3.62e+308")),
         (["neumann", "--graph", p4, "--subset", "v1,v2", "--schedule", "1e-1"], (1, "")),
+        (["spectrum", "--graph", k2, "--mv", eye(2, -154), "--me", eye(1, 300)], overflow),
+        (["spectrum", "--graph", p3, "--mv", eye(3, -300), "--me", eye(2, 100)], overflow),
     ]
 
     def run(argv, outcome=None):

@@ -1298,6 +1298,23 @@ def test_bounds_identity_collapse():
     assert v["trace_lower"] == pytest.approx(v["quadratic_form"])
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e12])
+def test_bounds_hold_on_every_diagonal(scale):
+    # For a diagonal M, rho = 0 and both sandwiches are equalities: the
+    # trace form sum_i x_i^2 M_ii is x^T M x, formed by the same quadratic
+    # form routine, so all five values agree bit for bit at any scale. As
+    # an np.sum in another order, the trace form missed the absolute slack
+    # of 1e-10 on 56 and 69 of these 200 draws.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        m = SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, k) * scale)
+        rep = verify_conformality_bounds(m, rng.standard_normal(k))
+        v = rep.values
+        assert rep.passed
+        assert v["trace_lower"] == v["sign_lower"] == v["quadratic_form"] == v["sign_upper"] == v["trace_upper"]
+
+
 def test_bounds_sign_lower_tight_case():
     m = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     rep = verify_conformality_bounds(m, np.array([1.0, -1.0]))

@@ -694,13 +694,35 @@ def test_semi_hodge_product_is_the_four_gemm_product_bit_for_bit():
     assert zeros > 0
 
 
+@pytest.mark.parametrize("n, mv, me", [(2, 1e-154, 1e300), (3, 1e-300, 1e100)], ids=["k2", "path3"])
+def test_spectra_refuse_a_non_finite_laplacian_by_name(n, mv, me):
+    # Q_V^-1 B M_E B^T Q_V^-1 overflows. Decomposed as it stands, K2's gave
+    # the eigenvalues [nan, nan] with no kernel and the 3-path's an eigh that
+    # did not converge; both spectra refuse it, naming its first non-finite
+    # entry. numpy's overflow warning comes first, and is silenced here as
+    # the CLI silences it.
+    g = path_graph(n)
+    m_v, m_e = SpdMatrix.from_diagonal(np.full(n, mv)), SpdMatrix.from_diagonal(np.full(n - 1, me))
+    calls = {
+        "semi_hodge": lambda: semi_hodge(graph_incidence(g).astype(float), m_v, m_e),
+        "inner_product_laplacian": lambda: inner_product_laplacian(IplSetup.from_graph(g, m_v, m_e)),
+    }
+    for name, call in calls.items():
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as refused:
+            call()
+        assert str(refused.value) == "the Laplacian has a non-finite entry: inf at row 0, column 0", name
+
+
 def test_graph_scale_diagonal_inner_products_allocate_no_m_by_m_array():
     # At n = 300, m = 1200 (a path plus random edges) none of these calls
     # allocates as much as one m x m float array: the default inner products
-    # are stored as their diagonals, and the product scales by them.
+    # are stored as their diagonals, and the products scale by them. Each of
+    # the last three calls gets a pair of its own, so that none reads a dense
+    # view another call formed; cut_stats forms no n x n array, and
+    # verify_eml leaves M_E's dense view unformed.
     import tracemalloc
 
-    from ipl import normalized_inner_products
+    from ipl import cut_stats, normalized_inner_products, verify_eml, weak_conformality_sampled
 
     rng = np.random.default_rng(1)
     n, m = 300, 1200
@@ -718,6 +740,11 @@ def test_graph_scale_diagonal_inner_products_allocate_no_m_by_m_array():
         "verify_radius_bound": (lambda: verify_radius_bound(g, *inner), m * m * 8),
         "compatibility": (lambda: compatibility(g, *inner), 1.5 * n * m * 8),
     }
+    x, y = range(0, n, 2), range(n // 3, n)
+    stats_pair, eml_pair, sampled_pair = (normalized_inner_products(g) for _ in range(3))
+    calls["cut_stats"] = (lambda: cut_stats(g, *stats_pair, x, y), n * n * 8 / 2)
+    calls["verify_eml"] = (lambda: verify_eml(g, *eml_pair, x, y), 5 * n * m * 8)
+    calls["weak_conformality_sampled"] = (lambda: weak_conformality_sampled(sampled_pair[1], 64, 0), m * m * 8 / 2)
     tracemalloc.start()
     try:
         for name, (call, limit) in calls.items():
@@ -727,3 +754,4 @@ def test_graph_scale_diagonal_inner_products_allocate_no_m_by_m_array():
             assert tracemalloc.get_traced_memory()[1] - base < limit, name
     finally:
         tracemalloc.stop()
+    assert eml_pair[1]._entries is None

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ipl import NonFiniteError, NotPositiveDefiniteError, NotSymmetricError, Spd
 from ipl.complexes import _components
 from ipl.linalg import _fix_signs
 
-from conftest import random_spd
+from conftest import random_connected_graph, random_spd
 from test_conformality import fuzz_entries
 
 
@@ -399,6 +401,80 @@ def test_diagonal_routes_keep_the_dense_bits():
             assert all(same_bits(g, r) for g, r in zip(diagonal_outputs(m.sqrt(), b, xs)[:-1], want[:-1])), (kind, route)
             seen.add(route)
     assert seen == {"entries", "from_diagonal", "identity"}
+
+
+def inner_product_kinds(rng, k):
+    """A diagonal, a dense and (for k >= 2) a two-block SPD matrix of size k."""
+    yield "diagonal", SpdMatrix.from_diagonal(rng.uniform(0.5, 3.0, k))
+    yield "dense", random_spd(rng, k)
+    if k >= 2:
+        cut = int(rng.integers(1, k))
+        m = np.zeros((k, k))
+        m[:cut, :cut], m[cut:, cut:] = random_spd(rng, cut).entries, random_spd(rng, k - cut).entries
+        yield "block", SpdMatrix(m)
+
+
+def sampled_by_entries(m, trials, seed):
+    """``weak_conformality_sampled`` with its numerators as x @ M's dense entries."""
+    rng = np.random.default_rng(seed)
+    k = m.dim
+    sizes = rng.integers(1, k, size=trials)
+    mask = np.argsort(np.argsort(rng.random((trials, k)), axis=1), axis=1) < sizes[:, None]
+    x = rng.standard_normal((trials, k)) * mask
+    y = rng.standard_normal((trials, k)) * ~mask
+    num = np.abs(np.einsum("ti,ti->t", x @ m.entries, y))
+    return float((num / np.sqrt(m.quad(x) * m.quad(y))).max())
+
+
+def test_products_forms_and_spectra_keep_the_bits_of_their_formulas():
+    # Volumes, the trace of M_E, the sampled oracle's numerators, weighted
+    # degrees, the Neumann sweep's vertex masses and gen_eig go through
+    # _times, _quad and sym_eig. On diagonal, dense and block inner products
+    # each keeps the bits of the dense formula written out here.
+    from ipl import cut_stats, recover_classical, weak_conformality_sampled
+    from ipl.isoperimetry import _mixing_inputs
+    from ipl.linalg import _quad
+
+    rng = np.random.default_rng(3850)
+    for trial in range(12):
+        n = int(rng.integers(3, 8))
+        g = random_connected_graph(rng, n)
+        b = g.incidence.astype(float)
+        x, y = (np.flatnonzero(rng.random(n) < 0.5).tolist() for _ in range(2))
+        xv, yv = (np.isin(np.arange(n), s).astype(float) for s in (x, y))
+        for (kv, m_v), (ke, m_e) in itertools.product(inner_product_kinds(rng, n), inner_product_kinds(rng, g.m)):
+            label = trial, kv, ke
+            stats = cut_stats(g, m_v, m_e, x, y)
+            _, _, _, trace_term, _ = _mixing_inputs(g, m_v, m_e, False, rho_e=0.25)
+            want = 12.0 * 0.25 / (1.0 - 0.25**2) * float(np.trace(m_e.entries))
+            assert same_bits(trace_term, want), label
+
+            def vol(a, c):
+                return float(a @ m_v.entries @ c)
+
+            def cor(a, c):
+                return vol(a, c) * vol(1 - a, 1 - c) - vol(a, 1 - c) * vol(1 - a, c)
+
+            got = [stats.vol_x, stats.vol_y, stats.vol_x_comp, stats.vol_y_comp, stats.vol_xy, stats.cor_xy, stats.cor_x, stats.cor_y]
+            want = [vol(xv, xv), vol(yv, yv), vol(1 - xv, 1 - xv), vol(1 - yv, 1 - yv), vol(xv, yv), cor(xv, yv), cor(xv, xv), cor(yv, yv)]
+            assert all(same_bits(p, q) for p, q in zip(got, want)), label
+            for m in (m_v, m_e):
+                assert same_bits(weak_conformality_sampled(m, 16, trial), sampled_by_entries(m, 16, trial)), label
+            # gen_eig was eigh of the symmetrized W A W, W = M_V^(-1/2), and
+            # W times the sign-fixed eigenvectors.
+            a = b @ np.diag(rng.uniform(0.5, 3.0, g.m)) @ b.T
+            w = m_v.inv_sqrt_entries
+            s = w @ a @ w
+            vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
+            got = gen_eig(a, m_v)
+            assert same_bits(got[0], vals) and same_bits(got[1], w @ _fix_signs(vecs)), label
+        weights = rng.uniform(0.5, 3.0, g.m)
+        degrees = recover_classical("normalized", g, weights)[0]._diagonal
+        assert same_bits(degrees, np.abs(b) @ weights), trial
+        # The sweep's vertex masses: unit weights on some edges, eps on the rest.
+        for eps in (1e-1, 1e-4, 1e-8):
+            w = np.where(rng.random(g.m) < 0.5, 1.0, eps)
+            assert same_bits(_quad(w, b != 0), np.abs(b) @ w), (trial, eps)
 
 
 def test_zero_edge_kinds_keep_their_bits():
