@@ -14,7 +14,7 @@ the Schur complement ((M^-1)_SS)^-1, it also equals
 
     value(S)^2 = 1 - 1/mu_max(M_SS (M^-1)_SS),
 
-which needs only the S-blocks of M and of one shared inverse. The scan uses
+which needs only the S-blocks of M and of M^-1. The scan uses
 this form on the smaller side of every partition, stacked by side size into
 one batch per group. Which partitions share a group, and where
 their smaller sides sit, depends on the block size alone (chunks hold
@@ -22,7 +22,7 @@ their smaller sides sit, depends on the block size alone (chunks hold
 index plan once per block size and the process keeps it within the cap (a
 forced scan past it builds one chunk at a time and keeps none). It holds
 each partition's slot (int32) and smaller-side positions (int16), about
-11 MB at k = 20. A scan reads the block of M and of M^-1 once, side by
+11 MB at k = 20. A scan reads the blocks of M and of M^-1 once, side by
 side, and gathers the S-blocks of both with one take per group.
 
 With M_SS = L L^T, the eigenvalues of B = L^T (M^-1)_SS L are those of
@@ -96,9 +96,16 @@ For disjointly supported x, y: x^T M y = sum_C x_C^T M_CC y_C <=
 max_C rho(M_CC) |x|_M |y|_M by Cauchy-Schwarz, and the best block's witness
 attains it, so rho(M) = max_C rho(M_CC). A 1 x 1 block contributes 0, so
 an exactly diagonal M scores 0 with witness S = (0,), scored once for its
-pair. As (M^-1)_CC = (M_CC)^-1, one inverse of M ranks every block of size
->= 2; ``SpdMatrix`` inverts block by block, so M^-1 keeps the blocks of M
-and ``inverse_conformality_check`` scans the same blocks for both. One tie
+pair. As (M^-1)_CC = (M_CC)^-1, each block of size >= 2 is ranked from
+its own inverse: ``SpdMatrix`` stores each size stack's blocks of M and
+their eigenpairs, and ``_block_inverses`` forms V_C Lambda_C^-1 V_C^T for
+a whole stack in one batched product, so the scan forms no k x k array.
+For a connected M that is ``inverse()`` bit for bit; with several blocks
+its last bits can differ from those of ``inverse()``'s blocks, which the
+ranking absorbs, as it only selects the near ties, and those are scored
+again on M's own entries. ``SpdMatrix`` inverts block by block, so M^-1
+keeps the blocks of M and ``inverse_conformality_check`` scans the same
+blocks for both. One tie
 window, from k and cond(M), serves them all and is at least each block's
 own; the cap applies to the largest block. The blocks of one size form
 one size stack (``SpdMatrix.stacks``, built once, the stacks it eigensolves),
@@ -174,7 +181,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CAPS, check_cap
-from .linalg import SpdMatrix, _fix_signs, _quad, _times
+from .linalg import SpdMatrix, _block_inverses, _fix_signs, _quad, _times
 from .report import VerificationReport, to_plain
 
 # Partitions per ranking call, over all blocks of its size stack slice;
@@ -461,16 +468,16 @@ def _screen(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray) -> np.n
     return out.ravel()
 
 
-def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
-    """value(S)^2 for every partition mask of every block of the size stack
-    c, by the Schur identity: one row per block (row of c), indexed by mask.
-    A partition that cannot reach the tie window delta of the stack's
+def _batched_rho_sq(a: np.ndarray, a_inv: np.ndarray, delta: float) -> np.ndarray:
+    """value(S)^2 for every partition mask of every block of a size stack,
+    by the Schur identity, from the stack's (n, b, b) blocks a of M and
+    a_inv of M^-1, (M^-1)_CC = (M_CC)^-1: one row per block, indexed by
+    mask. A partition that cannot reach the tie window delta of the stack's
     maximum holds an upper bound on its value^2 instead.
 
-    M and M^-1 are read once at c's indices, as (M^-1)_CC = (M_CC)^-1, and
-    the ``_partition_plan`` of the block size b indexes those blocks, every
+    The ``_partition_plan`` of the block size b indexes those blocks, every
     block of the stack in one batch per smaller-side size. Partition mask p
-    is the subset mask 2p + 1 of positions in a row of c (see
+    is the subset mask 2p + 1 of positions in a block (see
     ``_subset_rows``); the all-in mask 2^(b-1) - 1 is not a partition and is
     left out.
 
@@ -502,12 +509,11 @@ def _batched_rho_sq(entries: np.ndarray, inverse: np.ndarray, c: np.ndarray, del
     one chunk at a time, the screen's table (2^(b-1) values per block) only
     until the scan starts.
     """
-    n, k = c.shape
+    n, k = a.shape[:2]
     count = (1 << (k - 1)) - 1
     # The stack's blocks of M and of M^-1 side by side, so that one take
     # gathers an S-block of both.
-    block = (c[:, :, None] * len(entries) + c[:, None, :]).reshape(n, k * k)
-    both = np.array((entries.take(block), inverse.take(block)))
+    both = np.array((a, a_inv)).reshape(2, n, k * k)
     flat_both = both.reshape(2, -1)
     screened = k >= SCREEN_MIN_SIZE
     if screened:
@@ -589,21 +595,19 @@ def _candidates(out: np.ndarray, chunk, floor: float):
             yield pos[q[lo:hi] - start], slots[lo:hi], j[lo:hi]
 
 
-def _rank_one_weights(entries: np.ndarray, c: np.ndarray):
-    """w^2 = u^2 / d, one row per block of the size stack c, if every block
-    passes the module docstring's test for D + u u^T; otherwise None. The
-    minor M_01 M_23 = M_02 M_13 of the first block is checked first, on
-    scalars, so a dense stack costs no array operation.
+def _rank_one_weights(a: np.ndarray):
+    """w^2 = u^2 / d, one row per block of the (n, b, b) stack of blocks a,
+    if every block passes the module docstring's test for D + u u^T;
+    otherwise None. The minor M_01 M_23 = M_02 M_13 of the first block is
+    checked first, on scalars, so a dense stack costs no array operation.
     """
-    n, b = c.shape
+    n, b = a.shape[:2]
     if b < 4:
         # Every 3 x 3 with a positive off-diagonal product fits D + u u^T.
         return None
-    i, j, k, l = c[0, :4].tolist()
-    p, q = entries.item(i, j) * entries.item(k, l), entries.item(i, k) * entries.item(j, l)
+    p, q = a.item(0, 0, 1) * a.item(0, 2, 3), a.item(0, 0, 2) * a.item(0, 1, 3)
     if not abs(p - q) <= 4.0 * RANK_ONE_RTOL * abs(p):
         return None
-    a = entries.take(c[:, :, None] * len(entries) + c[:, None, :])
     with np.errstate(all="ignore"):
         # Non-finite fits (a zero or a negative ratio) fail the tests below.
         u0 = np.sqrt(a[:, 0, 1] * a[:, 0, 2] / a[:, 1, 2])
@@ -646,8 +650,7 @@ def _exact_weak(m: SpdMatrix, force: bool):
         # Every M_ST is zero, so every partition scores exactly 0; no scan,
         # so no enumeration cap either.
         return 0.0, []
-    entries, stacks = m.entries, m.stacks
-    largest = stacks[-1].shape[1]
+    largest = m.stacks[-1].shape[1]
     check_cap("partitions", 2 ** (largest - 1) - 1, f"weak conformality of a block of dimension {largest}", force)
     # Backward-stable Cholesky and eigensolvers on blocks of M and M^-1,
     # whose condition numbers are at most cond(M), put both the batched
@@ -660,20 +663,19 @@ def _exact_weak(m: SpdMatrix, force: bool):
     delta = TIE_SAFETY * k * np.finfo(float).eps * m.condition
     # One ranking call per slice of a size stack: at most BATCH_CHUNK
     # partitions, as 2^(b-1) - 1 < 2^(b-1), or a single block of size b.
-    # A slice of D + u u^T blocks takes the closed form, and M^-1 is formed
-    # only for a slice that does not.
-    cs = [c[lo : lo + n] for c in stacks for n in [max(1, BATCH_CHUNK >> (c.shape[1] - 1))] for lo in range(0, len(c), n)]
-    inverse, ranked = None, []
-    for c in cs:
-        w2 = _rank_one_weights(entries, c)
-        if w2 is not None:
-            ranked.append(_rank_one_rho_sq(w2))
-            continue
-        if inverse is None:
-            inverse = m.inverse()
-        ranked.append(_batched_rho_sq(entries, inverse, c, delta))
-    top = max(rho_sq.max() for rho_sq in ranked)
-    return _rescore(entries, [(c, hit) for c, rho_sq in zip(cs, ranked) if (hit := rho_sq >= top - delta).any()])
+    # A slice of D + u u^T blocks takes the closed form; the blocks of M^-1
+    # are formed, from the stack's eigenpairs, only for a stack with a
+    # slice that does not.
+    ranked = []
+    for c, (a, lam, vecs) in zip(m.stacks, m._stacked):
+        n, inverse = max(1, BATCH_CHUNK >> (c.shape[1] - 1)), None
+        for at in (slice(lo, lo + n) for lo in range(0, len(c), n)):
+            w2 = _rank_one_weights(a[at])
+            if w2 is None and inverse is None:
+                inverse = _block_inverses(lam, vecs)
+            ranked.append((c[at], _rank_one_rho_sq(w2) if w2 is not None else _batched_rho_sq(a[at], inverse[at], delta)))
+    top = max(rho_sq.max() for _, rho_sq in ranked)
+    return _rescore(m.entries, [(c, hit) for c, rho_sq in ranked if (hit := rho_sq >= top - delta).any()])
 
 
 def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResult:

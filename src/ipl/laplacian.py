@@ -159,6 +159,12 @@ def _semi_hodge_matrix(b, q_inv: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _times(q_inv, _times(m, _times(q_inv, b), right=True) @ b.T, right=True)
 
 
+# The spectra form their Laplacian at the caller's own scale: an overflow
+# reads inf (0 * inf NaN) with no warning, and ``_spectrum`` refuses it by
+# name. The verifiers' ``_laplacian_eigenvalues`` runs on the
+# ``_unit_scaled`` pair, where the product cannot overflow, and skips the
+# errstate, which costs a few microseconds per call.
+@np.errstate(over="ignore", invalid="ignore")
 def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
     """L_i of the setup at its target dimension."""
     i = setup.target_dim
@@ -173,6 +179,7 @@ def inner_product_laplacian(setup: IplSetup) -> SpectrumResult:
     return _spectrum(lap, q_inv)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def semi_hodge(b, m_v: SpdMatrix, m_e: SpdMatrix) -> SpectrumResult:
     """Q_V^{-1} B M_E B^T Q_V^{-1} for a signed or unsigned incidence B."""
     q_inv = m_v._inv_sqrt_operand
@@ -432,17 +439,19 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
     d = None if d is None else check_weights("D", d, n)
     dt, w, pi = check_weights("D-tilde", d_tilde, n), check_weights("W", w, hg.m), check_weights("pi", pi, n)
     h = hg.incidence().astype(float)
-    if d is None:
-        d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
-        if not np.all(d > 0):
-            raise ValueError(f"the kernel-consistent D is not positive at vertex {hg.labels[np.argmin(d > 0)]!r}")
     graph, base_w = clique_expansion(hg, w)
     u, v = graph.ends
-    # Each inner product's diagonal must hold positive doubles: an overflow
-    # reads inf, and the input that leaves their range is named, not the
-    # matrix built from it nor the L pi that overflows with it.
-    with np.errstate(over="ignore"):
+    # D, pi^2, the pair weights, L and L pi are formed first, an overflow
+    # reading inf (or NaN), then checked in turn: the input that leaves the
+    # range of a double is named, not the matrix built from it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d is None:
+            d = (dt * (h @ (w * (h.T @ (dt * pi))))) / pi
         pi_sq, pair_w = pi**2, pi[u] * pi[v] * dt[u] * dt[v] * base_w
+        lap = np.diag(d) - (dt[:, None] * (_times(w, h, right=True) @ h.T) * dt[None, :])
+        lap_pi = lap @ pi
+    if not np.all(d > 0):  # a given D is positive, as check_weights refuses any other
+        raise ValueError(f"the kernel-consistent D is not positive at vertex {hg.labels[np.argmin(d > 0)]!r}")
     for values, name, at, inputs in (
         (pi_sq, "pi^2", lambda i: hg.labels[i], "pi"),
         (pair_w, "the pair weight pi_u pi_v dt_u dt_v w", lambda i: (hg.labels[u[i]], hg.labels[v[i]]), "pi, D-tilde or W"),
@@ -450,9 +459,8 @@ def hypergraph_to_ipl(hg: Hypergraph, d, d_tilde, w, pi):
         bad = np.flatnonzero(~((values > 0) & (values < np.inf)))
         if len(bad):
             raise ValueError(f"{name} leaves the range of a double at {at(bad[0])!r}; rescale {inputs}")
-    lap = np.diag(d) - (dt[:, None] * (_times(w, h, right=True) @ h.T) * dt[None, :])
     lap_max, pi_max = float(np.abs(lap).max()), float(np.abs(pi).max())
-    kernel_resid, tol = float(np.abs(lap @ pi).max()), 1e-9 * lap_max * pi_max
+    kernel_resid, tol = float(np.abs(lap_pi).max()), 1e-9 * lap_max * pi_max
     # Written so that a NaN residual fails it too.
     if not kernel_resid <= tol:
         detail = f"(tolerance {tol:.3e})" if np.isfinite(kernel_resid) else "is not finite; rescale D, D-tilde, W or pi"

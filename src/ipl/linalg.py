@@ -9,6 +9,16 @@ in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
 Eigenvectors, and so spectral functions, keep the blocks (connected
 components) of a symmetric matrix's nonzero pattern; ``SpdMatrix`` eigensolves
 each block alone, so its roots, inverse and solves are exactly zero off them.
+It stores each size stack's blocks M_CC and their eigenpairs, and forms the
+dense V on first read. ``_block_inverses`` gives (M_CC)^-1 =
+V_C diag(1 / lambda_C) V_C^T of a stack from those eigenpairs, for the
+weak-conformality scan, which so forms no k x k array. ``inverse()``, the
+roots, ``solve``, ``gen_eig``, ``_times`` and ``_quad`` keep the dense
+product with V: a per-block product moved the bits of ``_spectral_apply``
+(the roots and the inverse) on 14 of 514 random permuted multi-block
+matrices (blocks of 1-8, k up to 48; 0 of 86 connected ones), and those
+bits are pinned; the scan's ranking only selects near ties, which
+are scored again on M's own entries, so its outputs keep their bits.
 An exactly diagonal M is stored as its diagonal d alone: V is then the
 permutation that sorts d, f(M) = diag(f(d)) bit for bit, and no m x m array
 exists until a caller reads ``entries``, ``eigenvectors`` or a root's
@@ -22,8 +32,8 @@ Outside this module every product, quadratic form and spectrum goes through
 ``_times``, ``_quad`` and ``sym_eig`` (``gen_eig`` too calls ``sym_eig``),
 with four exceptions, each for its reason:
 - the capped enumerations (the cut scans, ``isoperimetry._widening``, the
-  pair sweep and the weak-conformality kernels) read dense ``entries`` and
-  call stacked LAPACK, as their batches need;
+  pair sweep and the weak-conformality kernels) read dense ``entries``, or
+  the stored blocks, and call stacked LAPACK, as their batches need;
 - ``laplacian._laplacian_eigenvalues`` calls an eigenvalue-only ``eigh``,
   as the verifiers skip the sign fix;
 - Vol(G) is the sum of M_V's dense entries, whose n^2 summation order is
@@ -160,6 +170,17 @@ def _inv(w: np.ndarray) -> np.ndarray:
     return 1.0 / w
 
 
+def _block_inverses(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(M_CC)^-1 = V_C diag(1 / lambda_C) V_C^T for every block C of a size
+    stack, from its stored eigenpairs ((n, b) and (n, b, b)): one batched
+    product, which treats each block alone, symmetrized as
+    ``SpdMatrix._spectral_apply`` symmetrizes. For a connected M, one block
+    of every index, it is ``inverse()`` bit for bit: the sign fix negates
+    both factors of a term."""
+    w = (vecs * _inv(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return 0.5 * (w + w.transpose(0, 2, 1))
+
+
 def _integral(a: np.ndarray, scale: float) -> bool:
     # scale >= 2^49 already decides the sum, which could overflow.
     return bool((a == a.round()).all() and scale < 2.0**49 and abs(a).sum() < 2.0**49)
@@ -187,16 +208,20 @@ class SpdMatrix:
     An exactly diagonal M (every off-diagonal entry zero, from any
     constructor) is stored as its diagonal d and its stably sorted
     eigenvalues, O(dim) memory: ``entries``, ``eigenvectors`` (the
-    permutation that sorts d) and the roots are read-only dense views formed
-    on first access, and ``solve``, ``quad``, ``inverse()`` and the private
-    ``_times`` operands read d. A view is the same array whichever thread
-    forms it, so the thread-safety above holds.
+    permutation that sorts d) and the roots are read-only dense arrays
+    formed on first access, and ``solve``, ``quad``, ``inverse()`` and the
+    private ``_times`` operands read d. Such an array has the same bits
+    whichever thread forms it, so the thread-safety above holds.
 
     Otherwise the ``blocks`` of one size are one size stack (``stacks``,
     built once) with one stacked ``eigh`` call per size stack, which solves
     each block alone; any other index is a 1 x 1 block with an axis
     eigenvector, and one stable sort orders the eigenvalues. A connected M,
-    one block of every index, is one plain ``eigh``.
+    one block of every index, is one plain ``eigh``, stored as one stack of
+    one block. Each stack keeps its blocks of M and their eigenpairs, which
+    the weak-conformality scan reads (``_block_inverses``); the dense
+    ``eigenvectors`` are formed from them on first read, by the builder
+    that gives a diagonal M its permutation.
     As every eigenvector lives on one block, every product term between two
     blocks is an exact zero: the square roots, ``inverse()`` and ``solve``
     are exactly zero off the blocks (exactly diagonal for a diagonal M).
@@ -220,29 +245,32 @@ class SpdMatrix:
         if len(self._blocks[0]) == k:
             # One block of every index: its gather, scatter and sort are identities.
             vals, vecs = np.linalg.eigh(a)
+            self._stacked, order = ((a[None], vals[None], vecs[None]),), np.arange(k)
         else:
-            vals, vecs = np.diagonal(a).copy(), np.eye(k)
-            for idx in self._stacks:
-                at = idx[:, :, None], idx[:, None, :]
-                vals[idx], vecs[at] = np.linalg.eigh(a[at])
+            # Per size stack its blocks of M and their eigenpairs; each index
+            # takes its block's eigenvalue, or its diagonal entry.
+            self._stacked = tuple((b, *np.linalg.eigh(b)) for b in (a[c[:, :, None], c[:, None, :]] for c in self._stacks))
+            vals = np.diagonal(a).copy()
+            for idx, (_, lam, _) in zip(self._stacks, self._stacked):
+                vals[idx] = lam
             order = np.argsort(vals, kind="stable")
-            vals, vecs = vals[order], vecs.take(order, axis=1)
         self._dim, self._diag = k, None
-        self._entries, self._operand = _read_only(a), a
-        self._eigenvectors = _read_only(_fix_signs(vecs))
-        self._set_eigenvalues(vals)
+        self._entries, self._operand, self._eigenvectors = _read_only(a), a, None
+        self._set_eigenvalues(vals, order)
 
     def _set_diagonal(self, d: np.ndarray, scale: float) -> None:
         """Store a diagonal M = diag(d) as d: no m x m array."""
         self._dim, self._diag, self._operand = len(d), _read_only(d), d
         self._entries = self._eigenvectors = None
-        self._blocks = self._stacks = ()
+        self._blocks = self._stacks = self._stacked = ()
         self._is_integral = _integral(d, scale)
-        self._set_eigenvalues(d[np.argsort(d, kind="stable")])
+        self._set_eigenvalues(d, np.argsort(d, kind="stable"))
 
-    def _set_eigenvalues(self, vals: np.ndarray) -> None:
-        self._eigenvalues = vals
-        k = self._dim
+    def _set_eigenvalues(self, vals: np.ndarray, order: np.ndarray) -> None:
+        """Keep each index's eigenvalue in ascending ``order``, which the
+        columns of ``eigenvectors`` follow."""
+        vals = self._eigenvalues = vals[order]
+        self._order, k = order, self._dim
         if vals[0] <= k * PD_RTOL * vals[-1]:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min = {vals[0]:.3e} "
@@ -285,11 +313,16 @@ class SpdMatrix:
 
     @property
     def eigenvectors(self) -> np.ndarray:
+        """V, formed on first read: each block's eigenvectors scattered into
+        the identity, its columns in eigenvalue order, with the sign
+        convention of ``_fix_signs`` (a no-op on the axis vectors). ``take``
+        keeps V in C order: with ``v[:, order]`` the GEMMs of
+        ``_spectral_apply`` sum in another order and move bits."""
         if self._eigenvectors is None:
-            k = self._dim
-            v = np.zeros((k, k))
-            v[np.argsort(self._diag, kind="stable"), np.arange(k)] = 1.0
-            self._eigenvectors = _read_only(v)
+            v = np.eye(self._dim)
+            for idx, (_, _, vecs) in zip(self._stacks, self._stacked):
+                v[idx[:, :, None], idx[:, None, :]] = vecs
+            self._eigenvectors = _read_only(_fix_signs(v.take(self._order, axis=1)))
         return self._eigenvectors
 
     @property
@@ -332,7 +365,7 @@ class SpdMatrix:
         bit, as every entry of that product is one term plus exact zeros."""
         if self._diag is not None:
             return f(self._diag)
-        v = self._eigenvectors
+        v = self.eigenvectors
         m = (v * f(self._eigenvalues)) @ v.T
         return 0.5 * (m + m.T)
 
@@ -368,7 +401,7 @@ class SpdMatrix:
             raise ValueError(f"dimension mismatch: M is {self.dim}x{self.dim}, b has leading size {b.shape[0]}")
         if self._diag is not None:
             return (b.T / self._diag).T
-        v, lam = self._eigenvectors, self._eigenvalues
+        v, lam = self.eigenvectors, self._eigenvalues
         x = v @ ((v.T @ b).T / lam).T
         return x + v @ ((v.T @ (b - self._entries @ x)).T / lam).T
 

@@ -49,6 +49,16 @@ def _rows(k, entry):
 
 _GADGET = [3.0, 1.0, 1.0, 2.0, 2.0, 1.0]
 _ME5 = {(0, 1): 0.4, (1, 3): -0.3, (2, 4): 0.2}
+# Two equal 2 x 2 blocks on {1, 6} and {3, 4}, one size stack whose values
+# tie exactly across its blocks, and a dense 4 x 4 block on the rest.
+_DENSE4, _PAIRS = [0, 2, 5, 7], ({1, 6}, {3, 4})
+
+
+def _blocks8(i, j):
+    if i in _DENSE4 and j in _DENSE4:
+        return 2.0 if i == j else 0.5 ** abs(_DENSE4.index(i) - _DENSE4.index(j))
+    return (1.0 if i == j else 0.6) if any({i, j} <= p for p in _PAIRS) else 0.0
+
 
 INPUTS = {
     "p3.json": _path(3),
@@ -65,6 +75,7 @@ INPUTS = {
     "me5.json": _rows(5, lambda i, j: 1.5 if i == j else _ME5.get((min(i, j), max(i, j)), 0.0)),
     "dense6.json": _rows(6, lambda i, j: float(i == j) + 0.5 ** abs(i - j)),
     "gadget6.json": _rows(6, lambda i, j: float(i == j) + _GADGET[i] * _GADGET[j]),
+    "blocks8.json": _rows(8, _blocks8),
     "asym.json": {"rows": [[2.0, 1.0], [0.0, 2.0]]},
     "w3.json": [1.0, 2.0, 0.5],
     "h4.json": {"vertices": ["1", "2", "3", "4"], "hyperedges": [["1", "2", "3"], ["3", "4"]], "weights": [1.0, 2.0]},
@@ -94,6 +105,7 @@ CASES = [
     ["--version"],
     ["conformality", "dense6.json"],
     ["conformality", "gadget6.json", "--force"],
+    ["conformality", "blocks8.json"],
     ["conformality", "dense6.json", "--sampled", "40", "--seed", "3"],
     ["spectrum", "--graph", "p3.json", "--mv", "id3.json", "--me", "ipj.json", "--orientation", "+,-"],
     ["spectrum", "--graph", "p3.json", "--mv", "id3.json", "--me", "ipj.json", "--orientation", "-,+"],

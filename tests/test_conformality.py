@@ -152,6 +152,16 @@ def test_weak_cap_and_force(monkeypatch):
         assert res.rho_weak > 0
 
 
+def gather(a, c):
+    # The blocks of a at the rows of the index stack c, one (b, b) block per
+    # row: what the ranking kernels read.
+    return a[c[:, :, None], c[:, None, :]]
+
+
+def stack_blocks(entries, inverse, c):
+    return gather(entries, c), gather(inverse, c)
+
+
 def block_diagonal(rng, sizes):
     entries = np.zeros((sum(sizes), sum(sizes)))
     at = 0
@@ -191,10 +201,10 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
 
 
 def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
-    # Three 4 x 4 blocks of distinct values: every block is ranked from M's
-    # own inverse, only the best block's near ties are scored again, in one
-    # rescoring call, and the witness pair is built on that block's entries
-    # without a matrix of its own.
+    # Three 4 x 4 blocks of distinct values: every block is ranked from the
+    # inverse its stored eigenpairs give, only the best block's near ties
+    # are scored again, in one rescoring call, and the witness pair is built
+    # on that block's entries without a matrix of its own.
     rng = np.random.default_rng(21)
     m = SpdMatrix(block_diagonal(rng, [4, 4, 4]))
     built, scans = [], []
@@ -231,9 +241,9 @@ def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
     m = SpdMatrix(block_diagonal(rng, [6, 5, 4, 3])[np.ix_(p, p)])
     ranked, near, rank, rescore = [], [], conformality._batched_rho_sq, conformality._rescore
 
-    def recording_rank(entries, inverse, c, delta):
-        ranked.append((c, rank(entries, inverse, c, delta), delta))
-        return ranked[-1][1]
+    def recording_rank(a, a_inv, delta):
+        ranked.append((rank(a, a_inv, delta), delta))
+        return ranked[-1][0]
 
     def recording_rescore(entries, slices, *witness):
         near.extend(slices)
@@ -242,10 +252,11 @@ def test_rescore_gets_only_the_slices_with_a_near_tie(monkeypatch):
     monkeypatch.setattr(conformality, "_batched_rho_sq", recording_rank)
     monkeypatch.setattr(conformality, "_rescore", recording_rescore)
     res = weak_conformality(m)
-    top = max(rho_sq.max() for _, rho_sq, _ in ranked)
-    every = [(c, rho_sq >= top - delta) for c, rho_sq, delta in ranked]
+    top = max(rho_sq.max() for rho_sq, _ in ranked)
+    # Each stack is one slice, ranked in the order of m.stacks.
+    every = [(c, rho_sq >= top - delta) for c, (rho_sq, delta) in zip(m.stacks, ranked)]
     assert len(every) == 4 and len(near) == 1
-    assert near[0][0] is every[int(np.argmax([hit.any() for _, hit in every]))][0]
+    assert np.array_equal(near[0][0], every[int(np.argmax([hit.any() for _, hit in every]))][0])
     assert all(hit.any() for _, hit in near)
     (got, got_found), (want, want_found) = rescore(m.entries, near), rescore(m.entries, every)
     assert got == want == res.rho_weak
@@ -504,6 +515,89 @@ def test_tied_block_stack_rescoring_matches_pre_change_reference(monkeypatch):
             assert_rescoring_matches_pre_change(SpdMatrix(e), monkeypatch, f"{n} tied blocks of {b} {label}")
 
 
+def stored_route_cases(rng):
+    # The block kinds of the two tests above, and near-diagonal blocks.
+    for sizes in ([4] * 10, [5, 3, 5, 3, 5], [6, 5, 4, 3], [3] * 12, [2] * 9):
+        entries = block_diagonal(rng, sizes)
+        p = rng.permutation(len(entries))
+        yield f"blocks {sizes}", entries[np.ix_(p, p)]
+    for b in (4, 6, 7):
+        base = np.eye(b) + rng.uniform(0.2, 0.8) * np.ones((b, b))
+        yield f"tied blocks of {b}", np.kron(np.diag([1.0, 4.0, 0.25]), base)
+    yield from mixed_rank_one_entries(rng)
+    for case in range(15):
+        b, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        scales = np.ldexp(1.0, 2 * rng.integers(-3, 4, n)) if case % 2 else np.ones(n)
+        entries = np.kron(np.diag(scales), random_spd(rng, b).entries)
+        p = rng.permutation(len(entries))
+        yield f"{n} tied blocks of {b}", entries
+        yield f"{n} tied blocks of {b} permuted", entries[np.ix_(p, p)]
+    for sizes in ([3, 4, 5], [2, 2, 6], [7, 7]):
+        g = block_diagonal(rng, sizes)
+        yield f"near-diagonal blocks {sizes}", np.diag(rng.uniform(1.0, 2.0, len(g))) + 1e-6 * g
+    # At k of about 30 or more, the dense inverse's GEMM sums in another
+    # order than a block's own product, so the two routes differ in bits.
+    for case in range(30):
+        sizes = [int(b) for b in rng.integers(2, 9, int(rng.integers(4, 7)))]
+        entries = block_diagonal(rng, sizes)
+        p = rng.permutation(len(entries))
+        yield f"random blocks {sizes}", entries[np.ix_(p, p)] if case % 2 else np.diag(rng.uniform(1.0, 2.0, len(entries))) + 1e-6 * entries
+
+
+def test_stored_block_inverses_match_the_dense_route(monkeypatch):
+    # The scan ranks each size stack from the blocks of M^-1 that the
+    # stack's stored eigenpairs give. Ranked instead from gathers of the
+    # dense inverse(), rho, the witness partition and the pair keep their
+    # bits: the ranking only selects the near ties, which are scored again
+    # on M's own entries. The two inverses differ in their last bits on
+    # some multi-block inputs, and for a connected M they are equal.
+    rng = np.random.default_rng(4700)
+    moved, dense_calls = 0, []
+    for label, entries in stored_route_cases(rng):
+        m = SpdMatrix(entries)
+        inverse = m.inverse()
+        for c, (_, lam, vecs) in zip(m.stacks, m._stacked):
+            moved += not np.array_equal(conformality._block_inverses(lam, vecs), gather(inverse, c))
+
+        def dense_route(lam, vecs):
+            (c,) = [c for c, (_, stored, _) in zip(m.stacks, m._stacked) if stored is lam]
+            dense_calls.append(label)
+            return gather(inverse, c)
+
+        stored = weak_conformality(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(conformality, "_block_inverses", dense_route)
+            dense = weak_conformality(m)
+        assert (stored.rho_weak, stored.witness_partition) == (dense.rho_weak, dense.witness_partition), label
+        assert np.array_equal(stored.witness_x, dense.witness_x), label
+        assert np.array_equal(stored.witness_y, dense.witness_y), label
+    assert moved > 0 and len(set(dense_calls)) > 30
+    for k in range(2, 14):
+        for kind, entries in fuzz_entries(np.random.default_rng(4800 + k), k):
+            m = SpdMatrix(entries)
+            if m.blocks and len(m.blocks[0]) == k:
+                ((_, lam, vecs),) = m._stacked
+                assert np.array_equal(conformality._block_inverses(lam, vecs)[0], m.inverse()), kind
+
+
+def test_scan_of_small_blocks_allocates_no_k_by_k_array():
+    # 1000 identical 2 x 2 blocks (k = 2000): the scan ranks them from their
+    # stored blocks and eigenpairs, and allocates far less than one k x k
+    # float array (32 MB).
+    import tracemalloc
+
+    block = np.array([[2.0, 0.7], [0.7, 1.0]])
+    m = SpdMatrix(np.kron(np.eye(1000), block))
+    tracemalloc.start()
+    try:
+        rho = weak_conformality_value(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rho == weak_conformality_value(SpdMatrix(block))
+
+
 def reference_weak(m):
     # The exhaustive scan, one partition at a time over every mask; ties go
     # to the lexicographically first subset.
@@ -741,7 +835,7 @@ def test_stacked_scores_match_one_partition_calls():
 def assert_pruning_sound(m, label):
     k = m.dim
     delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-    whole = m.entries, m.inverse(), np.arange(k)[None]  # a stack of one block
+    whole = m.entries[None], m.inverse()[None]  # a stack of one block
     exact = _batched_rho_sq(*whole, np.inf)[0]  # best - 4 * inf prunes no partition
     # best + 4 > 1 >= value^2: a screened block keeps every slot at its
     # screen bound, another every slot whose smaller side has 3 or more
@@ -819,7 +913,7 @@ def test_trace_table_is_within_its_allowance(k):
         table, allow = conformality._trace_squares(a, w, k, masks)
         assert (np.abs(table[0] - direct_trace_squares(m.entries, m.inverse())) <= allow[0, 0]).all(), kind
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        exact = _batched_rho_sq(m.entries, m.inverse(), np.arange(k)[None], np.inf)[0]
+        exact = _batched_rho_sq(m.entries[None], m.inverse()[None], np.inf)[0]
         upper = conformality._screen(a, w, k, masks)
         assert (upper >= exact - delta / conformality.TIE_SAFETY).all(), kind
 
@@ -848,7 +942,7 @@ def test_pruned_partitions_are_never_factored(monkeypatch):
     for k in (9, 11):
         m = random_spd(np.random.default_rng(11), k)
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        whole = m.entries, m.inverse(), np.arange(k)[None]
+        whole = m.entries[None], m.inverse()[None]
         exact = _batched_rho_sq(*whole, np.inf)[0]
         factored, solved, cholesky, eigvalsh = [], [], np.linalg.cholesky, np.linalg.eigvalsh
 
@@ -949,7 +1043,7 @@ def test_planned_scan_matches_mask_order_scan(k):
         inverse = m.inverse()
         for c in (np.arange(k), *m.blocks):
             for d in (np.inf, -1.0, delta):
-                got = _batched_rho_sq(m.entries, inverse, c[None], d)[0]
+                got = _batched_rho_sq(*stack_blocks(m.entries, inverse, c[None]), d)[0]
                 assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
 
 
@@ -980,7 +1074,7 @@ def test_planned_scan_matches_mask_order_scan_in_small_chunks(k, monkeypatch):
         inverse = m.inverse()
         for c in (np.arange(k), *m.blocks):
             for d in (np.inf, -1.0, delta):
-                got = _batched_rho_sq(m.entries, inverse, c[None], d)[0]
+                got = _batched_rho_sq(*stack_blocks(m.entries, inverse, c[None]), d)[0]
                 assert np.array_equal(got, mask_order_rho_sq(m.entries, inverse, c, d)), (kind, c, d)
     assert empty[0] > 0
 
@@ -1009,10 +1103,10 @@ def test_screened_stack_matches_per_block_ranking(chunk, monkeypatch):
         (c,) = m.stacks
         inverse = m.inverse()
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        stack = _batched_rho_sq(m.entries, inverse, c, delta)
-        alone = np.array([_batched_rho_sq(m.entries, inverse, row[None], delta)[0] for row in c])
-        exact = _batched_rho_sq(m.entries, inverse, c, np.inf)
-        bounds = _batched_rho_sq(m.entries, inverse, c, -1.0)
+        stack = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), delta)
+        alone = np.array([_batched_rho_sq(*stack_blocks(m.entries, inverse, row[None]), delta)[0] for row in c])
+        exact = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), np.inf)
+        bounds = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), -1.0)
         tr8 = np.array([mask_order_rho_sq(m.entries, inverse, row, -1.0, screened=False) for row in c])
         top = alone.max()
         assert stack.max() == top == exact.max()
@@ -1048,10 +1142,10 @@ def test_stack_ranking_with_exact_ties_matches_per_block_ranking():
         assert c.shape == (len(blocks), b)
         inverse = m.inverse()
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        stack = _batched_rho_sq(m.entries, inverse, c, delta)
-        alone = np.array([_batched_rho_sq(m.entries, inverse, row[None], delta)[0] for row in c])
-        exact = _batched_rho_sq(m.entries, inverse, c, np.inf)
-        bounds = _batched_rho_sq(m.entries, inverse, c, -1.0)
+        stack = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), delta)
+        alone = np.array([_batched_rho_sq(*stack_blocks(m.entries, inverse, row[None]), delta)[0] for row in c])
+        exact = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), np.inf)
+        bounds = _batched_rho_sq(*stack_blocks(m.entries, inverse, c), -1.0)
         tr8 = np.array([mask_order_rho_sq(m.entries, inverse, row, -1.0, screened=False) for row in c])
         top = alone.max()
         assert stack.max() == top
@@ -1078,9 +1172,9 @@ def test_size_stacks_are_ranked_in_slices(sizes, chunk, monkeypatch):
         use_batch_chunk(monkeypatch, chunk)
     calls, ranked = [], conformality._batched_rho_sq
 
-    def recording(entries, inverse, c, delta):
-        calls.append(c.shape)
-        return ranked(entries, inverse, c, delta)
+    def recording(a, a_inv, delta):
+        calls.append(a.shape[:2])
+        return ranked(a, a_inv, delta)
 
     monkeypatch.setattr(conformality, "_batched_rho_sq", recording)
     rng = np.random.default_rng(len(sizes))
@@ -1103,7 +1197,7 @@ def test_partition_plan_cold_and_warm_agree():
     rng = np.random.default_rng(41)
     for kind, entries in fuzz_entries(rng, 12):
         m = SpdMatrix(entries)
-        whole = m.entries, m.inverse(), np.arange(12)[None], np.inf
+        whole = m.entries[None], m.inverse()[None], np.inf
         conformality._partition_plan.cache_clear()
         cold_sq, cold = _batched_rho_sq(*whole), weak_conformality(m)
         warm_sq, warm = _batched_rho_sq(*whole), weak_conformality(m)
@@ -1437,9 +1531,9 @@ def record_rankings(monkeypatch):
         calls["closed"].append(w2.shape)
         return closed(w2)
 
-    def recording_general(entries, inverse, c, delta):
-        calls["general"].append(c.shape)
-        return general(entries, inverse, c, delta)
+    def recording_general(a, a_inv, delta):
+        calls["general"].append(a.shape[:2])
+        return general(a, a_inv, delta)
 
     monkeypatch.setattr(conformality, "_rank_one_rho_sq", recording_closed)
     monkeypatch.setattr(conformality, "_batched_rho_sq", recording_general)
@@ -1451,7 +1545,7 @@ def assert_closed_form_matches_general(m, monkeypatch, label):
     got = weak_conformality(m)
     assert calls["closed"], label
     with monkeypatch.context() as general_only:
-        general_only.setattr(conformality, "_rank_one_weights", lambda entries, c: None)
+        general_only.setattr(conformality, "_rank_one_weights", lambda a: None)
         want = weak_conformality(m)
     assert (got.rho_weak, got.witness_partition) == (want.rho_weak, want.witness_partition), label
     assert np.array_equal(got.witness_x, want.witness_x), label
@@ -1508,7 +1602,7 @@ def test_blocks_that_fail_detection_take_the_general_ranking(monkeypatch):
     calls = record_rankings(monkeypatch)
     for kind, entries, b in rejected_entries(rng):
         m = SpdMatrix(entries)
-        assert conformality._rank_one_weights(m.entries, m.stacks[-1]) is None, kind
+        assert conformality._rank_one_weights(gather(m.entries, m.stacks[-1])) is None, kind
         weak_conformality_value(m)
         assert calls["general"][-1] == (1, b), kind
     assert calls["closed"] == []
@@ -1554,7 +1648,7 @@ def test_closed_form_is_within_the_tie_window(k):
     rng = np.random.default_rng(2700 + k)
     for kind, entries in rank_one_entries(rng, k):
         m = SpdMatrix(entries)
-        closed = conformality._rank_one_rho_sq(conformality._rank_one_weights(m.entries, m.stacks[0]))[0]
+        closed = conformality._rank_one_rho_sq(conformality._rank_one_weights(gather(m.entries, m.stacks[0])))[0]
         rows = conformality._subset_rows(2 * np.arange(len(closed)) + 1, k)
         scored = np.empty(len(closed))
         for s in range(1, k):

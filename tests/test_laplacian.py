@@ -591,6 +591,38 @@ def test_refusals_name_their_input(call, message):
     assert type(refused.value) is ValueError and str(refused.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: semi_hodge(graph_incidence(complete_graph(2)), SpdMatrix.from_diagonal([1e-154] * 2), SpdMatrix([[1e300]])),
+            "the Laplacian has a non-finite entry: inf at row 0, column 0",
+        ),
+        (
+            lambda: inner_product_laplacian(
+                IplSetup.from_graph(path_graph(3), SpdMatrix.from_diagonal([1e-154] * 3), SpdMatrix.from_diagonal([1e300] * 2))
+            ),
+            "the Laplacian has a non-finite entry: inf at row 0, column 0",
+        ),
+        (
+            lambda: hypergraph_to_ipl(H4, None, np.full(4, 1e160), [1, 2], [1, 2, 1, 1]),
+            "the pair weight pi_u pi_v dt_u dt_v w leaves the range of a double at ('1', '2'); rescale pi, D-tilde or W",
+        ),
+        (
+            lambda: hypergraph_to_ipl(H4, None, np.ones(4), [1e308, 1e308], [1, 2, 1, 1]),
+            "the kernel-consistent D is not positive at vertex '1'",
+        ),
+    ],
+    ids=["semi-hodge-k2", "ipl-path3", "hypergraph-d-tilde", "hypergraph-w"],
+)
+def test_overflow_is_refused_by_name_without_a_warning(call, message):
+    # Each product overflows to inf (or 0 * inf to NaN); under the suite's
+    # warnings-as-errors a RuntimeWarning would surface before the refusal.
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_transition_matrix_with_a_nan_is_refused_as_non_finite():
     # A NaN fails no sign or row-sum test, and used to surface as "chain is
     # not ergodic".

@@ -399,7 +399,7 @@ def test_partition_plan_cache_dense_k16():
     q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
     m = SpdMatrix((q * rng.uniform(0.5, 3.0, 16)) @ q.T)
     delta = conformality.TIE_SAFETY * 16 * np.finfo(float).eps * m.condition
-    whole = m.entries, m.inverse(), np.arange(16)[None]
+    whole = m.entries[None], m.inverse()[None]
     pruned, exact = (conformality._batched_rho_sq(*whole, d)[0] for d in (delta, np.inf))
     near = pruned >= pruned.max() - delta
     print("near ties:", int(near.sum()), "pruned:", int((pruned != exact).sum()), "of", len(exact))
@@ -431,7 +431,7 @@ def test_screened_scan_matches_the_full_scan():
         q = np.linalg.qr(rng.standard_normal((k, k)))[0]
         m = SpdMatrix((q * eigenvalues) @ q.T)
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
-        whole = m.entries, m.inverse(), np.arange(k)[None]
+        whole = m.entries[None], m.inverse()[None]
         screened, exact = (conformality._batched_rho_sq(*whole, d)[0] for d in (delta, np.inf))
         near = screened >= screened.max() - delta
         print(f"k = {k}: near ties:", int(near.sum()), "not eigensolved:", int((screened != exact).sum()), "of", len(exact))
