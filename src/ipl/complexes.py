@@ -23,7 +23,12 @@ import numpy as np
 
 def _components(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     """Connected components of vertices 0..n-1 joined by the (a, b) pairs, as
-    sorted tuples in sorted order (so by smallest vertex), by union-find."""
+    sorted tuples in sorted order (so by smallest vertex), by union-find.
+
+    The pairs are read one at a time and may be a lazy generator: the
+    scan stops at the (n - 1)th join, which leaves one component, and
+    reads no further pair (``SpdMatrix`` so reads a dense pattern's row 0
+    alone)."""
     parent = list(range(n))
 
     def find(a):

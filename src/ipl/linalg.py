@@ -9,11 +9,14 @@ in that basis, a solve as x = V (V^T b / lambda) plus one refinement step.
 Eigenvectors, and so spectral functions, keep the blocks (connected
 components) of a symmetric matrix's nonzero pattern; ``SpdMatrix`` eigensolves
 each block alone, so its roots, inverse and solves are exactly zero off them.
-It stores each size stack's blocks M_CC and their eigenpairs, and forms the
-dense V on first read. ``_block_inverses`` gives (M_CC)^-1 =
-V_C diag(1 / lambda_C) V_C^T of a stack from those eigenpairs, for the
-weak-conformality scan, which so forms no k x k array. ``inverse()``, the
-roots, ``solve``, ``gen_eig``, ``_times`` and ``_quad`` keep the dense
+Construction reads the pattern row by row and stops at the join that links
+every index (after row 0 for a dense M). It stores each size stack's blocks
+M_CC and their eigenpairs. A connected M keeps one eigenbasis, sign-fixed at
+construction: its stored block of eigenvectors is V itself. With several
+blocks, the dense V is formed on first read. ``_block_inverses`` gives
+(M_CC)^-1 = V_C diag(1 / lambda_C) V_C^T of a stack from those eigenpairs,
+for the weak-conformality scan, which so forms no k x k array. ``inverse()``,
+the roots, ``solve``, ``gen_eig``, ``_times`` and ``_quad`` keep the dense
 product with V: a per-block product moved the bits of ``_spectral_apply``
 (the roots and the inverse) on 14 of 514 random permuted multi-block
 matrices (blocks of 1-8, k up to 48; 0 of 86 connected ones), and those
@@ -68,9 +71,11 @@ def _as_square(a) -> np.ndarray:
 
 def _check_symmetric(a: np.ndarray) -> float:
     """Refuse a non-finite matrix (a NaN would pass the comparison below),
-    then an asymmetric one; return its scale max |A|."""
-    check_finite(a)
+    then an asymmetric one; return its scale max |A|. A NaN or an infinity
+    makes that max non-finite, and only then is the first one looked for."""
     scale = float(np.abs(a).max(initial=0.0))
+    if not np.isfinite(scale):
+        check_finite(a)
     skew = float(np.abs(a - a.T).max(initial=0.0))
     if skew > SYMMETRY_RTOL * scale:
         raise NotSymmetricError(
@@ -175,8 +180,8 @@ def _block_inverses(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     stack, from its stored eigenpairs ((n, b) and (n, b, b)): one batched
     product, which treats each block alone, symmetrized as
     ``SpdMatrix._spectral_apply`` symmetrizes. For a connected M, one block
-    of every index, it is ``inverse()`` bit for bit: the sign fix negates
-    both factors of a term."""
+    of every index whose stored eigenvectors are V itself, it is
+    ``inverse()`` bit for bit."""
     w = (vecs * _inv(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
     return 0.5 * (w + w.transpose(0, 2, 1))
 
@@ -201,7 +206,8 @@ class SpdMatrix:
     ``SYMMETRY_RTOL * max |A|`` or whose smallest eigenvalue falls below
     ``dim * PD_RTOL * lambda_max``. Both tests are relative, so scaling A
     by a positive factor, short of over- or underflow, does not change
-    whether it is accepted. The eigendecomposition, the symmetric square
+    whether it is accepted; a spectrum that overflows a double is refused
+    as such. The eigendecomposition, the symmetric square
     root and its inverse are computed once and shared; instances are
     immutable and safe to use from multiple threads.
 
@@ -216,12 +222,16 @@ class SpdMatrix:
     Otherwise the ``blocks`` of one size are one size stack (``stacks``,
     built once) with one stacked ``eigh`` call per size stack, which solves
     each block alone; any other index is a 1 x 1 block with an axis
-    eigenvector, and one stable sort orders the eigenvalues. A connected M,
-    one block of every index, is one plain ``eigh``, stored as one stack of
-    one block. Each stack keeps its blocks of M and their eigenpairs, which
-    the weak-conformality scan reads (``_block_inverses``); the dense
+    eigenvector, and one stable sort orders the eigenvalues. The blocks
+    come from the nonzero pattern above the diagonal, read one row at a
+    time until every index is joined (after row 0 for a dense M). Each
+    stack keeps its blocks of M and their eigenpairs, which the
+    weak-conformality scan reads (``_block_inverses``); the dense
     ``eigenvectors`` are formed from them on first read, by the builder
-    that gives a diagonal M its permutation.
+    that gives a diagonal M its permutation. A connected M, one block of
+    every index, is one plain ``eigh``, stored as one stack of one block
+    whose eigenvectors are sign-fixed at construction and are
+    ``eigenvectors`` itself: one eigenbasis, no second copy.
     As every eigenvector lives on one block, every product term between two
     blocks is an exact zero: the square roots, ``inverse()`` and ``solve``
     are exactly zero off the blocks (exactly diagonal for a diagonal M).
@@ -239,13 +249,19 @@ class SpdMatrix:
             return
         k = a.shape[0]
         self._is_integral = _integral(a, scale)
-        rows, cols = np.nonzero(np.triu(a, 1))
-        self._blocks = tuple(np.array(c) for c in _components(k, zip(rows.tolist(), cols.tolist())) if len(c) > 1)
+        # The pattern above the diagonal, row by row: the scan ends at its
+        # (k - 1)th join, so after row 0 for a dense M.
+        pairs = ((i, j) for i in range(k) for j in (np.flatnonzero(a[i, i + 1 :]) + (i + 1)).tolist())
+        self._blocks = tuple(np.array(c) for c in _components(k, pairs) if len(c) > 1)
         self._stacks = tuple(np.array([c for c in self._blocks if len(c) == b]) for b in sorted({len(c) for c in self._blocks}))
+        self._dim, self._diag, self._eigenvectors = k, None, None
+        self._entries, self._operand = _read_only(a), a
         if len(self._blocks[0]) == k:
-            # One block of every index: its gather, scatter and sort are identities.
+            # One block of every index: its gather, scatter and sort are
+            # identities, so its sign-fixed eigenvectors are V itself.
             vals, vecs = np.linalg.eigh(a)
-            self._stacked, order = ((a[None], vals[None], vecs[None]),), np.arange(k)
+            self._eigenvectors = _read_only(_fix_signs(vecs))
+            self._stacked = ((a[None], vals[None], self._eigenvectors[None]),)
         else:
             # Per size stack its blocks of M and their eigenpairs; each index
             # takes its block's eigenvalue, or its diagonal entry.
@@ -253,10 +269,9 @@ class SpdMatrix:
             vals = np.diagonal(a).copy()
             for idx, (_, lam, _) in zip(self._stacks, self._stacked):
                 vals[idx] = lam
-            order = np.argsort(vals, kind="stable")
-        self._dim, self._diag = k, None
-        self._entries, self._operand, self._eigenvectors = _read_only(a), a, None
-        self._set_eigenvalues(vals, order)
+            self._order = np.argsort(vals, kind="stable")
+            vals = vals[self._order]
+        self._set_eigenvalues(vals)
 
     def _set_diagonal(self, d: np.ndarray, scale: float) -> None:
         """Store a diagonal M = diag(d) as d: no m x m array."""
@@ -264,13 +279,18 @@ class SpdMatrix:
         self._entries = self._eigenvectors = None
         self._blocks = self._stacks = self._stacked = ()
         self._is_integral = _integral(d, scale)
-        self._set_eigenvalues(d, np.argsort(d, kind="stable"))
+        self._order = np.argsort(d, kind="stable")
+        self._set_eigenvalues(d[self._order])
 
-    def _set_eigenvalues(self, vals: np.ndarray, order: np.ndarray) -> None:
-        """Keep each index's eigenvalue in ascending ``order``, which the
-        columns of ``eigenvectors`` follow."""
-        vals = self._eigenvalues = vals[order]
-        self._order, k = order, self._dim
+    def _set_eigenvalues(self, vals: np.ndarray) -> None:
+        """Keep the ascending eigenvalues, which the columns of
+        ``eigenvectors`` follow (for a diagonal M, or several blocks, in the
+        ``_order`` of the indices). A finite M can still have an eigenvalue
+        past the largest double; it is refused as such, before the
+        positive-definiteness test, whose threshold it would make infinite."""
+        self._eigenvalues, k = vals, self._dim
+        if not np.isfinite(vals).all():
+            raise ValueError(f"matrix spectrum overflows: max |lambda| = {np.abs(vals).max():.3e}; rescale the matrix down")
         if vals[0] <= k * PD_RTOL * vals[-1]:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min = {vals[0]:.3e} "
@@ -313,10 +333,12 @@ class SpdMatrix:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """V, formed on first read: each block's eigenvectors scattered into
-        the identity, its columns in eigenvalue order, with the sign
-        convention of ``_fix_signs`` (a no-op on the axis vectors). ``take``
-        keeps V in C order: with ``v[:, order]`` the GEMMs of
+        """V, read-only, with the sign convention of ``_fix_signs``. A
+        connected M keeps it from construction, as its one stored block of
+        eigenvectors. Otherwise it is formed on first read: each block's
+        eigenvectors scattered into the identity, its columns in eigenvalue
+        order, signs fixed after the scatter (a no-op on the axis vectors).
+        ``take`` keeps V in C order: with ``v[:, order]`` the GEMMs of
         ``_spectral_apply`` sum in another order and move bits."""
         if self._eigenvectors is None:
             v = np.eye(self._dim)

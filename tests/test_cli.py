@@ -421,6 +421,15 @@ def test_malformed_json_exit_two(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_overflowing_spectrum_exits_two_naming_the_overflow(tmp_path, capsys):
+    # Finite entries, positive definite, but lambda_max is past the largest
+    # double: the refusal names the overflow, not positive definiteness.
+    path = write(tmp_path, "overflow.json", {"rows": [[1e308, 1e308], [1e308, 1.5e308]]})
+    code, out, err = run_cli(["conformality", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix spectrum overflows: max |lambda| = inf; rescale the matrix down\n"
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run_cli(["conformality", "/nonexistent/m.json"], capsys)
     assert code == 2

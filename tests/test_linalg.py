@@ -8,7 +8,7 @@ from ipl.complexes import _components
 from ipl.linalg import _fix_signs
 
 from conftest import random_connected_graph, random_spd
-from test_conformality import fuzz_entries
+from test_conformality import block_diagonal, fuzz_entries
 
 
 def test_sym_eig_identity():
@@ -307,21 +307,121 @@ def test_quad_on_stacks_matches_per_row_form(rng):
 
 def test_connected_matrix_is_one_plain_eigh(monkeypatch):
     # One block of every index: the eigenpairs are those of one eigh with
-    # the sign convention, with no gather, scatter or sort around it.
-    rng = np.random.default_rng(46)
-    dense = [random_spd(rng, k).entries for k in (2, 4, 12, 20)]
+    # the sign convention, with no gather, scatter or sort around it, and
+    # the sign-fixed eigenvectors are the one stored block, not a copy of it.
+    dense = []
+    for k in range(2, 61):
+        for kind, entries in fuzz_entries(np.random.default_rng(4800 + k), k):
+            blocks, _ = triu_route(entries)
+            if blocks and len(blocks[0]) == k:
+                dense.append((f"{kind} k={k}", entries))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("forbidden call")
 
     for name in ("argsort", "eye"):
         monkeypatch.setattr(np, name, forbidden)
-    built = [SpdMatrix(entries) for entries in dense]
+    built = [(kind, SpdMatrix(entries)) for kind, entries in dense]
     monkeypatch.undo()
-    for m in built:
+    assert len(built) > 250
+    for kind, m in built:
         vals, vecs = np.linalg.eigh(m.entries)
-        assert np.array_equal(m.eigenvalues, vals)
-        assert np.array_equal(m.eigenvectors, _fix_signs(vecs))
+        assert np.array_equal(m.eigenvalues, vals), kind
+        assert same_bits(m.eigenvectors, _fix_signs(vecs)), kind
+        ((_, lam, stored),) = m._stacked
+        assert np.shares_memory(m.eigenvectors, stored) and np.shares_memory(m.eigenvalues, lam), kind
+        assert m.eigenvectors.flags.c_contiguous and not m.eigenvectors.flags.writeable, kind
+
+
+def triu_route(entries):
+    # The blocks and stacks as construction once read them: every nonzero
+    # above the diagonal of the halved sum at once, in row-major order.
+    a = 0.5 * (entries + entries.T)
+    rows, cols = np.nonzero(np.triu(a, 1))
+    blocks = tuple(np.array(c) for c in _components(len(a), zip(rows.tolist(), cols.tolist())) if len(c) > 1)
+    return blocks, tuple(np.array([c for c in blocks if len(c) == b]) for b in sorted({len(c) for c in blocks}))
+
+
+def pattern_cases(rng):
+    for case in range(60):
+        sizes = [int(b) for b in rng.integers(1, 9, int(rng.integers(1, 9)))]
+        entries = block_diagonal(rng, sizes)
+        p = rng.permutation(len(entries))
+        yield f"blocks {sizes}", entries[np.ix_(p, p)]
+    for k in (3, 8, 20):
+        # Connected, but row 0 reaches only some indices: the scan goes on past it.
+        entries = random_spd(rng, k).entries.copy()
+        entries[0, 2:] = entries[2:, 0] = 0.0
+        yield f"row 0 with zeros k={k}", entries + k * np.eye(k)
+        # Isolated indices beside one dense block.
+        entries = np.diag(rng.uniform(1.0, 2.0, k + 3))
+        entries[2 : k + 2, 2 : k + 2] = random_spd(rng, k).entries
+        yield f"isolated indices k={k}", entries
+    for sizes in ([1, 3, 2], [4, 4], [2, 1, 5, 1]):
+        # -0.0 wherever the pattern is zero: no nonzero, so no join.
+        entries = block_diagonal(rng, sizes)
+        entries[entries == 0.0] = -0.0
+        p = rng.permutation(len(entries))
+        yield f"-0.0 off blocks {sizes}", entries[np.ix_(p, p)]
+
+
+def test_row_scan_reads_the_pattern_of_the_triu_route():
+    rng = np.random.default_rng(4801)
+    for label, entries in pattern_cases(rng):
+        m = SpdMatrix(entries)
+        blocks, stacks = triu_route(entries)
+        for got, want in ((m.blocks, blocks), (m.stacks, stacks)):
+            assert len(got) == len(want), label
+            assert all(g.dtype == w.dtype and same_bits(g, w) for g, w in zip(got, want)), label
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 4], ids=["first", "last"])
+def test_non_finite_refusals_keep_their_text(bad, at):
+    # max |A| is taken first; a NaN or an infinity makes it non-finite, and
+    # only then is the first such entry looked for and named as before.
+    entries = np.full((5, 5), 0.1) + np.eye(5)
+    entries[at, at] = bad
+    if at == 0:
+        entries[4, 4] = bad
+    message = f"matrix has a non-finite entry: {bad} at row {at}, column {at}"
+    for call in (SpdMatrix, sym_eig, lambda a: gen_eig(a, SpdMatrix.identity(5))):
+        with pytest.raises(NonFiniteError) as refused:
+            call(entries)
+        assert str(refused.value) == message
+
+
+def test_overflowing_spectrum_is_refused_as_an_overflow():
+    # Finite entries and positive definite, but lambda_max = 2.3e308 is past
+    # the largest double: refused as an overflow, before a positive-
+    # definiteness threshold that would read inf. A quarter of it passes.
+    entries = np.array([[1e308, 1e308], [1e308, 1.5e308]])
+    with pytest.raises(ValueError) as refused:
+        SpdMatrix(entries)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "matrix spectrum overflows: max |lambda| = inf; rescale the matrix down"
+    assert SpdMatrix(0.25 * entries).eigenvalues[-1] == pytest.approx(5.7e307, rel=1e-2)
+
+
+def test_construction_and_held_memory_stay_within_their_pins():
+    # A dense k = 600 input (2.9 MB): construction peaks at 4.0 times its
+    # bytes, and after a first inverse() the matrix holds its entries and
+    # one eigenbasis, 2.0 times. Scanning the whole upper triangle at once
+    # peaks at 5.3 times; a second, sign-fixed eigenbasis beside the raw
+    # one holds 3.0 times.
+    import tracemalloc
+
+    entries = random_spd(np.random.default_rng(600), 600).entries.copy()
+    tracemalloc.start()
+    try:
+        m = SpdMatrix(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+        m.inverse()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * entries.nbytes
+    assert held <= 2.1 * entries.nbytes
 
 
 @pytest.mark.parametrize(
