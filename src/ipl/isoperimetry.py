@@ -31,8 +31,11 @@ table[x_L] + F[x_H] @ G[:, x_L] (``_split_forms``), and every G row is read
 off the graph: the constant (which the pinned vertex and its crossing edges
 share), x_l per low vertex (shared by the crossing edges at l), x_u xor x_v
 per LL edge, and 2 W per coupled pair of groups, a segment sum over the
-edges of each group. A tile of at most CUT_CHUNK cuts, high masks by low
-masks, costs three GEMMs.
+edges of each group. A row is kept only where its F is not identically
+zero. The products M p go through ``linalg._times`` on M's operand, so a
+diagonal M is a scaling there; the low rows' cut bits are formed once, for
+the table and the G rows. A tile of at most CUT_CHUNK cuts, high masks by
+low masks, costs three GEMMs.
 
 Recheck rule, one for both paths. Below SPLIT_MIN_BITS free columns H is
 empty, and the scan is one batch of ``_low_masses`` over every cut; above
@@ -51,10 +54,11 @@ conductance table at every size.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
-most. The three tile arrays hold CUT_CHUNK values and
-are reused from tile to tile. Memory thus grows with the square root of the
-number of cuts; only the optional conductance table grows with the number
-itself.
+most. The membership rows of both halves are built once per (n, columns,
+pinned) and kept read-only (``_scan_rows``, the last 16: about 0.9 MB each
+at n = 28). The three tile arrays hold CUT_CHUNK values and are reused from
+tile to tile. Memory thus grows with the square root of the number of cuts;
+only the optional conductance table grows with the number itself.
 
 The expander-mixing pair sweep ``verify_eml_batch`` reads the linear part
 of each pair's left-hand side from one vertex form over subset masks, by
@@ -111,6 +115,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,7 +134,7 @@ from .laplacian import (
     _vertex_masses,
     check_graph_inner_products,
 )
-from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _quad, _times, gen_eig, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _quad, _read_only, _times, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
@@ -253,28 +258,30 @@ def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, tota
     shape), so a row's values do not depend on the rows beside it.
     """
     u, v = g.ends
-    iv, jv = np.nonzero(mv)
-    ie, je = np.nonzero(me)
+    (iv, jv), (ie, je) = np.nonzero(mv), np.nonzero(me)
+    wv, we = mv[iv, jv], me[ie, je]
     # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
     step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
     out = np.empty((3, len(rows)))
     for lo in range(0, len(rows), step):
         x = rows[lo : lo + step]
         c = x[:, u] != x[:, v]
-        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv[iv, jv], 0.0))
-        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me[ie, je], 0.0))
-        out[1, lo : lo + step] = vol
-        out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
+        e, vol, comp = out[:, lo : lo + step]
+        e[:] = _row_sums(np.where(c[:, ie] & c[:, je], we, 0.0))
+        vol[:] = _row_sums(np.where(x[:, iv] & x[:, jv], wv, 0.0))
+        comp[:] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
     return out
 
 
 def _low_masses(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, total: float, r: np.ndarray):
     """(e_cut, vol, vol_comp) of every membership row of ``low`` in one
-    batch: the reference formulas of ``_cut_masses`` as BLAS products."""
+    batch, the reference formulas of ``_cut_masses`` as BLAS products, and
+    the rows' cut bits, which the G rows of ``_split_forms`` read too."""
     u, v = g.ends
+    cut = low[:, u] != low[:, v]
     x = low.astype(float)
     vol = m_v.quad(x)
-    return m_e.quad(low[:, u] != low[:, v]), vol, total - 2.0 * (x @ r) + vol
+    return m_e.quad(cut), vol, total - 2.0 * (x @ r) + vol, cut
 
 
 def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high: np.ndarray, tables, r):
@@ -282,63 +289,73 @@ def _split_forms(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, high
     of the cut whose membership row is high[i] | low[j].
 
     The rows low hold the low half L, the rows high the high half H, with
-    high[0] empty; ``tables`` are the masses of the low rows, folded in as
-    the last feature. Every other G row is read off the graph: the
-    constant, x_l for a low vertex l, or x_u xor x_v for an LL edge (u, v).
-    A low vertex set in every low row (the pinned one) reads the constant,
-    and an edge with one low end l, crossing or leaving the columns, reads
-    x_l. A row's F sums 2 q_e (M p)_e over the items that read it, and only
-    items that M couples to an item with a high end have a nonzero one; the
-    constant's F also takes p^T M p (vol_comp: and -2 1_X^T r on H). Each
-    pair of edge groups i < j that M_E couples adds F = sigma_i sigma_j - 1
-    and G = 2 W_ij, summed over the items of group i from the products of
-    M_E with lam on the items of group j.
+    high[0] empty; ``tables`` are the ``_low_masses`` of the low rows, folded
+    in as the last feature, and their cut bits. Every other G row is read
+    off the graph, as a column of one array: the constant, x_l for a low
+    vertex l, or x_u xor x_v for an LL edge (u, v). A low vertex set in
+    every low row (the pinned one) reads the constant, and an edge with one
+    low end l, crossing or leaving the columns, reads x_l. A row's F sums
+    2 q_e (M p)_e over the items that read it, so a row is kept only where
+    some item's (M p) is nonzero on some high row (a dropped row's F is
+    exactly zero); the constant's F also takes p^T M p (vol_comp: and
+    -2 1_X^T r on H). M enters through ``_times`` on its operand, so a
+    diagonal M is a scaling and forms no dense array. Each pair of edge
+    groups i < j that M_E couples adds F = sigma_i sigma_j - 1 and
+    G = 2 W_ij, summed over the items of group i from the products of M_E
+    with lam on the items of group j, one pass per group j.
     """
     n, (u, v) = g.n, g.ends
     # Rows in mask order: low[0] holds the columns set in every low row, and
     # low[-1] and high[-1] hold every column of their half.
     in_low, in_high = low[-1], high[-1]
     (low_u, low_v), (high_u, high_v) = in_low[g.ends], in_high[g.ends]
-    src = np.vstack([np.ones((1, len(low)), bool), low.T, (low[:, u] != low[:, v]).T])
     key_v = np.where(low[0], 0, 1 + np.arange(n))
     key_e = np.where(low_u & low_v, 1 + n + np.arange(len(u)), key_v[np.where(low_u, u, v)])
     lin, has_high = low_u | low_v, high_u | high_v
-    # Edge groups: 0 with no high end (q = 1), else 1 + the high end (q =
-    # sigma of that end, 1 - 2 x_h); sign holds sigma per group.
+    # Edge groups: 0 with no high end, else 1 + the high end h, whose items
+    # have q = sigma_h = 1 - 2 x_h, that is 1 - 2 p for an edge with a low end.
     group = np.where(has_high, 1 + np.where(high_u, u, v), 0)
-    member = (group == np.arange(n + 1)[:, None]) & lin
+    member = ((group == np.arange(n + 1)[:, None]) & lin).astype(float)
     p_v = high.astype(float)
-    sign = np.hstack([np.ones((len(high), 1)), 1.0 - 2.0 * p_v])
-    coupling = np.abs(m_e.entries)
+    p_e = (high[:, u] != high[:, v]).astype(float)
     # The pairs i < j of groups that M_E couples, in order of j.
-    j, i = np.nonzero(np.tril(member @ coupling @ member.T, -1))
+    j, i = np.nonzero(np.tril(member @ _times(np.abs(m_e._operand), member.T), -1))
+    # The G row of each key, as a column: the constant, then x_v per vertex,
+    # then the low cut bit per edge.
+    rows = np.concatenate([np.ones((len(low), 1), bool), low, tables[3]], axis=1)
     forms = []
-    for a, p, q, key, act, extra, table in (
-        (m_e.entries, np.abs(p_v[:, u] - p_v[:, v]), sign[:, group], key_e, lin & (coupling @ has_high > 0), len(i), tables[0]),
-        (m_v.entries, p_v, 1.0, key_v, in_low & (np.abs(m_v.entries) @ in_high > 0), 0, tables[1]),
+    for m, p, q, key, read, extra, table in (
+        (m_e, p_e, 1.0 - 2.0 * p_e, key_e, lin, len(i), tables[0]),
+        (m_v, p_v, 1.0, key_v, in_low, 0, tables[1]),
     ):
-        ap = p @ a
-        keys = np.unique(np.append(key[act], 0))
+        ap = _times(m._operand, p, right=True)
+        # The items with a G row: those whose (M p) is nonzero on some high row.
+        act = read & ap.any(axis=0)
+        used = np.zeros(rows.shape[1], bool)
+        used[key[act]] = used[0] = True
+        keys = used.nonzero()[0]
         f, gl = np.empty((len(high), len(keys) + extra + 1)), np.empty((len(keys) + extra + 1, len(low)))
         np.matmul(q * ap, 2.0 * ((key[:, None] == keys) & act[:, None]), out=f[:, : len(keys)])
-        f[:, 0] += (ap * p).sum(axis=1)
-        f[:, -1], gl[: len(keys)], gl[-1] = 1.0, src[keys], table
+        f[:, 0] += np.einsum("ij,ij->i", ap, p)
+        f[:, -1], gl[: len(keys)], gl[-1] = 1.0, rows[:, keys].T, table
         forms.append((f, gl))
     (f_e, g_e), (f_v, g_v) = forms
     if len(i):
+        # sigma_i sigma_j - 1 = -2 (x_i xor x_j), x_0 = 0 for group 0.
         k = f_e.shape[1] - len(i) - 1
-        f_e[:, k:-1] = sign[:, i] * sign[:, j] - 1.0
-        # The items with a low end, by group.
+        f_e[:, k:-1] = -2.0 * ((high[:, i - 1] & (i > 0)) != high[:, j - 1])
+        # The items with a low end, by group, and their lam rows.
         item_group, items = np.nonzero(member)
-        bounds = np.searchsorted(item_group, np.arange(n + 2))
-        a, lam, twice = m_e.entries[np.ix_(items, items)], src[key_e[items]].astype(float), 2.0 * member[:, items]
-        cs, first = np.unique(j, return_index=True)
-        for c, lo, hi in zip(cs, first, np.append(first[1:], len(j))):
+        a, twice = m_e.entries[items][:, items], 2.0 * member[i][:, items]
+        lam = rows[:, key_e[items]].T.astype(float)
+        # Group c holds the items b[c]:b[c + 1] and the pairs at[c]:at[c + 1].
+        b, at = (np.searchsorted(x, np.arange(n + 2)).tolist() for x in (item_group, j))
+        for c in sorted(set(j.tolist())):
             # 2 W_ic sums 2 lam_f y_f over the f of group i < c, y the sum
             # of M_fe lam_e over the e of group c.
-            y = a[: bounds[c], bounds[c] : bounds[c + 1]] @ lam[bounds[c] : bounds[c + 1]]
-            y *= lam[: bounds[c]]
-            np.matmul(twice[i[lo:hi], : bounds[c]], y, out=g_e[k + lo : k + hi])
+            y = a[: b[c], b[c] : b[c + 1]] @ lam[b[c] : b[c + 1]]
+            y *= lam[: b[c]]
+            np.matmul(twice[at[c] : at[c + 1], : b[c]], y, out=g_e[k + at[c] : k + at[c + 1]])
     f_c, g_c = f_v.copy(), g_v.copy()
     f_c[:, 0], g_c[-1] = f_c[:, 0] - 2.0 * (p_v @ r), tables[2]
     return [(f_e, g_e), (f_v, g_v), (f_c, g_c)]
@@ -354,10 +371,12 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
     6 N eps sum|M|. A split value adds its K features' products F G, each
     exact or one rounding of exact factors, and each factor chains at most
     nnz + 3 dim: a table value (``_low_masses``) nnz + 2 dim + 2 (vol_comp:
-    the total over nnz entries, 2 x^T r and vol); an F 2 dim + 2 (M p, its
-    sum over the items of a row or with p, and -2 p^T r); a 2 W 2 dim (M lam
-    over one group, then 2 lam over the other); G's 0/1 rows and F's
-    sigma_i sigma_j - 1 are exact. A reference value chains nnz + 2 dim + 2.
+    the total over nnz entries, 2 x^T r and vol); an F 2 dim + 2 (M p, one
+    product per entry for a diagonal M, its sum over the items of a row or
+    with p, and -2 p^T r); a 2 W 2 dim (M lam over one group, then 2 lam
+    over the other); G's 0/1 rows and F's sigma_i sigma_j - 1 are exact. A
+    reference value chains nnz + 2 dim + 2. sum|M| and nnz are read off M's
+    ``_times`` operand (a diagonal's d).
     A cut has e >= lambda_min(M_E) and min(vol, vol_comp) >= lambda_min(M_V),
     so both of its values lie within [lo, hi] times its exact ratio, and a
     cut whose reference value is least has a split value within (hi/lo)^2 of
@@ -366,9 +385,9 @@ def _widening(m_e: SpdMatrix, m_v: SpdMatrix, k_e: int, k_v: int) -> float:
     eps = np.finfo(float).eps
     rel = []
     for m, k in ((m_e, k_e), (m_v, k_v)):
-        chain = k + np.count_nonzero(m.entries) + 3 * m.dim
+        a = np.abs(m._operand)
         lam_lo = m.eigenvalues[0] - m.dim * eps * m.eigenvalues[-1]
-        rel.append(6.0 * eps * chain * float(np.abs(m.entries).sum()) / lam_lo)
+        rel.append(6.0 * eps * (k + np.count_nonzero(a) + 3 * m.dim) * float(a.sum()) / lam_lo)
     if max(rel) >= 1.0:  # no bound: every cut is a candidate
         return np.inf
     hi = (1.0 + rel[0]) * (1.0 + eps) / (1.0 - rel[1])
@@ -415,6 +434,23 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
     return masks[values <= limit], values[values <= limit]
 
 
+@lru_cache(maxsize=16)
+def _scan_rows(n: int, cols: tuple | None, pinned: bool):
+    """(lo_masks, low, hi_masks, high) of a cut scan over the columns
+    ``cols`` (all vertices for None) of n, read-only: the subset masks and
+    membership rows of the low half L, which holds the first column, and of
+    the high half H, with no high rows below SPLIT_MIN_BITS free columns.
+    Each (n, cols, pinned) is built once; the cache keeps the last 16, about
+    0.9 MB each at n = 28."""
+    k = n if cols is None else len(cols)
+    free = k - pinned
+    b = k - (free // 2 if free >= SPLIT_MIN_BITS else 0)
+    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
+    hi_masks = np.arange(1 << (k - b)) << b if b < k else np.arange(0)
+    cols = None if cols is None else list(cols)
+    return tuple(_read_only(a) for a in (lo_masks, _subset_rows(lo_masks, n, cols), hi_masks, _subset_rows(hi_masks, n, cols)))
+
+
 # The split tiles score the empty set (unpinned scans) and C itself, 0/0 and
 # e/0, before they drop them: numpy's warnings would add nothing.
 @np.errstate(divide="ignore", invalid="ignore")
@@ -437,17 +473,12 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     minimum of the conductance table.
     """
     n = g.n
-    k = n if cols is None else len(cols)
-    free = k - pinned
-    b = k - (free // 2 if free >= SPLIT_MIN_BITS else 0)
-    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
-    low = _subset_rows(lo_masks, n, cols)
+    lo_masks, low, hi_masks, high = _scan_rows(n, None if cols is None else tuple(cols), pinned)
     total, r = _complement_terms(m_v.entries, cols)
     tables = _low_masses(g, m_v, m_e, low, total, r)
     exact = m_v.is_integral and m_e.is_integral
-    if b < k:
-        hi_masks = np.arange(1 << (k - b)) << b
-        forms = _split_forms(g, m_v, m_e, low, _subset_rows(hi_masks, n, cols), tables, r)
+    if len(hi_masks):
+        forms = _split_forms(g, m_v, m_e, low, high, tables, r)
         widen = 1.0 if exact else _widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
         masks, phi = _split_candidates(forms, widen, lo_masks, hi_masks, pinned)
         rows = _subset_rows(masks, n, cols)
@@ -811,6 +842,9 @@ def verify_eml_batch(
     stop = count if lookups else count >> 1
     best = np.inf
     worst = None
+    # A chunk of w > 1 rows has w <= CUT_CHUNK // (stop - x0) <= CUT_CHUNK / w,
+    # so one strictly lower mask of sqrt(CUT_CHUNK) rows covers every square.
+    lower = np.tri(min(int(CUT_CHUNK**0.5), stop), k=-1, dtype=bool)
     x0 = 1
     while x0 < stop:
         x1 = min(x0 + max(1, CUT_CHUNK // (stop - x0)), stop)
@@ -824,7 +858,7 @@ def verify_eml_batch(
         margins = rhs_x[xs, None] * sqrt_cor[ys]
         margins += trace_term
         margins -= lhs
-        margins[:, : x1 - x0][np.tri(x1 - x0, k=-1, dtype=bool)] = np.inf  # Y < X: scored as (Y, X)
+        margins[:, : x1 - x0][lower[: x1 - x0, : x1 - x0]] = np.inf  # Y < X: scored as (Y, X)
         i, j = divmod(int(np.argmin(margins)), margins.shape[1])
         if margins[i, j] < best:
             best = float(margins[i, j])

@@ -34,9 +34,11 @@ per row), and for a diagonal M it uses (x * x) @ diag(M).
 Outside this module every product, quadratic form and spectrum goes through
 ``_times``, ``_quad`` and ``sym_eig`` (``gen_eig`` too calls ``sym_eig``),
 with four exceptions, each for its reason:
-- the capped enumerations (the cut scans, ``isoperimetry._widening``, the
-  pair sweep and the weak-conformality kernels) read dense ``entries``, or
-  the stored blocks, and call stacked LAPACK, as their batches need;
+- the capped enumerations read dense ``entries``, or the stored blocks, and
+  call stacked LAPACK, as their batches need: the cut scans' complement
+  terms, ``_cut_masses`` re-scores and coupled-group rows (none for a
+  diagonal M_E), the pair sweep and the weak-conformality kernels; the cut
+  scans' split forms and ``isoperimetry._widening`` use the operand;
 - ``laplacian._laplacian_eigenvalues`` calls an eigenvalue-only ``eigh``,
   as the verifiers skip the sign fix;
 - Vol(G) is the sum of M_V's dense entries, whose n^2 summation order is

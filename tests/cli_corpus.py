@@ -54,6 +54,24 @@ _ME5 = {(0, 1): 0.4, (1, 3): -0.3, (2, 4): 0.2}
 _DENSE4, _PAIRS = [0, 2, 5, 7], ({1, 6}, {3, 4})
 
 
+def _chorded_path(n, chords):
+    """Vertices u0..u{n-1} joined by the path and the chords, edges sorted."""
+    labels = [f"u{i}" for i in range(n)]
+    edges = sorted({(i, i + 1) for i in range(n - 1)} | set(chords))
+    return {"vertices": labels, "edges": [[labels[a], labels[b]] for a, b in edges]}
+
+
+# Edge blocks of g15.json, whose conductance scan splits at the first 8
+# vertices: an LL edge with the crossing edges at u11, u13 and u8, then an
+# LL edge, the crossing edge at u14 and an HH edge.
+_BLOCKS15 = ({3, 4, 7, 11}, {1, 10, 14})
+
+
+def _blocks18(i, j):
+    blocked = any({i, j} <= b for b in _BLOCKS15)
+    return (2.0 if blocked else 1.5) if i == j else 0.3 * blocked
+
+
 def _blocks8(i, j):
     if i in _DENSE4 and j in _DENSE4:
         return 2.0 if i == j else 0.5 ** abs(_DENSE4.index(i) - _DENSE4.index(j))
@@ -94,6 +112,12 @@ INPUTS = {
         ]
     },
     "id5.json": _rows(5, lambda i, j: float(i == j)),
+    # Past the split point (n = 12) of the conductance scan.
+    "g15.json": _chorded_path(15, [(0, 7), (2, 11), (4, 13), (6, 14)]),
+    "g16.json": _chorded_path(16, [(0, 9), (1, 12), (2, 8), (3, 14), (5, 15), (6, 11)]),
+    "dense15.json": _rows(15, lambda i, j: float(i == j) + 0.5 ** abs(i - j)),
+    "dense18.json": _rows(18, lambda i, j: float(i == j) + 0.5 ** abs(i - j)),
+    "blocks18.json": _rows(18, _blocks18),
     # Cor(X, Y) = (8 - 4) (4e307)^2 for X = {a, b}, Y = {b, c} is no double.
     "huge5.json": _rows(5, lambda i, j: 4e307 * (i == j)),
 }
@@ -135,6 +159,17 @@ CASES = [
             ("radius", []),
         )
         for inner in ([], ["--kind", "combinatorial"], _DENSE, [*_DENSE, "--orientation", "-,+,+,-,+", "--force"])
+    ),
+    # Split scans: the normalized pair, a dense pair, and a block M_E that
+    # couples crossing edges at several high vertices.
+    *(
+        [*verb, "--graph", g, *inner]
+        for verb in (["conductance"], ["verify", "cheeger"])
+        for g, inner in (
+            ("g16.json", []),
+            ("g15.json", ["--mv", "dense15.json", "--me", "dense18.json"]),
+            ("g15.json", ["--mv", "dense15.json", "--me", "blocks18.json"]),
+        )
     ),
     ["neumann", "--graph", "p4.json", "--subset", "v2,v3"],
     ["neumann", "--graph", "p4.json", "--subset", "v2,v3", "--schedule", "1e-1:1e-6", "--force"],

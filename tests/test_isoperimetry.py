@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,18 @@ def test_conductance_agrees_with_its_table(rng):
         cases.append((g, integer_spd(rng, g.n, 2**49), integer_spd(rng, g.m, 2**49)))
         assert all(m.is_integral and np.abs(m.entries).sum() >= 2**48 for m in cases[-1][1:])
     assert not SpdMatrix.from_diagonal([2.0**48, 2.0**48]).is_integral
+    # Not integral past the split point, so the split candidates are
+    # re-scored: a dense pair at n = 15, and at n = 16 (high half 9..15) a
+    # block M_E whose one block couples the crossing edges at the high
+    # vertices 9 and 15 with an LL edge.
+    g = random_connected_graph(rng, 15, max_edges=24)
+    cases.append((g, random_spd(rng, g.n), random_spd(rng, g.m)))
+    g = _graph_with(rng, 16, 26, [(0, 9), (1, 15), (2, 3)])
+    block = [g.edges.index(e) for e in ((0, 9), (1, 15), (2, 3))]
+    entries = np.diag(rng.uniform(0.5, 2.0, g.m))
+    entries[np.ix_(block, block)] = random_spd(rng, 3).entries
+    cases.append((g, SpdMatrix.from_diagonal(rng.uniform(0.5, 2.0, g.n)), SpdMatrix(entries)))
+    assert not any(m.is_integral for m in cases[-1][1:])
     for g, m_v, m_e in cases:
         phi, witness, table = conductance(g, m_v, m_e, include_table=True)
         best = min(r["phi"] for r in table)
@@ -403,6 +416,41 @@ def _split_and_reference(g, m_v, m_e, cols, pinned):
     rows = iso._subset_rows((hi_masks[:, None] | lo_masks).ravel(), g.n, cols)
     reference = iso._cut_masses(rows, g, m_v.entries, m_e.entries, total, r)
     return split, reference, iso._widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
+
+
+def test_split_scan_peak_allocation():
+    # One split scan with a dense pair at n = 21 (m = 63, 2^20 cuts), its
+    # membership rows built afresh: the traced peak stays within 4 MiB. It
+    # measured 3.67 MiB (3.79 MiB before the split forms applied M through
+    # _times and shared the low cut bits), so a set-up that buys time with
+    # memory at the caps shows here.
+    rng = np.random.default_rng(21)
+    g = random_connected_graph(rng, 21, max_edges=63)
+    m_v, m_e = random_spd(rng, g.n), random_spd(rng, g.m)
+    assert g.m == 63
+    ipl.isoperimetry._cut_scan(g, m_v, m_e, None, pinned=True)
+    ipl.isoperimetry._scan_rows.cache_clear()
+    tracemalloc.start()
+    ipl.isoperimetry._cut_scan(g, m_v, m_e, None, pinned=True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(peak / 2**20)
+    assert peak <= 4 * 2**20, peak
+
+
+def test_split_pair_rows_keep_an_item_without_a_key():
+    # M_E couples the LL edge (4, 5) to the two crossing edges at the high
+    # vertex 10 (the high half is 7..12) by +1 and -1: (M_E p) vanishes at
+    # (4, 5) on every high row, so it reads no key of its own, yet its terms
+    # in the pair rows of its group with vertex 10's do not vanish. Integral,
+    # so every split value is exact.
+    g = Graph(labels=tuple(map(str, range(13))), edges=tuple(sorted({(i, i + 1) for i in range(12)} | {(2, 10), (3, 10)})))
+    f, e1, e2 = (g.edges.index(e) for e in ((4, 5), (2, 10), (3, 10)))
+    entries = 4.0 * np.eye(g.m)
+    entries[[f, e1], [e1, f]] = 1.0
+    entries[[f, e2], [e2, f]] = -1.0
+    split, reference, _ = _split_and_reference(g, SpdMatrix.identity(g.n), SpdMatrix(entries), None, pinned=True)
+    assert np.array_equal(split, reference)
 
 
 def _graph_with(rng, n, max_edges, extra):
