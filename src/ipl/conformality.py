@@ -237,12 +237,15 @@ def _subset_rows(masks: np.ndarray, n: int, cols=None) -> np.ndarray:
     Column cols[i] (default i) holds bit i of the mask and every other column
     is False; cols is one index array shared by every mask (the cut scan's
     S-local columns). An unordered bipartition with index 0 on the first side
-    is the odd mask 2p + 1 of its partition number p.
+    is the odd mask 2p + 1 of its partition number p. The bits are unpacked
+    from each mask's little-endian bytes.
     """
+    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, count=n if cols is None else len(cols), bitorder="little").view(bool)
     if cols is None:
-        return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        return bits
     rows = np.zeros((len(masks), n), dtype=bool)
-    rows[:, cols] = (masks[:, None] >> np.arange(len(cols))) & 1
+    rows[:, cols] = bits
     return rows
 
 

@@ -54,11 +54,11 @@ conductance table at every size.
 
 Memory. The tables hold 2^|L| and 2^|H| rows, about 2^(n/2) each, with a
 feature per low vertex, per LL edge and per coupled pair of edge groups at
-most. The membership rows of both halves are built once per (n, columns,
-pinned) and kept read-only (``_scan_rows``, the last 16: about 0.9 MB each
-at n = 28). The three tile arrays hold CUT_CHUNK values and are reused from
-tile to tile. Memory thus grows with the square root of the number of cuts;
-only the optional conductance table grows with the number itself.
+most; the split forms add arrays of high rows by items, and a diagonal M
+forms no m x m array there. The three tile arrays hold CUT_CHUNK values and
+are reused from tile to tile. Memory thus grows with the square root of the
+number of cuts; only the optional conductance table grows with the number
+itself.
 
 The expander-mixing pair sweep ``verify_eml_batch`` reads the linear part
 of each pair's left-hand side from one vertex form over subset masks, by
@@ -115,7 +115,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +133,7 @@ from .laplacian import (
     _vertex_masses,
     check_graph_inner_products,
 )
-from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _quad, _read_only, _times, gen_eig, sym_eig
+from .linalg import ZERO_RTOL, SpdMatrix, _fix_signs, _quad, _times, gen_eig, sym_eig
 from .report import VerificationReport, to_plain
 
 # Cuts per tile of a cut scan, and pairs per X chunk of the pair sweep (at
@@ -258,18 +257,18 @@ def _cut_masses(rows: np.ndarray, g: Graph, mv: np.ndarray, me: np.ndarray, tota
     shape), so a row's values do not depend on the rows beside it.
     """
     u, v = g.ends
-    (iv, jv), (ie, je) = np.nonzero(mv), np.nonzero(me)
-    wv, we = mv[iv, jv], me[ie, je]
+    iv, jv = np.nonzero(mv)
+    ie, je = np.nonzero(me)
     # Rows per pass, so a pass holds at most 16 CUT_CHUNK terms.
     step = max(1, CUT_CHUNK * 16 // (len(iv) + len(ie)))
     out = np.empty((3, len(rows)))
     for lo in range(0, len(rows), step):
         x = rows[lo : lo + step]
         c = x[:, u] != x[:, v]
-        e, vol, comp = out[:, lo : lo + step]
-        e[:] = _row_sums(np.where(c[:, ie] & c[:, je], we, 0.0))
-        vol[:] = _row_sums(np.where(x[:, iv] & x[:, jv], wv, 0.0))
-        comp[:] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
+        vol = _row_sums(np.where(x[:, iv] & x[:, jv], mv[iv, jv], 0.0))
+        out[0, lo : lo + step] = _row_sums(np.where(c[:, ie] & c[:, je], me[ie, je], 0.0))
+        out[1, lo : lo + step] = vol
+        out[2, lo : lo + step] = total - 2.0 * _row_sums(np.where(x, r, 0.0)) + vol
     return out
 
 
@@ -278,8 +277,8 @@ def _low_masses(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, low: np.ndarray, total
     batch, the reference formulas of ``_cut_masses`` as BLAS products, and
     the rows' cut bits, which the G rows of ``_split_forms`` read too."""
     u, v = g.ends
-    cut = low[:, u] != low[:, v]
     x = low.astype(float)
+    cut = low[:, u] != low[:, v]
     vol = m_v.quad(x)
     return m_e.quad(cut), vol, total - 2.0 * (x @ r) + vol, cut
 
@@ -434,23 +433,6 @@ def _split_candidates(forms, widen: float, lo_masks: np.ndarray, hi_masks: np.nd
     return masks[values <= limit], values[values <= limit]
 
 
-@lru_cache(maxsize=16)
-def _scan_rows(n: int, cols: tuple | None, pinned: bool):
-    """(lo_masks, low, hi_masks, high) of a cut scan over the columns
-    ``cols`` (all vertices for None) of n, read-only: the subset masks and
-    membership rows of the low half L, which holds the first column, and of
-    the high half H, with no high rows below SPLIT_MIN_BITS free columns.
-    Each (n, cols, pinned) is built once; the cache keeps the last 16, about
-    0.9 MB each at n = 28."""
-    k = n if cols is None else len(cols)
-    free = k - pinned
-    b = k - (free // 2 if free >= SPLIT_MIN_BITS else 0)
-    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
-    hi_masks = np.arange(1 << (k - b)) << b if b < k else np.arange(0)
-    cols = None if cols is None else list(cols)
-    return tuple(_read_only(a) for a in (lo_masks, _subset_rows(lo_masks, n, cols), hi_masks, _subset_rows(hi_masks, n, cols)))
-
-
 # The split tiles score the empty set (unpinned scans) and C itself, 0/0 and
 # e/0, before they drop them: numpy's warnings would add nothing.
 @np.errstate(divide="ignore", invalid="ignore")
@@ -473,12 +455,17 @@ def _cut_scan(g: Graph, m_v: SpdMatrix, m_e: SpdMatrix, cols, pinned: bool):
     minimum of the conductance table.
     """
     n = g.n
-    lo_masks, low, hi_masks, high = _scan_rows(n, None if cols is None else tuple(cols), pinned)
+    k = n if cols is None else len(cols)
+    free = k - pinned
+    b = k - (free // 2 if free >= SPLIT_MIN_BITS else 0)
+    lo_masks = np.arange(int(pinned), 1 << b, 1 + int(pinned))
+    low = _subset_rows(lo_masks, n, cols)
     total, r = _complement_terms(m_v.entries, cols)
     tables = _low_masses(g, m_v, m_e, low, total, r)
     exact = m_v.is_integral and m_e.is_integral
-    if len(hi_masks):
-        forms = _split_forms(g, m_v, m_e, low, high, tables, r)
+    if b < k:
+        hi_masks = np.arange(1 << (k - b)) << b
+        forms = _split_forms(g, m_v, m_e, low, _subset_rows(hi_masks, n, cols), tables, r)
         widen = 1.0 if exact else _widening(m_e, m_v, forms[0][0].shape[1], forms[2][0].shape[1])
         masks, phi = _split_candidates(forms, widen, lo_masks, hi_masks, pinned)
         rows = _subset_rows(masks, n, cols)
