@@ -33,7 +33,7 @@ eigenvalues of E to that power, at least (mu_max - 1) to that power, and
 bounds mu_max from above with no factor. Two such bounds come before any
 eigensolve.
 
-The screen, for blocks of ``SCREEN_MIN_SIZE`` or more (below it, its b^4
+The screen, for blocks of ``SCREEN_MIN_SIZE`` or more (below it, its
 terms cost more than the products they spare):
 
     mu_max - 1 <= tr(P_S^2)^(1/2).
@@ -42,15 +42,21 @@ tr(P_S^2) is a sum of terms over index 4-tuples supported in S, so one
 subset-sum (zeta) transform of those terms, binned by support, gives it for
 every partition of a block at once (``_trace_squares``; Yates 1937), in
 O(b^4 + b 2^b) per block with no gather, product or factor per partition.
+The terms are folded by their symmetry: M_il W_lj M_jm W_mi does not move
+under (i, l, j, m) -> (j, m, i, l), (l, i, m, j) or (m, j, l, i), as the
+stored blocks of M and of M^-1 are exactly symmetric, so one term per
+orbit, weighted exactly by the orbit size (1, 2 or 4), stands for it:
+about b^4/4 terms, at most 15 per bin. The transform's low 5 levels are
+one product with the 32 x 32 0/1 subset matrix from the right, the next 5
+one from the left, and each higher level adds contiguous blocks in place.
 Each value carries a derived rounding allowance, (61 + b) eps times the
-block's sum of |terms| (the error measured under 0.4% of it), which the
-bound takes in. That sum is one scalar per block and factors through b x b
-products: the 4-tuple terms M_il W_lj M_jm W_mi give sum (|M||W|) o
-(|M||W|)^T, the pair terms -2 M_il W_li give 2 sum |M| o |W|^T, and the
-b constant terms give b, so no pass over the b^4 terms is made for it.
-The table holds 2^(b-1) values per block (4 MB at b = 20) until the scan
-starts. One exact value, at the largest screen bound, starts the running
-best.
+block's sum of |terms| (the error, at most 68 + b roundings, measured under
+0.3% of it), which the bound takes in. That sum is one scalar per block and
+factors through b x b products: the 4-tuple terms M_il W_lj M_jm W_mi, the
+pair terms -2 M_il W_li and the b constant terms give tr((|M||W| + I)^2),
+so no pass over the terms is made for it. The table holds 2^(b-1) values
+per block (4 MB at b = 20) until the scan starts. One exact value, at the
+largest screen bound, starts the running best.
 
 The tr(P^8) bound, per group of equal smaller sides |S| >= 3, on the
 partitions that pass the screen:
@@ -127,10 +133,11 @@ restricts to S. Within a block the lifts order as the S do (where two S
 first differ, the smaller index is in C and missing from the other lift,
 and the lifts agree below it), so a stack whose maxima share one block
 keeps its smallest S, and a connected M gets the first S, as an exhaustive
-scan does. Lifts, index tuples up to max(S), are formed only in
-``weak_conformality``, for the maxima the stacks keep, to compare those of
-different blocks or stacks. The witness pair is built on C and is zero off
-it.
+scan does. ``weak_conformality`` compares the maxima the stacks keep, of
+different blocks or stacks, without forming their lifts: two lifts first
+differ at the least index of T below max(S) in one and not the other, or
+else one is a prefix of the other (``_smallest_lift``). Only the winner's
+lift is formed. The witness pair is built on C and is zero off it.
 
 A block of the form D + u u^T (D > 0 diagonal; the Partition gadget
 x x^T + I is one) is ranked in closed form. Weak conformality does not
@@ -193,11 +200,18 @@ TIE_SAFETY = 256.0
 # multiple of |M_ij| (measured: at most 3.9 eps on gadgets and D + u u^T).
 RANK_ONE_RTOL = 16.0 * np.finfo(float).eps
 # Blocks from this size on are screened by tr(P_S^2) before the tr(P^8)
-# bound: below it the screen's b^4 terms cost more than the products they
-# spare (ranking calls against the unscreened scan, one block or a full
-# slice of blocks, dense and near-diagonal: b = 9 at 1.2-1.5x, b = 10 at
-# 0.9-1.05x, b = 11 at 0.4-1.1x, b = 12 at 0.4-0.6x).
+# bound: below it the screen's folded terms can cost more than the products
+# they spare on one block (ranking calls against the unscreened scan, one
+# block / a full slice of blocks, dense and near-diagonal, six seeds each:
+# b = 8 at 0.82-1.63x / 0.37-0.57x, b = 9 at 0.58-1.32x / 0.25-0.34x,
+# b = 10 at 0.59-1.10x / 0.27-0.44x, b = 11 at 0.46-0.72x / 0.21-0.30x,
+# b = 12 at 0.25-0.57x / 0.22-0.42x).
 SCREEN_MIN_SIZE = 10
+# The 32 x 32 0/1 matrix with a one where the row's mask is a subset of the
+# column's: a row of a table times its leading 2^r x 2^r block is the
+# subset-sum transform of the row over r bits.
+SUBSETS = (np.arange(32)[:, None] & np.arange(32) == np.arange(32)[:, None]).astype(float)
+SUBSETS.setflags(write=False)
 
 
 @dataclass
@@ -402,72 +416,107 @@ def _identity(s: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _screen_index(b: int) -> np.ndarray:
-    """The b-dependent half of ``_screen``: for each of the b^4 + b^2 + b
-    terms of ``_trace_squares``, in the order it lays them out, its support
-    mask less index 0. Kept for the life of the process, at every b (about
-    2.7 MB at b = 24).
+def _screen_plan(b: int) -> tuple:
+    """The b-dependent half of ``_trace_squares``: one term per orbit, each
+    read as the product of two entries of its source row (``first`` and
+    ``second``), and the bin of each term, its support mask less index 0.
+
+    The source row of a block is x = M_il W_lj at (i, l, j), then 2x, then
+    1, -2 and -4. A 4-tuple's orbit under (i, l, j, m) -> (j, m, i, l),
+    (l, i, m, j), (m, j, l, i) has 1, 2 or 4 members, all of the same value,
+    as M and W are exactly symmetric; its least member (i, l, j, m) stands
+    for it as x_ilj x_jmi, with the orbit size read from the 2x copy: x x,
+    (2x) x or (2x)(2x). The pair (i, l), i <= l, stands for itself and
+    (l, i) as M_il W_li = x_ili times -2 (i = l) or -4, and the b constant
+    terms as 1 times 1. Read-only, kept for the life of the process, at
+    every b (about 2 MB at b = 24).
     """
+    cube = b**3
+    i, l, j, m = np.indices((b,) * 4, dtype=np.int32).reshape(4, -1)
+    code = np.arange(b**4, dtype=np.int32)  # of (i, l, j, m), in base b
+    images = [((p * b + q) * b + r) * b + t for p, q, r, t in ((j, m, i, l), (l, i, m, j), (m, j, l, i))]
+    least = (code <= images[0]) & (code <= images[1]) & (code <= images[2])
+    fixed = [image[least] == code[least] for image in images]
+    i, l, j, m = i[least], l[least], j[least], m[least]
+    # The orbit has 4 members, 2 when one map fixes the tuple, and 1 when
+    # two do (then all three do).
+    pi, pl = np.triu_indices(b)
+    one = np.full(b, 2 * cube)
+    first = np.concatenate((i * b * b + l * b + j + cube * ~(fixed[0] & fixed[1]), pi * b * b + pl * b + pi, one))
+    second = np.concatenate((j * b * b + m * b + i + cube * ~(fixed[0] | fixed[1] | fixed[2]), 2 * cube + 1 + (pi < pl), one))
     bits = (1 << np.arange(b)) >> 1  # index 0 has no bit
-    return np.concatenate(
-        ((bits[:, None, None, None] | bits[:, None, None] | bits[:, None] | bits).ravel(), (bits[:, None] | bits).ravel(), bits)
-    )
+    bins = np.concatenate((bits[i] | bits[l] | bits[j] | bits[m], bits[pi] | bits[pl], bits))
+    for part in (first, second, bins):
+        part.setflags(write=False)
+    return first, second, bins
 
 
-def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray):
+def _trace_squares(a: np.ndarray, a_inv: np.ndarray, b: int):
     """tr(P_S^2) for P_S = M_SS W_SS - I, at every mask 2p + 1 of every block
     of a stack (rows of a and a_inv, the blocks of M and of W = M^-1), and
     the rounding allowance of each block's row.
 
     tr(P_S^2) = T4(S) - 2 T2(S) + |S|, with T4(S) the sum of M_il W_lj M_jm
-    W_mi and T2(S) that of M_il W_li over indices in S. Only the S holding
-    index 0 are read, so each term is binned by its support less index 0
-    (``masks``), in one ``np.bincount`` per stack, and one in-place
-    subset-sum (zeta) transform over the other b - 1 indices turns the bins
-    into tr(P_S^2) for every such S at once: 2^(b-1) values per block, as
-    many as the block has slots. A term takes at most 3 products, 59
-    additions in its bin (supports U and U | {0} share one: 36 + 24 terms at
-    |U| = 3, the most of any) and b - 1 in the transform, so each value is
-    off by at most gamma_(61+b) times the block's sum|terms|. The allowance
-    takes (61 + b) eps, twice that, which also covers gamma's denominator
-    and the rounding of sum|terms|. That sum is formed without the terms, as
-    sum (|M||W|) o (|M||W|)^T + 2 sum |M| o |W|^T + b (the 4-tuple terms
-    |M_il W_lj| |M_jm W_mi|, the pair terms |2 M_il W_li| and the b ones):
-    a sum of nonnegative products, within about (b + 3) eps of the sum
-    over the terms. Measured, the error stays under 0.4% of the allowance
-    (every ``tests/test_conformality.py`` fuzz kind, b = 2-13).
+    W_mi and T2(S) that of M_il W_li over indices in S. The terms are folded
+    by their symmetry (``_screen_plan``): one per orbit, weighted exactly by
+    its size, about b^4/4 in all, each two ``take``s from the block's b^3
+    products x = M_il W_lj and one product. Only the S holding index 0 are
+    read, so each term is binned by its support less index 0, in one
+    ``np.bincount`` per stack, and a subset-sum (zeta) transform over the
+    other b - 1 indices turns the bins into tr(P_S^2) for every such S at
+    once: 2^(b-1) values per block, as many as the block has slots. Its low
+    5 levels are one product with the 32 x 32 0/1 subset matrix from the
+    right, levels 5-9 one with it from the left (a strided add per level
+    costs more than the product), and each higher level adds contiguous
+    blocks of 1024 values or more in place, so it stays O(b 2^b).
+
+    A term takes at most 3 products, 14 additions in its bin (supports U and
+    U | {0} share one: 9 + 6 orbits at |U| = 3, and 5 + 9 orbits and a pair
+    at |U| = 2, the most of any), 31 in each product and b - 11 in the
+    higher levels, so each value is off by at most gamma_(68+b) times the
+    block's sum|terms| (fewer roundings below b = 11). The allowance takes
+    (61 + b) eps, (122 + 2b) units of roundoff, at least 1.79 times that,
+    which also covers gamma's denominator and the rounding of sum|terms|.
+    That sum is formed without the terms, as tr((|M||W| + I)^2) (the
+    4-tuple terms |M_il W_lj| |M_jm W_mi|, the pair terms |2 M_il W_li| and
+    the b ones): a sum of nonnegative products, within about (b + 4) eps of
+    the sum over the terms. Measured, the error stays under 0.3% of the
+    allowance (every ``tests/test_conformality.py`` fuzz kind, b = 2-13).
     """
-    n = len(a)
+    n, cube = len(a), b**3
     m, w = a.reshape(n, b, b), a_inv.reshape(n, b, b)
-    x = m[:, :, :, None] * w[:, None, :, :]  # M_il W_lj at (i, l, j)
-    terms = np.empty((n, len(masks)))
-    np.multiply(x[..., None], x.transpose(0, 3, 1, 2)[:, :, None], out=terms[:, : b**4].reshape(n, b, b, b, b))
-    np.multiply(m, -2.0 * w.transpose(0, 2, 1), out=terms[:, b**4 : -b].reshape(n, b, b))
-    terms[:, -b:] = 1.0
-    abs_m, abs_w = np.abs(m), np.abs(w)
-    mw = abs_m @ abs_w
-    total = np.einsum("nij,nji->n", mw, mw) + 2.0 * np.einsum("nij,nji->n", abs_m, abs_w) + b
-    allow = (61 + b) * np.finfo(float).eps * total[:, None]
-    bins = masks if n == 1 else (masks + (np.arange(n) << (b - 1))[:, None]).ravel()
-    tr = np.bincount(bins, terms.ravel(), n << (b - 1)).reshape(n, -1)
-    del terms
-    for j in range(b - 1):
+    first, second, bins = _screen_plan(b)
+    src = np.empty((n, 2 * cube + 3))
+    np.multiply(m[:, :, :, None], w[:, None, :, :], out=src[:, :cube].reshape(n, b, b, b))
+    np.multiply(src[:, :cube], 2.0, out=src[:, cube:-3])
+    src[:, -3:] = 1.0, -2.0, -4.0
+    terms = src.take(first, axis=1)
+    terms *= src.take(second, axis=1)
+    mw = np.abs(m) @ np.abs(w)
+    mw += _identity(b)
+    allow = (61 + b) * np.finfo(float).eps * np.einsum("nij,nji->n", mw, mw)[:, None]
+    if n > 1:
+        bins = (bins + (np.arange(n) << (b - 1))[:, None]).ravel()
+    tr = np.bincount(bins, terms.ravel(), n << (b - 1))
+    low = min(5, b - 1)
+    mid = min(5, b - 1 - low)
+    tr = tr.reshape(-1, 1 << low) @ SUBSETS[: 1 << low, : 1 << low]
+    tr = (SUBSETS[: 1 << mid, : 1 << mid].T @ tr.reshape(-1, 1 << mid, 1 << low)).reshape(n, -1)
+    for j in range(low + mid, b - 1):
         half = tr.reshape(n, -1, 2, 1 << j)
         half[:, :, 1] += half[:, :, 0]
     return tr, allow
 
 
-def _screen(a: np.ndarray, a_inv: np.ndarray, b: int, masks: np.ndarray) -> np.ndarray:
+def _screen(a: np.ndarray, a_inv: np.ndarray, b: int) -> np.ndarray:
     """Upper bounds on value^2 for every partition of every block of a stack,
     as ``_batched_rho_sq`` lays out its slots, from ``_trace_squares``: P_S
     has the eigenvalues mu - 1 >= 0 of M_SS W_SS (module docstring).
     """
-    tr, allow = _trace_squares(a, a_inv, b, masks)
+    tr, allow = _trace_squares(a, a_inv, b)
     out = tr[:, :-1] + allow  # the last mask is all of C
     np.sqrt(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    np.subtract(1.0, out, out=out)  # 1 - 1/(1 + sqrt(tr + allowance)) >= value^2
+    np.divide(out, out + 1.0, out=out)  # r/(1 + r) = 1 - 1/(1 + r) >= value^2, r = sqrt(tr + allowance)
     return out.ravel()
 
 
@@ -520,7 +569,7 @@ def _batched_rho_sq(a: np.ndarray, a_inv: np.ndarray, delta: float) -> np.ndarra
     flat_both = both.reshape(2, -1)
     screened = k >= SCREEN_MIN_SIZE
     if screened:
-        out = _screen(*both, k, _screen_index(k))
+        out = _screen(*both, k)
         # One exact value, at the largest screen bound, starts the best.
         j, p = divmod(int(out.argmax()), count)
         pos = ((2 * p + 1) >> np.arange(k) & 1).nonzero()[0]
@@ -703,14 +752,11 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
         # A diagonal M has no winning block: its pair is that of S = {0} on
         # C = {0, 1}, scored once on M_CC, the only entries it reads.
         found = _rescore(np.diag(m._diagonal[:2]), [(np.array([[0, 1]]), np.ones((1, 1), dtype=bool))])[1]
-    # The smallest lift among the maxima, S and the indices outside C below
-    # max S: i <= max S and i not in T, compared as tuples.
-    lifts = []
-    for stack in found:
-        for c, s, *score in zip(*stack):
-            t = set(c[~s].tolist())
-            lifts.append((tuple(i for i in range(c[s][-1] + 1) if i not in t), c, s, *score))
-    subset, c, s, chol, u, z = min(lifts, key=lambda lift: lift[0])
+    c, s, chol, u, z = _smallest_lift(found, m.dim)
+    # Its lift: i <= max S and i not in T.
+    outside_t = np.ones(m.dim, dtype=bool)
+    outside_t[c[~s]] = False
+    subset = tuple(np.flatnonzero(outside_t[: c[s][-1] + 1]).tolist())
     # The winner's top generalized eigenvector v = L^-T u: the one solve of
     # the call, with the bits of its row of a stacked solve.
     v = np.linalg.solve(chol.T, u)
@@ -724,6 +770,27 @@ def weak_conformality(m: SpdMatrix, *, force: bool = False) -> ConformalityResul
         witness_x=x,
         witness_y=y,
     )
+
+
+def _smallest_lift(found, k: int):
+    """The row (C, S, L, u, Z) of ``_rescore``'s exact maxima whose lift
+    L(S) = {i <= max S : i not in T} is the smallest, with no lift formed.
+
+    Two lifts first differ at the least index of T' = {t in T : t < max S}
+    in one of them and not in the other, and the lift without it is the
+    smaller; with no such index, the lift of the smaller max S is a prefix
+    of the other. So the lifts order as the keys [k - t for t in T', t
+    ascending] + [0, max S]: O(|C|) per maximum, where a lift is O(max S).
+    """
+    best = None
+    for stack in found:
+        for row, (c, s) in enumerate(zip(stack[0].tolist(), stack[1].tolist())):
+            top = max(i for i, inside in zip(c, s) if inside)
+            key = [k - i for i, inside in zip(c, s) if not inside and i < top] + [0, top]
+            if best is None or key < best[0]:
+                best = key, stack, row
+    _, stack, row = best
+    return tuple(part[row] for part in stack)
 
 
 def _witness_pair(a: np.ndarray, s: np.ndarray, v: np.ndarray, z: np.ndarray):

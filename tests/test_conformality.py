@@ -200,6 +200,78 @@ def test_weak_exact_block_tie_takes_the_smallest_lift():
     assert weak_conformality_value(m) == res.rho_weak
 
 
+def tuple_lift(c, s):
+    # S | {i not in C : i < max(S)}, formed index by index: i <= max S and
+    # i not in T.
+    t = set(c[~s].tolist())
+    return tuple(i for i in range(int(c[s].max()) + 1) if i not in t)
+
+
+def test_smallest_lift_matches_tuple_lifts():
+    # The keyed pick against the minimum of the lifts formed as tuples, on
+    # random maxima: several per block, over blocks of 2 to 6 indices at
+    # random positions, one stack per width as _rescore returns them.
+    rng = np.random.default_rng(5000)
+    for _ in range(300):
+        k = int(rng.integers(4, 40))
+        cuts = np.cumsum(rng.integers(2, 7, k))
+        blocks = [np.sort(c) for c in np.split(rng.permutation(k), cuts[cuts < k]) if len(c) >= 2]
+        stacks, lifts = {}, []
+        for c in blocks:
+            b = len(c)
+            for p in rng.choice((1 << (b - 1)) - 1, min(3, (1 << (b - 1)) - 1), replace=False):
+                s = conformality._subset_rows(np.array([2 * p + 1]), b)[0]
+                stacks.setdefault(b, []).append((c, s, len(lifts)))
+                lifts.append(tuple_lift(c, s))
+        found = [tuple(np.array(part) for part in zip(*rows)) for rows in stacks.values()]
+        c, s, at = conformality._smallest_lift(found, k)
+        assert lifts[at] == min(lifts) == tuple_lift(c, s)
+
+
+def test_witness_lift_among_exactly_tied_blocks():
+    # Copies of one block tie exactly, wherever the permutation puts them:
+    # three copies and a 4^j multiple of a 3 x 3 block, a weaker 3 x 3 block,
+    # and three copies of a 2 x 2 block with a weaker one. The witness is
+    # the reference's smallest lift, and the pair is its pair.
+    rng = np.random.default_rng(5100)
+    for _ in range(6):
+        b3, b2 = random_spd(rng, 3).entries, random_spd(rng, 2).entries
+        weak3, weak2 = random_spd(rng, 3, 0.95, 1.05).entries, np.diag([1.0, 2.0]) + 0.01
+        blocks = [b3, b3, 4.0 * b3, b3, weak3, b2, b2, weak2, b2]
+        k = sum(len(b) for b in blocks)
+        entries, at = np.zeros((k, k)), 0
+        for block in blocks:
+            entries[at : at + len(block), at : at + len(block)] = block
+            at += len(block)
+        p = rng.permutation(k)
+        m = SpdMatrix(entries[np.ix_(p, p)])
+        res = weak_conformality(m)
+        rho, subset, x, y = reference_block_weak(m)
+        assert (res.rho_weak, res.witness_partition) == (rho, subset)
+        assert np.array_equal(res.witness_x, x) and np.array_equal(res.witness_y, y)
+
+
+def test_witness_lift_over_a_thousand_blocks():
+    # 1000 2 x 2 blocks {a, b}, a < b, at random positions, each
+    # [[2, c], [c, 1]] on (a, b); 100 of them hold the larger c and tie
+    # exactly. The witness is S = {a} of the tied block whose a is least,
+    # lifted to (0, 1, ..., a), and the pair is that block's own.
+    rng = np.random.default_rng(5200)
+    pairs = np.sort(rng.permutation(2000).reshape(-1, 2), axis=1)
+    coupling = rng.permutation([0.5] * 100 + [0.25] * 900)
+    entries = np.zeros((2000, 2000))
+    entries[pairs[:, 0], pairs[:, 0]], entries[pairs[:, 1], pairs[:, 1]] = 2.0, 1.0
+    entries[pairs[:, 0], pairs[:, 1]] = entries[pairs[:, 1], pairs[:, 0]] = coupling
+    m = SpdMatrix(entries)
+    res = weak_conformality(m)
+    a, b = min(pairs[coupling == 0.5].tolist())
+    rho, subset, x, y = reference_weak(SpdMatrix(entries[np.ix_([a, b], [a, b])]))
+    assert (res.rho_weak, res.witness_partition) == (rho, tuple(range(a + 1)))
+    assert subset == (0,) and res.rho_weak == weak_conformality_value(m)
+    assert np.flatnonzero(res.witness_x).tolist() == [a] and np.flatnonzero(res.witness_y).tolist() == [b]
+    assert np.array_equal(res.witness_x[[a, b]], x) and np.array_equal(res.witness_y[[a, b]], y)
+
+
 def test_blocks_share_one_inverse_and_one_recheck(monkeypatch):
     # Three 4 x 4 blocks of distinct values: every block is ranked from the
     # inverse its stored eigenpairs give, only the best block's near ties
@@ -909,13 +981,35 @@ def test_trace_table_is_within_its_allowance(k):
     for kind, entries in [*fuzz_entries(rng, k), *non_normal_and_scaled_entries(rng, k)]:
         m = SpdMatrix(entries)
         a, w = m.entries.reshape(1, -1), m.inverse().reshape(1, -1)
-        masks = conformality._screen_index(k)
-        table, allow = conformality._trace_squares(a, w, k, masks)
+        table, allow = conformality._trace_squares(a, w, k)
         assert (np.abs(table[0] - direct_trace_squares(m.entries, m.inverse())) <= allow[0, 0]).all(), kind
         delta = conformality.TIE_SAFETY * k * np.finfo(float).eps * m.condition
         exact = _batched_rho_sq(m.entries[None], m.inverse()[None], np.inf)[0]
-        upper = conformality._screen(a, w, k, masks)
+        upper = conformality._screen(a, w, k)
         assert (upper >= exact - delta / conformality.TIE_SAFETY).all(), kind
+
+
+@pytest.mark.parametrize("b", (10, 11, 12))
+def test_trace_table_of_a_stack_is_each_blocks_own(b):
+    # A stack of four b-blocks, one of each connected fuzz kind (dense,
+    # ill-conditioned, near-diagonal and gadget), in a permuted matrix,
+    # as the scan reads it: row by row, the table and the allowance are
+    # those of the block alone, bit for bit, and the row is within the
+    # allowance of tr(P_S^2) formed mask by mask.
+    rng = np.random.default_rng(2900 + b)
+    blocks = [entries for _, entries in fuzz_entries(rng, b)][:4]
+    entries = np.zeros((4 * b, 4 * b))
+    for j, block in enumerate(blocks):
+        entries[j * b : (j + 1) * b, j * b : (j + 1) * b] = block
+    p = rng.permutation(4 * b)
+    m = SpdMatrix(entries[np.ix_(p, p)])
+    (c,) = m.stacks
+    a, a_inv = stack_blocks(m.entries, m.inverse(), c)
+    table, allow = conformality._trace_squares(a.reshape(4, -1), a_inv.reshape(4, -1), b)
+    for row, (block, block_inv) in enumerate(zip(a, a_inv)):
+        own, own_allow = conformality._trace_squares(block.reshape(1, -1), block_inv.reshape(1, -1), b)
+        assert np.array_equal(table[row], own[0]) and allow[row, 0] == own_allow[0, 0], row
+        assert (np.abs(table[row] - direct_trace_squares(block, block_inv)) <= allow[row, 0]).all(), row
 
 
 @pytest.mark.parametrize("k", range(10, 14))
@@ -928,7 +1022,7 @@ def test_trace_allowance_is_the_sum_of_the_terms(k):
         m = SpdMatrix(entries)
         a, w = np.abs(m.entries), np.abs(m.inverse())
         direct = np.einsum("il,lj,jm,mi->iljm", a, w, a, w).sum() + np.sum(2.0 * a * w.T) + k
-        allow = conformality._trace_squares(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k, conformality._screen_index(k))[1]
+        allow = conformality._trace_squares(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k)[1]
         assert abs(allow[0, 0] / ((61 + k) * np.finfo(float).eps * direct) - 1.0) <= 1e-12, kind
 
 
@@ -962,7 +1056,7 @@ def test_pruned_partitions_are_never_factored(monkeypatch):
         screened = k >= conformality.SCREEN_MIN_SIZE
         seed = []
         if screened:
-            screen = conformality._screen(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k, conformality._screen_index(k))
+            screen = conformality._screen(m.entries.reshape(1, -1), m.inverse().reshape(1, -1), k)
             seed.append(rows[screen.argmax()].copy())
         flip = rows.sum(axis=1) > k // 2
         rows[flip] = ~rows[flip]  # the smaller side S
@@ -989,7 +1083,7 @@ def mask_order_rho_sq(entries, inverse, c, delta, screened=None):
         screened = k >= conformality.SCREEN_MIN_SIZE
     if screened:
         a, a_inv = entries[np.ix_(c, c)].reshape(1, -1), inverse[np.ix_(c, c)].reshape(1, -1)
-        out = conformality._screen(a, a_inv, k, conformality._screen_index(k))
+        out = conformality._screen(a, a_inv, k)
         # The seed: S = {0} | p at the largest screen bound, solved alone.
         s_idx = c[np.flatnonzero((2 * int(out.argmax()) + 1) >> np.arange(k) & 1)]
         chol = np.linalg.cholesky(entries[np.ix_(s_idx, s_idx)])
